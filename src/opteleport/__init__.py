@@ -27,9 +27,7 @@ from .tower import (
     GnsSpace,
     Tower,
     basic_construction,
-    build_gns,
     iterate,
-    jones_projection,
     normalizer_check,
     verify_epr,
     verify_tower,

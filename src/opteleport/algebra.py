@@ -180,17 +180,7 @@ class StarAlgebra:
                 raise StructureError(f"block rank {rank} not divisible by {bd}")
             blocks.append((bd, mult))
             units.append(_matrix_units_for_block(onb, z, bd, mult, tol))
-        order = sorted(
-            range(len(blocks)),
-            key=lambda j: (blocks[j][0], tuple(np.round(zs[j].real.reshape(-1), 6))),
-        )
-        return cls(
-            n,
-            [blocks[j] for j in order],
-            [zs[j] for j in order],
-            [units[j] for j in order],
-            tol,
-        )
+        return _canonical(n, blocks, zs, units, tol)
 
     @classmethod
     def commuting_product(cls, a: "StarAlgebra", b: "StarAlgebra") -> "StarAlgebra":
@@ -279,22 +269,10 @@ class StarAlgebra:
         """Image under a unital injective *-anti-homomorphism.
 
         Anti-multiplicativity swaps the matrix-unit indices, so
-        ``g[a][b] = phi(f[b][a])`` is again a system of matrix units.
+        ``g[a][b] = phi(f[b][a]) = phi(f[a][b]*)`` is again a system of
+        matrix units: the image of the *-homomorphism ``x -> phi(x*)``.
         """
-        blocks: list[tuple[int, int]] = []
-        zs: list[np.ndarray] = []
-        units: list[list[list[np.ndarray]]] = []
-        for (bd, _), f in zip(self.blocks, self.matrix_units):
-            g = [[phi(f[b][a]) for b in range(bd)] for a in range(bd)]
-            z = sum(g[a][a] for a in range(bd))
-            rank = float(np.trace(z).real)
-            mult = int(round(rank / bd))
-            if abs(rank - bd * mult) > 1e-6:
-                raise StructureError("anti-image multiplicity is not an integer")
-            blocks.append((bd, mult))
-            zs.append(z)
-            units.append(g)
-        return StarAlgebra(ambient_dim, blocks, zs, units, self.tol)
+        return self.image(lambda x: phi(la.dagger(x)), ambient_dim)
 
     def conjugate_entrywise(self) -> "StarAlgebra":
         """The algebra {conj(x)} — conjugation by the canonical J in GNS coordinates."""
@@ -369,17 +347,29 @@ class StarAlgebra:
             blocks.append((mult, bd))
             zs.append(z)
             units.append(g)
-        order = sorted(
-            range(len(blocks)),
-            key=lambda j: (blocks[j][0], tuple(np.round(zs[j].real.reshape(-1), 6))),
-        )
-        return StarAlgebra(
-            n,
-            [blocks[j] for j in order],
-            [zs[j] for j in order],
-            [units[j] for j in order],
-            self.tol,
-        )
+        return _canonical(n, blocks, zs, units, self.tol)
+
+
+def _canonical(
+    n: int,
+    blocks: list[tuple[int, int]],
+    zs: list[np.ndarray],
+    units: list[list[list[np.ndarray]]],
+    tol: Tolerance,
+) -> StarAlgebra:
+    """The algebra with its blocks in canonical order: by block dimension,
+    then by the rounded entries of the central projection."""
+    order = sorted(
+        range(len(blocks)),
+        key=lambda j: (blocks[j][0], tuple(np.round(zs[j].real.reshape(-1), 6))),
+    )
+    return StarAlgebra(
+        n,
+        [blocks[j] for j in order],
+        [zs[j] for j in order],
+        [units[j] for j in order],
+        tol,
+    )
 
 
 def _unit_matrix(n: int, a: int, b: int) -> np.ndarray:
@@ -604,11 +594,6 @@ class Superoperator:
                 img = self.extended(_unit_matrix(nd, i, j))
                 choi[i * nc : (i + 1) * nc, j * nc : (j + 1) * nc] = img
         return choi
-
-    def coord_matrix(self, dom_onb: np.ndarray, cod_onb: np.ndarray) -> np.ndarray:
-        """Action matrix between given HS-orthonormal bases."""
-        cols = [la.span_coords(cod_onb, self._apply(b)) for b in dom_onb]
-        return np.stack(cols, axis=1)
 
     def is_unital(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return tol.close(self._apply(self.domain.unit), self.codomain.unit)

@@ -33,7 +33,6 @@ from .algebra import StarAlgebra, Trace
 from .bases import (
     PimsnerPopaBasis,
     character_basis,
-    commutant_factor_basis,
     homogeneity_test,
     shift_basis,
     verify_basis,
@@ -50,6 +49,7 @@ from .qgraph import (
     factor_lower_bound,
     gns_graph,
     graphs_from_inclusion,
+    normaliser_basis_for,
     verify_colouring,
 )
 from .reporting import Report
@@ -302,19 +302,10 @@ def cmd_teleport(args) -> dict:
 
 
 def _infer_normaliser_basis(inc: Inclusion) -> PimsnerPopaBasis:
-    small = inc.small
-    if small.dim == 1:
-        b = weyl_basis(inc.big.ambient_dim)
-        b.inclusion = inc
-        return b
-    if len(small.blocks) == 1:
-        return commutant_factor_basis(inc)
-    if all(m == 1 for _, m in small.blocks):
-        flag, witness, why = homogeneity_test(inc)
-        if flag and witness is not None:
-            return witness
-        raise InputError(f"no normaliser basis constructor applies: {why}")
-    raise InputError("no normaliser basis constructor applies to this inclusion")
+    basis = normaliser_basis_for(inc)
+    if basis is None:
+        raise InputError("no normaliser basis constructor applies to this inclusion")
+    return basis
 
 
 def cmd_graph(args) -> dict:

@@ -6,8 +6,8 @@ Conventions, fixed globally:
   basis; a Kronecker product ``kron(a, b)`` indexes ``(i, j) -> i * dim_b + j``;
 * tensor legs are numbered from 0, left to right;
 * "equal" always means equal within a :class:`Tolerance` on Frobenius norms;
-* rank decisions (nullspace, Gram-Schmidt drops) compare singular values
-  against the absolute tolerance.
+* rank decisions (nullspace, span bases) compare singular values against
+  the absolute tolerance.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class Tolerance:
     def close(self, a: np.ndarray, b: np.ndarray) -> bool:
         scale = max(np.linalg.norm(a), np.linalg.norm(b))
         return float(np.linalg.norm(a - b)) <= self.bound(scale)
-
-    def iszero(self, a: np.ndarray) -> bool:
-        return float(np.linalg.norm(a)) <= self.abs
 
 
 DEFAULT_TOL = Tolerance()
@@ -142,35 +139,6 @@ def partial_trace(
     return out
 
 
-def hs_gram_schmidt(
-    mats: Sequence[np.ndarray],
-    density: np.ndarray | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Orthonormalise matrices with respect to <x, y> = tr(rho y^dagger x).
-
-    ``density`` is the positive matrix rho defining the trace functional
-    (``None`` means the unnormalised trace).  Vectors whose residual norm
-    falls below the absolute tolerance are dropped, so the output length
-    reports the rank.
-    """
-    out: list[np.ndarray] = []
-
-    def inner(a: np.ndarray, b: np.ndarray) -> complex:
-        prod = dagger(b) @ a
-        return complex(np.trace(prod if density is None else density @ prod))
-
-    for m in mats:
-        v = np.array(m, dtype=complex)
-        for _ in range(2):  # re-orthogonalisation pass for stability
-            for u in out:
-                v = v - inner(v, u) * u
-        norm = np.sqrt(abs(inner(v, v)))
-        if norm > tol.abs:
-            out.append(v / norm)
-    return out
-
-
 def nullspace(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of {v : a v = 0}, singular values <= tol.abs as zero."""
     a = as_matrix(a)
@@ -206,11 +174,6 @@ def pf_eigenvector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[float, 
     if np.any(v <= 0):
         raise ConnectednessError("Perron vector not strictly positive")
     return top, v / v.sum()
-
-
-def hermitian_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    return np.linalg.eigh(a)
 
 
 def eigenvalue_clusters(values: np.ndarray, gap: float) -> list[np.ndarray]:

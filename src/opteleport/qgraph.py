@@ -475,7 +475,7 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
     else:
         warnings.append("N is not a factor: no quantum-commuting certificate for (N', M)")
 
-    basis = _normaliser_basis_for(inc)
+    basis = normaliser_basis_for(inc)
     if basis is not None:
         t = basic_construction(inc, tol)
         verify_basis(t, basis, tol)
@@ -509,7 +509,7 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
     return ChromaticBounds(lower, upper, certificates, warnings)
 
 
-def _normaliser_basis_for(inc: Inclusion) -> PimsnerPopaBasis | None:
+def normaliser_basis_for(inc: Inclusion) -> PimsnerPopaBasis | None:
     """A unitary normaliser basis from the known constructors, if one applies."""
     small, big = inc.small, inc.big
     n = big.ambient_dim

@@ -1,4 +1,4 @@
-"""GNS representations and the two-level basic construction.
+"""GNS representations and the Jones basic construction, one level at a time.
 
 Coordinates on the GNS space of (M, tau) use a self-adjoint basis of M
 orthonormal for <x, y> = tau(y* x).  In these coordinates the modular
@@ -6,14 +6,18 @@ conjugation is plain entrywise complex conjugation and the right regular
 representation is the transpose of the left one, so no antilinear operator
 type is needed anywhere.
 
-The second algebra of the tower is built as the conjugated commutant of
-the represented middle algebra, and its canonical trace is solved from the
-defining relation tr(x e y) = tau(x y) through a central-density ansatz,
-with the relation re-verified on a spanning family of pairs.
+A :class:`Tower` is a list of :class:`Level` records grown by
+:meth:`Tower.extend`, which repeats one step at every height: take the GNS
+space of the top algebra, add the Jones projection onto the image of the
+algebra below it, and take the conjugated commutant of that represented
+algebra as the next algebra.  Its canonical trace is solved from the
+defining relation tr(x e y) = tau(x y) through a central-density ansatz on
+seeded pairs, then gated on the Markov restriction over the whole basis.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,182 +79,163 @@ class GnsSpace:
         return np.einsum("l,lab->ab", v, self.onb)
 
     def subspace_projection(self, sub: StarAlgebra) -> np.ndarray:
-        """Orthogonal projection onto the GNS image of a subalgebra."""
+        """Orthogonal projection onto the GNS image of a subalgebra.
+
+        For the Jones projection this gives e Lambda(x) = Lambda(E(x)) with
+        E the trace-preserving expectation onto the subalgebra.
+        """
         sub_onb = _tau_onb(sub.basis, self.trace.restrict(sub))
         rows = np.stack([self.vector(c) for c in sub_onb])
         return rows.T @ np.conj(rows)
 
 
-def build_gns(algebra: StarAlgebra, trace: Trace, tol: Tolerance = DEFAULT_TOL) -> GnsSpace:
-    return GnsSpace(algebra, trace, tol)
+@dataclass(eq=False)
+class Level:
+    """The algebra M_k of the tower N = M_{-1} ⊆ M = M_0 ⊆ M_1 ⊆ ...
 
-
-def jones_projection(gns: GnsSpace, small: StarAlgebra) -> np.ndarray:
-    """Orthogonal projection onto the GNS image of a subalgebra.
-
-    Satisfies e Lambda(x) = Lambda(E(x)) for the trace-preserving
-    expectation onto the subalgebra.
+    ``upper`` is M_{k-1} inside M_k (N itself at k = 0).  From k = 1 on,
+    M_k acts on ``gns``, the GNS space of (M_{k-1}, trace_{k-1}): ``lower``
+    is M_{k-2} represented there, ``jones`` the projection onto its GNS
+    image, and ``density`` the central density solved for ``trace``.
     """
-    return gns.subspace_projection(small)
+
+    algebra: StarAlgebra
+    trace: Trace
+    upper: StarAlgebra
+    gns: GnsSpace | None = None
+    lower: StarAlgebra | None = None
+    jones: np.ndarray | None = None
+    density: np.ndarray | None = None
+    mirror: StarAlgebra | None = None  # M_{k-1}' ∩ M_k, filled by Tower.mirror
+
+    @cached_property
+    def expect(self) -> Superoperator:
+        """trace-preserving conditional expectation M_k -> M_{k-1}."""
+        return conditional_expectation_onto(self.upper, self.algebra, self.trace)
 
 
-def _central_trace_from_relation(
-    level: StarAlgebra,
-    products: list[np.ndarray],
-    values: list[complex],
-    tol: Tolerance,
-) -> tuple[np.ndarray, float]:
-    """Solve tr(rho * product) = value for a central density rho on ``level``.
+def _step(prev: Level, tol: Tolerance) -> Level:
+    """The basic construction on top of ``prev``: the record one level up."""
+    gns = GnsSpace(prev.algebra, prev.trace, tol)
+    lower = prev.upper.image(gns.left, gns.dim)
+    upper = prev.algebra.image(gns.left, gns.dim)
+    jones = gns.subspace_projection(prev.upper)
+    algebra = lower.commutant.conjugate_entrywise()
+    density, trace = _extend_trace(prev, gns, jones, algebra, tol)
+    return Level(algebra, trace, upper, gns, lower, jones, density)
 
-    Returns the (unnormalised) density together with the worst equation
-    residual; any trace on a finite-dimensional algebra has a central
-    density, so a large residual means the relation is inconsistent.
+
+def _extend_trace(
+    prev: Level, gns: GnsSpace, jones: np.ndarray, algebra: StarAlgebra, tol: Tolerance
+) -> tuple[np.ndarray, Trace]:
+    """Extend ``prev.trace`` to ``algebra`` through tr(x e y) = trace(x y).
+
+    Any trace on a finite-dimensional algebra has a central density, so the
+    relation is solved for one by least squares on seeded combinations of
+    the basis of ``prev.algebra``; a large residual means the relation is
+    inconsistent.  The normalised extension must then restrict to the old
+    trace on the whole basis (the Markov gate).
     """
-    zs = level.central_projections
-    rows = np.array([[np.trace(z @ p) for z in zs] for p in products])
-    vals = np.array(values)
-    coeffs, *_ = np.linalg.lstsq(rows, vals, rcond=None)
-    resid = float(np.abs(rows @ coeffs - vals).max()) if len(products) else 0.0
-    rho = sum(c * z for c, z in zip(coeffs, zs))
-    return rho, resid
+    basis = prev.algebra.basis
+    k = basis.shape[0]
+    rng = la.rng_from(_PAIR_SEED)
+    picks = min(k, max(12, 2 * len(algebra.blocks)))
+    combos = [np.tensordot(rng.standard_normal(k), basis, axes=(0, 0)) for _ in range(picks)]
+    images = [gns.left(c) for c in combos]
+    zs = np.stack(algebra.central_projections)
+    rows = np.array(
+        [np.einsum("jab,ba->j", zs, pc @ jones @ pd) for pc in images for pd in images]
+    )
+    values = np.array([prev.trace(c @ d) for c in combos for d in combos])
+    coeffs, *_ = np.linalg.lstsq(rows, values, rcond=None)
+    resid = float(np.abs(rows @ coeffs - values).max())
+    if resid > tol.bound(1.0) * len(values):
+        raise MarkovError(f"trace extension inconsistent, residual {resid:.2e}")
+    density = np.tensordot(coeffs, zs, axes=(0, 0))
+    total = float(np.trace(density).real)
+    weights = [
+        float(np.trace(density @ algebra.minimal_projection(j)).real) / total
+        for j in range(len(algebra.blocks))
+    ]
+    trace = Trace(algebra, weights)
+    worst = max(abs(trace(gns.left(x)) - prev.trace(x)) for x in basis)
+    if worst > tol.bound(1.0) * k:
+        raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
+    return density, trace
+
+
+def _view(k: int, field: str, doc: str) -> property:
+    return property(lambda self: getattr(self.level(k), field), doc=doc)
 
 
 class Tower:
-    """The tower N ⊆ M ⊆ M1 (⊆ M2 after :func:`iterate`).
+    """The tower N ⊆ M ⊆ M1 ⊆ ..., one :class:`Level` record per algebra.
 
-    Level one lives on the GNS space of (M, tau): ``jones1`` is the
-    projection onto the image of N and ``level1`` the conjugated commutant
-    of the represented N.  Level two repeats the construction for
-    (M1, trace1).
+    Construction builds M1; :meth:`extend` adds one level per call.  The
+    paper-named attributes below are read-only views of the first levels.
     """
 
     def __init__(self, inclusion: Inclusion, tol: Tolerance = DEFAULT_TOL) -> None:
         self.inclusion = inclusion
         self.tol = tol
-        self.gns = GnsSpace(inclusion.big, inclusion.trace, tol)
-        self.n_rep = inclusion.small.image(self.gns.left, self.gns.dim)
-        self.m_rep = inclusion.big.image(self.gns.left, self.gns.dim)
-        self.jones1 = self.gns.subspace_projection(inclusion.small)
-        self.level1 = self.n_rep.commutant.conjugate_entrywise()
-        self._solve_level1_trace()
-        self._level2_built = False
+        self.levels = [Level(inclusion.big, inclusion.trace, inclusion.small)]
+        self.extend()
 
-    # -- level 1 -------------------------------------------------------------
+    def extend(self) -> Level:
+        """Append the next level by one basic-construction step."""
+        self.levels.append(_step(self.levels[-1], self.tol))
+        return self.levels[-1]
 
-    def _solve_level1_trace(self) -> None:
-        inc = self.inclusion
-        pi = self.gns.left
-        basis = inc.big.basis
-        products, values = [], []
-        for x in basis:
-            px = pi(x)
-            for y in basis:
-                products.append(px @ self.jones1 @ pi(y))
-                values.append(inc.trace(x @ y))
-        rho, resid = _central_trace_from_relation(self.level1, products, values, self.tol)
-        if resid > self.tol.bound(1.0) * len(products):
-            raise MarkovError(f"tr1 extension inconsistent, residual {resid:.2e}")
-        total = float(np.trace(rho).real)
-        self.tr1_density = rho
-        weights = [
-            float(np.trace(rho @ self.level1.minimal_projection(j)).real) / total
-            for j in range(len(self.level1.blocks))
-        ]
-        self.trace1 = Trace(self.level1, weights)
-        # Markov gate: the normalised extension must restrict to tau on M
-        worst = max(
-            abs(self.trace1(pi(x)) - inc.trace(x)) for x in inc.big.basis
-        )
-        if worst > self.tol.bound(1.0) * len(inc.big.basis):
-            raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
+    def level(self, k: int) -> Level:
+        """The record of M_k; PreconditionError when it is not built yet."""
+        if not 0 <= k < len(self.levels):
+            raise PreconditionError(
+                f"tower level {k} is not built; call iterate() or extend() first"
+            )
+        return self.levels[k]
+
+    gns = _view(1, "gns", "GNS space of (M, tau).")
+    gns1 = _view(2, "gns", "GNS space of (M1, trace1).")
+    jones1 = _view(1, "jones", "e_N, the projection onto the GNS image of N.")
+    jones2 = _view(2, "jones", "e_M, the projection onto the GNS image of M.")
+    level1 = _view(1, "algebra", "M1, the conjugated commutant of the represented N.")
+    level2 = _view(2, "algebra", "M2, the conjugated commutant of the represented M.")
+    trace1 = _view(1, "trace", "The Markov extension of tau to M1.")
+    trace2 = _view(2, "trace", "The Markov extension of trace1 to M2.")
+    n_rep = _view(1, "lower", "N on the GNS space of M.")
+    m_rep = _view(1, "upper", "M on its GNS space.")
+    m1_rep = _view(2, "upper", "M1 on its GNS space.")
+    expect_onto_m = _view(1, "expect", "trace1-preserving conditional expectation M1 -> M.")
+    rel_comm = property(lambda self: self.mirror(0), doc="N' ∩ M in the base ambient.")
+    mirror1 = property(lambda self: self.mirror(1), doc="M' ∩ M1.")
+    mirror2 = property(lambda self: self.mirror(2), doc="M1' ∩ M2.")
 
     @property
     def index(self) -> float:
         return self.inclusion.index
 
-    @cached_property
-    def rel_comm(self) -> StarAlgebra:
-        """N' ∩ M in the base ambient."""
-        return self.inclusion.relative_commutant
+    def mirror(self, k: int) -> StarAlgebra:
+        """M_{k-1}' ∩ M_k: N' ∩ M at k = 0, then its images under gamma(k - 1)."""
+        lvl = self.level(k)
+        if lvl.mirror is None:
+            lvl.mirror = (
+                self.inclusion.relative_commutant
+                if k == 0
+                else self.mirror(k - 1).anti_image(lvl.gns.right, lvl.gns.dim)
+            )
+        return lvl.mirror
 
-    @cached_property
-    def mirror1(self) -> StarAlgebra:
-        """M' ∩ M1, realised as the right-multiplication image of N' ∩ M."""
-        return self.rel_comm.anti_image(self.gns.right, self.gns.dim)
+    def gamma(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Anti-isomorphism M_{k-1}' ∩ M_k -> M_k' ∩ M_{k+1} (right multiplication)."""
+        return self.level(k + 1).gns.right(x)
 
     def gamma0(self, x: np.ndarray) -> np.ndarray:
         """Anti-isomorphism N' ∩ M -> M' ∩ M1 (right multiplication)."""
-        return self.gns.right(x)
-
-    @cached_property
-    def expect_onto_m(self) -> Superoperator:
-        """trace1-preserving conditional expectation M1 -> M."""
-        return conditional_expectation_onto(self.m_rep, self.level1, self.trace1)
-
-    # -- level 2 -------------------------------------------------------------
-
-    def _require_level2(self) -> None:
-        if not self._level2_built:
-            raise PreconditionError("tower has one level; call iterate() first")
-
-    def build_level2(self) -> None:
-        if self._level2_built:
-            return
-        self.gns1 = GnsSpace(self.level1, self.trace1, self.tol)
-        dim1 = self.gns1.dim
-        self.m1_rep = self.level1.image(self.gns1.left, dim1)
-        self.m_rep2 = self.m_rep.image(self.gns1.left, dim1)
-        self.jones2 = self.gns1.subspace_projection(self.m_rep)
-        self.level2 = self.m_rep2.commutant.conjugate_entrywise()
-        self._solve_level2_trace()
-        self._level2_built = True
-
-    def _solve_level2_trace(self) -> None:
-        pi1 = self.gns1.left
-        basis = self.level1.basis
-        rng = la.rng_from(_PAIR_SEED)
-        k = basis.shape[0]
-        picks = min(k, max(12, 2 * len(self.level2.blocks)))
-        combos = [
-            np.tensordot(rng.standard_normal(k), basis, axes=(0, 0)) for _ in range(picks)
-        ]
-        combos.extend(basis[: min(k, 6)])
-        images = [pi1(c) for c in combos]
-        products, values = [], []
-        for c, pc in zip(combos, images):
-            for d, pd in zip(combos, images):
-                products.append(pc @ self.jones2 @ pd)
-                values.append(self.trace1(c @ d))
-        rho, resid = _central_trace_from_relation(self.level2, products, values, self.tol)
-        if resid > self.tol.bound(1.0) * len(products):
-            raise MarkovError(f"tr2 extension inconsistent, residual {resid:.2e}")
-        total = float(np.trace(rho).real)
-        self.tr2_density = rho
-        weights = [
-            float(np.trace(rho @ self.level2.minimal_projection(j)).real) / total
-            for j in range(len(self.level2.blocks))
-        ]
-        self.trace2 = Trace(self.level2, weights)
-        worst = max(
-            abs(self.trace2(pi1(x)) - self.trace1(x)) for x in self.level1.basis
-        )
-        if worst > self.tol.bound(1.0) * self.level1.dim:
-            raise MarkovError(f"level-two trace not Markov, residual {worst:.2e}")
-
-    @cached_property
-    def mirror2(self) -> StarAlgebra:
-        """M1' ∩ M2, realised through the second anti-isomorphism."""
-        self._require_level2()
-        return self.mirror1.anti_image(self.gns1.right, self.gns1.dim)
-
-    def gamma1(self, y: np.ndarray) -> np.ndarray:
-        """Anti-isomorphism M' ∩ M1 -> M1' ∩ M2."""
-        self._require_level2()
-        return self.gns1.right(y)
+        return self.gamma(0, x)
 
     def shift(self, x: np.ndarray) -> np.ndarray:
         """The canonical shift N' ∩ M -> M1' ∩ M2 (a *-isomorphism)."""
-        return self.gamma1(self.gamma0(x))
+        return self.gamma(1, self.gamma(0, x))
 
     @cached_property
     def gamma0_operator(self) -> Superoperator:
@@ -258,21 +243,9 @@ class Tower:
         return Superoperator(self.rel_comm, self.mirror1, self.gamma0)
 
     @cached_property
-    def gamma1_operator(self) -> Superoperator:
-        self._require_level2()
-        return Superoperator(self.mirror1, self.mirror2, self.gamma1)
-
-    @cached_property
     def shift_operator(self) -> Superoperator:
         """The canonical shift as a typed map; being a *-isomorphism it is UCP."""
-        self._require_level2()
         return Superoperator(self.rel_comm, self.mirror2, self.shift)
-
-    @cached_property
-    def expect_onto_m1(self) -> Superoperator:
-        """trace2-preserving conditional expectation M2 -> M1."""
-        self._require_level2()
-        return conditional_expectation_onto(self.m1_rep, self.level2, self.trace2)
 
 
 def basic_construction(inclusion: Inclusion, tol: Tolerance = DEFAULT_TOL) -> Tower:
@@ -281,8 +254,9 @@ def basic_construction(inclusion: Inclusion, tol: Tolerance = DEFAULT_TOL) -> To
 
 
 def iterate(tower: Tower) -> Tower:
-    """Extend the tower with its second level (M2, e_M, gamma1, shift)."""
-    tower.build_level2()
+    """Extend the tower to its second level (M2, e_M, gamma(1, ·), shift)."""
+    while len(tower.levels) < 3:
+        tower.extend()
     return tower
 
 
@@ -349,7 +323,7 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
         "tr1_defining_relation",
         max(
             abs(
-                complex(np.trace(t.tr1_density @ (pi(x) @ e1 @ pi(y))))
+                complex(np.trace(t.levels[1].density @ (pi(x) @ e1 @ pi(y))))
                 - inc.trace(x @ y)
             )
             for x in inc.big.basis
@@ -392,7 +366,7 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     e1_up = pi1(e1)
     rep.add(
         "jones2_commutes_with_m",  # the level-two fact e_M ∈ M'
-        max(la.frobenius_distance(e2 @ b, b @ e2) for b in t.m_rep2.basis),
+        max(la.frobenius_distance(e2 @ b, b @ e2) for b in t.levels[2].lower.basis),
         tol.bound(1.0),
     )
     rep.add(
@@ -423,7 +397,7 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     )
     rep.add(
         "markov_expectation_level2",
-        la.frobenius_distance(t.expect_onto_m1(e2), la.eye(t.gns1.dim) / idx),
+        la.frobenius_distance(t.levels[2].expect(e2), la.eye(t.gns1.dim) / idx),
         tol.bound(1.0),
     )
     rep.add(
@@ -479,7 +453,7 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance) -> Report:
         )
         gx, gy = t.gamma0(x), t.gamma0(y)
         anti1 = max(
-            anti1, la.frobenius_distance(t.gamma1(gx @ gy), t.gamma1(gy) @ t.gamma1(gx))
+            anti1, la.frobenius_distance(t.gamma(1, gx @ gy), t.gamma(1, gy) @ t.gamma(1, gx))
         )
     rep.add("shift_multiplicative", mult, tol.bound(1.0) * 10)
     rep.add("shift_star_preserving", star, tol.bound(1.0) * 10)

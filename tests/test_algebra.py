@@ -278,14 +278,3 @@ def test_conjugate_entrywise():
     conj = alg.conjugate_entrywise()
     assert conj.same_span(alg)  # full algebra is conjugation invariant
 
-
-def test_superoperator_coord_matrix():
-    # the action matrix of the diagonal expectation in HS coordinates is a
-    # rank-preserving projection onto the diagonal coordinates
-    m = StarAlgebra.full(2)
-    diag = StarAlgebra.diagonal(2)
-    e = conditional_expectation_onto(diag, m, Trace.normalized(m))
-    act = e.coord_matrix(m.basis, m.basis)
-    assert act.shape == (4, 4)
-    assert la.frobenius_distance(act @ act, act) < 1e-10
-    assert int(round(np.trace(act).real)) == 2

@@ -88,30 +88,6 @@ def test_partial_trace_dimension_mismatch():
         la.partial_trace(np.eye(4, dtype=complex), [2, 3], {0})
 
 
-def test_gram_schmidt_already_orthonormal():
-    out = la.hs_gram_schmidt([np.eye(2, dtype=complex), X], density=np.eye(2) / 2)
-    assert len(out) == 2
-    assert la.frobenius_distance(out[0], np.eye(2)) < 1e-12
-    assert la.frobenius_distance(out[1], X) < 1e-12
-
-
-def test_gram_schmidt_single_step_by_hand():
-    out = la.hs_gram_schmidt([np.eye(2, dtype=complex), np.eye(2) + X], density=np.eye(2) / 2)
-    assert len(out) == 2
-    assert la.frobenius_distance(out[1], X) < 1e-12
-
-
-def test_gram_schmidt_drops_dependent_and_gram_is_identity():
-    rng = np.random.default_rng(11)
-    mats = [la.random_hermitian(3, rng) for _ in range(4)]
-    mats.append(mats[0] + 2 * mats[1])  # dependent
-    rho = np.eye(3) / 3
-    out = la.hs_gram_schmidt(mats, density=rho)
-    assert len(out) == 4
-    gram = np.array([[np.trace(rho @ la.dagger(v) @ u) for v in out] for u in out])
-    assert la.frobenius_distance(gram, np.eye(len(out))) < 1e-11
-
-
 def test_nullspace_basics():
     assert la.nullspace(np.eye(2, dtype=complex)) == []
     basis = la.nullspace(np.zeros((2, 2), dtype=complex))
@@ -216,26 +192,6 @@ def test_intertwiner_space_recovers_conjugation():
     w = la.polar_unitary(sols[0])
     # implements the same conjugation, so w differs from u by a phase
     assert abs(abs(np.trace(la.dagger(w) @ u)) - 3) < 1e-9
-
-
-def test_gram_schmidt_preserves_span():
-    rng = np.random.default_rng(31)
-    mats = [la.random_hermitian(3, rng) for _ in range(4)]
-    out = la.hs_gram_schmidt(mats, density=np.eye(3) / 3)
-    before = la.span_onb(mats)
-    after = la.span_onb(out)
-    assert before.shape[0] == after.shape[0]
-    for m in out:
-        assert la.span_contains(before, m)
-    for m in mats:
-        assert la.span_contains(after, m)
-
-
-def test_hermitian_eigendecomposition_reconstructs():
-    h = la.random_hermitian(4, 6)
-    vals, vecs = la.hermitian_eigendecomposition(h)
-    assert np.all(np.diff(vals) >= 0)
-    assert la.frobenius_distance((vecs * vals) @ la.dagger(vecs), h) < 1e-10
 
 
 def test_polar_partial_isometry_on_rank_deficient():

@@ -3,12 +3,11 @@ import pytest
 
 from opteleport import linalg as la
 from opteleport.algebra import StarAlgebra, Trace
-from opteleport.errors import MarkovError, NormaliserError, TraceError
+from opteleport.errors import MarkovError, NormaliserError, PreconditionError, TraceError
 from opteleport.inclusion import Inclusion, markov_inclusion, trivial_in_full
 from opteleport.tower import (
     GnsSpace,
     basic_construction,
-    build_gns,
     iterate,
     normalizer_check,
     verify_epr,
@@ -16,12 +15,12 @@ from opteleport.tower import (
     verify_tracial_entangled_state,
 )
 
-from conftest import TOWER_KEYS, get_tower
+from conftest import TOWER_KEYS, get_tower, make_inclusion
 
 
 def test_gns_inner_product_matches_trace():
     m = StarAlgebra.full(2)
-    g = build_gns(m, Trace.normalized(m))
+    g = GnsSpace(m, Trace.normalized(m))
     rng = np.random.default_rng(0)
     for _ in range(20):
         x, y = la.random_hermitian(2, rng), la.random_hermitian(2, rng)
@@ -32,14 +31,14 @@ def test_gns_inner_product_matches_trace():
 def test_gns_left_action_at_unit():
     m = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
     t = Trace(m, [1 / 5, 2 / 5])
-    g = build_gns(m, t)
+    g = GnsSpace(m, t)
     x = m.project(la.random_hermitian(3, 1))
     assert np.abs(g.left(x) @ g.vector(m.unit) - g.vector(x)).max() < 1e-12
 
 
 def test_gns_right_is_commutant_of_left():
     m = StarAlgebra.full(2)
-    g = build_gns(m, Trace.normalized(m))
+    g = GnsSpace(m, Trace.normalized(m))
     lefts = la.span_onb([g.left(b) for b in m.basis])
     rights = [g.right(b) for b in m.basis]
     x, y = (la.random_hermitian(2, s) for s in (3, 4))
@@ -61,7 +60,7 @@ def test_gns_right_is_commutant_of_left():
 def test_gns_requires_faithful_trace():
     m = StarAlgebra.diagonal(2)
     with pytest.raises(TraceError):
-        build_gns(m, Trace(m, [1.0, 0.0]))
+        GnsSpace(m, Trace(m, [1.0, 0.0]))
 
 
 def test_jones_projection_scalar_inclusion_rank_one():
@@ -123,6 +122,29 @@ def test_second_jones_for_scalar_tower_is_tensor_form():
     e1 = t.gns1.left(t.jones1)
     prod = e1 @ t.jones2 @ e1
     assert la.frobenius_distance(prod, e1 / 4) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "key, dims",
+    [("diagonal_in_full_2", [4, 8, 16, 32]), ("trivial_in_full_2", [4, 16, 64, 256])],
+)
+def test_extend_past_m2_temperley_lieb(key, dims):
+    # the generic step reaches M3, where e2 and e3 satisfy the Temperley-Lieb
+    # relations and e1 commutes with e3
+    inc = make_inclusion(key)
+    t = iterate(basic_construction(inc))
+    with pytest.raises(PreconditionError):
+        t.level(3)
+    t.extend()
+    assert [lvl.algebra.dim for lvl in t.levels] == dims
+    lift3 = t.levels[3].gns.left
+    e3 = t.levels[3].jones
+    e2 = lift3(t.levels[2].jones)
+    e1 = lift3(t.levels[2].gns.left(t.levels[1].jones))
+    idx = inc.index
+    assert la.frobenius_distance(e3 @ e2 @ e3, e3 / idx) < 1e-9
+    assert la.frobenius_distance(e2 @ e3 @ e2, e2 / idx) < 1e-9
+    assert la.frobenius_distance(e1 @ e3, e3 @ e1) < 1e-9
 
 
 def test_shift_identity_on_unit():
@@ -208,14 +230,6 @@ def test_jones_projection_identity_when_n_equals_m():
     inc = markov_inclusion(alg, alg)
     t = basic_construction(inc)
     assert la.frobenius_distance(t.jones1, np.eye(t.gns.dim)) < 1e-12
-
-
-def test_jones_projection_helper_matches_expectation():
-    from opteleport.tower import jones_projection
-
-    t = get_tower("scalars_in_direct_sum", two_levels=False)
-    e = jones_projection(t.gns, t.inclusion.small)
-    assert la.frobenius_distance(e, t.jones1) < 1e-12
 
 
 def test_left_commutant_equals_right_representation():
