@@ -144,7 +144,8 @@ def nullspace(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     a = as_matrix(a)
     if a.size == 0:
         return []
-    _, s, vh = np.linalg.svd(a)
+    # A tall input needs no full U (rows x rows); its reduced vh is already square.
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.sum(s > tol.abs))
     return [vh[i].conj() for i in range(rank, vh.shape[0])]
 
@@ -277,12 +278,18 @@ def span_onb(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> np.nda
 
 
 def span_coords(onb: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coordinates of x against an HS-orthonormal stack."""
-    return np.einsum("kij,ij->k", np.conj(onb), x)
+    """Coordinates Tr(b_k^dagger x) of x against an HS-orthonormal stack.
+
+    One gemv on the flattened stack, ``conj(flat @ conj(x))``: the stack
+    itself is never conjugated or copied.
+    """
+    flat = onb.reshape(onb.shape[0], -1)
+    return np.conj(flat @ np.conj(x).ravel())
 
 
 def span_project(onb: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kij->ij", span_coords(onb, x), onb)
+    flat = onb.reshape(onb.shape[0], -1)
+    return (span_coords(onb, x) @ flat).reshape(x.shape)
 
 
 def span_residual(onb: np.ndarray, x: np.ndarray) -> float:
@@ -295,7 +302,11 @@ def span_contains(onb: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) 
 
 
 def product_span(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """HS-orthonormal basis of span{x y : x in a, y in b} from ONB stacks."""
+    """HS-orthonormal basis of span{x y : x in a, y in b} from ONB stacks.
+
+    The library no longer calls it: joint algebras of commuting pairs come
+    from matrix units through :meth:`StarAlgebra.commuting_product`.
+    """
     prods = [x @ y for x in a for y in b]
     return span_onb(prods, tol)
 

@@ -141,14 +141,10 @@ def verify_colouring(
         la.frobenius_distance(sum(col.projections), la.eye(dim)),
         tol.bound(1.0) * col.colours,
     )
-    tensor_span = la.product_span(
-        np.stack([la.kron(b, la.eye(l)) for b in g.algebra.basis]),
-        np.stack([la.kron(la.eye(n), b) for b in StarAlgebra.full(l).basis]),
-        tol,
-    )
+    tensor_aux = StarAlgebra.tensor(g.algebra, StarAlgebra.full(l))
     rep.add(
         "pvm_in_algebra_tensor_aux",
-        max(la.span_residual(tensor_span, p) for p in col.projections),
+        max(tensor_aux.membership_residual(p) for p in col.projections),
         tol.bound(1.0) * col.colours * 10,
     )
     if strict and not rep.passed:

@@ -147,13 +147,18 @@ def verify_scheme(
     identity residual itself is always only reported.  Bimodularity is
     sampled on seeded random triples; the one-way LOCC form of the total
     operation follows from the verified structure and is recorded as
-    implied rather than re-checked.
+    implied rather than re-checked.  The samples are drawn from Alice ∨ Bob
+    built from matrix units, so Alice and Bob must commute: when they do
+    not, ``strict`` raises at once and otherwise the bimodule check is
+    recorded as failed with an infinite residual.
     """
     tol = tol or DEFAULT_TOL
     ctx = scheme.context
     rep = Report()
     dim = ctx.ambient.ambient_dim
-    rep.add("alice_bob_commute", ctx.alice_bob_commute_residual(), tol.bound(1.0) * 10)
+    commute = rep.add("alice_bob_commute", ctx.alice_bob_commute_residual(), tol.bound(1.0) * 10)
+    if strict and not commute.passed:
+        raise SchemeError(f"structural clause failed: alice_bob_commute ({commute.residual:.2e})")
 
     total = sum(scheme.povm)
     rep.add("povm_sums_to_identity", la.frobenius_distance(total, la.eye(dim)), tol.bound(1.0) * max(1, scheme.outcomes))
@@ -189,16 +194,24 @@ def verify_scheme(
     rep.add("channels_completely_positive", ucp, tol.bound(1.0))
     rep.add("channels_unital", unital, tol.bound(1.0))
 
-    rng = la.rng_from(None)
-    joint = la.product_span(ctx.alice.basis, ctx.bob.basis, tol)
     bimod = 0.0
-    for ch in scheme.channels:
-        for _ in range(samples):
-            a = ctx.alice.project(la.random_hermitian(dim, rng))
-            b = ctx.alice.project(la.random_hermitian(dim, rng))
-            x = la.span_project(joint, la.random_hermitian(dim, rng))
-            bimod = max(bimod, la.frobenius_distance(ch(a @ x @ b), a @ ch(x) @ b))
-    if bimod <= tol.bound(1.0) * 100:
+    if commute.passed:
+        rng = la.rng_from(None)
+        joint = StarAlgebra.commuting_product(ctx.alice, ctx.bob)
+        for ch in scheme.channels:
+            for _ in range(samples):
+                a = ctx.alice.project(la.random_hermitian(dim, rng))
+                b = ctx.alice.project(la.random_hermitian(dim, rng))
+                x = joint.project(la.random_hermitian(dim, rng))
+                bimod = max(bimod, la.frobenius_distance(ch(a @ x @ b), a @ ch(x) @ b))
+    if not commute.passed:
+        # Alice v Bob is no algebra, so there is nothing to sample.
+        rep.add_flag(
+            "channels_alice_bimodule_sampled",
+            False,
+            detail="Alice and Bob do not commute; their joint algebra is undefined",
+        )
+    elif bimod <= tol.bound(1.0) * 100:
         rep.add("channels_alice_bimodule_sampled", bimod, tol.bound(1.0) * 100)
     else:
         # Strict bimodularity is impossible whenever Alice and Bob share
@@ -285,11 +298,11 @@ def classify(
             witness = {"outcome": i, "probability": low}
     rep.add_flag("faithful", True, detail=f"flag {faithful}")
 
-    minimal_omega = la.span_residual(
-        la.product_span(ctx.mirror.basis, ctx.bob.basis, tol), scheme.omega
+    minimal_omega = StarAlgebra.commuting_product(ctx.mirror, ctx.bob).membership_residual(
+        scheme.omega
     )
-    pair_span = la.product_span(ctx.teleported.basis, ctx.mirror.basis, tol)
-    minimal_povm = max(la.span_residual(pair_span, f) for f in scheme.povm)
+    pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror)
+    minimal_povm = max(pair.membership_residual(f) for f in scheme.povm)
     minimal = minimal_omega <= tol.bound(
         float(np.linalg.norm(scheme.omega))
     ) * 10 and minimal_povm <= tol.bound(1.0) * 10

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opteleport import linalg as la
+from opteleport.algebra import StarAlgebra
 from opteleport.errors import ConnectednessError, DimensionError
 from opteleport.linalg import DEFAULT_TOL, Tolerance
 
@@ -169,6 +170,36 @@ def test_span_utilities_roundtrip():
     x = 0.3 * mats[0] - 1.7 * mats[2]
     assert la.span_contains(onb, x)
     assert not la.span_contains(onb, la.random_hermitian(3, np.random.default_rng(99)))
+
+
+def _span_reference(onb, x):
+    coords = np.einsum("kij,ij->k", np.conj(onb), x)
+    return coords, np.einsum("k,kij->ij", coords, onb)
+
+
+def test_span_coords_and_project_match_einsum():
+    rng = np.random.default_rng(5)
+    ginibre = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(6)]
+    non_hermitian = la.span_onb(ginibre)
+    assert not all(la.is_hermitian(b) for b in non_hermitian)
+    algebra_basis = StarAlgebra.block_diagonal([(2, 1), (1, 2)]).basis
+    for onb in (non_hermitian, algebra_basis):
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        coords, proj = _span_reference(onb, x)
+        assert np.max(np.abs(la.span_coords(onb, x) - coords)) < 1e-12
+        assert np.max(np.abs(la.span_project(onb, x) - proj)) < 1e-12
+
+
+def test_nullspace_of_tall_and_wide_inputs():
+    rng = np.random.default_rng(8)
+    left = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    right = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    for a in (left @ right, (left @ right)[:2]):  # rank 3 of 40 x 5; rank 2 of 2 x 5
+        basis = la.nullspace(a)
+        assert len(basis) == 5 - min(3, a.shape[0])
+        assert max(np.linalg.norm(a @ v) for v in basis) < 1e-9
+        gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
+        assert la.frobenius_distance(gram, np.eye(len(basis))) < 1e-12
 
 
 def test_max_entangled_vector():

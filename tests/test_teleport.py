@@ -100,6 +100,36 @@ def test_corrupted_povm_flags_failure_without_error():
         verify_scheme(s, strict=True)
 
 
+def test_non_commuting_alice_and_bob():
+    # two qubits with Alice = Bob = M_2 (x) 1: Alice v Bob is no algebra
+    amb = StarAlgebra.full(4)
+    qubit = StarAlgebra.tensor(StarAlgebra.full(2), StarAlgebra.trivial(2))
+    triv = StarAlgebra.trivial(4)
+    ctx = TeleportationContext(
+        ambient=amb,
+        trace=Trace.normalized(amb),
+        alice=qubit,
+        bob=qubit,
+        teleported=triv,
+        mirror=triv,
+        shift_pairs=[(np.eye(4, dtype=complex), np.eye(4, dtype=complex))],
+    )
+    s = TeleportationScheme(
+        ctx, np.eye(4, dtype=complex), [np.eye(4, dtype=complex)], [Channel(lambda x: x)]
+    )
+    with pytest.raises(SchemeError, match="structural clause failed: alice_bob_commute"):
+        verify_scheme(s)
+    rep = verify_scheme(s, strict=False)
+    reference = verify_scheme(standard_scheme(2))
+    assert [c.name for c in rep.checks] == [c.name for c in reference.checks]
+    assert [c.name for c in rep.failures()] == [
+        "alice_bob_commute",
+        "channels_alice_bimodule_sampled",
+    ]
+    bimod = next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
+    assert bimod.residual == float("inf")
+
+
 # -- direct sum scheme -------------------------------------------------------
 
 
