@@ -394,15 +394,19 @@ def _unit_matrix(n: int, a: int, b: int) -> np.ndarray:
 
 
 def _center_span(onb: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """ONB of {x in span : [x, b] = 0 for all basis b}, solved in coordinates."""
-    k, n, _ = onb.shape
-    rows = []
-    flat = onb.reshape(k, -1)
+    """ONB of {x in span : [x, b] = 0 for all basis b}, solved in coordinates.
+
+    The commutator columns of one basis element at a time are folded into a
+    k x k triangular factor R by QR, so only O(k n^2) entries are ever held.
+    The stacked system is Q R with Q an isometry: R has its singular values,
+    and the rank cut on ``tol.abs`` means the same as on the full stack.
+    """
+    k = onb.shape[0]
+    r = np.zeros((0, k), dtype=complex)
     for b in onb:
-        comm = np.einsum("ij,kjl->kil", b, onb) - np.einsum("kij,jl->kil", onb, b)
-        rows.append(comm.reshape(k, -1).T)  # (n^2, k) columns are commutators
-    stacked = np.vstack(rows)
-    coeffs = la.nullspace(stacked, tol)
+        comm = np.matmul(b, onb) - np.matmul(onb, b)  # [b, b_k] for every k
+        r = np.linalg.qr(np.vstack([r, comm.reshape(k, -1).T]), mode="r")
+    coeffs = la.nullspace(r, tol)
     if not coeffs:
         raise InternalError("unital algebra has empty centre")
     mats = [np.tensordot(c, onb, axes=(0, 0)) for c in coeffs]
@@ -549,13 +553,24 @@ class Trace:
 
 def _tau_onb(basis: np.ndarray, trace: Trace) -> np.ndarray:
     """Rotate a self-adjoint ONB into tau-orthonormal form via the real Gram matrix."""
-    weighted = np.einsum("ab,kbc->kac", trace.density, basis)  # rho b_k
-    gram = np.einsum("kac,lca->kl", weighted, basis).real  # tr(rho b_k b_l)
+    k = basis.shape[0]
+    weighted = np.matmul(trace.density, basis).reshape(k, -1)  # rho b_k
+    gram = (weighted @ basis.transpose(0, 2, 1).reshape(k, -1).T).real  # tr(rho b_k b_l)
     vals, vecs = np.linalg.eigh(gram)
     if np.min(vals) <= 0:
         raise TraceError("trace inner product is not positive definite (non-faithful trace)")
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
-    return np.einsum("kl,lab->kab", inv_root, basis)
+    return np.tensordot(inv_root, basis, axes=(1, 0))
+
+
+def _combine(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] stack[k], as one gemv on the flattened stack."""
+    return (coeffs @ stack.reshape(stack.shape[0], -1)).reshape(stack.shape[1:])
+
+
+def _expectation_rows(onb: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Rows (rho c_k)^T flattened, so that rows @ x.ravel() lists tau(c_k x)."""
+    return np.matmul(density, onb).transpose(0, 2, 1).reshape(onb.shape[0], -1)
 
 
 class Superoperator:
@@ -590,13 +605,12 @@ class Superoperator:
 
     @cached_property
     def _domain_weighted(self) -> np.ndarray:
-        return np.einsum("ab,kbc->kac", self.domain_trace.density, self._domain_onb)
+        return _expectation_rows(self._domain_onb, self.domain_trace.density)
 
     def extended(self, x: np.ndarray) -> np.ndarray:
         """Apply to an arbitrary ambient matrix via the expectation onto the domain."""
-        coeffs = np.einsum("kij,ji->k", self._domain_weighted, x)
-        proj = np.einsum("k,kab->ab", coeffs, self._domain_onb)
-        return self._apply(proj)
+        coeffs = self._domain_weighted @ x.ravel()
+        return self._apply(_combine(coeffs, self._domain_onb))
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -633,11 +647,10 @@ def conditional_expectation_onto(
     """
     sub_trace = trace.restrict(sub)
     onb = _tau_onb(sub.basis, sub_trace)
-    weighted = np.einsum("ab,kbc->kac", trace.density, onb)  # rho c_k, fixed once
+    rows = _expectation_rows(onb, trace.density)  # fixed once
 
     def apply(x: np.ndarray) -> np.ndarray:
-        coeffs = np.einsum("kij,ji->k", weighted, x)  # tau(c_k x)
-        return np.einsum("k,kab->ab", coeffs, onb)
+        return _combine(rows @ x.ravel(), onb)  # sum_k tau(c_k x) c_k
 
     return Superoperator(ambient, sub, apply, domain_trace=trace)
 

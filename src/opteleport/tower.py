@@ -27,6 +27,8 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
+    _combine,
+    _expectation_rows,
     _tau_onb,
     conditional_expectation_onto,
 )
@@ -57,18 +59,18 @@ class GnsSpace:
         self.tol = tol
         self.onb = _tau_onb(algebra.basis, trace)
         self.dim = self.onb.shape[0]
-        rho = trace.density
-        # W[l, k] = b_k rho b_l, so that pi(x)_{lk} = tr(W[l, k] x)
-        self._W = np.einsum("kab,bc,lcd->lkad", self.onb, rho, self.onb, optimize=True)
-        self._rho_onb = np.einsum("ab,lbc->lac", rho, self.onb)
+        # Row l is (rho b_l)^T flattened, so that pi(x)_{lk} = tr(rho b_l x b_k)
+        # is this stack times the flattened products x b_k: two BLAS products
+        # per call, and nothing of size dim^2 n^2 is ever held.
+        self._rho_onb_t = _expectation_rows(self.onb, trace.density)
 
     def vector(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of the GNS image of x."""
-        return np.einsum("lab,ba->l", self._rho_onb, x)
+        return self._rho_onb_t @ x.ravel()
 
     def left(self, x: np.ndarray) -> np.ndarray:
         """Left multiplication by x as a matrix on the GNS space."""
-        return np.einsum("lkab,ba->lk", self._W, x)
+        return self._rho_onb_t @ np.matmul(x, self.onb).reshape(self.dim, -1).T
 
     def right(self, x: np.ndarray) -> np.ndarray:
         """Right multiplication by x; the transpose of :meth:`left` here."""
@@ -76,7 +78,7 @@ class GnsSpace:
 
     def element(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`vector`: the algebra element with GNS coordinates v."""
-        return np.einsum("l,lab->ab", v, self.onb)
+        return _combine(v, self.onb)
 
     def subspace_projection(self, sub: StarAlgebra) -> np.ndarray:
         """Orthogonal projection onto the GNS image of a subalgebra.
@@ -85,7 +87,7 @@ class GnsSpace:
         E the trace-preserving expectation onto the subalgebra.
         """
         sub_onb = _tau_onb(sub.basis, self.trace.restrict(sub))
-        rows = np.stack([self.vector(c) for c in sub_onb])
+        rows = sub_onb.reshape(sub_onb.shape[0], -1) @ self._rho_onb_t.T
         return rows.T @ np.conj(rows)
 
 
@@ -143,9 +145,8 @@ def _extend_trace(
     combos = [np.tensordot(rng.standard_normal(k), basis, axes=(0, 0)) for _ in range(picks)]
     images = [gns.left(c) for c in combos]
     zs = np.stack(algebra.central_projections)
-    rows = np.array(
-        [np.einsum("jab,ba->j", zs, pc @ jones @ pd) for pc in images for pd in images]
-    )
+    zs_t = zs.transpose(0, 2, 1).reshape(len(zs), -1)  # Tr(z_j y) = zs_t @ y.ravel()
+    rows = np.array([zs_t @ (pc @ jones @ pd).ravel() for pc in images for pd in images])
     values = np.array([prev.trace(c @ d) for c in combos for d in combos])
     coeffs, *_ = np.linalg.lstsq(rows, values, rcond=None)
     resid = float(np.abs(rows @ coeffs - values).max())
@@ -464,17 +465,15 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance) -> Report:
     # projection, so commutation against those generators suffices.
     gens = [t.gns1.left(t.gns.left(b)) for b in t.inclusion.big.basis]
     gens.append(t.gns1.left(t.jones1))
+    shifted = [t.shift(x) for x in rc.basis]
     rep.add(
         "shift_lands_in_level2_commutant",
-        max(
-            max(la.frobenius_distance(t.shift(x) @ g, g @ t.shift(x)) for g in gens)
-            for x in rc.basis
-        ),
+        max(max(la.frobenius_distance(s @ g, g @ s) for g in gens) for s in shifted),
         tol.bound(1.0) * t.level1.dim,
     )
     rep.add(
         "shift_image_in_level2",
-        max(t.level2.membership_residual(t.shift(x)) for x in rc.basis),
+        max(t.level2.membership_residual(s) for s in shifted),
         tol.bound(1.0) * t.level2.dim,
     )
     return rep

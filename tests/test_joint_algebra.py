@@ -58,15 +58,17 @@ def scheme(name):
 
 
 # (scheme, left, right, discover): with ``discover`` the product span also
-# goes through structure discovery.  The two large joint algebras (125 and
-# 1024 dimensions) are compared as spans only, since discovery on them
-# takes seconds and tens of GB respectively.  The tower pairs share
-# central projections (on D_3 the mirror is the centre of M1, inside Bob).
+# goes through structure discovery, including the 125-dimensional
+# direct-sum Alice v Bob (about a second).  The 1024-dimensional subsystem
+# joint algebra is compared as a span only: its centre solve folds 1024
+# commutator blocks of 4096 x 1024 into the triangular factor, which takes
+# far too long for a test.  The tower pairs share central projections (on
+# D_3 the mirror is the centre of M1, inside Bob).
 PAIRS = [
     ("unbiased_D3", "alice", "bob", True),
     ("unbiased_D3", "mirror", "bob", True),
     ("unbiased_D3", "teleported", "mirror", True),
-    ("direct_sum_1_2", "alice", "bob", False),
+    ("direct_sum_1_2", "alice", "bob", True),
     ("direct_sum_1_2", "mirror", "bob", True),
     ("direct_sum_1_2", "teleported", "mirror", True),
     ("subsystem_tight", "alice", "bob", False),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Trace
+from opteleport.algebra import StarAlgebra, Trace, _tau_onb
 from opteleport.errors import MarkovError, NormaliserError, PreconditionError, TraceError
 from opteleport.inclusion import Inclusion, markov_inclusion, trivial_in_full
 from opteleport.tower import (
@@ -55,6 +55,69 @@ def test_gns_right_is_commutant_of_left():
     ).commutant
     for r in rights:
         assert comm.contains(r)
+
+
+LEVEL2_GNS_KEYS = ["trivial_in_full_3", "diagonal_in_full_4"]
+
+
+def level2_gns(key):
+    """The GNS space of (M1, trace1), on which M2 acts."""
+    return get_tower(key).gns1
+
+
+def algebra_element(g, rng):
+    """A non-Hermitian element of the represented algebra."""
+    coeffs = rng.standard_normal(g.algebra.dim) + 1j * rng.standard_normal(g.algebra.dim)
+    return np.tensordot(coeffs, g.algebra.basis, axes=(0, 0))
+
+
+@pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
+def test_gns_left_matches_trace_definition(key):
+    g = level2_gns(key)
+    x = algebra_element(g, np.random.default_rng(11))
+    assert la.frobenius_distance(x, la.dagger(x)) > 1e-3
+    rho = g.trace.density
+    want = np.array([[np.trace(rho @ bl @ x @ bk) for bk in g.onb] for bl in g.onb])
+    assert np.abs(g.left(x) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
+def test_gns_left_is_unital_star_homomorphism(key):
+    g = level2_gns(key)
+    rng = np.random.default_rng(12)
+    x, y = algebra_element(g, rng), algebra_element(g, rng)
+    assert la.frobenius_distance(g.left(g.algebra.unit), np.eye(g.dim)) < 1e-12
+    assert la.frobenius_distance(g.left(x @ y), g.left(x) @ g.left(y)) < 1e-10
+    assert la.frobenius_distance(g.left(la.dagger(x)), la.dagger(g.left(x))) < 1e-12
+    assert np.array_equal(g.right(x), g.left(x).T)
+
+
+@pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
+def test_gns_vector_and_element_are_inverse(key):
+    g = level2_gns(key)
+    rng = np.random.default_rng(13)
+    x, y = algebra_element(g, rng), algebra_element(g, rng)
+    assert la.frobenius_distance(g.element(g.vector(x)), x) < 1e-12
+    assert np.abs(g.left(x) @ g.vector(y) - g.vector(x @ y)).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
+def test_gns_holds_no_dim_squared_stack(key):
+    # nothing cached may grow like dim^2 n^2, as a 4-index action tensor would
+    g = level2_gns(key)
+    n = g.algebra.ambient_dim
+    arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    assert max(a.nbytes for a in arrays) <= g.dim * n * n * 16
+
+
+def test_tau_onb_orthonormal_under_nonuniform_trace():
+    m = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
+    tr = Trace(m, [0.1, 0.15, 0.2])
+    onb = _tau_onb(m.basis, tr)
+    gram = np.array([[tr(la.dagger(a) @ b) for b in onb] for a in onb])
+    assert np.abs(gram - np.eye(m.dim)).max() < 1e-12
+    assert max(la.frobenius_distance(c, la.dagger(c)) for c in onb) < 1e-12
 
 
 def test_gns_requires_faithful_trace():
