@@ -1,10 +1,12 @@
 """Concrete finite-dimensional *-algebras of matrices.
 
-A :class:`StarAlgebra` is a unital *-subalgebra of some ``M_n(C)`` carrying
-its discovered block structure: block dimensions with multiplicities,
-minimal central projections, and per-block systems of matrix units.  The
-canonical HS-orthonormal self-adjoint basis is rebuilt from the matrix
-units, which keeps every downstream construction deterministic.
+A :class:`StarAlgebra` is a unital *-subalgebra of some ``M_n(C)`` stored
+as its structure: a block layout ``[(n_j, m_j)]`` and per-block frames
+``W_j`` with ``A = W (+)_j (M_{n_j} (x) 1_{m_j}) W*``.  Central and minimal
+projections, matrix units and the canonical HS-orthonormal self-adjoint
+basis are derived from the frames on first use, which keeps every
+downstream construction deterministic and leaves large algebras without a
+dense (dim, n, n) stack unless a query needs one.
 
 Traces are represented by their block weight vectors; evaluation goes
 through the central density ``rho`` with ``tau(x) = Tr(rho x)``.
@@ -33,24 +35,6 @@ _STRUCTURE_SEED = 0x5EED
 _MAX_DRAWS = 8
 
 
-def _hermitian_basis_from_units(
-    units: Sequence[Sequence[Sequence[np.ndarray]]],
-    multiplicities: Sequence[int],
-) -> list[np.ndarray]:
-    """Self-adjoint HS-orthonormal basis built from matrix units blockwise."""
-    basis: list[np.ndarray] = []
-    for f, m in zip(units, multiplicities):
-        d = len(f)
-        root = np.sqrt(float(m))
-        for a in range(d):
-            basis.append(f[a][a] / root)
-        for a in range(d):
-            for b in range(a + 1, d):
-                basis.append((f[a][b] + f[b][a]) / (root * np.sqrt(2.0)))
-                basis.append(1j * (f[a][b] - f[b][a]) / (root * np.sqrt(2.0)))
-    return basis
-
-
 class StarAlgebra:
     """Unital *-subalgebra of M_n(C) with explicit block structure.
 
@@ -60,33 +44,35 @@ class StarAlgebra:
         n, the size of the carrier matrices.
     blocks:
         list of ``(block_dim, multiplicity)`` pairs, sorted canonically.
-    central_projections:
-        the minimal central projections, aligned with ``blocks``.
-    matrix_units:
-        per block, an ``n_j x n_j`` nested list of partial isometries
-        satisfying the matrix-unit relations and summing to the block's
-        central projection.
-    basis:
-        self-adjoint HS-orthonormal spanning stack of shape (dim, n, n).
+    frames:
+        per block j, an ``n x (n_j m_j)`` isometry whose columns are indexed
+        ``(a, r)``, a-major; together they form a unitary.  The matrix unit
+        ``f_ab`` of block j is ``sum_r W[:, (a, r)] W[:, (b, r)]*``.
+
+    Derived on first use and cached: ``central_projections``, ``unit``,
+    ``matrix_units`` (per block a ``(n_j, n_j, n, n)`` array, indexed
+    ``f[a][b]``) and ``basis``, the self-adjoint HS-orthonormal spanning
+    stack of shape (dim, n, n).
     """
 
     def __init__(
         self,
         ambient_dim: int,
         blocks: list[tuple[int, int]],
-        central_projections: list[np.ndarray],
-        matrix_units: list[list[list[np.ndarray]]],
+        frames: list[np.ndarray],
         tol: Tolerance = DEFAULT_TOL,
     ) -> None:
         self.ambient_dim = int(ambient_dim)
         self.blocks = [(int(n), int(m)) for n, m in blocks]
-        self.central_projections = [np.asarray(z, dtype=complex) for z in central_projections]
-        self.matrix_units = matrix_units
+        self.frames = [np.asarray(w, dtype=complex) for w in frames]
         self.tol = tol
-        mults = [m for _, m in self.blocks]
-        self.basis = np.stack(_hermitian_basis_from_units(matrix_units, mults))
-        self.unit = sum(self.central_projections)
-        if np.linalg.norm(self.unit - la.eye(self.ambient_dim)) > 1e-6 * self.ambient_dim:
+        n = self.ambient_dim
+        w = np.hstack(self.frames) if self.frames else np.zeros((n, 0), dtype=complex)
+        if (
+            w.shape != (n, n)
+            or [f.shape[1] for f in self.frames] != [d * m for d, m in self.blocks]
+            or np.linalg.norm(la.dagger(w) @ w - la.eye(n)) > 1e-6 * n
+        ):
             raise StructureError("algebra unit is not the ambient identity")
 
     # -- constructors -------------------------------------------------------
@@ -94,21 +80,17 @@ class StarAlgebra:
     @classmethod
     def trivial(cls, n: int) -> "StarAlgebra":
         """C * 1_n."""
-        return cls(n, [(1, n)], [la.eye(n)], [[[la.eye(n)]]])
+        return cls(n, [(1, n)], [la.eye(n)])
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebra":
         """All of M_n(C)."""
-        units = [[[_unit_matrix(n, a, b) for b in range(n)] for a in range(n)]]
-        return cls(n, [(n, 1)], [la.eye(n)], units)
+        return cls(n, [(n, 1)], [la.eye(n)])
 
     @classmethod
     def diagonal(cls, n: int) -> "StarAlgebra":
         """The diagonal maximal abelian subalgebra of M_n(C)."""
-        blocks = [(1, 1)] * n
-        zs = [_unit_matrix(n, j, j) for j in range(n)]
-        units = [[[zs[j]]] for j in range(n)]
-        return cls(n, blocks, zs, units)
+        return cls.block_diagonal([(1, 1)] * n)
 
     @classmethod
     def block_diagonal(cls, layout: Sequence[tuple[int, int]]) -> "StarAlgebra":
@@ -118,22 +100,8 @@ class StarAlgebra:
         C^{n_j} (x) C^{m_j}, matrix factor first.
         """
         n = sum(bd * m for bd, m in layout)
-        units: list[list[list[np.ndarray]]] = []
-        zs: list[np.ndarray] = []
-        offset = 0
-        for bd, m in layout:
-            size = bd * m
-            f = [[np.zeros((n, n), dtype=complex) for _ in range(bd)] for _ in range(bd)]
-            for a in range(bd):
-                for b in range(bd):
-                    local = np.kron(_unit_matrix(bd, a, b), la.eye(m))
-                    f[a][b][offset : offset + size, offset : offset + size] = local
-            units.append(f)
-            z = np.zeros((n, n), dtype=complex)
-            z[offset : offset + size, offset : offset + size] = la.eye(size)
-            zs.append(z)
-            offset += size
-        return cls(n, list(layout), zs, units)
+        cuts = np.cumsum([bd * m for bd, m in layout])[:-1]
+        return cls(n, list(layout), np.split(la.eye(n), cuts, axis=1))
 
     @classmethod
     def from_generators(
@@ -144,14 +112,17 @@ class StarAlgebra:
     ) -> "StarAlgebra":
         """Smallest unital *-algebra containing the generators.
 
-        Closes the span under adjoints and products, then discovers the
-        block structure.
+        Each nonzero generator is scaled to unit Frobenius norm, which does
+        not change the algebra it generates but keeps the absolute rank cut
+        of the closure meaningful at any input scale.  Closes the span under
+        adjoints and products, then discovers the block structure.
         """
         n = int(ambient_dim)
         seed = [la.as_matrix(m) for m in mats]
         for m in seed:
             if m.shape != (n, n):
                 raise PreconditionError(f"generator shape {m.shape} != ({n}, {n})")
+        seed = [m / nrm if (nrm := np.linalg.norm(m)) > 0 else m for m in seed]
         span = la.span_onb(list(seed) + [dag for dag in map(la.dagger, seed)] + [la.eye(n)], tol)
         for _ in range(n * n + 1):
             prods = [span[i] @ span[j] for i in range(len(span)) for j in range(len(span))]
@@ -167,7 +138,7 @@ class StarAlgebra:
         n = onb.shape[1]
         zs = _minimal_central_projections(onb, tol)
         blocks: list[tuple[int, int]] = []
-        units: list[list[list[np.ndarray]]] = []
+        frames: list[np.ndarray] = []
         for z in zs:
             corner = la.span_onb([z @ b for b in onb], tol)
             bd2 = corner.shape[0]
@@ -178,9 +149,10 @@ class StarAlgebra:
             mult = int(round(rank / bd))
             if abs(rank - bd * mult) > 1e-6:
                 raise StructureError(f"block rank {rank} not divisible by {bd}")
+            f = _matrix_units_for_block(onb, z, bd, mult, tol)
             blocks.append((bd, mult))
-            units.append(_matrix_units_for_block(onb, z, bd, mult, tol))
-        return _canonical(n, blocks, zs, units, tol)
+            frames.append(_frame_from([f[a][0] for a in range(bd)], f[0][0], mult))
+        return _canonical(n, blocks, frames, tol)
 
     @classmethod
     def commuting_product(cls, a: "StarAlgebra", b: "StarAlgebra") -> "StarAlgebra":
@@ -188,10 +160,11 @@ class StarAlgebra:
 
         For commuting a and b, a ∨ b is the direct sum, over the block pairs
         (j, k) whose central projections satisfy z_j z_k != 0, of
-        M_{d_j} (x) M_{d_k} with matrix units ``f_a[p][q] @ f_b[r][s]`` and
-        central projection z_j z_k.  Pairs with z_j z_k = 0 (the two algebras
-        share central projections, e.g. a centre of a contained in b) add
-        nothing and are skipped, so the structure needs no rediscovery.
+        M_{d_j} (x) M_{d_k} with matrix units ``f_a[p][q] @ f_b[r][s]``;
+        its frame is read off the units ``f_a[p][0] @ f_b[r][0]``.  Pairs
+        with z_j z_k = 0 (the two algebras share central projections, e.g.
+        a centre of a contained in b) add nothing and are skipped, so the
+        structure needs no rediscovery.
 
         Commutation is gated cheaply: the block generators ``f[p][0]`` of a
         must commute with those of b and their adjoints, which generate b,
@@ -200,83 +173,69 @@ class StarAlgebra:
         """
         if a.ambient_dim != b.ambient_dim:
             raise PreconditionError("commuting product requires a common ambient")
-        gens_a = [f[p][0] for f in a.matrix_units for p in range(len(f))]
-        gens_b = [g[r][0] for g in b.matrix_units for r in range(len(g))]
-        gens_b += [g[0][r] for g in b.matrix_units for r in range(1, len(g))]
-        clash = max(la.frobenius_distance(x @ y, y @ x) for x in gens_a for y in gens_b)
+        cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
+        cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
+        gens_b = [y for g in cols_b for y in g] + [la.dagger(y) for g in cols_b for y in g[1:]]
+        clash = max(la.frobenius_distance(x @ y, y @ x) for f in cols_a for x in f for y in gens_b)
         if clash > a.tol.bound(1.0) * 10:
             raise PreconditionError(f"commuting product of non-commuting algebras ({clash:.2e})")
         blocks: list[tuple[int, int]] = []
-        zs: list[np.ndarray] = []
-        units: list[list[list[np.ndarray]]] = []
-        for (da, _), za, fa in zip(a.blocks, a.central_projections, a.matrix_units):
-            for (db, _), zb, fb in zip(b.blocks, b.central_projections, b.matrix_units):
-                z = za @ zb
-                rank = float(np.trace(z).real)
+        frames: list[np.ndarray] = []
+        for wa, fa in zip(a.frames, cols_a):
+            for wb, fb in zip(b.frames, cols_b):
+                overlap = la.dagger(wa) @ wb
+                rank = float(np.vdot(overlap, overlap).real)  # Tr(z_j z_k)
                 if rank < 0.5:
                     continue
-                d = da * db
+                d = len(fa) * len(fb)
                 mult = int(round(rank / d))
                 if abs(rank - d * mult) > 1e-6:
                     raise StructureError("commuting product multiplicity is not an integer")
-                g = [
-                    [fa[p // db][q // db] @ fb[p % db][q % db] for q in range(d)]
-                    for p in range(d)
-                ]
+                g = np.matmul(fa[:, None], fb[None, :]).reshape(d, *fa.shape[1:])
                 blocks.append((d, mult))
-                zs.append(z)
-                units.append(g)
-        return cls(a.ambient_dim, blocks, zs, units, a.tol)
+                frames.append(_frame_from(g, g[0], mult))
+        return cls(a.ambient_dim, blocks, frames, a.tol)
 
     @classmethod
     def tensor(cls, *factors: "StarAlgebra") -> "StarAlgebra":
-        """Tensor product, blocks combined pairwise in factor order."""
-        if len(factors) == 1:
-            return factors[0]
+        """Tensor product, blocks combined pairwise in factor order.
+
+        The frame of a block pair is the Kronecker product of the two frames
+        with its column legs regrouped from ((a, r), (a', r')) to
+        ((a, a'), (r, r')).
+        """
         left = factors[0]
         for right in factors[1:]:
             n = left.ambient_dim * right.ambient_dim
             blocks: list[tuple[int, int]] = []
-            zs: list[np.ndarray] = []
-            units: list[list[list[np.ndarray]]] = []
-            for (dl, ml), zl, fl in zip(left.blocks, left.central_projections, left.matrix_units):
-                for (dr, mr), zr, fr in zip(
-                    right.blocks, right.central_projections, right.matrix_units
-                ):
+            frames: list[np.ndarray] = []
+            for (dl, ml), wl in zip(left.blocks, left.frames):
+                for (dr, mr), wr in zip(right.blocks, right.frames):
+                    w = np.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4)
                     blocks.append((dl * dr, ml * mr))
-                    zs.append(np.kron(zl, zr))
-                    f = [
-                        [
-                            np.kron(fl[a // dr][b // dr], fr[a % dr][b % dr])
-                            for b in range(dl * dr)
-                        ]
-                        for a in range(dl * dr)
-                    ]
-                    units.append(f)
-            left = cls(n, blocks, zs, units, left.tol)
+                    frames.append(w.reshape(n, -1))
+            left = cls(n, blocks, frames, left.tol)
         return left
 
     def image(self, phi: Callable[[np.ndarray], np.ndarray], ambient_dim: int) -> "StarAlgebra":
         """Image under a unital injective *-homomorphism into M_{ambient_dim}.
 
-        Structure is propagated: matrix units map to matrix units, block
+        Structure is propagated: the units f_{a0} map to units, block
         dimensions are unchanged, multiplicities are re-read from the ranks
-        of the mapped central projections.
+        of the mapped corner projections, and the frame is read off the
+        mapped units, so phi is applied to n_j elements per block.
         """
         blocks: list[tuple[int, int]] = []
-        zs: list[np.ndarray] = []
-        units: list[list[list[np.ndarray]]] = []
-        for (bd, _), f in zip(self.blocks, self.matrix_units):
-            g = [[phi(f[a][b]) for b in range(bd)] for a in range(bd)]
-            z = sum(g[a][a] for a in range(bd))
-            rank = float(np.trace(z).real)
-            mult = int(round(rank / bd))
-            if abs(rank - bd * mult) > 1e-6:
+        frames: list[np.ndarray] = []
+        for (bd, _), w in zip(self.blocks, self.frames):
+            g = [phi(f) for f in _column_units(w, bd)]
+            rank = float(np.trace(g[0]).real)
+            mult = int(round(rank))
+            if abs(rank - mult) > 1e-6:
                 raise StructureError("image multiplicity is not an integer")
             blocks.append((bd, mult))
-            zs.append(z)
-            units.append(g)
-        return StarAlgebra(ambient_dim, blocks, zs, units, self.tol)
+            frames.append(_frame_from(g, g[0], mult))
+        return StarAlgebra(ambient_dim, blocks, frames, self.tol)
 
     def anti_image(
         self, phi: Callable[[np.ndarray], np.ndarray], ambient_dim: int
@@ -291,25 +250,89 @@ class StarAlgebra:
 
     def conjugate_entrywise(self) -> "StarAlgebra":
         """The algebra {conj(x)} — conjugation by the canonical J in GNS coordinates."""
-        return self.image(np.conj, self.ambient_dim)
+        return StarAlgebra(self.ambient_dim, self.blocks, [np.conj(w) for w in self.frames], self.tol)
+
+    # -- derived structure ---------------------------------------------------
+
+    @cached_property
+    def central_projections(self) -> list[np.ndarray]:
+        """The minimal central projections z_j = W_j W_j*, aligned with ``blocks``."""
+        return [w @ la.dagger(w) for w in self.frames]
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        return sum(self.central_projections)
+
+    def minimal_projection(self, block: int) -> np.ndarray:
+        """f_00 of the block: the frame columns with a = 0."""
+        w = self.frames[block][:, : self.blocks[block][1]]
+        return w @ la.dagger(w)
+
+    @cached_property
+    def matrix_units(self) -> list[np.ndarray]:
+        out = []
+        for (d, m), w in zip(self.blocks, self.frames):
+            legs = _legs(w, d)
+            out.append(np.matmul(legs[:, None], _adjoint(legs)[None, :]))
+        return out
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Self-adjoint HS-orthonormal basis, blockwise: the f_aa / sqrt(m),
+        then for each a < b the symmetric and antisymmetric combinations
+        of f_ab and f_ba."""
+        n = self.ambient_dim
+        out = np.empty((self.dim, n, n), dtype=complex)
+        k = 0
+        for (d, m), w in zip(self.blocks, self.frames):
+            legs = _legs(w, d)
+            root = np.sqrt(float(m))
+            out[k : k + d] = np.matmul(legs, _adjoint(legs)) / root
+            upper, lower = np.triu_indices(d, 1)
+            f_ab = np.matmul(legs[upper], _adjoint(legs[lower]))
+            f_ba = _adjoint(f_ab)
+            scale = root * np.sqrt(2.0)
+            out[k + d : k + d * d : 2] = (f_ab + f_ba) / scale
+            out[k + d + 1 : k + d * d : 2] = 1j * (f_ab - f_ba) / scale
+            k += d * d
+        return out
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return sum(d * d for d, _ in self.blocks)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         return la.span_coords(self.basis, x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return la.span_project(self.basis, x)
+        """HS-orthogonal projection onto the algebra.
+
+        The identity on all of M_n.  Otherwise dense (one gemv each way on
+        the basis, 2 dim n^2 flops) for small algebras, and through the
+        frames (O(n^3), no basis) once dim > 2n: W_j times the average of
+        W_j* x W_j over the multiplicity legs.
+        """
+        n = self.ambient_dim
+        if self.dim == n * n:
+            return np.array(x, dtype=complex)
+        if self.dim <= 2 * n:
+            return la.span_project(self.basis, x)
+        out = np.zeros((n, n), dtype=complex)
+        for (d, m), w in zip(self.blocks, self.frames):
+            y = (la.dagger(w) @ x @ w).reshape(d, m, d, m)
+            c = np.trace(y, axis1=1, axis2=3) / m
+            legs = _legs(w, d).transpose(1, 2, 0).reshape(n, -1)  # columns (r, a)
+            out += (legs.reshape(n, m, d) @ c).reshape(n, -1) @ la.dagger(legs)
+        return out
 
     def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
-        return la.span_contains(self.basis, x, tol or self.tol)
+        tol = tol or self.tol
+        return self.membership_residual(x) <= tol.bound(float(np.linalg.norm(x)))
 
     def membership_residual(self, x: np.ndarray) -> float:
-        return la.span_residual(self.basis, x)
+        return la.frobenius_distance(x, self.project(x))
 
     def same_span(self, other: "StarAlgebra", tol: Tolerance | None = None) -> bool:
         tol = tol or self.tol
@@ -317,74 +340,66 @@ class StarAlgebra:
             return False
         return all(other.contains(b, tol) for b in self.basis)
 
-    def minimal_projection(self, block: int) -> np.ndarray:
-        return self.matrix_units[block][0][0]
-
     @cached_property
     def center(self) -> "StarAlgebra":
-        zs = self.central_projections
-        units = [[[z]] for z in zs]
         return StarAlgebra(
-            self.ambient_dim,
-            [(1, int(round(np.trace(z).real))) for z in zs],
-            zs,
-            units,
-            self.tol,
+            self.ambient_dim, [(1, d * m) for d, m in self.blocks], self.frames, self.tol
         )
 
     @cached_property
     def commutant(self) -> "StarAlgebra":
-        """Relative commutant in the ambient M_n(C), built from matrix units.
+        """Relative commutant in the ambient M_n(C): the same frames with the
+        two column legs swapped, ``W (+)_j (1_{n_j} (x) M_{m_j}) W*``."""
+        blocks = [(m, d) for d, m in self.blocks]
+        frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self.frames)]
+        return _canonical(self.ambient_dim, blocks, frames, self.tol)
 
-        Within each block, ``sum_a f_{a0} c f_{0a}`` over a basis of
-        operators c on the range of the corner projection ``f_00`` produces
-        matrix units for the commutant, so no nullspace solve is needed.
-        """
-        n = self.ambient_dim
-        blocks: list[tuple[int, int]] = []
-        zs: list[np.ndarray] = []
-        units: list[list[list[np.ndarray]]] = []
-        for (bd, mult), z, f in zip(self.blocks, self.central_projections, self.matrix_units):
-            corner = f[0][0]
-            vals, vecs = np.linalg.eigh(corner)
-            cols = vecs[:, vals > 0.5]
-            if cols.shape[1] != mult:
-                raise InternalError("corner projection rank disagrees with multiplicity")
-            # xi[a][r] = f_{a0} eta_r; commutant units are sums of outer products
-            xi = [[f[a][0] @ cols[:, r] for r in range(mult)] for a in range(bd)]
-            g = [
-                [
-                    sum(np.outer(xi[a][r], np.conj(xi[a][s])) for a in range(bd))
-                    for s in range(mult)
-                ]
-                for r in range(mult)
-            ]
-            blocks.append((mult, bd))
-            zs.append(z)
-            units.append(g)
-        return _canonical(n, blocks, zs, units, self.tol)
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _legs(w: np.ndarray, d: int) -> np.ndarray:
+    """The frame as a (d, n, m) stack: legs[a] holds the columns (a, r)."""
+    return w.reshape(w.shape[0], d, -1).transpose(1, 0, 2)
+
+
+def _column_units(w: np.ndarray, d: int) -> np.ndarray:
+    """The matrix units f_{a0}, a < d, of a block frame as a (d, n, n) stack."""
+    legs = _legs(w, d)
+    return np.matmul(legs, la.dagger(legs[0]))
+
+
+def _swap_legs(w: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Reorder frame columns from (a, r), a-major, to (r, a), r-major."""
+    return w.reshape(w.shape[0], d, m).transpose(0, 2, 1).reshape(w.shape[0], -1)
+
+
+def _frame_from(f_a0: Sequence[np.ndarray], corner: np.ndarray, mult: int) -> np.ndarray:
+    """Frame columns f_{a0} eta_r, (a, r) a-major, with eta an orthonormal
+    basis of the range of the corner projection f_00."""
+    vals, vecs = np.linalg.eigh(corner)
+    eta = vecs[:, vals > 0.5]
+    if eta.shape[1] != mult:
+        raise StructureError("corner projection rank disagrees with multiplicity")
+    return np.matmul(f_a0, eta).transpose(1, 0, 2).reshape(len(corner), -1)
 
 
 def _canonical(
     n: int,
     blocks: list[tuple[int, int]],
-    zs: list[np.ndarray],
-    units: list[list[list[np.ndarray]]],
+    frames: list[np.ndarray],
     tol: Tolerance,
 ) -> StarAlgebra:
     """The algebra with its blocks in canonical order: by block dimension,
     then by the rounded entries of the central projection."""
-    order = sorted(
-        range(len(blocks)),
-        key=lambda j: (blocks[j][0], tuple(np.round(zs[j].real.reshape(-1), 6))),
-    )
-    return StarAlgebra(
-        n,
-        [blocks[j] for j in order],
-        [zs[j] for j in order],
-        [units[j] for j in order],
-        tol,
-    )
+    keys = [
+        (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)))
+        for (bd, _), w in zip(blocks, frames)
+    ]
+    order = sorted(range(len(blocks)), key=lambda j: keys[j])
+    return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order], tol)
 
 
 def _unit_matrix(n: int, a: int, b: int) -> np.ndarray:

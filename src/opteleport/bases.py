@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, _tau_onb
+from .algebra import _tau_onb
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .linalg import DEFAULT_TOL, Tolerance
@@ -291,7 +291,7 @@ def homogeneity_test(
     """Decide homogeneity of a multiplicity-free N ⊆ M_n.
 
     Returns (flag, witness basis, obstruction).  The witness is a
-    normaliser unitary basis transported through the matrix units of N;
+    normaliser unitary basis transported through the frame of N;
     for inhomogeneous N the obstruction names the block-size mismatch.
     """
     tol = tol or DEFAULT_TOL
@@ -304,29 +304,10 @@ def homogeneity_test(
     if len(set(sizes)) != 1:
         return False, None, f"block sizes {sizes} differ, no normaliser basis exists"
     k, block = len(sizes), sizes[0]
-    frame = _block_frame(small)
+    frame = np.hstack(small.frames)  # (+)^k M_block in standard position -> small
     std = homogeneous_block_basis(k, block)
     witness = PimsnerPopaBasis(
         inc, [frame @ b @ la.dagger(frame) for b in std.elements]
     )
     return True, witness, ""
 
-
-def _block_frame(small: StarAlgebra) -> np.ndarray:
-    """Unitary sending the standard block-diagonal picture onto ``small``.
-
-    Columns are built from the matrix units, so the frame intertwines
-    (+)^k M_block in standard position with the given copy.
-    """
-    n = small.ambient_dim
-    cols = []
-    for (bd, _), f in zip(small.blocks, small.matrix_units):
-        corner = f[0][0]
-        vals, vecs = np.linalg.eigh(corner)
-        seed = vecs[:, vals > 0.5]
-        if seed.shape[1] != 1:
-            raise PreconditionError("multiplicity-free blocks expected")
-        xi = seed[:, 0]
-        for a in range(bd):
-            cols.append(f[a][0] @ xi)
-    return np.stack(cols, axis=1)

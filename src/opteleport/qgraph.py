@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, intersect
+from .algebra import StarAlgebra, _swap_legs, intersect
 from .bases import (
     PimsnerPopaBasis,
     commutant_factor_basis,
@@ -194,13 +194,8 @@ def factor_frame(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> FactorFrame:
     if len(small.blocks) != 1:
         raise PreconditionError("factor colouring requires N to be a factor")
     d, mult = small.blocks[0]
-    n = small.ambient_dim
-    f = small.matrix_units[0]
-    vals, vecs = np.linalg.eigh(f[0][0])
-    etas = vecs[:, vals > 0.5]
     # W: C^mult (x) C^d -> H with N = 1 (x) M_d
-    cols = [f[a][0] @ etas[:, r] for r in range(mult) for a in range(d)]
-    w = np.stack(cols, axis=1)
+    w = _swap_legs(small.frames[0], d, mult)
     # compress the relative commutant to the multiplicity space
     rel = intersect(small.commutant, inc.big, tol)
     compressed = []
@@ -210,12 +205,9 @@ def factor_frame(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> FactorFrame:
     c_alg = StarAlgebra.from_span(la.span_onb(compressed, tol), tol)
     isometries = []
     sizes, mults = [], []
-    for (l_j, n_j), units in zip(c_alg.blocks, c_alg.matrix_units):
-        cvals, cvecs = np.linalg.eigh(units[0][0])
-        xis = cvecs[:, cvals > 0.5]
+    for (l_j, n_j), frame in zip(c_alg.blocks, c_alg.frames):
         # V_j: C^{n_j} (x) C^{l_j} -> C^mult
-        vcols = [units[a][0] @ xis[:, s] for s in range(n_j) for a in range(l_j)]
-        v = np.stack(vcols, axis=1)
+        v = _swap_legs(frame, l_j, n_j)
         isometries.append(w @ la.kron(v, la.eye(d)))
         sizes.append(l_j)
         mults.append(n_j)

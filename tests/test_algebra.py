@@ -147,7 +147,7 @@ def test_intersect_centers_connectedness():
 
 def test_nonunital_span_rejected():
     with pytest.raises(StructureError):
-        StarAlgebra(2, [(1, 1)], [np.diag([1.0, 0.0])], [[[np.diag([1.0, 0.0])]]])
+        StarAlgebra(2, [(1, 1)], [np.array([[1.0], [0.0]])])
 
 
 def test_trace_normalized_and_restriction():

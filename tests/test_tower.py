@@ -49,7 +49,7 @@ def test_gns_right_is_commutant_of_left():
     assert la.frobenius_distance(g.right(x), np.conj(g.left(la.dagger(x)))) < 1e-12
     comm = StarAlgebra(
         g.dim,
-        *(lambda a: (a.blocks, a.central_projections, a.matrix_units))(
+        *(lambda a: (a.blocks, a.frames))(
             StarAlgebra.from_span(la.span_onb([g.left(b) for b in m.basis]))
         ),
     ).commutant
@@ -109,6 +109,17 @@ def test_gns_holds_no_dim_squared_stack(key):
     arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
     assert arrays
     assert max(a.nbytes for a in arrays) <= g.dim * n * n * 16
+
+
+@pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_4", "homogeneous_2_2"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_markov_gate_pullback_matches_per_element_trace(key, k):
+    # the gate reads trace_k(left(x)) for every basis x of M_{k-1} as Tr(K x)
+    t = get_tower(key)
+    lvl = t.level(k)
+    pullback = lvl.gns.pullback(lvl.trace.density)
+    for x in t.level(k - 1).algebra.basis:
+        assert abs(np.trace(pullback @ x) - lvl.trace(lvl.gns.left(x))) < 1e-12
 
 
 def test_tau_onb_orthonormal_under_nonuniform_trace():
