@@ -365,6 +365,29 @@ def _legs(w: np.ndarray, d: int) -> np.ndarray:
     return w.reshape(w.shape[0], d, -1).transpose(1, 0, 2)
 
 
+def _unit_to_hermitian(d: int) -> np.ndarray:
+    """Change of basis V_d on one block, from matrix units to ``basis`` order.
+
+    Column (a, b), a-major, holds the coordinates of f_ab against the
+    Hermitian elements that :attr:`StarAlgebra.basis` builds for a block of
+    size d, in its order: the d diagonal units, then for each a < b the
+    symmetric and the antisymmetric combination.  Both systems are
+    orthonormal once rescaled by the same factor, so V_d is unitary; on a
+    GNS space it maps the unit coordinates f_ab / sqrt(t) to the Hermitian
+    ones.
+    """
+    v = np.zeros((d * d, d * d), dtype=complex)
+    v[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+    a, b = np.triu_indices(d, 1)
+    rows = d + 2 * np.arange(len(a))
+    ab, ba = a * d + b, b * d + a
+    root = 1 / np.sqrt(2.0)
+    v[rows, ab] = v[rows, ba] = root
+    v[rows + 1, ab] = -1j * root
+    v[rows + 1, ba] = 1j * root
+    return v
+
+
 def _column_units(w: np.ndarray, d: int) -> np.ndarray:
     """The matrix units f_{a0}, a < d, of a block frame as a (d, n, n) stack."""
     legs = _legs(w, d)
@@ -567,15 +590,20 @@ class Trace:
 
 
 def _tau_onb(basis: np.ndarray, trace: Trace) -> np.ndarray:
-    """Rotate a self-adjoint ONB into tau-orthonormal form via the real Gram matrix."""
-    k = basis.shape[0]
-    weighted = np.matmul(trace.density, basis).reshape(k, -1)  # rho b_k
-    gram = (weighted @ basis.transpose(0, 2, 1).reshape(k, -1).T).real  # tr(rho b_k b_l)
-    vals, vecs = np.linalg.eigh(gram)
-    if np.min(vals) <= 0:
+    """The tau-orthonormal rescaling of ``trace.algebra.basis``.
+
+    On the unit-built basis the Gram matrix tau(b_k b_l) is diagonal, t_j / m_j
+    on every element of block j (t_j the weight of a minimal projection), so
+    block j is scaled by sqrt(m_j / t_j).  A non-faithful trace raises
+    :class:`TraceError`.
+    """
+    blocks = trace.algebra.blocks
+    if np.min(trace.weights) <= 0:
         raise TraceError("trace inner product is not positive definite (non-faithful trace)")
-    inv_root = (vecs / np.sqrt(vals)) @ vecs.T
-    return np.tensordot(inv_root, basis, axes=(1, 0))
+    scale = np.repeat(
+        [np.sqrt(m / t) for (_, m), t in zip(blocks, trace.weights)], [d * d for d, _ in blocks]
+    )
+    return basis * scale[:, None, None]
 
 
 def _combine(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -656,22 +684,31 @@ def conditional_expectation_onto(
 ) -> Superoperator:
     """tau-preserving conditional expectation from ``ambient`` onto ``sub``.
 
-    Realised as the orthogonal projection for <x, y> = tau(y* x); the
-    bimodule and complete-positivity properties follow and are exercised in
-    the test suite rather than re-derived here.
+    E(x) = P(x rho) P(rho)^{-1}, with P = ``sub.project`` and rho the central
+    density of ``trace``.  Because rho commutes with ``sub``, tau(E(x) y) =
+    tau(x y) for every y in ``sub`` and every matrix x, in or outside the
+    ambient.  P(rho) is central in ``sub``: Tr(W_k* rho W_k) / (d_k m_k) on
+    block k, so its inverse is a sum of central projections.
     """
-    sub_trace = trace.restrict(sub)
-    onb = _tau_onb(sub.basis, sub_trace)
-    rows = _expectation_rows(onb, trace.density)  # fixed once
+    rho = trace.density
+    inverse = sum(
+        (d * m / np.trace(la.dagger(w) @ rho @ w).real) * z
+        for (d, m), w, z in zip(sub.blocks, sub.frames, sub.central_projections)
+    )
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return _combine(rows @ x.ravel(), onb)  # sum_k tau(c_k x) c_k
+        return sub.project(x @ rho) @ inverse
 
     return Superoperator(ambient, sub, apply, domain_trace=trace)
 
 
 def intersect(a: StarAlgebra, b: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """Intersection of two *-subalgebras of the same ambient."""
+    """Intersection of two *-subalgebras of the same ambient.
+
+    The library no longer calls it: relative commutants come from
+    :meth:`StarAlgebra.commuting_product` and connectedness from the inclusion
+    matrix.  It stays public, and the benchmark tracer names it.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise PreconditionError("intersect requires a common ambient")
     fa = a.basis.reshape(a.dim, -1)

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, Superoperator, Trace, conditional_expectation_onto, intersect
+from .algebra import StarAlgebra, Superoperator, Trace, conditional_expectation_onto
 from .errors import ConnectednessError, PreconditionError, StructureError
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -41,8 +41,16 @@ def inclusion_matrix(small: StarAlgebra, big: StarAlgebra, gate: float = 1e-6) -
 
 
 def is_connected(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the joint centre Z(N) ∩ Z(M) is the scalars."""
-    return intersect(small.center, big.center, tol).dim == 1
+    """True when the joint centre Z(N) ∩ Z(M) is the scalars.
+
+    That holds exactly when the bipartite graph of the inclusion matrix
+    (the Bratteli diagram, one vertex per block of N and of M) is connected.
+    """
+    lam = inclusion_matrix(small, big) > 0
+    rows = np.arange(lam.shape[0]) == 0
+    for _ in range(lam.shape[0]):
+        rows = lam[:, lam[rows].any(axis=0)].any(axis=1)
+    return bool(rows.all() and lam.any(axis=0).all())
 
 
 def markov_trace(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Trace:
@@ -114,8 +122,8 @@ class Inclusion:
 
     @cached_property
     def relative_commutant(self) -> StarAlgebra:
-        """N' ∩ M inside the common ambient."""
-        return intersect(self.small.commutant, self.big, self.tol)
+        """N' ∩ M inside the common ambient, as (N ∨ M')': N and M' commute."""
+        return StarAlgebra.commuting_product(self.small, self.big.commutant).commutant
 
     def is_markov(self) -> bool:
         """Whether the installed trace equals the Markov trace."""

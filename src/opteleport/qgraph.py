@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, _swap_legs, intersect
+from .algebra import StarAlgebra, _swap_legs
 from .bases import (
     PimsnerPopaBasis,
     commutant_factor_basis,
@@ -197,7 +197,7 @@ def factor_frame(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> FactorFrame:
     # W: C^mult (x) C^d -> H with N = 1 (x) M_d
     w = _swap_legs(small.frames[0], d, mult)
     # compress the relative commutant to the multiplicity space
-    rel = intersect(small.commutant, inc.big, tol)
+    rel = inc.relative_commutant
     compressed = []
     for x in rel.basis:
         y = la.dagger(w) @ x @ w  # = c (x) 1_d in these coordinates

@@ -8,11 +8,14 @@ type is needed anywhere.
 
 A :class:`Tower` is a list of :class:`Level` records grown by
 :meth:`Tower.extend`, which repeats one step at every height: take the GNS
-space of the top algebra, add the Jones projection onto the image of the
-algebra below it, and take the conjugated commutant of that represented
-algebra as the next algebra.  Its canonical trace is solved from the
-defining relation tr(x e y) = tau(x y) through a central-density ansatz on
-seeded pairs, then gated on the Markov restriction over the whole basis.
+space of the top algebra, write down the algebra below it and the top
+algebra as represented there (frames in the unit coordinates f_ab / sqrt(t),
+carried to these coordinates by a fixed change of basis), add the Jones
+projection onto the image of the algebra below, and take the conjugated
+commutant of that represented algebra as the next algebra.  Its canonical
+trace gives each block the weight of the paired block two levels down, so
+that tr(x e y) = tau(x y), normalised to a state and then gated on the
+Markov restriction over the whole basis.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from .algebra import (
     Trace,
     _combine,
     _expectation_rows,
+    _frame_from,
     _tau_onb,
+    _unit_to_hermitian,
     conditional_expectation_onto,
 )
 from .errors import (
@@ -43,7 +48,7 @@ from .inclusion import Inclusion, inclusion_matrix, index_from_matrix
 from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import Report
 
-_PAIR_SEED = 0x70A3  # deterministic draws for trace-relation validation pairs
+_PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
 
 
 class GnsSpace:
@@ -109,7 +114,8 @@ class Level:
     ``upper`` is M_{k-1} inside M_k (N itself at k = 0).  From k = 1 on,
     M_k acts on ``gns``, the GNS space of (M_{k-1}, trace_{k-1}): ``lower``
     is M_{k-2} represented there, ``jones`` the projection onto its GNS
-    image, and ``density`` the central density solved for ``trace``.
+    image, and ``density`` the density of the canonical trace with
+    tr(x e y) = tau(x y), of which ``trace`` is the normalisation.
     """
 
     algebra: StarAlgebra
@@ -128,54 +134,82 @@ class Level:
 
 
 def _step(prev: Level, tol: Tolerance) -> Level:
-    """The basic construction on top of ``prev``: the record one level up."""
+    """The basic construction on top of ``prev``: the record one level up.
+
+    Every piece is written down from the frames of ``prev``: the represented
+    algebras (:func:`_represented`), the Jones projection onto the GNS image
+    of ``prev.upper``, and the canonical trace (:func:`_canonical_trace`).
+    """
     gns = GnsSpace(prev.algebra, prev.trace, tol)
-    lower = prev.upper.image(gns.left, gns.dim)
-    upper = prev.algebra.image(gns.left, gns.dim)
+    lower = _represented(prev.upper, prev.algebra)
+    upper = _represented(prev.algebra, prev.algebra)
     jones = gns.subspace_projection(prev.upper)
     algebra = lower.commutant.conjugate_entrywise()
-    density, trace = _extend_trace(prev, gns, jones, algebra, tol)
+    density, trace = _canonical_trace(prev, gns, lower, algebra, tol)
     return Level(algebra, trace, upper, gns, lower, jones, density)
 
 
-def _extend_trace(
-    prev: Level, gns: GnsSpace, jones: np.ndarray, algebra: StarAlgebra, tol: Tolerance
-) -> tuple[np.ndarray, Trace]:
-    """Extend ``prev.trace`` to ``algebra`` through tr(x e y) = trace(x y).
+def _represented(sub: StarAlgebra, alg: StarAlgebra) -> StarAlgebra:
+    """``sub`` ⊆ ``alg`` acting on the GNS space of ``alg`` by left multiplication.
 
-    Any trace on a finite-dimensional algebra has a central density, so the
-    relation is solved for one by least squares on seeded combinations of
-    the basis of ``prev.algebra``; a large residual means the relation is
-    inconsistent.  The normalised extension must then restrict to the old
-    trace on the whole basis (the Markov gate).
+    In the unit coordinates f^j_ab / sqrt(t_j), left multiplication by x is
+    (+)_j xbar_j (x) 1_{n_j}, with xbar_j the multiplicity average of
+    W_j* x W_j.  So on the coordinates of block j of ``alg``, block i of
+    ``sub`` has the frame of its units compressed into M_{n_j}, tensored with
+    1_{n_j} and carried to Hermitian coordinates by V_j.  For sub = alg that
+    frame is V_j itself.
     """
+    dim = alg.dim
+    offsets = np.cumsum([0] + [d * d for d, _ in alg.blocks])
+    changes = [_unit_to_hermitian(d) for d, _ in alg.blocks]
+    blocks, frames = [], []
+    for (e, _), u in zip(sub.blocks, sub.frames):
+        parts = []  # per block j of alg: columns (p, (s, b)), s < rank, b < n_j
+        for (d, m), w, v, o in zip(alg.blocks, alg.frames, changes, offsets):
+            y = (la.dagger(w) @ u).reshape(d, m, e, -1)  # (a, r, p, s)
+            g_p0 = np.einsum("arps,brs->pab", y, np.conj(y[:, :, 0])) / m
+            rank = int(round(float(np.trace(g_p0[0]).real)))
+            if rank == 0:
+                continue
+            f = _frame_from(g_p0, g_p0[0], rank).reshape(d, e, rank)
+            part = np.zeros((dim, e, rank * d), dtype=complex)
+            for p in range(e):
+                part[o : o + d * d, p] = v @ np.kron(f[:, p], la.eye(d))
+            parts.append(part)
+        frame = np.concatenate(parts, axis=2)
+        blocks.append((e, frame.shape[2]))
+        frames.append(frame.reshape(dim, -1))
+    return StarAlgebra(dim, blocks, frames, sub.tol)
+
+
+def _canonical_trace(
+    prev: Level, gns: GnsSpace, lower: StarAlgebra, algebra: StarAlgebra, tol: Tolerance
+) -> tuple[np.ndarray, Trace]:
+    """The canonical trace of ``algebra`` = J lower' J, normalised to a state.
+
+    The block of ``algebra`` that shares its central projection (up to J)
+    with block i of ``lower`` holds the minimal projection e x for x minimal
+    in block i of ``prev.upper``, so tr(x e y) = trace(x y) gives it the
+    weight of that block under ``prev.trace`` (Jones 1983).  The returned
+    density is that unnormalised trace's.  The normalised trace must then
+    restrict to the old one on the whole basis (the Markov gate).
+    """
+    weights = prev.trace.restrict(prev.upper).weights
+    paired = [
+        int(np.argmax([np.linalg.norm(la.dagger(u) @ np.conj(w[:, 0])) for u in lower.frames]))
+        for w in algebra.frames
+    ]
+    canonical = Trace(algebra, weights[paired])
+    total = float(weights[paired] @ np.array([d for d, _ in algebra.blocks]))
+    trace = Trace(algebra, canonical.weights / total)
     basis = prev.algebra.basis
     k = basis.shape[0]
-    rng = la.rng_from(_PAIR_SEED)
-    picks = min(k, max(12, 2 * len(algebra.blocks)))
-    combos = [np.tensordot(rng.standard_normal(k), basis, axes=(0, 0)) for _ in range(picks)]
-    images = [gns.left(c) for c in combos]
-    zs = np.stack(algebra.central_projections)
-    zs_t = zs.transpose(0, 2, 1).reshape(len(zs), -1)  # Tr(z_j y) = zs_t @ y.ravel()
-    rows = np.array([zs_t @ (pc @ jones @ pd).ravel() for pc in images for pd in images])
-    values = np.array([prev.trace(c @ d) for c in combos for d in combos])
-    coeffs, *_ = np.linalg.lstsq(rows, values, rcond=None)
-    resid = float(np.abs(rows @ coeffs - values).max())
-    if resid > tol.bound(1.0) * len(values):
-        raise MarkovError(f"trace extension inconsistent, residual {resid:.2e}")
-    density = np.tensordot(coeffs, zs, axes=(0, 0))
-    total = float(np.trace(density).real)
-    weights = [
-        float(np.trace(density @ algebra.minimal_projection(j)).real) / total
-        for j in range(len(algebra.blocks))
-    ]
-    trace = Trace(algebra, weights)
     # trace(left(x)) - prev.trace(x) = Tr((K - rho) x) for every basis element at once
     gap = gns.pullback(trace.density) - prev.trace.density
     worst = float(np.abs(basis.reshape(k, -1) @ gap.T.ravel()).max())
     if worst > tol.bound(1.0) * k:
         raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
-    return density, trace
+    return canonical.density, trace
 
 
 def _view(k: int, field: str, doc: str) -> property:
@@ -286,6 +320,10 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     inc = t.inclusion
     pi, e1 = t.gns.left, t.jones1
     exp = inc.expectation
+    # pi(x) and pi(x) e1 pi(y) over the basis of M, shared by the checks below
+    images = [pi(x) for x in inc.big.basis]
+    pairs = [(x, y) for x in inc.big.basis for y in inc.big.basis]
+    prods = [px_e1 @ py for px_e1 in (px @ e1 for px in images) for py in images]
 
     rep.add(
         "jones1_projection",
@@ -303,7 +341,8 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     rep.add(
         "compression_is_expectation",  # e x e = E(x) e
         max(
-            la.frobenius_distance(e1 @ pi(x) @ e1, pi(exp(x)) @ e1) for x in inc.big.basis
+            la.frobenius_distance(e1 @ px @ e1, pi(exp(x)) @ e1)
+            for x, px in zip(inc.big.basis, images)
         ),
         tol.bound(1.0),
     )
@@ -324,7 +363,6 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     rep.add("jones1_conjugation_invariant", la.frobenius_distance(np.conj(e1), e1), tol.bound(1.0))
 
     # level1 equals the span of {x e y} together with the conjugated commutant
-    prods = [pi(x) @ e1 @ pi(y) for x in inc.big.basis for y in inc.big.basis]
     span = la.span_onb(prods, tol)
     rep.add_flag("level1_spanned_by_compressions", span.shape[0] == t.level1.dim)
     rep.add(
@@ -336,18 +374,14 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     rep.add(
         "tr1_defining_relation",
         max(
-            abs(
-                complex(np.trace(t.levels[1].density @ (pi(x) @ e1 @ pi(y))))
-                - inc.trace(x @ y)
-            )
-            for x in inc.big.basis
-            for y in inc.big.basis
+            abs(complex(np.sum(t.levels[1].density.T * prod)) - inc.trace(x @ y))
+            for (x, y), prod in zip(pairs, prods)
         ),
         tol.bound(1.0) * inc.big.dim,
     )
     rep.add(
         "markov_restriction",
-        max(abs(t.trace1(pi(x)) - inc.trace(x)) for x in inc.big.basis),
+        max(abs(t.trace1(px) - inc.trace(x)) for x, px in zip(inc.big.basis, images)),
         tol.bound(1.0) * inc.big.dim,
     )
     idx = inc.index

@@ -278,3 +278,21 @@ def test_conjugate_entrywise():
     conj = alg.conjugate_entrywise()
     assert conj.same_span(alg)  # full algebra is conjugation invariant
 
+
+
+def test_conditional_expectation_matches_tau_onb_formula_nonuniform():
+    # E(x) = sum_k tau(c_k x) c_k under a non-uniform trace, x non-Hermitian
+    # and outside the ambient algebra, on rotated frames
+    u = la.random_unitary(8, 41)
+    rotate = lambda a: a.image(lambda x: u @ x @ la.dagger(u), 8)  # noqa: E731
+    ambient = rotate(StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)]))
+    sub = rotate(StarAlgebra.block_diagonal([(1, 1), (1, 2), (1, 2), (1, 1), (2, 1)]))
+    tau = Trace(ambient, [0.1, 0.15, 0.2])
+    gram = np.array([[tau(a @ b).real for b in sub.basis] for a in sub.basis])
+    vals, vecs = np.linalg.eigh(gram)
+    onb = np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, sub.basis, axes=(1, 0))
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    assert ambient.membership_residual(x) > 1e-3
+    want = sum(tau(c @ x) * c for c in onb)
+    assert la.frobenius_distance(conditional_expectation_onto(sub, ambient, tau)(x), want) < 1e-12

@@ -190,3 +190,44 @@ def test_inclusion_matrix_dimension_bookkeeping():
         m_big = np.array([m for _, m in big.blocks])
         assert np.array_equal(lam @ n_small, n_big)       # row dimension count
         assert np.array_equal(lam.T @ m_big, m_small)     # multiplicity count
+
+
+def _d2_m2_in_m2_m2():
+    small = StarAlgebra.tensor(StarAlgebra.diagonal(2), StarAlgebra.full(2), StarAlgebra.trivial(2))
+    big = StarAlgebra.tensor(StarAlgebra.full(2), StarAlgebra.full(2), StarAlgebra.trivial(2))
+    return markov_inclusion(small, big)
+
+
+REL_COMM_CASES = {
+    "D4_in_M4": lambda: diagonal_in_full(4),
+    "homogeneous_2_2": lambda: homogeneous_in_full(2, 2),
+    "C_in_M3": lambda: trivial_in_full(3),
+    "D2xM2x1_in_M2xM2x1": _d2_m2_in_m2_m2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REL_COMM_CASES))
+def test_relative_commutant_matches_intersect(case):
+    # (N v M')' has the layout and span of N' ∩ M; frames differ by unitary blocks
+    from opteleport.algebra import intersect
+
+    inc = REL_COMM_CASES[case]()
+    got = inc.relative_commutant
+    want = intersect(inc.small.commutant, inc.big)
+    assert got.blocks == want.blocks
+    assert got.same_span(want) and want.same_span(got)
+    for wg, ww in zip(got.frames, want.frames):
+        overlap = la.dagger(wg) @ ww
+        assert la.frobenius_distance(overlap @ la.dagger(overlap), np.eye(len(overlap))) < 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(REL_COMM_CASES))
+def test_is_connected_matches_centre_intersection(case):
+    from opteleport.algebra import intersect
+
+    inc = REL_COMM_CASES[case]()
+    assert is_connected(inc.small, inc.big)
+    assert intersect(inc.small.center, inc.big.center).dim == 1
+    diag = StarAlgebra.diagonal(2)
+    assert not is_connected(diag, diag)
+    assert intersect(diag.center, diag.center).dim != 1

@@ -393,3 +393,83 @@ def test_shift_operator_is_ucp():
         assert t.shift_operator.is_ucp()
     t2 = get_tower("trivial_in_full_2")
     assert not t2.gamma0_operator.is_cp()
+
+
+def test_tau_onb_matches_gram_formula():
+    # the per-block rescale equals the inverse square root of the tau-Gram matrix
+    m = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
+    tr = Trace(m, [0.1, 0.15, 0.2])
+    k = m.dim
+    gram = np.array([[np.trace(tr.density @ a @ b).real for b in m.basis] for a in m.basis])
+    vals, vecs = np.linalg.eigh(gram)
+    want = np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, m.basis, axes=(1, 0))
+    assert np.abs(_tau_onb(m.basis, tr) - want).max() < 1e-12
+    assert want.shape[0] == k
+
+
+@pytest.mark.parametrize("key", TOWER_KEYS)
+def test_canonical_traces_are_markov_traces(key):
+    # the closed-form trace of each level is the Markov trace of the level below in it
+    from opteleport.inclusion import markov_trace
+
+    t = get_tower(key)
+    assert np.abs(t.trace1.weights - markov_trace(t.m_rep, t.level1).weights).max() < 1e-12
+    assert np.abs(t.trace2.weights - markov_trace(t.m1_rep, t.level2).weights).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_4"])
+def test_step_writes_levels_without_gns_action(key, monkeypatch):
+    # each level is written down from frames: no GNS left action, no image of units
+    calls = {"left": 0, "image": 0}
+    left, image = GnsSpace.left, StarAlgebra.image
+
+    def counted_left(self, x):
+        calls["left"] += 1
+        return left(self, x)
+
+    def counted_image(self, phi, ambient_dim):
+        calls["image"] += 1
+        return image(self, phi, ambient_dim)
+
+    monkeypatch.setattr(GnsSpace, "left", counted_left)
+    monkeypatch.setattr(StarAlgebra, "image", counted_image)
+    t = iterate(basic_construction(make_inclusion(key)))
+    t.extend()
+    assert calls == {"left": 0, "image": 0}
+    assert len(t.levels) == 4
+
+
+def _golden_tower():
+    # C + C inside C + M_2 with Bratteli matrix [[1, 0], [1, 1]]: index 2.618...,
+    # so the Markov trace has a non-uniform density at every level
+    big = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
+    return iterate(basic_construction(markov_inclusion(StarAlgebra.block_diagonal([(1, 2), (1, 1)]), big)))
+
+
+@pytest.mark.parametrize(
+    "key, k",
+    [("diagonal_in_full_2", 1), ("diagonal_in_full_2", 2), ("homogeneous_2_2", 1),
+     ("golden", 1), ("golden", 2)],
+)
+def test_tower_expectation_matches_tau_onb_formula(key, k):
+    # E(x) = sum_k tau(c_k x) c_k for non-Hermitian x outside the ambient algebra
+    lvl = (_golden_tower() if key == "golden" else get_tower(key)).level(k)
+    sub, tau = lvl.upper, lvl.trace
+    gram = np.array([[tau(a @ b).real for b in sub.basis] for a in sub.basis])
+    vals, vecs = np.linalg.eigh(gram)
+    onb = np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, sub.basis, axes=(1, 0))
+    rng = np.random.default_rng(31 + k)
+    n = sub.ambient_dim
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert lvl.algebra.membership_residual(x) > 1e-3
+    if key == "golden":
+        assert np.ptp(np.diag(tau.density).real) > 1e-3
+    want = sum(tau(c @ x) * c for c in onb)
+    assert la.frobenius_distance(lvl.expect(x), want) < 1e-12
+
+
+def test_nonmarkov_rejection_names_markov():
+    big = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
+    inc = Inclusion(StarAlgebra.trivial(3), big, Trace(big, [1 / 3, 1 / 3]))
+    with pytest.raises(MarkovError, match="not Markov"):
+        basic_construction(inc)
