@@ -473,3 +473,114 @@ def test_nonmarkov_rejection_names_markov():
     inc = Inclusion(StarAlgebra.trivial(3), big, Trace(big, [1 / 3, 1 / 3]))
     with pytest.raises(MarkovError, match="not Markov"):
         basic_construction(inc)
+
+
+# -- checks on the range of the Jones projections ---------------------------
+
+RANGE_TOWERS = {
+    "trivial_in_full_3": lambda: get_tower("trivial_in_full_3"),
+    "diagonal_in_full_4": lambda: get_tower("diagonal_in_full_4"),
+    "golden": _golden_tower,
+}
+
+
+@pytest.mark.parametrize("key", sorted(RANGE_TOWERS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_gns_act_matches_dense_action(key, k):
+    # left(x) @ V and right(x) @ V without forming left(x), over more than one chunk
+    lvl = RANGE_TOWERS[key]().level(k)
+    g, r = lvl.gns, lvl.jones_range.shape[1]
+    rng = np.random.default_rng(41 + k)
+    xs = np.array([algebra_element(g, rng) for _ in range(g.dim // r + 3)])
+    assert la.frobenius_distance(xs[0], la.dagger(xs[0])) > 1e-3
+    if key == "golden":
+        assert np.ptp(np.diag(g.trace.density).real) > 1e-3
+    for v in (lvl.jones_range, rng.standard_normal((g.dim, r)) + 1j * rng.standard_normal((g.dim, r))):
+        lefts, rights = g.act(xs, v), g.act(xs, v, right=True)
+        assert lefts.shape == rights.shape == (len(xs), g.dim, r)
+        for x, lv, rv in zip(xs, lefts, rights):
+            assert np.abs(lv - g.left(x) @ v).max() < 1e-12
+            assert np.abs(rv - g.right(x) @ v).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", sorted(RANGE_TOWERS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_jones_is_range_isometry_squared(key, k):
+    lvl = RANGE_TOWERS[key]().level(k)
+    p = lvl.jones_range
+    assert p.shape == (lvl.gns.dim, lvl.lower.dim)
+    assert np.abs(la.dagger(p) @ p - np.eye(p.shape[1])).max() < 1e-12
+    assert np.abs(lvl.jones - p @ la.dagger(p)).max() < 1e-12
+
+
+def _dense_range_residuals(t):
+    """The Jones-terminated residuals of verify_tower and verify_epr, from D x D operators."""
+    from opteleport.tower import _PAIR_SEED
+
+    inc, rc = t.inclusion, t.rel_comm
+    pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
+    e1_up = pi1(e1)
+    shift_ent = max(
+        la.frobenius_distance(e1_up @ pi1(pi(x)) @ e2, e1_up @ t.shift(x) @ e2) for x in rc.basis
+    )
+    rng = la.rng_from(_PAIR_SEED + 4)
+    vectors = [t.gns.vector(inc.small.unit)]
+    y = np.tensordot(rng.standard_normal(inc.small.dim), inc.small.basis, axes=(0, 0))
+    v = t.gns.vector(y)
+    vectors.append(v / np.linalg.norm(v))
+    return {
+        "compression_is_expectation": max(
+            la.frobenius_distance(e1 @ pi(x) @ e1, pi(inc.expectation(x)) @ e1)
+            for x in inc.big.basis
+        ),
+        "compression_is_expectation_level2": max(
+            la.frobenius_distance(e2 @ pi1(x) @ e2, pi1(t.expect_onto_m(x)) @ e2)
+            for x in t.level1.basis
+        ),
+        "relative_commutant_entanglement": max(
+            la.frobenius_distance(pi(x) @ e1, t.gamma0(x) @ e1) for x in rc.basis
+        ),
+        "shift_entanglement": shift_ent,
+        "left_right_on_jones": max(
+            max(
+                la.frobenius_distance(pi(x) @ e1, t.gns.right(x) @ e1),
+                la.frobenius_distance(t.gns.right(x) @ e1, t.gamma0(x) @ e1),
+            )
+            for x in rc.basis
+        ),
+        "shift_on_second_jones": shift_ent,
+        "perfect_correlation": max(
+            float(np.linalg.norm((pi(x) - t.gamma0(x)) @ psi)) for psi in vectors for x in rc.basis
+        ),
+    }
+
+
+@pytest.mark.parametrize("key", TOWER_KEYS)
+def test_range_checks_match_dense_formulas(key):
+    t = get_tower(key)
+    got = {c.name: c.residual for c in verify_tower(t).checks + verify_epr(t).checks}
+    for name, want in _dense_range_residuals(t).items():
+        assert abs(got[name] - want) < 1e-12, name
+
+
+@pytest.mark.parametrize("key, most", [("trivial_in_full_3", 131), ("diagonal_in_full_4", 125)])
+def test_verify_tower_forms_few_gns_operators(key, most, monkeypatch):
+    # the Jones-terminated checks act on the range isometries, not on D x D operators
+    t = get_tower(key)
+    calls = {"left": 0}
+    left = GnsSpace.left
+
+    def counted_left(self, x):
+        calls["left"] += 1
+        return left(self, x)
+
+    monkeypatch.setattr(GnsSpace, "left", counted_left)
+    assert verify_tower(t).passed
+    assert calls["left"] <= most
+
+
+def test_golden_tower_passes_with_non_integer_index():
+    rep = verify_tower(_golden_tower())
+    check = next(c for c in rep.checks if c.name == "index_matches_level1")
+    assert check.passed and "[M:N]=2.618" in check.detail
+    assert rep.passed
