@@ -14,7 +14,7 @@ through the central density ``rho`` with ``tau(x) = Tr(rho x)``.
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -415,30 +415,14 @@ def _canonical(
     frames: list[np.ndarray],
     tol: Tolerance,
 ) -> StarAlgebra:
-    """The algebra with its blocks in canonical order (:func:`_canonical_order`)."""
-    order = _canonical_order(blocks, frames)
+    """The algebra with its blocks in canonical order: by block dimension,
+    then by the rounded entries of the central projection."""
+    keys = [
+        (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)))
+        for (bd, _), w in zip(blocks, frames)
+    ]
+    order = sorted(range(len(blocks)), key=lambda j: keys[j])
     return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order], tol)
-
-
-def _canonical_order(blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> list[int]:
-    """Block order by block dimension, then lexicographically by the entries
-    of the central projection rounded to 6 decimals.
-
-    The rounded projections are one stacked array, and two blocks compare at
-    the first entry where their rows differ, found by one vectorised scan:
-    the order of tuple keys without building n^2 Python floats per block.
-    """
-    keys = np.round(np.stack([(w @ la.dagger(w)).real.reshape(-1) for w in frames]), 6)
-
-    def compare(i: int, j: int) -> int:
-        if blocks[i][0] != blocks[j][0]:
-            return blocks[i][0] - blocks[j][0]
-        diff = np.flatnonzero(keys[i] != keys[j])
-        if diff.size == 0:
-            return 0
-        return -1 if keys[i, diff[0]] < keys[j, diff[0]] else 1
-
-    return sorted(range(len(blocks)), key=cmp_to_key(compare))
 
 
 def _unit_matrix(n: int, a: int, b: int) -> np.ndarray:

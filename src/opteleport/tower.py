@@ -433,9 +433,10 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
 
     # entanglement relation x e = gamma0(x) e on the relative commutant
     rc_basis = t.rel_comm.basis
+    gammas = np.array([t.gamma0(x) for x in rc_basis])
     rep.add(
         "relative_commutant_entanglement",
-        _largest(gns.act(rc_basis, p1) - gns.act(rc_basis, p1, right=True)),
+        _largest(gns.act(rc_basis, p1) - gammas @ p1),
         tol.bound(1.0),
     )
 
@@ -474,12 +475,13 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
         la.frobenius_distance(t.levels[2].expect(e2), la.eye(t.gns1.dim) / idx),
         tol.bound(1.0),
     )
+    shifted = np.array([t.shift(x) for x in rc_basis])
     rep.add(
         "shift_entanglement",  # e_N x e_M = e_N shift(x) e_M
-        _shift_entanglement_residual(t, e1_up),
+        _shift_entanglement_residual(t, e1_up, shifted),
         tol.bound(1.0),
     )
-    rep.merge(_shift_isomorphism_report(t, tol, images, e1_up))
+    rep.merge(_shift_isomorphism_report(t, tol, images, e1_up, shifted))
     return rep
 
 
@@ -499,17 +501,16 @@ def _compression_residual(
     return _largest(gap)
 
 
-def _shift_entanglement_residual(t: Tower, e1_up: np.ndarray) -> float:
-    """max over the basis of N' ∩ M of ||e_N (pi1(pi(x)) - shift(x)) e_M||_F.
+def _shift_entanglement_residual(t: Tower, e1_up: np.ndarray, shifted: np.ndarray) -> float:
+    """max over the basis of N' ∩ M of ||e_N (pi1(pi(x)) - shift(x)) e_M||_F,
+    where ``shifted`` stacks :meth:`Tower.shift` over that basis.
 
-    With e_M = P P* this is ||e_N (pi1(pi(x)) - shift(x)) P||_F, and shift(x)
-    = gamma(1, gamma0(x)) is right multiplication by gamma0(x) on the GNS
-    space of M1, so both terms act on P directly.
+    With e_M = P P* this is ||e_N (pi1(pi(x)) - shift(x)) P||_F, and
+    pi1(pi(x)) P comes from :meth:`GnsSpace.act`.
     """
     basis, p2 = t.rel_comm.basis, t.levels[2].jones_range
     lifted = t.gns1.act(np.array([t.gns.left(x) for x in basis]), p2)
-    shifted = t.gns1.act(np.array([t.gamma0(x) for x in basis]), p2, right=True)
-    return _largest(e1_up @ (lifted - shifted))
+    return _largest(e1_up @ (lifted - shifted @ p2))
 
 
 def _gns_inner_residual(t: Tower) -> float:
@@ -531,10 +532,15 @@ def _gns_inner_residual(t: Tower) -> float:
 
 
 def _shift_isomorphism_report(
-    t: Tower, tol: Tolerance, images: list[np.ndarray], e1_up: np.ndarray
+    t: Tower,
+    tol: Tolerance,
+    images: list[np.ndarray],
+    e1_up: np.ndarray,
+    shifted: np.ndarray,
 ) -> Report:
     """The shift and gamma maps as (anti-)isomorphisms; ``images`` is pi over
-    the basis of M and ``e1_up`` is pi1(e_N), both from :func:`verify_tower`."""
+    the basis of M, ``e1_up`` is pi1(e_N) and ``shifted`` is the shift over
+    the basis of N' ∩ M, all from :func:`verify_tower`."""
     rep = Report()
     rc = t.rel_comm
     rep.add(
@@ -563,7 +569,6 @@ def _shift_isomorphism_report(
     # M1 is generated by the represented M together with the first Jones
     # projection, so commutation against those generators suffices.
     gens = [t.gns1.left(px) for px in images] + [e1_up]
-    shifted = [t.shift(x) for x in rc.basis]
     rep.add(
         "shift_lands_in_level2_commutant",
         max(max(la.frobenius_distance(s @ g, g @ s) for g in gens) for s in shifted),
@@ -591,9 +596,10 @@ def verify_epr(t: Tower, tol: Tolerance | None = None) -> Report:
         tol.bound(1.0),
     )
     iterate(t)
+    shifted = np.array([t.shift(x) for x in rc.basis])
     rep.add(
         "shift_on_second_jones",
-        _shift_entanglement_residual(t, t.gns1.left(t.jones1)),
+        _shift_entanglement_residual(t, t.gns1.left(t.jones1), shifted),
         tol.bound(1.0),
     )
     # any unit vector in the image of N is perfectly correlated

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, _canonical_order
+from opteleport.algebra import StarAlgebra
 from opteleport.inclusion import trivial_in_full
 from opteleport.tower import basic_construction, iterate, verify_tower
 
-from conftest import TOWER_KEYS, get_tower
+from conftest import get_tower
 from test_joint_algebra import scheme
 
 
@@ -146,35 +146,3 @@ def test_from_generators_is_scale_invariant(scale):
     assert alg.blocks == [(1, 2), (2, 1)]
     assert alg.same_span(StarAlgebra.from_generators([u @ g @ la.dagger(u) for g in gens], 4))
 
-
-
-def _tuple_order(blocks, frames):
-    """Block dimension, then the tuple of all rounded central-projection entries."""
-    keys = [
-        (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)))
-        for (bd, _), w in zip(blocks, frames)
-    ]
-    return sorted(range(len(blocks)), key=lambda j: keys[j])
-
-
-def _order_cases():
-    algs = {name: make() for name, make in ALGEBRAS.items()}
-    algs.update(frame_cases())
-    for key in TOWER_KEYS:
-        for k, lvl in enumerate(get_tower(key).levels):
-            algs[f"{key}/{k}"] = lvl.algebra
-            algs[f"{key}/{k}/upper"] = lvl.upper
-            if lvl.lower is not None:
-                algs[f"{key}/{k}/lower"] = lvl.lower
-    return algs
-
-
-def test_canonical_order_matches_tuple_keys():
-    # the vectorised comparison orders blocks exactly as tuple keys do, ties included
-    rng = np.random.default_rng(17)
-    for name, alg in _order_cases().items():
-        for a in (alg, alg.commutant):
-            blocks, frames = a.blocks + a.blocks[:1], a.frames + a.frames[:1]
-            for perm in (np.arange(len(blocks)), np.arange(len(blocks))[::-1], rng.permutation(len(blocks))):
-                bs, fs = [blocks[j] for j in perm], [frames[j] for j in perm]
-                assert _canonical_order(bs, fs) == _tuple_order(bs, fs), name

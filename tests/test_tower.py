@@ -563,6 +563,27 @@ def test_range_checks_match_dense_formulas(key):
         assert abs(got[name] - want) < 1e-12, name
 
 
+@pytest.mark.parametrize(
+    "method, names",
+    [
+        (
+            "gamma0",
+            ["relative_commutant_entanglement", "left_right_on_jones", "perfect_correlation"],
+        ),
+        ("shift", ["shift_entanglement", "shift_on_second_jones"]),
+    ],
+)
+def test_range_checks_read_the_public_maps(method, names, monkeypatch):
+    # a wrong Tower.gamma0 or Tower.shift must fail the checks that state its identity
+    from opteleport.tower import Tower
+
+    t = iterate(basic_construction(trivial_in_full(3)))
+    right = getattr(Tower, method)
+    monkeypatch.setattr(Tower, method, lambda self, x: np.conj(right(self, x)) * 0.5)
+    failed = {c.name for c in verify_tower(t).checks + verify_epr(t).checks if not c.passed}
+    assert set(names) <= failed
+
+
 @pytest.mark.parametrize("key, most", [("trivial_in_full_3", 131), ("diagonal_in_full_4", 125)])
 def test_verify_tower_forms_few_gns_operators(key, most, monkeypatch):
     # the Jones-terminated checks act on the range isometries, not on D x D operators
