@@ -340,6 +340,62 @@ class StarAlgebra:
             return False
         return all(other.contains(b, tol) for b in self.basis)
 
+    def commutator_residual(self, other: "StarAlgebra") -> float:
+        """max ||[x, y]||_F over x in ``self.basis`` and y in ``other.basis``.
+
+        Only the smaller algebra's basis is formed.  Each of its elements y
+        is moved into the frame coordinates of the larger one,
+        y~ = W* y W with W = hstack(frames), where a basis element of block j
+        is E (x) 1_m for E one of e_pp / sqrt(m), (e_pq + e_qp) / sqrt(2m),
+        i (e_pq - e_qp) / sqrt(2m).  Every entry of [E (x) 1, y~] is then an
+        m x m block of y~, a difference X_pp - X_qq or a sum X_pq -+ X_qp
+        of the blocks of X = y~[j, j], so ||[x, y]||^2 is summed from
+        nonnegative terms: leg norms of y~ off block j, the norms of X_pc
+        and X_cp for c outside {p, q}, and 2||X_pp - X_qq||^2 +
+        2||X_pq -+ X_qp||^2.  Expanding the norm through inner products
+        instead would cancel to noise of order the threshold at a zero
+        residual.
+        """
+        if self.ambient_dim != other.ambient_dim:
+            raise PreconditionError("commutator residual requires a common ambient")
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        w = np.hstack(big.frames)
+        legs = np.repeat([m for _, m in big.blocks], [d for d, _ in big.blocks])
+        starts = np.cumsum(legs) - legs
+        owner = np.repeat(np.arange(len(big.blocks)), [d for d, _ in big.blocks])
+        worst = 0.0
+        for y in small.basis:
+            yt = la.dagger(w) @ y @ w
+            q = np.abs(yt) ** 2
+            g = np.add.reduceat(np.add.reduceat(q, starts, axis=0), starts, axis=1)
+            first = offset = 0
+            for j, (d, m) in enumerate(big.blocks):
+                inside = slice(first, first + d)
+                out = owner != j
+                off = g[inside][:, out].sum(axis=1) + g[out][:, inside].sum(axis=0)
+                t = g[inside, inside] + g[inside, inside].T
+                corner = yt[offset : offset + d * m, offset : offset + d * m]
+                corner = corner.reshape(d, m, d, m).transpose(0, 2, 1, 3)  # X_pq at [p, q]
+                others = ~np.eye(d, dtype=bool)
+                worst = max(worst, float(np.max(off + (t * others).sum(axis=1))) / m)
+                if d > 1:
+                    p, r = np.triu_indices(d, 1)
+                    keep = others[p] & others[r]
+                    diag = corner[np.arange(d), np.arange(d)]
+                    flip = corner[r, p]
+                    base = (
+                        off[p]
+                        + off[r]
+                        + ((t[p] + t[r]) * keep).sum(axis=1)
+                        + 2 * _sq_norms(diag[p] - diag[r])
+                    )
+                    for sign in (-1, 1):
+                        tail = 2 * _sq_norms(corner[p, r] + sign * flip)
+                        worst = max(worst, float(np.max(base + tail)) / (2 * m))
+                first += d
+                offset += d * m
+        return float(np.sqrt(worst))
+
     @cached_property
     def center(self) -> "StarAlgebra":
         return StarAlgebra(
@@ -358,6 +414,11 @@ class StarAlgebra:
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack."""
+    return np.sum(np.abs(stack) ** 2, axis=(-2, -1))
 
 
 def _legs(w: np.ndarray, d: int) -> np.ndarray:

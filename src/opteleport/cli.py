@@ -237,6 +237,8 @@ def cmd_basis(args) -> dict:
 
 
 def cmd_teleport(args) -> dict:
+    if args.extract and args.scheme not in ("standard", "werner"):
+        raise InputError("--extract applies to standard and werner schemes")
     doc = load_document(args.input)
     params = load_document(args.params) if args.params else {}
     derived: dict = {"scheme": args.scheme}
@@ -289,8 +291,6 @@ def cmd_teleport(args) -> dict:
         }
     )
     if args.extract:
-        if args.scheme not in ("standard", "werner"):
-            raise InputError("--extract applies to standard and werner schemes")
         basis_out, u_out, z_out, xrep = extract_tight_scheme(scheme, inc_for_extract, args.tol)
         rep.merge(xrep, prefix="extract.")
         derived["extracted"] = {

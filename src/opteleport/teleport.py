@@ -101,11 +101,7 @@ class TeleportationContext:
         )
 
     def alice_bob_commute_residual(self) -> float:
-        return max(
-            la.frobenius_distance(a @ b, b @ a)
-            for a in self.alice.basis
-            for b in self.bob.basis
-        )
+        return self.alice.commutator_residual(self.bob)
 
 
 @dataclass
@@ -313,6 +309,7 @@ def classify(
     )
 
     # independent cross-check on sampled densities
+    lhs_rows, rhs_rows = _cross_check_rows(scheme, gs)
     rng = la.rng_from(None)
     cross = 0.0
     for _ in range(density_samples):
@@ -321,13 +318,11 @@ def classify(
         val = ctx.trace(raw).real
         if val < 1e-6:
             continue
-        rho = raw / val
-        for i, (f, g) in enumerate(zip(scheme.povm, gs)):
-            lhs = ctx.trace(f @ rho @ scheme.omega)
-            rhs = ctx.trace(rho @ g)
-            cross = max(cross, abs(lhs - rhs))
-            if unbiased:
-                cross = max(cross, abs(lhs - 1.0 / d))
+        rho = (raw / val).ravel()
+        lhs = lhs_rows @ rho
+        cross = max(cross, float(np.max(np.abs(lhs - rhs_rows @ rho))))
+        if unbiased:
+            cross = max(cross, float(np.max(np.abs(lhs - 1.0 / d))))
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
     flags = SchemeFlags(
@@ -341,6 +336,21 @@ def classify(
     )
     scheme.flags = flags
     return flags
+
+
+def _cross_check_rows(
+    scheme: TeleportationScheme, gs: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose products with rho.ravel() list tau(F_i rho omega) and tau(rho g_i).
+
+    Only cyclicity of Tr is used, not the reduction under test: with D the
+    trace density, tau(F rho omega) = Tr((omega D F) rho) and tau(rho g) =
+    Tr((g D) rho), and Tr(a x) = <a^T, x> entrywise.
+    """
+    density = scheme.context.trace.density
+    lhs = np.stack([(scheme.omega @ density @ f).T.ravel() for f in scheme.povm])
+    rhs = np.stack([(g @ density).T.ravel() for g in gs])
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -296,3 +296,43 @@ def test_conditional_expectation_matches_tau_onb_formula_nonuniform():
     assert ambient.membership_residual(x) > 1e-3
     want = sum(tau(c @ x) * c for c in onb)
     assert la.frobenius_distance(conditional_expectation_onto(sub, ambient, tau)(x), want) < 1e-12
+
+
+def dense_commutator_residual(a: StarAlgebra, b: StarAlgebra) -> float:
+    """Oracle: max ||xy - yx||_F over both dense bases."""
+    return max(la.frobenius_distance(x @ y, y @ x) for x in a.basis for y in b.basis)
+
+
+def rotated(alg: StarAlgebra, eps: float, rng: np.random.Generator) -> StarAlgebra:
+    """The algebra conjugated by exp(i eps H) for a random Hermitian H."""
+    vals, vecs = np.linalg.eigh(la.random_hermitian(alg.ambient_dim, rng))
+    u = (vecs * np.exp(1j * eps * vals)) @ la.dagger(vecs)
+    return StarAlgebra(alg.ambient_dim, alg.blocks, [u @ w for w in alg.frames])
+
+
+def assert_matches_dense(a: StarAlgebra, b: StarAlgebra) -> None:
+    want = dense_commutator_residual(a, b)
+    for got in (a.commutator_residual(b), b.commutator_residual(a)):
+        assert abs(got - want) <= 1e-15 + 1e-12 * want, (got, want)
+
+
+@pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(3, 2), (1, 1)], [(4, 3)], [(2, 2), (3, 1)]])
+@pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-12, 1e-9, 1e-3, 1.0])
+def test_commutator_residual_matches_dense_under_rotation(layout, eps):
+    rng = np.random.default_rng(17)
+    a = StarAlgebra.block_diagonal(layout)
+    for other in (a.commutant, StarAlgebra.diagonal(a.ambient_dim)):
+        assert_matches_dense(a, rotated(other, eps, rng))
+
+
+def test_commutator_residual_zero_on_commutant_and_positive_otherwise():
+    a = StarAlgebra.block_diagonal([(2, 1), (1, 2)])
+    assert a.commutator_residual(a.commutant) < 1e-15
+    assert a.commutator_residual(a) > 0.5
+    assert_matches_dense(a, a)
+    assert_matches_dense(a, StarAlgebra.full(4))
+
+
+def test_commutator_residual_requires_common_ambient():
+    with pytest.raises(PreconditionError):
+        StarAlgebra.full(2).commutator_residual(StarAlgebra.full(3))

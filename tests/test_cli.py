@@ -148,6 +148,19 @@ def test_teleport_werner_extract(diag_m2, tmp_path):
     assert "extract.round_trip_resource" in names
 
 
+@pytest.mark.parametrize("scheme", ["unbiased", "direct-sum"])
+def test_teleport_extract_rejected_before_construction(diag_m2, scheme, monkeypatch, capsys):
+    from opteleport import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scheme was built before --extract was rejected")
+
+    for name in ("verify_scheme", "unbiased_scheme", "direct_sum_scheme", "basic_construction"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert cli.main(["teleport", diag_m2, "--scheme", scheme, "--extract"]) == 2
+    assert "--extract applies to standard and werner schemes" in capsys.readouterr().err
+
+
 def test_graph_bounds_scalar(scalar_m2):
     cert = json.loads(run_cli("graph", scalar_m2, "--mode", "bounds").stdout)
     assert cert["passed"]

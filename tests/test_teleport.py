@@ -26,6 +26,7 @@ from opteleport.teleport import (
     tight_scheme_from_basis,
     unbiased_scheme,
     verify_scheme,
+    _cross_check_rows,
 )
 
 from conftest import get_tower
@@ -472,3 +473,85 @@ def test_rigidity_round_trip_subsystem_code():
     basis, u, z, rep = extract_tight_scheme(s)
     assert rep.passed
     assert basis.size == 4
+
+
+# -- frame-coordinate commutation residual and the cyclic-trace cross-check ----
+
+
+def _subsystem_tight():
+    from opteleport.bases import commutant_factor_basis
+
+    q, r = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    rot = q * np.sign(np.diag(r))
+    paulis = [np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
+    gens = [rot @ np.kron(np.eye(2), g) @ rot.T for g in paulis]
+    inc = markov_inclusion(StarAlgebra.from_generators(gens, 4), StarAlgebra.full(4))
+    return tight_scheme_from_basis(inc, commutant_factor_basis(inc))
+
+
+def _werner_d2():
+    inc = diagonal_in_full(2)
+    b = shift_basis(2)
+    b.inclusion = inc
+    z = np.diag([1.2, 0.8]).astype(complex)
+    return tight_scheme_from_basis(inc, b, u=shift_unitary(2), z=z)
+
+
+WORKLOAD_SCHEMES = {
+    "standard_3": lambda: standard_scheme(3),
+    "subsystem_tight": _subsystem_tight,
+    "direct_sum_1_2": lambda: direct_sum_scheme(StarAlgebra.block_diagonal([(1, 1), (2, 1)])),
+    "unbiased_D3": lambda: unbiased_scheme(*tower_basis("diagonal_in_full_3", lambda: shift_basis(3))),
+    "werner_D2": _werner_d2,
+}
+
+
+@pytest.mark.parametrize("key", sorted(WORKLOAD_SCHEMES))
+def test_alice_bob_residual_matches_dense_loop(key):
+    ctx = WORKLOAD_SCHEMES[key]().context
+    want = max(la.frobenius_distance(a @ b, b @ a) for a in ctx.alice.basis for b in ctx.bob.basis)
+    for got in (ctx.alice_bob_commute_residual(), ctx.bob.commutator_residual(ctx.alice)):
+        assert abs(got - want) <= 1e-15 + 1e-12 * want
+
+
+def test_alice_bob_residual_matches_dense_loop_when_not_commuting():
+    qubit = StarAlgebra.tensor(StarAlgebra.full(2), StarAlgebra.trivial(2))
+    want = max(la.frobenius_distance(a @ b, b @ a) for a in qubit.basis for b in qubit.basis)
+    assert want > 0.5
+    assert abs(qubit.commutator_residual(qubit) - want) <= 1e-12 * want
+
+
+def test_verify_and_classify_leave_alice_basis_unbuilt():
+    s = _subsystem_tight()
+    assert verify_scheme(s).passed
+    assert classify(s).tight
+    assert "basis" not in vars(s.context.alice)
+
+
+@pytest.mark.parametrize("key", sorted(WORKLOAD_SCHEMES))
+def test_cross_check_rows_match_traces(key):
+    s = WORKLOAD_SCHEMES[key]()
+    ctx = s.context
+    gs = [ctx.expectation(s.omega @ f) for f in s.povm]
+    lhs_rows, rhs_rows = _cross_check_rows(s, gs)
+    rng = np.random.default_rng(11)
+    n = ctx.ambient.ambient_dim
+    densities = [ctx.teleported.project(la.random_density(n, rng)) for _ in range(3)]
+    # cyclicity holds for any matrix, so a generic one also checks the row layout
+    generic = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for x in [d / ctx.trace(d).real for d in densities] + [generic]:
+        lhs = [ctx.trace(f @ x @ s.omega) for f in s.povm]
+        rhs = [ctx.trace(x @ g) for g in gs]
+        assert np.max(np.abs(lhs_rows @ x.ravel() - lhs)) < 1e-13
+        assert np.max(np.abs(rhs_rows @ x.ravel() - rhs)) < 1e-13
+
+
+def test_cross_check_fails_on_wrong_expectation(monkeypatch):
+    s = standard_scheme(2)
+    check = lambda: next(
+        c for c in classify(s).report.checks if c.name == "density_reduction_cross_check"
+    )
+    assert check().passed
+    exact = s.context.expectation
+    monkeypatch.setattr(s.context, "expectation", lambda x: 1.01 * exact(x))
+    assert not check().passed
