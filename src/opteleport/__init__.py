@@ -46,7 +46,6 @@ from .bases import (
     weyl_basis,
 )
 from .teleport import (
-    Channel,
     SchemeFlags,
     TeleportationContext,
     TeleportationScheme,

@@ -486,12 +486,6 @@ def _canonical(
     return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order], tol)
 
 
-def _unit_matrix(n: int, a: int, b: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[a, b] = 1.0
-    return m
-
-
 def _center_span(onb: np.ndarray, tol: Tolerance) -> np.ndarray:
     """ONB of {x in span : [x, b] = 0 for all basis b}, solved in coordinates.
 
@@ -667,11 +661,6 @@ def _tau_onb(basis: np.ndarray, trace: Trace) -> np.ndarray:
     return basis * scale[:, None, None]
 
 
-def _combine(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] stack[k], as one gemv on the flattened stack."""
-    return (coeffs @ stack.reshape(stack.shape[0], -1)).reshape(stack.shape[1:])
-
-
 def _expectation_rows(onb: np.ndarray, density: np.ndarray) -> np.ndarray:
     """Rows (rho c_k)^T flattened, so that rows @ x.ravel() lists tau(c_k x)."""
     return np.matmul(density, onb).transpose(0, 2, 1).reshape(onb.shape[0], -1)
@@ -681,9 +670,10 @@ class Superoperator:
     """Linear map between star algebras, checked through its Choi matrix.
 
     The map is stored as a callable on ambient matrices of the domain; the
-    UCP test extends it to the full ambient by precomposing with the
+    CP test extends it to the full ambient by precomposing with the
     trace-preserving expectation onto the domain (which preserves complete
-    positivity in both directions).
+    positivity in both directions).  A conjugation x -> v x v* carries v as
+    its witness, which certifies complete positivity without a Choi matrix.
     """
 
     def __init__(
@@ -697,24 +687,31 @@ class Superoperator:
         self.domain = domain
         self.codomain = codomain
         self._apply = apply
-        self.domain_trace = domain_trace or Trace.normalized(domain)
+        if domain_trace is not None:
+            self.domain_trace = domain_trace
         self.ad_unitary = ad_unitary
+
+    @classmethod
+    def conjugation(cls, v: np.ndarray, algebra: StarAlgebra) -> "Superoperator":
+        """x -> v x v* on ``algebra``, with v as the complete-positivity witness."""
+        vd = la.dagger(v)
+        return cls(algebra, algebra, lambda x: v @ x @ vd, ad_unitary=v)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x)
 
     @cached_property
-    def _domain_onb(self) -> np.ndarray:
-        return _tau_onb(self.domain.basis, self.domain_trace)
+    def domain_trace(self) -> Trace:
+        """The normalised trace of the domain unless one was given; built on first use."""
+        return Trace.normalized(self.domain)
 
     @cached_property
-    def _domain_weighted(self) -> np.ndarray:
-        return _expectation_rows(self._domain_onb, self.domain_trace.density)
+    def _onto_domain(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _expectation(self.domain, self.domain_trace)
 
     def extended(self, x: np.ndarray) -> np.ndarray:
         """Apply to an arbitrary ambient matrix via the expectation onto the domain."""
-        coeffs = self._domain_weighted @ x.ravel()
-        return self._apply(_combine(coeffs, self._domain_onb))
+        return self._apply(self._onto_domain(x))
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -722,11 +719,22 @@ class Superoperator:
         nd = self.domain.ambient_dim
         nc = self.codomain.ambient_dim
         choi = np.zeros((nd * nc, nd * nc), dtype=complex)
+        units = la.eye(nd)
         for i in range(nd):
             for j in range(nd):
-                img = self.extended(_unit_matrix(nd, i, j))
+                img = self.extended(np.outer(units[i], units[j]))
                 choi[i * nc : (i + 1) * nc, j * nc : (j + 1) * nc] = img
         return choi
+
+    def cp_residual(self) -> float:
+        """||v* v - 1||_F for a witness v; otherwise the Hermitian defect of
+        the Choi matrix plus the size of its most negative eigenvalue."""
+        if self.ad_unitary is not None:
+            v = self.ad_unitary
+            return la.frobenius_distance(la.dagger(v) @ v, la.eye(v.shape[0]))
+        choi = self.choi
+        vals = np.linalg.eigvalsh((choi + la.dagger(choi)) / 2)
+        return float(max(0.0, -vals.min())) + la.frobenius_distance(choi, la.dagger(choi))
 
     def is_unital(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return tol.close(self._apply(self.domain.unit), self.codomain.unit)
@@ -740,27 +748,29 @@ class Superoperator:
         return self.is_unital(tol) and self.is_cp(tol)
 
 
-def conditional_expectation_onto(
-    sub: StarAlgebra, ambient: StarAlgebra, trace: Trace
-) -> Superoperator:
-    """tau-preserving conditional expectation from ``ambient`` onto ``sub``.
+def _expectation(sub: StarAlgebra, trace: Trace) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> P(x rho) P(rho)^{-1}, with P = ``sub.project`` and rho the central
+    density of ``trace``.
 
-    E(x) = P(x rho) P(rho)^{-1}, with P = ``sub.project`` and rho the central
-    density of ``trace``.  Because rho commutes with ``sub``, tau(E(x) y) =
-    tau(x y) for every y in ``sub`` and every matrix x, in or outside the
-    ambient.  P(rho) is central in ``sub``: Tr(W_k* rho W_k) / (d_k m_k) on
-    block k, so its inverse is a sum of central projections.
+    Because rho commutes with ``sub``, tau(E(x) y) = tau(x y) for every y in
+    ``sub`` and every matrix x, in or outside the algebra ``trace`` lives on.
+    P(rho) is central in ``sub``: Tr(W_k* rho W_k) / (d_k m_k) on block k, so
+    its inverse is a sum of central projections.
     """
     rho = trace.density
     inverse = sum(
         (d * m / np.trace(la.dagger(w) @ rho @ w).real) * z
         for (d, m), w, z in zip(sub.blocks, sub.frames, sub.central_projections)
     )
+    return lambda x: sub.project(x @ rho) @ inverse
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        return sub.project(x @ rho) @ inverse
 
-    return Superoperator(ambient, sub, apply, domain_trace=trace)
+def conditional_expectation_onto(
+    sub: StarAlgebra, ambient: StarAlgebra, trace: Trace
+) -> Superoperator:
+    """tau-preserving conditional expectation from ``ambient`` onto ``sub``,
+    E(x) = P(x rho) P(rho)^{-1} for the density rho of ``trace``."""
+    return Superoperator(ambient, sub, _expectation(sub, trace), domain_trace=trace)
 
 
 def intersect(a: StarAlgebra, b: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
@@ -801,8 +811,8 @@ def scalar_decompose_cp_family(
     if max(np.linalg.norm(t - b) for t, b in zip(total, onb)) > tol.bound(1.0) * len(onb):
         raise PreconditionError("family does not sum to the identity map")
     mu = np.zeros((len(maps), len(algebra.blocks)))
-    for j, z in enumerate(algebra.central_projections):
-        block = la.span_onb([z @ b for b in onb], tol)
+    ends = np.cumsum([d * d for d, _ in algebra.blocks])
+    for j, block in enumerate(np.split(onb, ends[:-1])):
         for i, m in enumerate(maps):
             imgs = np.stack([m(b) for b in block])
             scal = np.einsum("kij,kij->", np.conj(block), imgs) / block.shape[0]

@@ -86,16 +86,34 @@ def encode_matrix(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
-    """Build the inclusion N ⊆ M_n described by the input document."""
+def parse_blocks(doc: object) -> list[tuple[int, int]]:
+    """The document's ``N_blocks`` as positive (dimension, multiplicity) pairs."""
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     try:
-        n = int(doc["ambient_dim"])
         blocks = [(int(b), int(m)) for b, m in doc["N_blocks"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"ambient_dim and N_blocks are required: {exc}") from exc
-    if n < 1 or any(b < 1 or m < 1 for b, m in blocks):
+        raise InputError(f"N_blocks must be a list of [dim, multiplicity] pairs: {exc}") from exc
+    if any(b < 1 or m < 1 for b, m in blocks):
+        raise InputError("dimensions and multiplicities must be positive")
+    return blocks
+
+
+def parse_weights(spec: object, what: str) -> list[float]:
+    try:
+        return [float(w) for w in spec]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a list of numbers: {exc}") from exc
+
+
+def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
+    """Build the inclusion N ⊆ M_n described by the input document."""
+    blocks = parse_blocks(doc)
+    try:
+        n = int(doc["ambient_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"ambient_dim is required: {exc}") from exc
+    if n < 1:
         raise InputError("dimensions and multiplicities must be positive")
     embedding = doc.get("embedding", "block_diagonal")
     if embedding == "block_diagonal":
@@ -116,7 +134,7 @@ def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
     if trace_spec == "markov":
         trace = markov_trace(small, big)
     else:
-        trace = Trace(big, [float(w) for w in trace_spec])
+        trace = Trace(big, parse_weights(trace_spec, "trace"))
         if not (trace.is_state() and trace.is_faithful()):
             raise InputError("explicit trace weights must define a faithful state")
     echo = {
@@ -241,10 +259,12 @@ def cmd_teleport(args) -> dict:
         raise InputError("--extract applies to standard and werner schemes")
     doc = load_document(args.input)
     params = load_document(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise InputError("--params must be a JSON object")
     derived: dict = {"scheme": args.scheme}
     if args.scheme == "direct-sum":
         # N_blocks describe the algebra being teleported (scalars ⊆ M)
-        blocks = [(int(b), int(m)) for b, m in doc["N_blocks"]]
+        blocks = parse_blocks(doc)
         m_alg = StarAlgebra.block_diagonal(blocks)
         echo = {"M_blocks": [list(b) for b in blocks]}
         scheme = direct_sum_scheme(m_alg, args.tol)
@@ -268,7 +288,7 @@ def cmd_teleport(args) -> dict:
             u = parse_matrix(params["u"], inc.big.ambient_dim) if params.get("u") else None
             z = None
             if params.get("z_weights"):
-                weights = [float(w) for w in params["z_weights"]]
+                weights = parse_weights(params["z_weights"], "z_weights")
                 if len(weights) != len(inc.small.central_projections):
                     raise InputError("one z weight per central projection of N required")
                 z = sum(w * p for w, p in zip(weights, inc.small.central_projections))

@@ -92,11 +92,6 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Unnormalised Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    return complex(np.sum(np.conj(a) * b))
-
-
 def max_entangled(n: int) -> np.ndarray:
     """Unit vector n^{-1/2} sum_i |ii> in C^n (x) C^n."""
     psi = np.zeros(n * n, dtype=complex)

@@ -94,9 +94,8 @@ def graphs_from_inclusion(
 def traceless_part(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """HS-orthonormal basis of S ∩ (M')^perp in the ambient trace pairing."""
     comm = g.algebra.commutant
-    cross = np.array(
-        [[la.trace_inner(c, s) for s in g.system] for c in comm.basis]
-    )
+    n2 = g.ambient_dim**2
+    cross = np.conj(comm.basis.reshape(-1, n2)) @ g.system.reshape(-1, n2).T  # Tr(c_k* s_l)
     coeffs = la.nullspace(cross, tol)
     mats = [np.tensordot(v, g.system, axes=(0, 0)) for v in coeffs]
     return la.span_onb(mats, tol) if mats else np.zeros((0, g.ambient_dim, g.ambient_dim))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, Trace, conditional_expectation_onto
+from .algebra import StarAlgebra, Superoperator, Trace, conditional_expectation_onto
 from .bases import PimsnerPopaBasis, verify_basis, weyl_basis
 from .errors import (
     ExtractionError,
@@ -40,48 +40,6 @@ from .reporting import Report
 from .tower import Tower, basic_construction, iterate, normalizer_check
 
 
-class Channel:
-    """UCP correction map, stored as a callable on ambient matrices.
-
-    Conjugations carry their unitary as a witness, which certifies
-    complete positivity without a Choi decomposition.
-    """
-
-    def __init__(
-        self,
-        apply,
-        ad_unitary: np.ndarray | None = None,
-        label: str = "",
-    ) -> None:
-        self._apply = apply
-        self.ad_unitary = ad_unitary
-        self.label = label
-
-    @classmethod
-    def conjugation(cls, v: np.ndarray, label: str = "") -> "Channel":
-        vd = la.dagger(v)
-        return cls(lambda x: v @ x @ vd, ad_unitary=v, label=label)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x)
-
-    def cp_residual(self, ambient_dim: int) -> float:
-        """0 for certified conjugations; otherwise the negative part of the Choi."""
-        if self.ad_unitary is not None:
-            v = self.ad_unitary
-            return la.frobenius_distance(la.dagger(v) @ v, la.eye(v.shape[0]))
-        choi = np.zeros((ambient_dim**2, ambient_dim**2), dtype=complex)
-        for i in range(ambient_dim):
-            for j in range(ambient_dim):
-                e = np.zeros((ambient_dim, ambient_dim), dtype=complex)
-                e[i, j] = 1.0
-                img = self._apply(e)
-                choi[i * ambient_dim : (i + 1) * ambient_dim, j * ambient_dim : (j + 1) * ambient_dim] = img
-        vals = np.linalg.eigvalsh((choi + la.dagger(choi)) / 2)
-        herm = la.frobenius_distance(choi, la.dagger(choi))
-        return float(max(0.0, -vals.min())) + herm
-
-
 @dataclass
 class TeleportationContext:
     """Tripartite commuting-algebra data a scheme is verified against."""
@@ -93,7 +51,6 @@ class TeleportationContext:
     teleported: StarAlgebra
     mirror: StarAlgebra
     shift_pairs: list[tuple[np.ndarray, np.ndarray]]
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.expectation = conditional_expectation_onto(
@@ -109,7 +66,7 @@ class TeleportationScheme:
     context: TeleportationContext
     omega: np.ndarray
     povm: list[np.ndarray]
-    channels: list[Channel]
+    channels: list[Superoperator]
     inclusion: Inclusion | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
     leg_dims: tuple[int, int, int] | None = None
     flags: "SchemeFlags | None" = field(default=None, repr=False)
@@ -185,7 +142,7 @@ def verify_scheme(
 
     ucp = unital = 0.0
     for ch in scheme.channels:
-        ucp = max(ucp, ch.cp_residual(dim))
+        ucp = max(ucp, ch.cp_residual())
         unital = max(unital, la.frobenius_distance(ch(la.eye(dim)), la.eye(dim)))
     rep.add("channels_completely_positive", ucp, tol.bound(1.0))
     rep.add("channels_unital", unital, tol.bound(1.0))
@@ -385,7 +342,6 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
             (la.kron(b, la.eye(n), la.eye(n)), la.kron(la.eye(n), la.eye(n), b))
             for b in StarAlgebra.full(n).basis
         ],
-        label=f"standard(n={n})",
     )
     psi = la.max_entangled(n)
     e = np.outer(psi, psi.conj())
@@ -395,8 +351,7 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
         for u in basis.elements
     ]
     channels = [
-        Channel.conjugation(la.kron(la.eye(n * n), u), label=f"correct[{i}]")
-        for i, u in enumerate(basis.elements)
+        Superoperator.conjugation(la.kron(la.eye(n * n), u), ambient) for u in basis.elements
     ]
     return TeleportationScheme(
         ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n)
@@ -408,7 +363,7 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
 # ---------------------------------------------------------------------------
 
 
-def _tower_context(t: Tower, label: str) -> TeleportationContext:
+def _tower_context(t: Tower) -> TeleportationContext:
     """Context with Alice = M1, Bob = M1' ∩ M2, teleported = N' ∩ M."""
     iterate(t)
     dim1 = t.gns1.dim
@@ -424,11 +379,10 @@ def _tower_context(t: Tower, label: str) -> TeleportationContext:
         teleported=teleported,
         mirror=mirror,
         shift_pairs=pairs,
-        label=label,
     )
 
 
-def _block_weyl_unitaries(m: StarAlgebra) -> list[tuple[int, tuple[int, int], np.ndarray]]:
+def _block_weyl_unitaries(m: StarAlgebra) -> list[tuple[int, np.ndarray]]:
     """Per block j, the unitaries acting as the clock-and-shift family on
     that block and as the identity elsewhere; ordered by block then (l, k)."""
     out = []
@@ -442,7 +396,7 @@ def _block_weyl_unitaries(m: StarAlgebra) -> list[tuple[int, tuple[int, int], np
                     w = np.linalg.matrix_power(clock, l) @ np.linalg.matrix_power(shift, k)
                 else:
                     w = m.central_projections[j]
-                out.append((j, (l, k), rest + w))
+                out.append((j, rest + w))
     return out
 
 
@@ -456,17 +410,17 @@ def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Teleporta
     """
     inc = markov_inclusion(StarAlgebra.trivial(m.ambient_dim), m, tol)
     t = iterate(basic_construction(inc, tol))
-    ctx = _tower_context(t, label=f"direct_sum(dim={m.dim})")
+    ctx = _tower_context(t)
     omega = float(m.dim) * t.jones2
     povm: list[np.ndarray] = []
-    channels: list[Channel] = []
-    for j, (l, k), w in _block_weyl_unitaries(m):
+    channels: list[Superoperator] = []
+    for j, w in _block_weyl_unitaries(m):
         z = m.central_projections[j]
         vec = t.gns.vector(la.dagger(w) @ z)
         scale = inc.trace(z).real
         f_lvl1 = np.outer(vec, vec.conj()) / scale
         povm.append(t.gns1.left(f_lvl1))
-        channels.append(Channel.conjugation(t.shift(w), label=f"block{j}[{l},{k}]"))
+        channels.append(Superoperator.conjugation(t.shift(w), ctx.ambient))
     return TeleportationScheme(ctx, omega, povm, channels)
 
 
@@ -580,14 +534,14 @@ def unbiased_scheme(
     """
     tol = tol or DEFAULT_TOL
     vs, _ = correction_unitaries(t, basis, tol)
-    ctx = _tower_context(t, label=f"unbiased(d={basis.size})")
+    ctx = _tower_context(t)
     idx = t.index
     omega = idx * t.jones2
     pi, pi1, e1 = t.gns.left, t.gns1.left, t.jones1
     povm = [
         pi1(la.dagger(pi(u)) @ e1 @ pi(u)) for u in basis.elements
     ]
-    channels = [Channel.conjugation(v, label=f"correct[{i}]") for i, v in enumerate(vs)]
+    channels = [Superoperator.conjugation(v, ctx.ambient) for v in vs]
     return TeleportationScheme(ctx, omega, povm, channels)
 
 
@@ -633,7 +587,7 @@ def commutant_trace_is_markov(inc: Inclusion, tol: Tolerance | None = None) -> t
     return flag, rep
 
 
-def _tripartite_context(inc: Inclusion, label: str) -> TeleportationContext:
+def _tripartite_context(inc: Inclusion) -> TeleportationContext:
     n = inc.big.ambient_dim
     nprime = inc.small.commutant
     full, triv = StarAlgebra.full(n), StarAlgebra.trivial(n)
@@ -649,7 +603,6 @@ def _tripartite_context(inc: Inclusion, label: str) -> TeleportationContext:
         shift_pairs=[
             (la.kron(b, ident, ident), la.kron(ident, ident, b)) for b in nprime.basis
         ],
-        label=label,
     )
 
 
@@ -700,11 +653,11 @@ def tight_scheme_from_basis(
     for ui in basis.elements:
         w = la.kron(la.dagger(ui) @ u, ident)
         povm.append(la.kron(w @ e @ la.dagger(w), ident))
+    ctx = _tripartite_context(inc)
     channels = [
-        Channel.conjugation(la.kron(la.eye(n * n), ui), label=f"correct[{i}]")
-        for i, ui in enumerate(basis.elements)
+        Superoperator.conjugation(la.kron(la.eye(n * n), ui), ctx.ambient)
+        for ui in basis.elements
     ]
-    ctx = _tripartite_context(inc, label=f"tight_from_basis(n={n})")
     return TeleportationScheme(ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n))
 
 

@@ -30,7 +30,6 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
-    _combine,
     _expectation_rows,
     _frame_from,
     _tau_onb,
@@ -118,7 +117,7 @@ class GnsSpace:
 
     def element(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`vector`: the algebra element with GNS coordinates v."""
-        return _combine(v, self.onb)
+        return (v @ self.onb.reshape(self.dim, -1)).reshape(self.onb.shape[1:])
 
     def subspace_isometry(self, sub: StarAlgebra) -> np.ndarray:
         """Isometry P onto the GNS image of a subalgebra: the (dim, sub.dim)

@@ -227,6 +227,61 @@ def test_superoperator_choi_flags():
     assert transpose.is_unital() and not transpose.is_cp()
 
 
+def raw_choi_residual(apply, n: int) -> float:
+    """Reference: Hermitian defect plus negative part of the Choi matrix of
+    ``apply`` on all of M_n, filled entry by entry."""
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            choi[i * n : (i + 1) * n, j * n : (j + 1) * n] = apply(e)
+    vals = np.linalg.eigvalsh((choi + la.dagger(choi)) / 2)
+    return float(max(0.0, -vals.min())) + la.frobenius_distance(choi, la.dagger(choi))
+
+
+_KRAUS = la.random_unitary(3, 8) + 0.3 * la.random_hermitian(3, 9)
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda x: x,
+        lambda x: x.T,
+        lambda x: 0.5 * x + 0.5 * np.trace(x) / 3 * np.eye(3, dtype=complex),
+        lambda x: _KRAUS @ x @ la.dagger(_KRAUS),
+        lambda x: 1j * x,
+    ],
+    ids=["identity", "transpose", "depolarising", "kraus", "not-hermiticity-preserving"],
+)
+def test_cp_residual_matches_raw_choi(apply):
+    m = StarAlgebra.full(3)
+    op = Superoperator(m, m, apply)
+    assert op.ad_unitary is None
+    assert abs(op.cp_residual() - raw_choi_residual(apply, 3)) < 1e-12
+
+
+def test_conjugation_builds_no_trace(monkeypatch):
+    built = []
+    init = Trace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trace, "__init__", counting_init)
+    m = StarAlgebra.full(4)
+    v = la.random_unitary(4, 3)
+    conj = Superoperator.conjugation(v, m)
+    x = la.random_hermitian(4, 5)
+    assert la.frobenius_distance(conj(x), v @ x @ la.dagger(v)) < 1e-12
+    assert conj.is_ucp() and conj.cp_residual() < 1e-12
+    assert conj.domain is m and conj.codomain is m
+    assert built == []
+    assert conj.domain_trace.algebra is m  # built on first use only
+    assert built == [1]
+
+
 def test_scalar_decomposition_paper_remark_values():
     # split of the identity on the two-point diagonal algebra with known scalars
     alg = StarAlgebra.diagonal(2)
@@ -288,14 +343,27 @@ def test_conditional_expectation_matches_tau_onb_formula_nonuniform():
     ambient = rotate(StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)]))
     sub = rotate(StarAlgebra.block_diagonal([(1, 1), (1, 2), (1, 2), (1, 1), (2, 1)]))
     tau = Trace(ambient, [0.1, 0.15, 0.2])
-    gram = np.array([[tau(a @ b).real for b in sub.basis] for a in sub.basis])
-    vals, vecs = np.linalg.eigh(gram)
-    onb = np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, sub.basis, axes=(1, 0))
     rng = np.random.default_rng(42)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     assert ambient.membership_residual(x) > 1e-3
-    want = sum(tau(c @ x) * c for c in onb)
-    assert la.frobenius_distance(conditional_expectation_onto(sub, ambient, tau)(x), want) < 1e-12
+    # every block of ``sub`` sits inside one block of ``ambient``, so rho is
+    # central in ``sub``; the scalars straddle all three blocks, where
+    # E(x) = tau(x) 1 differs from the HS projection Tr(x)/8 1
+    scalars = StarAlgebra.trivial(8)
+    # the same formula through Superoperator.extended, under a non-uniform
+    # trace on the domain itself
+    tau_sub = Trace(sub, [0.05, 0.1, 0.15, 0.2, 0.1])
+    cases = [
+        (sub, tau, conditional_expectation_onto(sub, ambient, tau)),
+        (scalars, tau, conditional_expectation_onto(scalars, ambient, tau)),
+        (sub, tau_sub, Superoperator(sub, sub, lambda y: y, domain_trace=tau_sub).extended),
+    ]
+    for target, trace, expect in cases:
+        gram = np.array([[trace(a @ b).real for b in target.basis] for a in target.basis])
+        vals, vecs = np.linalg.eigh(gram)
+        onb = np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, target.basis, axes=(1, 0))
+        want = sum(trace(c @ x) * c for c in onb)
+        assert la.frobenius_distance(expect(x), want) < 1e-12
 
 
 def dense_commutator_residual(a: StarAlgebra, b: StarAlgebra) -> float:

@@ -67,6 +67,48 @@ def test_bad_layout_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+DIRECT_SUM = ["teleport", "--scheme", "direct-sum"]
+WERNER_DOC = {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, params",
+    [
+        (DIRECT_SUM, {}, None),
+        (DIRECT_SUM, [1], None),
+        (DIRECT_SUM, {"N_blocks": [["a", 1]]}, None),
+        (DIRECT_SUM, [[1, 1], [-1, 2]], None),
+        (DIRECT_SUM, {"N_blocks": [[1, 1], [-1, 2]]}, None),
+        (DIRECT_SUM, {"N_blocks": [[0, 1]]}, None),
+        (["inclusion-info"], {"ambient_dim": 2, "N_blocks": [[1, 2]], "trace": ["x", 1]}, None),
+        (["teleport", "--scheme", "werner"], WERNER_DOC, {"z_weights": ["a", 1]}),
+        (["teleport", "--scheme", "werner"], WERNER_DOC, [1, 2]),
+    ],
+    ids=[
+        "direct-sum-empty-object",
+        "direct-sum-list-document",
+        "direct-sum-non-numeric-block",
+        "direct-sum-block-list-document",
+        "direct-sum-negative-block",
+        "direct-sum-zero-block",
+        "non-numeric-trace",
+        "non-numeric-z-weights",
+        "params-not-an-object",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, doc, params):
+    # exit 1 is reserved for a failed check; a bad document is an input error
+    from opteleport import cli
+
+    args = [*argv, write_spec(tmp_path, "doc.json", doc)]
+    if params is not None:
+        args += ["--params", write_spec(tmp_path, "params.json", params)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Markov" not in err
+
+
 def test_explicit_embedding(tmp_path):
     e00 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     path = write_spec(

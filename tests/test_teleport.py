@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Trace
+from opteleport.algebra import StarAlgebra, Superoperator, Trace
 from opteleport.bases import (
     PimsnerPopaBasis,
     homogeneous_block_basis,
@@ -14,7 +14,6 @@ from opteleport.bases import (
 from opteleport.errors import HypothesisError, PreconditionError, SchemeError
 from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_full
 from opteleport.teleport import (
-    Channel,
     TeleportationContext,
     TeleportationScheme,
     classify,
@@ -84,7 +83,7 @@ def test_trivial_context_teleports_scalars():
         shift_pairs=[(np.eye(2, dtype=complex), np.eye(2, dtype=complex))],
     )
     povm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    channels = [Channel(lambda x: x, label="id")] * 2
+    channels = [Superoperator(amb, amb, lambda x: x)] * 2
     scheme = TeleportationScheme(ctx, np.eye(2, dtype=complex), povm, channels)
     rep = verify_scheme(scheme)
     assert rep.passed and rep.checks[-1].residual < 1e-12
@@ -115,9 +114,8 @@ def test_non_commuting_alice_and_bob():
         mirror=triv,
         shift_pairs=[(np.eye(4, dtype=complex), np.eye(4, dtype=complex))],
     )
-    s = TeleportationScheme(
-        ctx, np.eye(4, dtype=complex), [np.eye(4, dtype=complex)], [Channel(lambda x: x)]
-    )
+    ident = Superoperator(amb, amb, lambda x: x)
+    s = TeleportationScheme(ctx, np.eye(4, dtype=complex), [np.eye(4, dtype=complex)], [ident])
     with pytest.raises(SchemeError, match="structural clause failed: alice_bob_commute"):
         verify_scheme(s)
     rep = verify_scheme(s, strict=False)
@@ -413,10 +411,10 @@ def test_extraction_fails_on_non_automorphism_channel():
     b.inclusion = inc
     s = tight_scheme_from_basis(inc, b)
     # replace one correction with a genuinely non-automorphic UCP map
-    dim = s.context.ambient.ambient_dim
-    depolarise = Channel(
-        lambda x: 0.5 * x + 0.5 * np.trace(x) / dim * np.eye(dim, dtype=complex),
-        label="depolarise",
+    amb = s.context.ambient
+    dim = amb.ambient_dim
+    depolarise = Superoperator(
+        amb, amb, lambda x: 0.5 * x + 0.5 * np.trace(x) / dim * np.eye(dim, dtype=complex)
     )
     s.channels[1] = depolarise
     with pytest.raises(ExtractionError):
