@@ -319,13 +319,7 @@ class StarAlgebra:
             return np.array(x, dtype=complex)
         if self.dim <= 2 * n:
             return la.span_project(self.basis, x)
-        out = np.zeros((n, n), dtype=complex)
-        for (d, m), w in zip(self.blocks, self.frames):
-            y = (la.dagger(w) @ x @ w).reshape(d, m, d, m)
-            c = np.trace(y, axis1=1, axis2=3) / m
-            legs = _legs(w, d).transpose(1, 2, 0).reshape(n, -1)  # columns (r, a)
-            out += (legs.reshape(n, m, d) @ c).reshape(n, -1) @ la.dagger(legs)
-        return out
+        return _from_corners(self, _corners(self, x))
 
     def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
         tol = tol or self.tol
@@ -426,27 +420,52 @@ def _legs(w: np.ndarray, d: int) -> np.ndarray:
     return w.reshape(w.shape[0], d, -1).transpose(1, 0, 2)
 
 
-def _unit_to_hermitian(d: int) -> np.ndarray:
-    """Change of basis V_d on one block, from matrix units to ``basis`` order.
+def _corners(alg: StarAlgebra, x: np.ndarray) -> list[np.ndarray]:
+    """Per block j the multiplicity average xbar_j of W_j* x W_j, for a matrix
+    or a stack of matrices x; W (+)_j (xbar_j (x) 1) W* is the HS projection."""
+    out = []
+    for (d, m), w in zip(alg.blocks, alg.frames):
+        y = (la.dagger(w) @ x @ w).reshape(*np.shape(x)[:-2], d, m, d, m)
+        out.append(np.trace(y, axis1=-3, axis2=-1) / m)
+    return out
 
-    Column (a, b), a-major, holds the coordinates of f_ab against the
-    Hermitian elements that :attr:`StarAlgebra.basis` builds for a block of
-    size d, in its order: the d diagonal units, then for each a < b the
-    symmetric and the antisymmetric combination.  Both systems are
-    orthonormal once rescaled by the same factor, so V_d is unitary; on a
-    GNS space it maps the unit coordinates f_ab / sqrt(t) to the Hermitian
-    ones.
+
+def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_j W_j (c_j (x) 1_{m_j}) W_j*: the algebra element with the given corners."""
+    n = alg.ambient_dim
+    out = np.zeros((n, n), dtype=complex)
+    for (d, m), w, c in zip(alg.blocks, alg.frames, corners):
+        legs = _legs(w, d).transpose(1, 2, 0).reshape(n, -1)  # columns (r, a)
+        out += (legs.reshape(n, m, d) @ c).reshape(n, -1) @ la.dagger(legs)
+    return out
+
+
+def _unit_to_hermitian(dims: Sequence[int]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The change of basis V from matrix units to ``basis`` order on blocks of
+    sizes ``dims``, and its inverse V*, each as ``(cols, coef)``: row k holds
+    coef[k, i] at column cols[k, i] for i = 0, 1 and is zero elsewhere.
+
+    V is block-diagonal.  On a block of size d, column (a, b), a-major, holds
+    the coordinates of f_ab against the Hermitian elements that
+    :attr:`StarAlgebra.basis` builds for that block, in its order: the d
+    diagonal units, then for each a < b the symmetric and the antisymmetric
+    combination.  Both systems are orthonormal once rescaled by the same
+    factor, so V is unitary.
     """
-    v = np.zeros((d * d, d * d), dtype=complex)
-    v[np.arange(d), np.arange(d) * (d + 1)] = 1.0
-    a, b = np.triu_indices(d, 1)
-    rows = d + 2 * np.arange(len(a))
-    ab, ba = a * d + b, b * d + a
-    root = 1 / np.sqrt(2.0)
-    v[rows, ab] = v[rows, ba] = root
-    v[rows + 1, ab] = -1j * root
-    v[rows + 1, ba] = 1j * root
-    return v
+    size = sum(d * d for d in dims)
+    cols, coef = np.zeros((size, 2), dtype=int), np.zeros((size, 2), dtype=complex)
+    root, o = 1 / np.sqrt(2.0), 0
+    for d in dims:
+        a, b = np.triu_indices(d, 1)
+        rows = o + d + 2 * np.arange(len(a))
+        cols[o : o + d], coef[o : o + d, 0] = (o + np.arange(d) * (d + 1))[:, None], 1.0
+        cols[rows] = cols[rows + 1] = np.stack([o + a * d + b, o + b * d + a], axis=1)
+        coef[rows], coef[rows + 1] = root, [-1j * root, 1j * root]
+        o += d * d
+    # every column of V holds two of the entries (a zero for a diagonal unit):
+    # gathered by column and conjugated they are the rows of V*
+    order = np.argsort(cols.ravel(), kind="stable")
+    return (cols, coef), ((order // 2).reshape(-1, 2), np.conj(coef.ravel()[order]).reshape(-1, 2))
 
 
 def _column_units(w: np.ndarray, d: int) -> np.ndarray:
@@ -634,36 +653,10 @@ class Trace:
     def is_faithful(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return bool(np.all(self.weights > tol.abs))
 
-    def sa_onb(self) -> np.ndarray:
-        """Self-adjoint basis of the algebra orthonormal for <x,y> = tau(y* x)."""
-        return _tau_onb(self.algebra.basis, self)
-
     def restrict(self, sub: StarAlgebra) -> "Trace":
         """Restriction to a subalgebra, re-expressed through its own blocks."""
         weights = [self(sub.minimal_projection(j)).real for j in range(len(sub.blocks))]
         return Trace(sub, weights)
-
-
-def _tau_onb(basis: np.ndarray, trace: Trace) -> np.ndarray:
-    """The tau-orthonormal rescaling of ``trace.algebra.basis``.
-
-    On the unit-built basis the Gram matrix tau(b_k b_l) is diagonal, t_j / m_j
-    on every element of block j (t_j the weight of a minimal projection), so
-    block j is scaled by sqrt(m_j / t_j).  A non-faithful trace raises
-    :class:`TraceError`.
-    """
-    blocks = trace.algebra.blocks
-    if np.min(trace.weights) <= 0:
-        raise TraceError("trace inner product is not positive definite (non-faithful trace)")
-    scale = np.repeat(
-        [np.sqrt(m / t) for (_, m), t in zip(blocks, trace.weights)], [d * d for d, _ in blocks]
-    )
-    return basis * scale[:, None, None]
-
-
-def _expectation_rows(onb: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Rows (rho c_k)^T flattened, so that rows @ x.ravel() lists tau(c_k x)."""
-    return np.matmul(density, onb).transpose(0, 2, 1).reshape(onb.shape[0], -1)
 
 
 class Superoperator:
@@ -754,14 +747,10 @@ def _expectation(sub: StarAlgebra, trace: Trace) -> Callable[[np.ndarray], np.nd
 
     Because rho commutes with ``sub``, tau(E(x) y) = tau(x y) for every y in
     ``sub`` and every matrix x, in or outside the algebra ``trace`` lives on.
-    P(rho) is central in ``sub``: Tr(W_k* rho W_k) / (d_k m_k) on block k, so
-    its inverse is a sum of central projections.
+    P(rho) has the corners of rho, so its inverse in ``sub`` has their inverses.
     """
     rho = trace.density
-    inverse = sum(
-        (d * m / np.trace(la.dagger(w) @ rho @ w).real) * z
-        for (d, m), w, z in zip(sub.blocks, sub.frames, sub.central_projections)
-    )
+    inverse = _from_corners(sub, [np.linalg.inv(c) for c in _corners(sub, rho)])
     return lambda x: sub.project(x @ rho) @ inverse
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import _tau_onb
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .linalg import DEFAULT_TOL, Tolerance
@@ -242,15 +241,11 @@ def kraus_decomposition(
     idx = inc.index
     exp_m = tower.expect_onto_m
     coeffs: list[np.ndarray] = []
-    # the represented tau-ONB of M stays trace1-orthonormal by Markovianity,
-    # so tau1-coordinates against it pull elements back to the base ambient
-    base_onb = _tau_onb(inc.big.basis, inc.trace)
-    rep_onb = [pi(c) for c in base_onb]
+    # a* in M acts on the GNS space as pi(a*), so pi(a*) Lambda(1) = Lambda(a*)
+    unit = tower.gns.vector(inc.big.unit)
     for b in basis.elements:
         a_star_rep = idx * exp_m(root @ la.dagger(pi(b)) @ e1)
-        weights = np.array([tower.trace1(r @ a_star_rep) for r in rep_onb])
-        a_star = np.tensordot(weights, base_onb, axes=(0, 0))
-        coeffs.append(la.dagger(a_star))
+        coeffs.append(la.dagger(tower.gns.element(a_star_rep @ unit)))
     rep = Report()
     rebuilt = sum(la.dagger(pi(a)) @ e1 @ pi(a) for a in coeffs)
     rep.add(

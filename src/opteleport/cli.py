@@ -94,6 +94,8 @@ def parse_blocks(doc: object) -> list[tuple[int, int]]:
         blocks = [(int(b), int(m)) for b, m in doc["N_blocks"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"N_blocks must be a list of [dim, multiplicity] pairs: {exc}") from exc
+    if not blocks:
+        raise InputError("N_blocks is empty: give at least one [dim, multiplicity] pair")
     if any(b < 1 or m < 1 for b, m in blocks):
         raise InputError("dimensions and multiplicities must be positive")
     return blocks
@@ -121,6 +123,8 @@ def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
             raise InputError("block layout does not fill the ambient (unital inclusions only)")
         small = StarAlgebra.block_diagonal(blocks)
     elif isinstance(embedding, dict) and "explicit" in embedding:
+        if not isinstance(embedding["explicit"], list):
+            raise InputError("embedding 'explicit' must be a list of matrices")
         gens = [parse_matrix(g, n) for g in embedding["explicit"]]
         small = StarAlgebra.from_generators(gens, n)
         if sorted(small.blocks) != sorted(blocks):

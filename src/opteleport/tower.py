@@ -30,9 +30,9 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
-    _expectation_rows,
+    _corners,
     _frame_from,
-    _tau_onb,
+    _from_corners,
     _unit_to_hermitian,
     conditional_expectation_onto,
 )
@@ -51,7 +51,15 @@ _PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
 
 
 class GnsSpace:
-    """The GNS representation of a tracial finite-dimensional algebra."""
+    """The GNS representation of a tracial finite-dimensional algebra.
+
+    Everything is read off the frames and the trace weights t_j.  Against the
+    tau-orthonormal units f^j_ab / sqrt(t_j), x has the coordinates
+    sqrt(t_j) xbar_j, with xbar_j the multiplicity average of W_j* x W_j, and
+    left multiplication by x is (+)_j xbar_j (x) 1_{d_j}.  The block-diagonal
+    change of basis V of :func:`_unit_to_hermitian`, two nonzeros a row,
+    carries these to the Hermitian coordinates of the module docstring.
+    """
 
     def __init__(self, algebra: StarAlgebra, trace: Trace, tol: Tolerance = DEFAULT_TOL) -> None:
         if trace.algebra is not algebra:
@@ -61,73 +69,127 @@ class GnsSpace:
         self.algebra = algebra
         self.trace = trace
         self.tol = tol
-        self.onb = _tau_onb(algebra.basis, trace)
-        self.dim = self.onb.shape[0]
-        # Row l is (rho b_l)^T flattened, so that pi(x)_{lk} = tr(rho b_l x b_k)
-        # is this stack times the flattened products x b_k: two BLAS products
-        # per call, and nothing of size dim^2 n^2 is ever held.
-        self._rho_onb_t = _expectation_rows(self.onb, trace.density)
+        self.dim = algebra.dim
+        ends = np.cumsum([d * d for d, _ in algebra.blocks])
+        self._slices = [slice(end - d * d, end) for (d, _), end in zip(algebra.blocks, ends)]
+        self._v, self._v_star = _unit_to_hermitian([d for d, _ in algebra.blocks])
+        # left(x) = V L V*, L = (+)_j xbar_j (x) 1, as a sum over corner entries: two
+        # entries (k, i), (l, j) of V at units (a, b), (c, b) of one block add
+        # coef[k, i] conj(coef[l, j]) xbar[a, c] to (k, l)
+        cols, coef = self._v
+        stencil = []
+        for (d, _), sl in zip(algebra.blocks, self._slices):
+            k, i = np.nonzero(coef[sl])
+            units = cols[sl][k, i] - sl.start
+            group = np.argsort(units % d, kind="stable").reshape(d, -1)  # by b, 2d - 1 each
+            rows, a, w = (k + sl.start)[group], (units // d)[group], coef[sl][k, i][group]
+            stencil.append((
+                (rows[:, :, None] * self.dim + rows[:, None, :]).ravel(),
+                (sl.start + a[:, :, None] * d + a[:, None, :]).ravel(),
+                (w[:, :, None] * np.conj(w[:, None, :])).ravel(),
+            ))
+        self._left = tuple(map(np.concatenate, zip(*stencil)))
 
     def vector(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the GNS image of x."""
-        return self._rho_onb_t @ x.ravel()
+        """Coordinates of the GNS image of x: V applied to (+)_j sqrt(t_j) xbar_j."""
+        corners = zip(np.sqrt(self.trace.weights), _corners(self.algebra, x))
+        return _apply(self._v, np.concatenate([r * c.ravel() for r, c in corners]))
+
+    def element(self, v: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`vector`: the algebra element with GNS coordinates v."""
+        u = _apply(self._v_star, v)
+        blocks = zip(self.algebra.blocks, self._slices, np.sqrt(self.trace.weights))
+        return _from_corners(self.algebra, [u[sl].reshape(d, d) / r for (d, _), sl, r in blocks])
 
     def left(self, x: np.ndarray) -> np.ndarray:
         """Left multiplication by x as a matrix on the GNS space."""
-        return self._rho_onb_t @ np.matmul(x, self.onb).reshape(self.dim, -1).T
+        pos, src, weight = self._left
+        corners = np.concatenate([c.ravel() for c in _corners(self.algebra, x)])
+        return _scatter(pos, weight * corners[src], self.dim * self.dim).reshape(self.dim, -1)
 
     def right(self, x: np.ndarray) -> np.ndarray:
         """Right multiplication by x; the transpose of :meth:`left` here."""
         return self.left(x).T
 
-    def act(self, xs: np.ndarray, v: np.ndarray, right: bool = False) -> np.ndarray:
-        """left(x) @ v for every x of the stack xs, or right(x) @ v with ``right``.
+    def act(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """left(x) @ v for every x of the stack xs, as a (len(xs), dim, r) stack.
 
-        Column c of left(x) v is the vector of x E_c, with E_c = element(v[:, c]);
-        of right(x) v it is the vector of E_c x, since rho commutes with the
-        algebra.  These are the two cached factors of :meth:`left`
-        reassociated, so no dim x dim operator is formed.  The stack goes
-        through in chunks of dim // r elements, which keeps every temporary
-        within the size of the cached (dim, n^2) stack.  Returns a
-        (len(xs), dim, r) stack.
+        On the unit coordinates V* v each corner xbar_j acts on the first leg
+        of block j; V carries the result back.  No dim x dim operator is formed.
         """
-        xs = np.asarray(xs)
-        r = v.shape[1]
-        n = self.onb.shape[1]
-        els = (v.T @ self.onb.reshape(self.dim, -1)).reshape(r, n, n)  # the E_c
-        step = max(1, self.dim // r)
-        out = np.empty((len(xs), self.dim, r), dtype=complex)
-        for i in range(0, len(xs), step):
-            chunk = xs[i : i + step, None]
-            prods = np.matmul(els, chunk) if right else np.matmul(chunk, els)
-            cols = self._rho_onb_t @ prods.reshape(-1, n * n).T
-            out[i : i + step] = cols.reshape(self.dim, -1, r).transpose(1, 0, 2)
-        return out
+        units = _apply(self._v_star, v)
+        out = np.empty((len(xs), self.dim, v.shape[1]), dtype=complex)
+        for (d, _), sl, c in zip(self.algebra.blocks, self._slices, _corners(self.algebra, xs)):
+            out[:, sl] = (c @ units[sl].reshape(d, -1)).reshape(len(xs), d * d, -1)
+        return _apply(self._v, out, axis=1)
 
     def pullback(self, density: np.ndarray) -> np.ndarray:
         """K with Tr(density left(x)) = Tr(K x) for every x.
 
-        From left(x)_{lk} = tr(rho b_l x b_k): K = sum_{kl} D_{kl} b_k rho b_l,
-        with D the density and rho the density of this space's trace.
+        Tr(density left(x)) = sum_j Tr(G_j xbar_j), with G_j read off the
+        stencil of :meth:`left` backwards, so K = sum_j W_j (G_j (x) 1_{m_j}) W_j* / m_j.
         """
-        rho_b = np.matmul(self.trace.density, self.onb).reshape(self.dim, -1)
-        mixed = (density @ rho_b).reshape(self.onb.shape)  # sum_l D_kl rho b_l
-        n = self.onb.shape[1]
-        return self.onb.transpose(1, 0, 2).reshape(n, -1) @ mixed.reshape(-1, n)
+        pos, src, weight = self._left
+        g = _scatter(src, weight * density.T.ravel()[pos], self.dim)
+        blocks = zip(self.algebra.blocks, self._slices)
+        return _from_corners(self.algebra, [g[sl].reshape(d, d).T / m for (d, m), sl in blocks])
 
-    def element(self, v: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`vector`: the algebra element with GNS coordinates v."""
-        return (v @ self.onb.reshape(self.dim, -1)).reshape(self.onb.shape[1:])
-
-    def subspace_isometry(self, sub: StarAlgebra) -> np.ndarray:
-        """Isometry P onto the GNS image of a subalgebra: the (dim, sub.dim)
-        columns are the vectors of a tau-orthonormal basis of ``sub``.
+    def subspace_isometry(self, rep: StarAlgebra) -> np.ndarray:
+        """Isometry P onto the GNS image of a subalgebra, given as ``rep``, its
+        image under :meth:`represented`: the (dim, rep.dim) columns are the unit
+        vectors along pi(f_pq) Lambda(1) = F_p F_q* Lambda(1), for the units
+        f_pq and the frame F of each block of ``rep``.
 
         For the Jones projection e = P P* this gives e Lambda(x) = Lambda(E(x))
         with E the trace-preserving expectation onto the subalgebra.
         """
-        sub_onb = _tau_onb(sub.basis, self.trace.restrict(sub))
-        return (sub_onb.reshape(sub_onb.shape[0], -1) @ self._rho_onb_t.T).T
+        unit = self.vector(self.algebra.unit)
+        columns = []
+        for (e, _), f in zip(rep.blocks, rep.frames):
+            legs = f.reshape(self.dim, e, -1)  # (x, p, s)
+            down = np.einsum("xqs,x->qs", np.conj(legs), unit)
+            columns.append(np.einsum("xps,qs->xpq", legs, down).reshape(self.dim, -1))
+        p = np.concatenate(columns, axis=1)
+        return p / np.linalg.norm(p, axis=0)
+
+    def represented(self, sub: StarAlgebra) -> StarAlgebra:
+        """``sub`` ⊆ ``algebra`` acting on this space by left multiplication.
+
+        On the unit coordinates of block j, the units f_p0 of block i of
+        ``sub`` act through their corners, a system of matrix units in M_{d_j}
+        whose frame, tensored with 1_{d_j} and carried by V, is the frame of
+        the image.  For sub = algebra that frame is V_j itself.
+        """
+        blocks, frames = [], []
+        for (e, _), u in zip(sub.blocks, sub.frames):
+            parts = []  # per block j: columns (p, (s, b)), s < rank, b < d_j
+            for (d, m), w, sl in zip(self.algebra.blocks, self.algebra.frames, self._slices):
+                y = (la.dagger(w) @ u).reshape(d, m, e, -1)  # (a, r, p, s)
+                g = np.einsum("arps,brs->pab", y, np.conj(y[:, :, 0])) / m
+                rank = int(round(float(np.trace(g[0]).real)))
+                if rank == 0:
+                    continue
+                f = _frame_from(g, g[0], rank).reshape(d, e, rank)
+                part = np.zeros((self.dim, e, rank * d), dtype=complex)
+                part[sl] = np.einsum("aps,bc->abpsc", f, la.eye(d)).reshape(d * d, e, -1)
+                parts.append(part)
+            frame = _apply(self._v, np.concatenate(parts, axis=2))
+            blocks.append((e, frame.shape[2]))
+            frames.append(frame.reshape(self.dim, -1))
+        return StarAlgebra(self.dim, blocks, frames, sub.tol)
+
+
+def _scatter(pos: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The complex vector of length ``size`` summing ``values`` at the positions ``pos``."""
+    return np.bincount(pos, values.real, size) + 1j * np.bincount(pos, values.imag, size)
+
+
+def _apply(change: tuple[np.ndarray, np.ndarray], x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """A change of basis from :func:`_unit_to_hermitian` applied along an axis of x."""
+    cols, coef = change
+    shape = (-1,) + (1,) * (np.ndim(x) - axis - 1)
+    first = coef[:, 0].reshape(shape) * np.take(x, cols[:, 0], axis)
+    return first + coef[:, 1].reshape(shape) * np.take(x, cols[:, 1], axis)
 
 
 @dataclass(eq=False)
@@ -167,49 +229,16 @@ def _step(prev: Level, tol: Tolerance) -> Level:
     """The basic construction on top of ``prev``: the record one level up.
 
     Every piece is written down from the frames of ``prev``: the represented
-    algebras (:func:`_represented`), the Jones projection onto the GNS image
-    of ``prev.upper``, and the canonical trace (:func:`_canonical_trace`).
+    algebras (:meth:`GnsSpace.represented`), the Jones projection onto the GNS
+    image of ``prev.upper``, and the canonical trace (:func:`_canonical_trace`).
     """
     gns = GnsSpace(prev.algebra, prev.trace, tol)
-    lower = _represented(prev.upper, prev.algebra)
-    upper = _represented(prev.algebra, prev.algebra)
-    jones_range = gns.subspace_isometry(prev.upper)
+    lower = gns.represented(prev.upper)
+    upper = gns.represented(prev.algebra)
+    jones_range = gns.subspace_isometry(lower)
     algebra = lower.commutant.conjugate_entrywise()
     density, trace = _canonical_trace(prev, gns, lower, algebra, tol)
     return Level(algebra, trace, upper, gns, lower, jones_range, density)
-
-
-def _represented(sub: StarAlgebra, alg: StarAlgebra) -> StarAlgebra:
-    """``sub`` ⊆ ``alg`` acting on the GNS space of ``alg`` by left multiplication.
-
-    In the unit coordinates f^j_ab / sqrt(t_j), left multiplication by x is
-    (+)_j xbar_j (x) 1_{n_j}, with xbar_j the multiplicity average of
-    W_j* x W_j.  So on the coordinates of block j of ``alg``, block i of
-    ``sub`` has the frame of its units compressed into M_{n_j}, tensored with
-    1_{n_j} and carried to Hermitian coordinates by V_j.  For sub = alg that
-    frame is V_j itself.
-    """
-    dim = alg.dim
-    offsets = np.cumsum([0] + [d * d for d, _ in alg.blocks])
-    changes = [_unit_to_hermitian(d) for d, _ in alg.blocks]
-    blocks, frames = [], []
-    for (e, _), u in zip(sub.blocks, sub.frames):
-        parts = []  # per block j of alg: columns (p, (s, b)), s < rank, b < n_j
-        for (d, m), w, v, o in zip(alg.blocks, alg.frames, changes, offsets):
-            y = (la.dagger(w) @ u).reshape(d, m, e, -1)  # (a, r, p, s)
-            g_p0 = np.einsum("arps,brs->pab", y, np.conj(y[:, :, 0])) / m
-            rank = int(round(float(np.trace(g_p0[0]).real)))
-            if rank == 0:
-                continue
-            f = _frame_from(g_p0, g_p0[0], rank).reshape(d, e, rank)
-            part = np.zeros((dim, e, rank * d), dtype=complex)
-            for p in range(e):
-                part[o : o + d * d, p] = v @ np.kron(f[:, p], la.eye(d))
-            parts.append(part)
-        frame = np.concatenate(parts, axis=2)
-        blocks.append((e, frame.shape[2]))
-        frames.append(frame.reshape(dim, -1))
-    return StarAlgebra(dim, blocks, frames, sub.tol)
 
 
 def _canonical_trace(
@@ -232,12 +261,14 @@ def _canonical_trace(
     canonical = Trace(algebra, weights[paired])
     total = float(weights[paired] @ np.array([d for d, _ in algebra.blocks]))
     trace = Trace(algebra, canonical.weights / total)
-    basis = prev.algebra.basis
-    k = basis.shape[0]
-    # trace(left(x)) - prev.trace(x) = Tr((K - rho) x) for every basis element at once
-    gap = gns.pullback(trace.density) - prev.trace.density
-    worst = float(np.abs(basis.reshape(k, -1) @ gap.T.ravel()).max())
-    if worst > tol.bound(1.0) * k:
+    # trace(left(x)) - prev.trace(x) = Tr((K - rho) x) for every basis element at once:
+    # the GNS coordinates of K - rho, rescaled to HS ones by sqrt(m_j / t_j) on block j
+    blocks = prev.algebra.blocks
+    roots = [np.sqrt(m / t) for (_, m), t in zip(blocks, prev.trace.weights)]
+    scale = np.repeat(roots, [d * d for d, _ in blocks])
+    gap = gns.vector(gns.pullback(trace.density) - prev.trace.density)
+    worst = float(np.abs(scale * gap).max())
+    if worst > tol.bound(1.0) * prev.algebra.dim:
         raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
     return canonical.density, trace
 
@@ -588,10 +619,9 @@ def verify_epr(t: Tower, tol: Tolerance | None = None) -> Report:
     gns, p1 = t.gns, t.levels[1].jones_range
     rc = t.rel_comm
     gammas = np.array([t.gamma0(x) for x in rc.basis])
-    rights = gns.act(rc.basis, p1, right=True)
     rep.add(
-        "left_right_on_jones",  # x e = pi_r(x) e = gamma0(x) e
-        max(_largest(gns.act(rc.basis, p1) - rights), _largest(rights - gammas @ p1)),
+        "left_right_on_jones",  # x e = pi_r(x) e, and gamma0 is pi_r
+        _largest(gns.act(rc.basis, p1) - gammas @ p1),
         tol.bound(1.0),
     )
     iterate(t)

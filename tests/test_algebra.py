@@ -163,16 +163,6 @@ def test_trace_normalized_and_restriction():
         assert abs(t(x @ y) - t(y @ x)) < 1e-10
 
 
-def test_trace_sa_onb_orthonormal():
-    m = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
-    t = Trace(m, [1 / 5, 2 / 5])  # the flat-over-dimension weights on C + M_2
-    onb = t.sa_onb()
-    gram = np.array([[t(a @ b).real for b in onb] for a in onb])
-    assert la.frobenius_distance(gram, np.eye(m.dim)) < 1e-10
-    for b in onb:
-        assert la.is_hermitian(b)
-
-
 def test_conditional_expectation_depolarising():
     # expectation onto C: tau(.) 1
     m = StarAlgebra.full(2)

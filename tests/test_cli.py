@@ -83,6 +83,7 @@ WERNER_DOC = {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]]}
         (["inclusion-info"], {"ambient_dim": 2, "N_blocks": [[1, 2]], "trace": ["x", 1]}, None),
         (["teleport", "--scheme", "werner"], WERNER_DOC, {"z_weights": ["a", 1]}),
         (["teleport", "--scheme", "werner"], WERNER_DOC, [1, 2]),
+        (["inclusion-info"], {"ambient_dim": 2, "N_blocks": [[1, 2]], "embedding": {"explicit": 5}}, None),
     ],
     ids=[
         "direct-sum-empty-object",
@@ -94,6 +95,7 @@ WERNER_DOC = {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]]}
         "non-numeric-trace",
         "non-numeric-z-weights",
         "params-not-an-object",
+        "explicit-not-a-list",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, doc, params):
@@ -107,6 +109,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, doc, params):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Markov" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [(DIRECT_SUM, {"N_blocks": []}), (["inclusion-info"], {"ambient_dim": 2, "N_blocks": []})],
+    ids=["direct-sum", "inclusion-info"],
+)
+def test_empty_block_list_is_named(tmp_path, capsys, argv, doc):
+    from opteleport import cli
+
+    assert cli.main([*argv, write_spec(tmp_path, "doc.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: N_blocks is empty")
 
 
 def test_explicit_embedding(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Trace, _tau_onb
+from opteleport.algebra import StarAlgebra, Trace
 from opteleport.errors import MarkovError, NormaliserError, PreconditionError, TraceError
 from opteleport.inclusion import Inclusion, markov_inclusion, trivial_in_full
 from opteleport.tower import (
@@ -71,13 +71,22 @@ def algebra_element(g, rng):
     return np.tensordot(coeffs, g.algebra.basis, axes=(0, 0))
 
 
+def reference_onb(alg, trace):
+    """G^{-1/2} applied to ``alg.basis``, G its Gram matrix tau(b_k b_l): a
+    Hermitian basis orthonormal for tau(y* x), in the order of ``alg.basis``."""
+    gram = np.einsum("kij,lji->kl", np.matmul(trace.density, alg.basis), alg.basis).real
+    vals, vecs = np.linalg.eigh(gram)
+    return np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, alg.basis, axes=(1, 0))
+
+
 @pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
 def test_gns_left_matches_trace_definition(key):
     g = level2_gns(key)
     x = algebra_element(g, np.random.default_rng(11))
     assert la.frobenius_distance(x, la.dagger(x)) > 1e-3
     rho = g.trace.density
-    want = np.array([[np.trace(rho @ bl @ x @ bk) for bk in g.onb] for bl in g.onb])
+    onb = reference_onb(g.algebra, g.trace)
+    want = np.array([[np.trace(rho @ bl @ x @ bk) for bk in onb] for bl in onb])
     assert np.abs(g.left(x) - want).max() < 1e-12
 
 
@@ -103,12 +112,15 @@ def test_gns_vector_and_element_are_inverse(key):
 
 @pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
 def test_gns_holds_no_dim_squared_stack(key):
-    # nothing cached may grow like dim^2 n^2, as a 4-index action tensor would
+    # nothing cached may grow like dim^2 n^2, as a 4-index action tensor would,
+    # and no dense (dim, n, n) or (dim, n^2) stack of the algebra is kept
     g = level2_gns(key)
     n = g.algebra.ambient_dim
-    arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    values = [v for value in vars(g).values() for v in (value if isinstance(value, tuple) else [value])]
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
     assert arrays
     assert max(a.nbytes for a in arrays) <= g.dim * n * n * 16
+    assert not [a.shape for a in arrays if a.shape in {(g.dim, n, n), (g.dim, n * n)}]
 
 
 @pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_4", "homogeneous_2_2"])
@@ -122,13 +134,18 @@ def test_markov_gate_pullback_matches_per_element_trace(key, k):
         assert abs(np.trace(pullback @ x) - lvl.trace(lvl.gns.left(x))) < 1e-12
 
 
-def test_tau_onb_orthonormal_under_nonuniform_trace():
+def test_gns_orthonormal_under_nonuniform_trace():
+    # the coordinate vectors are the images of a Hermitian tau-orthonormal basis
     m = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
     tr = Trace(m, [0.1, 0.15, 0.2])
-    onb = _tau_onb(m.basis, tr)
+    g = GnsSpace(m, tr)
+    onb = np.array([g.element(e) for e in np.eye(g.dim)])
     gram = np.array([[tr(la.dagger(a) @ b) for b in onb] for a in onb])
     assert np.abs(gram - np.eye(m.dim)).max() < 1e-12
     assert max(la.frobenius_distance(c, la.dagger(c)) for c in onb) < 1e-12
+    vectors = np.array([g.vector(b) for b in m.basis])
+    want = np.array([[tr(la.dagger(a) @ b) for b in m.basis] for a in m.basis])
+    assert np.abs(np.conj(vectors) @ vectors.T - want).max() < 1e-12
 
 
 def test_gns_requires_faithful_trace():
@@ -395,16 +412,18 @@ def test_shift_operator_is_ucp():
     assert not t2.gamma0_operator.is_cp()
 
 
-def test_tau_onb_matches_gram_formula():
-    # the per-block rescale equals the inverse square root of the tau-Gram matrix
+def test_gns_matches_gram_formula():
+    # the coordinates are those against the inverse square root of the tau-Gram
+    # matrix applied to the basis: vector(x)_k = tau(c_k x), left(x)_lk = tau(c_l x c_k)
     m = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
     tr = Trace(m, [0.1, 0.15, 0.2])
-    k = m.dim
-    gram = np.array([[np.trace(tr.density @ a @ b).real for b in m.basis] for a in m.basis])
-    vals, vecs = np.linalg.eigh(gram)
-    want = np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, m.basis, axes=(1, 0))
-    assert np.abs(_tau_onb(m.basis, tr) - want).max() < 1e-12
-    assert want.shape[0] == k
+    g = GnsSpace(m, tr)
+    onb = reference_onb(m, tr)
+    assert onb.shape[0] == g.dim
+    x = algebra_element(g, np.random.default_rng(14))
+    assert np.abs(g.vector(x) - np.array([tr(c @ x) for c in onb])).max() < 1e-12
+    want = np.array([[tr(cl @ x @ ck) for ck in onb] for cl in onb])
+    assert np.abs(g.left(x) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("key", TOWER_KEYS)
@@ -419,9 +438,12 @@ def test_canonical_traces_are_markov_traces(key):
 
 @pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_4"])
 def test_step_writes_levels_without_gns_action(key, monkeypatch):
-    # each level is written down from frames: no GNS left action, no image of units
-    calls = {"left": 0, "image": 0}
-    left, image = GnsSpace.left, StarAlgebra.image
+    # each level is written down from frames: no GNS left action, no image of
+    # units, and no dense basis of any algebra through level 3
+    from functools import cached_property
+
+    calls = {"left": 0, "image": 0, "basis": 0}
+    left, image, basis = GnsSpace.left, StarAlgebra.image, StarAlgebra.basis.func
 
     def counted_left(self, x):
         calls["left"] += 1
@@ -431,11 +453,19 @@ def test_step_writes_levels_without_gns_action(key, monkeypatch):
         calls["image"] += 1
         return image(self, phi, ambient_dim)
 
+    def counted_basis(self):
+        calls["basis"] += 1
+        return basis(self)
+
+    counted = cached_property(counted_basis)
+    counted.__set_name__(StarAlgebra, "basis")
     monkeypatch.setattr(GnsSpace, "left", counted_left)
     monkeypatch.setattr(StarAlgebra, "image", counted_image)
-    t = iterate(basic_construction(make_inclusion(key)))
+    inc = make_inclusion(key)
+    monkeypatch.setattr(StarAlgebra, "basis", counted)
+    t = iterate(basic_construction(inc))
     t.extend()
-    assert calls == {"left": 0, "image": 0}
+    assert calls == {"left": 0, "image": 0, "basis": 0}
     assert len(t.levels) == 4
 
 
@@ -487,7 +517,7 @@ RANGE_TOWERS = {
 @pytest.mark.parametrize("key", sorted(RANGE_TOWERS))
 @pytest.mark.parametrize("k", [1, 2])
 def test_gns_act_matches_dense_action(key, k):
-    # left(x) @ V and right(x) @ V without forming left(x), over more than one chunk
+    # left(x) @ V without forming left(x), for a stack longer than dim / r
     lvl = RANGE_TOWERS[key]().level(k)
     g, r = lvl.gns, lvl.jones_range.shape[1]
     rng = np.random.default_rng(41 + k)
@@ -496,11 +526,41 @@ def test_gns_act_matches_dense_action(key, k):
     if key == "golden":
         assert np.ptp(np.diag(g.trace.density).real) > 1e-3
     for v in (lvl.jones_range, rng.standard_normal((g.dim, r)) + 1j * rng.standard_normal((g.dim, r))):
-        lefts, rights = g.act(xs, v), g.act(xs, v, right=True)
-        assert lefts.shape == rights.shape == (len(xs), g.dim, r)
-        for x, lv, rv in zip(xs, lefts, rights):
+        lefts = g.act(xs, v)
+        assert lefts.shape == (len(xs), g.dim, r)
+        for x, lv in zip(xs, lefts):
             assert np.abs(lv - g.left(x) @ v).max() < 1e-12
-            assert np.abs(rv - g.right(x) @ v).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", [*TOWER_KEYS, "golden"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_gns_maps_match_dense_formulas(key, k):
+    # the frame formulas against the dense tau-orthonormal stack c_k and the
+    # density rho: vector(x)_k = Tr(rho c_k x), left(x)_lk = Tr(rho c_l x c_k),
+    # element(v) = sum_k v_k c_k, pullback(D) = sum_kl D_kl c_k rho c_l, and
+    # jones the projection onto the vectors of the c'_k of the algebra below
+    t = _golden_tower() if key == "golden" else get_tower(key)
+    lvl, sub = t.level(k), t.level(k - 1).upper
+    g = lvl.gns
+    rho, onb = g.trace.density, reference_onb(g.algebra, g.trace)
+    n = onb.shape[1]
+    rho_onb = np.matmul(rho, onb)
+    rows = rho_onb.transpose(0, 2, 1).reshape(g.dim, -1)  # Tr(rho c_k x) = rows @ x.ravel()
+    rng = np.random.default_rng(43 + k)
+    x = algebra_element(g, rng)
+    v = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+    density = rng.standard_normal((g.dim, g.dim)) + 1j * rng.standard_normal((g.dim, g.dim))
+    left = rows @ np.matmul(x, onb).reshape(g.dim, -1).T
+    mixed = (density @ rho_onb.reshape(g.dim, -1)).reshape(onb.shape)
+    pullback = onb.transpose(1, 0, 2).reshape(n, -1) @ mixed.reshape(-1, n)
+    sub_onb = reference_onb(sub, g.trace.restrict(sub))
+    p = rows @ sub_onb.reshape(sub.dim, -1).T
+    assert np.abs(g.vector(x) - rows @ x.ravel()).max() < 1e-12
+    assert np.abs(g.left(x) - left).max() < 1e-12
+    assert np.abs(g.right(x) - left.T).max() < 1e-12
+    assert np.abs(g.element(v) - np.tensordot(v, onb, axes=(0, 0))).max() < 1e-12
+    assert np.abs(g.pullback(density) - pullback).max() < 1e-12
+    assert np.abs(lvl.jones - p @ la.dagger(p)).max() < 1e-12
 
 
 @pytest.mark.parametrize("key", sorted(RANGE_TOWERS))
@@ -542,11 +602,7 @@ def _dense_range_residuals(t):
         ),
         "shift_entanglement": shift_ent,
         "left_right_on_jones": max(
-            max(
-                la.frobenius_distance(pi(x) @ e1, t.gns.right(x) @ e1),
-                la.frobenius_distance(t.gns.right(x) @ e1, t.gamma0(x) @ e1),
-            )
-            for x in rc.basis
+            la.frobenius_distance(pi(x) @ e1, t.gamma0(x) @ e1) for x in rc.basis
         ),
         "shift_on_second_jones": shift_ent,
         "perfect_correlation": max(
