@@ -321,6 +321,18 @@ class StarAlgebra:
             return la.span_project(self.basis, x)
         return _from_corners(self, _corners(self, x))
 
+    def random_hermitian(self, rng: np.random.Generator) -> np.ndarray:
+        """A random Hermitian element of the algebra, drawn on its corners.
+
+        Same law as ``project(la.random_hermitian(n, rng))``: projecting a
+        GUE matrix leaves a standard Gaussian in HS-orthonormal coordinates,
+        whose corner on block j is a GUE matrix of size d_j scaled by
+        1/sqrt(m_j).  It draws sum_j d_j^2 Gaussian pairs instead of n^2 and
+        needs one frame product per block; on ``full(n)`` it is
+        ``la.random_hermitian(n, rng)`` bit for bit.
+        """
+        return _from_corners(self, [la.random_hermitian(d, rng) / np.sqrt(m) for d, m in self.blocks])
+
     def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
         tol = tol or self.tol
         return self.membership_residual(x) <= tol.bound(float(np.linalg.norm(x)))

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, Superoperator, Trace, conditional_expectation_onto
+from .algebra import (
+    StarAlgebra,
+    Superoperator,
+    Trace,
+    _adjoint,
+    _corners,
+    conditional_expectation_onto,
+)
 from .bases import PimsnerPopaBasis, verify_basis, weyl_basis
 from .errors import (
     ExtractionError,
@@ -98,12 +105,16 @@ def verify_scheme(
     Structural clauses (POVM, densities, UCP, bimodularity, invariance)
     raise :class:`SchemeError` naming the clause when ``strict``; the
     identity residual itself is always only reported.  Bimodularity is
-    sampled on seeded random triples; the one-way LOCC form of the total
+    sampled on ``samples`` seeded random triples (a, x, b), drawn on the
+    corners of Alice and of Alice ∨ Bob (:meth:`StarAlgebra.random_hermitian`)
+    and shared by every channel; the one-way LOCC form of the total
     operation follows from the verified structure and is recorded as
-    implied rather than re-checked.  The samples are drawn from Alice ∨ Bob
-    built from matrix units, so Alice and Bob must commute: when they do
-    not, ``strict`` raises at once and otherwise the bimodule check is
-    recorded as failed with an infinite residual.
+    implied rather than re-checked.  Alice ∨ Bob is built from matrix
+    units, so Alice and Bob must commute: when they do not, ``strict``
+    raises at once and otherwise the bimodule check is recorded as failed
+    with an infinite residual.  A failed sample is excused only when Bob
+    has several central projections, all in Alice, and every channel
+    normalises Alice.
     """
     tol = tol or DEFAULT_TOL
     ctx = scheme.context
@@ -151,12 +162,14 @@ def verify_scheme(
     if commute.passed:
         rng = la.rng_from(None)
         joint = StarAlgebra.commuting_product(ctx.alice, ctx.bob)
+        triples = []
+        for _ in range(samples):
+            a, b = ctx.alice.random_hermitian(rng), ctx.alice.random_hermitian(rng)
+            x = joint.random_hermitian(rng)
+            triples.append((a, b, x, a @ x @ b))
         for ch in scheme.channels:
-            for _ in range(samples):
-                a = ctx.alice.project(la.random_hermitian(dim, rng))
-                b = ctx.alice.project(la.random_hermitian(dim, rng))
-                x = joint.project(la.random_hermitian(dim, rng))
-                bimod = max(bimod, la.frobenius_distance(ch(a @ x @ b), a @ ch(x) @ b))
+            for a, b, x, axb in triples:
+                bimod = max(bimod, la.frobenius_distance(ch(axb), a @ ch(x) @ b))
     if not commute.passed:
         # Alice v Bob is no algebra, so there is nothing to sample.
         rep.add_flag(
@@ -164,7 +177,8 @@ def verify_scheme(
             False,
             detail="Alice and Bob do not commute; their joint algebra is undefined",
         )
-    elif bimod <= tol.bound(1.0) * 100:
+    elif bimod <= tol.bound(1.0) * 100 or len(ctx.bob.blocks) == 1:
+        # a factor Bob has no central projection but 1: nothing obstructs bimodularity
         rep.add("channels_alice_bimodule_sampled", bimod, tol.bound(1.0) * 100)
     else:
         # Strict bimodularity is impossible whenever Alice and Bob share
@@ -223,7 +237,11 @@ def classify(
     Works through g_i = E(omega F_i): by traciality and the bimodule
     property, tr(F_i rho omega) = tr(rho g_i) for every density rho in the
     teleported algebra, so "for all densities" becomes one operator test
-    per outcome.  Seeded random densities re-check the reduction.
+    per outcome.  Seeded random densities re-check the reduction; they are
+    drawn on the corners of the teleported algebra, c_j = g g* for a
+    Ginibre g, and evaluated against rows written once per scheme.  The
+    non-faithfulness witness is the first outcome whose lowest eigenvalue
+    is within ``tol.abs`` of the minimum.
     """
     tol = tol or DEFAULT_TOL
     ctx = scheme.context
@@ -238,17 +256,15 @@ def classify(
     unbiased = unb_res <= tol.bound(1.0) * 10
     rep.add_flag("unbiased", True, detail=f"residual {unb_res:.2e}, flag {unbiased}")
 
-    faithful = True
+    lows = [float(np.linalg.eigvalsh((g + la.dagger(g)) / 2).min()) for g in gs]
+    faithful = min(lows) > tol.abs
     witness = None
-    for i, g in enumerate(gs):
-        herm = (g + la.dagger(g)) / 2
-        low = float(np.linalg.eigvalsh(herm).min())
-        if low <= tol.abs:
-            faithful = False
-        if not unbiased and (witness is None or low < witness["probability"]):
-            # the most starved outcome; a zero here exhibits a density the
-            # outcome can never see
-            witness = {"outcome": i, "probability": low}
+    if not unbiased:
+        # the most starved outcome, the first of those within tol.abs of the
+        # minimum so that rounding cannot pick among ties; a zero here
+        # exhibits a density the outcome can never see
+        i = next(i for i, low in enumerate(lows) if low <= min(lows) + tol.abs)
+        witness = {"outcome": i, "probability": lows[i]}
     rep.add_flag("faithful", True, detail=f"flag {faithful}")
 
     minimal_omega = StarAlgebra.commuting_product(ctx.mirror, ctx.bob).membership_residual(
@@ -265,21 +281,22 @@ def classify(
         detail=f"omega residual {minimal_omega:.2e}, povm residual {minimal_povm:.2e}, flag {minimal}",
     )
 
-    # independent cross-check on sampled densities
-    lhs_rows, rhs_rows = _cross_check_rows(scheme, gs)
+    # independent cross-check on sampled densities, drawn as corners g g*
+    lhs_rows, rhs_rows, norm_row = _cross_check_rows(scheme, gs)
     rng = la.rng_from(None)
-    cross = 0.0
-    for _ in range(density_samples):
-        raw = ctx.teleported.project(la.random_density(ctx.ambient.ambient_dim, rng))
-        raw = (raw + la.dagger(raw)) / 2
-        val = ctx.trace(raw).real
-        if val < 1e-6:
-            continue
-        rho = (raw / val).ravel()
-        lhs = lhs_rows @ rho
-        cross = max(cross, float(np.max(np.abs(lhs - rhs_rows @ rho))))
-        if unbiased:
-            cross = max(cross, float(np.max(np.abs(lhs - 1.0 / d))))
+    corners = []
+    for bd, _ in ctx.teleported.blocks:
+        shape = (density_samples, bd, bd)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        corners.append((g @ _adjoint(g)).reshape(density_samples, -1))
+    rhos = np.concatenate(corners, axis=1)
+    val = (rhos @ norm_row).real
+    keep = val >= 1e-6
+    rhos = rhos[keep] / val[keep, None]
+    lhs = rhos @ lhs_rows.T
+    cross = float(np.max(np.abs(lhs - rhos @ rhs_rows.T), initial=0.0))
+    if unbiased:
+        cross = max(cross, float(np.max(np.abs(lhs - 1.0 / d), initial=0.0)))
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
     flags = SchemeFlags(
@@ -297,17 +314,31 @@ def classify(
 
 def _cross_check_rows(
     scheme: TeleportationScheme, gs: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose products with rho.ravel() list tau(F_i rho omega) and tau(rho g_i).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows whose products with the corners of rho list tau(F_i rho omega),
+    tau(rho g_i) and tau(rho), for rho in the teleported algebra.
 
-    Only cyclicity of Tr is used, not the reduction under test: with D the
-    trace density, tau(F rho omega) = Tr((omega D F) rho) and tau(rho g) =
-    Tr((g D) rho), and Tr(a x) = <a^T, x> entrywise.
+    Only cyclicity of Tr and the block form rho = sum_j W_j (c_j (x) 1) W_j*
+    are used, not the reduction under test: with D the trace density,
+    tau(F rho omega) = Tr((omega D F) rho), tau(rho g) = Tr((g D) rho) and
+    tau(rho) = Tr(D rho), and Tr(X rho) = sum_j m_j <Xbar_j^T, c_j>
+    entrywise, Xbar_j the corners of X.  The corners c_j are concatenated
+    block by block, each raveled row-major.
     """
-    density = scheme.context.trace.density
-    lhs = np.stack([(scheme.omega @ density @ f).T.ravel() for f in scheme.povm])
-    rhs = np.stack([(g @ density).T.ravel() for g in gs])
-    return lhs, rhs
+    ctx = scheme.context
+    density = ctx.trace.density
+    xs = np.stack(
+        [scheme.omega @ density @ f for f in scheme.povm] + [g @ density for g in gs] + [density]
+    )
+    rows = np.concatenate(
+        [
+            m * np.swapaxes(c, -1, -2).reshape(len(xs), -1)
+            for (_, m), c in zip(ctx.teleported.blocks, _corners(ctx.teleported, xs))
+        ],
+        axis=1,
+    )
+    k = scheme.outcomes
+    return rows[:k], rows[k : 2 * k], rows[2 * k]
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +479,19 @@ def correction_unitaries(
     lifted_right = [pi1(e1 @ pi(u)) for u in basis.elements]
     lifted_mid = [pi1(pi(u)) for u in basis.elements]
 
+    d = basis.size
+    tails = [e2 @ r for r in lifted_right]
+
     def phi(blockmat: list[list[np.ndarray]]) -> np.ndarray:
+        # pi1 is multiplicative: pi1(pi(u_a)* e1 pi(x)) = lifted_left[a] pi1(pi(x))
         total = np.zeros((t.gns1.dim, t.gns1.dim), dtype=complex)
-        for a, row in enumerate(blockmat):
-            for b, x in enumerate(row):
-                total += pi1(la.dagger(pi(basis.elements[a])) @ e1 @ pi(x)) @ e2 @ lifted_right[b]
+        for b in range(d):
+            total += sum(lifted_left[a] @ pi1(pi(blockmat[a][b])) for a in range(d)) @ tails[b]
         return idx * total
 
-    d = basis.size
     vs = []
     for i in range(d):
-        v = idx * sum(
-            lifted_left[a] @ pi1(pi(basis.elements[i])) @ e2 @ lifted_right[a]
-            for a in range(d)
-        )
+        v = idx * sum(lifted_left[a] @ lifted_mid[i] @ e2 @ lifted_right[a] for a in range(d))
         vs.append(v)
     rep = Report()
     rep.add(
@@ -498,10 +528,11 @@ def correction_unitaries(
     prod = [
         [sum(xs[a][c] @ ys[c][b] for c in range(d)) for b in range(d)] for a in range(d)
     ]
+    phi_x, phi_y = phi(xs), phi(ys)
     rep.add(
         "periodicity_map_multiplicative",
-        la.frobenius_distance(phi(xs) @ phi(ys), phi(prod)),
-        tol.bound(float(np.linalg.norm(phi(xs)) * np.linalg.norm(phi(ys)))) * 10,
+        la.frobenius_distance(phi_x @ phi_y, phi(prod)),
+        tol.bound(float(np.linalg.norm(phi_x) * np.linalg.norm(phi_y))) * 10,
     )
     ident = [
         [la.eye(n) if a == b else np.zeros((n, n), dtype=complex) for b in range(d)]

@@ -394,3 +394,29 @@ def test_commutator_residual_zero_on_commutant_and_positive_otherwise():
 def test_commutator_residual_requires_common_ambient():
     with pytest.raises(PreconditionError):
         StarAlgebra.full(2).commutator_residual(StarAlgebra.full(3))
+
+
+@pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(3, 2), (1, 1)], [(4, 3)], [(1, 1), (2, 2), (3, 1)]])
+def test_random_hermitian_lies_in_algebra(layout):
+    rng = np.random.default_rng(41)
+    alg = rotated(StarAlgebra.block_diagonal(layout), 1.0, rng)
+    for _ in range(5):
+        x = alg.random_hermitian(rng)
+        assert la.frobenius_distance(x, la.dagger(x)) < 1e-13
+        assert alg.membership_residual(x) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_random_hermitian_on_full_is_the_ambient_draw(n):
+    got = StarAlgebra.full(n).random_hermitian(np.random.default_rng(n))
+    assert np.array_equal(got, la.random_hermitian(n, np.random.default_rng(n)))
+
+
+def test_random_hermitian_has_the_projected_gue_law():
+    # a standard Gaussian in HS-orthonormal coordinates: E ||z_j x||^2 = d_j^2
+    alg = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
+    rng = np.random.default_rng(43)
+    draws = np.stack([alg.random_hermitian(rng) for _ in range(2000)])
+    assert abs(np.mean(np.sum(np.abs(draws) ** 2, axis=(1, 2))) / alg.dim - 1) < 0.05
+    for (d, _), z in zip(alg.blocks, alg.central_projections):
+        assert abs(np.mean(np.sum(np.abs(z @ draws) ** 2, axis=(1, 2))) / d**2 - 1) < 0.15

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Superoperator, Trace
+from opteleport.algebra import StarAlgebra, Superoperator, Trace, _from_corners
 from opteleport.bases import (
     PimsnerPopaBasis,
     homogeneous_block_basis,
@@ -129,6 +129,20 @@ def test_non_commuting_alice_and_bob():
     assert bimod.residual == float("inf")
 
 
+def test_bimodule_fallback_needs_shared_central_projections():
+    # corrections that also flip Alice's first leg still normalise Alice and
+    # teleport, but Bob = M_2 is a factor: nothing obstructs bimodularity
+    s = standard_scheme(2)
+    flip = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+    s.channels = [Superoperator.conjugation(flip @ ch.ad_unitary, s.context.ambient) for ch in s.channels]
+    with pytest.raises(SchemeError, match="channels_alice_bimodule_sampled"):
+        verify_scheme(s)
+    rep = verify_scheme(s, strict=False)
+    assert [c.name for c in rep.failures()] == ["channels_alice_bimodule_sampled"]
+    bimod = rep.failures()[0]
+    assert 1e-3 < bimod.residual < float("inf") and bimod.detail is None
+
+
 # -- direct sum scheme -------------------------------------------------------
 
 
@@ -189,6 +203,21 @@ def test_direct_sum_resource_is_scaled_second_jones():
     s = direct_sum_scheme(m)
     t = get_tower("scalars_in_direct_sum")
     assert la.frobenius_distance(s.omega, 5.0 * t.jones2) < 1e-10
+
+
+def test_direct_sum_witness_ignores_rounding_among_ties(monkeypatch):
+    # every outcome of the direct-sum scheme starves some density, so all
+    # lowest eigenvalues tie at 0; the witness is the first of the ties
+    s = direct_sum_scheme(StarAlgebra.block_diagonal([(1, 1), (2, 1)]))
+    ctx = s.context
+    assert classify(s).witness["outcome"] == 0
+    exact = ctx.expectation
+    for low in range(s.outcomes):
+        signs = iter([-1.0 if i == low else 1.0 for i in range(s.outcomes)])
+        monkeypatch.setattr(ctx, "expectation", lambda x: exact(x) + next(signs) * 1e-15 * ctx.teleported.unit)
+        flags = classify(s)
+        assert not flags.faithful
+        assert flags.witness["outcome"] == 0
 
 
 # -- unbiased scheme ---------------------------------------------------------
@@ -531,17 +560,21 @@ def test_cross_check_rows_match_traces(key):
     s = WORKLOAD_SCHEMES[key]()
     ctx = s.context
     gs = [ctx.expectation(s.omega @ f) for f in s.povm]
-    lhs_rows, rhs_rows = _cross_check_rows(s, gs)
+    lhs_rows, rhs_rows, norm_row = _cross_check_rows(s, gs)
     rng = np.random.default_rng(11)
-    n = ctx.ambient.ambient_dim
-    densities = [ctx.teleported.project(la.random_density(n, rng)) for _ in range(3)]
-    # cyclicity holds for any matrix, so a generic one also checks the row layout
-    generic = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for x in [d / ctx.trace(d).real for d in densities] + [generic]:
+    blocks = ctx.teleported.blocks
+    ginibre = lambda: [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d, _ in blocks]
+    densities = [[g @ g.conj().T for g in ginibre()] for _ in range(3)]
+    # cyclicity holds for any element of the algebra, so generic corners
+    # also check the row layout
+    for corners in densities + [ginibre()]:
+        x = _from_corners(ctx.teleported, corners)
+        coords = np.concatenate([c.ravel() for c in corners])
         lhs = [ctx.trace(f @ x @ s.omega) for f in s.povm]
         rhs = [ctx.trace(x @ g) for g in gs]
-        assert np.max(np.abs(lhs_rows @ x.ravel() - lhs)) < 1e-13
-        assert np.max(np.abs(rhs_rows @ x.ravel() - rhs)) < 1e-13
+        assert np.max(np.abs(lhs_rows @ coords - lhs)) < 1e-13
+        assert np.max(np.abs(rhs_rows @ coords - rhs)) < 1e-13
+        assert abs(norm_row @ coords - ctx.trace(x)) < 1e-13
 
 
 def test_cross_check_fails_on_wrong_expectation(monkeypatch):
