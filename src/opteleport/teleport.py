@@ -534,13 +534,12 @@ def correction_unitaries(
         la.frobenius_distance(phi_x @ phi_y, phi(prod)),
         tol.bound(float(np.linalg.norm(phi_x) * np.linalg.norm(phi_y))) * 10,
     )
-    ident = [
-        [la.eye(n) if a == b else np.zeros((n, n), dtype=complex) for b in range(d)]
-        for a in range(d)
-    ]
+    # phi of the identity block matrix: pi1(pi(1)) = 1 leaves idx sum_a lifted_left[a] tails[a]
     rep.add(
         "periodicity_map_unital",
-        la.frobenius_distance(phi(ident), la.eye(t.gns1.dim)),
+        la.frobenius_distance(
+            idx * sum(lifted_left[a] @ tails[a] for a in range(d)), la.eye(t.gns1.dim)
+        ),
         tol.bound(1.0) * d,
     )
     return vs, rep

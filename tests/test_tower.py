@@ -611,6 +611,97 @@ def _dense_range_residuals(t):
     }
 
 
+def _dense_frame_residuals(t):
+    """The residuals that verify_tower reads in frame coordinates, from D x D
+    products and dense bases, with the rank of the dense span of {x e_N y}."""
+    inc = t.inclusion
+    pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
+    images = [pi(x) for x in inc.big.basis]
+    pairs = [(x, y) for x in inc.big.basis for y in inc.big.basis]
+    prods = [px @ e1 @ py for px in images for py in images]
+    span = la.span_onb(prods)
+    shifted = [t.shift(x) for x in t.rel_comm.basis]
+    gens = [pi1(px) for px in images] + [pi1(e1)]
+    return span.shape[0], {
+        "level1_span_membership": max(la.span_residual(span, b) for b in t.level1.basis),
+        "tr1_defining_relation": max(
+            abs(np.trace(t.levels[1].density @ prod) - inc.trace(x @ y))
+            for (x, y), prod in zip(pairs, prods)
+        ),
+        "jones2_commutes_with_m": max(
+            la.frobenius_distance(e2 @ b, b @ e2) for b in t.levels[2].lower.basis
+        ),
+        "markov_expectation_level2": la.frobenius_distance(
+            t.levels[2].expect(e2), np.eye(t.gns1.dim) / inc.index
+        ),
+        "shift_lands_in_level2_commutant": max(
+            la.frobenius_distance(s @ g, g @ s) for s in shifted for g in gens
+        ),
+        "shift_image_in_level2": max(t.level2.membership_residual(s) for s in shifted),
+    }
+
+
+def _span_rank(t, p):
+    """The rank of span{pi(x) P P* pi(y)} over the basis of M, as verify_tower reads it."""
+    from opteleport.tower import _pair_coordinates, _row_span
+
+    ranged = t.gns.act(t.inclusion.big.basis, p)
+    return _row_span(_pair_coordinates(t.level1, ranged), t.tol).shape[0]
+
+
+def _full_central_support(t, p):
+    """Whether z P != 0 for every minimal central projection z of M1."""
+    return all(np.linalg.norm(z @ p) > 1e-6 for z in t.level1.central_projections)
+
+
+FRAME_TOWERS = [*TOWER_KEYS, "diagonal_in_full_4", "golden", "rotated"]
+
+
+def _rotated_tower():
+    # a rotated copy of C + C inside M_2: its frames, and those of every level, are complex
+    w = la.random_unitary(2, 77)
+    rot = StarAlgebra.from_generators([w @ np.diag([1.0, 0.0]).astype(complex) @ la.dagger(w)], 2)
+    return iterate(basic_construction(markov_inclusion(rot, StarAlgebra.full(2))))
+
+
+def _frame_tower(key, fresh=False):
+    """The named tower; ``fresh`` builds a new one instead of reusing the shared cache."""
+    built = {"golden": _golden_tower, "rotated": _rotated_tower}.get(key)
+    if built:
+        return built()
+    return iterate(basic_construction(make_inclusion(key))) if fresh else get_tower(key)
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_frame_checks_match_dense_formulas(key):
+    t = _frame_tower(key)
+    got = {c.name: c for c in verify_tower(t).checks}
+    rank, dense = _dense_frame_residuals(t)
+    for name, want in dense.items():
+        assert abs(got[name].residual - want) < 1e-12, name
+    assert _span_rank(t, t.levels[1].jones_range) == rank
+    assert got["level1_spanned_by_compressions"].passed == (rank == t.level1.dim)
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_span_rank_follows_central_support(key):
+    # span(M e M) is a two-sided ideal of M1, so it is all of M1 exactly when
+    # e has central support 1: z P != 0 for every central projection z of M1
+    t = _frame_tower(key)
+    p = t.levels[1].jones_range
+    assert _full_central_support(t, p)
+    assert _span_rank(t, p) == t.level1.dim
+
+
+def test_span_rank_drops_with_central_support():
+    # the first column of P spans Lambda of one minimal projection of N = D_3,
+    # whose central support in M1 is one block of three
+    t = get_tower("diagonal_in_full_3")
+    cut = t.levels[1].jones_range[:, :1]
+    assert not _full_central_support(t, cut)
+    assert _span_rank(t, cut) < t.level1.dim
+
+
 @pytest.mark.parametrize("key", TOWER_KEYS)
 def test_range_checks_match_dense_formulas(key):
     t = get_tower(key)
@@ -640,7 +731,35 @@ def test_range_checks_read_the_public_maps(method, names, monkeypatch):
     assert set(names) <= failed
 
 
-@pytest.mark.parametrize("key, most", [("trivial_in_full_3", 131), ("diagonal_in_full_4", 125)])
+def test_frame_checks_read_the_public_maps(monkeypatch):
+    # a wrong Tower.shift must leave the commutant of M1; a rescaled range of
+    # e_M is no longer a Jones projection of the Markov expectation
+    from opteleport.tower import Tower
+
+    t = iterate(basic_construction(trivial_in_full(3)))
+    right = Tower.shift
+    monkeypatch.setattr(Tower, "shift", lambda self, x: np.conj(right(self, x)) * 0.5)
+    failed = {c.name for c in verify_tower(t).checks if not c.passed}
+    assert "shift_lands_in_level2_commutant" in failed
+    monkeypatch.undo()
+    t = iterate(basic_construction(trivial_in_full(3)))
+    t.levels[2].jones_range = t.levels[2].jones_range * 1.01
+    failed = {c.name for c in verify_tower(t).checks if not c.passed}
+    assert {"markov_expectation_level2", "jones2_commutes_with_m"} <= failed
+
+
+def test_span_membership_sees_products_outside_level1():
+    # the corner coordinates see only the part of x e y inside M1; a range of
+    # e_N rotated out of M1 must still fail the membership check
+    t = basic_construction(make_inclusion("diagonal_in_full_3"))
+    h = la.random_hermitian(t.gns.dim, 5)
+    vals, vecs = np.linalg.eigh(h)
+    t.levels[1].jones_range = (vecs * np.exp(1e-3j * vals)) @ la.dagger(vecs) @ t.levels[1].jones_range
+    failed = {c.name for c in verify_tower(t, deep=False).checks if not c.passed}
+    assert "level1_span_membership" in failed
+
+
+@pytest.mark.parametrize("key, most", [("trivial_in_full_3", 122), ("diagonal_in_full_4", 109)])
 def test_verify_tower_forms_few_gns_operators(key, most, monkeypatch):
     # the Jones-terminated checks act on the range isometries, not on D x D operators
     t = get_tower(key)
@@ -661,3 +780,51 @@ def test_golden_tower_passes_with_non_integer_index():
     check = next(c for c in rep.checks if c.name == "index_matches_level1")
     assert check.passed and "[M:N]=2.618" in check.detail
     assert rep.passed
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_verify_tower_builds_no_basis_above_level1(key, monkeypatch):
+    # M1 and M2 are read in frame coordinates: no algebra acting on a GNS
+    # space above that of M builds its dense basis
+    from functools import cached_property
+
+    t = _frame_tower(key, fresh=True)
+    built = []
+    basis = StarAlgebra.basis.func
+
+    def counted_basis(self):
+        built.append((self.ambient_dim, self.dim))
+        return basis(self)
+
+    counted = cached_property(counted_basis)
+    counted.__set_name__(StarAlgebra, "basis")
+    monkeypatch.setattr(StarAlgebra, "basis", counted)
+    assert verify_tower(t).passed
+    assert [b for b in built if b[0] > t.gns.dim] == []
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_unit_coordinate_distances_match_projections(key):
+    # off the algebras too: random operators and perturbed members of M2 and
+    # of the commutant of M1, against the distances StarAlgebra.project gives
+    from opteleport.algebra import _corners
+    from opteleport.tower import _block_distance, _right_commutant_distance
+
+    t = _frame_tower(key)
+    g, upper = t.gns1, t.levels[2].upper
+    rng = np.random.default_rng(61)
+    xs = rng.standard_normal((3, g.dim, g.dim)) + 1j * rng.standard_normal((3, g.dim, g.dim))
+    xs[1] = t.level2.random_hermitian(rng) + 1e-3 * xs[1]
+    xs[2] = upper.commutant.random_hermitian(rng) + 1e-3 * xs[2]
+    v_star = g.to_units(np.eye(g.dim))
+    blocks = [(d, d) for d, _ in g.algebra.blocks]
+    to_level2 = _right_commutant_distance(g, t.levels[1].upper)
+    for x in xs:
+        u = g.operators_to_units(x)
+        assert np.abs(u - v_star @ x @ la.dagger(v_star)).max() < 1e-12
+        lands = _block_distance(u, blocks, second=True)
+        assert abs(lands - upper.commutant.membership_residual(x)) < 1e-10
+        assert abs(to_level2(u) - t.level2.membership_residual(x)) < 1e-10
+        # the frame of represented(algebra) on block j is V there: corners from the unit blocks
+        for (d, _), sl, c in zip(g.algebra.blocks, g._slices, _corners(upper, x)):
+            assert np.abs(np.trace(u[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d - c).max() < 1e-12
