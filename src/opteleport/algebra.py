@@ -29,8 +29,8 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 
-# Structure discovery draws (generic central elements, partial isometries)
-# use fixed internal seeds so that rebuilt algebras are bit-identical.
+# Structure discovery draws its generic elements from a fixed internal seed,
+# so that rebuilt algebras are bit-identical.
 _STRUCTURE_SEED = 0x5EED
 _MAX_DRAWS = 8
 
@@ -113,9 +113,11 @@ class StarAlgebra:
         """Smallest unital *-algebra containing the generators.
 
         Each nonzero generator is scaled to unit Frobenius norm, which does
-        not change the algebra it generates but keeps the absolute rank cut
-        of the closure meaningful at any input scale.  Closes the span under
-        adjoints and products, then discovers the block structure.
+        not change the algebra it generates but keeps every membership test
+        meaningful at any input scale.  The generic elements that
+        :func:`_discover` splits are products of random combinations of 1,
+        the generators and their adjoints, two letters long at first; the
+        length doubles on each redraw, up to 2n letters.
         """
         n = int(ambient_dim)
         seed = [la.as_matrix(m) for m in mats]
@@ -123,36 +125,28 @@ class StarAlgebra:
             if m.shape != (n, n):
                 raise PreconditionError(f"generator shape {m.shape} != ({n}, {n})")
         seed = [m / nrm if (nrm := np.linalg.norm(m)) > 0 else m for m in seed]
-        span = la.span_onb(list(seed) + [dag for dag in map(la.dagger, seed)] + [la.eye(n)], tol)
-        for _ in range(n * n + 1):
-            prods = [span[i] @ span[j] for i in range(len(span)) for j in range(len(span))]
-            new = la.span_onb(list(span) + prods, tol)
-            if new.shape[0] == span.shape[0]:
-                return cls.from_span(new, tol)
-            span = new
-        raise InternalError("algebra closure did not stabilise")
+        letters = np.stack([la.eye(n)] + seed + [la.dagger(m) for m in seed])
+
+        def draw(rng: np.random.Generator, attempt: int) -> np.ndarray:
+            word = la.eye(n)
+            for _ in range(min(2 ** (attempt + 1), 2 * n)):
+                f = np.tensordot(_gaussian(rng, len(letters)), letters, axes=1)
+                word = word @ (f / np.linalg.norm(f))
+            return word
+
+        return _discover(n, draw, seed, None, tol)
 
     @classmethod
     def from_span(cls, onb: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> "StarAlgebra":
-        """Structure discovery on a subspace already closed as a *-algebra."""
-        n = onb.shape[1]
-        zs = _minimal_central_projections(onb, tol)
-        blocks: list[tuple[int, int]] = []
-        frames: list[np.ndarray] = []
-        for z in zs:
-            corner = la.span_onb([z @ b for b in onb], tol)
-            bd2 = corner.shape[0]
-            bd = int(round(np.sqrt(bd2)))
-            if bd * bd != bd2:
-                raise StructureError(f"block span dimension {bd2} is not a square")
-            rank = float(np.trace(z).real)
-            mult = int(round(rank / bd))
-            if abs(rank - bd * mult) > 1e-6:
-                raise StructureError(f"block rank {rank} not divisible by {bd}")
-            f = _matrix_units_for_block(onb, z, bd, mult, tol)
-            blocks.append((bd, mult))
-            frames.append(_frame_from([f[a][0] for a in range(bd)], f[0][0], mult))
-        return _canonical(n, blocks, frames, tol)
+        """Structure of a span that is a unital *-algebra, from random
+        combinations of the span; any other span raises :class:`StructureError`."""
+        return _discover(
+            onb.shape[1],
+            lambda rng, _: np.tensordot(_gaussian(rng, len(onb)), onb, axes=1),
+            onb,
+            len(onb),
+            tol,
+        )
 
     @classmethod
     def commuting_product(cls, a: "StarAlgebra", b: "StarAlgebra") -> "StarAlgebra":
@@ -341,10 +335,17 @@ class StarAlgebra:
         return la.frobenius_distance(x, self.project(x))
 
     def same_span(self, other: "StarAlgebra", tol: Tolerance | None = None) -> bool:
+        """Equal dimension and ambient, and every column unit f_{a0} of
+        ``self`` lies in ``other``: those units generate ``self`` as a
+        *-algebra, so ``self`` lies in ``other`` and the dimensions close it."""
         tol = tol or self.tol
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
-        return all(other.contains(b, tol) for b in self.basis)
+        return all(
+            other.contains(f, tol)
+            for (d, _), w in zip(self.blocks, self.frames)
+            for f in _column_units(w, d)
+        )
 
     def commutator_residual(self, other: "StarAlgebra") -> float:
         """max ||[x, y]||_F over x in ``self.basis`` and y in ``other.basis``.
@@ -517,118 +518,82 @@ def _canonical(
     return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order], tol)
 
 
-def _center_span(onb: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """ONB of {x in span : [x, b] = 0 for all basis b}, solved in coordinates.
+def _gaussian(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k independent standard complex Gaussian coefficients."""
+    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-    The commutator columns of one basis element at a time are folded into a
-    k x k triangular factor R by QR, so only O(k n^2) entries are ever held.
-    The stacked system is Q R with Q an isometry: R has its singular values,
-    and the rank cut on ``tol.abs`` means the same as on the full stack.
+
+def _discover(
+    n: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    members: Sequence[np.ndarray],
+    dim: int | None,
+    tol: Tolerance,
+) -> StarAlgebra:
+    """The *-algebra A of M_n split out of two generic elements of A from
+    ``draw(rng, attempt)`` (see :func:`_split`), returned once it contains
+    every member and, unless ``dim`` is None, has dimension ``dim``.
+
+    The candidate is built from spectral projections and polar parts of
+    elements of A, so it lies in A; containing members that generate or
+    span A makes it A.  A failed candidate is redrawn from the fixed seed,
+    and after ``_MAX_DRAWS`` failures :class:`StructureError` is raised: a
+    result is right or an error, never silently wrong.
     """
-    k = onb.shape[0]
-    r = np.zeros((0, k), dtype=complex)
-    for b in onb:
-        comm = np.matmul(b, onb) - np.matmul(onb, b)  # [b, b_k] for every k
-        r = np.linalg.qr(np.vstack([r, comm.reshape(k, -1).T]), mode="r")
-    coeffs = la.nullspace(r, tol)
-    if not coeffs:
-        raise InternalError("unital algebra has empty centre")
-    mats = [np.tensordot(c, onb, axes=(0, 0)) for c in coeffs]
-    return la.span_onb(mats, tol)
-
-
-def _minimal_central_projections(onb: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
-    """Split the centre via a generic self-adjoint central element."""
-    centre = _center_span(onb, tol)
-    want = centre.shape[0]
+    cut = float(np.sqrt(tol.bound(1.0)))
     rng = la.rng_from(_STRUCTURE_SEED)
-    sa = la.span_onb(
-        [c + la.dagger(c) for c in centre] + [1j * (c - la.dagger(c)) for c in centre], tol
-    )
-    for _ in range(_MAX_DRAWS):
-        coeffs = rng.standard_normal(sa.shape[0])
-        g = np.tensordot(coeffs, sa, axes=(0, 0))
-        g = (g + la.dagger(g)) / 2
-        vals, vecs = np.linalg.eigh(g)
-        support = np.abs(vals) > 1e-8  # ambient kernel is not part of the algebra
-        groups = la.eigenvalue_clusters(vals[support], gap=1e-6 * max(1.0, vals.max() - vals.min()))
-        if len(groups) != want:
-            continue
-        sup_vecs = vecs[:, support]
-        zs = []
-        ok = True
-        for grp in groups:
-            cols = sup_vecs[:, grp]
-            z = cols @ la.dagger(cols)
-            if la.span_residual(onb, z) > tol.bound(np.linalg.norm(z)) * 10:
-                ok = False
+    for attempt in range(_MAX_DRAWS):
+        x, y = draw(rng, attempt), draw(rng, attempt)
+        cand = _split(n, x + la.dagger(x), y, cut, tol)
+        if (
+            cand is not None
+            and (dim is None or cand.dim == dim)
+            and all(cand.contains(m, tol) for m in members)
+        ):
+            return cand
+    raise StructureError(f"no {_MAX_DRAWS} generic draws split a *-algebra containing the input")
+
+
+def _split(n: int, h: np.ndarray, y: np.ndarray, cut: float, tol: Tolerance) -> StarAlgebra | None:
+    """Murota, Kanno, Kojima and Kojima (2010): for generic Hermitian h in A
+    the eigenvalue clusters split block j into d_j spectral projections of
+    rank m_j, with isometries Q_a.  For generic y, Q_a* y Q_c is a nonzero
+    scalar times a unitary when clusters a and c lie in one block and zero
+    across blocks; None when a link used is not.  A block grows from its
+    first free cluster along the strongest links (a maximum spanning tree,
+    since in a long chain a far cluster links weakly to the first but
+    strongly to a neighbour), and the polar unitaries of the links, composed
+    along the tree, give the frame columns Q_a u_a.  Gaps and links count
+    above the relative ``cut``: far above rounding, far below a generic draw.
+    """
+    vals, vecs = np.linalg.eigh(h)  # sorted, so each cluster is a run
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > cut * np.max(np.abs(vals))])
+    sizes = np.diff(np.r_[starts, n])
+    runs = [slice(a, a + m) for a, m in zip(starts, sizes)]
+    yq = la.dagger(vecs) @ y @ vecs
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(yq) ** 2, starts, 0), starts, 1))
+    free = set(range(len(runs)))
+    blocks: list[tuple[int, int]] = []
+    frames: list[np.ndarray] = []
+    while free:
+        ref = min(free)
+        units = {ref: la.eye(sizes[ref])}
+        best, parent = norms[:, ref].copy(), np.full(len(runs), ref)
+        while rest := [c for c in free if c not in units]:
+            a = max(rest, key=lambda c: best[c])
+            if best[a] <= cut * np.linalg.norm(y):
                 break
-            zs.append(z)
-        if ok:
-            return zs
-    raise InternalError("could not split the centre with a generic element")
-
-
-def _matrix_units_for_block(
-    onb: np.ndarray, z: np.ndarray, bd: int, mult: int, tol: Tolerance
-) -> list[list[np.ndarray]]:
-    """Matrix units of the factor z * algebra via generic spectral splitting."""
-    rng = la.rng_from(_STRUCTURE_SEED + 1)
-    if bd == 1:
-        return [[z]]
-    shift = 3.0
-    for _ in range(_MAX_DRAWS):
-        coeffs = rng.standard_normal(onb.shape[0])
-        g = np.tensordot(coeffs, onb, axes=(0, 0))
-        g = z @ g @ z
-        g = (g + la.dagger(g)) / 2
-        norm = max(np.linalg.norm(g), 1e-12)
-        g = g / norm + shift * z  # push the block spectrum away from the ambient kernel
-        vals, vecs = np.linalg.eigh(g)
-        support = vals > shift / 2
-        if int(np.sum(support)) != bd * mult:
-            continue
-        groups = la.eigenvalue_clusters(vals[support], gap=1e-7)
-        if len(groups) != bd or any(len(grp) != mult for grp in groups):
-            continue
-        sup_vecs = vecs[:, support]
-        ps = []
-        for grp in groups:
-            cols = sup_vecs[:, grp]
-            ps.append(cols @ la.dagger(cols))
-        # partial isometries p_a -> p_0 through a generic algebra element
-        vs: list[np.ndarray] = [ps[0]]
-        good = True
-        for a in range(1, bd):
-            v = None
-            for _ in range(_MAX_DRAWS):
-                rc = rng.standard_normal(onb.shape[0]) + 1j * rng.standard_normal(onb.shape[0])
-                r = np.tensordot(rc, onb, axes=(0, 0))
-                w = ps[a] @ r @ ps[0]
-                sv = np.linalg.svd(w, compute_uv=False)
-                if int(np.sum(sv > 1e-7)) == mult and sv[mult - 1] > 1e-7:
-                    v = la.polar_partial_isometry(w, Tolerance(abs=1e-7, rel=0.0))
-                    break
-            if v is None:
-                good = False
-                break
-            vs.append(v)
-        if not good:
-            continue
-        f = [[vs[a] @ la.dagger(vs[b]) for b in range(bd)] for a in range(bd)]
-        if _units_residual(f, z) < 1e-8 * bd:
-            return f
-    raise InternalError("matrix unit construction failed")
-
-
-def _units_residual(f: list[list[np.ndarray]], z: np.ndarray) -> float:
-    bd = len(f)
-    res = np.linalg.norm(sum(f[a][a] for a in range(bd)) - z)
-    for a in range(bd):
-        res = max(res, np.linalg.norm(la.dagger(f[a][0]) - f[0][a]))
-        for b in range(bd):
-            res = max(res, np.linalg.norm(f[a][0] @ f[0][b] - f[a][b]))
-    return float(res)
+            p = parent[a]
+            u, s, vh = np.linalg.svd(yq[runs[a], runs[p]])
+            if sizes[a] != sizes[p] or s[-1] < (1 - cut) * s[0]:
+                return None
+            units[a] = u @ vh @ units[p]
+            closer = norms[:, a] > best
+            best[closer], parent[closer] = norms[closer, a], a
+        blocks.append((len(units), int(sizes[ref])))
+        frames.append(np.hstack([vecs[:, runs[a]] @ units[a] for a in sorted(units)]))
+        free -= units.keys()
+    return _canonical(n, blocks, frames, tol)
 
 
 class Trace:

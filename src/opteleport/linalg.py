@@ -172,20 +172,6 @@ def pf_eigenvector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[float, 
     return top, v / v.sum()
 
 
-def eigenvalue_clusters(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group sorted real values into clusters separated by more than ``gap``.
-
-    Returns index arrays into the original (sorted) ordering.
-    """
-    order = np.argsort(values)
-    clusters: list[list[int]] = [[int(order[0])]]
-    for i in order[1:]:
-        if values[i] - values[clusters[-1][-1]] > gap:
-            clusters.append([])
-        clusters[-1].append(int(i))
-    return [np.array(c) for c in clusters]
-
-
 def matrix_sqrt(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix (tiny negative eigenvalues clipped)."""
     p = as_matrix(p)
@@ -201,13 +187,6 @@ def polar_unitary(x: np.ndarray) -> np.ndarray:
     """Unitary factor of an invertible matrix via SVD."""
     u, _, vh = np.linalg.svd(x)
     return u @ vh
-
-
-def polar_partial_isometry(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Partial isometry factor of x; singular values <= tol.abs treated as zero."""
-    u, s, vh = np.linalg.svd(x)
-    rank = int(np.sum(s > tol.abs))
-    return u[:, :rank] @ vh[:rank, :]
 
 
 def is_hermitian(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

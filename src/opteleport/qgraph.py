@@ -187,7 +187,7 @@ def _lcm(values: list[int]) -> int:
     return out
 
 
-def factor_frame(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> FactorFrame:
+def factor_frame(inc: Inclusion) -> FactorFrame:
     """Build the adapted tensor frame for a factor subalgebra N ⊆ M."""
     small = inc.small
     if len(small.blocks) != 1:
@@ -195,13 +195,11 @@ def factor_frame(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> FactorFrame:
     d, mult = small.blocks[0]
     # W: C^mult (x) C^d -> H with N = 1 (x) M_d
     w = _swap_legs(small.frames[0], d, mult)
-    # compress the relative commutant to the multiplicity space
-    rel = inc.relative_commutant
-    compressed = []
-    for x in rel.basis:
-        y = la.dagger(w) @ x @ w  # = c (x) 1_d in these coordinates
-        compressed.append(la.partial_trace(y, [mult, d], {1}, normalise=True))
-    c_alg = StarAlgebra.from_span(la.span_onb(compressed, tol), tol)
+    # compress the relative commutant to the multiplicity space: in these
+    # coordinates x = c (x) 1_d, and x -> c is a unital injective *-homomorphism
+    c_alg = inc.relative_commutant.image(
+        lambda x: la.partial_trace(la.dagger(w) @ x @ w, [mult, d], {1}, normalise=True), mult
+    )
     isometries = []
     sizes, mults = [], []
     for (l_j, n_j), frame in zip(c_alg.blocks, c_alg.frames):
@@ -236,7 +234,7 @@ def factor_colouring(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> Colouring:
     family, flipped onto the auxiliary leg and embedded block-diagonally
     into M_l with l the lcm of the block sizes.
     """
-    frame = factor_frame(inc, tol)
+    frame = factor_frame(inc)
     l = _lcm(frame.block_sizes)
     d = frame.d
     n = inc.big.ambient_dim
@@ -298,7 +296,7 @@ def factor_lower_bound(
     blockwise sums R_a are mutually orthogonal across blocks and add up to
     [M:N] 1, which forces the colour count.
     """
-    frame = factor_frame(inc, tol)
+    frame = factor_frame(inc)
     idx = frame.index
     l = col.aux_dim
     d = frame.d

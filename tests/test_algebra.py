@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opteleport import linalg as la
 from opteleport.algebra import (
@@ -7,6 +9,8 @@ from opteleport.algebra import (
     Superoperator,
     Trace,
     conditional_expectation_onto,
+    _discover,
+    _split,
     intersect,
     scalar_decompose_cp_family,
 )
@@ -420,3 +424,100 @@ def test_random_hermitian_has_the_projected_gue_law():
     assert abs(np.mean(np.sum(np.abs(draws) ** 2, axis=(1, 2))) / alg.dim - 1) < 0.05
     for (d, _), z in zip(alg.blocks, alg.central_projections):
         assert abs(np.mean(np.sum(np.abs(z @ draws) ** 2, axis=(1, 2))) / d**2 - 1) < 0.15
+
+
+def jordan(d):
+    return np.diag(np.ones(d - 1), 1).astype(complex)
+
+
+def chain_generators(layout, u):
+    """One generator per block, conjugated by u: the chain J_d (x) 1_m of the
+    block, or its central projection when d = 1.  Words in a chain reach the
+    far units of its block only at length about d."""
+    n = sum(d * m for d, m in layout)
+    gens, offset = [], 0
+    for d, m in layout:
+        g = np.zeros((n, n), dtype=complex)
+        g[offset : offset + d * m, offset : offset + d * m] = (
+            np.kron(jordan(d), np.eye(m)) if d > 1 else np.eye(m)
+        )
+        gens.append(u @ g @ la.dagger(u))
+        offset += d * m
+    return gens
+
+
+@pytest.mark.parametrize("span", [[np.eye(3), jordan(3) + jordan(3).T], [jordan(3) + jordan(3).T]])
+def test_from_span_rejects_a_span_that_is_no_star_algebra(span):
+    with pytest.raises(StructureError):
+        StarAlgebra.from_span(la.span_onb(span))
+
+
+def test_discovery_takes_no_span_basis_or_nullspace(monkeypatch):
+    u = la.random_unitary(6, 5)
+    rotated = StarAlgebra.block_diagonal([(2, 2), (1, 2)]).image(lambda x: u @ x @ la.dagger(u), 6)
+    onb = rotated.basis
+    gens = chain_generators([(2, 2), (1, 2)], u)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense span layer called")
+
+    monkeypatch.setattr(la, "span_onb", refuse)
+    monkeypatch.setattr(la, "nullspace", refuse)
+    assert StarAlgebra.from_generators(gens, 6).same_span(rotated)
+    assert StarAlgebra.from_span(onb).same_span(rotated)
+
+
+def test_discovery_refuses_a_candidate_missing_a_member():
+    # draws confined to the diagonal split out C + C, which misses sigma_x
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def diagonal(rng, attempt):
+        return np.diag(rng.standard_normal(2)).astype(complex)
+
+    with pytest.raises(StructureError):
+        _discover(2, diagonal, [sx], None, la.DEFAULT_TOL)
+
+
+def test_split_refuses_a_link_that_is_no_scalar_unitary():
+    # in M_2 + M_2, an h equal on both blocks merges a cluster of each; the
+    # link between the two merged clusters has two unequal singular values
+    alg = StarAlgebra.block_diagonal([(2, 1), (2, 1)])
+    h = np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
+    y = alg.random_hermitian(np.random.default_rng(3))
+    assert _split(4, h, y, 1e-4, la.DEFAULT_TOL) is None
+    generic = alg.random_hermitian(np.random.default_rng(4))
+    assert _split(4, generic, y, 1e-4, la.DEFAULT_TOL).blocks == [(2, 1), (2, 1)]
+
+
+def test_split_joins_a_chain_of_links_into_one_block():
+    # y links each eigenvector of h only to its neighbours: the far clusters
+    # join the block of the first one through the path, not directly
+    h = np.diag(np.arange(6.0)).astype(complex)
+    y = jordan(6) + jordan(6).T
+    alg = _split(6, h, y, 1e-4, la.DEFAULT_TOL)
+    assert alg.blocks == [(6, 1)]
+    assert alg.contains(y)
+
+
+layouts = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3).filter(
+    lambda layout: sum(d * m for d, m in layout) <= 12
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(layouts, st.integers(0, 2**31 - 1), st.floats(-8, 8), st.booleans())
+@example([(10, 1)], 0, 0.0, False)  # J_10, a single chain of ten
+def test_from_generators_finds_rotated_layouts(layout, seed, log_scale, noisy):
+    n = sum(d * m for d, m in layout)
+    rng = np.random.default_rng(seed)
+    u = la.random_unitary(n, rng)
+    noise = 1e-13 if noisy else 0.0
+    gens = [
+        10.0**log_scale * (g + noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        for g in chain_generators(layout, u)
+    ]
+    alg = StarAlgebra.from_generators(gens, n)
+    assert sorted(alg.blocks) == sorted(layout)
+    w = np.hstack(alg.frames)
+    assert la.frobenius_distance(la.dagger(w) @ w, np.eye(n)) < 1e-12
+    assert alg.same_span(StarAlgebra.block_diagonal(layout).image(lambda x: u @ x @ la.dagger(u), n))

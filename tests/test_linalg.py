@@ -225,14 +225,6 @@ def test_intertwiner_space_recovers_conjugation():
     assert abs(abs(np.trace(la.dagger(w) @ u)) - 3) < 1e-9
 
 
-def test_polar_partial_isometry_on_rank_deficient():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    x = a @ la.dagger(a) @ np.diag([1.0, 1.0, 0.0, 0.0])
-    v = la.polar_partial_isometry(x)
-    assert la.frobenius_distance(v @ la.dagger(v) @ v, v) < 1e-10
-
-
 def test_generic_invertible_finds_candidate():
     basis = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
     cand = la.generic_invertible(basis, 3)
