@@ -155,22 +155,26 @@ class StarAlgebra:
         For commuting a and b, a ∨ b is the direct sum, over the block pairs
         (j, k) whose central projections satisfy z_j z_k != 0, of
         M_{d_j} (x) M_{d_k} with matrix units ``f_a[p][q] @ f_b[r][s]``;
-        its frame is read off the units ``f_a[p][0] @ f_b[r][0]``.  Pairs
+        its frame is read off the units ``f_a[p][0] @ f_b[r][0]``, applied
+        factor by factor to the range of the corner f_a[0][0] f_b[0][0],
+        which is found inside the range of f_a[0][0]; the units themselves
+        are never formed.  Pairs
         with z_j z_k = 0 (the two algebras share central projections, e.g.
         a centre of a contained in b) add nothing and are skipped, so the
         structure needs no rediscovery.
 
-        Commutation is gated cheaply: the block generators ``f[p][0]`` of a
-        must commute with those of b and their adjoints, which generate b,
-        or :class:`PreconditionError` is raised.  A pair rank that is not a
+        Commutation is gated cheaply: the block generators ``f[p][0]`` of b
+        and their adjoints, which generate b, must lie in the commutant of a,
+        read in the frame coordinates of a (:func:`_frame_gap`), or
+        :class:`PreconditionError` is raised.  A pair rank that is not a
         multiple of d_j d_k raises :class:`StructureError`.
         """
         if a.ambient_dim != b.ambient_dim:
             raise PreconditionError("commuting product requires a common ambient")
         cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
         cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
-        gens_b = [y for g in cols_b for y in g] + [la.dagger(y) for g in cols_b for y in g[1:]]
-        clash = max(la.frobenius_distance(x @ y, y @ x) for f in cols_a for x in f for y in gens_b)
+        gens_b = np.concatenate(cols_b + [_adjoint(g[1:]) for g in cols_b])
+        clash = float(np.max(la.frobenius_norms(_frame_gap(a, gens_b, commutant=True))))
         if clash > a.tol.bound(1.0) * 10:
             raise PreconditionError(f"commuting product of non-commuting algebras ({clash:.2e})")
         blocks: list[tuple[int, int]] = []
@@ -185,9 +189,11 @@ class StarAlgebra:
                 mult = int(round(rank / d))
                 if abs(rank - d * mult) > 1e-6:
                     raise StructureError("commuting product multiplicity is not an integer")
-                g = np.matmul(fa[:, None], fb[None, :]).reshape(d, *fa.shape[1:])
+                head = wa[:, : wa.shape[1] // len(fa)]  # columns (0, r): f_a[0][0] = head head*
+                eta = head @ _corner_range(la.dagger(head) @ fb[0] @ head, mult)
+                units = np.matmul(fa[:, None], np.matmul(fb, eta)[None]).reshape(d, -1, mult)
                 blocks.append((d, mult))
-                frames.append(_frame_from(g, g[0], mult))
+                frames.append(units.transpose(1, 0, 2).reshape(a.ambient_dim, -1))
         return cls(a.ambient_dim, blocks, frames, a.tol)
 
     @classmethod
@@ -205,7 +211,7 @@ class StarAlgebra:
             frames: list[np.ndarray] = []
             for (dl, ml), wl in zip(left.blocks, left.frames):
                 for (dr, mr), wr in zip(right.blocks, right.frames):
-                    w = np.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4)
+                    w = la.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4)
                     blocks.append((dl * dr, ml * mr))
                     frames.append(w.reshape(n, -1))
             left = cls(n, blocks, frames, left.tol)
@@ -301,12 +307,13 @@ class StarAlgebra:
         return la.span_coords(self.basis, x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection onto the algebra.
+        """HS-orthogonal projection onto the algebra, of a matrix or of each
+        matrix of a stack of shape (..., n, n).
 
         The identity on all of M_n.  Otherwise dense (one gemv each way on
-        the basis, 2 dim n^2 flops) for small algebras, and through the
-        frames (O(n^3), no basis) once dim > 2n: W_j times the average of
-        W_j* x W_j over the multiplicity legs.
+        the basis, 2 dim n^2 flops, a gemm for a stack) for small algebras,
+        and through the frames (O(n^3), no basis) once dim > 2n: W_j times
+        the average of W_j* x W_j over the multiplicity legs.
         """
         n = self.ambient_dim
         if self.dim == n * n:
@@ -331,8 +338,22 @@ class StarAlgebra:
         tol = tol or self.tol
         return self.membership_residual(x) <= tol.bound(float(np.linalg.norm(x)))
 
-    def membership_residual(self, x: np.ndarray) -> float:
-        return la.frobenius_distance(x, self.project(x))
+    def membership_residual(self, x: np.ndarray) -> float | np.ndarray:
+        """Frobenius distance from x to the algebra; for a stack of shape
+        (..., n, n) the array of the distances of its matrices.
+
+        Where :meth:`project` takes the frames (n^2 > dim > 2n) the distance
+        is read in the frame coordinates (:func:`_frame_gap`), with no
+        product back.
+        """
+        n = self.ambient_dim
+        if 2 * n < self.dim < n * n:
+            gap = _frame_gap(self, x)
+        else:
+            gap = self.project(x)
+            gap -= x
+        norms = la.frobenius_norms(gap)
+        return float(norms) if np.ndim(x) == 2 else norms
 
     def same_span(self, other: "StarAlgebra", tol: Tolerance | None = None) -> bool:
         """Equal dimension and ambient, and every column unit f_{a0} of
@@ -443,13 +464,40 @@ def _corners(alg: StarAlgebra, x: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _frame_gap(alg: StarAlgebra, x: np.ndarray, commutant: bool = False) -> np.ndarray:
+    """x - P(x) in the frame coordinates W* x W, W = hstack(frames), for a
+    matrix or a stack, with P the HS projection onto ``alg`` or, with
+    ``commutant``, onto its commutant.
+
+    Seen as (d, m, d, m) on block j, P keeps the mean over the multiplicity
+    legs times 1_m (for the commutant: 1_d times the mean over the block
+    legs) and nothing off the diagonal blocks, so subtracting that in place
+    leaves the gap; W is unitary, so its norms are those of x - P(x).
+    """
+    w = np.hstack(alg.frames)
+    gap, start = la.dagger(w) @ x @ w, 0
+    for d, m in alg.blocks:
+        block = gap[..., start : start + d * m, start : start + d * m]
+        legs = block.reshape(*block.shape[:-2], d, m, d, m)
+        if commutant:
+            mean = np.trace(legs, axis1=-4, axis2=-2) / d
+            block -= np.einsum("ab,...rs->...arbs", la.eye(d), mean).reshape(block.shape)
+        else:
+            mean = np.trace(legs, axis1=-3, axis2=-1) / m
+            block -= np.einsum("...ab,rs->...arbs", mean, la.eye(m)).reshape(block.shape)
+        start += d * m
+    return gap
+
+
 def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_j W_j (c_j (x) 1_{m_j}) W_j*: the algebra element with the given corners."""
+    """sum_j W_j (c_j (x) 1_{m_j}) W_j*: the algebra element with the given
+    corners, or the stack of them for corners of shape (..., d_j, d_j)."""
     n = alg.ambient_dim
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((*np.shape(corners[0])[:-2], n, n), dtype=complex)
     for (d, m), w, c in zip(alg.blocks, alg.frames, corners):
         legs = _legs(w, d).transpose(1, 2, 0).reshape(n, -1)  # columns (r, a)
-        out += (legs.reshape(n, m, d) @ c).reshape(n, -1) @ la.dagger(legs)
+        rows = legs.reshape(n, m, d) @ c[..., None, :, :]
+        out += rows.reshape(*out.shape[:-1], -1) @ la.dagger(legs)
     return out
 
 
@@ -495,11 +543,17 @@ def _swap_legs(w: np.ndarray, d: int, m: int) -> np.ndarray:
 def _frame_from(f_a0: Sequence[np.ndarray], corner: np.ndarray, mult: int) -> np.ndarray:
     """Frame columns f_{a0} eta_r, (a, r) a-major, with eta an orthonormal
     basis of the range of the corner projection f_00."""
+    eta = _corner_range(corner, mult)
+    return np.matmul(f_a0, eta).transpose(1, 0, 2).reshape(len(corner), -1)
+
+
+def _corner_range(corner: np.ndarray, mult: int) -> np.ndarray:
+    """Orthonormal basis of the range of a corner projection of rank ``mult``."""
     vals, vecs = np.linalg.eigh(corner)
     eta = vecs[:, vals > 0.5]
     if eta.shape[1] != mult:
         raise StructureError("corner projection rank disagrees with multiplicity")
-    return np.matmul(f_a0, eta).transpose(1, 0, 2).reshape(len(corner), -1)
+    return eta
 
 
 def _canonical(
@@ -545,13 +599,21 @@ def _discover(
     for attempt in range(_MAX_DRAWS):
         x, y = draw(rng, attempt), draw(rng, attempt)
         cand = _split(n, x + la.dagger(x), y, cut, tol)
-        if (
-            cand is not None
-            and (dim is None or cand.dim == dim)
-            and all(cand.contains(m, tol) for m in members)
-        ):
+        if cand is not None and (dim is None or cand.dim == dim) and _holds(cand, members, tol):
             return cand
     raise StructureError(f"no {_MAX_DRAWS} generic draws split a *-algebra containing the input")
+
+
+def _holds(alg: StarAlgebra, members: Sequence[np.ndarray], tol: Tolerance) -> bool:
+    """Whether every member lies in ``alg``: stacked membership residuals
+    against each member's own bound, n members at a time, so that no
+    temporary holds more than n^3 entries."""
+    n = alg.ambient_dim
+    for start in range(0, len(members), n):
+        chunk = np.asarray(members[start : start + n])
+        if np.any(alg.membership_residual(chunk) > tol.bound(la.frobenius_norms(chunk))):
+            return False
+    return True
 
 
 def _split(n: int, h: np.ndarray, y: np.ndarray, cut: float, tol: Tolerance) -> StarAlgebra | None:
@@ -644,6 +706,11 @@ class Superoperator:
     trace-preserving expectation onto the domain (which preserves complete
     positivity in both directions).  A conjugation x -> v x v* carries v as
     its witness, which certifies complete positivity without a Choi matrix.
+
+    A call takes a matrix or a stack of shape (..., n, n) and maps each of
+    its matrices.  With ``stacks`` the callable maps a whole stack itself, as
+    a conjugation (``v @ xs @ v*``) and a conditional expectation do;
+    otherwise the elements of a stack are mapped one by one.
     """
 
     def __init__(
@@ -653,6 +720,7 @@ class Superoperator:
         apply: Callable[[np.ndarray], np.ndarray],
         domain_trace: Trace | None = None,
         ad_unitary: np.ndarray | None = None,
+        stacks: bool = False,
     ) -> None:
         self.domain = domain
         self.codomain = codomain
@@ -660,15 +728,19 @@ class Superoperator:
         if domain_trace is not None:
             self.domain_trace = domain_trace
         self.ad_unitary = ad_unitary
+        self.stacks = stacks
 
     @classmethod
     def conjugation(cls, v: np.ndarray, algebra: StarAlgebra) -> "Superoperator":
         """x -> v x v* on ``algebra``, with v as the complete-positivity witness."""
         vd = la.dagger(v)
-        return cls(algebra, algebra, lambda x: v @ x @ vd, ad_unitary=v)
+        return cls(algebra, algebra, lambda x: v @ x @ vd, ad_unitary=v, stacks=True)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x)
+        if self.stacks or np.ndim(x) == 2:
+            return self._apply(x)
+        out = np.stack([self._apply(y) for y in x.reshape(-1, *x.shape[-2:])])
+        return out.reshape(*x.shape[:-2], *out.shape[1:])
 
     @cached_property
     def domain_trace(self) -> Trace:
@@ -736,7 +808,7 @@ def conditional_expectation_onto(
 ) -> Superoperator:
     """tau-preserving conditional expectation from ``ambient`` onto ``sub``,
     E(x) = P(x rho) P(rho)^{-1} for the density rho of ``trace``."""
-    return Superoperator(ambient, sub, _expectation(sub, trace), domain_trace=trace)
+    return Superoperator(ambient, sub, _expectation(sub, trace), domain_trace=trace, stacks=True)
 
 
 def intersect(a: StarAlgebra, b: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
+from .algebra import _adjoint
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import Report
-from .tower import Tower, normalizer_check
+from .tower import Tower, _normaliser_votes
 
 
 @dataclass
@@ -141,18 +142,20 @@ def verify_basis(
     rep = Report()
     pi, e1 = tower.gns.left, tower.jones1
     d = tower.gns.dim
-    reps = [pi(b) for b in basis.elements]
-    compressed = [la.dagger(r) @ e1 @ r for r in reps]
+    elements = np.stack(basis.elements)
+    reps = np.stack([pi(b) for b in elements])
+    compressed = _adjoint(reps) @ e1 @ reps
     rep.add(
         "completeness",
         la.frobenius_distance(sum(compressed), la.eye(d)),
         tol.bound(1.0) * max(1, basis.size),
     )
+    # one stacked expectation per basis element: E(x b*) over the basis of M,
+    # and E(b c*) over the family
     exp = inc.expectation
-    expansion = 0.0
-    for x in inc.big.basis:
-        recon = sum(exp(x @ la.dagger(b)) @ b for b in basis.elements)
-        expansion = max(expansion, la.frobenius_distance(recon, x))
+    big = inc.big.basis
+    recon = sum(exp(big @ la.dagger(b)) @ b for b in elements)
+    expansion = float(np.max(la.frobenius_norms(recon - big)))
     rep.add("expansion_identity", expansion, tol.bound(1.0) * max(1, basis.size))
     idx = inc.index
     rep.add(
@@ -164,26 +167,21 @@ def verify_basis(
         tol.bound(float(idx)) * max(1, basis.size),
     )
     ortho = 0.0
-    n_amb = inc.big.ambient_dim
-    for i, b in enumerate(basis.elements):
-        for j, c in enumerate(basis.elements):
-            want = la.eye(n_amb) if i == j else np.zeros((n_amb, n_amb))
-            ortho = max(ortho, la.frobenius_distance(exp(b @ la.dagger(c)), want))
+    for i, b in enumerate(elements):
+        gram = exp(b @ _adjoint(elements))
+        gram[i] -= la.eye(inc.big.ambient_dim)
+        ortho = max(ortho, float(np.max(la.frobenius_norms(gram))))
     basis.orthonormal = ortho <= tol.bound(1.0) * 10
     rep.add_flag("orthonormal", True, detail=f"residual {ortho:.2e}, flag {basis.orthonormal}")
     basis.unitary = all(la.is_unitary(b, tol) for b in basis.elements)
     rep.add_flag("unitary", True, detail=f"flag {basis.unitary}")
-    basis.in_normaliser = basis.unitary and all(
-        normalizer_check(tower, b, tol) for b in basis.elements
-    )
+    basis.in_normaliser = basis.unitary and all(_normaliser_votes(tower, elements, tol))
     rep.add_flag("in_normaliser", True, detail=f"flag {basis.in_normaliser}")
     if basis.orthonormal and basis.in_normaliser:
-        pvm = 0.0
-        for i, p in enumerate(compressed):
-            pvm = max(pvm, la.frobenius_distance(p @ p, p))
-            pvm = max(pvm, la.frobenius_distance(p, la.dagger(p)))
-            for q in compressed[i + 1 :]:
-                pvm = max(pvm, float(np.linalg.norm(p @ q)))
+        pvm = float(np.max(la.frobenius_norms(compressed @ compressed - compressed)))
+        pvm = max(pvm, float(np.max(la.frobenius_norms(compressed - _adjoint(compressed)))))
+        for i, p in enumerate(compressed[:-1]):
+            pvm = max(pvm, float(np.max(la.frobenius_norms(p @ compressed[i + 1 :]))))
         rep.add("entangled_subspace_pvm", pvm, tol.bound(1.0) * 10)
     basis.report = rep
     return rep

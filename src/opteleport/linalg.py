@@ -77,10 +77,18 @@ def dagger(x: np.ndarray) -> np.ndarray:
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
+    """Kronecker product of one or more matrices, left to right, or of
+    stacks of them, matrix by matrix with the leading axes broadcast.
+
+    Each step is one broadcast product a[i, j] * b[k, l] laid out at
+    (i * rows_b + k, j * cols_b + l): for matrices, the entries of
+    ``np.kron`` without its generic axis handling.
+    """
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = np.kron(out, m)
+        m = np.asarray(m)
+        prod = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = prod.reshape(*prod.shape[:-4], out.shape[-2] * m.shape[-2], out.shape[-1] * m.shape[-1])
     return out
 
 
@@ -90,6 +98,16 @@ def eye(n: int) -> np.ndarray:
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack of shape (..., n, n), summed
+    over the real and imaginary parts as views: no temporary of the stack's size."""
+    stack = np.asarray(stack)
+    squares = np.einsum("...ij,...ij->...", stack.real, stack.real)
+    if np.iscomplexobj(stack):
+        squares = squares + np.einsum("...ij,...ij->...", stack.imag, stack.imag)
+    return np.sqrt(squares)
 
 
 def max_entangled(n: int) -> np.ndarray:
@@ -254,16 +272,22 @@ def span_onb(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> np.nda
 def span_coords(onb: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coordinates Tr(b_k^dagger x) of x against an HS-orthonormal stack.
 
-    One gemv on the flattened stack, ``conj(flat @ conj(x))``: the stack
-    itself is never conjugated or copied.
+    ``x`` is a matrix or a stack of shape (..., n, n), with coordinates of
+    shape (..., k).  A matrix takes one gemv on the flattened stack,
+    ``conj(flat @ conj(x))``, and a stack one gemm: the basis is never
+    conjugated or copied.
     """
     flat = onb.reshape(onb.shape[0], -1)
-    return np.conj(flat @ np.conj(x).ravel())
+    if np.ndim(x) == 2:
+        return np.conj(flat @ np.conj(x).ravel())
+    rows = np.conj(x).reshape(-1, flat.shape[1])
+    return np.conj(rows @ flat.T).reshape(*np.shape(x)[:-2], onb.shape[0])
 
 
 def span_project(onb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """HS-orthogonal projection of a matrix, or of each matrix of a stack, onto the span."""
     flat = onb.reshape(onb.shape[0], -1)
-    return (span_coords(onb, x) @ flat).reshape(x.shape)
+    return (span_coords(onb, x) @ flat).reshape(np.shape(x))
 
 
 def span_residual(onb: np.ndarray, x: np.ndarray) -> float:
@@ -295,12 +319,12 @@ def intertwiner_space(
     Returns an HS-orthonormal basis of the solution space.  Used for
     extracting unitaries that implement given automorphisms.
     """
-    blocks = []
-    ident = eye(dim)
-    for a, b in pairs:
-        # row-major vec: vec(X a) = (1 (x) a^T) vec X, vec(b X) = (b (x) 1) vec X
-        blocks.append(np.kron(ident, a.T) - np.kron(b, ident))
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, dim * dim), dtype=complex)
+    stacked = np.zeros((0, dim * dim), dtype=complex)
+    if pairs:
+        a, b, ident = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]), eye(dim)
+        # row-major vec: row (i, j) of X a - b X holds a_lj at X_il and -b_ik at X_kj
+        system = np.einsum("ik,plj->pijkl", ident, a) - np.einsum("pik,jl->pijkl", b, ident)
+        stacked = system.reshape(-1, dim * dim)
     vecs = nullspace(stacked, tol)
     return [v.reshape(dim, dim) for v in vecs]
 

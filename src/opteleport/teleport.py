@@ -32,6 +32,7 @@ from .algebra import (
     Trace,
     _adjoint,
     _corners,
+    _frame_gap,
     conditional_expectation_onto,
 )
 from .bases import PimsnerPopaBasis, verify_basis, weyl_basis
@@ -104,17 +105,26 @@ def verify_scheme(
 
     Structural clauses (POVM, densities, UCP, bimodularity, invariance)
     raise :class:`SchemeError` naming the clause when ``strict``; the
-    identity residual itself is always only reported.  Bimodularity is
-    sampled on ``samples`` seeded random triples (a, x, b), drawn on the
-    corners of Alice and of Alice ∨ Bob (:meth:`StarAlgebra.random_hermitian`)
-    and shared by every channel; the one-way LOCC form of the total
-    operation follows from the verified structure and is recorded as
-    implied rather than re-checked.  Alice ∨ Bob is built from matrix
-    units, so Alice and Bob must commute: when they do not, ``strict``
-    raises at once and otherwise the bimodule check is recorded as failed
-    with an infinite residual.  A failed sample is excused only when Bob
-    has several central projections, all in Alice, and every channel
-    normalises Alice.
+    identity residual itself is always only reported.  Each check over a
+    family (POVM, channel images of a basis, shifted elements) is one
+    stacked call per channel.
+
+    Bimodularity over Alice is exact for a channel with a conjugation
+    witness v: a unital CP map is an Alice-bimodule map exactly when it
+    fixes Alice pointwise (Choi's multiplicative-domain theorem), which for
+    Ad v means v in Alice'.  Its residual is the membership residual of v in
+    Alice' plus ||T(x0) - v x0 v*||_F on one random x0 in Alice ∨ Bob, so a
+    channel whose map disagrees with its witness fails.  A channel without a
+    witness is sampled on ``samples`` seeded random triples (a, x, b), drawn
+    on the corners of Alice and of Alice ∨ Bob
+    (:meth:`StarAlgebra.random_hermitian`) and shared by every such channel.
+    The one-way LOCC form of the total operation follows from the verified
+    structure and is recorded as implied rather than re-checked.  Alice ∨ Bob
+    is built from matrix units, so Alice and Bob must commute: when they do
+    not, ``strict`` raises at once and otherwise the bimodule check is
+    recorded as failed with an infinite residual.  A failed bimodule check is
+    excused only when Bob has several central projections, all in Alice, and
+    every channel normalises Alice.
     """
     tol = tol or DEFAULT_TOL
     ctx = scheme.context
@@ -124,18 +134,7 @@ def verify_scheme(
     if strict and not commute.passed:
         raise SchemeError(f"structural clause failed: alice_bob_commute ({commute.residual:.2e})")
 
-    total = sum(scheme.povm)
-    rep.add("povm_sums_to_identity", la.frobenius_distance(total, la.eye(dim)), tol.bound(1.0) * max(1, scheme.outcomes))
-    psd = 0.0
-    for f in scheme.povm:
-        vals = np.linalg.eigvalsh((f + la.dagger(f)) / 2)
-        psd = max(psd, la.frobenius_distance(f, la.dagger(f)), max(0.0, -float(vals.min())))
-    rep.add("povm_positive", psd, tol.bound(1.0))
-    rep.add(
-        "povm_in_alice_algebra",
-        max(ctx.alice.membership_residual(f) for f in scheme.povm),
-        tol.bound(1.0) * ctx.alice.dim,
-    )
+    _povm_checks(rep, scheme, tol)
 
     omega = scheme.omega
     vals = np.linalg.eigvalsh((omega + la.dagger(omega)) / 2)
@@ -145,9 +144,10 @@ def verify_scheme(
         tol.bound(float(np.linalg.norm(omega))),
     )
     rep.add("resource_normalised", abs(ctx.trace(omega) - 1.0), tol.bound(1.0))
+    teleported = ctx.teleported.basis
     rep.add(
         "resource_commutes_with_teleported",
-        max(la.frobenius_distance(omega @ a, a @ omega) for a in ctx.teleported.basis),
+        float(np.max(la.frobenius_norms(omega @ teleported - teleported @ omega))),
         tol.bound(float(np.linalg.norm(omega))) * 10,
     )
 
@@ -160,16 +160,7 @@ def verify_scheme(
 
     bimod = 0.0
     if commute.passed:
-        rng = la.rng_from(None)
-        joint = StarAlgebra.commuting_product(ctx.alice, ctx.bob)
-        triples = []
-        for _ in range(samples):
-            a, b = ctx.alice.random_hermitian(rng), ctx.alice.random_hermitian(rng)
-            x = joint.random_hermitian(rng)
-            triples.append((a, b, x, a @ x @ b))
-        for ch in scheme.channels:
-            for a, b, x, axb in triples:
-                bimod = max(bimod, la.frobenius_distance(ch(axb), a @ ch(x) @ b))
+        bimod = _bimodule_residual(ctx, scheme.channels, samples)
     if not commute.passed:
         # Alice v Bob is no algebra, so there is nothing to sample.
         rep.add_flag(
@@ -184,13 +175,10 @@ def verify_scheme(
         # Strict bimodularity is impossible whenever Alice and Bob share
         # central projections the corrections must permute; certify the
         # attainable locality instead: every channel normalises Alice.
-        shared = max(
-            ctx.alice.membership_residual(z) for z in ctx.bob.central_projections
-        )
+        shared = float(np.max(ctx.alice.membership_residual(np.stack(ctx.bob.central_projections))))
         normalising = max(
-            ctx.alice.membership_residual(ch(a))
+            float(np.max(ctx.alice.membership_residual(ch(ctx.alice.basis))))
             for ch in scheme.channels
-            for a in ctx.alice.basis
         )
         obstructed = shared <= tol.bound(1.0) * 10 and normalising <= tol.bound(1.0) * 100
         rep.add_flag(
@@ -203,13 +191,10 @@ def verify_scheme(
                 "is unattainable for this inclusion"
             ),
         )
+    bob = ctx.bob.basis
     rep.add(
         "channels_preserve_bob",
-        max(
-            ctx.bob.membership_residual(ch(b))
-            for ch in scheme.channels
-            for b in ctx.bob.basis
-        ),
+        max(float(np.max(ctx.bob.membership_residual(ch(bob)))) for ch in scheme.channels),
         tol.bound(1.0) * ctx.bob.dim,
     )
     rep.add_flag("one_way_locc", True, detail="implied by POVM/bimodule/invariance structure")
@@ -218,15 +203,66 @@ def verify_scheme(
         for check in rep.failures():
             raise SchemeError(f"structural clause failed: {check.name} ({check.residual:.2e})")
 
-    expect = ctx.expectation
-    worst = 0.0
-    for a, shifted in ctx.shift_pairs:
-        got = sum(
-            expect(f @ ch(shifted) @ omega) for f, ch in zip(scheme.povm, scheme.channels)
-        )
-        worst = max(worst, la.frobenius_distance(got, a))
+    shifted = np.stack([s for _, s in ctx.shift_pairs])
+    total = np.zeros(shifted.shape, dtype=complex)
+    for f, ch in zip(scheme.povm, scheme.channels):
+        total += f @ ch(shifted) @ omega
+    got = ctx.expectation(total)
+    worst = max(la.frobenius_distance(g, a) for g, (a, _) in zip(got, ctx.shift_pairs))
     rep.add("teleportation_identity", worst, tol.bound(1.0) * max(1, scheme.outcomes))
     return rep
+
+
+def _povm_checks(rep: Report, scheme: TeleportationScheme, tol: Tolerance) -> None:
+    """The POVM clauses of :func:`verify_scheme`, on the stacked POVM."""
+    povm, dim = np.stack(scheme.povm), scheme.context.ambient.ambient_dim
+    rep.add(
+        "povm_sums_to_identity",
+        la.frobenius_distance(sum(povm), la.eye(dim)),
+        tol.bound(1.0) * max(1, scheme.outcomes),
+    )
+    vals = np.linalg.eigvalsh((povm + _adjoint(povm)) / 2)
+    psd = max(float(np.max(la.frobenius_norms(povm - _adjoint(povm)))), max(0.0, -float(vals.min())))
+    rep.add("povm_positive", psd, tol.bound(1.0))
+    rep.add(
+        "povm_in_alice_algebra",
+        float(np.max(scheme.context.alice.membership_residual(povm))),
+        tol.bound(1.0) * scheme.context.alice.dim,
+    )
+
+
+def _bimodule_residual(
+    ctx: TeleportationContext, channels: list[Superoperator], samples: int
+) -> float:
+    """The largest bimodule residual over the channels (see :func:`verify_scheme`).
+
+    Channels without a witness share ``samples`` triples (a, b, x) with a, b
+    in Alice and x in Alice ∨ Bob, drawn in that order from the sampling
+    seed; a witnessed channel is checked on v in Alice' and on one x0 drawn
+    after them.
+    """
+    rng = la.rng_from(None)
+    joint = StarAlgebra.commuting_product(ctx.alice, ctx.bob)
+    worst = 0.0
+    sampled = [ch for ch in channels if ch.ad_unitary is None]
+    if sampled and samples > 0:
+        draws = [
+            (ctx.alice.random_hermitian(rng), ctx.alice.random_hermitian(rng), joint.random_hermitian(rng))
+            for _ in range(samples)
+        ]
+        a, b, x = map(np.stack, zip(*draws))
+        axb = a @ x @ b
+        for ch in sampled:
+            worst = max(worst, float(np.max(la.frobenius_norms(ch(axb) - a @ ch(x) @ b))))
+    witnessed = [ch for ch in channels if ch.ad_unitary is not None]
+    if witnessed:
+        x0 = joint.random_hermitian(rng)
+        for ch in witnessed:
+            v = ch.ad_unitary
+            drift = la.frobenius_distance(ch(x0), v @ x0 @ la.dagger(v))
+            outside = float(la.frobenius_norms(_frame_gap(ctx.alice, v, commutant=True)))
+            worst = max(worst, outside + drift)
+    return worst
 
 
 def classify(
@@ -250,13 +286,13 @@ def classify(
     tight = ctx.teleported.dim == d
     rep.add_flag("tight", True, detail=f"outcomes {d}, dim {ctx.teleported.dim}, flag {tight}")
 
-    gs = [ctx.expectation(scheme.omega @ f) for f in scheme.povm]
+    gs = ctx.expectation(scheme.omega @ np.stack(scheme.povm))
     unit = ctx.teleported.unit
-    unb_res = max(la.frobenius_distance(g, unit / d) for g in gs)
+    unb_res = float(np.max(la.frobenius_norms(gs - unit / d)))
     unbiased = unb_res <= tol.bound(1.0) * 10
     rep.add_flag("unbiased", True, detail=f"residual {unb_res:.2e}, flag {unbiased}")
 
-    lows = [float(np.linalg.eigvalsh((g + la.dagger(g)) / 2).min()) for g in gs]
+    lows = [float(low) for low in np.linalg.eigvalsh((gs + _adjoint(gs)) / 2).min(axis=-1)]
     faithful = min(lows) > tol.abs
     witness = None
     if not unbiased:
@@ -271,7 +307,7 @@ def classify(
         scheme.omega
     )
     pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror)
-    minimal_povm = max(pair.membership_residual(f) for f in scheme.povm)
+    minimal_povm = float(np.max(pair.membership_residual(np.stack(scheme.povm))))
     minimal = minimal_omega <= tol.bound(
         float(np.linalg.norm(scheme.omega))
     ) * 10 and minimal_povm <= tol.bound(1.0) * 10
@@ -313,7 +349,7 @@ def classify(
 
 
 def _cross_check_rows(
-    scheme: TeleportationScheme, gs: list[np.ndarray]
+    scheme: TeleportationScheme, gs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows whose products with the corners of rho list tau(F_i rho omega),
     tau(rho g_i) and tau(rho), for rho in the teleported algebra.
@@ -328,7 +364,7 @@ def _cross_check_rows(
     ctx = scheme.context
     density = ctx.trace.density
     xs = np.stack(
-        [scheme.omega @ density @ f for f in scheme.povm] + [g @ density for g in gs] + [density]
+        [scheme.omega @ density @ f for f in scheme.povm] + list(gs @ density) + [density]
     )
     rows = np.concatenate(
         [
@@ -650,11 +686,19 @@ def tight_scheme_from_basis(
     element of N with tau(z) = 1.  The commutant-trace gate must pass.
     """
     tol = tol or DEFAULT_TOL
-    n = inc.big.ambient_dim
     flag, _ = commutant_trace_is_markov(inc, tol)
     if not flag:
         raise HypothesisError("tau restricted to N' is not the Markov trace of C ⊆ N'")
-    t = basic_construction(inc, tol)
+    return _tight_scheme(basic_construction(inc, tol), basis, u, z, tol)
+
+
+def _tight_scheme(
+    t: Tower, basis: PimsnerPopaBasis, u: np.ndarray | None, z: np.ndarray | None, tol: Tolerance
+) -> TeleportationScheme:
+    """:func:`tight_scheme_from_basis` on the level-one tower of an inclusion
+    that has passed the commutant-trace gate."""
+    inc = t.inclusion
+    n = inc.big.ambient_dim
     if basis.orthonormal is None:
         verify_basis(t, basis)
     if not (basis.orthonormal and basis.unitary and basis.in_normaliser):
@@ -691,6 +735,38 @@ def tight_scheme_from_basis(
     return TeleportationScheme(ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n))
 
 
+def _far_leg_unitaries(
+    channels: list[Superoperator], nprime: StarAlgebra, dim_n: int, tol: Tolerance
+) -> list[np.ndarray]:
+    """Per channel T, a unitary u with u a u* = Tr_01(T(1 (x) a)) / n^2 for
+    every a in N', from the intertwiner space of those pairs, which must have
+    dimension ``dim_n`` = dim N.  Each channel maps the whole lifted basis of
+    N' in one stacked call."""
+    n = nprime.ambient_dim
+    far = nprime.basis
+    lifted = la.kron(la.eye(n * n), far)
+    units = []
+    for i, ch in enumerate(channels):
+        images = ch(lifted).reshape(len(far), n * n, n, n * n, n)
+        pairs = list(zip(far, np.einsum("kiaib->kab", images) / (n * n)))
+        sols = la.intertwiner_space(pairs, n, tol)
+        if len(sols) != dim_n:
+            raise ExtractionError(
+                f"channel {i}: intertwiner space has dimension {len(sols)}, expected {dim_n}"
+            )
+        cand = la.generic_invertible(sols, la.rng_from(DEFAULT_SEED + i))
+        if cand is None:
+            raise ExtractionError(f"channel {i}: no invertible intertwiner found")
+        ui = la.polar_unitary(cand)
+        resid = max(
+            la.frobenius_distance(ui @ a @ la.dagger(ui), b) for a, b in pairs
+        )
+        if resid > tol.bound(1.0) * 100:
+            raise ExtractionError(f"channel {i} is not implemented by a unitary ({resid:.2e})")
+        units.append(ui)
+    return units
+
+
 def extract_tight_scheme(
     scheme: TeleportationScheme,
     inc: Inclusion | None = None,
@@ -713,7 +789,8 @@ def extract_tight_scheme(
     if scheme.leg_dims != (n, n, n):
         raise PreconditionError("extraction expects three legs of matching dimension")
     small = inc.small
-    trans_res = max(la.span_residual(small.basis, b.T) for b in small.basis)
+    flipped = np.swapaxes(small.basis, -1, -2)
+    trans_res = float(np.max(la.frobenius_norms(flipped - la.span_project(small.basis, flipped))))
     if trans_res > tol.bound(1.0) * 10:
         raise HypothesisError("N must be transpose-closed (block-adapted position)")
     flag, _ = commutant_trace_is_markov(inc, tol)
@@ -746,42 +823,16 @@ def extract_tight_scheme(
     e = concrete_jones_projection(small)
     idx = inc.index
 
-    # channel restrictions to the far leg and their implementing unitaries
     t = basic_construction(inc, tol)
-    raw_units: list[np.ndarray] = []
-    for i, ch in enumerate(scheme.channels):
-        pairs = []
-        for a in nprime.basis:
-            image = la.partial_trace(ch(la.kron(la.eye(n * n), a)), dims, {0, 1}, normalise=True)
-            pairs.append((a, image))
-        sols = la.intertwiner_space(pairs, n, tol)
-        if len(sols) != small.dim:
-            raise ExtractionError(
-                f"channel {i}: intertwiner space has dimension {len(sols)}, expected {small.dim}"
-            )
-        cand = la.generic_invertible(sols, la.rng_from(DEFAULT_SEED + i))
-        if cand is None:
-            raise ExtractionError(f"channel {i}: no invertible intertwiner found")
-        ui = la.polar_unitary(cand)
-        resid = max(
-            la.frobenius_distance(ui @ a @ la.dagger(ui), b) for a, b in pairs
-        )
-        if resid > tol.bound(1.0) * 100:
-            raise ExtractionError(f"channel {i} is not implemented by a unitary ({resid:.2e})")
-        raw_units.append(ui)
+    raw_units = _far_leg_unitaries(scheme.channels, nprime, small.dim, tol)
 
     # dressing unitary from the undressed resource
     inv_root = np.linalg.inv(la.matrix_sqrt(z, tol))
     dress_inv = la.kron(la.eye(n), inv_root)
     undressed = dress_inv @ omega_small @ dress_inv / idx
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            x = np.zeros((n, n), dtype=complex)
-            x[a, b] = 1.0
-            lifted = la.kron(la.eye(n), x)
-            cols.append((lifted @ undressed - e @ lifted).reshape(-1))
-    sols = la.nullspace(np.stack(cols, axis=1), tol)
+    # columns (1 (x) E_ab) undressed - e (1 (x) E_ab) for the matrix units E_ab, a-major
+    units = la.kron(la.eye(n), la.eye(n * n).reshape(-1, n, n))
+    sols = la.nullspace((units @ undressed - e @ units).reshape(n * n, -1).T, tol)
     mats = [v.reshape(n, n) for v in sols]
     if len(mats) != small.dim:
         raise ExtractionError(f"dressing solution space has dimension {len(mats)}, expected {small.dim}")
@@ -798,6 +849,7 @@ def extract_tight_scheme(
 
     # gauge-fix the correction unitaries against the POVM
     ident = la.eye(n)
+    lifted_n = la.kron(small.basis, ident)
     fixed_units = []
     for i, (ui, f) in enumerate(zip(raw_units, scheme.povm)):
         f_small = la.partial_trace(f, dims, {2}, normalise=True)
@@ -808,11 +860,7 @@ def extract_tight_scheme(
         )
         w = la.kron(la.dagger(ui) @ u, ident)
         h = w @ e @ la.dagger(w)
-        cols = [
-            ((la.kron(c, ident) @ h - f_small @ la.kron(c, ident)).reshape(-1))
-            for c in small.basis
-        ]
-        gauge_vecs = la.nullspace(np.stack(cols, axis=1), tol)
+        gauge_vecs = la.nullspace((lifted_n @ h - f_small @ lifted_n).reshape(small.dim, -1).T, tol)
         gauge_mats = [
             np.tensordot(v, small.basis, axes=(0, 0)) for v in gauge_vecs
         ]
@@ -833,7 +881,7 @@ def extract_tight_scheme(
         raise ExtractionError("extracted family is not an orthonormal normaliser basis")
     rep.merge(basis_rep, prefix="extracted_basis.")
 
-    rebuilt = tight_scheme_from_basis(inc, basis, u, z, tol)
+    rebuilt = _tight_scheme(t, basis, u, z, tol)
     rep.add(
         "round_trip_resource",
         la.frobenius_distance(rebuilt.omega, scheme.omega),
@@ -846,10 +894,11 @@ def extract_tight_scheme(
         ),
         1e-8,
     )
-    chan = 0.0
+    bob, chan = rebuilt.context.bob.basis, 0.0
     for ch_new, ch_old in zip(rebuilt.channels, scheme.channels):
-        for b in rebuilt.context.bob.basis:
-            chan = max(chan, la.frobenius_distance(ch_new(b), ch_old(b)))
+        gap = ch_new(bob)
+        gap -= ch_old(bob)
+        chan = max(chan, float(np.max(la.frobenius_norms(gap))))
     rep.add("round_trip_channels", chan, 1e-8)
     if not rep.passed:
         raise ExtractionError(

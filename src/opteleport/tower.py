@@ -31,6 +31,7 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
+    _adjoint,
     _corners,
     _frame_from,
     _from_corners,
@@ -853,33 +854,41 @@ def normalizer_check(t: Tower, u: np.ndarray, tol: Tolerance | None = None) -> b
     right-regular identity for u e_N u* — and must agree; disagreement
     means a library bug, not a property of u.
     """
-    tol = tol or t.tol
+    return _normaliser_votes(t, np.asarray(u, dtype=complex)[None], tol or t.tol)[0]
+
+
+def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
+    """:func:`normalizer_check` for every unitary of the stack ``us`` at once.
+
+    The equivariance vote uses the same six fixed-seed elements of M for
+    every u, drawn once; each vote is one stacked expectation or membership.
+    """
     inc = t.inclusion
-    if not la.is_unitary(u, tol) or not inc.big.contains(u, tol):
-        raise NormaliserError("normaliser candidates must be unitaries in M")
-    n_basis = inc.small.basis
-    conj_stable = all(
-        inc.small.contains(la.dagger(u) @ b @ u, tol) for b in n_basis
-    )
-    exp = inc.expectation
+    small, big, exp = inc.small, inc.big, inc.expectation
+    for u in us:
+        if not la.is_unitary(u, tol) or not big.contains(u, tol):
+            raise NormaliserError("normaliser candidates must be unitaries in M")
+    # the unitaries broadcast against a stack of elements: (len(us), 1, n, n)
+    u_star, u_col = _adjoint(us)[:, None], us[:, None]
+    conj = u_star @ small.basis @ u_col
+    conj_stable = np.all(small.membership_residual(conj) <= tol.bound(la.frobenius_norms(conj)), axis=1)
     rng = la.rng_from(_PAIR_SEED + 5)
-    equivariant = True
-    for _ in range(6):
-        x = inc.big.project(la.random_hermitian(inc.big.ambient_dim, rng))
-        lhs = la.dagger(u) @ exp(x) @ u
-        rhs = exp(la.dagger(u) @ x @ u)
-        if la.frobenius_distance(lhs, rhs) > tol.bound(float(np.linalg.norm(lhs))) * 10:
-            equivariant = False
-            break
-    pu, pru = t.gns.left(u), t.gns.right(u)
+    xs = np.stack([big.project(la.random_hermitian(big.ambient_dim, rng)) for _ in range(6)])
+    lhs = u_star @ exp(xs) @ u_col
+    gap = la.frobenius_norms(lhs - exp(u_star @ xs @ u_col))
+    equivariant = np.all(gap <= tol.bound(la.frobenius_norms(lhs)) * 10, axis=1)
     e1 = t.jones1
-    jones_identity = la.frobenius_distance(
-        pu @ e1 @ la.dagger(pu), pru @ e1 @ la.dagger(pru)
-    ) <= tol.bound(1.0) * 10
-    votes = [conj_stable, equivariant, jones_identity]
-    if len(set(votes)) != 1:
-        raise InternalError(f"normaliser criteria disagree: {votes}")
-    return conj_stable
+    votes = []
+    for u, stable, equi in zip(us, conj_stable, equivariant):
+        pu, pru = t.gns.left(u), t.gns.right(u)
+        jones_identity = la.frobenius_distance(
+            pu @ e1 @ la.dagger(pu), pru @ e1 @ la.dagger(pru)
+        ) <= tol.bound(1.0) * 10
+        three = [bool(stable), bool(equi), jones_identity]
+        if len(set(three)) != 1:
+            raise InternalError(f"normaliser criteria disagree: {three}")
+        votes.append(bool(stable))
+    return votes
 
 
 def verify_tracial_entangled_state(

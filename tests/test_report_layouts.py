@@ -1,0 +1,154 @@
+"""The layout of every teleport and basis report, pinned per constructor.
+
+A layout lists, in order, each check a report adds: its name with the
+threshold it was compared against, or, for a flag, whether it was raised.
+Residuals are left out, so rewriting how a check is computed keeps its
+layout; ``report_layouts.json`` holds the recorded layouts.  Regenerate it
+with ``PYTHONPATH=src python tests/test_report_layouts.py > tests/report_layouts.json``
+only when a change is meant to alter what the reports contain.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from opteleport import linalg as la
+from opteleport.algebra import StarAlgebra
+from opteleport.bases import (
+    commutant_factor_basis,
+    shift_basis,
+    shift_unitary,
+    verify_basis,
+    weyl_basis,
+)
+from opteleport.inclusion import diagonal_in_full, markov_inclusion
+from opteleport.reporting import Report
+from opteleport.teleport import (
+    classify,
+    direct_sum_scheme,
+    extract_tight_scheme,
+    standard_scheme,
+    tight_scheme_from_basis,
+    unbiased_scheme,
+    verify_scheme,
+)
+from opteleport.tower import basic_construction, iterate
+
+LAYOUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_layouts.json")
+SEED = 7
+
+
+def _standard(n):
+    basis = weyl_basis(n)
+    return standard_scheme(n, basis), basis
+
+
+def _werner():
+    inc = diagonal_in_full(2)
+    basis = shift_basis(2)
+    basis.inclusion = inc
+    z = np.diag([1.2, 0.8]).astype(complex)
+    return tight_scheme_from_basis(inc, basis, u=shift_unitary(2), z=z), basis
+
+
+def _subsystem():
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    small = StarAlgebra.from_generators([np.kron(np.eye(2, dtype=complex), nil)], 4)
+    inc = markov_inclusion(small, StarAlgebra.full(4))
+    basis = commutant_factor_basis(inc)
+    return tight_scheme_from_basis(inc, basis), basis
+
+
+def _direct_sum():
+    return direct_sum_scheme(StarAlgebra.block_diagonal([(1, 1), (2, 1)])), None
+
+
+def _unbiased_d3():
+    inc = diagonal_in_full(3)
+    t = iterate(basic_construction(inc))
+    basis = shift_basis(3)
+    basis.inclusion = inc
+    verify_basis(t, basis)
+    return unbiased_scheme(t, basis), basis
+
+
+CONSTRUCTORS = {
+    "standard_2": lambda: _standard(2),
+    "standard_3": lambda: _standard(3),
+    "werner_D2": _werner,
+    "subsystem": _subsystem,
+    "direct_sum_1_2": _direct_sum,
+    "unbiased_D3": _unbiased_d3,
+}
+
+
+def layouts(name):
+    """The layouts of the verify_scheme, classify, extract_tight_scheme (for
+    tight, minimal, faithful schemes) and verify_basis reports of one
+    constructor, with its classification and basis flags."""
+    thresholds, keep = {}, []  # threshold by id of the check, the checks kept alive
+    add, merge = Report.add, Report.merge
+
+    def recording_add(self, check, residual, threshold, detail=None):
+        out = add(self, check, residual, threshold, detail)
+        thresholds[id(out)] = float(threshold)
+        keep.append(out)
+        return out
+
+    def recording_merge(self, other, prefix=""):
+        start = len(self.checks)
+        merge(self, other, prefix)
+        for new, old in zip(self.checks[start:], other.checks):
+            if id(old) in thresholds:
+                thresholds[id(new)] = thresholds[id(old)]
+                keep.append(new)
+
+    def layout(report):
+        return [
+            [c.name, "threshold", thresholds[id(c)]] if id(c) in thresholds else [c.name, "flag", c.passed]
+            for c in report.checks
+        ]
+
+    la.set_default_seed(SEED)
+    scheme, basis = CONSTRUCTORS[name]()
+    Report.add, Report.merge = recording_add, recording_merge
+    try:
+        out = {"verify_scheme": layout(verify_scheme(scheme))}
+        f = classify(scheme)
+        out["classify"] = layout(f.report)
+        out["flags"] = [f.tight, f.unbiased, f.unbiased_value, f.faithful, f.minimal]
+        if scheme.inclusion is not None and f.tight and f.minimal and f.faithful:
+            out["extract_tight_scheme"] = layout(extract_tight_scheme(scheme)[3])
+        if basis is not None:
+            out["verify_basis"] = layout(verify_basis(basic_construction(basis.inclusion), basis))
+            out["basis_flags"] = [basis.orthonormal, basis.unitary, basis.in_normaliser]
+    finally:
+        Report.add, Report.merge = add, merge
+        la.set_default_seed(la.DEFAULT_SEED)
+    return out
+
+
+def _same(got, want):
+    if isinstance(want, float) and isinstance(got, float):
+        return got == pytest.approx(want, rel=1e-12, abs=0.0)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_report_layouts_are_pinned(name):
+    with open(LAYOUTS) as fh:
+        want = json.load(fh)[name]
+    got = json.loads(json.dumps(layouts(name)))
+    assert sorted(got) == sorted(want)
+    for stage in want:
+        assert _same(got[stage], want[stage]), stage
+
+
+if __name__ == "__main__":
+    json.dump({name: layouts(name) for name in sorted(CONSTRUCTORS)}, sys.stdout, indent=1)
+    sys.stdout.write("\n")

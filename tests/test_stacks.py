@@ -1,0 +1,181 @@
+"""Stacks of matrices through the algebra layer: every stacked call agrees
+with the same call made on each matrix of the stack."""
+
+import numpy as np
+import pytest
+
+from opteleport import linalg as la
+from opteleport.algebra import (
+    StarAlgebra,
+    Superoperator,
+    _corners,
+    _frame_gap,
+    _from_corners,
+    Trace,
+    conditional_expectation_onto,
+)
+from opteleport.bases import shift_basis, weyl_basis
+from opteleport.errors import NormaliserError
+from opteleport.tower import _normaliser_votes, normalizer_check
+
+from conftest import get_tower
+
+
+def haar_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(alg, seed):
+    u = haar_unitary(alg.ambient_dim, seed)
+    return StarAlgebra(alg.ambient_dim, alg.blocks, [u @ w for w in alg.frames], alg.tol)
+
+
+# one algebra per path of StarAlgebra.project: all of M_n, dense (dim <= 2n), frames
+PATHS = {
+    "full": lambda: StarAlgebra.full(5),
+    "dense": lambda: rotated(StarAlgebra.block_diagonal([(1, 2), (2, 1), (1, 1)]), 1),
+    "frames": lambda: rotated(StarAlgebra.block_diagonal([(3, 1), (2, 2)]), 2),
+}
+
+
+def ginibre_stack(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((*shape, n, n)) + 1j * rng.standard_normal((*shape, n, n))
+
+
+def test_paths_are_the_ones_named():
+    full, dense, frames = (PATHS[k]() for k in ("full", "dense", "frames"))
+    assert full.dim == 25
+    assert dense.dim <= 2 * dense.ambient_dim < frames.dim < frames.ambient_dim**2
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_span_coords_and_project_take_stacks(shape):
+    onb = PATHS["dense"]().basis
+    xs = ginibre_stack(shape, onb.shape[1], 3)
+    coords, proj = la.span_coords(onb, xs), la.span_project(onb, xs)
+    assert coords.shape == (*shape, len(onb)) and proj.shape == xs.shape
+    for idx in np.ndindex(*shape):
+        assert np.max(np.abs(coords[idx] - la.span_coords(onb, xs[idx]))) < 1e-14
+        assert np.max(np.abs(proj[idx] - la.span_project(onb, xs[idx]))) < 1e-14
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_project_and_membership_take_stacks(path, shape):
+    alg = PATHS[path]()
+    xs = ginibre_stack(shape, alg.ambient_dim, 4)
+    proj, resid = alg.project(xs), alg.membership_residual(xs)
+    assert proj.shape == xs.shape and resid.shape == shape
+    for idx in np.ndindex(*shape):
+        assert np.max(np.abs(proj[idx] - alg.project(xs[idx]))) < 1e-14
+        assert abs(resid[idx] - alg.membership_residual(xs[idx])) < 1e-14
+        assert isinstance(alg.membership_residual(xs[idx]), float)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_membership_residual_is_the_distance_to_the_projection(path):
+    alg = PATHS[path]()
+    xs = ginibre_stack((3,), alg.ambient_dim, 5)
+    want = [la.frobenius_distance(x, alg.project(x)) for x in xs]
+    assert np.max(np.abs(alg.membership_residual(xs) - want)) < 1e-13
+    inside = alg.project(xs)
+    assert np.max(alg.membership_residual(inside)) < 1e-13
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_from_corners_takes_stacks(path):
+    alg = PATHS[path]()
+    xs = ginibre_stack((2, 3), alg.ambient_dim, 6)
+    corners = _corners(alg, xs)
+    stacked = _from_corners(alg, corners)
+    assert stacked.shape == xs.shape
+    for idx in np.ndindex(2, 3):
+        one = _from_corners(alg, [c[idx] for c in corners])
+        assert np.max(np.abs(stacked[idx] - one)) < 1e-14
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_frame_gap_of_the_commutant_is_the_commutant_membership(path):
+    alg = PATHS[path]()
+    xs = ginibre_stack((3,), alg.ambient_dim, 7)
+    got = la.frobenius_norms(_frame_gap(alg, xs, commutant=True))
+    want = [alg.commutant.membership_residual(x) for x in xs]
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_superoperator_maps_stacks_elementwise():
+    alg = PATHS["frames"]()
+    xs = ginibre_stack((2, 3), alg.ambient_dim, 8)
+    v = haar_unitary(alg.ambient_dim, 9)
+    calls = []
+
+    def conjugate(x):
+        calls.append(x.shape)
+        return v @ x @ la.dagger(v)
+
+    plain = Superoperator(alg, alg, conjugate, ad_unitary=v)
+    witnessed = Superoperator.conjugation(v, alg)
+    expect = conditional_expectation_onto(alg.center, alg, Trace.normalized(alg))
+    for op in (plain, witnessed, expect):
+        out = op(xs)
+        assert out.shape == xs.shape
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(out[idx] - op(xs[idx]))) < 1e-14
+    # a map not declared to take stacks sees one matrix at a time
+    assert set(calls) == {(alg.ambient_dim, alg.ambient_dim)}
+
+
+def test_intertwiner_space_solves_the_system():
+    rng = np.random.default_rng(10)
+    u = haar_unitary(3, 11)
+    pairs = [(a, u @ a @ la.dagger(u)) for a in (la.random_hermitian(3, rng) for _ in range(3))]
+    sols = la.intertwiner_space(pairs, 3)
+    assert len(sols) == 1
+    x = sols[0]
+    assert max(la.frobenius_distance(x @ a, b @ x) for a, b in pairs) < 1e-12
+    assert la.frobenius_distance(x @ la.dagger(x), la.eye(3) / 3) < 1e-12
+    assert la.intertwiner_space([], 3) == []
+
+
+def test_kron_matches_numpy_and_takes_stacks():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    b = rng.standard_normal((2, 4))
+    c = rng.standard_normal((1, 3)) + 1j
+    assert np.array_equal(la.kron(a, b, c), np.kron(np.kron(a, b), c))
+    stack = rng.standard_normal((5, 2, 2))
+    assert np.array_equal(la.kron(a, stack), np.stack([np.kron(a, s) for s in stack]))
+    assert np.array_equal(la.kron(stack, b), np.stack([np.kron(s, b) for s in stack]))
+
+
+# -- the normaliser votes, drawn once for a whole family -------------------------
+
+
+@pytest.mark.parametrize(
+    "key,make",
+    [("diagonal_in_full_3", lambda: shift_basis(3)), ("trivial_in_full_3", lambda: weyl_basis(3))],
+)
+def test_normaliser_votes_agree_with_the_single_check(key, make):
+    t = get_tower(key, two_levels=False)
+    us = np.stack(make().elements)
+    votes = _normaliser_votes(t, us, t.tol)
+    assert votes == [normalizer_check(t, u) for u in us]
+    assert all(votes)
+
+
+def test_normaliser_votes_reject_a_haar_unitary_on_d3():
+    t = get_tower("diagonal_in_full_3", two_levels=False)
+    u = haar_unitary(3, 13)
+    assert not normalizer_check(t, u)
+    family = np.stack(shift_basis(3).elements + [u])
+    assert _normaliser_votes(t, family, t.tol) == [True, True, True, False]
+
+
+def test_normaliser_votes_refuse_a_non_unitary():
+    t = get_tower("diagonal_in_full_3", two_levels=False)
+    with pytest.raises(NormaliserError):
+        _normaliser_votes(t, np.stack([la.eye(3), 2 * la.eye(3)]), t.tol)

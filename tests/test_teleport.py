@@ -143,6 +143,47 @@ def test_bimodule_fallback_needs_shared_central_projections():
     assert 1e-3 < bimod.residual < float("inf") and bimod.detail is None
 
 
+def test_bimodule_check_fails_a_channel_that_disagrees_with_its_witness():
+    # the witness of channel 0 lies in Alice', but the map applies another correction
+    s = standard_scheme(2)
+    amb = s.context.ambient
+    v, w = s.channels[0].ad_unitary, s.channels[1].ad_unitary
+    s.channels[0] = Superoperator(amb, amb, lambda x: w @ x @ la.dagger(w), ad_unitary=v)
+    rep = verify_scheme(s, strict=False)
+    bimod = next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
+    assert not bimod.passed and 1e-3 < bimod.residual < float("inf")
+    with pytest.raises(SchemeError, match="channels_alice_bimodule_sampled"):
+        verify_scheme(s)
+
+
+def _without_witness(s, unitaries):
+    amb = s.context.ambient
+    calls = []
+
+    def channel(v):
+        def apply(x):
+            calls.append(np.shape(x))
+            return v @ x @ la.dagger(v)
+
+        return Superoperator(amb, amb, apply)
+
+    s.channels = [channel(v) for v in unitaries]
+    return calls
+
+
+def test_channels_without_witness_are_sampled():
+    s = standard_scheme(2)
+    calls = _without_witness(s, [ch.ad_unitary for ch in s.channels])
+    rep = verify_scheme(s)
+    assert rep.passed
+    # the sampled triples, like every other stack, reach such a map one matrix at a time
+    assert set(calls) == {(8, 8)}
+    flip = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+    _without_witness(s, [flip @ ch.ad_unitary for ch in standard_scheme(2).channels])
+    rep = verify_scheme(s, strict=False)
+    assert [c.name for c in rep.failures()] == ["channels_alice_bimodule_sampled"]
+
+
 # -- direct sum scheme -------------------------------------------------------
 
 
@@ -213,8 +254,11 @@ def test_direct_sum_witness_ignores_rounding_among_ties(monkeypatch):
     assert classify(s).witness["outcome"] == 0
     exact = ctx.expectation
     for low in range(s.outcomes):
-        signs = iter([-1.0 if i == low else 1.0 for i in range(s.outcomes)])
-        monkeypatch.setattr(ctx, "expectation", lambda x: exact(x) + next(signs) * 1e-15 * ctx.teleported.unit)
+        # classify takes E(omega F_i) for all outcomes in one stacked call
+        signs = np.array([-1.0 if i == low else 1.0 for i in range(s.outcomes)])
+        monkeypatch.setattr(
+            ctx, "expectation", lambda xs: exact(xs) + signs[:, None, None] * 1e-15 * ctx.teleported.unit
+        )
         flags = classify(s)
         assert not flags.faithful
         assert flags.witness["outcome"] == 0
