@@ -173,7 +173,7 @@ class StarAlgebra:
             raise PreconditionError("commuting product requires a common ambient")
         cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
         cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
-        gens_b = np.concatenate(cols_b + [_adjoint(g[1:]) for g in cols_b])
+        gens_b = np.concatenate(cols_b + [la.dagger(g[1:]) for g in cols_b])
         clash = float(np.max(la.frobenius_norms(_frame_gap(a, gens_b, commutant=True))))
         if clash > a.tol.bound(1.0) * 10:
             raise PreconditionError(f"commuting product of non-commuting algebras ({clash:.2e})")
@@ -273,7 +273,7 @@ class StarAlgebra:
         out = []
         for (d, m), w in zip(self.blocks, self.frames):
             legs = _legs(w, d)
-            out.append(np.matmul(legs[:, None], _adjoint(legs)[None, :]))
+            out.append(np.matmul(legs[:, None], la.dagger(legs)[None, :]))
         return out
 
     @cached_property
@@ -287,10 +287,10 @@ class StarAlgebra:
         for (d, m), w in zip(self.blocks, self.frames):
             legs = _legs(w, d)
             root = np.sqrt(float(m))
-            out[k : k + d] = np.matmul(legs, _adjoint(legs)) / root
+            out[k : k + d] = np.matmul(legs, la.dagger(legs)) / root
             upper, lower = np.triu_indices(d, 1)
-            f_ab = np.matmul(legs[upper], _adjoint(legs[lower]))
-            f_ba = _adjoint(f_ab)
+            f_ab = np.matmul(legs[upper], la.dagger(legs[lower]))
+            f_ba = la.dagger(f_ab)
             scale = root * np.sqrt(2.0)
             out[k + d : k + d * d : 2] = (f_ab + f_ba) / scale
             out[k + d + 1 : k + d * d : 2] = 1j * (f_ab - f_ba) / scale
@@ -322,7 +322,7 @@ class StarAlgebra:
             return la.span_project(self.basis, x)
         return _from_corners(self, _corners(self, x))
 
-    def random_hermitian(self, rng: np.random.Generator) -> np.ndarray:
+    def random_hermitian(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         """A random Hermitian element of the algebra, drawn on its corners.
 
         Same law as ``project(la.random_hermitian(n, rng))``: projecting a
@@ -330,9 +330,12 @@ class StarAlgebra:
         whose corner on block j is a GUE matrix of size d_j scaled by
         1/sqrt(m_j).  It draws sum_j d_j^2 Gaussian pairs instead of n^2 and
         needs one frame product per block; on ``full(n)`` it is
-        ``la.random_hermitian(n, rng)`` bit for bit.
+        ``la.random_hermitian(n, rng)`` bit for bit.  With ``count``, a
+        (count, n, n) stack of independent draws, each block drawn for the
+        whole stack at once.
         """
-        return _from_corners(self, [la.random_hermitian(d, rng) / np.sqrt(m) for d, m in self.blocks])
+        corners = [la.random_hermitian(d, rng, count) / np.sqrt(m) for d, m in self.blocks]
+        return _from_corners(self, corners)
 
     def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
         tol = tol or self.tol
@@ -437,11 +440,6 @@ class StarAlgebra:
         blocks = [(m, d) for d, m in self.blocks]
         frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self.frames)]
         return _canonical(self.ambient_dim, blocks, frames, self.tol)
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return np.conj(np.swapaxes(stack, -1, -2))
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:
@@ -683,8 +681,11 @@ class Trace:
         n = algebra.ambient_dim
         return cls(algebra, [m / n for _, m in algebra.blocks])
 
-    def __call__(self, x: np.ndarray) -> complex:
-        return complex(np.sum(self.density.T * x))
+    def __call__(self, x: np.ndarray) -> complex | np.ndarray:
+        """Tr(rho x); for a stack of shape (..., n, n) the array of its values."""
+        if np.ndim(x) == 2:
+            return complex(np.sum(self.density.T * x))
+        return np.einsum("ji,...ij->...", self.density, x)
 
     def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return abs(self(self.algebra.unit) - 1.0) <= tol.bound()

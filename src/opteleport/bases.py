@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import _adjoint
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .linalg import DEFAULT_TOL, Tolerance
@@ -144,7 +143,7 @@ def verify_basis(
     d = tower.gns.dim
     elements = np.stack(basis.elements)
     reps = np.stack([pi(b) for b in elements])
-    compressed = _adjoint(reps) @ e1 @ reps
+    compressed = la.dagger(reps) @ e1 @ reps
     rep.add(
         "completeness",
         la.frobenius_distance(sum(compressed), la.eye(d)),
@@ -168,7 +167,7 @@ def verify_basis(
     )
     ortho = 0.0
     for i, b in enumerate(elements):
-        gram = exp(b @ _adjoint(elements))
+        gram = exp(b @ la.dagger(elements))
         gram[i] -= la.eye(inc.big.ambient_dim)
         ortho = max(ortho, float(np.max(la.frobenius_norms(gram))))
     basis.orthonormal = ortho <= tol.bound(1.0) * 10
@@ -179,7 +178,7 @@ def verify_basis(
     rep.add_flag("in_normaliser", True, detail=f"flag {basis.in_normaliser}")
     if basis.orthonormal and basis.in_normaliser:
         pvm = float(np.max(la.frobenius_norms(compressed @ compressed - compressed)))
-        pvm = max(pvm, float(np.max(la.frobenius_norms(compressed - _adjoint(compressed)))))
+        pvm = max(pvm, float(np.max(la.frobenius_norms(compressed - la.dagger(compressed)))))
         for i, p in enumerate(compressed[:-1]):
             pvm = max(pvm, float(np.max(la.frobenius_norms(p @ compressed[i + 1 :]))))
         rep.add("entangled_subspace_pvm", pvm, tol.bound(1.0) * 10)

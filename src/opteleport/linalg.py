@@ -73,7 +73,8 @@ def as_matrix(x: object) -> np.ndarray:
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
-    return np.conj(x.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack of shape (..., n, n)."""
+    return np.conj(x.swapaxes(-1, -2))
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -228,9 +229,14 @@ def is_psd(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.min(vals) >= -tol.bound(scale))
 
 
-def random_hermitian(n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
+def random_hermitian(
+    n: int, rng: np.random.Generator | int | None = None, count: int | None = None
+) -> np.ndarray:
+    """A GUE matrix of size n; with ``count``, a (count, n, n) stack of them,
+    drawn in one call for the real parts and one for the imaginary parts."""
     rng = rng_from(rng)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    shape = (n, n) if count is None else (count, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return (g + dagger(g)) / 2
 
 

@@ -30,7 +30,6 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
-    _adjoint,
     _corners,
     _frame_gap,
     conditional_expectation_onto,
@@ -221,8 +220,8 @@ def _povm_checks(rep: Report, scheme: TeleportationScheme, tol: Tolerance) -> No
         la.frobenius_distance(sum(povm), la.eye(dim)),
         tol.bound(1.0) * max(1, scheme.outcomes),
     )
-    vals = np.linalg.eigvalsh((povm + _adjoint(povm)) / 2)
-    psd = max(float(np.max(la.frobenius_norms(povm - _adjoint(povm)))), max(0.0, -float(vals.min())))
+    vals = np.linalg.eigvalsh((povm + la.dagger(povm)) / 2)
+    psd = max(float(np.max(la.frobenius_norms(povm - la.dagger(povm)))), max(0.0, -float(vals.min())))
     rep.add("povm_positive", psd, tol.bound(1.0))
     rep.add(
         "povm_in_alice_algebra",
@@ -292,7 +291,7 @@ def classify(
     unbiased = unb_res <= tol.bound(1.0) * 10
     rep.add_flag("unbiased", True, detail=f"residual {unb_res:.2e}, flag {unbiased}")
 
-    lows = [float(low) for low in np.linalg.eigvalsh((gs + _adjoint(gs)) / 2).min(axis=-1)]
+    lows = [float(low) for low in np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1)]
     faithful = min(lows) > tol.abs
     witness = None
     if not unbiased:
@@ -324,7 +323,7 @@ def classify(
     for bd, _ in ctx.teleported.blocks:
         shape = (density_samples, bd, bd)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        corners.append((g @ _adjoint(g)).reshape(density_samples, -1))
+        corners.append((g @ la.dagger(g)).reshape(density_samples, -1))
     rhos = np.concatenate(corners, axis=1)
     val = (rhos @ norm_row).real
     keep = val >= 1e-6
@@ -511,59 +510,59 @@ def correction_unitaries(
     iterate(t)
     idx = t.index
     pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
-    lifted_left = [pi1(la.dagger(pi(u)) @ e1) for u in basis.elements]
-    lifted_right = [pi1(e1 @ pi(u)) for u in basis.elements]
-    lifted_mid = [pi1(pi(u)) for u in basis.elements]
+    us = np.array(basis.elements)
+    pi_us = pi(us)
+    heads = la.dagger(pi_us) @ e1
+    lifted_left = pi1(heads)
+    lifted_right = pi1(e1 @ pi_us)
+    lifted_mid = pi1(pi_us)
 
     d = basis.size
-    tails = [e2 @ r for r in lifted_right]
+    tails = e2 @ lifted_right
 
-    def phi(blockmat: list[list[np.ndarray]]) -> np.ndarray:
-        # pi1 is multiplicative: pi1(pi(u_a)* e1 pi(x)) = lifted_left[a] pi1(pi(x))
-        total = np.zeros((t.gns1.dim, t.gns1.dim), dtype=complex)
-        for b in range(d):
-            total += sum(lifted_left[a] @ pi1(pi(blockmat[a][b])) for a in range(d)) @ tails[b]
-        return idx * total
+    def phi(blockmat: np.ndarray) -> np.ndarray:
+        # pi1 is multiplicative: sum_a lifted_left[a] pi1(pi(x_ab)) = pi1(y_b) with
+        # y_b = sum_a pi(u_a)* e1 pi(x_ab), so the (d, d) block matrix takes one pi
+        # and one pi1 call, and no (d, d) stack of level-two operators is formed
+        y = np.einsum("aij,abjk->bik", heads, pi(blockmat))
+        return idx * np.sum(pi1(y) @ tails, axis=0)
 
     vs = []
     for i in range(d):
         v = idx * sum(lifted_left[a] @ lifted_mid[i] @ e2 @ lifted_right[a] for a in range(d))
         vs.append(v)
+    stack = np.array(vs)
     rep = Report()
     rep.add(
         "corrections_unitary",
-        max(
-            la.frobenius_distance(la.dagger(v) @ v, la.eye(t.gns1.dim)) for v in vs
-        ),
+        float(la.frobenius_norms(la.dagger(stack) @ stack - la.eye(t.gns1.dim)).max()),
         tol.bound(1.0) * d,
     )
     rep.add(
         "corrections_in_second_tower_algebra",
-        max(t.level2.membership_residual(v) for v in vs),
+        float(t.level2.membership_residual(stack).max()),
         tol.bound(1.0) * t.level2.dim,
     )
+    # shift over the basis of N' ∩ M once, and over the u_i x u_i* one u_i at a
+    # time, so that no stack holds more level-two operators than that basis
+    rc = t.rel_comm.basis
+    shifted = t.shift(rc)
     rep.add(
         "corrections_conjugate_shift",
         max(
-            la.frobenius_distance(
-                vs[i] @ t.shift(x) @ la.dagger(vs[i]),
-                t.shift(basis.elements[i] @ x @ la.dagger(basis.elements[i])),
-            )
-            for i in range(d)
-            for x in t.rel_comm.basis
+            float(la.frobenius_norms(v @ shifted @ la.dagger(v) - t.shift(u @ rc @ la.dagger(u))).max())
+            for u, v in zip(us, vs)
         ),
         tol.bound(1.0) * d,
     )
     rng = la.rng_from(None)
     n = t.inclusion.big.ambient_dim
-    rand_block = lambda: [
+    rand_block = lambda: np.array([
         [t.inclusion.big.project(la.random_hermitian(n, rng)) for _ in range(d)]
         for _ in range(d)
-    ]
+    ])
     xs, ys = rand_block(), rand_block()
-    prod = [
-        [sum(xs[a][c] @ ys[c][b] for c in range(d)) for b in range(d)] for a in range(d)
-    ]
+    prod = np.einsum("acij,cbjk->abik", xs, ys)
     phi_x, phi_y = phi(xs), phi(ys)
     rep.add(
         "periodicity_map_multiplicative",

@@ -21,6 +21,11 @@ def make_inclusion(key: str) -> Inclusion:
     if key == "scalars_in_direct_sum":
         big = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
         return markov_inclusion(StarAlgebra.trivial(3), big)
+    if key == "golden":
+        # C + C inside C + M_2 with Bratteli matrix [[1, 0], [1, 1]]: index 2.618...,
+        # so the Markov trace has a non-uniform density at every level
+        big = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
+        return markov_inclusion(StarAlgebra.block_diagonal([(1, 2), (1, 1)]), big)
     raise KeyError(key)
 
 

@@ -1,4 +1,5 @@
-"""The layout of every teleport and basis report, pinned per constructor.
+"""The layout of every teleport and basis report, pinned per constructor,
+and of the tower reports, pinned per tower.
 
 A layout lists, in order, each check a report adds: its name with the
 threshold it was compared against, or, for a flag, whether it was raised.
@@ -8,6 +9,7 @@ with ``PYTHONPATH=src python tests/test_report_layouts.py > tests/report_layouts
 only when a change is meant to alter what the reports contain.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -35,7 +37,9 @@ from opteleport.teleport import (
     unbiased_scheme,
     verify_scheme,
 )
-from opteleport.tower import basic_construction, iterate
+from opteleport.tower import basic_construction, iterate, verify_epr, verify_tower
+
+from conftest import TOWER_KEYS, make_inclusion
 
 LAYOUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_layouts.json")
 SEED = 7
@@ -85,10 +89,13 @@ CONSTRUCTORS = {
 }
 
 
-def layouts(name):
-    """The layouts of the verify_scheme, classify, extract_tight_scheme (for
-    tight, minimal, faithful schemes) and verify_basis reports of one
-    constructor, with its classification and basis flags."""
+TOWERS = [*TOWER_KEYS, "diagonal_in_full_4", "golden"]
+
+
+@contextlib.contextmanager
+def _recording():
+    """Record the threshold of every check that Report.add makes, and yield
+    the function giving the layout of a report built meanwhile."""
     thresholds, keep = {}, []  # threshold by id of the check, the checks kept alive
     add, merge = Report.add, Report.merge
 
@@ -112,23 +119,52 @@ def layouts(name):
             for c in report.checks
         ]
 
-    la.set_default_seed(SEED)
-    scheme, basis = CONSTRUCTORS[name]()
     Report.add, Report.merge = recording_add, recording_merge
     try:
-        out = {"verify_scheme": layout(verify_scheme(scheme))}
-        f = classify(scheme)
-        out["classify"] = layout(f.report)
-        out["flags"] = [f.tight, f.unbiased, f.unbiased_value, f.faithful, f.minimal]
-        if scheme.inclusion is not None and f.tight and f.minimal and f.faithful:
-            out["extract_tight_scheme"] = layout(extract_tight_scheme(scheme)[3])
-        if basis is not None:
-            out["verify_basis"] = layout(verify_basis(basic_construction(basis.inclusion), basis))
-            out["basis_flags"] = [basis.orthonormal, basis.unitary, basis.in_normaliser]
+        yield layout
     finally:
         Report.add, Report.merge = add, merge
+
+
+def layouts(name):
+    """The layouts of the verify_scheme, classify, extract_tight_scheme (for
+    tight, minimal, faithful schemes) and verify_basis reports of one
+    constructor, with its classification and basis flags."""
+    la.set_default_seed(SEED)
+    try:
+        scheme, basis = CONSTRUCTORS[name]()
+        with _recording() as layout:
+            out = {"verify_scheme": layout(verify_scheme(scheme))}
+            f = classify(scheme)
+            out["classify"] = layout(f.report)
+            out["flags"] = [f.tight, f.unbiased, f.unbiased_value, f.faithful, f.minimal]
+            if scheme.inclusion is not None and f.tight and f.minimal and f.faithful:
+                out["extract_tight_scheme"] = layout(extract_tight_scheme(scheme)[3])
+            if basis is not None:
+                out["verify_basis"] = layout(verify_basis(basic_construction(basis.inclusion), basis))
+                out["basis_flags"] = [basis.orthonormal, basis.unitary, basis.in_normaliser]
+    finally:
         la.set_default_seed(la.DEFAULT_SEED)
     return out
+
+
+def tower_layouts(key):
+    """The layouts of the verify_tower and verify_epr reports of a fresh
+    two-level tower over the inclusion ``key``."""
+    la.set_default_seed(SEED)
+    try:
+        t = iterate(basic_construction(make_inclusion(key)))
+        with _recording() as layout:
+            out = {"verify_tower": layout(verify_tower(t)), "verify_epr": layout(verify_epr(t))}
+    finally:
+        la.set_default_seed(la.DEFAULT_SEED)
+    return out
+
+
+def _all_layouts():
+    out = {name: layouts(name) for name in CONSTRUCTORS}
+    out.update({f"tower_{key}": tower_layouts(key) for key in TOWERS})
+    return dict(sorted(out.items()))
 
 
 def _same(got, want):
@@ -139,16 +175,25 @@ def _same(got, want):
     return got == want
 
 
-@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
-def test_report_layouts_are_pinned(name):
+def _check_pinned(name, got):
     with open(LAYOUTS) as fh:
         want = json.load(fh)[name]
-    got = json.loads(json.dumps(layouts(name)))
+    got = json.loads(json.dumps(got))
     assert sorted(got) == sorted(want)
     for stage in want:
         assert _same(got[stage], want[stage]), stage
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_report_layouts_are_pinned(name):
+    _check_pinned(name, layouts(name))
+
+
+@pytest.mark.parametrize("key", TOWERS)
+def test_tower_report_layouts_are_pinned(key):
+    _check_pinned(f"tower_{key}", tower_layouts(key))
+
+
 if __name__ == "__main__":
-    json.dump({name: layouts(name) for name in sorted(CONSTRUCTORS)}, sys.stdout, indent=1)
+    json.dump(_all_layouts(), sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -16,7 +16,7 @@ from opteleport.algebra import (
 )
 from opteleport.bases import shift_basis, weyl_basis
 from opteleport.errors import NormaliserError
-from opteleport.tower import _normaliser_votes, normalizer_check
+from opteleport.tower import _block_distance, _normaliser_votes, normalizer_check
 
 from conftest import get_tower
 
@@ -179,3 +179,71 @@ def test_normaliser_votes_refuse_a_non_unitary():
     t = get_tower("diagonal_in_full_3", two_levels=False)
     with pytest.raises(NormaliserError):
         _normaliser_votes(t, np.stack([la.eye(3), 2 * la.eye(3)]), t.tol)
+
+
+# -- the two helpers that broadcast over stacks -----------------------------------
+
+
+def test_dagger_takes_stacks():
+    xs = ginibre_stack((5,), 3, 21)[:, :, :2].copy()  # (5, 3, 2): the leading axis stays
+    got = la.dagger(xs)
+    assert got.shape == (5, 2, 3)
+    assert all(np.array_equal(g, np.conj(x.T)) for g, x in zip(got, xs))
+    assert la.dagger(ginibre_stack((2, 4), 3, 22)).shape == (2, 4, 3, 3)
+    assert np.array_equal(la.dagger(xs[0]), np.conj(xs[0].T))
+
+
+def test_trace_takes_stacks():
+    tau = Trace.normalized(StarAlgebra.full(3))
+    assert np.allclose(tau(np.stack([la.eye(3), 2 * la.eye(3)])), [1.0, 2.0], rtol=0, atol=1e-15)
+    assert isinstance(tau(la.eye(3)), complex)
+    alg = PATHS["frames"]()
+    rho = Trace(alg, [0.1, 0.3])  # unequal weights; they need not make a state here
+    xs = ginibre_stack((2, 3), alg.ambient_dim, 23)
+    got = rho(xs)
+    assert got.shape == (2, 3)
+    assert all(abs(got[i, j] - rho(xs[i, j])) < 1e-14 for i in range(2) for j in range(3))
+
+
+# -- the GNS maps on stacks: one call for a family --------------------------------
+
+
+def corner_element(alg, rng, shape=()):
+    """Non-Hermitian elements of ``alg`` of the given stack shape, drawn on its corners."""
+    corners = [rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d)) for d, _ in alg.blocks]
+    return _from_corners(alg, corners)
+
+
+@pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_4", "golden"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_gns_maps_take_stacks(key, k):
+    g = get_tower(key).level(k).gns
+    xs = corner_element(g.algebra, np.random.default_rng(31 + k), (2, 3))
+    for name in ("vector", "left", "right"):
+        f = getattr(g, name)
+        got = f(xs)
+        tail = (g.dim,) if name == "vector" else (g.dim, g.dim)
+        assert got.shape == (2, 3, *tail)
+        for i in range(2):
+            for j in range(3):
+                assert np.abs(got[i, j] - f(xs[i, j])).max() < 1e-14, name
+    assert g.left(xs[0, 0]).shape == (g.dim, g.dim) and g.vector(xs[0, 0]).shape == (g.dim,)
+
+
+def test_tower_maps_take_stacks():
+    t = get_tower("golden")
+    xs = corner_element(t.rel_comm, np.random.default_rng(37), (4,))
+    for f in (t.gamma0, t.shift):
+        got = f(xs)
+        assert all(np.abs(y - f(x)).max() < 1e-14 for x, y in zip(xs, got))
+    assert np.abs(t.shift_operator(xs) - t.shift(xs)).max() == 0.0
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_block_distance_takes_stacks(second):
+    layout = [(2, 3), (1, 2), (3, 1)]
+    xs = ginibre_stack((2, 3), 11, 41)
+    got = _block_distance(xs, layout, second)
+    assert got.shape == (2, 3)
+    assert all(abs(got[i, j] - _block_distance(xs[i, j], layout, second)) < 1e-13 for i in range(2) for j in range(3))
+    assert isinstance(_block_distance(xs[0, 0], layout, second), float)
