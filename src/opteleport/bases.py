@@ -47,20 +47,29 @@ def clock_unitary(n: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
 
 
+def _weyl_family(units: np.ndarray) -> list[np.ndarray]:
+    """The clock-and-shift family sum_ab (V^l U^k)_ab f_ab of a system of
+    matrix units f, given as a (d, d, n, n) array, ordered by (l, k), with
+    V and U the clock and shift of M_d."""
+    d = len(units)
+    u, v = shift_unitary(d), clock_unitary(d)
+    return [
+        np.tensordot(np.linalg.matrix_power(v, l) @ np.linalg.matrix_power(u, k), units, 2)
+        for l in range(d)
+        for k in range(d)
+    ]
+
+
 def weyl_basis(n: int) -> PimsnerPopaBasis:
     """The n^2 clock-and-shift unitaries as a basis of M_n over the scalars.
 
-    Ordered lexicographically in (modulation power, translation power).
+    The family :func:`_weyl_family` of the matrix units of M_n, ordered
+    lexicographically in (modulation power, translation power).
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    u, v = shift_unitary(n), clock_unitary(n)
-    elements = [
-        np.linalg.matrix_power(v, l) @ np.linalg.matrix_power(u, k)
-        for l in range(n)
-        for k in range(n)
-    ]
-    return PimsnerPopaBasis(trivial_in_full(n), elements)
+    units = la.eye(n * n).reshape(n, n, n, n)
+    return PimsnerPopaBasis(trivial_in_full(n), _weyl_family(units))
 
 
 def shift_basis(n: int) -> PimsnerPopaBasis:
@@ -87,27 +96,17 @@ def commutant_factor_basis(inc: Inclusion) -> PimsnerPopaBasis:
     """Unitary normaliser basis for a factor N inside the full matrix algebra.
 
     The commutant N' is then itself a factor; its clock-and-shift family
-    (built from the matrix units of N') commutes with N elementwise, so it
-    normalises trivially, and expectation onto N sends products to their
-    normalised traces, giving orthonormality.  For N = scalars in standard
-    position this reproduces the plain clock-and-shift basis.
+    (:func:`_weyl_family` of the matrix units of N') commutes with N
+    elementwise, so it normalises trivially, and expectation onto N sends
+    products to their normalised traces, giving orthonormality.  For N =
+    scalars in standard position this reproduces :func:`weyl_basis`.
     """
     if len(inc.small.blocks) != 1:
         raise PreconditionError("commutant factor basis requires N to be a factor")
     n = inc.big.ambient_dim
     if inc.big.dim != n * n:
         raise PreconditionError("commutant factor basis requires M to be the full matrix algebra")
-    nprime = inc.small.commutant
-    f = nprime.matrix_units[0]
-    mu = len(f)
-    shift = sum(f[(a + 1) % mu][a] for a in range(mu))
-    clock = sum(np.exp(2j * np.pi * a / mu) * f[a][a] for a in range(mu))
-    elements = [
-        np.linalg.matrix_power(clock, l) @ np.linalg.matrix_power(shift, k)
-        for l in range(mu)
-        for k in range(mu)
-    ]
-    return PimsnerPopaBasis(inc, elements)
+    return PimsnerPopaBasis(inc, _weyl_family(inc.small.commutant.matrix_units[0]))
 
 
 def homogeneous_block_basis(k: int, block: int) -> PimsnerPopaBasis:
@@ -142,7 +141,7 @@ def verify_basis(
     pi, e1 = tower.gns.left, tower.jones1
     d = tower.gns.dim
     elements = np.stack(basis.elements)
-    reps = np.stack([pi(b) for b in elements])
+    reps = pi(elements)
     compressed = la.dagger(reps) @ e1 @ reps
     rep.add(
         "completeness",

@@ -55,7 +55,6 @@ from .qgraph import (
 from .reporting import Report
 from .teleport import (
     classify,
-    commutant_trace_is_markov,
     direct_sum_scheme,
     extract_tight_scheme,
     standard_scheme,

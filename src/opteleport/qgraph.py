@@ -277,14 +277,44 @@ def basis_colouring(
         verify_basis(t, basis, tol)
     if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
         raise PreconditionError("basis colouring needs a unitary orthonormal normaliser basis")
-    pi, e1 = t.gns.left, t.jones1
-    projections = [la.dagger(pi(u)) @ e1 @ pi(u) for u in basis.elements]
+    reps = t.gns.left(np.stack(basis.elements))
+    projections = list(la.dagger(reps) @ t.jones1 @ reps)
     return Colouring(1, projections, label=f"basis colouring c={len(projections)}")
 
 
 # ---------------------------------------------------------------------------
 # Lower-bound certificates.
 # ---------------------------------------------------------------------------
+
+
+def _certificate(
+    rep: Report, rs: list[np.ndarray], idx: int, col: Colouring, tol: Tolerance
+) -> Report:
+    """Finish a lower-bound certificate on its family R_a: each R_a is a
+    projection and sum_a R_a = [M:N] 1, so the colour count is at least
+    [M:N].  Raises :class:`CertificateError` naming the failed checks of
+    ``rep`` when the arithmetic fails."""
+    rep.add(
+        "certificate_projections",
+        max(max(la.frobenius_distance(r, la.dagger(r)), la.frobenius_distance(r @ r, r)) for r in rs),
+        tol.bound(1.0) * col.colours * 10,
+    )
+    rep.add(
+        "certificate_sum",
+        la.frobenius_distance(sum(rs), idx * la.eye(len(rs[0]))),
+        tol.bound(float(idx)) * col.colours,
+    )
+    if not rep.passed:
+        raise CertificateError(
+            f"certificate arithmetic failed ({', '.join(c.name for c in rep.failures())}); "
+            "no such colouring can exist at this colour count"
+        )
+    rep.add_flag(
+        "colour_count_at_least_index",
+        col.colours >= idx,
+        detail=f"c = {col.colours} >= [M:N] = {idx}",
+    )
+    return rep
 
 
 def factor_lower_bound(
@@ -300,7 +330,6 @@ def factor_lower_bound(
     idx = frame.index
     l = col.aux_dim
     d = frame.d
-    rep = Report()
     rs = []
     for p in col.projections:
         r_a = np.zeros((d * l, d * l), dtype=complex)
@@ -312,32 +341,7 @@ def factor_lower_bound(
                 comp, [n_j, l_j, d * l], {0, 1}, normalise=True
             )
         rs.append(r_a)
-    rep.add(
-        "certificate_projections",
-        max(
-            max(
-                la.frobenius_distance(r, la.dagger(r)),
-                la.frobenius_distance(r @ r, r),
-            )
-            for r in rs
-        ),
-        tol.bound(1.0) * col.colours * 10,
-    )
-    rep.add(
-        "certificate_sum",
-        la.frobenius_distance(sum(rs), idx * la.eye(d * l)),
-        tol.bound(float(idx)) * col.colours,
-    )
-    if not rep.passed:
-        raise CertificateError(
-            "certificate arithmetic failed; no such colouring can exist at this colour count"
-        )
-    rep.add_flag(
-        "colour_count_at_least_index",
-        col.colours >= idx,
-        detail=f"c = {col.colours} >= [M:N] = {idx}",
-    )
-    return rep
+    return _certificate(Report(), rs, idx, col, tol)
 
 
 def basis_lower_bound(
@@ -372,38 +376,11 @@ def basis_lower_bound(
         max(la.frobenius_distance(average(y), y) for y in mprime.basis),
         tol.bound(1.0) * mprime.dim,
     )
-    rs = []
-    for p in col.projections:
-        r_a = sum(
-            la.kron(la.dagger(r), la.eye(l)) @ p @ la.kron(r, la.eye(l)) for r in reps
-        )
-        rs.append(r_a)
-    rep.add(
-        "certificate_projections",
-        max(
-            max(
-                la.frobenius_distance(r, la.dagger(r)),
-                la.frobenius_distance(r @ r, r),
-            )
-            for r in rs
-        ),
-        tol.bound(1.0) * col.colours * 10,
-    )
-    rep.add(
-        "certificate_sum",
-        la.frobenius_distance(sum(rs), idx * la.eye(t.gns.dim * l)),
-        tol.bound(float(idx)) * col.colours,
-    )
-    if not rep.passed:
-        raise CertificateError(
-            "certificate arithmetic failed; no such colouring can exist at this colour count"
-        )
-    rep.add_flag(
-        "colour_count_at_least_index",
-        col.colours >= idx,
-        detail=f"c = {col.colours} >= [M:N] = {idx}",
-    )
-    return rep
+    rs = [
+        sum(la.kron(la.dagger(r), la.eye(l)) @ p @ la.kron(r, la.eye(l)) for r in reps)
+        for p in col.projections
+    ]
+    return _certificate(rep, rs, idx, col, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +412,16 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
     warnings: list[str] = []
     lower, upper = 1, None
 
-    if len(inc.small.blocks) == 1:
-        col = factor_colouring(inc, tol)
-        _, g2 = graphs_from_inclusion(inc)
-        colour_rep = verify_colouring(g2, col, tol)
-        bound_rep = factor_lower_bound(inc, col, tol)
+    def record(
+        graph: str, kind: str, ambient_dim: int, col: Colouring, colour_rep: Report, bound_rep: Report
+    ) -> None:
+        nonlocal lower, upper
         idx = int(round(inc.index))
         certificates.append(
             {
-                "graph": "system N' over M on the defining space",
-                "kind": "quantum (finite-dimensional auxiliary)",
-                "ambient_dim": inc.big.ambient_dim,
+                "graph": graph,
+                "kind": kind,
+                "ambient_dim": ambient_dim,
                 "aux_dim": col.aux_dim,
                 "colours": col.colours,
                 "lower_bound": idx,
@@ -457,6 +433,18 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
             upper = col.colours if upper is None else min(upper, col.colours)
         if bound_rep.passed:
             lower = max(lower, idx)
+
+    if len(inc.small.blocks) == 1:
+        col = factor_colouring(inc, tol)
+        _, g2 = graphs_from_inclusion(inc)
+        record(
+            "system N' over M on the defining space",
+            "quantum (finite-dimensional auxiliary)",
+            inc.big.ambient_dim,
+            col,
+            verify_colouring(g2, col, tol),
+            factor_lower_bound(inc, col, tol),
+        )
     else:
         warnings.append("N is not a factor: no quantum-commuting certificate for (N', M)")
 
@@ -466,26 +454,14 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
         verify_basis(t, basis, tol)
         if basis.unitary and basis.in_normaliser and basis.orthonormal:
             col = basis_colouring(t, basis, tol)
-            g = gns_graph(t)
-            colour_rep = verify_colouring(g, col, tol)
-            bound_rep = basis_lower_bound(t, basis, col, tol)
-            idx = int(round(inc.index))
-            certificates.append(
-                {
-                    "graph": "system M over N' on the GNS space",
-                    "kind": "local",
-                    "ambient_dim": t.gns.dim,
-                    "aux_dim": 1,
-                    "colours": col.colours,
-                    "lower_bound": idx,
-                    "colouring_report": colour_rep,
-                    "certificate_report": bound_rep,
-                }
+            record(
+                "system M over N' on the GNS space",
+                "local",
+                t.gns.dim,
+                col,
+                verify_colouring(gns_graph(t), col, tol),
+                basis_lower_bound(t, basis, col, tol),
             )
-            if colour_rep.passed:
-                upper = col.colours if upper is None else min(upper, col.colours)
-            if bound_rep.passed:
-                lower = max(lower, idx)
     else:
         warnings.append("no unitary normaliser basis constructor applies: no local certificate")
 

@@ -10,13 +10,14 @@ completely positive correction channels, satisfying
 where ``shift`` is the *-isomorphism carrying the teleported algebra onto
 the far party and E the trace-preserving expectation back onto it.
 
-Three constructors are provided: the tensor-picture scheme for a full
-matrix algebra, the block direct-sum scheme for an arbitrary
-finite-dimensional algebra, and the unbiased scheme attached to a unitary
-normaliser basis of an inclusion.  The rigidity pair
-:func:`tight_scheme_from_basis` / :func:`extract_tight_scheme` builds
-tight schemes on M_n (x) M_n (x) N' from (basis, u, z) data and recovers
-such data from any tight, minimal, faithful scheme.
+The rigidity pair :func:`tight_scheme_from_basis` /
+:func:`extract_tight_scheme` builds tight schemes on M_n (x) M_n (x) N' from
+(basis, u, z) data and recovers such data from any tight, minimal, faithful
+scheme.  Werner's tensor-picture scheme for a full matrix algebra,
+:func:`standard_scheme`, is its N = C case.  Two further constructors are
+provided: the block direct-sum scheme for an arbitrary finite-dimensional
+algebra, and the unbiased scheme attached to a unitary normaliser basis of
+an inclusion.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .algebra import (
     _frame_gap,
     conditional_expectation_onto,
 )
-from .bases import PimsnerPopaBasis, verify_basis, weyl_basis
+from .bases import PimsnerPopaBasis, _weyl_family, verify_basis, weyl_basis
 from .errors import (
     ExtractionError,
     HypothesisError,
@@ -377,7 +378,7 @@ def _cross_check_rows(
 
 
 # ---------------------------------------------------------------------------
-# Constructor 1: the tensor-picture scheme for M_n.
+# Constructor 1: the tensor-picture scheme for M_n, the tight scheme of C ⊆ M_n.
 # ---------------------------------------------------------------------------
 
 
@@ -385,43 +386,19 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
     """Teleportation of M_n across M_n (x) M_n (x) M_n from a unitary basis.
 
     ``basis`` defaults to the clock-and-shift family; it must be a unitary
-    orthonormal basis of M_n over the scalars with n^2 elements.
+    orthonormal basis of M_n over the scalars with n^2 elements.  This is
+    Werner's tensor-picture scheme: the tight scheme of C ⊆ M_n with
+    u = z = 1, built on the tower that verifies the basis.  The
+    commutant-trace gate holds there by its own formula, 1 * n^2 = n * n.
     """
     if basis is None:
         basis = weyl_basis(n)
-    inc = basis.inclusion
+    t = basic_construction(basis.inclusion)
     if basis.orthonormal is None:
-        tower = basic_construction(inc)
-        verify_basis(tower, basis)
+        verify_basis(t, basis)
     if not (basis.orthonormal and basis.unitary and basis.size == n * n):
         raise PreconditionError("standard scheme needs a unitary orthonormal basis of size n^2")
-    full, triv = StarAlgebra.full(n), StarAlgebra.trivial(n)
-    ambient = StarAlgebra.full(n**3)
-    ctx = TeleportationContext(
-        ambient=ambient,
-        trace=Trace.normalized(ambient),
-        alice=StarAlgebra.tensor(full, full, triv),
-        bob=StarAlgebra.tensor(triv, triv, full),
-        teleported=StarAlgebra.tensor(full, triv, triv),
-        mirror=StarAlgebra.tensor(triv, full, triv),
-        shift_pairs=[
-            (la.kron(b, la.eye(n), la.eye(n)), la.kron(la.eye(n), la.eye(n), b))
-            for b in StarAlgebra.full(n).basis
-        ],
-    )
-    psi = la.max_entangled(n)
-    e = np.outer(psi, psi.conj())
-    omega = n * n * la.kron(la.eye(n), e)
-    povm = [
-        la.kron(la.kron(la.dagger(u), la.eye(n)) @ e @ la.kron(u, la.eye(n)), la.eye(n))
-        for u in basis.elements
-    ]
-    channels = [
-        Superoperator.conjugation(la.kron(la.eye(n * n), u), ambient) for u in basis.elements
-    ]
-    return TeleportationScheme(
-        ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n)
-    )
+    return _tight_scheme(t, basis, None, None, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -451,19 +428,11 @@ def _tower_context(t: Tower) -> TeleportationContext:
 def _block_weyl_unitaries(m: StarAlgebra) -> list[tuple[int, np.ndarray]]:
     """Per block j, the unitaries acting as the clock-and-shift family on
     that block and as the identity elsewhere; ordered by block then (l, k)."""
-    out = []
-    for j, ((bd, _), f) in enumerate(zip(m.blocks, m.matrix_units)):
-        rest = m.unit - m.central_projections[j]
-        shift = sum(f[(a + 1) % bd][a] for a in range(bd))
-        clock = sum(np.exp(2j * np.pi * a / bd) * f[a][a] for a in range(bd))
-        for l in range(bd):
-            for k in range(bd):
-                if l or k:
-                    w = np.linalg.matrix_power(clock, l) @ np.linalg.matrix_power(shift, k)
-                else:
-                    w = m.central_projections[j]
-                out.append((j, rest + w))
-    return out
+    return [
+        (j, m.unit - m.central_projections[j] + w)
+        for j, f in enumerate(m.matrix_units)
+        for w in _weyl_family(f)
+    ]
 
 
 def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> TeleportationScheme:
@@ -602,10 +571,8 @@ def unbiased_scheme(
     ctx = _tower_context(t)
     idx = t.index
     omega = idx * t.jones2
-    pi, pi1, e1 = t.gns.left, t.gns1.left, t.jones1
-    povm = [
-        pi1(la.dagger(pi(u)) @ e1 @ pi(u)) for u in basis.elements
-    ]
+    reps = t.gns.left(np.stack(basis.elements))
+    povm = list(t.gns1.left(la.dagger(reps) @ t.jones1 @ reps))
     channels = [Superoperator.conjugation(v, ctx.ambient) for v in vs]
     return TeleportationScheme(ctx, omega, povm, channels)
 

@@ -891,7 +891,8 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     """:func:`normalizer_check` for every unitary of the stack ``us`` at once.
 
     The equivariance vote uses the same six fixed-seed elements of M for
-    every u, drawn once; each vote is one stacked expectation or membership.
+    every u, drawn once; each vote is one stacked expectation, membership
+    or GNS map.
     """
     inc = t.inclusion
     small, big, exp = inc.small, inc.big, inc.expectation
@@ -908,13 +909,11 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     gap = la.frobenius_norms(lhs - exp(u_star @ xs @ u_col))
     equivariant = np.all(gap <= tol.bound(la.frobenius_norms(lhs)) * 10, axis=1)
     e1 = t.jones1
+    pu, pru = t.gns.left(us), t.gns.right(us)
+    jones_gap = la.frobenius_norms(pu @ e1 @ la.dagger(pu) - pru @ e1 @ la.dagger(pru))
     votes = []
-    for u, stable, equi in zip(us, conj_stable, equivariant):
-        pu, pru = t.gns.left(u), t.gns.right(u)
-        jones_identity = la.frobenius_distance(
-            pu @ e1 @ la.dagger(pu), pru @ e1 @ la.dagger(pru)
-        ) <= tol.bound(1.0) * 10
-        three = [bool(stable), bool(equi), jones_identity]
+    for stable, equi, jones in zip(conj_stable, equivariant, jones_gap):
+        three = [bool(stable), bool(equi), bool(jones <= tol.bound(1.0) * 10)]
         if len(set(three)) != 1:
             raise InternalError(f"normaliser criteria disagree: {three}")
         votes.append(bool(stable))

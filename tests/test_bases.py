@@ -17,9 +17,10 @@ from opteleport.bases import (
     shift_unitary,
     verify_basis,
     weyl_basis,
+    _weyl_family,
 )
 from opteleport.errors import PreconditionError
-from opteleport.inclusion import markov_inclusion
+from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_full
 
 from conftest import get_tower
 
@@ -268,3 +269,93 @@ def test_commutant_factor_basis_requires_factor():
 
     with pytest.raises(PreconditionError):
         commutant_factor_basis(diagonal_in_full(2))
+
+
+def _clock_shift_products(clock, shift, d):
+    # the family as products of matrix powers, ordered by (l, k)
+    return [
+        np.linalg.matrix_power(clock, l) @ np.linalg.matrix_power(shift, k)
+        for l in range(d)
+        for k in range(d)
+    ]
+
+
+def _clock_shift_sums(f):
+    # clock and shift of a (d, d, n, n) system of matrix units, summed unit by unit
+    d = len(f)
+    shift = sum(f[(a + 1) % d][a] for a in range(d))
+    clock = sum(np.exp(2j * np.pi * a / d) * f[a][a] for a in range(d))
+    return clock, shift
+
+
+def _identical(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_weyl_basis_is_the_clock_shift_products(n):
+    want = _clock_shift_products(clock_unitary(n), shift_unitary(n), n)
+    assert _identical(weyl_basis(n).elements, want)
+
+
+def _commutant_factor_inclusions():
+    full, triv = StarAlgebra.full, StarAlgebra.trivial
+    return [
+        trivial_in_full(3),
+        markov_inclusion(StarAlgebra.tensor(full(2), triv(3)), full(6)),
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_commutant_factor_basis_is_the_clock_shift_sums(k):
+    inc = _commutant_factor_inclusions()[k]
+    f = inc.small.commutant.matrix_units[0]
+    want = _clock_shift_products(*_clock_shift_sums(f), len(f))
+    assert _identical(commutant_factor_basis(inc).elements, want)
+
+
+def test_weyl_family_on_rotated_units_matches_the_sums():
+    # units of a discovered N' carry rounding, so the two ways of summing
+    # agree to rounding rather than bit for bit
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    small = StarAlgebra.from_generators([np.kron(np.eye(2, dtype=complex), nil)], 4)
+    f = markov_inclusion(small, StarAlgebra.full(4)).small.commutant.matrix_units[0]
+    want = _clock_shift_products(*_clock_shift_sums(f), len(f))
+    got = _weyl_family(f)
+    assert len(got) == len(want) == 4
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-15
+
+
+def test_block_weyl_unitaries_are_the_clock_shift_sums():
+    from opteleport.teleport import _block_weyl_unitaries
+
+    m = StarAlgebra.block_diagonal([(1, 1), (2, 1), (3, 2)])
+    want = []
+    for j, ((d, _), f) in enumerate(zip(m.blocks, m.matrix_units)):
+        rest, z = m.unit - m.central_projections[j], m.central_projections[j]
+        family = _clock_shift_products(*_clock_shift_sums(f), d)
+        want += [(j, rest + (w if i else z)) for i, w in enumerate(family)]
+    got = _block_weyl_unitaries(m)
+    assert [j for j, _ in got] == [j for j, _ in want]
+    assert _identical([w for _, w in got], [w for _, w in want])
+
+
+def test_verify_basis_stacks_its_gns_calls(monkeypatch):
+    # one left call for the stack of elements, one left and one right for
+    # the normaliser votes, however many elements the basis has
+    from opteleport.tower import GnsSpace, basic_construction
+
+    calls = []
+    left = GnsSpace.left
+
+    def counted_left(self, x):
+        calls.append(np.shape(x))
+        return left(self, x)
+
+    monkeypatch.setattr(GnsSpace, "left", counted_left)
+    t = basic_construction(diagonal_in_full(4))
+    basis = shift_basis(4)
+    basis.inclusion = t.inclusion
+    calls.clear()
+    assert verify_basis(t, basis).passed
+    assert len(calls) <= 3

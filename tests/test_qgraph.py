@@ -3,8 +3,8 @@ import pytest
 
 from opteleport import linalg as la
 from opteleport.algebra import StarAlgebra
-from opteleport.bases import shift_basis, verify_basis, weyl_basis
-from opteleport.errors import ColouringError, PreconditionError
+from opteleport.bases import homogeneous_block_basis, shift_basis, verify_basis, weyl_basis
+from opteleport.errors import CertificateError, ColouringError, PreconditionError
 from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_full
 from opteleport.qgraph import (
     ChromaticBounds,
@@ -225,3 +225,45 @@ def test_chromatic_bounds_subsystem_code_both_routes():
     assert (bounds.lower, bounds.upper) == (4, 4)
     kinds = sorted(c["kind"] for c in bounds.certificates)
     assert kinds == ["local", "quantum (finite-dimensional auxiliary)"]
+
+
+def _factor_certificate(projections):
+    inc = tensor_factor_inclusion()
+    col = factor_colouring(inc)
+    return factor_lower_bound(inc, Colouring(col.aux_dim, projections(col.projections)))
+
+
+def _basis_certificate(projections):
+    t = get_tower("diagonal_in_full_3", two_levels=False)
+    b = shift_basis(3)
+    b.inclusion = t.inclusion
+    verify_basis(t, b)
+    col = basis_colouring(t, b)
+    return basis_lower_bound(t, b, Colouring(1, projections(col.projections)))
+
+
+@pytest.mark.parametrize("certificate", [_factor_certificate, _basis_certificate])
+def test_certificate_sum_fails_without_one_colour(certificate):
+    # the remaining R_a are projections, but they no longer add up to [M:N] 1
+    assert certificate(list).passed
+    with pytest.raises(CertificateError, match=r"\(certificate_sum\)"):
+        certificate(lambda ps: ps[1:])
+
+
+@pytest.mark.parametrize("certificate", [_factor_certificate, _basis_certificate])
+def test_certificate_projections_fails_on_a_scaled_colour(certificate):
+    with pytest.raises(CertificateError, match="certificate_projections"):
+        certificate(lambda ps: [0.9 * ps[0], *ps[1:]])
+
+
+def test_basis_colouring_matches_the_per_element_loop():
+    # the projections u_i* e_N u_i come from one stack; the loop is the reference
+    t = get_tower("homogeneous_2_2", two_levels=False)
+    b = homogeneous_block_basis(2, 2)
+    b.inclusion = t.inclusion
+    verify_basis(t, b)
+    pi, e1 = t.gns.left, t.jones1
+    want = [la.dagger(pi(u)) @ e1 @ pi(u) for u in b.elements]
+    got = basis_colouring(t, b).projections
+    assert len(got) == len(want)
+    assert max(np.max(np.abs(p - w)) for p, w in zip(got, want)) < 1e-14

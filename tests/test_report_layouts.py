@@ -1,5 +1,6 @@
 """The layout of every teleport and basis report, pinned per constructor,
-and of the tower reports, pinned per tower.
+of the tower reports, pinned per tower, and of the chromatic-bound
+certificates, pinned per inclusion.
 
 A layout lists, in order, each check a report adds: its name with the
 threshold it was compared against, or, for a flag, whether it was raised.
@@ -26,7 +27,13 @@ from opteleport.bases import (
     verify_basis,
     weyl_basis,
 )
-from opteleport.inclusion import diagonal_in_full, markov_inclusion
+from opteleport.inclusion import (
+    diagonal_in_full,
+    homogeneous_in_full,
+    markov_inclusion,
+    trivial_in_full,
+)
+from opteleport.qgraph import chromatic_bounds
 from opteleport.reporting import Report
 from opteleport.teleport import (
     classify,
@@ -90,6 +97,22 @@ CONSTRUCTORS = {
 
 
 TOWERS = [*TOWER_KEYS, "diagonal_in_full_4", "golden"]
+
+
+def _tensor_factor():
+    # N = 1 (x) M_2 inside M_4, the factor case of the chromatic bounds
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    small = StarAlgebra.from_generators([np.kron(np.eye(2, dtype=complex), nil)], 4)
+    return markov_inclusion(small, StarAlgebra.full(4))
+
+
+CHROMATIC = {
+    "trivial_in_full_2": lambda: trivial_in_full(2),
+    "diagonal_in_full_2": lambda: diagonal_in_full(2),
+    "diagonal_in_full_4": lambda: diagonal_in_full(4),
+    "homogeneous_2_2": lambda: homogeneous_in_full(2, 2),
+    "tensor_factor": _tensor_factor,
+}
 
 
 @contextlib.contextmanager
@@ -161,9 +184,29 @@ def tower_layouts(key):
     return out
 
 
+def chromatic_layouts(key):
+    """The bounds and warnings of :func:`chromatic_bounds` on the inclusion
+    ``key``, and per certificate its fields and the layouts of its colouring
+    and certificate reports."""
+    la.set_default_seed(SEED)
+    try:
+        with _recording() as layout:
+            bounds = chromatic_bounds(CHROMATIC[key]())
+            out = {"bounds": [bounds.lower, bounds.upper, bounds.warnings]}
+            for i, cert in enumerate(bounds.certificates):
+                fields = ("graph", "kind", "ambient_dim", "aux_dim", "colours", "lower_bound")
+                out[f"certificate_{i}"] = [cert[f] for f in fields]
+                for report in ("colouring_report", "certificate_report"):
+                    out[f"certificate_{i}.{report}"] = layout(cert[report])
+    finally:
+        la.set_default_seed(la.DEFAULT_SEED)
+    return out
+
+
 def _all_layouts():
     out = {name: layouts(name) for name in CONSTRUCTORS}
     out.update({f"tower_{key}": tower_layouts(key) for key in TOWERS})
+    out.update({f"chromatic_{key}": chromatic_layouts(key) for key in CHROMATIC})
     return dict(sorted(out.items()))
 
 
@@ -192,6 +235,11 @@ def test_report_layouts_are_pinned(name):
 @pytest.mark.parametrize("key", TOWERS)
 def test_tower_report_layouts_are_pinned(key):
     _check_pinned(f"tower_{key}", tower_layouts(key))
+
+
+@pytest.mark.parametrize("key", sorted(CHROMATIC))
+def test_chromatic_report_layouts_are_pinned(key):
+    _check_pinned(f"chromatic_{key}", chromatic_layouts(key))
 
 
 if __name__ == "__main__":

@@ -630,3 +630,38 @@ def test_cross_check_fails_on_wrong_expectation(monkeypatch):
     exact = s.context.expectation
     monkeypatch.setattr(s.context, "expectation", lambda x: 1.01 * exact(x))
     assert not check().passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_standard_scheme_matches_tensor_picture_witnesses(n):
+    # Werner's tensor picture written out by hand: the resource
+    # n^2 (1 (x) |psi><psi|), the POVM ((u* (x) 1)|psi><psi|(u (x) 1)) (x) 1 and
+    # the corrections Ad(1 (x) 1 (x) u), on M_n (x) M_n (x) M_n
+    s = standard_scheme(n)
+    full, triv, one = StarAlgebra.full(n), StarAlgebra.trivial(n), la.eye(n)
+    psi = la.max_entangled(n)
+    e = np.outer(psi, psi.conj())
+    assert np.max(np.abs(s.omega - n * n * la.kron(one, e))) < 1e-14
+    assert s.outcomes == n * n
+    for u, f, ch in zip(weyl_basis(n).elements, s.povm, s.channels):
+        want = la.kron(la.kron(la.dagger(u), one) @ e @ la.kron(u, one), one)
+        assert np.max(np.abs(f - want)) < 1e-14
+        assert np.max(np.abs(ch.ad_unitary - la.kron(la.eye(n * n), u))) < 1e-14
+    ctx = s.context
+    assert ctx.ambient.blocks == [(n**3, 1)]
+    assert ctx.alice.same_span(StarAlgebra.tensor(full, full, triv))
+    assert ctx.bob.same_span(StarAlgebra.tensor(triv, triv, full))
+    assert ctx.teleported.same_span(StarAlgebra.tensor(full, triv, triv))
+    assert ctx.mirror.same_span(StarAlgebra.tensor(triv, full, triv))
+    for a, b in ctx.shift_pairs:
+        assert np.max(np.abs(b - la.kron(one, one, la.partial_trace(a, [n, n * n], {1}, normalise=True)))) < 1e-14
+
+
+def test_unbiased_povm_matches_the_per_element_loop():
+    # the POVM is lifted as one stack; the loop over u_i is the reference
+    t, b = tower_basis("diagonal_in_full_3", lambda: shift_basis(3))
+    pi, pi1, e1 = t.gns.left, t.gns1.left, t.jones1
+    want = [pi1(la.dagger(pi(u)) @ e1 @ pi(u)) for u in b.elements]
+    got = unbiased_scheme(t, b).povm
+    assert len(got) == len(want)
+    assert max(np.max(np.abs(f - w)) for f, w in zip(got, want)) < 1e-14
