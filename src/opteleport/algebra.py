@@ -163,22 +163,19 @@ class StarAlgebra:
         a centre of a contained in b) add nothing and are skipped, so the
         structure needs no rediscovery.
 
-        Commutation is gated cheaply: the block generators ``f[p][0]`` of b
-        and their adjoints, which generate b, must lie in the commutant of a,
-        read in the frame coordinates of a (:func:`_frame_gap`), or
-        :class:`PreconditionError` is raised.  A pair rank that is not a
-        multiple of d_j d_k raises :class:`StructureError`.
+        Commutation is gated cheaply: the column units of b, which generate
+        it, must lie in the commutant of a, read in the frame coordinates of a
+        (:func:`_commutation_gap`), or :class:`PreconditionError` is raised.
+        A pair rank that is not a multiple of d_j d_k raises
+        :class:`StructureError`.
         """
-        if a.ambient_dim != b.ambient_dim:
-            raise PreconditionError("commuting product requires a common ambient")
-        cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
-        cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
-        gens_b = np.concatenate(cols_b + [la.dagger(g[1:]) for g in cols_b])
-        clash = float(np.max(la.frobenius_norms(_frame_gap(a, gens_b, commutant=True))))
+        clash = _commutation_gap(a, b)
         if clash > a.tol.bound(1.0) * 10:
             raise PreconditionError(f"commuting product of non-commuting algebras ({clash:.2e})")
         blocks: list[tuple[int, int]] = []
         frames: list[np.ndarray] = []
+        cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
+        cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
         for wa, fa in zip(a.frames, cols_a):
             for wb, fb in zip(b.frames, cols_b):
                 overlap = la.dagger(wa) @ wb
@@ -346,86 +343,25 @@ class StarAlgebra:
         (..., n, n) the array of the distances of its matrices.
 
         Where :meth:`project` takes the frames (n^2 > dim > 2n) the distance
-        is read in the frame coordinates (:func:`_frame_gap`), with no
+        is read in the frame coordinates (:func:`_frame_distance`), with no
         product back.
         """
         n = self.ambient_dim
         if 2 * n < self.dim < n * n:
-            gap = _frame_gap(self, x)
-        else:
-            gap = self.project(x)
-            gap -= x
+            return _frame_distance(self, x)
+        gap = self.project(x)
+        gap -= x
         norms = la.frobenius_norms(gap)
         return float(norms) if np.ndim(x) == 2 else norms
 
     def same_span(self, other: "StarAlgebra", tol: Tolerance | None = None) -> bool:
         """Equal dimension and ambient, and every column unit f_{a0} of
-        ``self`` lies in ``other``: those units generate ``self`` as a
-        *-algebra, so ``self`` lies in ``other`` and the dimensions close it."""
+        ``self`` lies in ``other`` (:func:`_generators`), so ``self`` lies in
+        ``other`` and the dimensions close it."""
         tol = tol or self.tol
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
-        return all(
-            other.contains(f, tol)
-            for (d, _), w in zip(self.blocks, self.frames)
-            for f in _column_units(w, d)
-        )
-
-    def commutator_residual(self, other: "StarAlgebra") -> float:
-        """max ||[x, y]||_F over x in ``self.basis`` and y in ``other.basis``.
-
-        Only the smaller algebra's basis is formed.  Each of its elements y
-        is moved into the frame coordinates of the larger one,
-        y~ = W* y W with W = hstack(frames), where a basis element of block j
-        is E (x) 1_m for E one of e_pp / sqrt(m), (e_pq + e_qp) / sqrt(2m),
-        i (e_pq - e_qp) / sqrt(2m).  Every entry of [E (x) 1, y~] is then an
-        m x m block of y~, a difference X_pp - X_qq or a sum X_pq -+ X_qp
-        of the blocks of X = y~[j, j], so ||[x, y]||^2 is summed from
-        nonnegative terms: leg norms of y~ off block j, the norms of X_pc
-        and X_cp for c outside {p, q}, and 2||X_pp - X_qq||^2 +
-        2||X_pq -+ X_qp||^2.  Expanding the norm through inner products
-        instead would cancel to noise of order the threshold at a zero
-        residual.
-        """
-        if self.ambient_dim != other.ambient_dim:
-            raise PreconditionError("commutator residual requires a common ambient")
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        w = np.hstack(big.frames)
-        legs = np.repeat([m for _, m in big.blocks], [d for d, _ in big.blocks])
-        starts = np.cumsum(legs) - legs
-        owner = np.repeat(np.arange(len(big.blocks)), [d for d, _ in big.blocks])
-        worst = 0.0
-        for y in small.basis:
-            yt = la.dagger(w) @ y @ w
-            q = np.abs(yt) ** 2
-            g = np.add.reduceat(np.add.reduceat(q, starts, axis=0), starts, axis=1)
-            first = offset = 0
-            for j, (d, m) in enumerate(big.blocks):
-                inside = slice(first, first + d)
-                out = owner != j
-                off = g[inside][:, out].sum(axis=1) + g[out][:, inside].sum(axis=0)
-                t = g[inside, inside] + g[inside, inside].T
-                corner = yt[offset : offset + d * m, offset : offset + d * m]
-                corner = corner.reshape(d, m, d, m).transpose(0, 2, 1, 3)  # X_pq at [p, q]
-                others = ~np.eye(d, dtype=bool)
-                worst = max(worst, float(np.max(off + (t * others).sum(axis=1))) / m)
-                if d > 1:
-                    p, r = np.triu_indices(d, 1)
-                    keep = others[p] & others[r]
-                    diag = corner[np.arange(d), np.arange(d)]
-                    flip = corner[r, p]
-                    base = (
-                        off[p]
-                        + off[r]
-                        + ((t[p] + t[r]) * keep).sum(axis=1)
-                        + 2 * _sq_norms(diag[p] - diag[r])
-                    )
-                    for sign in (-1, 1):
-                        tail = 2 * _sq_norms(corner[p, r] + sign * flip)
-                        worst = max(worst, float(np.max(base + tail)) / (2 * m))
-                first += d
-                offset += d * m
-        return float(np.sqrt(worst))
+        return _holds(other, _generators(self), tol)
 
     @cached_property
     def center(self) -> "StarAlgebra":
@@ -440,11 +376,6 @@ class StarAlgebra:
         blocks = [(m, d) for d, m in self.blocks]
         frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self.frames)]
         return _canonical(self.ambient_dim, blocks, frames, self.tol)
-
-
-def _sq_norms(stack: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix in a stack."""
-    return np.sum(np.abs(stack) ** 2, axis=(-2, -1))
 
 
 def _legs(w: np.ndarray, d: int) -> np.ndarray:
@@ -462,29 +393,56 @@ def _corners(alg: StarAlgebra, x: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _frame_gap(alg: StarAlgebra, x: np.ndarray, commutant: bool = False) -> np.ndarray:
-    """x - P(x) in the frame coordinates W* x W, W = hstack(frames), for a
-    matrix or a stack, with P the HS projection onto ``alg`` or, with
-    ``commutant``, onto its commutant.
+def _layout_distance(
+    x: np.ndarray, layout: Sequence[tuple[int, int]], commutant: bool = False
+) -> float | np.ndarray:
+    """The Frobenius distance of x to the algebra (+)_j M_{d_j} (x) 1_{m_j} on
+    consecutive diagonal blocks, for ``layout`` the pairs (d_j, m_j), or with
+    ``commutant`` to its commutant (+)_j 1_{d_j} (x) M_{m_j}.  For a stack of
+    shape (..., D, D), the array of the distances of its matrices.
 
-    Seen as (d, m, d, m) on block j, P keeps the mean over the multiplicity
-    legs times 1_m (for the commutant: 1_d times the mean over the block
-    legs) and nothing off the diagonal blocks, so subtracting that in place
-    leaves the gap; W is unitary, so its norms are those of x - P(x).
+    The projection averages each diagonal block over the legs the algebra
+    holds scalar and drops everything off the diagonal blocks; the distance
+    sums the squares of what it leaves out, never a difference of norms, and
+    x is left as it is.
     """
-    w = np.hstack(alg.frames)
-    gap, start = la.dagger(w) @ x @ w, 0
-    for d, m in alg.blocks:
-        block = gap[..., start : start + d * m, start : start + d * m]
+    total, o = 0.0, 0
+    for d, m in layout:
+        sl, end = slice(o, o + d * m), o + d * m
+        off = la.frobenius_norms(x[..., sl, :o]) ** 2 + la.frobenius_norms(x[..., sl, end:]) ** 2
+        total = total + off
+        block = x[..., sl, sl]
         legs = block.reshape(*block.shape[:-2], d, m, d, m)
         if commutant:
             mean = np.trace(legs, axis1=-4, axis2=-2) / d
-            block -= np.einsum("ab,...rs->...arbs", la.eye(d), mean).reshape(block.shape)
+            gap = legs - la.eye(d)[:, None, :, None] * mean[..., None, :, None, :]
         else:
             mean = np.trace(legs, axis1=-3, axis2=-1) / m
-            block -= np.einsum("...ab,rs->...arbs", mean, la.eye(m)).reshape(block.shape)
-        start += d * m
-    return gap
+            gap = legs - mean[..., :, None, :, None] * la.eye(m)[None, :, None, :]
+        total = total + la.frobenius_norms(gap.reshape(block.shape)) ** 2
+        o = end
+    return float(np.sqrt(total)) if np.ndim(x) == 2 else np.sqrt(total)
+
+
+def _frame_distance(alg: StarAlgebra, x: np.ndarray, commutant: bool = False) -> float | np.ndarray:
+    """The Frobenius distance of x, or of each matrix of a stack, to ``alg`` or,
+    with ``commutant``, to its commutant, read in the frame coordinates
+    W* x W, W = hstack(frames): W is unitary and carries the algebra onto its
+    block layout (:func:`_layout_distance`)."""
+    w = np.hstack(alg.frames)
+    return _layout_distance(la.dagger(w) @ x @ w, alg.blocks, commutant)
+
+
+def _commutation_gap(a: StarAlgebra, b: StarAlgebra) -> float:
+    """The largest Frobenius distance to the commutant a' of the column units
+    f_{a0} of b (:func:`_generators`); zero exactly when a and b commute.
+
+    The units and their adjoints generate b, and a' is a *-algebra, so b
+    lies in a' once the units do; an adjoint lies as far from a' as its unit.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise PreconditionError("commutation requires a common ambient")
+    return float(np.max(_frame_distance(a, _generators(b), commutant=True)))
 
 
 def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray:
@@ -531,6 +489,13 @@ def _column_units(w: np.ndarray, d: int) -> np.ndarray:
     """The matrix units f_{a0}, a < d, of a block frame as a (d, n, n) stack."""
     legs = _legs(w, d)
     return np.matmul(legs, la.dagger(legs[0]))
+
+
+def _generators(alg: StarAlgebra) -> np.ndarray:
+    """The column units f_{a0} of every block as one (sum_j d_j, n, n) stack.
+    With their adjoints they generate ``alg`` (f_ab = f_a0 f_b0*), so a
+    *-algebra holds ``alg`` once it holds them."""
+    return np.concatenate([_column_units(w, d) for (d, _), w in zip(alg.blocks, alg.frames)])
 
 
 def _swap_legs(w: np.ndarray, d: int, m: int) -> np.ndarray:

@@ -13,7 +13,14 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, Superoperator, Trace, conditional_expectation_onto
+from .algebra import (
+    StarAlgebra,
+    Superoperator,
+    Trace,
+    _generators,
+    _holds,
+    conditional_expectation_onto,
+)
 from .errors import ConnectednessError, PreconditionError, StructureError
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -86,9 +93,8 @@ class Inclusion:
     ) -> None:
         if small.ambient_dim != big.ambient_dim:
             raise PreconditionError("N and M must share an ambient")
-        for b in small.basis:
-            if not big.contains(b, tol):
-                raise PreconditionError("N is not contained in M")
+        if not _holds(big, _generators(small), tol):  # M is a *-algebra: N's units generate N in M
+            raise PreconditionError("N is not contained in M")
         if trace is None:
             trace = markov_trace(small, big, tol)
         if trace.algebra is not big:
@@ -161,12 +167,11 @@ def concrete_jones_projection(small: StarAlgebra) -> np.ndarray:
 
     The GNS space of (M_n, tau_n) is identified with C^n (x) C^n through
     x -> (x (x) 1) psi_n, so the projection onto the closure of N is the
-    orthogonal projection onto {(y (x) 1) psi_n : y in N}.
+    orthogonal projection onto {(y (x) 1) psi_n : y in N}.  Since
+    <(a (x) 1) psi_n, (b (x) 1) psi_n> = Tr(a* b) / n, the vectors
+    sqrt(n) (b (x) 1) psi_n over the HS-orthonormal basis of N are already
+    orthonormal, and e = C C* for C their columns.
     """
-    n = small.ambient_dim
-    psi = la.max_entangled(n)
-    vecs = [la.kron(y, la.eye(n)) @ psi for y in small.basis]
-    stack = np.stack(vecs)
-    q, r = np.linalg.qr(stack.T)
-    cols = q[:, np.abs(np.diag(r)) > 1e-12]
+    # sqrt(n) (b (x) 1) psi_n is b raveled row-major
+    cols = small.basis.reshape(small.dim, -1).T
     return cols @ la.dagger(cols)

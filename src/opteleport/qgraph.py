@@ -356,31 +356,28 @@ def basis_lower_bound(
     if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
         raise PreconditionError("certificate needs a unitary orthonormal normaliser basis")
     idx = int(round(t.index))
-    pi = t.gns.left
     mprime = t.m_rep.commutant
     nprime = t.n_rep.commutant
-    reps = [pi(u) for u in basis.elements]
-    l = col.aux_dim
+    reps = t.gns.left(np.stack(basis.elements))
     rep = Report()
 
-    def average(y: np.ndarray) -> np.ndarray:
-        return sum(la.dagger(r) @ y @ r for r in reps) / idx
+    def conjugate_sum(ys: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """sum_u u* y u for each y of the stack ys: one stacked product per u."""
+        return sum(la.dagger(u) @ ys @ u for u in us)
 
     rep.add(
         "averaging_lands_in_far_commutant",
-        max(mprime.membership_residual(average(y)) for y in nprime.basis),
+        float(np.max(mprime.membership_residual(conjugate_sum(nprime.basis, reps) / idx))),
         tol.bound(1.0) * nprime.dim,
     )
+    fixed = mprime.basis
     rep.add(
         "averaging_fixes_far_commutant",
-        max(la.frobenius_distance(average(y), y) for y in mprime.basis),
+        float(np.max(la.frobenius_norms(conjugate_sum(fixed, reps) / idx - fixed))),
         tol.bound(1.0) * mprime.dim,
     )
-    rs = [
-        sum(la.kron(la.dagger(r), la.eye(l)) @ p @ la.kron(r, la.eye(l)) for r in reps)
-        for p in col.projections
-    ]
-    return _certificate(rep, rs, idx, col, tol)
+    rs = conjugate_sum(np.stack(col.projections), la.kron(reps, la.eye(col.aux_dim)))
+    return _certificate(rep, list(rs), idx, col, tol)
 
 
 # ---------------------------------------------------------------------------

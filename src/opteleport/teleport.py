@@ -31,8 +31,9 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
+    _commutation_gap,
     _corners,
-    _frame_gap,
+    _frame_distance,
     conditional_expectation_onto,
 )
 from .bases import PimsnerPopaBasis, _weyl_family, verify_basis, weyl_basis
@@ -64,9 +65,6 @@ class TeleportationContext:
         self.expectation = conditional_expectation_onto(
             self.teleported, self.ambient, self.trace
         )
-
-    def alice_bob_commute_residual(self) -> float:
-        return self.alice.commutator_residual(self.bob)
 
 
 @dataclass
@@ -120,9 +118,11 @@ def verify_scheme(
     (:meth:`StarAlgebra.random_hermitian`) and shared by every such channel.
     The one-way LOCC form of the total operation follows from the verified
     structure and is recorded as implied rather than re-checked.  Alice ∨ Bob
-    is built from matrix units, so Alice and Bob must commute: when they do
-    not, ``strict`` raises at once and otherwise the bimodule check is
-    recorded as failed with an infinite residual.  A failed bimodule check is
+    is built from matrix units, so Alice and Bob must commute, which
+    ``alice_bob_commute`` reads as the distance to Alice' of the column units
+    that generate Bob (:func:`~opteleport.algebra._commutation_gap`).  When
+    they do not commute, ``strict`` raises at once and otherwise the bimodule
+    check is recorded as failed with an infinite residual.  A failed bimodule check is
     excused only when Bob has several central projections, all in Alice, and
     every channel normalises Alice.
     """
@@ -130,7 +130,7 @@ def verify_scheme(
     ctx = scheme.context
     rep = Report()
     dim = ctx.ambient.ambient_dim
-    commute = rep.add("alice_bob_commute", ctx.alice_bob_commute_residual(), tol.bound(1.0) * 10)
+    commute = rep.add("alice_bob_commute", _commutation_gap(ctx.alice, ctx.bob), tol.bound(1.0) * 10)
     if strict and not commute.passed:
         raise SchemeError(f"structural clause failed: alice_bob_commute ({commute.residual:.2e})")
 
@@ -260,7 +260,7 @@ def _bimodule_residual(
         for ch in witnessed:
             v = ch.ad_unitary
             drift = la.frobenius_distance(ch(x0), v @ x0 @ la.dagger(v))
-            outside = float(la.frobenius_norms(_frame_gap(ctx.alice, v, commutant=True)))
+            outside = _frame_distance(ctx.alice, v, commutant=True)
             worst = max(worst, outside + drift)
     return worst
 
@@ -413,7 +413,7 @@ def _tower_context(t: Tower) -> TeleportationContext:
     lift = lambda x: t.gns1.left(t.gns.left(x))
     teleported = t.rel_comm.image(lift, dim1)
     mirror = t.mirror1.image(t.gns1.left, dim1)
-    pairs = [(lift(x), t.shift(x)) for x in t.rel_comm.basis]
+    basis = t.rel_comm.basis
     return TeleportationContext(
         ambient=t.level2,
         trace=t.trace2,
@@ -421,7 +421,7 @@ def _tower_context(t: Tower) -> TeleportationContext:
         bob=t.mirror2,
         teleported=teleported,
         mirror=mirror,
-        shift_pairs=pairs,
+        shift_pairs=list(zip(lift(basis), t.shift(basis))),
     )
 
 
@@ -673,10 +673,7 @@ def _tight_scheme(
     z = la.eye(n) if z is None else np.asarray(z, dtype=complex)
     if not normalizer_check(t, u, tol):
         raise PreconditionError("u must normalise N")
-    centre_res = max(
-        la.frobenius_distance(z @ b, b @ z) for b in inc.small.basis
-    ) + inc.small.membership_residual(z)
-    if centre_res > tol.bound(float(np.linalg.norm(z))) * 10:
+    if inc.small.center.membership_residual(z) > tol.bound(float(np.linalg.norm(z))) * 10:
         raise PreconditionError("z must be central in N")
     zvals = np.linalg.eigvalsh((z + la.dagger(z)) / 2)
     if zvals.min() <= tol.abs or abs(inc.trace(z) - 1.0) > tol.bound(1.0):
@@ -756,8 +753,7 @@ def extract_tight_scheme(
         raise PreconditionError("extraction expects three legs of matching dimension")
     small = inc.small
     flipped = np.swapaxes(small.basis, -1, -2)
-    trans_res = float(np.max(la.frobenius_norms(flipped - la.span_project(small.basis, flipped))))
-    if trans_res > tol.bound(1.0) * 10:
+    if np.max(small.membership_residual(flipped)) > tol.bound(1.0) * 10:
         raise HypothesisError("N must be transpose-closed (block-adapted position)")
     flag, _ = commutant_trace_is_markov(inc, tol)
     if not flag:

@@ -32,8 +32,10 @@ from .algebra import (
     Superoperator,
     Trace,
     _corners,
+    _frame_distance,
     _frame_from,
     _from_corners,
+    _layout_distance,
     _unit_to_hermitian,
     conditional_expectation_onto,
 )
@@ -588,12 +590,11 @@ def _level1_span_report(t: Tower, tol: Tolerance, images: np.ndarray, ranged: np
     rep.add_flag("level1_spanned_by_compressions", span.shape[0] == level1.dim)
     v, _ = _unit_to_hermitian([d for d, _ in level1.blocks])
     basis = np.conj(_apply(v, la.eye(level1.dim)))  # the basis of level1, row by row
-    w = np.hstack(level1.frames)  # unitary: W* x W are the frame coordinates of x
     rep.add(
         "level1_span_membership",
         max(
             float(np.linalg.norm(basis - (basis @ la.dagger(span)) @ span, axis=1).max()),
-            float(_block_distance(la.dagger(w) @ np.concatenate([t.jones1[None], images]) @ w, level1.blocks).max()),
+            float(_frame_distance(level1, np.concatenate([t.jones1[None], images])).max()),
         ),
         tol.bound(1.0) * level1.dim,
     )
@@ -654,41 +655,6 @@ def _row_span(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     return vh[: int(np.sum(s > tol.abs))]
 
 
-def _block_distance(
-    x: np.ndarray, layout: list[tuple[int, int]], second: bool = False
-) -> float | np.ndarray:
-    """The Frobenius distance of x to the algebra (+)_j M_{d_j} (x) 1_{m_j} on
-    consecutive diagonal blocks, for ``layout`` the pairs (d_j, m_j); with
-    ``second`` the algebra is (+)_j 1_{m_j} (x) M_{d_j}.  For a stack of
-    shape (..., D, D), the array of the distances of its matrices.
-
-    The projection averages each diagonal block over its multiplicity leg and
-    drops everything off the diagonal blocks; the distance sums the squares of
-    what it leaves out, never a difference of norms.
-    """
-    total, o = 0.0, 0
-    for d, m in layout:
-        sl, end = slice(o, o + d * m), o + d * m
-        total = total + _sq_norm(x[..., sl, :o]) + _sq_norm(x[..., sl, end:])
-        block = x[..., sl, sl]
-        if second:
-            legs = block.reshape(*block.shape[:-2], m, d, m, d)
-            mean = np.trace(legs, axis1=-4, axis2=-2) / m
-            gap = legs - la.eye(m)[:, None, :, None] * mean[..., None, :, None, :]
-        else:
-            legs = block.reshape(*block.shape[:-2], d, m, d, m)
-            mean = np.trace(legs, axis1=-3, axis2=-1) / m
-            gap = legs - mean[..., :, None, :, None] * la.eye(m)[None, :, None, :]
-        total = total + _sq_norm(gap.reshape(block.shape))
-        o = end
-    return float(np.sqrt(total)) if np.ndim(x) == 2 else np.sqrt(total)
-
-
-def _sq_norm(a: np.ndarray) -> float | np.ndarray:
-    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
-    return float(np.vdot(a, a).real) if a.ndim == 2 else la.frobenius_norms(a) ** 2
-
-
 def _markov_expectation_residual(t: Tower, idx: float) -> float:
     """||E(e_M) - 1 / idx||_F for the trace2-preserving expectation E onto M1.
 
@@ -709,7 +675,7 @@ def _markov_expectation_residual(t: Tower, idx: float) -> float:
         corner = np.trace((pu[sl] @ la.dagger(rhou[sl])).reshape(d, d, d, d), axis1=1, axis2=3) / d
         scale = np.trace(weights[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d
         gap = corner @ np.linalg.inv(scale) - la.eye(d) / idx
-        total += d * _sq_norm(gap)
+        total += d * la.frobenius_norms(gap) ** 2
     return float(np.sqrt(total))
 
 
@@ -741,7 +707,7 @@ def _right_commutant_distance(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.n
             offsets[j] += e * r
         block = np.concatenate(legs, axis=1)
         order.append(block.ravel())
-        layout.append((block.shape[1], e))
+        layout.append((e, block.shape[1]))
     order = np.concatenate(order)
 
     def distance(xt: np.ndarray) -> float:
@@ -749,7 +715,7 @@ def _right_commutant_distance(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.n
         for (d, _), sl, u in zip(gns.algebra.blocks, gns._slices, changes):
             z[:, sl] = (z[:, sl].reshape(-1, d, d) @ u).reshape(-1, d * d)
             z[sl] = (la.dagger(u) @ z[sl].reshape(d, d, -1)).reshape(d * d, -1)
-        return _block_distance(z[order][:, order], layout, second=True)
+        return _layout_distance(z[order][:, order], layout, commutant=True)
 
     return distance
 
@@ -834,12 +800,12 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> 
     # unit coordinates 1 (x) M_{d_j} on block j.  M2 is the commutant of the
     # right action of M there.
     gns1 = t.gns1
-    blocks = [(d, d) for d, _ in gns1.algebra.blocks]
+    layout = [(d, d) for d, _ in gns1.algebra.blocks]
     to_level2 = _right_commutant_distance(gns1, t.levels[1].upper)
     lands = image = 0.0
     for s in shifted:  # one at a time: each pass over a dim x dim operator stays in cache
         u = gns1.operators_to_units(s)
-        lands = max(lands, _block_distance(u, blocks, second=True))
+        lands = max(lands, _layout_distance(u, layout, commutant=True))
         image = max(image, to_level2(u))
     rep.add("shift_lands_in_level2_commutant", lands, tol.bound(1.0) * t.level1.dim)
     rep.add("shift_image_in_level2", image, tol.bound(1.0) * t.level2.dim)

@@ -1,5 +1,6 @@
 import pytest
 
+from opteleport import linalg as la
 from opteleport.algebra import StarAlgebra
 from opteleport.inclusion import (
     Inclusion,
@@ -37,6 +38,14 @@ TOWER_KEYS = [
     "homogeneous_2_2",
     "scalars_in_direct_sum",
 ]
+
+def dense_commutation_gap(a: StarAlgebra, b: StarAlgebra) -> float:
+    """Oracle: the largest distance to the dense span of a' of the generators
+    of b, its units f_a0 and their adjoints f_0a."""
+    gens = [f[p][0] for f in b.matrix_units for p in range(len(f))]
+    gens += [la.dagger(g) for g in gens]
+    return max(la.span_residual(a.commutant.basis, g) for g in gens)
+
 
 _tower_cache: dict[str, Tower] = {}
 

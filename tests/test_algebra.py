@@ -9,12 +9,15 @@ from opteleport.algebra import (
     Superoperator,
     Trace,
     conditional_expectation_onto,
+    _commutation_gap,
     _discover,
     _split,
     intersect,
     scalar_decompose_cp_family,
 )
 from opteleport.errors import NotScalarError, PreconditionError, StructureError
+
+from conftest import dense_commutation_gap
 
 
 def brute_force_commutant(alg: StarAlgebra) -> np.ndarray:
@@ -360,11 +363,6 @@ def test_conditional_expectation_matches_tau_onb_formula_nonuniform():
         assert la.frobenius_distance(expect(x), want) < 1e-12
 
 
-def dense_commutator_residual(a: StarAlgebra, b: StarAlgebra) -> float:
-    """Oracle: max ||xy - yx||_F over both dense bases."""
-    return max(la.frobenius_distance(x @ y, y @ x) for x in a.basis for y in b.basis)
-
-
 def rotated(alg: StarAlgebra, eps: float, rng: np.random.Generator) -> StarAlgebra:
     """The algebra conjugated by exp(i eps H) for a random Hermitian H."""
     vals, vecs = np.linalg.eigh(la.random_hermitian(alg.ambient_dim, rng))
@@ -373,9 +371,9 @@ def rotated(alg: StarAlgebra, eps: float, rng: np.random.Generator) -> StarAlgeb
 
 
 def assert_matches_dense(a: StarAlgebra, b: StarAlgebra) -> None:
-    want = dense_commutator_residual(a, b)
-    for got in (a.commutator_residual(b), b.commutator_residual(a)):
-        assert abs(got - want) <= 1e-15 + 1e-12 * want, (got, want)
+    for x, y in ((a, b), (b, a)):
+        want, got = dense_commutation_gap(x, y), _commutation_gap(x, y)
+        assert abs(got - want) <= 1e-14 + 1e-12 * want, (got, want)
 
 
 @pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(3, 2), (1, 1)], [(4, 3)], [(2, 2), (3, 1)]])
@@ -389,15 +387,15 @@ def test_commutator_residual_matches_dense_under_rotation(layout, eps):
 
 def test_commutator_residual_zero_on_commutant_and_positive_otherwise():
     a = StarAlgebra.block_diagonal([(2, 1), (1, 2)])
-    assert a.commutator_residual(a.commutant) < 1e-15
-    assert a.commutator_residual(a) > 0.5
+    assert _commutation_gap(a, a.commutant) < 1e-15
+    assert _commutation_gap(a, a) > 0.5
     assert_matches_dense(a, a)
     assert_matches_dense(a, StarAlgebra.full(4))
 
 
 def test_commutator_residual_requires_common_ambient():
     with pytest.raises(PreconditionError):
-        StarAlgebra.full(2).commutator_residual(StarAlgebra.full(3))
+        _commutation_gap(StarAlgebra.full(2), StarAlgebra.full(3))
 
 
 @pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(3, 2), (1, 1)], [(4, 3)], [(1, 1), (2, 2), (3, 1)]])

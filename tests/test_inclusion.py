@@ -122,6 +122,22 @@ def test_inclusion_rejects_bad_data():
         Inclusion(StarAlgebra.full(2), StarAlgebra.trivial(2))  # N not inside M
 
 
+def test_inclusion_tests_containment_on_the_column_units():
+    # D_3 rotated inside the M_2 block of C + M_2 stays in it; rotated across
+    # the blocks it leaves it, though its unit does not
+    big = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
+    inside = np.eye(3, dtype=complex)
+    inside[1:, 1:] = la.random_unitary(2, 11)
+    across = la.random_unitary(3, 12)
+    for u, ok in ((inside, True), (across, False)):
+        small = StarAlgebra.diagonal(3).image(lambda x: u @ x @ la.dagger(u), 3)
+        if ok:
+            assert Inclusion(small, big, Trace.normalized(big)).small is small
+        else:
+            with pytest.raises(PreconditionError, match="N is not contained in M"):
+                Inclusion(small, big, Trace.normalized(big))
+
+
 def test_relative_commutant():
     inc = diagonal_in_full(2)
     assert inc.relative_commutant.same_span(StarAlgebra.diagonal(2))

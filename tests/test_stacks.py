@@ -9,14 +9,15 @@ from opteleport.algebra import (
     StarAlgebra,
     Superoperator,
     _corners,
-    _frame_gap,
+    _frame_distance,
     _from_corners,
+    _layout_distance,
     Trace,
     conditional_expectation_onto,
 )
 from opteleport.bases import shift_basis, weyl_basis
 from opteleport.errors import NormaliserError
-from opteleport.tower import _block_distance, _normaliser_votes, normalizer_check
+from opteleport.tower import _normaliser_votes, normalizer_check
 
 from conftest import get_tower
 
@@ -102,7 +103,7 @@ def test_from_corners_takes_stacks(path):
 def test_frame_gap_of_the_commutant_is_the_commutant_membership(path):
     alg = PATHS[path]()
     xs = ginibre_stack((3,), alg.ambient_dim, 7)
-    got = la.frobenius_norms(_frame_gap(alg, xs, commutant=True))
+    got = _frame_distance(alg, xs, commutant=True)
     want = [alg.commutant.membership_residual(x) for x in xs]
     assert np.max(np.abs(got - want)) < 1e-13
 
@@ -239,11 +240,11 @@ def test_tower_maps_take_stacks():
     assert np.abs(t.shift_operator(xs) - t.shift(xs)).max() == 0.0
 
 
-@pytest.mark.parametrize("second", [False, True])
-def test_block_distance_takes_stacks(second):
+@pytest.mark.parametrize("commutant", [False, True])
+def test_block_distance_takes_stacks(commutant):
     layout = [(2, 3), (1, 2), (3, 1)]
     xs = ginibre_stack((2, 3), 11, 41)
-    got = _block_distance(xs, layout, second)
+    got = _layout_distance(xs, layout, commutant)
     assert got.shape == (2, 3)
-    assert all(abs(got[i, j] - _block_distance(xs[i, j], layout, second)) < 1e-13 for i in range(2) for j in range(3))
-    assert isinstance(_block_distance(xs[0, 0], layout, second), float)
+    assert all(abs(got[i, j] - _layout_distance(xs[i, j], layout, commutant)) < 1e-13 for i in range(2) for j in range(3))
+    assert isinstance(_layout_distance(xs[0, 0], layout, commutant), float)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Superoperator, Trace, _from_corners
+from opteleport.algebra import StarAlgebra, Superoperator, Trace, _commutation_gap, _from_corners
 from opteleport.bases import (
     PimsnerPopaBasis,
+    commutant_factor_basis,
     homogeneous_block_basis,
     shift_basis,
     shift_unitary,
@@ -28,7 +29,7 @@ from opteleport.teleport import (
     _cross_check_rows,
 )
 
-from conftest import get_tower
+from conftest import dense_commutation_gap, get_tower
 
 
 def tower_basis(key, make):
@@ -127,6 +128,7 @@ def test_non_commuting_alice_and_bob():
     ]
     bimod = next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
     assert bimod.residual == float("inf")
+    assert rep.checks[0].residual >= 1  # the unit f_10 (x) 1 of Bob lies sqrt(2) from Alice'
 
 
 def test_bimodule_fallback_needs_shared_central_projections():
@@ -400,6 +402,34 @@ def test_tight_scheme_rejects_bad_z():
         tight_scheme_from_basis(inc, b, z=np.diag([2.0, 0.0]).astype(complex))
 
 
+def _qubit_in_two_qubits():
+    """M_2 (x) 1 inside M_4 with its commutant-factor basis."""
+    qubit = StarAlgebra.tensor(StarAlgebra.full(2), StarAlgebra.trivial(2))
+    inc = markov_inclusion(qubit, StarAlgebra.full(4))
+    return inc, commutant_factor_basis(inc)
+
+
+def test_tight_scheme_rejects_z_outside_the_centre():
+    inc, b = _qubit_in_two_qubits()
+    h = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)  # positive, with tau(h (x) 1) = 1
+    ident = np.eye(2, dtype=complex)
+    assert verify_scheme(tight_scheme_from_basis(inc, b, z=np.kron(ident, ident))).passed
+    # in N but not central there, and commuting with N but outside it
+    for z in (np.kron(h, ident), np.kron(ident, h)):
+        with pytest.raises(PreconditionError, match="z must be central in N"):
+            tight_scheme_from_basis(inc, b, z=z)
+
+
+def test_extraction_rejects_n_not_transpose_closed():
+    inc, b = _qubit_in_two_qubits()
+    s = tight_scheme_from_basis(inc, b)
+    u = la.random_unitary(4, 5)  # complex: u N u* is no longer transpose-closed
+    rotated = markov_inclusion(inc.small.image(lambda x: u @ x @ la.dagger(u), 4), inc.big)
+    with pytest.raises(HypothesisError, match="transpose-closed"):
+        extract_tight_scheme(s, rotated)
+    assert extract_tight_scheme(s)[3].passed
+
+
 @pytest.mark.parametrize(
     "case",
     ["pauli_plain", "pauli_dressed", "diag_shift_dressed"],
@@ -579,17 +609,21 @@ WORKLOAD_SCHEMES = {
 
 @pytest.mark.parametrize("key", sorted(WORKLOAD_SCHEMES))
 def test_alice_bob_residual_matches_dense_loop(key):
-    ctx = WORKLOAD_SCHEMES[key]().context
-    want = max(la.frobenius_distance(a @ b, b @ a) for a in ctx.alice.basis for b in ctx.bob.basis)
-    for got in (ctx.alice_bob_commute_residual(), ctx.bob.commutator_residual(ctx.alice)):
-        assert abs(got - want) <= 1e-15 + 1e-12 * want
+    scheme = WORKLOAD_SCHEMES[key]()
+    ctx = scheme.context
+    got = verify_scheme(scheme).checks[0]
+    assert got.name == "alice_bob_commute"
+    assert got.residual == _commutation_gap(ctx.alice, ctx.bob) <= 1e-14
+    for a, b in ((ctx.alice, ctx.bob), (ctx.bob, ctx.alice)):
+        want = dense_commutation_gap(a, b)
+        assert abs(_commutation_gap(a, b) - want) <= 1e-14 + 1e-12 * want
 
 
 def test_alice_bob_residual_matches_dense_loop_when_not_commuting():
     qubit = StarAlgebra.tensor(StarAlgebra.full(2), StarAlgebra.trivial(2))
-    want = max(la.frobenius_distance(a @ b, b @ a) for a in qubit.basis for b in qubit.basis)
-    assert want > 0.5
-    assert abs(qubit.commutator_residual(qubit) - want) <= 1e-12 * want
+    want = dense_commutation_gap(qubit, qubit)
+    assert want >= 1
+    assert abs(_commutation_gap(qubit, qubit) - want) <= 1e-12 * want
 
 
 def test_verify_and_classify_leave_alice_basis_unbuilt():

@@ -811,8 +811,8 @@ def test_verify_tower_builds_no_basis_above_level1(key, monkeypatch):
 def test_unit_coordinate_distances_match_projections(key):
     # off the algebras too: random operators and perturbed members of M2 and
     # of the commutant of M1, against the distances StarAlgebra.project gives
-    from opteleport.algebra import _corners
-    from opteleport.tower import _block_distance, _right_commutant_distance
+    from opteleport.algebra import _corners, _layout_distance
+    from opteleport.tower import _right_commutant_distance
 
     t = _frame_tower(key)
     g, upper = t.gns1, t.levels[2].upper
@@ -821,12 +821,12 @@ def test_unit_coordinate_distances_match_projections(key):
     xs[1] = t.level2.random_hermitian(rng) + 1e-3 * xs[1]
     xs[2] = upper.commutant.random_hermitian(rng) + 1e-3 * xs[2]
     v_star = g.to_units(np.eye(g.dim))
-    blocks = [(d, d) for d, _ in g.algebra.blocks]
+    layout = [(d, d) for d, _ in g.algebra.blocks]
     to_level2 = _right_commutant_distance(g, t.levels[1].upper)
     for x in xs:
         u = g.operators_to_units(x)
         assert np.abs(u - v_star @ x @ la.dagger(v_star)).max() < 1e-12
-        lands = _block_distance(u, blocks, second=True)
+        lands = _layout_distance(u, layout, commutant=True)
         assert abs(lands - upper.commutant.membership_residual(x)) < 1e-10
         assert abs(to_level2(u) - t.level2.membership_residual(x)) < 1e-10
         # the frame of represented(algebra) on block j is V there: corners from the unit blocks
