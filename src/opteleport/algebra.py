@@ -152,46 +152,16 @@ class StarAlgebra:
     def commuting_product(cls, a: "StarAlgebra", b: "StarAlgebra") -> "StarAlgebra":
         """The algebra a ∨ b generated by two commuting subalgebras of one ambient.
 
-        For commuting a and b, a ∨ b is the direct sum, over the block pairs
-        (j, k) whose central projections satisfy z_j z_k != 0, of
-        M_{d_j} (x) M_{d_k} with matrix units ``f_a[p][q] @ f_b[r][s]``;
-        its frame is read off the units ``f_a[p][0] @ f_b[r][0]``, applied
-        factor by factor to the range of the corner f_a[0][0] f_b[0][0],
-        which is found inside the range of f_a[0][0]; the units themselves
-        are never formed.  Pairs
-        with z_j z_k = 0 (the two algebras share central projections, e.g.
-        a centre of a contained in b) add nothing and are skipped, so the
-        structure needs no rediscovery.
-
         Commutation is gated cheaply: the column units of b, which generate
         it, must lie in the commutant of a, read in the frame coordinates of a
         (:func:`_commutation_gap`), or :class:`PreconditionError` is raised.
-        A pair rank that is not a multiple of d_j d_k raises
-        :class:`StructureError`.
+        The algebra itself is built by :func:`_commuting_product`, which a
+        caller that has already passed such a gate may call directly.
         """
         clash = _commutation_gap(a, b)
         if clash > a.tol.bound(1.0) * 10:
             raise PreconditionError(f"commuting product of non-commuting algebras ({clash:.2e})")
-        blocks: list[tuple[int, int]] = []
-        frames: list[np.ndarray] = []
-        cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
-        cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
-        for wa, fa in zip(a.frames, cols_a):
-            for wb, fb in zip(b.frames, cols_b):
-                overlap = la.dagger(wa) @ wb
-                rank = float(np.vdot(overlap, overlap).real)  # Tr(z_j z_k)
-                if rank < 0.5:
-                    continue
-                d = len(fa) * len(fb)
-                mult = int(round(rank / d))
-                if abs(rank - d * mult) > 1e-6:
-                    raise StructureError("commuting product multiplicity is not an integer")
-                head = wa[:, : wa.shape[1] // len(fa)]  # columns (0, r): f_a[0][0] = head head*
-                eta = head @ _corner_range(la.dagger(head) @ fb[0] @ head, mult)
-                units = np.matmul(fa[:, None], np.matmul(fb, eta)[None]).reshape(d, -1, mult)
-                blocks.append((d, mult))
-                frames.append(units.transpose(1, 0, 2).reshape(a.ambient_dim, -1))
-        return cls(a.ambient_dim, blocks, frames, a.tol)
+        return _commuting_product(a, b)
 
     @classmethod
     def tensor(cls, *factors: "StarAlgebra") -> "StarAlgebra":
@@ -443,6 +413,43 @@ def _commutation_gap(a: StarAlgebra, b: StarAlgebra) -> float:
     if a.ambient_dim != b.ambient_dim:
         raise PreconditionError("commutation requires a common ambient")
     return float(np.max(_frame_distance(a, _generators(b), commutant=True)))
+
+
+def _commuting_product(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
+    """a ∨ b for subalgebras a and b of one ambient that commute, ungated
+    (:meth:`StarAlgebra.commuting_product` adds the gate).
+
+    For commuting a and b, a ∨ b is the direct sum, over the block pairs
+    (j, k) whose central projections satisfy z_j z_k != 0, of
+    M_{d_j} (x) M_{d_k} with matrix units ``f_a[p][q] @ f_b[r][s]``; its
+    frame is read off the units ``f_a[p][0] @ f_b[r][0]``, applied factor by
+    factor to the range of the corner f_a[0][0] f_b[0][0], which is found
+    inside the range of f_a[0][0]; the units themselves are never formed.
+    Pairs with z_j z_k = 0 (the two algebras share central projections, e.g.
+    a centre of a contained in b) add nothing and are skipped, so the
+    structure needs no rediscovery.  A pair rank that is not a multiple of
+    d_j d_k raises :class:`StructureError`.
+    """
+    blocks: list[tuple[int, int]] = []
+    frames: list[np.ndarray] = []
+    cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
+    cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
+    for wa, fa in zip(a.frames, cols_a):
+        for wb, fb in zip(b.frames, cols_b):
+            overlap = la.dagger(wa) @ wb
+            rank = float(np.vdot(overlap, overlap).real)  # Tr(z_j z_k)
+            if rank < 0.5:
+                continue
+            d = len(fa) * len(fb)
+            mult = int(round(rank / d))
+            if abs(rank - d * mult) > 1e-6:
+                raise StructureError("commuting product multiplicity is not an integer")
+            head = wa[:, : wa.shape[1] // len(fa)]  # columns (0, r): f_a[0][0] = head head*
+            eta = head @ _corner_range(la.dagger(head) @ fb[0] @ head, mult)
+            units = np.matmul(fa[:, None], np.matmul(fb, eta)[None]).reshape(d, -1, mult)
+            blocks.append((d, mult))
+            frames.append(units.transpose(1, 0, 2).reshape(a.ambient_dim, -1))
+    return StarAlgebra(a.ambient_dim, blocks, frames, a.tol)
 
 
 def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray:
@@ -763,10 +770,19 @@ def _expectation(sub: StarAlgebra, trace: Trace) -> Callable[[np.ndarray], np.nd
     Because rho commutes with ``sub``, tau(E(x) y) = tau(x y) for every y in
     ``sub`` and every matrix x, in or outside the algebra ``trace`` lives on.
     P(rho) has the corners of rho, so its inverse in ``sub`` has their inverses.
+    A stack of shape (..., n, n) is right-multiplied by rho and by P(rho)^{-1}
+    as one (k n, n) matrix, a single gemm per product.
     """
     rho = trace.density
     inverse = _from_corners(sub, [np.linalg.inv(c) for c in _corners(sub, rho)])
-    return lambda x: sub.project(x @ rho) @ inverse
+    n = len(rho)
+
+    def expect(x: np.ndarray) -> np.ndarray:
+        shape = np.shape(x)
+        y = sub.project((np.reshape(x, (-1, n)) @ rho).reshape(shape))
+        return (y.reshape(-1, n) @ inverse).reshape(shape)
+
+    return expect
 
 
 def conditional_expectation_onto(

@@ -148,11 +148,11 @@ def verify_basis(
         la.frobenius_distance(sum(compressed), la.eye(d)),
         tol.bound(1.0) * max(1, basis.size),
     )
-    # one stacked expectation per basis element: E(x b*) over the basis of M,
-    # and E(b c*) over the family
+    # one stacked expectation for all of E(x b*), x over the basis of M, and
+    # one for all of E(b c*), b and c over the family
     exp = inc.expectation
     big = inc.big.basis
-    recon = sum(exp(big @ la.dagger(b)) @ b for b in elements)
+    recon = np.sum(exp(big @ la.dagger(elements)[:, None]) @ elements[:, None], axis=0)
     expansion = float(np.max(la.frobenius_norms(recon - big)))
     rep.add("expansion_identity", expansion, tol.bound(1.0) * max(1, basis.size))
     idx = inc.index
@@ -164,11 +164,9 @@ def verify_basis(
         ),
         tol.bound(float(idx)) * max(1, basis.size),
     )
-    ortho = 0.0
-    for i, b in enumerate(elements):
-        gram = exp(b @ la.dagger(elements))
-        gram[i] -= la.eye(inc.big.ambient_dim)
-        ortho = max(ortho, float(np.max(la.frobenius_norms(gram))))
+    gram = exp(elements[:, None] @ la.dagger(elements))
+    gram[np.diag_indices(basis.size)] -= la.eye(inc.big.ambient_dim)
+    ortho = float(np.max(la.frobenius_norms(gram)))
     basis.orthonormal = ortho <= tol.bound(1.0) * 10
     rep.add_flag("orthonormal", True, detail=f"residual {ortho:.2e}, flag {basis.orthonormal}")
     basis.unitary = all(la.is_unitary(b, tol) for b in basis.elements)

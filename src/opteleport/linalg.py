@@ -158,10 +158,16 @@ def nullspace(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     a = as_matrix(a)
     if a.size == 0:
         return []
+    return nullspaces(a[None], tol)[0]
+
+
+def nullspaces(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[list[np.ndarray]]:
+    """:func:`nullspace` of each matrix of a stack of shape (k, rows, cols),
+    from one batched SVD; each matrix gets the vectors a single call gives."""
     # A tall input needs no full U (rows x rows); its reduced vh is already square.
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > tol.abs))
-    return [vh[i].conj() for i in range(rank, vh.shape[0])]
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[-2] < a.shape[-1])
+    ranks = np.sum(s > tol.abs, axis=-1)
+    return [list(v[r:].conj()) for v, r in zip(vh, ranks)]
 
 
 def pf_eigenvector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -325,14 +331,24 @@ def intertwiner_space(
     Returns an HS-orthonormal basis of the solution space.  Used for
     extracting unitaries that implement given automorphisms.
     """
-    stacked = np.zeros((0, dim * dim), dtype=complex)
-    if pairs:
-        a, b, ident = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]), eye(dim)
-        # row-major vec: row (i, j) of X a - b X holds a_lj at X_il and -b_ik at X_kj
-        system = np.einsum("ik,plj->pijkl", ident, a) - np.einsum("pik,jl->pijkl", b, ident)
-        stacked = system.reshape(-1, dim * dim)
-    vecs = nullspace(stacked, tol)
-    return [v.reshape(dim, dim) for v in vecs]
+    if not pairs:
+        return []
+    a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    return intertwiner_spaces(a, b[None], tol)[0]
+
+
+def intertwiner_spaces(
+    a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> list[list[np.ndarray]]:
+    """:func:`intertwiner_space` of the pairs (a[p], b[c, p]) for each c, for
+    ``a`` of shape (P, d, d) and ``b`` of shape (C, P, d, d): the C systems
+    are solved by one batched SVD."""
+    dim = a.shape[-1]
+    ident = eye(dim)
+    # row-major vec: row (i, j) of X a - b X holds a_lj at X_il and -b_ik at X_kj
+    system = np.einsum("ik,plj->pijkl", ident, a) - np.einsum("cpik,jl->cpijkl", b, ident)
+    vecs = nullspaces(system.reshape(len(b), -1, dim * dim), tol)
+    return [[v.reshape(dim, dim) for v in sols] for sols in vecs]
 
 
 def generic_invertible(

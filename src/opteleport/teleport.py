@@ -32,6 +32,7 @@ from .algebra import (
     Superoperator,
     Trace,
     _commutation_gap,
+    _commuting_product,
     _corners,
     _frame_distance,
     conditional_expectation_onto,
@@ -76,6 +77,7 @@ class TeleportationScheme:
     inclusion: Inclusion | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
     leg_dims: tuple[int, int, int] | None = None
     flags: "SchemeFlags | None" = field(default=None, repr=False)
+    tower: Tower | None = field(default=None, repr=False)  # a tight scheme's level-one tower
 
     @property
     def outcomes(self) -> int:
@@ -91,6 +93,7 @@ class SchemeFlags:
     minimal: bool
     witness: dict | None = None
     report: Report | None = field(default=None, repr=False)
+    tol: Tolerance | None = None  # the tolerance the flags were decided at
 
 
 def verify_scheme(
@@ -120,7 +123,8 @@ def verify_scheme(
     structure and is recorded as implied rather than re-checked.  Alice ∨ Bob
     is built from matrix units, so Alice and Bob must commute, which
     ``alice_bob_commute`` reads as the distance to Alice' of the column units
-    that generate Bob (:func:`~opteleport.algebra._commutation_gap`).  When
+    that generate Bob (:func:`~opteleport.algebra._commutation_gap`); once
+    that gate has passed, Alice ∨ Bob is built without a second one.  When
     they do not commute, ``strict`` raises at once and otherwise the bimodule
     check is recorded as failed with an infinite residual.  A failed bimodule check is
     excused only when Bob has several central projections, all in Alice, and
@@ -238,11 +242,12 @@ def _bimodule_residual(
 
     Channels without a witness share ``samples`` triples (a, b, x) with a, b
     in Alice and x in Alice ∨ Bob, drawn in that order from the sampling
-    seed; a witnessed channel is checked on v in Alice' and on one x0 drawn
-    after them.
+    seed; the witnesses v are checked together, in Alice' as one stack and
+    against their maps on one x0 drawn after the triples.  Alice and Bob
+    must have passed the ``alice_bob_commute`` gate.
     """
     rng = la.rng_from(None)
-    joint = StarAlgebra.commuting_product(ctx.alice, ctx.bob)
+    joint = _commuting_product(ctx.alice, ctx.bob)
     worst = 0.0
     sampled = [ch for ch in channels if ch.ad_unitary is None]
     if sampled and samples > 0:
@@ -257,11 +262,11 @@ def _bimodule_residual(
     witnessed = [ch for ch in channels if ch.ad_unitary is not None]
     if witnessed:
         x0 = joint.random_hermitian(rng)
-        for ch in witnessed:
-            v = ch.ad_unitary
-            drift = la.frobenius_distance(ch(x0), v @ x0 @ la.dagger(v))
-            outside = _frame_distance(ctx.alice, v, commutant=True)
-            worst = max(worst, outside + drift)
+        vs = np.stack([ch.ad_unitary for ch in witnessed])
+        moved = vs @ x0 @ la.dagger(vs)
+        drift = [la.frobenius_distance(ch(x0), m) for ch, m in zip(witnessed, moved)]
+        outside = _frame_distance(ctx.alice, vs, commutant=True)
+        worst = max(worst, float(np.max(outside + drift)))
     return worst
 
 
@@ -277,7 +282,8 @@ def classify(
     drawn on the corners of the teleported algebra, c_j = g g* for a
     Ginibre g, and evaluated against rows written once per scheme.  The
     non-faithfulness witness is the first outcome whose lowest eigenvalue
-    is within ``tol.abs`` of the minimum.
+    is within ``tol.abs`` of the minimum.  The flags record ``tol``, and
+    :func:`extract_tight_scheme` reuses them only at an equal tolerance.
     """
     tol = tol or DEFAULT_TOL
     ctx = scheme.context
@@ -303,11 +309,11 @@ def classify(
         witness = {"outcome": i, "probability": lows[i]}
     rep.add_flag("faithful", True, detail=f"flag {faithful}")
 
-    minimal_omega = StarAlgebra.commuting_product(ctx.mirror, ctx.bob).membership_residual(
-        scheme.omega
-    )
+    # both memberships in frame coordinates: no dense basis of a joint algebra
+    mirror_bob = StarAlgebra.commuting_product(ctx.mirror, ctx.bob)
+    minimal_omega = _frame_distance(mirror_bob, scheme.omega)
     pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror)
-    minimal_povm = float(np.max(pair.membership_residual(np.stack(scheme.povm))))
+    minimal_povm = float(np.max(_frame_distance(pair, np.stack(scheme.povm))))
     minimal = minimal_omega <= tol.bound(
         float(np.linalg.norm(scheme.omega))
     ) * 10 and minimal_povm <= tol.bound(1.0) * 10
@@ -343,6 +349,7 @@ def classify(
         minimal=minimal,
         witness=witness,
         report=rep,
+        tol=tol,
     )
     scheme.flags = flags
     return flags
@@ -662,7 +669,8 @@ def _tight_scheme(
     t: Tower, basis: PimsnerPopaBasis, u: np.ndarray | None, z: np.ndarray | None, tol: Tolerance
 ) -> TeleportationScheme:
     """:func:`tight_scheme_from_basis` on the level-one tower of an inclusion
-    that has passed the commutant-trace gate."""
+    that has passed the commutant-trace gate.  The scheme keeps the tower,
+    which :func:`extract_tight_scheme` reuses at the same tolerance."""
     inc = t.inclusion
     n = inc.big.ambient_dim
     if basis.orthonormal is None:
@@ -680,39 +688,68 @@ def _tight_scheme(
         raise PreconditionError("z must be positive invertible with tau(z) = 1")
 
     e = concrete_jones_projection(inc.small)
-    idx = inc.index
-    root = la.matrix_sqrt(z, tol)
     ident = la.eye(n)
-    dress = la.kron(ident, root @ u)
-    omega_small = idx * dress @ e @ la.dagger(dress)
-    omega = la.kron(ident, omega_small)
-    povm = []
-    for ui in basis.elements:
-        w = la.kron(la.dagger(ui) @ u, ident)
-        povm.append(la.kron(w @ e @ la.dagger(w), ident))
+    omega = la.kron(ident, _tight_resource(inc, e, u, z, tol))
+    elements = np.stack(basis.elements)
+    povm = list(la.kron(_entangled_projections(e, elements, u), ident))
     ctx = _tripartite_context(inc)
     channels = [
-        Superoperator.conjugation(la.kron(la.eye(n * n), ui), ctx.ambient)
-        for ui in basis.elements
+        Superoperator.conjugation(w, ctx.ambient) for w in la.kron(la.eye(n * n), elements)
     ]
-    return TeleportationScheme(ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n))
+    return TeleportationScheme(
+        ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n), tower=t
+    )
 
 
-def _far_leg_unitaries(
-    channels: list[Superoperator], nprime: StarAlgebra, dim_n: int, tol: Tolerance
-) -> list[np.ndarray]:
-    """Per channel T, a unitary u with u a u* = Tr_01(T(1 (x) a)) / n^2 for
-    every a in N', from the intertwiner space of those pairs, which must have
-    dimension ``dim_n`` = dim N.  Each channel maps the whole lifted basis of
-    N' in one stacked call."""
+def _tight_resource(
+    inc: Inclusion, e: np.ndarray, u: np.ndarray, z: np.ndarray, tol: Tolerance
+) -> np.ndarray:
+    """[M_n : N] d e d* with d = 1 (x) sqrt(z) u: the resource of the tight
+    scheme on its last two legs, for e the concrete Jones projection of N."""
+    dress = la.kron(la.eye(len(u)), la.matrix_sqrt(z, tol) @ u)
+    return inc.index * dress @ e @ la.dagger(dress)
+
+
+def _entangled_projections(e: np.ndarray, units: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """w_i e w_i* with w_i = u_i* u (x) 1, for a stack of unitaries u_i: the
+    POVM of the tight scheme on its first two legs."""
+    w = la.kron(la.dagger(units) @ u, la.eye(len(u)))
+    return w @ e @ la.dagger(w)
+
+
+def _far_leg_images(
+    channels: list[Superoperator], nprime: StarAlgebra
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each channel T on the lifted basis 1 (x) a of N', 1 = 1_{n^2}, applied
+    once as one stacked call and kept in two parts: the n x n partial traces
+    r_a = Tr_01(T(1 (x) a)) / n^2, so that 1 (x) r_a is the HS projection of
+    T(1 (x) a) onto 1 (x) M_n, and the squared Frobenius norms of what that
+    projection leaves out.  No stack of full images outlives its channel;
+    the parts come back stacked over channels, (k, dim N', n, n) and
+    (k, dim N')."""
     n = nprime.ambient_dim
     far = nprime.basis
     lifted = la.kron(la.eye(n * n), far)
-    units = []
-    for i, ch in enumerate(channels):
-        images = ch(lifted).reshape(len(far), n * n, n, n * n, n)
-        pairs = list(zip(far, np.einsum("kiaib->kab", images) / (n * n)))
-        sols = la.intertwiner_space(pairs, n, tol)
+    parts, outside = [], []
+    for ch in channels:
+        image = ch(lifted)
+        part = np.einsum("kiaib->kab", image.reshape(len(far), n * n, n, n * n, n)) / (n * n)
+        parts.append(part)
+        outside.append(la.frobenius_norms(image - la.kron(la.eye(n * n), part)) ** 2)
+    return np.stack(parts), np.stack(outside)
+
+
+def _far_leg_unitaries(
+    far: np.ndarray, parts: np.ndarray, dim_n: int, tol: Tolerance
+) -> np.ndarray:
+    """Per channel, a unitary u with u a u* = r_a for every a in the basis
+    ``far`` of N', given the partial traces r_a of :func:`_far_leg_images`,
+    from the intertwiner space of those pairs, which must have dimension
+    ``dim_n`` = dim N; the unitaries come back as one stack.  The
+    intertwiner systems of all channels are solved by one batched SVD, and
+    the polar parts taken by another."""
+    cands = []
+    for i, sols in enumerate(la.intertwiner_spaces(far, parts, tol)):
         if len(sols) != dim_n:
             raise ExtractionError(
                 f"channel {i}: intertwiner space has dimension {len(sols)}, expected {dim_n}"
@@ -720,13 +757,12 @@ def _far_leg_unitaries(
         cand = la.generic_invertible(sols, la.rng_from(DEFAULT_SEED + i))
         if cand is None:
             raise ExtractionError(f"channel {i}: no invertible intertwiner found")
-        ui = la.polar_unitary(cand)
-        resid = max(
-            la.frobenius_distance(ui @ a @ la.dagger(ui), b) for a, b in pairs
-        )
+        cands.append(cand)
+    units = la.polar_unitary(np.stack(cands))
+    moved = units[:, None] @ far @ la.dagger(units)[:, None]
+    for i, resid in enumerate(np.max(la.frobenius_norms(moved - parts), axis=1)):
         if resid > tol.bound(1.0) * 100:
             raise ExtractionError(f"channel {i} is not implemented by a unitary ({resid:.2e})")
-        units.append(ui)
     return units
 
 
@@ -739,10 +775,17 @@ def extract_tight_scheme(
 
     The central element is the one-leg slice of the resource, correction
     unitaries come from intertwiner spaces of the channels (fixed up to a
-    right unitary of N, then gauged against the POVM), and the dressing
-    unitary is solved linearly from the undressed resource.  The contract
-    is the round trip: rebuilding from the extracted triple must reproduce
-    the scheme's operators.
+    right unitary of N, then gauged against the POVM, every outcome at
+    once), and the dressing unitary is solved linearly from the undressed
+    resource.  The contract is the round trip: the resource, the POVM and
+    the corrections rebuilt from the extracted triple must reproduce the
+    scheme's, the channels compared on the basis 1 (x) b / n of Bob from
+    the images that the intertwiners were read from, each channel applied
+    once.
+
+    The scheme's flags and its level-one tower are reused when they were
+    made at ``tol`` (and the tower on ``inc``); otherwise the scheme is
+    classified and the tower built afresh.
     """
     tol = tol or DEFAULT_TOL
     inc = inc or scheme.inclusion
@@ -751,6 +794,8 @@ def extract_tight_scheme(
     n = inc.big.ambient_dim
     if scheme.leg_dims != (n, n, n):
         raise PreconditionError("extraction expects three legs of matching dimension")
+    if len(scheme.channels) != scheme.outcomes:
+        raise PreconditionError("extraction expects one correction channel per outcome")
     small = inc.small
     flipped = np.swapaxes(small.basis, -1, -2)
     if np.max(small.membership_residual(flipped)) > tol.bound(1.0) * 10:
@@ -758,7 +803,9 @@ def extract_tight_scheme(
     flag, _ = commutant_trace_is_markov(inc, tol)
     if not flag:
         raise HypothesisError("commutant trace gate fails")
-    flags = scheme.flags or classify(scheme, tol)
+    flags = scheme.flags
+    if flags is None or flags.tol != tol:
+        flags = classify(scheme, tol)
     if not (flags.tight and flags.minimal and flags.faithful):
         raise PreconditionError("extraction requires a tight, minimal, faithful scheme")
 
@@ -782,11 +829,15 @@ def extract_tight_scheme(
         raise ExtractionError("resource does not have the rigid form")
 
     nprime = small.commutant
+    far = nprime.basis
     e = concrete_jones_projection(small)
     idx = inc.index
 
-    t = basic_construction(inc, tol)
-    raw_units = _far_leg_unitaries(scheme.channels, nprime, small.dim, tol)
+    t = scheme.tower
+    if t is None or t.inclusion is not inc or t.tol != tol:
+        t = basic_construction(inc, tol)
+    parts, outside = _far_leg_images(scheme.channels, nprime)
+    raw_units = _far_leg_unitaries(far, parts, small.dim, tol)
 
     # dressing unitary from the undressed resource
     inv_root = np.linalg.inv(la.matrix_sqrt(z, tol))
@@ -802,65 +853,63 @@ def extract_tight_scheme(
     if cand is None:
         raise ExtractionError("no invertible dressing solution")
     u = la.dagger(la.polar_unitary(cand))
-    dress = la.kron(la.eye(n), la.matrix_sqrt(z, tol) @ u)
+    rebuilt_small = _tight_resource(inc, e, u, z, tol)
     rep.add(
         "resource_round_trip",
-        la.frobenius_distance(idx * dress @ e @ la.dagger(dress), omega_small),
+        la.frobenius_distance(rebuilt_small, omega_small),
         tol.bound(float(np.linalg.norm(omega_small))) * 10,
     )
 
-    # gauge-fix the correction unitaries against the POVM
+    # gauge-fix the correction unitaries against the POVM, every outcome at once
     ident = la.eye(n)
+    povm = np.stack(scheme.povm)
+    k = len(povm)
+    f_small = np.einsum("kaibi->kab", povm.reshape(k, n * n, n, n * n, n)) / n
+    third_legs = la.frobenius_norms(povm - la.kron(f_small, ident))
+    for i, (f, gap) in enumerate(zip(povm, third_legs)):
+        rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(np.linalg.norm(f))))
     lifted_n = la.kron(small.basis, ident)
-    fixed_units = []
-    for i, (ui, f) in enumerate(zip(raw_units, scheme.povm)):
-        f_small = la.partial_trace(f, dims, {2}, normalise=True)
-        rep.add(
-            f"povm_{i}_has_trivial_third_leg",
-            la.frobenius_distance(f, la.kron(f_small, ident)),
-            tol.bound(float(np.linalg.norm(f))),
-        )
-        w = la.kron(la.dagger(ui) @ u, ident)
-        h = w @ e @ la.dagger(w)
-        gauge_vecs = la.nullspace((lifted_n @ h - f_small @ lifted_n).reshape(small.dim, -1).T, tol)
-        gauge_mats = [
-            np.tensordot(v, small.basis, axes=(0, 0)) for v in gauge_vecs
-        ]
+    h = _entangled_projections(e, raw_units, u)
+    systems = lifted_n @ h[:, None] - f_small[:, None] @ lifted_n
+    cands = []
+    gauges = la.nullspaces(systems.reshape(k, small.dim, -1).transpose(0, 2, 1), tol)
+    for i, gauge_vecs in enumerate(gauges):
+        gauge_mats = [np.tensordot(v, small.basis, axes=(0, 0)) for v in gauge_vecs]
         cand = la.generic_invertible(gauge_mats, la.rng_from(DEFAULT_SEED + 202 + i))
         if cand is None:
             raise ExtractionError(f"outcome {i}: no invertible gauge element")
-        gram = la.dagger(cand) @ cand
-        vals, vecs = np.linalg.eigh(gram)
-        inv_half = (vecs / np.sqrt(np.clip(vals, 1e-30, None))) @ la.dagger(vecs)
-        c_u = cand @ inv_half
-        if small.membership_residual(c_u) > tol.bound(1.0) * 100:
+        cands.append(cand)
+    cands = np.stack(cands)
+    vals, vecs = np.linalg.eigh(la.dagger(cands) @ cands)
+    inv_half = (vecs / np.sqrt(np.clip(vals, 1e-30, None))[:, None, :]) @ la.dagger(vecs)
+    c_u = cands @ inv_half
+    for i, resid in enumerate(small.membership_residual(c_u)):
+        if resid > tol.bound(1.0) * 100:
             raise ExtractionError(f"outcome {i}: gauge correction left N")
-        fixed_units.append(ui @ la.dagger(c_u))
+    fixed_units = raw_units @ la.dagger(c_u)
 
-    basis = PimsnerPopaBasis(inc, fixed_units)
+    basis = PimsnerPopaBasis(inc, list(fixed_units))
     basis_rep = verify_basis(t, basis, tol)
     if not (basis_rep.passed and basis.orthonormal and basis.in_normaliser):
         raise ExtractionError("extracted family is not an orthonormal normaliser basis")
     rep.merge(basis_rep, prefix="extracted_basis.")
 
-    rebuilt = _tight_scheme(t, basis, u, z, tol)
+    # the round trip rebuilds operators only and compares them in the scheme's context
     rep.add(
         "round_trip_resource",
-        la.frobenius_distance(rebuilt.omega, scheme.omega),
+        la.frobenius_distance(la.kron(ident, rebuilt_small), scheme.omega),
         1e-8 * max(1.0, float(np.linalg.norm(scheme.omega))),
     )
-    rep.add(
-        "round_trip_povm",
-        max(
-            la.frobenius_distance(a, b) for a, b in zip(rebuilt.povm, scheme.povm)
-        ),
-        1e-8,
-    )
-    bob, chan = rebuilt.context.bob.basis, 0.0
-    for ch_new, ch_old in zip(rebuilt.channels, scheme.channels):
-        gap = ch_new(bob)
-        gap -= ch_old(bob)
-        chan = max(chan, float(np.max(la.frobenius_norms(gap))))
+    rebuilt_povm = la.kron(_entangled_projections(e, fixed_units, u), ident)
+    rep.add("round_trip_povm", float(np.max(la.frobenius_norms(rebuilt_povm - povm))), 1e-8)
+    # On Bob's basis 1 (x) b / n, Ad(1 (x) u_i) gives 1 (x) u_i b u_i* / n,
+    # and T_i gives (1 (x) r_b + q_b) / n with r_b the partial trace of
+    # T_i(1 (x) b) and q_b orthogonal to 1 (x) M_n, so the distance of the
+    # two is sqrt(||r_b - u_i b u_i*||^2 + ||q_b||^2 / n^2): a sum of squares,
+    # read off the images taken once for the intertwiners.
+    moved = fixed_units[:, None] @ far @ la.dagger(fixed_units)[:, None]
+    gaps = np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n))
+    chan = float(np.max(gaps))
     rep.add("round_trip_channels", chan, 1e-8)
     if not rep.passed:
         raise ExtractionError(

@@ -142,6 +142,30 @@ def test_intertwiner_space_solves_the_system():
     assert la.intertwiner_space([], 3) == []
 
 
+def test_intertwiner_spaces_solve_each_system_as_a_single_call():
+    rng = np.random.default_rng(12)
+    a = np.stack([la.random_hermitian(3, rng) for _ in range(3)])
+    us = [haar_unitary(3, 13), la.eye(3), haar_unitary(3, 14)]
+    bs = np.stack([u @ a @ la.dagger(u) for u in us])
+    bs[1, 0] += la.eye(3)  # breaks one pair: that system has no solution but 0
+    got = la.intertwiner_spaces(a, bs)
+    want = [la.intertwiner_space(list(zip(a, b)), 3) for b in bs]
+    assert [len(g) for g in got] == [len(w) for w in want] == [1, 0, 1]
+    for g, w in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(g, w))
+
+
+def test_nullspaces_match_nullspace():
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+    stack[1] @= np.diag([1.0, 1.0, 0.0, 0.0])  # rank 2: a two-dimensional null space
+    got = la.nullspaces(stack)
+    assert [len(g) for g in got] == [0, 2, 0]
+    for g, a in zip(got, stack):
+        assert all(np.array_equal(x, y) for x, y in zip(g, la.nullspace(a)))
+        assert all(np.linalg.norm(a @ v) < 1e-12 for v in g)
+
+
 def test_kron_matches_numpy_and_takes_stacks():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Superoperator, Trace, _commutation_gap, _from_corners
+from opteleport import teleport
+from opteleport.algebra import (
+    StarAlgebra,
+    Superoperator,
+    Trace,
+    _commutation_gap,
+    _frame_distance,
+    _from_corners,
+)
 from opteleport.bases import (
     PimsnerPopaBasis,
     commutant_factor_basis,
@@ -12,8 +20,9 @@ from opteleport.bases import (
     verify_basis,
     weyl_basis,
 )
-from opteleport.errors import HypothesisError, PreconditionError, SchemeError
+from opteleport.errors import ExtractionError, HypothesisError, PreconditionError, SchemeError
 from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_full
+from opteleport.linalg import DEFAULT_TOL, Tolerance
 from opteleport.teleport import (
     TeleportationContext,
     TeleportationScheme,
@@ -506,6 +515,13 @@ def test_direct_sum_scheme_diagonal_algebra():
     assert flags.tight and flags.minimal
 
 
+def test_extraction_requires_one_channel_per_outcome():
+    s = standard_scheme(2)
+    s.channels.pop()
+    with pytest.raises(PreconditionError, match="one correction channel per outcome"):
+        extract_tight_scheme(s)
+
+
 def test_extraction_fails_on_non_automorphism_channel():
     from opteleport.errors import ExtractionError
 
@@ -699,3 +715,104 @@ def test_unbiased_povm_matches_the_per_element_loop():
     got = unbiased_scheme(t, b).povm
     assert len(got) == len(want)
     assert max(np.max(np.abs(f - w)) for f, w in zip(got, want)) < 1e-14
+
+
+# -- one build per scheme, and failing witnesses for the checks that moved ----
+
+
+def test_extraction_reclassifies_flags_decided_at_another_tolerance():
+    # at abs = 0.5 the smallest outcome probability counts as zero
+    s = _werner_d2()
+    assert not classify(s, Tolerance(abs=0.5)).faithful
+    basis, u, z, rep = extract_tight_scheme(s)
+    assert rep.passed and basis.size == 2
+    assert s.flags.tol == DEFAULT_TOL and s.flags.faithful
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(teleport, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(teleport, name, counted)
+    return calls
+
+
+def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
+    s, std = _werner_d2(), standard_scheme(2)
+    assert s.tower is not None and s.tower.inclusion is s.inclusion
+    calls = _count_calls(monkeypatch, ["basic_construction", "_tripartite_context"])
+    for scheme in (s, std):
+        assert extract_tight_scheme(scheme)[3].passed
+    assert calls == {"basic_construction": 0, "_tripartite_context": 0}
+    # an equal but distinct inclusion, or another tolerance, gets its own tower
+    assert extract_tight_scheme(s, diagonal_in_full(2))[3].passed
+    assert calls == {"basic_construction": 1, "_tripartite_context": 0}
+    loose = Tolerance(abs=2e-9, rel=2e-9)
+    assert extract_tight_scheme(s, tol=loose)[3].passed
+    assert calls == {"basic_construction": 2, "_tripartite_context": 0}
+    assert s.flags.tol == loose
+
+
+def test_extraction_on_a_fresh_tower_matches_the_reused_one():
+    s = _werner_d2()
+    basis, u, z, rep = extract_tight_scheme(s)
+    s.tower = None
+    basis2, u2, z2, rep2 = extract_tight_scheme(s)
+    assert [c.residual for c in rep.checks] == [c.residual for c in rep2.checks]
+    assert np.array_equal(np.stack(basis.elements), np.stack(basis2.elements))
+    assert np.array_equal(u, u2) and np.array_equal(z, z2)
+
+
+def test_minimal_fails_when_the_resource_leaves_mirror_and_bob():
+    s = standard_scheme(2)
+    assert classify(s).minimal
+    omega_small = la.partial_trace(s.omega, [2, 2, 2], {0}, normalise=True)
+    s.omega = la.kron(np.diag([1.5, 0.5]), omega_small)  # no longer trivial on Alice's first leg
+    flags = classify(s)
+    assert not flags.minimal
+    detail = next(c.detail for c in flags.report.checks if c.name == "minimal")
+    assert detail.endswith("flag False")
+    omega_gap = float(detail.split()[2].rstrip(","))
+    want = StarAlgebra.commuting_product(s.context.mirror, s.context.bob).membership_residual(s.omega)
+    assert omega_gap == pytest.approx(want, rel=1e-2) and omega_gap > 0.1
+
+
+def test_minimal_fails_when_one_povm_element_leaves_teleported_and_mirror():
+    s = standard_scheme(2)
+    f_small = la.partial_trace(s.povm[2], [2, 2, 2], {2}, normalise=True)
+    s.povm[2] = la.kron(f_small, np.diag([1.5, 0.5]))  # no longer trivial on Bob's leg
+    assert not classify(s).minimal
+
+
+def test_bimodule_check_fails_when_one_witness_of_the_stack_leaves_alice_commutant():
+    # flipping Alice's first leg in one correction keeps the identity and Bob,
+    # but that witness alone lies outside Alice'
+    s = standard_scheme(2)
+    flip = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+    v = flip @ s.channels[2].ad_unitary
+    s.channels[2] = Superoperator.conjugation(v, s.context.ambient)
+    rep = verify_scheme(s, strict=False)
+    assert [c.name for c in rep.failures()] == ["channels_alice_bimodule_sampled"]
+    bimod = rep.failures()[0]
+    outside = _frame_distance(s.context.alice, v, commutant=True)
+    assert outside > 1e-3 and abs(bimod.residual - outside) < 1e-12
+    with pytest.raises(SchemeError, match="channels_alice_bimodule_sampled"):
+        verify_scheme(s)
+
+
+def test_extraction_names_the_middle_channel_with_the_wrong_intertwiner_dimension():
+    # a depolarising correction commutes with no unitary: its intertwiner
+    # space is {0}, where the other three channels have dimension dim N = 1
+    s = standard_scheme(2)
+    amb = s.context.ambient
+    dim = amb.ambient_dim
+    s.channels[2] = Superoperator(
+        amb, amb, lambda x: 0.5 * x + 0.5 * np.trace(x) / dim * np.eye(dim, dtype=complex)
+    )
+    with pytest.raises(ExtractionError, match=r"^channel 2: intertwiner space has dimension 0, expected 1$"):
+        extract_tight_scheme(s)
