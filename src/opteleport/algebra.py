@@ -14,7 +14,7 @@ through the central density ``rho`` with ``tau(x) = Tr(rho x)``.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -255,7 +255,7 @@ class StarAlgebra:
             legs = _legs(w, d)
             root = np.sqrt(float(m))
             out[k : k + d] = np.matmul(legs, la.dagger(legs)) / root
-            upper, lower = np.triu_indices(d, 1)
+            upper, lower = _upper_pairs(d)
             f_ab = np.matmul(legs[upper], la.dagger(legs[lower]))
             f_ba = la.dagger(f_ab)
             scale = root * np.sqrt(2.0)
@@ -464,6 +464,15 @@ def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray
     return out
 
 
+@cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d, 1)``, the index pairs a < b of a block of size d,
+    computed once per d and returned read-only."""
+    upper, lower = np.triu_indices(d, 1)
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 def _unit_to_hermitian(dims: Sequence[int]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The change of basis V from matrix units to ``basis`` order on blocks of
     sizes ``dims``, and its inverse V*, each as ``(cols, coef)``: row k holds
@@ -480,7 +489,7 @@ def _unit_to_hermitian(dims: Sequence[int]) -> tuple[tuple[np.ndarray, np.ndarra
     cols, coef = np.zeros((size, 2), dtype=int), np.zeros((size, 2), dtype=complex)
     root, o = 1 / np.sqrt(2.0), 0
     for d in dims:
-        a, b = np.triu_indices(d, 1)
+        a, b = _upper_pairs(d)
         rows = o + d + 2 * np.arange(len(a))
         cols[o : o + d], coef[o : o + d, 0] = (o + np.arange(d) * (d + 1))[:, None], 1.0
         cols[rows] = cols[rows + 1] = np.stack([o + a * d + b, o + b * d + a], axis=1)

@@ -17,11 +17,16 @@ the algebra being teleported (the inclusion is scalars ⊆ that algebra).
 Certificates are emitted on stdout as JSON with sorted keys: byte-identical
 reruns for identical (input, seed, version).  Exit codes: 0 all requested
 checks passed, 1 a check failed, 2 input error.
+
+``opteleport.cli.main(argv)`` may be called repeatedly in one process: it
+builds its argument parser once, gives every call its own namespace, and
+returns the exit code (a malformed command line still exits through argparse).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -285,9 +290,8 @@ def cmd_teleport(args) -> dict:
             verify_basis(tower, basis, args.tol)
             scheme = unbiased_scheme(tower, basis, args.tol)
         elif args.scheme == "werner":
+            # tight_scheme_from_basis verifies the basis on the tower it keeps
             basis = _infer_normaliser_basis(inc)
-            tower = basic_construction(inc, args.tol)
-            verify_basis(tower, basis, args.tol)
             u = parse_matrix(params["u"], inc.big.ambient_dim) if params.get("u") else None
             z = None
             if params.get("z_weights"):
@@ -425,9 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: ``parse_args`` leaves it unchanged
+    and fills a new namespace on every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.tol = Tolerance(abs=args.tol, rel=args.tol)
     la.set_default_seed(args.seed)
     try:

@@ -471,6 +471,29 @@ def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Teleporta
 # ---------------------------------------------------------------------------
 
 
+def _corrections(
+    t: Tower, basis: PimsnerPopaBasis
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """The v_i of :func:`correction_unitaries` without its report, with the
+    lifts it reuses: pi(u_a)* e1, pi1 of it and pi1(e1 pi(u_a))."""
+    if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
+        raise PreconditionError("correction unitaries need a unitary orthonormal normaliser basis")
+    iterate(t)
+    idx = t.index
+    pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
+    pi_us = pi(np.array(basis.elements))
+    heads = la.dagger(pi_us) @ e1
+    lifted_left = pi1(heads)
+    lifted_right = pi1(e1 @ pi_us)
+    lifted_mid = pi1(pi_us)
+    d = basis.size
+    vs = [
+        idx * sum(lifted_left[a] @ lifted_mid[i] @ e2 @ lifted_right[a] for a in range(d))
+        for i in range(d)
+    ]
+    return vs, heads, lifted_left, lifted_right
+
+
 def correction_unitaries(
     t: Tower, basis: PimsnerPopaBasis, tol: Tolerance | None = None
 ) -> tuple[list[np.ndarray], Report]:
@@ -481,20 +504,12 @@ def correction_unitaries(
     random arguments as part of the report.
     """
     tol = tol or DEFAULT_TOL
-    if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
-        raise PreconditionError("correction unitaries need a unitary orthonormal normaliser basis")
-    iterate(t)
+    vs, heads, lifted_left, lifted_right = _corrections(t, basis)
     idx = t.index
-    pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
+    pi, pi1 = t.gns.left, t.gns1.left
     us = np.array(basis.elements)
-    pi_us = pi(us)
-    heads = la.dagger(pi_us) @ e1
-    lifted_left = pi1(heads)
-    lifted_right = pi1(e1 @ pi_us)
-    lifted_mid = pi1(pi_us)
-
     d = basis.size
-    tails = e2 @ lifted_right
+    tails = t.jones2 @ lifted_right
 
     def phi(blockmat: np.ndarray) -> np.ndarray:
         # pi1 is multiplicative: sum_a lifted_left[a] pi1(pi(x_ab)) = pi1(y_b) with
@@ -503,10 +518,6 @@ def correction_unitaries(
         y = np.einsum("aij,abjk->bik", heads, pi(blockmat))
         return idx * np.sum(pi1(y) @ tails, axis=0)
 
-    vs = []
-    for i in range(d):
-        v = idx * sum(lifted_left[a] @ lifted_mid[i] @ e2 @ lifted_right[a] for a in range(d))
-        vs.append(v)
     stack = np.array(vs)
     rep = Report()
     rep.add(
@@ -572,9 +583,12 @@ def unbiased_scheme(
     Alice pointwise, so strict Alice-bimodularity is unattainable for any
     choice of channels; :func:`verify_scheme` certifies the attainable
     locality and records the obstruction.
+
+    The construction decides nothing at a tolerance, so ``tol`` is unused:
+    :func:`correction_unitaries` reports the checks on the v_i, and
+    :func:`verify_scheme` certifies the scheme.
     """
-    tol = tol or DEFAULT_TOL
-    vs, _ = correction_unitaries(t, basis, tol)
+    vs = _corrections(t, basis)[0]
     ctx = _tower_context(t)
     idx = t.index
     omega = idx * t.jones2
@@ -674,13 +688,14 @@ def _tight_scheme(
     inc = t.inclusion
     n = inc.big.ambient_dim
     if basis.orthonormal is None:
-        verify_basis(t, basis)
+        verify_basis(t, basis, tol)
     if not (basis.orthonormal and basis.unitary and basis.in_normaliser):
         raise PreconditionError("need a unitary orthonormal normaliser basis")
+    # the identity normalises every N, so only a given u is tested
+    if u is not None and not normalizer_check(t, u, tol):
+        raise PreconditionError("u must normalise N")
     u = la.eye(n) if u is None else np.asarray(u, dtype=complex)
     z = la.eye(n) if z is None else np.asarray(z, dtype=complex)
-    if not normalizer_check(t, u, tol):
-        raise PreconditionError("u must normalise N")
     if inc.small.center.membership_residual(z) > tol.bound(float(np.linalg.norm(z))) * 10:
         raise PreconditionError("z must be central in N")
     zvals = np.linalg.eigvalsh((z + la.dagger(z)) / 2)

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -254,3 +255,92 @@ def test_certificates_byte_identical(scalar_m2, diag_m2, tmp_path):
 def test_seed_recorded(scalar_m2):
     cert = json.loads(run_cli("--seed", "7", "inclusion-info", scalar_m2).stdout)
     assert cert["seed"] == 7
+
+
+def run_in_process(monkeypatch, capsys, argv, doc):
+    """``cli.main`` in this process with ``doc`` on stdin; (exit code, stdout)."""
+    from opteleport import cli
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_main_builds_its_parsers_once(monkeypatch, capsys):
+    import argparse
+
+    from opteleport import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser()
+    per_build = len(built)
+    assert per_build > 1  # the top-level parser and one per command
+    assert cli.build_parser() is not cli.build_parser()
+    built.clear()
+    doc = {"ambient_dim": 2, "N_blocks": [[1, 2]]}
+    for _ in range(2):
+        assert run_in_process(monkeypatch, capsys, ["inclusion-info", "-"], doc)[0] == 0
+    assert len(built) <= per_build  # none once an earlier call has built the parser
+
+
+def test_flags_do_not_leak_between_in_process_calls(monkeypatch, capsys):
+    scalar = {"ambient_dim": 2, "N_blocks": [[1, 2]]}
+    calls = [
+        (["teleport", "-", "--scheme", "werner", "--extract"], WERNER_DOC),
+        (["--tol", "1e-6", "--seed", "7", "teleport", "-", "--scheme", "standard"], scalar),
+        (["teleport", "-"], scalar),
+    ]
+    for argv, doc in calls:
+        code, out = run_in_process(monkeypatch, capsys, argv, doc)
+        proc = run_cli(*argv, stdin=json.dumps(doc))
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    cert = json.loads(out)
+    assert cert["seed"] == 42 and cert["tolerance"] == {"abs": 1e-9, "rel": 1e-9}
+    assert "extracted" not in cert["certificate"]
+
+
+def test_werner_builds_one_tower(monkeypatch, capsys):
+    from opteleport import tower
+
+    built = []
+    init = tower.Tower.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tower.Tower, "__init__", counting)
+    argv = ["teleport", "-", "--scheme", "werner", "--extract"]
+    code, out = run_in_process(monkeypatch, capsys, argv, WERNER_DOC)
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(built) == 1
+
+
+def test_unbiased_scheme_corrections_are_those_of_correction_unitaries():
+    import numpy as np
+
+    from opteleport.bases import verify_basis
+    from opteleport.inclusion import diagonal_in_full
+    from opteleport.qgraph import normaliser_basis_for
+    from opteleport.teleport import correction_unitaries, unbiased_scheme
+    from opteleport.tower import basic_construction
+
+    def verified():
+        inc = diagonal_in_full(3)
+        t, b = basic_construction(inc), normaliser_basis_for(inc)
+        verify_basis(t, b)
+        return t, b
+
+    scheme = unbiased_scheme(*verified())
+    vs, rep = correction_unitaries(*verified())
+    assert rep.passed
+    assert len(scheme.channels) == len(vs)
+    for channel, v in zip(scheme.channels, vs):
+        assert np.array_equal(channel.ad_unitary, v)

@@ -411,6 +411,44 @@ def test_tight_scheme_rejects_bad_z():
         tight_scheme_from_basis(inc, b, z=np.diag([2.0, 0.0]).astype(complex))
 
 
+def test_tight_scheme_verifies_an_unverified_basis_at_its_tolerance(monkeypatch):
+    seen = []
+
+    def recording(t, basis, tol=None):
+        seen.append(tol)
+        return verify_basis(t, basis, tol)
+
+    monkeypatch.setattr(teleport, "verify_basis", recording)
+    inc = diagonal_in_full(2)
+    b = shift_basis(2)
+    b.inclusion = inc
+    tol = Tolerance(abs=1e-7, rel=1e-7)
+    tight_scheme_from_basis(inc, b, tol=tol)
+    assert seen == [tol]
+
+
+def test_tight_scheme_tests_only_a_given_u_for_normalising_n(monkeypatch):
+    from opteleport import bases, tower
+
+    calls = []
+    votes = tower._normaliser_votes
+
+    def counting(*args):
+        calls.append(args)
+        return votes(*args)
+
+    monkeypatch.setattr(tower, "_normaliser_votes", counting)
+    monkeypatch.setattr(bases, "_normaliser_votes", counting)
+    standard_scheme(2)
+    assert len(calls) == 1  # the basis check of verify_basis; u = 1 normalises every N
+    inc = diagonal_in_full(2)
+    b = shift_basis(2)
+    b.inclusion = inc
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    with pytest.raises(PreconditionError, match="u must normalise N"):
+        tight_scheme_from_basis(inc, b, u=hadamard)
+
+
 def _qubit_in_two_qubits():
     """M_2 (x) 1 inside M_4 with its commutant-factor basis."""
     qubit = StarAlgebra.tensor(StarAlgebra.full(2), StarAlgebra.trivial(2))
