@@ -292,14 +292,13 @@ class StarAlgebra:
     def random_hermitian(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         """A random Hermitian element of the algebra, drawn on its corners.
 
-        Same law as ``project(la.random_hermitian(n, rng))``: projecting a
-        GUE matrix leaves a standard Gaussian in HS-orthonormal coordinates,
-        whose corner on block j is a GUE matrix of size d_j scaled by
-        1/sqrt(m_j).  It draws sum_j d_j^2 Gaussian pairs instead of n^2 and
-        needs one frame product per block; on ``full(n)`` it is
-        ``la.random_hermitian(n, rng)`` bit for bit.  With ``count``, a
-        (count, n, n) stack of independent draws, each block drawn for the
-        whole stack at once.
+        Same law as a GUE matrix of size n projected onto the algebra, which
+        is a standard Gaussian in HS-orthonormal coordinates, whose corner on
+        block j is a GUE matrix of size d_j scaled by 1/sqrt(m_j).  It draws
+        sum_j d_j^2 Gaussian pairs instead of n^2 and needs one frame product
+        per block; on ``full(n)`` it is ``la.random_hermitian(n, rng)`` bit
+        for bit.  With ``count``, a (count, n, n) stack of independent draws,
+        each block drawn for the whole stack at once.
         """
         corners = [la.random_hermitian(d, rng, count) / np.sqrt(m) for d, m in self.blocks]
         return _from_corners(self, corners)

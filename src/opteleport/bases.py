@@ -262,9 +262,7 @@ def kraus_decomposition(
     return coeffs, rep
 
 
-def cp_action_matrix(
-    tower: Tower, coeffs: list[np.ndarray], tol: Tolerance | None = None
-) -> np.ndarray:
+def cp_action_matrix(tower: Tower, coeffs: list[np.ndarray]) -> np.ndarray:
     """HS-coordinate action of sum a_i* (.) a_i on N' ∩ M."""
     rc = tower.rel_comm
     cols = []
@@ -274,16 +272,13 @@ def cp_action_matrix(
     return np.stack(cols, axis=1)
 
 
-def homogeneity_test(
-    inc: Inclusion, tol: Tolerance | None = None
-) -> tuple[bool, PimsnerPopaBasis | None, str]:
+def homogeneity_test(inc: Inclusion) -> tuple[bool, PimsnerPopaBasis | None, str]:
     """Decide homogeneity of a multiplicity-free N ⊆ M_n.
 
     Returns (flag, witness basis, obstruction).  The witness is a
     normaliser unitary basis transported through the frame of N;
     for inhomogeneous N the obstruction names the block-size mismatch.
     """
-    tol = tol or DEFAULT_TOL
     small = inc.small
     if any(m != 1 for _, m in small.blocks):
         raise PreconditionError("homogeneity test requires a multiplicity-free inclusion")

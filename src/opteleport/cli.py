@@ -197,15 +197,10 @@ def cmd_inclusion_info(args) -> dict:
         "markov_weights": [float(w) for w in markov_trace(inc.small, inc.big).weights],
         "index": float(inc.index) if connected else None,
     }
-    exp = inc.expectation
-    rng = la.rng_from(None)
-    n = inc.big.ambient_dim
-    worst_idem = worst_trace = 0.0
-    for _ in range(8):
-        x = la.random_hermitian(n, rng)
-        ex = exp(x)
-        worst_idem = max(worst_idem, la.frobenius_distance(exp(ex), ex))
-        worst_trace = max(worst_trace, abs(inc.trace(ex) - inc.trace(x)))
+    xs = inc.big.random_hermitian(la.rng_from(None), 8)
+    ex = inc.expectation(xs)
+    worst_idem = float(la.frobenius_norms(inc.expectation(ex) - ex).max())
+    worst_trace = float(np.abs(inc.trace(ex) - inc.trace(xs)).max())
     rep.add("expectation_idempotent", worst_idem, args.tol.bound(1.0) * 10)
     rep.add("expectation_trace_preserving", worst_trace, args.tol.bound(1.0) * 10)
     return certificate(args, "inclusion-info", echo, rep, derived)
@@ -249,7 +244,7 @@ def cmd_basis(args) -> dict:
     else:
         basis = _basis_for_family(inc, args.family)
         source = args.family
-    tower = basic_construction(inc)
+    tower = basic_construction(inc, args.tol)
     rep = verify_basis(tower, basis, args.tol)
     derived = {
         "source": source,
@@ -288,7 +283,7 @@ def cmd_teleport(args) -> dict:
             basis = _infer_normaliser_basis(inc)
             tower = basic_construction(inc, args.tol)
             verify_basis(tower, basis, args.tol)
-            scheme = unbiased_scheme(tower, basis, args.tol)
+            scheme = unbiased_scheme(tower, basis)
         elif args.scheme == "werner":
             # tight_scheme_from_basis verifies the basis on the tower it keeps
             basis = _infer_normaliser_basis(inc)
@@ -340,7 +335,7 @@ def cmd_graph(args) -> dict:
     rep = Report()
     derived: dict = {"mode": args.mode}
     if args.mode == "colour-factor":
-        col = factor_colouring(inc, args.tol)
+        col = factor_colouring(inc)
         _, g2 = graphs_from_inclusion(inc)
         rep.merge(verify_colouring(g2, col, args.tol), prefix="colouring.")
         rep.merge(factor_lower_bound(inc, col, args.tol), prefix="certificate.")

@@ -25,7 +25,10 @@ from .errors import ConnectednessError, PreconditionError, StructureError
 from .linalg import DEFAULT_TOL, Tolerance
 
 
-def inclusion_matrix(small: StarAlgebra, big: StarAlgebra, gate: float = 1e-6) -> np.ndarray:
+_MULTIPLICITY_GATE = 1e-6  # rounding residual allowed on an entry of the inclusion matrix
+
+
+def inclusion_matrix(small: StarAlgebra, big: StarAlgebra) -> np.ndarray:
     """Integer matrix of multiplicities of the simple summands of ``small``
     inside the simple summands of ``big``.
 
@@ -41,13 +44,13 @@ def inclusion_matrix(small: StarAlgebra, big: StarAlgebra, gate: float = 1e-6) -
             q = small.minimal_projection(j)
             raw = float(np.trace(z @ q).real) / mult_k
             rounded = int(round(raw))
-            if abs(raw - rounded) > gate or rounded < 0:
+            if abs(raw - rounded) > _MULTIPLICITY_GATE or rounded < 0:
                 raise StructureError(f"non-integer multiplicity {raw} at block ({k}, {j})")
             out[k, j] = rounded
     return out
 
 
-def is_connected(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_connected(small: StarAlgebra, big: StarAlgebra) -> bool:
     """True when the joint centre Z(N) ∩ Z(M) is the scalars.
 
     That holds exactly when the bipartite graph of the inclusion matrix
@@ -66,7 +69,7 @@ def markov_trace(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_
     The block weight vector is the Perron-Frobenius eigenvector of
     Lambda Lambda^T, normalised to a state.
     """
-    if not is_connected(small, big, tol):
+    if not is_connected(small, big):
         raise ConnectednessError("Markov trace requires a connected inclusion")
     lam = inclusion_matrix(small, big)
     _, vec = la.pf_eigenvector(lam @ lam.T, tol)
@@ -117,7 +120,7 @@ class Inclusion:
 
     @cached_property
     def connected(self) -> bool:
-        return is_connected(self.small, self.big, self.tol)
+        return is_connected(self.small, self.big)
 
     @cached_property
     def index(self) -> float:

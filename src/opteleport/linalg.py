@@ -21,6 +21,8 @@ from .errors import ConnectednessError, DimensionError
 
 DEFAULT_SEED = 42
 _active_seed = DEFAULT_SEED
+_INVERTIBLE_DRAWS = 8  # random combinations generic_invertible tries
+_INVERTIBLE_GATE = 1e-6  # smallest singular value it accepts, of a unit-norm combination
 
 
 def set_default_seed(seed: int) -> None:
@@ -352,18 +354,15 @@ def intertwiner_spaces(
 
 
 def generic_invertible(
-    basis: Sequence[np.ndarray],
-    rng: np.random.Generator | int | None = None,
-    attempts: int = 8,
-    sigma_gate: float = 1e-6,
+    basis: Sequence[np.ndarray], rng: np.random.Generator | int | None = None
 ) -> np.ndarray | None:
-    """Seeded random combination of ``basis`` with smallest singular value
-    above ``sigma_gate``; ``None`` when no attempt succeeds."""
+    """Seeded random combination of ``basis``, normalised, with smallest
+    singular value above 1e-6; ``None`` when none of eight draws has one."""
     rng = rng_from(rng)
-    for _ in range(attempts):
+    for _ in range(_INVERTIBLE_DRAWS):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         cand = sum(c * m for c, m in zip(coeffs, basis))
         cand = cand / max(np.linalg.norm(cand), 1e-30)
-        if np.linalg.svd(cand, compute_uv=False)[-1] > sigma_gate:
+        if np.linalg.svd(cand, compute_uv=False)[-1] > _INVERTIBLE_GATE:
             return cand
     return None

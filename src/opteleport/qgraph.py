@@ -15,7 +15,7 @@ constructions then pin the chromatic numbers to the index exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -180,13 +180,6 @@ class FactorFrame:
         return sum(l * l for l in self.block_sizes)
 
 
-def _lcm(values: list[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def factor_frame(inc: Inclusion) -> FactorFrame:
     """Build the adapted tensor frame for a factor subalgebra N ⊆ M."""
     small = inc.small
@@ -227,7 +220,7 @@ def _embed_last_leg(a: np.ndarray, outer: int, small: int, copies: int) -> np.nd
     return out.reshape(outer * copies * small, outer * copies * small)
 
 
-def factor_colouring(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> Colouring:
+def factor_colouring(inc: Inclusion) -> Colouring:
     """Colouring of the graph (N', M, B(H)) with [M:N] colours, N a factor.
 
     Each block contributes the twisted entangled projections of its Weyl
@@ -235,7 +228,7 @@ def factor_colouring(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> Colouring:
     into M_l with l the lcm of the block sizes.
     """
     frame = factor_frame(inc)
-    l = _lcm(frame.block_sizes)
+    l = lcm(*frame.block_sizes)
     d = frame.d
     n = inc.big.ambient_dim
     projections: list[np.ndarray] = []
@@ -432,7 +425,7 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
             lower = max(lower, idx)
 
     if len(inc.small.blocks) == 1:
-        col = factor_colouring(inc, tol)
+        col = factor_colouring(inc)
         _, g2 = graphs_from_inclusion(inc)
         record(
             "system N' over M on the defining space",

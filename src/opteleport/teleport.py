@@ -49,6 +49,9 @@ from .linalg import DEFAULT_SEED, DEFAULT_TOL, Tolerance
 from .reporting import Report
 from .tower import Tower, basic_construction, iterate, normalizer_check
 
+_BIMODULE_SAMPLES = 6  # triples (a, x, b) for the channels without a conjugation witness
+_DENSITY_SAMPLES = 100  # densities of the teleported algebra for classify's cross-check
+
 
 @dataclass
 class TeleportationContext:
@@ -100,7 +103,6 @@ def verify_scheme(
     scheme: TeleportationScheme,
     tol: Tolerance | None = None,
     strict: bool = True,
-    samples: int = 6,
 ) -> Report:
     """Structural checks plus the teleportation identity residual.
 
@@ -116,8 +118,8 @@ def verify_scheme(
     Ad v means v in Alice'.  Its residual is the membership residual of v in
     Alice' plus ||T(x0) - v x0 v*||_F on one random x0 in Alice ∨ Bob, so a
     channel whose map disagrees with its witness fails.  A channel without a
-    witness is sampled on ``samples`` seeded random triples (a, x, b), drawn
-    on the corners of Alice and of Alice ∨ Bob
+    witness is sampled on six seeded random triples (a, x, b), drawn on the
+    corners of Alice and of Alice ∨ Bob
     (:meth:`StarAlgebra.random_hermitian`) and shared by every such channel.
     The one-way LOCC form of the total operation follows from the verified
     structure and is recorded as implied rather than re-checked.  Alice ∨ Bob
@@ -164,7 +166,7 @@ def verify_scheme(
 
     bimod = 0.0
     if commute.passed:
-        bimod = _bimodule_residual(ctx, scheme.channels, samples)
+        bimod = _bimodule_residual(ctx, scheme.channels)
     if not commute.passed:
         # Alice v Bob is no algebra, so there is nothing to sample.
         rep.add_flag(
@@ -235,27 +237,22 @@ def _povm_checks(rep: Report, scheme: TeleportationScheme, tol: Tolerance) -> No
     )
 
 
-def _bimodule_residual(
-    ctx: TeleportationContext, channels: list[Superoperator], samples: int
-) -> float:
+def _bimodule_residual(ctx: TeleportationContext, channels: list[Superoperator]) -> float:
     """The largest bimodule residual over the channels (see :func:`verify_scheme`).
 
-    Channels without a witness share ``samples`` triples (a, b, x) with a, b
-    in Alice and x in Alice ∨ Bob, drawn in that order from the sampling
-    seed; the witnesses v are checked together, in Alice' as one stack and
-    against their maps on one x0 drawn after the triples.  Alice and Bob
-    must have passed the ``alice_bob_commute`` gate.
+    Channels without a witness share ``_BIMODULE_SAMPLES`` triples (a, b, x)
+    with a, b in Alice and x in Alice ∨ Bob, drawn as three stacks in that
+    order from the sampling seed; the witnesses v are checked together, in
+    Alice' as one stack and against their maps on one x0 drawn after the
+    triples.  Alice and Bob must have passed the ``alice_bob_commute`` gate.
     """
     rng = la.rng_from(None)
     joint = _commuting_product(ctx.alice, ctx.bob)
     worst = 0.0
     sampled = [ch for ch in channels if ch.ad_unitary is None]
-    if sampled and samples > 0:
-        draws = [
-            (ctx.alice.random_hermitian(rng), ctx.alice.random_hermitian(rng), joint.random_hermitian(rng))
-            for _ in range(samples)
-        ]
-        a, b, x = map(np.stack, zip(*draws))
+    if sampled:
+        algebras = (ctx.alice, ctx.alice, joint)
+        a, b, x = (alg.random_hermitian(rng, _BIMODULE_SAMPLES) for alg in algebras)
         axb = a @ x @ b
         for ch in sampled:
             worst = max(worst, float(np.max(la.frobenius_norms(ch(axb) - a @ ch(x) @ b))))
@@ -270,9 +267,7 @@ def _bimodule_residual(
     return worst
 
 
-def classify(
-    scheme: TeleportationScheme, tol: Tolerance | None = None, density_samples: int = 100
-) -> SchemeFlags:
+def classify(scheme: TeleportationScheme, tol: Tolerance | None = None) -> SchemeFlags:
     """Tightness, unbiasedness, faithfulness and minimality flags.
 
     Works through g_i = E(omega F_i): by traciality and the bimodule
@@ -328,9 +323,9 @@ def classify(
     rng = la.rng_from(None)
     corners = []
     for bd, _ in ctx.teleported.blocks:
-        shape = (density_samples, bd, bd)
+        shape = (_DENSITY_SAMPLES, bd, bd)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        corners.append((g @ la.dagger(g)).reshape(density_samples, -1))
+        corners.append((g @ la.dagger(g)).reshape(_DENSITY_SAMPLES, -1))
     rhos = np.concatenate(corners, axis=1)
     val = (rhos @ norm_row).real
     keep = val >= 1e-6
@@ -544,11 +539,7 @@ def correction_unitaries(
     )
     rng = la.rng_from(None)
     n = t.inclusion.big.ambient_dim
-    rand_block = lambda: np.array([
-        [t.inclusion.big.project(la.random_hermitian(n, rng)) for _ in range(d)]
-        for _ in range(d)
-    ])
-    xs, ys = rand_block(), rand_block()
+    xs, ys = (t.inclusion.big.random_hermitian(rng, d * d).reshape(d, d, n, n) for _ in range(2))
     prod = np.einsum("acij,cbjk->abik", xs, ys)
     phi_x, phi_y = phi(xs), phi(ys)
     rep.add(
@@ -567,9 +558,7 @@ def correction_unitaries(
     return vs, rep
 
 
-def unbiased_scheme(
-    t: Tower, basis: PimsnerPopaBasis, tol: Tolerance | None = None
-) -> TeleportationScheme:
+def unbiased_scheme(t: Tower, basis: PimsnerPopaBasis) -> TeleportationScheme:
     """Unbiased scheme for N' ∩ M relative to M1 and M1' ∩ M2.
 
     The resource is [M:N] e_M, the POVM is the projection family
@@ -584,7 +573,7 @@ def unbiased_scheme(
     choice of channels; :func:`verify_scheme` certifies the attainable
     locality and records the obstruction.
 
-    The construction decides nothing at a tolerance, so ``tol`` is unused:
+    The construction decides nothing at a tolerance, so it takes none:
     :func:`correction_unitaries` reports the checks on the v_i, and
     :func:`verify_scheme` certifies the scheme.
     """

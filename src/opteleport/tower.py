@@ -51,6 +51,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import Report
 
 _PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
+_TRACIAL_SAMPLES = 12  # pairs (x, y) of N' ∩ M on which the restricted state is tested
 
 
 class GnsSpace:
@@ -515,14 +516,8 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
         detail=f"[M:N]={idx}, [M1:M]={idx1}",
     )
 
-    # entanglement relation x e = gamma0(x) e on the relative commutant
-    rc_basis = t.rel_comm.basis
-    gammas = t.gamma0(rc_basis)
-    rep.add(
-        "relative_commutant_entanglement",
-        _largest(gns.act(rc_basis, p1) - gammas @ p1),
-        tol.bound(1.0),
-    )
+    (on_jones,) = _entanglement_gaps(t, p1)
+    rep.add("relative_commutant_entanglement", _largest(on_jones), tol.bound(1.0))  # x e = gamma0(x) e
 
     if not deep:
         return rep
@@ -563,7 +558,7 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
         _markov_expectation_residual(t, idx),
         tol.bound(1.0),
     )
-    shifted = t.shift(rc_basis)
+    shifted = t.shift(t.rel_comm.basis)
     rep.add(
         "shift_entanglement",  # e_N x e_M = e_N shift(x) e_M
         _shift_entanglement_residual(t, e1_up, shifted),
@@ -619,6 +614,15 @@ def _jones2_commutation_residual(gns: GnsSpace, p: np.ndarray, images: np.ndarra
     pu = gns.to_units(p)
     lifted = gns.act(images, pu, units=True)
     return np.sqrt(2.0) * _largest(lifted - pu @ (la.dagger(pu) @ lifted))
+
+
+def _entanglement_gaps(t: Tower, *vectors: np.ndarray) -> list[np.ndarray]:
+    """(pi(x) - gamma0(x)) v over the basis x of N' ∩ M, for each family of
+    GNS vectors v: the entanglement relation x e = gamma0(x) e on the range
+    of e1, and perfect correlation on the image of N."""
+    rc = t.rel_comm.basis
+    gammas = t.gamma0(rc)
+    return [t.gns.act(rc, v) - gammas @ v for v in vectors]
 
 
 def _largest(stack: np.ndarray) -> float:
@@ -816,29 +820,20 @@ def verify_epr(t: Tower, tol: Tolerance | None = None) -> Report:
     """Entanglement checks: the two commutation lemmas plus perfect correlation."""
     tol = tol or t.tol
     rep = Report()
-    gns, p1 = t.gns, t.levels[1].jones_range
-    rc = t.rel_comm
-    gammas = t.gamma0(rc.basis)
-    rep.add(
-        "left_right_on_jones",  # x e = pi_r(x) e, and gamma0 is pi_r
-        _largest(gns.act(rc.basis, p1) - gammas @ p1),
-        tol.bound(1.0),
-    )
+    # any unit vector in the image of N is perfectly correlated
+    small = t.inclusion.small
+    y = small.random_hermitian(la.rng_from(_PAIR_SEED + 4))
+    psi = t.gns.vector(np.stack([small.unit, y])).T
+    psi[:, 1] /= np.linalg.norm(psi[:, 1])
+    on_jones, on_psi = _entanglement_gaps(t, t.levels[1].jones_range, psi)
+    rep.add("left_right_on_jones", _largest(on_jones), tol.bound(1.0))  # gamma0 is pi_r
     iterate(t)
-    shifted = t.shift(rc.basis)
     rep.add(
         "shift_on_second_jones",
-        _shift_entanglement_residual(t, t.gns1.left(t.jones1), shifted),
+        _shift_entanglement_residual(t, t.gns1.left(t.jones1), t.shift(t.rel_comm.basis)),
         tol.bound(1.0),
     )
-    # any unit vector in the image of N is perfectly correlated
-    rng = la.rng_from(_PAIR_SEED + 4)
-    coeffs = rng.standard_normal(t.inclusion.small.dim)
-    y = np.tensordot(coeffs, t.inclusion.small.basis, axes=(0, 0))
-    psi = t.gns.vector(np.stack([t.inclusion.small.unit, y])).T
-    psi[:, 1] /= np.linalg.norm(psi[:, 1])
-    gaps = gns.act(rc.basis, psi) - gammas @ psi  # (pi(x) - gamma0(x)) psi
-    rep.add("perfect_correlation", float(np.linalg.norm(gaps, axis=1).max()), tol.bound(1.0))
+    rep.add("perfect_correlation", float(np.linalg.norm(on_psi, axis=1).max()), tol.bound(1.0))
     return rep
 
 
@@ -869,8 +864,7 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     u_star, u_col = la.dagger(us)[:, None], us[:, None]
     conj = u_star @ small.basis @ u_col
     conj_stable = np.all(small.membership_residual(conj) <= tol.bound(la.frobenius_norms(conj)), axis=1)
-    rng = la.rng_from(_PAIR_SEED + 5)
-    xs = np.stack([big.project(la.random_hermitian(big.ambient_dim, rng)) for _ in range(6)])
+    xs = big.random_hermitian(la.rng_from(_PAIR_SEED + 5), 6)
     lhs = u_star @ exp(xs) @ u_col
     gap = la.frobenius_norms(lhs - exp(u_star @ xs @ u_col))
     equivariant = np.all(gap <= tol.bound(la.frobenius_norms(lhs)) * 10, axis=1)
@@ -891,7 +885,6 @@ def verify_tracial_entangled_state(
     u: np.ndarray,
     psi: np.ndarray | None = None,
     tol: Tolerance | None = None,
-    samples: int = 12,
 ) -> Report:
     """Tracial restricted vector state and EPR-double identity for u* psi.
 
@@ -913,15 +906,9 @@ def verify_tracial_entangled_state(
     pu = t.gns.left(u)
     xi = la.dagger(pu) @ psi
     rng = la.rng_from(_PAIR_SEED + 6)
-    tracial = 0.0
-    for _ in range(samples):
-        x = rc.project(la.random_hermitian(rc.ambient_dim, rng))
-        y = rc.project(la.random_hermitian(rc.ambient_dim, rng))
-        px, py = t.gns.left(x), t.gns.left(y)
-        lhs = np.vdot(xi, px @ py @ xi)
-        rhs = np.vdot(xi, py @ px @ xi)
-        tracial = max(tracial, abs(lhs - rhs))
-    rep.add("restricted_state_tracial", tracial, tol.bound(1.0) * 10)
+    px, py = (t.gns.left(rc.random_hermitian(rng, _TRACIAL_SAMPLES)) for _ in range(2))
+    tracial = np.abs(((px @ py - py @ px) @ xi) @ xi.conj()).max()  # <xi, [x, y] xi>
+    rep.add("restricted_state_tracial", float(tracial), tol.bound(1.0) * 10)
     double = 0.0
     for x in rc.basis:
         lhs = t.gamma0(u @ x @ la.dagger(u)) @ xi

@@ -15,7 +15,7 @@ from opteleport.algebra import (
     intersect,
     scalar_decompose_cp_family,
 )
-from opteleport.errors import NotScalarError, PreconditionError, StructureError
+from opteleport.errors import NotScalarError, PreconditionError, StructureError, TraceError
 
 from conftest import dense_commutation_gap
 
@@ -519,3 +519,9 @@ def test_from_generators_finds_rotated_layouts(layout, seed, log_scale, noisy):
     w = np.hstack(alg.frames)
     assert la.frobenius_distance(la.dagger(w) @ w, np.eye(n)) < 1e-12
     assert alg.same_span(StarAlgebra.block_diagonal(layout).image(lambda x: u @ x @ la.dagger(u), n))
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25]])
+def test_trace_needs_one_weight_per_block(weights):
+    with pytest.raises(TraceError, match="one weight per block required"):
+        Trace(StarAlgebra.diagonal(2), weights)

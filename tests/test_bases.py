@@ -359,3 +359,29 @@ def test_verify_basis_stacks_its_gns_calls(monkeypatch):
     calls.clear()
     assert verify_basis(t, basis).passed
     assert len(calls) <= 3
+
+
+def test_verify_basis_rejects_the_tower_of_another_inclusion():
+    tower = get_tower("diagonal_in_full_2", two_levels=False)
+    basis = shift_basis(2)  # built on its own copy of D_2 ⊆ M_2
+    assert basis.inclusion is not tower.inclusion
+    with pytest.raises(PreconditionError, match="tower and basis must share an inclusion"):
+        verify_basis(tower, basis)
+
+
+def test_kraus_decomposition_rejects_a_positive_element_outside_the_first_tower_algebra():
+    tower = get_tower("diagonal_in_full_2", two_levels=False)
+    b = make_and_verify(tower, lambda: shift_basis(2))
+    x1 = la.random_density(tower.gns.dim, 3)  # positive, generic in M_4 ⊋ M1
+    assert tower.level1.membership_residual(x1) > 1e-3
+    with pytest.raises(PreconditionError, match="x1 must lie in the first tower algebra"):
+        kraus_decomposition(tower, x1, b)
+
+
+def test_kraus_decomposition_rejects_a_positive_element_not_commuting_with_n():
+    tower = get_tower("diagonal_in_full_2", two_levels=False)
+    b = make_and_verify(tower, lambda: shift_basis(2))
+    x1 = tower.gns.left(np.ones((2, 2), dtype=complex))  # pi of a positive element of M outside N'
+    assert tower.level1.contains(x1)
+    with pytest.raises(PreconditionError, match="x1 must commute with N"):
+        kraus_decomposition(tower, x1, b)

@@ -344,3 +344,21 @@ def test_unbiased_scheme_corrections_are_those_of_correction_unitaries():
     assert len(scheme.channels) == len(vs)
     for channel, v in zip(scheme.channels, vs):
         assert np.array_equal(channel.ad_unitary, v)
+
+
+def test_basis_builds_its_tower_at_the_given_tolerance(monkeypatch, capsys):
+    from opteleport import cli
+    from opteleport.linalg import Tolerance
+
+    build = cli.basic_construction
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "basic_construction", recording)
+    argv = ["--tol", "1e-6", "basis", "-", "--family", "shifts"]
+    code, out = run_in_process(monkeypatch, capsys, argv, {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]]})
+    assert code == 0 and json.loads(out)["passed"]
+    assert [t.tol for t in built] == [Tolerance(1e-6, 1e-6)]

@@ -247,3 +247,15 @@ def test_is_connected_matches_centre_intersection(case):
     diag = StarAlgebra.diagonal(2)
     assert not is_connected(diag, diag)
     assert intersect(diag.center, diag.center).dim != 1
+
+
+def test_inclusion_rejects_a_trace_on_another_algebra():
+    foreign = Trace.normalized(StarAlgebra.full(2))  # an equal algebra, but not M itself
+    with pytest.raises(PreconditionError, match="trace must live on M"):
+        Inclusion(StarAlgebra.diagonal(2), StarAlgebra.full(2), foreign)
+
+
+def test_inclusion_rejects_a_trace_that_is_not_faithful():
+    big = StarAlgebra.diagonal(2)
+    with pytest.raises(PreconditionError, match="trace must be a faithful state"):
+        Inclusion(StarAlgebra.trivial(2), big, Trace(big, [1.0, 0.0]))

@@ -854,3 +854,19 @@ def test_extraction_names_the_middle_channel_with_the_wrong_intertwiner_dimensio
     )
     with pytest.raises(ExtractionError, match=r"^channel 2: intertwiner space has dimension 0, expected 1$"):
         extract_tight_scheme(s)
+
+
+def test_extraction_rejects_a_resource_with_a_perturbed_first_leg():
+    # sigma_z on the first leg, at three times the rigid-form threshold: still
+    # inside the ten-fold threshold of "minimal", so the flags hold and only
+    # resource_has_trivial_first_leg fails
+    s = standard_scheme(2)
+    h = la.kron(np.diag([1.0, -1.0]).astype(complex), la.eye(4))
+    eps = 3 * DEFAULT_TOL.bound(float(np.linalg.norm(s.omega))) / np.linalg.norm(h)
+    perturbed = TeleportationScheme(
+        s.context, s.omega + eps * h, s.povm, s.channels, s.inclusion, s.leg_dims
+    )
+    flags = classify(perturbed)
+    assert flags.tight and flags.minimal and flags.faithful
+    with pytest.raises(ExtractionError, match="resource does not have the rigid form"):
+        extract_tight_scheme(perturbed)

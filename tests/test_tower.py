@@ -832,3 +832,9 @@ def test_unit_coordinate_distances_match_projections(key):
         # the frame of represented(algebra) on block j is V there: corners from the unit blocks
         for (d, _), sl, c in zip(g.algebra.blocks, g._slices, _corners(upper, x)):
             assert np.abs(np.trace(u[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d - c).max() < 1e-12
+
+
+def test_gns_requires_the_trace_of_the_represented_algebra():
+    foreign = Trace.normalized(StarAlgebra.full(2))  # an equal algebra, but another object
+    with pytest.raises(TraceError, match="trace must live on the represented algebra"):
+        GnsSpace(StarAlgebra.full(2), foreign)
