@@ -56,7 +56,12 @@ def is_connected(small: StarAlgebra, big: StarAlgebra) -> bool:
     That holds exactly when the bipartite graph of the inclusion matrix
     (the Bratteli diagram, one vertex per block of N and of M) is connected.
     """
-    lam = inclusion_matrix(small, big) > 0
+    return _connected(inclusion_matrix(small, big))
+
+
+def _connected(lam: np.ndarray) -> bool:
+    """:func:`is_connected` read off the inclusion matrix ``lam``."""
+    lam = lam > 0
     rows = np.arange(lam.shape[0]) == 0
     for _ in range(lam.shape[0]):
         rows = lam[:, lam[rows].any(axis=0)].any(axis=1)
@@ -69,9 +74,9 @@ def markov_trace(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_
     The block weight vector is the Perron-Frobenius eigenvector of
     Lambda Lambda^T, normalised to a state.
     """
-    if not is_connected(small, big):
-        raise ConnectednessError("Markov trace requires a connected inclusion")
     lam = inclusion_matrix(small, big)
+    if not _connected(lam):
+        raise ConnectednessError("Markov trace requires a connected inclusion")
     _, vec = la.pf_eigenvector(lam @ lam.T, tol)
     dims = np.array([bd for bd, _ in big.blocks], dtype=float)
     weights = vec / float(dims @ vec)
@@ -120,7 +125,7 @@ class Inclusion:
 
     @cached_property
     def connected(self) -> bool:
-        return is_connected(self.small, self.big)
+        return _connected(self.matrix)
 
     @cached_property
     def index(self) -> float:

@@ -323,28 +323,12 @@ def product_span(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     return span_onb(prods, tol)
 
 
-def intertwiner_space(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    dim: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Solve {X : X a = b X for every (a, b) pair} as matrices on C^dim.
-
-    Returns an HS-orthonormal basis of the solution space.  Used for
-    extracting unitaries that implement given automorphisms.
-    """
-    if not pairs:
-        return []
-    a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-    return intertwiner_spaces(a, b[None], tol)[0]
-
-
 def intertwiner_spaces(
     a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> list[list[np.ndarray]]:
-    """:func:`intertwiner_space` of the pairs (a[p], b[c, p]) for each c, for
-    ``a`` of shape (P, d, d) and ``b`` of shape (C, P, d, d): the C systems
-    are solved by one batched SVD."""
+    """HS-orthonormal bases of {X : X a[p] = b[c, p] X for every p}, one for
+    each c, for ``a`` of shape (P, d, d) and ``b`` of shape (C, P, d, d): the
+    C systems are solved by one batched SVD."""
     dim = a.shape[-1]
     ident = eye(dim)
     # row-major vec: row (i, j) of X a - b X holds a_lj at X_il and -b_ik at X_kj

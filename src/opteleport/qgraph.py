@@ -2,10 +2,12 @@
 certificates.
 
 A quantum graph here is a triple (S, M, B(H)): a weak*-closed operator
-system S that is an M'-bimodule, with M a von Neumann algebra on H.  An
-(L, c) colouring is a PVM {P_a} in M (x) L annihilating the traceless part
-S ∩ (M')^perp; L is always represented concretely as a matrix algebra
-M_l with its normalised trace, l = 1 meaning a local colouring.
+system S that is an M'-bimodule, with M a von Neumann algebra on H.  Every
+S built here is a *-algebra, so a graph is a pair of algebras and the
+bimodule property is the containment M' ⊆ S.  An (L, c) colouring is a PVM
+{P_a} in M (x) L annihilating the traceless part S ∩ (M')^perp; L is always
+represented concretely as a matrix algebra M_l with its normalised trace,
+l = 1 meaning a local colouring.
 
 Both certificate families reduce a c-colouring to a family of projections
 R_a summing to [M:N] 1, which forces c >= [M:N]; the matching colouring
@@ -20,7 +22,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, _swap_legs
+from .algebra import StarAlgebra, _generators, _swap_legs
 from .bases import (
     PimsnerPopaBasis,
     commutant_factor_basis,
@@ -37,37 +39,24 @@ from .tower import Tower, basic_construction
 
 @dataclass
 class QuantumGraph:
-    """Operator system + algebra pair on a finite-dimensional Hilbert space."""
+    """A quantum graph (S, M) as a pair of algebras on one Hilbert space."""
 
-    system: np.ndarray  # HS-orthonormal stack spanning S
+    system: StarAlgebra  # the operator system S, here a *-algebra
     algebra: StarAlgebra  # the graph's von Neumann algebra M
-    ambient_dim: int
     label: str = ""
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.algebra.ambient_dim
+
     def verify(self, tol: Tolerance = DEFAULT_TOL) -> Report:
+        """``commutant_bimodule``: the largest distance to S of the column units
+        of M' (:func:`_generators`), which generate M'; zero exactly when M' ⊆ S."""
+        if self.system.ambient_dim != self.ambient_dim:
+            raise PreconditionError("system and algebra must share an ambient")
         rep = Report()
-        n = self.ambient_dim
-        rep.add(
-            "contains_identity",
-            la.span_residual(self.system, la.eye(n)),
-            tol.bound(np.sqrt(n)) * 10,
-        )
-        rep.add(
-            "closed_under_adjoint",
-            max(la.span_residual(self.system, la.dagger(s)) for s in self.system),
-            tol.bound(1.0) * self.system.shape[0],
-        )
-        comm = self.algebra.commutant
-        rep.add(
-            "commutant_bimodule",
-            max(
-                la.span_residual(self.system, a @ s @ b)
-                for a in comm.basis
-                for s in self.system
-                for b in comm.basis
-            ),
-            tol.bound(1.0) * self.system.shape[0],
-        )
+        residual = self.system.membership_residual(_generators(self.algebra.commutant))
+        rep.add("commutant_bimodule", float(np.max(residual)), tol.bound(1.0) * self.system.dim)
         return rep
 
 
@@ -78,12 +67,11 @@ def graphs_from_inclusion(
 
     Returns (S = M over the algebra N', S = N' over the algebra M); their
     bimodules are the inclusions N ⊆ M and M' ⊆ N' respectively, and the
-    operator-system invariants are re-verified on construction.
+    bimodule property is re-verified on construction.
     """
-    n = inc.big.ambient_dim
     nprime = inc.small.commutant
-    g1 = QuantumGraph(inc.big.basis, nprime, n, label="system M over N'")
-    g2 = QuantumGraph(nprime.basis, inc.big, n, label="system N' over M")
+    g1 = QuantumGraph(inc.big, nprime, label="system M over N'")
+    g2 = QuantumGraph(nprime, inc.big, label="system N' over M")
     for g in (g1, g2):
         rep = g.verify(tol)
         if not rep.passed:
@@ -92,13 +80,12 @@ def graphs_from_inclusion(
 
 
 def traceless_part(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """HS-orthonormal basis of S ∩ (M')^perp in the ambient trace pairing."""
-    comm = g.algebra.commutant
-    n2 = g.ambient_dim**2
-    cross = np.conj(comm.basis.reshape(-1, n2)) @ g.system.reshape(-1, n2).T  # Tr(c_k* s_l)
-    coeffs = la.nullspace(cross, tol)
-    mats = [np.tensordot(v, g.system, axes=(0, 0)) for v in coeffs]
-    return la.span_onb(mats, tol) if mats else np.zeros((0, g.ambient_dim, g.ambient_dim))
+    """HS-orthonormal basis of S ∩ (M')^perp in the ambient trace pairing: the
+    parts of S orthogonal to M', which need M' ⊆ S (:class:`PreconditionError`)."""
+    if not g.verify(tol).passed:
+        raise PreconditionError("the traceless part needs M' inside S")
+    s = g.system.basis
+    return la.span_onb(s - g.algebra.commutant.project(s), tol)
 
 
 @dataclass
@@ -254,12 +241,7 @@ def factor_colouring(inc: Inclusion) -> Colouring:
 
 def gns_graph(t: Tower) -> QuantumGraph:
     """The quantum graph (M, N', B(L^2(M, tau))) of a tower's inclusion."""
-    return QuantumGraph(
-        t.m_rep.basis,
-        t.n_rep.commutant,
-        t.gns.dim,
-        label="system M over N' on L2",
-    )
+    return QuantumGraph(t.m_rep, t.n_rep.commutant, label="system M over N' on L2")
 
 
 def basis_colouring(

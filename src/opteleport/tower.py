@@ -20,6 +20,7 @@ Markov restriction over the whole basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -116,19 +117,17 @@ class GnsSpace:
 
         For a stack of shape (..., n, n), the (..., dim, dim) stack of them,
         from one :func:`_corners` and one :func:`_scatter` call: matrix k of
-        the stack takes the stencil with its positions offset by k dim^2.
+        the stack takes the stencil with its positions offset by k dim^2.  A
+        single matrix is a stack of one.
         """
         pos, src, weight = self._left
         size = self.dim * self.dim
         lead = np.shape(x)[:-2]
         corners = _corners(self.algebra, x)
-        if not lead:
-            values = weight * np.concatenate([c.ravel() for c in corners])[src]
-            return _scatter(pos, values, size).reshape(self.dim, -1)
-        count = int(np.prod(lead))
+        count = math.prod(lead)
         flat = np.concatenate([c.reshape(count, -1) for c in corners], axis=1)
-        pos = (pos + size * np.arange(count)[:, None]).ravel()
-        out = _scatter(pos, (weight * flat[:, src]).ravel(), count * size)
+        pos = np.add.outer(np.arange(0, count * size, size), pos).ravel()
+        out = _scatter(pos, (weight * flat.take(src, axis=1)).ravel(), count * size)
         return out.reshape(*lead, self.dim, self.dim)
 
     def right(self, x: np.ndarray) -> np.ndarray:

@@ -217,8 +217,8 @@ def test_intertwiner_space_recovers_conjugation():
     rng = np.random.default_rng(8)
     u = la.random_unitary(3, rng)
     basis = [la.random_hermitian(3, rng) for _ in range(9)]
-    pairs = [(b, u @ b @ la.dagger(u)) for b in basis]
-    sols = la.intertwiner_space(pairs, 3)
+    a = np.stack(basis)
+    sols = la.intertwiner_spaces(a, (u @ a @ la.dagger(u))[None])[0]
     assert len(sols) == 1
     w = la.polar_unitary(sols[0])
     # implements the same conjugation, so w differs from u by a phase

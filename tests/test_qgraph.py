@@ -9,6 +9,7 @@ from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_
 from opteleport.qgraph import (
     ChromaticBounds,
     Colouring,
+    QuantumGraph,
     basis_colouring,
     basis_lower_bound,
     chromatic_bounds,
@@ -35,6 +36,59 @@ def test_graphs_from_inclusion_invariants():
         g1, g2 = graphs_from_inclusion(inc)
         assert g1.verify().passed, g1.label
         assert g2.verify().passed, g2.label
+
+
+def test_graph_verify_reports_the_commutant_bimodule_check_only():
+    for inc in (trivial_in_full(2), diagonal_in_full(2), tensor_factor_inclusion()):
+        for g in graphs_from_inclusion(inc):
+            assert [c.name for c in g.verify().checks] == ["commutant_bimodule"], g.label
+            assert g.ambient_dim == inc.big.ambient_dim
+
+
+def test_commutant_bimodule_fails_when_the_system_misses_the_commutant():
+    # M = D_2 is its own commutant, and the scalars hold neither diagonal unit
+    g = QuantumGraph(StarAlgebra.trivial(2), StarAlgebra.diagonal(2))
+    rep = g.verify()
+    assert not rep.passed
+    assert abs(rep.checks[0].residual - np.sqrt(0.5)) < 1e-12
+    with pytest.raises(PreconditionError):
+        traceless_part(g)
+
+
+def test_graph_verify_requires_a_common_ambient():
+    g = QuantumGraph(StarAlgebra.full(2), StarAlgebra.full(3))
+    with pytest.raises(PreconditionError):
+        g.verify()
+    with pytest.raises(AttributeError):
+        g.ambient_dim = 2
+
+
+def gram_traceless_part(g):
+    """Reference: S ∩ (M')^perp from the null space of the cross Gram matrix
+    Tr(c_k* s_l) of the bases of M' and S."""
+    s, comm = g.system.basis, g.algebra.commutant.basis
+    n2 = g.ambient_dim**2
+    cross = np.conj(comm.reshape(-1, n2)) @ s.reshape(-1, n2).T
+    mats = [np.tensordot(v, s, axes=(0, 0)) for v in la.nullspace(cross)]
+    return la.span_onb(mats) if mats else np.zeros((0, g.ambient_dim, g.ambient_dim))
+
+
+def test_traceless_part_matches_the_gram_reference():
+    graphs = [
+        g
+        for inc in (trivial_in_full(2), diagonal_in_full(2), tensor_factor_inclusion())
+        for g in graphs_from_inclusion(inc)
+    ]
+    graphs.append(gns_graph(get_tower("diagonal_in_full_2", two_levels=False)))
+
+    def projection(onb):
+        flat = onb.reshape(len(onb), -1)
+        return flat.T @ flat.conj()
+
+    for g in graphs:
+        got, want = traceless_part(g), gram_traceless_part(g)
+        assert got.shape == want.shape, g.label
+        assert np.max(np.abs(projection(got) - projection(want))) < 1e-12, g.label
 
 
 def test_graph_for_equal_inclusion():
