@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg as la
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
-from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import Report
 from .tower import Tower, _normaliser_votes
 
@@ -123,17 +122,15 @@ def homogeneous_block_basis(k: int, block: int) -> PimsnerPopaBasis:
     return PimsnerPopaBasis(inc, elements)
 
 
-def verify_basis(
-    tower: Tower, basis: PimsnerPopaBasis, tol: Tolerance | None = None
-) -> Report:
-    """Check completeness and the derived identities; sets the flags.
+def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
+    """Check completeness and the derived identities at ``tower.tol``; sets the flags.
 
     Checks, as residuals: sum b* e b = 1 on the GNS space, the expansion
     x = sum E(x b*) b on a spanning set, sum b* b = index, orthonormality,
     unitarity and normaliser membership (flag checks), and for orthonormal
     normaliser families that {b* e b} is a PVM resolving the identity.
     """
-    tol = tol or DEFAULT_TOL
+    tol = tower.tol
     inc = basis.inclusion
     if tower.inclusion is not inc:
         raise PreconditionError("tower and basis must share an inclusion")
@@ -183,9 +180,7 @@ def verify_basis(
     return rep
 
 
-def cardinality_test(
-    tower: Tower, basis: PimsnerPopaBasis, tol: Tolerance | None = None
-) -> Report:
+def cardinality_test(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     """Orthonormality holds exactly when d * dim N = dim M.
 
     ``verify_basis`` must have run (the completeness flag is required);
@@ -210,18 +205,16 @@ def cardinality_test(
 
 
 def kraus_decomposition(
-    tower: Tower,
-    x1: np.ndarray,
-    basis: PimsnerPopaBasis,
-    tol: Tolerance | None = None,
+    tower: Tower, x1: np.ndarray, basis: PimsnerPopaBasis
 ) -> tuple[list[np.ndarray], Report]:
-    """Write a positive x1 in N' ∩ M1 as sum_i a_i* e_N a_i with a_i in M.
+    """Write a positive x1 in N' ∩ M1 as sum_i a_i* e_N a_i with a_i in M,
+    at ``tower.tol``.
 
     The coefficients are a_i* = [M:N] E_M(sqrt(x1) b_i* e_N); the induced
     completely positive map sum a_i* (.) a_i on N' ∩ M is independent of
     the basis, which downstream checks rely on.
     """
-    tol = tol or DEFAULT_TOL
+    tol = tower.tol
     inc = basis.inclusion
     pi, e1 = tower.gns.left, tower.jones1
     if not la.is_psd(x1, tol):

@@ -112,8 +112,10 @@ def parse_weights(spec: object, what: str) -> list[float]:
         raise InputError(f"{what} must be a list of numbers: {exc}") from exc
 
 
-def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
-    """Build the inclusion N ⊆ M_n described by the input document."""
+def parse_inclusion_spec(doc: dict, tol: Tolerance) -> tuple[Inclusion, dict]:
+    """Build the inclusion N ⊆ M_n described by the input document at ``tol``:
+    structure discovery, the Markov trace, the trace gates and every tower
+    built on the inclusion use it."""
     blocks = parse_blocks(doc)
     try:
         n = int(doc["ambient_dim"])
@@ -130,7 +132,7 @@ def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
         if not isinstance(embedding["explicit"], list):
             raise InputError("embedding 'explicit' must be a list of matrices")
         gens = [parse_matrix(g, n) for g in embedding["explicit"]]
-        small = StarAlgebra.from_generators(gens, n)
+        small = StarAlgebra.from_generators(gens, n, tol)
         if sorted(small.blocks) != sorted(blocks):
             raise InputError(
                 f"generated algebra has blocks {small.blocks}, document says {blocks}"
@@ -140,10 +142,10 @@ def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
     big = StarAlgebra.full(n)
     trace_spec = doc.get("trace", "markov")
     if trace_spec == "markov":
-        trace = markov_trace(small, big)
+        trace = markov_trace(small, big, tol)
     else:
         trace = Trace(big, parse_weights(trace_spec, "trace"))
-        if not (trace.is_state() and trace.is_faithful()):
+        if not (trace.is_state(tol) and trace.is_faithful(tol)):
             raise InputError("explicit trace weights must define a faithful state")
     echo = {
         "ambient_dim": n,
@@ -151,7 +153,7 @@ def parse_inclusion_spec(doc: dict) -> tuple[Inclusion, dict]:
         "embedding": "block_diagonal" if embedding == "block_diagonal" else "explicit",
         "trace": "markov" if trace_spec == "markov" else [float(w) for w in trace_spec],
     }
-    return Inclusion(small, big, trace), echo
+    return Inclusion(small, big, trace, tol), echo
 
 
 def load_document(path: str | None) -> dict:
@@ -183,7 +185,7 @@ def certificate(args, command: str, echo: dict, report: Report, derived: dict) -
 
 
 def cmd_inclusion_info(args) -> dict:
-    inc, echo = parse_inclusion_spec(load_document(args.input))
+    inc, echo = parse_inclusion_spec(load_document(args.input), args.tol)
     rep = Report()
     connected = inc.connected
     rep.add_flag("connected", True, detail=f"flag {connected}")
@@ -194,7 +196,7 @@ def cmd_inclusion_info(args) -> dict:
         "dim_N": inc.small.dim,
         "dim_M": inc.big.dim,
         "inclusion_matrix": inc.matrix.tolist(),
-        "markov_weights": [float(w) for w in markov_trace(inc.small, inc.big).weights],
+        "markov_weights": [float(w) for w in markov_trace(inc.small, inc.big, inc.tol).weights],
         "index": float(inc.index) if connected else None,
     }
     xs = inc.big.random_hermitian(la.rng_from(None), 8)
@@ -236,7 +238,7 @@ def _basis_for_family(inc: Inclusion, family: str) -> PimsnerPopaBasis:
 
 def cmd_basis(args) -> dict:
     doc = load_document(args.input)
-    inc, echo = parse_inclusion_spec(doc)
+    inc, echo = parse_inclusion_spec(doc, args.tol)
     if args.elements:
         mats = [parse_matrix(m, inc.big.ambient_dim) for m in load_document(args.elements)]
         basis = PimsnerPopaBasis(inc, mats)
@@ -244,8 +246,7 @@ def cmd_basis(args) -> dict:
     else:
         basis = _basis_for_family(inc, args.family)
         source = args.family
-    tower = basic_construction(inc, args.tol)
-    rep = verify_basis(tower, basis, args.tol)
+    rep = verify_basis(basic_construction(inc), basis)
     derived = {
         "source": source,
         "size": basis.size,
@@ -271,9 +272,8 @@ def cmd_teleport(args) -> dict:
         m_alg = StarAlgebra.block_diagonal(blocks)
         echo = {"M_blocks": [list(b) for b in blocks]}
         scheme = direct_sum_scheme(m_alg, args.tol)
-        inc_for_extract = None
     else:
-        inc, echo = parse_inclusion_spec(doc)
+        inc, echo = parse_inclusion_spec(doc, args.tol)
         if args.scheme == "standard":
             if inc.small.dim != 1:
                 raise InputError("standard scheme needs N = scalars")
@@ -281,8 +281,8 @@ def cmd_teleport(args) -> dict:
             scheme = standard_scheme(inc.big.ambient_dim, basis)
         elif args.scheme == "unbiased":
             basis = _infer_normaliser_basis(inc)
-            tower = basic_construction(inc, args.tol)
-            verify_basis(tower, basis, args.tol)
+            tower = basic_construction(inc)
+            verify_basis(tower, basis)
             scheme = unbiased_scheme(tower, basis)
         elif args.scheme == "werner":
             # tight_scheme_from_basis verifies the basis on the tower it keeps
@@ -294,10 +294,9 @@ def cmd_teleport(args) -> dict:
                 if len(weights) != len(inc.small.central_projections):
                     raise InputError("one z weight per central projection of N required")
                 z = sum(w * p for w, p in zip(weights, inc.small.central_projections))
-            scheme = tight_scheme_from_basis(inc, basis, u=u, z=z, tol=args.tol)
+            scheme = tight_scheme_from_basis(inc, basis, u=u, z=z)
         else:
             raise InputError(f"unknown scheme {args.scheme!r}")
-        inc_for_extract = inc
     rep = verify_scheme(scheme, args.tol, strict=False)
     flags = classify(scheme, args.tol)
     rep.merge(flags.report, prefix="classify.")
@@ -313,7 +312,7 @@ def cmd_teleport(args) -> dict:
         }
     )
     if args.extract:
-        basis_out, u_out, z_out, xrep = extract_tight_scheme(scheme, inc_for_extract, args.tol)
+        basis_out, u_out, z_out, xrep = extract_tight_scheme(scheme)
         rep.merge(xrep, prefix="extract.")
         derived["extracted"] = {
             "basis_size": basis_out.size,
@@ -331,25 +330,25 @@ def _infer_normaliser_basis(inc: Inclusion) -> PimsnerPopaBasis:
 
 
 def cmd_graph(args) -> dict:
-    inc, echo = parse_inclusion_spec(load_document(args.input))
+    inc, echo = parse_inclusion_spec(load_document(args.input), args.tol)
     rep = Report()
     derived: dict = {"mode": args.mode}
     if args.mode == "colour-factor":
         col = factor_colouring(inc)
         _, g2 = graphs_from_inclusion(inc)
         rep.merge(verify_colouring(g2, col, args.tol), prefix="colouring.")
-        rep.merge(factor_lower_bound(inc, col, args.tol), prefix="certificate.")
+        rep.merge(factor_lower_bound(inc, col), prefix="certificate.")
         derived.update({"colours": col.colours, "aux_dim": col.aux_dim})
     elif args.mode == "colour-basis":
         basis = _infer_normaliser_basis(inc)
-        tower = basic_construction(inc, args.tol)
-        verify_basis(tower, basis, args.tol)
-        col = basis_colouring(tower, basis, args.tol)
+        tower = basic_construction(inc)
+        verify_basis(tower, basis)
+        col = basis_colouring(tower, basis)
         rep.merge(verify_colouring(gns_graph(tower), col, args.tol), prefix="colouring.")
-        rep.merge(basis_lower_bound(tower, basis, col, args.tol), prefix="certificate.")
+        rep.merge(basis_lower_bound(tower, basis, col), prefix="certificate.")
         derived.update({"colours": col.colours, "aux_dim": 1})
     elif args.mode == "bounds":
-        bounds = chromatic_bounds(inc, args.tol)
+        bounds = chromatic_bounds(inc)
         derived.update(
             {
                 "lower": bounds.lower,
@@ -431,11 +430,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_tolerance(value: float) -> Tolerance:
+    """The ``--tol`` value as a :class:`Tolerance`, abs = rel = value."""
+    try:
+        return Tolerance(abs=value, rel=value)
+    except ValueError as exc:
+        raise InputError(f"--tol {value}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    args.tol = Tolerance(abs=args.tol, rel=args.tol)
     la.set_default_seed(args.seed)
     try:
+        args.tol = _parse_tolerance(args.tol)
         cert = args.func(args)
     except (InputError, OpteleportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,8 +44,9 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs < 0 or self.rel < 0 or (self.abs == 0 and self.rel == 0):
-            raise ValueError("Tolerance needs abs > 0 or rel > 0, both nonnegative")
+        finite = math.isfinite(self.abs) and math.isfinite(self.rel)
+        if not finite or self.abs < 0 or self.rel < 0 or (self.abs == 0 and self.rel == 0):
+            raise ValueError("Tolerance needs finite, nonnegative abs and rel, not both zero")
 
     def bound(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * scale

@@ -60,20 +60,18 @@ class QuantumGraph:
         return rep
 
 
-def graphs_from_inclusion(
-    inc: Inclusion, tol: Tolerance = DEFAULT_TOL
-) -> tuple[QuantumGraph, QuantumGraph]:
+def graphs_from_inclusion(inc: Inclusion) -> tuple[QuantumGraph, QuantumGraph]:
     """The two quantum graphs attached to N ⊆ M on its ambient space.
 
     Returns (S = M over the algebra N', S = N' over the algebra M); their
     bimodules are the inclusions N ⊆ M and M' ⊆ N' respectively, and the
-    bimodule property is re-verified on construction.
+    bimodule property is re-verified on construction, at ``inc.tol``.
     """
     nprime = inc.small.commutant
     g1 = QuantumGraph(inc.big, nprime, label="system M over N'")
     g2 = QuantumGraph(nprime, inc.big, label="system N' over M")
     for g in (g1, g2):
-        rep = g.verify(tol)
+        rep = g.verify(inc.tol)
         if not rep.passed:
             raise InternalError(f"graph invariants failed for {g.label}")
     return g1, g2
@@ -244,12 +242,10 @@ def gns_graph(t: Tower) -> QuantumGraph:
     return QuantumGraph(t.m_rep, t.n_rep.commutant, label="system M over N' on L2")
 
 
-def basis_colouring(
-    t: Tower, basis: PimsnerPopaBasis, tol: Tolerance = DEFAULT_TOL
-) -> Colouring:
+def basis_colouring(t: Tower, basis: PimsnerPopaBasis) -> Colouring:
     """Local colouring {u_i* e_N u_i} of (M, N', B(L^2)) with [M:N] colours."""
     if basis.orthonormal is None:
-        verify_basis(t, basis, tol)
+        verify_basis(t, basis)
     if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
         raise PreconditionError("basis colouring needs a unitary orthonormal normaliser basis")
     reps = t.gns.left(np.stack(basis.elements))
@@ -292,10 +288,9 @@ def _certificate(
     return rep
 
 
-def factor_lower_bound(
-    inc: Inclusion, col: Colouring, tol: Tolerance = DEFAULT_TOL
-) -> Report:
-    """Certificate c >= [M:N] for colourings of (N', M, B(H)), N a factor.
+def factor_lower_bound(inc: Inclusion, col: Colouring) -> Report:
+    """Certificate c >= [M:N] for colourings of (N', M, B(H)), N a factor,
+    at ``inc.tol``.
 
     Per block, the twisted partial trace of each P_a is a projection; the
     blockwise sums R_a are mutually orthogonal across blocks and add up to
@@ -316,13 +311,11 @@ def factor_lower_bound(
                 comp, [n_j, l_j, d * l], {0, 1}, normalise=True
             )
         rs.append(r_a)
-    return _certificate(Report(), rs, idx, col, tol)
+    return _certificate(Report(), rs, idx, col, inc.tol)
 
 
-def basis_lower_bound(
-    t: Tower, basis: PimsnerPopaBasis, col: Colouring, tol: Tolerance = DEFAULT_TOL
-) -> Report:
-    """Certificate c >= [M:N] for colourings of (M, N', B(L^2)).
+def basis_lower_bound(t: Tower, basis: PimsnerPopaBasis, col: Colouring) -> Report:
+    """Certificate c >= [M:N] for colourings of (M, N', B(L^2)), at ``t.tol``.
 
     Uses the averaging map y -> (1/[M:N]) sum u_i* y u_i, which is checked
     to be a conditional expectation of N' onto M' before the R_a family is
@@ -330,7 +323,7 @@ def basis_lower_bound(
     """
     if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
         raise PreconditionError("certificate needs a unitary orthonormal normaliser basis")
-    idx = int(round(t.index))
+    tol, idx = t.tol, int(round(t.index))
     mprime = t.m_rep.commutant
     nprime = t.n_rep.commutant
     reps = t.gns.left(np.stack(basis.elements))
@@ -372,8 +365,8 @@ class ChromaticBounds:
         return self.upper is not None and self.lower == self.upper
 
 
-def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticBounds:
-    """Chromatic bounds for the graphs attached to an inclusion.
+def chromatic_bounds(inc: Inclusion) -> ChromaticBounds:
+    """Chromatic bounds for the graphs attached to an inclusion, at ``inc.tol``.
 
     Covers the two theorem families: N a factor (quantum/quantum-commuting
     value [M:N] for (N', M) on the defining space) and inclusions with a
@@ -414,25 +407,25 @@ def chromatic_bounds(inc: Inclusion, tol: Tolerance = DEFAULT_TOL) -> ChromaticB
             "quantum (finite-dimensional auxiliary)",
             inc.big.ambient_dim,
             col,
-            verify_colouring(g2, col, tol),
-            factor_lower_bound(inc, col, tol),
+            verify_colouring(g2, col, inc.tol),
+            factor_lower_bound(inc, col),
         )
     else:
         warnings.append("N is not a factor: no quantum-commuting certificate for (N', M)")
 
     basis = normaliser_basis_for(inc)
     if basis is not None:
-        t = basic_construction(inc, tol)
-        verify_basis(t, basis, tol)
+        t = basic_construction(inc)
+        verify_basis(t, basis)
         if basis.unitary and basis.in_normaliser and basis.orthonormal:
-            col = basis_colouring(t, basis, tol)
+            col = basis_colouring(t, basis)
             record(
                 "system M over N' on the GNS space",
                 "local",
                 t.gns.dim,
                 col,
-                verify_colouring(gns_graph(t), col, tol),
-                basis_lower_bound(t, basis, col, tol),
+                verify_colouring(gns_graph(t), col, inc.tol),
+                basis_lower_bound(t, basis, col),
             )
     else:
         warnings.append("no unitary normaliser basis constructor applies: no local certificate")

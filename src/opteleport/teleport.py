@@ -390,8 +390,9 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
     ``basis`` defaults to the clock-and-shift family; it must be a unitary
     orthonormal basis of M_n over the scalars with n^2 elements.  This is
     Werner's tensor-picture scheme: the tight scheme of C ⊆ M_n with
-    u = z = 1, built on the tower that verifies the basis.  The
-    commutant-trace gate holds there by its own formula, 1 * n^2 = n * n.
+    u = z = 1, built on the tower that verifies the basis, at the tolerance
+    of ``basis.inclusion``.  The commutant-trace gate holds there by its own
+    formula, 1 * n^2 = n * n.
     """
     if basis is None:
         basis = weyl_basis(n)
@@ -400,7 +401,7 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
         verify_basis(t, basis)
     if not (basis.orthonormal and basis.unitary and basis.size == n * n):
         raise PreconditionError("standard scheme needs a unitary orthonormal basis of size n^2")
-    return _tight_scheme(t, basis, None, None, DEFAULT_TOL)
+    return _tight_scheme(t, basis, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +444,11 @@ def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Teleporta
     Built on the two-level tower of scalars ⊆ m with the Markov trace: the
     resource is (dim m) e_M, the POVM collects the per-block entangled
     projections twisted by that block's unitary family, and the corrections
-    conjugate by the shifted block unitaries.
+    conjugate by the shifted block unitaries.  ``tol`` is the tolerance of
+    that inclusion, and so of its tower.
     """
     inc = markov_inclusion(StarAlgebra.trivial(m.ambient_dim), m, tol)
-    t = iterate(basic_construction(inc, tol))
+    t = iterate(basic_construction(inc))
     ctx = _tower_context(t)
     omega = float(m.dim) * t.jones2
     povm: list[np.ndarray] = []
@@ -489,16 +491,14 @@ def _corrections(
     return vs, heads, lifted_left, lifted_right
 
 
-def correction_unitaries(
-    t: Tower, basis: PimsnerPopaBasis, tol: Tolerance | None = None
-) -> tuple[list[np.ndarray], Report]:
+def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.ndarray], Report]:
     """Unitaries v_i in M2 implementing shift(u_i x u_i*) = v_i shift(x) v_i*.
 
     Realised through the periodicity homomorphism sending a d x d matrix
     over M to M2; its multiplicativity and unitality are re-verified on
-    random arguments as part of the report.
+    random arguments as part of the report, at ``t.tol``.
     """
-    tol = tol or DEFAULT_TOL
+    tol = t.tol
     vs, heads, lifted_left, lifted_right = _corrections(t, basis)
     idx = t.index
     pi, pi1 = t.gns.left, t.gns1.left
@@ -592,14 +592,14 @@ def unbiased_scheme(t: Tower, basis: PimsnerPopaBasis) -> TeleportationScheme:
 # ---------------------------------------------------------------------------
 
 
-def commutant_trace_is_markov(inc: Inclusion, tol: Tolerance | None = None) -> tuple[bool, Report]:
+def commutant_trace_is_markov(inc: Inclusion) -> tuple[bool, Report]:
     """Whether tau_n restricted to N' is the Markov trace of scalars ⊆ N'.
 
     Holds exactly when n_j / m_j = n / dim N' for every block of N; when it
     does, both normalised one-leg partial traces of the Jones projection
-    equal 1/[M_n : N], which is re-checked numerically.
+    equal 1/[M_n : N], which is re-checked numerically at ``inc.tol``.
     """
-    tol = tol or DEFAULT_TOL
+    tol = inc.tol
     rep = Report()
     n = inc.big.ambient_dim
     if inc.big.dim != n * n:
@@ -653,35 +653,34 @@ def tight_scheme_from_basis(
     basis: PimsnerPopaBasis,
     u: np.ndarray | None = None,
     z: np.ndarray | None = None,
-    tol: Tolerance | None = None,
 ) -> TeleportationScheme:
     """Tight scheme for N' on M_n (x) M_n (x) N' from (basis, u, z) data.
 
     ``basis`` must be a unitary orthonormal normaliser basis of M_n over N,
     ``u`` a normaliser unitary and ``z`` a positive invertible central
     element of N with tau(z) = 1.  The commutant-trace gate must pass.
+    Every check runs at ``inc.tol``.
     """
-    tol = tol or DEFAULT_TOL
-    flag, _ = commutant_trace_is_markov(inc, tol)
+    flag, _ = commutant_trace_is_markov(inc)
     if not flag:
         raise HypothesisError("tau restricted to N' is not the Markov trace of C ⊆ N'")
-    return _tight_scheme(basic_construction(inc, tol), basis, u, z, tol)
+    return _tight_scheme(basic_construction(inc), basis, u, z)
 
 
 def _tight_scheme(
-    t: Tower, basis: PimsnerPopaBasis, u: np.ndarray | None, z: np.ndarray | None, tol: Tolerance
+    t: Tower, basis: PimsnerPopaBasis, u: np.ndarray | None, z: np.ndarray | None
 ) -> TeleportationScheme:
     """:func:`tight_scheme_from_basis` on the level-one tower of an inclusion
     that has passed the commutant-trace gate.  The scheme keeps the tower,
-    which :func:`extract_tight_scheme` reuses at the same tolerance."""
-    inc = t.inclusion
+    which :func:`extract_tight_scheme` reuses."""
+    inc, tol = t.inclusion, t.tol
     n = inc.big.ambient_dim
     if basis.orthonormal is None:
-        verify_basis(t, basis, tol)
+        verify_basis(t, basis)
     if not (basis.orthonormal and basis.unitary and basis.in_normaliser):
         raise PreconditionError("need a unitary orthonormal normaliser basis")
     # the identity normalises every N, so only a given u is tested
-    if u is not None and not normalizer_check(t, u, tol):
+    if u is not None and not normalizer_check(t, u):
         raise PreconditionError("u must normalise N")
     u = la.eye(n) if u is None else np.asarray(u, dtype=complex)
     z = la.eye(n) if z is None else np.asarray(z, dtype=complex)
@@ -693,7 +692,7 @@ def _tight_scheme(
 
     e = concrete_jones_projection(inc.small)
     ident = la.eye(n)
-    omega = la.kron(ident, _tight_resource(inc, e, u, z, tol))
+    omega = la.kron(ident, _tight_resource(inc, e, u, z))
     elements = np.stack(basis.elements)
     povm = list(la.kron(_entangled_projections(e, elements, u), ident))
     ctx = _tripartite_context(inc)
@@ -705,12 +704,10 @@ def _tight_scheme(
     )
 
 
-def _tight_resource(
-    inc: Inclusion, e: np.ndarray, u: np.ndarray, z: np.ndarray, tol: Tolerance
-) -> np.ndarray:
+def _tight_resource(inc: Inclusion, e: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     """[M_n : N] d e d* with d = 1 (x) sqrt(z) u: the resource of the tight
     scheme on its last two legs, for e the concrete Jones projection of N."""
-    dress = la.kron(la.eye(len(u)), la.matrix_sqrt(z, tol) @ u)
+    dress = la.kron(la.eye(len(u)), la.matrix_sqrt(z, inc.tol) @ u)
     return inc.index * dress @ e @ la.dagger(dress)
 
 
@@ -772,8 +769,6 @@ def _far_leg_unitaries(
 
 def extract_tight_scheme(
     scheme: TeleportationScheme,
-    inc: Inclusion | None = None,
-    tol: Tolerance | None = None,
 ) -> tuple[PimsnerPopaBasis, np.ndarray, np.ndarray, Report]:
     """Recover (basis, u, z) from a tight, minimal, faithful scheme for N'.
 
@@ -787,15 +782,14 @@ def extract_tight_scheme(
     the images that the intertwiners were read from, each channel applied
     once.
 
-    The scheme's flags and its level-one tower are reused when they were
-    made at ``tol`` (and the tower on ``inc``); otherwise the scheme is
-    classified and the tower built afresh.
+    Everything runs on ``scheme.inclusion`` at its tolerance.  The scheme's
+    level-one tower is reused, and its flags when they were decided at that
+    tolerance; otherwise the scheme is classified again.
     """
-    tol = tol or DEFAULT_TOL
-    inc = inc or scheme.inclusion
+    inc = scheme.inclusion
     if inc is None or scheme.leg_dims is None:
         raise PreconditionError("extraction needs the tripartite inclusion data")
-    n = inc.big.ambient_dim
+    tol, n = inc.tol, inc.big.ambient_dim
     if scheme.leg_dims != (n, n, n):
         raise PreconditionError("extraction expects three legs of matching dimension")
     if len(scheme.channels) != scheme.outcomes:
@@ -804,7 +798,7 @@ def extract_tight_scheme(
     flipped = np.swapaxes(small.basis, -1, -2)
     if np.max(small.membership_residual(flipped)) > tol.bound(1.0) * 10:
         raise HypothesisError("N must be transpose-closed (block-adapted position)")
-    flag, _ = commutant_trace_is_markov(inc, tol)
+    flag, _ = commutant_trace_is_markov(inc)
     if not flag:
         raise HypothesisError("commutant trace gate fails")
     flags = scheme.flags
@@ -838,8 +832,8 @@ def extract_tight_scheme(
     idx = inc.index
 
     t = scheme.tower
-    if t is None or t.inclusion is not inc or t.tol != tol:
-        t = basic_construction(inc, tol)
+    if t is None or t.inclusion is not inc:
+        t = basic_construction(inc)
     parts, outside = _far_leg_images(scheme.channels, nprime)
     raw_units = _far_leg_unitaries(far, parts, small.dim, tol)
 
@@ -857,7 +851,7 @@ def extract_tight_scheme(
     if cand is None:
         raise ExtractionError("no invertible dressing solution")
     u = la.dagger(la.polar_unitary(cand))
-    rebuilt_small = _tight_resource(inc, e, u, z, tol)
+    rebuilt_small = _tight_resource(inc, e, u, z)
     rep.add(
         "resource_round_trip",
         la.frobenius_distance(rebuilt_small, omega_small),
@@ -893,7 +887,7 @@ def extract_tight_scheme(
     fixed_units = raw_units @ la.dagger(c_u)
 
     basis = PimsnerPopaBasis(inc, list(fixed_units))
-    basis_rep = verify_basis(t, basis, tol)
+    basis_rep = verify_basis(t, basis)
     if not (basis_rep.passed and basis.orthonormal and basis.in_normaliser):
         raise ExtractionError("extracted family is not an orthonormal normaliser basis")
     rep.merge(basis_rep, prefix="extracted_basis.")

@@ -353,12 +353,13 @@ class Tower:
     Construction builds M1; :meth:`extend` adds one level per call.  The
     paper-named attributes below are read-only views of the first levels.
     :meth:`gamma`, :meth:`gamma0` and :meth:`shift` take a matrix or a stack
-    of shape (..., n, n), through :meth:`GnsSpace.right`.
+    of shape (..., n, n), through :meth:`GnsSpace.right`.  Every level and
+    every verifier of the tower works at ``inclusion.tol``, the tolerance
+    the inclusion was built at.
     """
 
-    def __init__(self, inclusion: Inclusion, tol: Tolerance = DEFAULT_TOL) -> None:
+    def __init__(self, inclusion: Inclusion) -> None:
         self.inclusion = inclusion
-        self.tol = tol
         self.levels = [Level(inclusion.big, inclusion.trace, inclusion.small)]
         self.extend()
 
@@ -395,6 +396,11 @@ class Tower:
     def index(self) -> float:
         return self.inclusion.index
 
+    @property
+    def tol(self) -> Tolerance:
+        """The tolerance of the inclusion, at which the tower is built and verified."""
+        return self.inclusion.tol
+
     def mirror(self, k: int) -> StarAlgebra:
         """M_{k-1}' ∩ M_k: N' ∩ M at k = 0, then its images under gamma(k - 1)."""
         lvl = self.level(k)
@@ -430,9 +436,10 @@ class Tower:
         return Superoperator(self.rel_comm, self.mirror2, self.shift, stacks=True)
 
 
-def basic_construction(inclusion: Inclusion, tol: Tolerance = DEFAULT_TOL) -> Tower:
-    """Build one level of the tower; raises MarkovError for non-Markov traces."""
-    return Tower(inclusion, tol)
+def basic_construction(inclusion: Inclusion) -> Tower:
+    """Build one level of the tower at ``inclusion.tol``; raises MarkovError
+    for non-Markov traces."""
+    return Tower(inclusion)
 
 
 def iterate(tower: Tower) -> Tower:
@@ -447,7 +454,7 @@ def iterate(tower: Tower) -> Tower:
 # ---------------------------------------------------------------------------
 
 
-def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> Report:
+def verify_tower(t: Tower, deep: bool = True) -> Report:
     """Residual checks for all level-one and level-two tower identities.
 
     Checks that end in a Jones projection e = P P* run on its range:
@@ -460,7 +467,7 @@ def verify_tower(t: Tower, tol: Tolerance | None = None, deep: bool = True) -> R
     the GNS maps as one stack; sampled elements are drawn on the corners
     (:meth:`StarAlgebra.random_hermitian`).
     """
-    tol = tol or t.tol
+    tol = t.tol
     rep = Report()
     inc = t.inclusion
     gns, e1, p1 = t.gns, t.jones1, t.levels[1].jones_range
@@ -815,9 +822,9 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> 
     return rep
 
 
-def verify_epr(t: Tower, tol: Tolerance | None = None) -> Report:
+def verify_epr(t: Tower) -> Report:
     """Entanglement checks: the two commutation lemmas plus perfect correlation."""
-    tol = tol or t.tol
+    tol = t.tol
     rep = Report()
     # any unit vector in the image of N is perfectly correlated
     small = t.inclusion.small
@@ -836,7 +843,7 @@ def verify_epr(t: Tower, tol: Tolerance | None = None) -> Report:
     return rep
 
 
-def normalizer_check(t: Tower, u: np.ndarray, tol: Tolerance | None = None) -> bool:
+def normalizer_check(t: Tower, u: np.ndarray) -> bool:
     """Whether a unitary u in M normalises N.
 
     Three equivalent formulations are evaluated — conjugation stability of
@@ -844,7 +851,7 @@ def normalizer_check(t: Tower, u: np.ndarray, tol: Tolerance | None = None) -> b
     right-regular identity for u e_N u* — and must agree; disagreement
     means a library bug, not a property of u.
     """
-    return _normaliser_votes(t, np.asarray(u, dtype=complex)[None], tol or t.tol)[0]
+    return _normaliser_votes(t, np.asarray(u, dtype=complex)[None], t.tol)[0]
 
 
 def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
@@ -879,19 +886,14 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     return votes
 
 
-def verify_tracial_entangled_state(
-    t: Tower,
-    u: np.ndarray,
-    psi: np.ndarray | None = None,
-    tol: Tolerance | None = None,
-) -> Report:
+def verify_tracial_entangled_state(t: Tower, u: np.ndarray, psi: np.ndarray | None = None) -> Report:
     """Tracial restricted vector state and EPR-double identity for u* psi.
 
     ``psi`` is a unit vector in the GNS image of N (the image of the unit
     by default); ``u`` must normalise N.
     """
-    tol = tol or t.tol
-    if not normalizer_check(t, u, tol):
+    tol = t.tol
+    if not normalizer_check(t, u):
         raise NormaliserError("u does not normalise N")
     if psi is None:
         psi = t.gns.vector(t.inclusion.small.unit)

@@ -9,6 +9,7 @@ from opteleport.inclusion import (
     markov_inclusion,
     trivial_in_full,
 )
+from opteleport.reporting import Report
 from opteleport.tower import Tower, basic_construction, iterate
 
 
@@ -45,6 +46,19 @@ def dense_commutation_gap(a: StarAlgebra, b: StarAlgebra) -> float:
     gens = [f[p][0] for f in b.matrix_units for p in range(len(f))]
     gens += [la.dagger(g) for g in gens]
     return max(la.span_residual(a.commutant.basis, g) for g in gens)
+
+
+def record_thresholds(monkeypatch) -> dict[str, float]:
+    """Patch ``Report.add`` to record the threshold of every check by name."""
+    seen: dict[str, float] = {}
+    add = Report.add
+
+    def recording(self, name, residual, threshold, detail=None):
+        seen[name] = threshold
+        return add(self, name, residual, threshold, detail)
+
+    monkeypatch.setattr(Report, "add", recording)
+    return seen
 
 
 _tower_cache: dict[str, Tower] = {}

@@ -21,8 +21,10 @@ from opteleport.bases import (
 )
 from opteleport.errors import PreconditionError
 from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_full
+from opteleport.linalg import Tolerance
+from opteleport.tower import basic_construction, verify_tower
 
-from conftest import get_tower
+from conftest import get_tower, record_thresholds
 
 
 def verified(key, basis):
@@ -385,3 +387,31 @@ def test_kraus_decomposition_rejects_a_positive_element_not_commuting_with_n():
     assert tower.level1.contains(x1)
     with pytest.raises(PreconditionError, match="x1 must commute with N"):
         kraus_decomposition(tower, x1, b)
+
+
+def _diagonal_tower(n, tol):
+    """The tower of D_n ⊆ M_n built from an inclusion at ``tol``."""
+    return basic_construction(markov_inclusion(StarAlgebra.diagonal(n), StarAlgebra.full(n), tol))
+
+
+def test_verify_basis_reads_the_tolerance_of_the_tower():
+    # a shift basis 1e-7 off, on a tower at 1e-4: verify_tower and verify_basis agree
+    tol = Tolerance(abs=1e-4, rel=1e-4)
+    t = _diagonal_tower(3, tol)
+    assert t.tol == tol and verify_tower(t).passed
+    rng = np.random.default_rng(3)
+    noise = 1e-7 * (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+    basis = PimsnerPopaBasis(t.inclusion, list(np.stack(shift_basis(3).elements) + noise))
+    assert verify_basis(t, basis).passed
+    assert basis.orthonormal and basis.unitary and basis.in_normaliser
+
+
+def test_kraus_decomposition_reads_the_tolerance_of_the_tower(monkeypatch):
+    tol = Tolerance(abs=1e-6, rel=1e-6)
+    t = _diagonal_tower(2, tol)
+    b = make_and_verify(t, lambda: shift_basis(2))
+    seen = record_thresholds(monkeypatch)
+    _, rep = kraus_decomposition(t, t.jones1, b)
+    assert rep.passed
+    want = tol.bound(float(np.linalg.norm(t.jones1))) * b.size * 10
+    assert seen["positive_element_reconstruction"] == want

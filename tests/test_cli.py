@@ -362,3 +362,56 @@ def test_basis_builds_its_tower_at_the_given_tolerance(monkeypatch, capsys):
     code, out = run_in_process(monkeypatch, capsys, argv, {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]]})
     assert code == 0 and json.loads(out)["passed"]
     assert [t.tol for t in built] == [Tolerance(1e-6, 1e-6)]
+
+
+def _noisy_diagonal_doc():
+    """D_3 ⊆ M_3 given by its three minimal projections, each with 1e-7 of
+    Hermitian noise: too rough for discovery at 1e-9, fine at 1e-4."""
+    import numpy as np
+
+    from opteleport.cli import encode_matrix
+
+    rng = np.random.default_rng(7)
+    gens = []
+    for k in range(3):
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        gens.append(np.diag(np.eye(3)[k]) + 1e-7 * (h + h.conj().T))
+    embedding = {"explicit": [encode_matrix(g) for g in gens]}
+    return {"ambient_dim": 3, "N_blocks": [[1, 1]] * 3, "embedding": embedding}
+
+
+def test_tol_reaches_structure_discovery(monkeypatch, capsys):
+    doc = _noisy_diagonal_doc()
+    code, out = run_in_process(monkeypatch, capsys, ["--tol", "1e-4", "inclusion-info", "-"], doc)
+    cert = json.loads(out)
+    assert code == 0 and cert["passed"]
+    assert cert["certificate"]["N_blocks"] == [[1, 1]] * 3
+    assert run_in_process(monkeypatch, capsys, ["inclusion-info", "-"], doc)[0] == 2
+
+
+def test_standard_scheme_builds_its_one_tower_at_the_given_tolerance(monkeypatch, capsys):
+    from opteleport import tower
+    from opteleport.linalg import Tolerance
+
+    built = []
+    init = tower.Tower.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.tol)
+
+    monkeypatch.setattr(tower.Tower, "__init__", recording)
+    argv = ["--tol", "1e-6", "teleport", "-", "--scheme", "standard"]
+    code, out = run_in_process(monkeypatch, capsys, argv, {"ambient_dim": 2, "N_blocks": [[1, 2]]})
+    assert code == 0 and json.loads(out)["passed"]
+    assert built == [Tolerance(1e-6, 1e-6)]
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
+def test_bad_tol_is_an_input_error(value, monkeypatch, capsys):
+    from opteleport import cli
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"ambient_dim": 2, "N_blocks": [[1, 2]]})))
+    assert cli.main([f"--tol={value}", "inclusion-info", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --tol {float(value)}: Tolerance needs finite")

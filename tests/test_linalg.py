@@ -15,6 +15,9 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def test_tolerance_requires_positive_threshold():
     with pytest.raises(ValueError):
         Tolerance(abs=0.0, rel=0.0)
+    for bad in ({"abs": float("nan")}, {"rel": float("nan")}, {"abs": float("inf")}, {"rel": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(**bad)
     assert Tolerance(abs=1e-9, rel=0.0).close(np.eye(2), np.eye(2))
 
 

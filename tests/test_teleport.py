@@ -38,7 +38,9 @@ from opteleport.teleport import (
     _cross_check_rows,
 )
 
-from conftest import dense_commutation_gap, get_tower
+from opteleport.tower import basic_construction
+
+from conftest import dense_commutation_gap, get_tower, record_thresholds
 
 
 def tower_basis(key, make):
@@ -414,16 +416,16 @@ def test_tight_scheme_rejects_bad_z():
 def test_tight_scheme_verifies_an_unverified_basis_at_its_tolerance(monkeypatch):
     seen = []
 
-    def recording(t, basis, tol=None):
-        seen.append(tol)
-        return verify_basis(t, basis, tol)
+    def recording(t, basis):
+        seen.append(t.tol)
+        return verify_basis(t, basis)
 
     monkeypatch.setattr(teleport, "verify_basis", recording)
-    inc = diagonal_in_full(2)
+    tol = Tolerance(abs=1e-7, rel=1e-7)
+    inc = markov_inclusion(StarAlgebra.diagonal(2), StarAlgebra.full(2), tol)
     b = shift_basis(2)
     b.inclusion = inc
-    tol = Tolerance(abs=1e-7, rel=1e-7)
-    tight_scheme_from_basis(inc, b, tol=tol)
+    tight_scheme_from_basis(inc, b)
     assert seen == [tol]
 
 
@@ -469,12 +471,12 @@ def test_tight_scheme_rejects_z_outside_the_centre():
 
 def test_extraction_rejects_n_not_transpose_closed():
     inc, b = _qubit_in_two_qubits()
-    s = tight_scheme_from_basis(inc, b)
     u = la.random_unitary(4, 5)  # complex: u N u* is no longer transpose-closed
     rotated = markov_inclusion(inc.small.image(lambda x: u @ x @ la.dagger(u), 4), inc.big)
+    s = tight_scheme_from_basis(rotated, commutant_factor_basis(rotated))
     with pytest.raises(HypothesisError, match="transpose-closed"):
-        extract_tight_scheme(s, rotated)
-    assert extract_tight_scheme(s)[3].passed
+        extract_tight_scheme(s)
+    assert extract_tight_scheme(tight_scheme_from_basis(inc, b))[3].passed
 
 
 @pytest.mark.parametrize(
@@ -787,13 +789,7 @@ def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
     for scheme in (s, std):
         assert extract_tight_scheme(scheme)[3].passed
     assert calls == {"basic_construction": 0, "_tripartite_context": 0}
-    # an equal but distinct inclusion, or another tolerance, gets its own tower
-    assert extract_tight_scheme(s, diagonal_in_full(2))[3].passed
-    assert calls == {"basic_construction": 1, "_tripartite_context": 0}
-    loose = Tolerance(abs=2e-9, rel=2e-9)
-    assert extract_tight_scheme(s, tol=loose)[3].passed
-    assert calls == {"basic_construction": 2, "_tripartite_context": 0}
-    assert s.flags.tol == loose
+    assert s.flags.tol == s.inclusion.tol
 
 
 def test_extraction_on_a_fresh_tower_matches_the_reused_one():
@@ -870,3 +866,15 @@ def test_extraction_rejects_a_resource_with_a_perturbed_first_leg():
     assert flags.tight and flags.minimal and flags.faithful
     with pytest.raises(ExtractionError, match="resource does not have the rigid form"):
         extract_tight_scheme(perturbed)
+
+
+def test_correction_unitaries_read_the_tolerance_of_the_tower(monkeypatch):
+    tol = Tolerance(abs=1e-6, rel=1e-6)
+    t = basic_construction(markov_inclusion(StarAlgebra.diagonal(3), StarAlgebra.full(3), tol))
+    b = shift_basis(3)
+    b.inclusion = t.inclusion
+    verify_basis(t, b)
+    seen = record_thresholds(monkeypatch)
+    _, rep = correction_unitaries(t, b)
+    assert rep.passed
+    assert seen["corrections_unitary"] == tol.bound(1.0) * b.size
