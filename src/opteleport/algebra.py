@@ -53,19 +53,16 @@ class StarAlgebra:
     ``matrix_units`` (per block a ``(n_j, n_j, n, n)`` array, indexed
     ``f[a][b]``) and ``basis``, the self-adjoint HS-orthonormal spanning
     stack of shape (dim, n, n).
+
+    An algebra holds no tolerance: :meth:`contains`, :meth:`same_span` and
+    :meth:`commuting_product` gate at the caller's, ``Inclusion.tol`` for an
+    inclusion and everything built on it.
     """
 
-    def __init__(
-        self,
-        ambient_dim: int,
-        blocks: list[tuple[int, int]],
-        frames: list[np.ndarray],
-        tol: Tolerance = DEFAULT_TOL,
-    ) -> None:
+    def __init__(self, ambient_dim: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> None:
         self.ambient_dim = int(ambient_dim)
         self.blocks = [(int(n), int(m)) for n, m in blocks]
         self.frames = [np.asarray(w, dtype=complex) for w in frames]
-        self.tol = tol
         n = self.ambient_dim
         w = np.hstack(self.frames) if self.frames else np.zeros((n, 0), dtype=complex)
         if (
@@ -149,17 +146,19 @@ class StarAlgebra:
         )
 
     @classmethod
-    def commuting_product(cls, a: "StarAlgebra", b: "StarAlgebra") -> "StarAlgebra":
+    def commuting_product(
+        cls, a: "StarAlgebra", b: "StarAlgebra", tol: Tolerance = DEFAULT_TOL
+    ) -> "StarAlgebra":
         """The algebra a ∨ b generated by two commuting subalgebras of one ambient.
 
-        Commutation is gated cheaply: the column units of b, which generate
-        it, must lie in the commutant of a, read in the frame coordinates of a
-        (:func:`_commutation_gap`), or :class:`PreconditionError` is raised.
+        Commutation is gated cheaply at ``tol``: the column units of b, which
+        generate it, must lie in the commutant of a, read in the frame coordinates
+        of a (:func:`_commutation_gap`), or :class:`PreconditionError` is raised.
         The algebra itself is built by :func:`_commuting_product`, which a
         caller that has already passed such a gate may call directly.
         """
         clash = _commutation_gap(a, b)
-        if clash > a.tol.bound(1.0) * 10:
+        if clash > tol.bound(1.0) * 10:
             raise PreconditionError(f"commuting product of non-commuting algebras ({clash:.2e})")
         return _commuting_product(a, b)
 
@@ -181,7 +180,7 @@ class StarAlgebra:
                     w = la.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4)
                     blocks.append((dl * dr, ml * mr))
                     frames.append(w.reshape(n, -1))
-            left = cls(n, blocks, frames, left.tol)
+            left = cls(n, blocks, frames)
         return left
 
     def image(self, phi: Callable[[np.ndarray], np.ndarray], ambient_dim: int) -> "StarAlgebra":
@@ -202,7 +201,7 @@ class StarAlgebra:
                 raise StructureError("image multiplicity is not an integer")
             blocks.append((bd, mult))
             frames.append(_frame_from(g, g[0], mult))
-        return StarAlgebra(ambient_dim, blocks, frames, self.tol)
+        return StarAlgebra(ambient_dim, blocks, frames)
 
     def anti_image(
         self, phi: Callable[[np.ndarray], np.ndarray], ambient_dim: int
@@ -217,7 +216,7 @@ class StarAlgebra:
 
     def conjugate_entrywise(self) -> "StarAlgebra":
         """The algebra {conj(x)} — conjugation by the canonical J in GNS coordinates."""
-        return StarAlgebra(self.ambient_dim, self.blocks, [np.conj(w) for w in self.frames], self.tol)
+        return StarAlgebra(self.ambient_dim, self.blocks, [np.conj(w) for w in self.frames])
 
     # -- derived structure ---------------------------------------------------
 
@@ -303,8 +302,7 @@ class StarAlgebra:
         corners = [la.random_hermitian(d, rng, count) / np.sqrt(m) for d, m in self.blocks]
         return _from_corners(self, corners)
 
-    def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
-        tol = tol or self.tol
+    def contains(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.membership_residual(x) <= tol.bound(float(np.linalg.norm(x)))
 
     def membership_residual(self, x: np.ndarray) -> float | np.ndarray:
@@ -323,20 +321,17 @@ class StarAlgebra:
         norms = la.frobenius_norms(gap)
         return float(norms) if np.ndim(x) == 2 else norms
 
-    def same_span(self, other: "StarAlgebra", tol: Tolerance | None = None) -> bool:
+    def same_span(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         """Equal dimension and ambient, and every column unit f_{a0} of
         ``self`` lies in ``other`` (:func:`_generators`), so ``self`` lies in
         ``other`` and the dimensions close it."""
-        tol = tol or self.tol
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
         return _holds(other, _generators(self), tol)
 
     @cached_property
     def center(self) -> "StarAlgebra":
-        return StarAlgebra(
-            self.ambient_dim, [(1, d * m) for d, m in self.blocks], self.frames, self.tol
-        )
+        return StarAlgebra(self.ambient_dim, [(1, d * m) for d, m in self.blocks], self.frames)
 
     @cached_property
     def commutant(self) -> "StarAlgebra":
@@ -344,7 +339,7 @@ class StarAlgebra:
         two column legs swapped, ``W (+)_j (1_{n_j} (x) M_{m_j}) W*``."""
         blocks = [(m, d) for d, m in self.blocks]
         frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self.frames)]
-        return _canonical(self.ambient_dim, blocks, frames, self.tol)
+        return _canonical(self.ambient_dim, blocks, frames)
 
 
 def _legs(w: np.ndarray, d: int) -> np.ndarray:
@@ -448,7 +443,7 @@ def _commuting_product(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
             units = np.matmul(fa[:, None], np.matmul(fb, eta)[None]).reshape(d, -1, mult)
             blocks.append((d, mult))
             frames.append(units.transpose(1, 0, 2).reshape(a.ambient_dim, -1))
-    return StarAlgebra(a.ambient_dim, blocks, frames, a.tol)
+    return StarAlgebra(a.ambient_dim, blocks, frames)
 
 
 def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray:
@@ -534,12 +529,7 @@ def _corner_range(corner: np.ndarray, mult: int) -> np.ndarray:
     return eta
 
 
-def _canonical(
-    n: int,
-    blocks: list[tuple[int, int]],
-    frames: list[np.ndarray],
-    tol: Tolerance,
-) -> StarAlgebra:
+def _canonical(n: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> StarAlgebra:
     """The algebra with its blocks in canonical order: by block dimension,
     then by the rounded entries of the central projection."""
     keys = [
@@ -547,7 +537,7 @@ def _canonical(
         for (bd, _), w in zip(blocks, frames)
     ]
     order = sorted(range(len(blocks)), key=lambda j: keys[j])
-    return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order], tol)
+    return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order])
 
 
 def _gaussian(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -576,7 +566,7 @@ def _discover(
     rng = la.rng_from(_STRUCTURE_SEED)
     for attempt in range(_MAX_DRAWS):
         x, y = draw(rng, attempt), draw(rng, attempt)
-        cand = _split(n, x + la.dagger(x), y, cut, tol)
+        cand = _split(n, x + la.dagger(x), y, cut)
         if cand is not None and (dim is None or cand.dim == dim) and _holds(cand, members, tol):
             return cand
     raise StructureError(f"no {_MAX_DRAWS} generic draws split a *-algebra containing the input")
@@ -594,7 +584,7 @@ def _holds(alg: StarAlgebra, members: Sequence[np.ndarray], tol: Tolerance) -> b
     return True
 
 
-def _split(n: int, h: np.ndarray, y: np.ndarray, cut: float, tol: Tolerance) -> StarAlgebra | None:
+def _split(n: int, h: np.ndarray, y: np.ndarray, cut: float) -> StarAlgebra | None:
     """Murota, Kanno, Kojima and Kojima (2010): for generic Hermitian h in A
     the eigenvalue clusters split block j into d_j spectral projections of
     rank m_j, with isometries Q_a.  For generic y, Q_a* y Q_c is a nonzero
@@ -633,7 +623,7 @@ def _split(n: int, h: np.ndarray, y: np.ndarray, cut: float, tol: Tolerance) -> 
         blocks.append((len(units), int(sizes[ref])))
         frames.append(np.hstack([vecs[:, runs[a]] @ units[a] for a in sorted(units)]))
         free -= units.keys()
-    return _canonical(n, blocks, frames, tol)
+    return _canonical(n, blocks, frames)
 
 
 class Trace:

@@ -297,8 +297,8 @@ def cmd_teleport(args) -> dict:
             scheme = tight_scheme_from_basis(inc, basis, u=u, z=z)
         else:
             raise InputError(f"unknown scheme {args.scheme!r}")
-    rep = verify_scheme(scheme, args.tol, strict=False)
-    flags = classify(scheme, args.tol)
+    rep = verify_scheme(scheme, strict=False)
+    flags = classify(scheme)
     rep.merge(flags.report, prefix="classify.")
     derived.update(
         {
@@ -336,7 +336,7 @@ def cmd_graph(args) -> dict:
     if args.mode == "colour-factor":
         col = factor_colouring(inc)
         _, g2 = graphs_from_inclusion(inc)
-        rep.merge(verify_colouring(g2, col, args.tol), prefix="colouring.")
+        rep.merge(verify_colouring(g2, col), prefix="colouring.")
         rep.merge(factor_lower_bound(inc, col), prefix="certificate.")
         derived.update({"colours": col.colours, "aux_dim": col.aux_dim})
     elif args.mode == "colour-basis":
@@ -344,7 +344,7 @@ def cmd_graph(args) -> dict:
         tower = basic_construction(inc)
         verify_basis(tower, basis)
         col = basis_colouring(tower, basis)
-        rep.merge(verify_colouring(gns_graph(tower), col, args.tol), prefix="colouring.")
+        rep.merge(verify_colouring(gns_graph(tower), col), prefix="colouring.")
         rep.merge(basis_lower_bound(tower, basis, col), prefix="certificate.")
         derived.update({"colours": col.colours, "aux_dim": 1})
     elif args.mode == "bounds":

@@ -137,7 +137,7 @@ class Inclusion:
     @cached_property
     def relative_commutant(self) -> StarAlgebra:
         """N' ∩ M inside the common ambient, as (N ∨ M')': N and M' commute."""
-        return StarAlgebra.commuting_product(self.small, self.big.commutant).commutant
+        return StarAlgebra.commuting_product(self.small, self.big.commutant, self.tol).commutant
 
     def is_markov(self) -> bool:
         """Whether the installed trace equals the Markov trace."""

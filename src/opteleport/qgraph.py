@@ -7,7 +7,8 @@ S built here is a *-algebra, so a graph is a pair of algebras and the
 bimodule property is the containment M' ⊆ S.  An (L, c) colouring is a PVM
 {P_a} in M (x) L annihilating the traceless part S ∩ (M')^perp; L is always
 represented concretely as a matrix algebra M_l with its normalised trace,
-l = 1 meaning a local colouring.
+l = 1 meaning a local colouring.  A graph holds the tolerance of the
+inclusion or tower it comes from, and its checks are decided at it.
 
 Both certificate families reduce a c-colouring to a family of projections
 R_a summing to [M:N] 1, which forces c >= [M:N]; the matching colouring
@@ -39,24 +40,26 @@ from .tower import Tower, basic_construction
 
 @dataclass
 class QuantumGraph:
-    """A quantum graph (S, M) as a pair of algebras on one Hilbert space."""
+    """A quantum graph (S, M) as a pair of algebras on one Hilbert space, with
+    the tolerance of the inclusion or tower it comes from for its verdicts."""
 
     system: StarAlgebra  # the operator system S, here a *-algebra
     algebra: StarAlgebra  # the graph's von Neumann algebra M
     label: str = ""
+    tol: Tolerance = DEFAULT_TOL
 
     @property
     def ambient_dim(self) -> int:
         return self.algebra.ambient_dim
 
-    def verify(self, tol: Tolerance = DEFAULT_TOL) -> Report:
-        """``commutant_bimodule``: the largest distance to S of the column units
-        of M' (:func:`_generators`), which generate M'; zero exactly when M' ⊆ S."""
+    def verify(self) -> Report:
+        """``commutant_bimodule`` at ``tol``: the largest distance to S of the column
+        units of M' (:func:`_generators`), which generate M'; zero exactly when M' ⊆ S."""
         if self.system.ambient_dim != self.ambient_dim:
             raise PreconditionError("system and algebra must share an ambient")
         rep = Report()
         residual = self.system.membership_residual(_generators(self.algebra.commutant))
-        rep.add("commutant_bimodule", float(np.max(residual)), tol.bound(1.0) * self.system.dim)
+        rep.add("commutant_bimodule", float(np.max(residual)), self.tol.bound(1.0) * self.system.dim)
         return rep
 
 
@@ -65,25 +68,24 @@ def graphs_from_inclusion(inc: Inclusion) -> tuple[QuantumGraph, QuantumGraph]:
 
     Returns (S = M over the algebra N', S = N' over the algebra M); their
     bimodules are the inclusions N ⊆ M and M' ⊆ N' respectively, and the
-    bimodule property is re-verified on construction, at ``inc.tol``.
+    bimodule property is re-verified at ``inc.tol``, which both graphs hold.
     """
     nprime = inc.small.commutant
-    g1 = QuantumGraph(inc.big, nprime, label="system M over N'")
-    g2 = QuantumGraph(nprime, inc.big, label="system N' over M")
+    g1 = QuantumGraph(inc.big, nprime, label="system M over N'", tol=inc.tol)
+    g2 = QuantumGraph(nprime, inc.big, label="system N' over M", tol=inc.tol)
     for g in (g1, g2):
-        rep = g.verify(inc.tol)
-        if not rep.passed:
+        if not g.verify().passed:
             raise InternalError(f"graph invariants failed for {g.label}")
     return g1, g2
 
 
-def traceless_part(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """HS-orthonormal basis of S ∩ (M')^perp in the ambient trace pairing: the
-    parts of S orthogonal to M', which need M' ⊆ S (:class:`PreconditionError`)."""
-    if not g.verify(tol).passed:
+def traceless_part(g: QuantumGraph) -> np.ndarray:
+    """HS-orthonormal basis of S ∩ (M')^perp in the ambient trace pairing, at
+    ``g.tol``: the parts of S orthogonal to M', which need M' ⊆ S."""
+    if not g.verify().passed:
         raise PreconditionError("the traceless part needs M' inside S")
     s = g.system.basis
-    return la.span_onb(s - g.algebra.commutant.project(s), tol)
+    return la.span_onb(s - g.algebra.commutant.project(s), g.tol)
 
 
 @dataclass
@@ -99,15 +101,14 @@ class Colouring:
         return len(self.projections)
 
 
-def verify_colouring(
-    g: QuantumGraph, col: Colouring, tol: Tolerance = DEFAULT_TOL, strict: bool = True
-) -> Report:
-    """PVM structure plus the annihilation of the traceless part.
+def verify_colouring(g: QuantumGraph, col: Colouring, strict: bool = True) -> Report:
+    """PVM structure plus the annihilation of the traceless part, at ``g.tol``.
 
     PVM violations raise :class:`ColouringError` when strict; the
     annihilation condition max_a ||P_a (x (x) 1_L) P_a|| over a traceless
     basis is always reported.
     """
+    tol = g.tol
     rep = Report()
     n, l = g.ambient_dim, col.aux_dim
     dim = n * l
@@ -137,7 +138,7 @@ def verify_colouring(
             + ", ".join(c.name for c in rep.failures())
         )
     worst = 0.0
-    for x in traceless_part(g, tol):
+    for x in traceless_part(g):
         lifted = la.kron(x, la.eye(l))
         for p in col.projections:
             worst = max(worst, float(np.linalg.norm(p @ lifted @ p)))
@@ -238,8 +239,8 @@ def factor_colouring(inc: Inclusion) -> Colouring:
 
 
 def gns_graph(t: Tower) -> QuantumGraph:
-    """The quantum graph (M, N', B(L^2(M, tau))) of a tower's inclusion."""
-    return QuantumGraph(t.m_rep, t.n_rep.commutant, label="system M over N' on L2")
+    """The quantum graph (M, N', B(L^2(M, tau))) of a tower's inclusion, at ``t.tol``."""
+    return QuantumGraph(t.m_rep, t.n_rep.commutant, label="system M over N' on L2", tol=t.tol)
 
 
 def basis_colouring(t: Tower, basis: PimsnerPopaBasis) -> Colouring:
@@ -407,7 +408,7 @@ def chromatic_bounds(inc: Inclusion) -> ChromaticBounds:
             "quantum (finite-dimensional auxiliary)",
             inc.big.ambient_dim,
             col,
-            verify_colouring(g2, col, inc.tol),
+            verify_colouring(g2, col),
             factor_lower_bound(inc, col),
         )
     else:
@@ -424,7 +425,7 @@ def chromatic_bounds(inc: Inclusion) -> ChromaticBounds:
                 "local",
                 t.gns.dim,
                 col,
-                verify_colouring(gns_graph(t), col, inc.tol),
+                verify_colouring(gns_graph(t), col),
                 basis_lower_bound(t, basis, col),
             )
     else:
@@ -440,7 +441,7 @@ def normaliser_basis_for(inc: Inclusion) -> PimsnerPopaBasis | None:
     small, big = inc.small, inc.big
     n = big.ambient_dim
     if big.dim != n * n:
-        if small.same_span(big):
+        if small.same_span(big, inc.tol):
             return PimsnerPopaBasis(inc, [la.eye(n)])
         return None
     if small.dim == 1:

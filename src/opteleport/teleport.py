@@ -17,7 +17,9 @@ scheme.  Werner's tensor-picture scheme for a full matrix algebra,
 :func:`standard_scheme`, is its N = C case.  Two further constructors are
 provided: the block direct-sum scheme for an arbitrary finite-dimensional
 algebra, and the unbiased scheme attached to a unitary normaliser basis of
-an inclusion.
+an inclusion.  Every constructor records the inclusion whose tower it builds
+on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
+scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.
 """
 
 from __future__ import annotations
@@ -77,14 +79,19 @@ class TeleportationScheme:
     omega: np.ndarray
     povm: list[np.ndarray]
     channels: list[Superoperator]
-    inclusion: Inclusion | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
-    leg_dims: tuple[int, int, int] | None = None
+    inclusion: Inclusion | None = None  # the inclusion whose tower the scheme is built on
+    leg_dims: tuple[int, int, int] | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
     flags: "SchemeFlags | None" = field(default=None, repr=False)
     tower: Tower | None = field(default=None, repr=False)  # a tight scheme's level-one tower
 
     @property
     def outcomes(self) -> int:
         return len(self.povm)
+
+    @property
+    def tol(self) -> Tolerance:
+        """``inclusion.tol``, or ``DEFAULT_TOL`` for a scheme built without one."""
+        return DEFAULT_TOL if self.inclusion is None else self.inclusion.tol
 
 
 @dataclass
@@ -96,15 +103,10 @@ class SchemeFlags:
     minimal: bool
     witness: dict | None = None
     report: Report | None = field(default=None, repr=False)
-    tol: Tolerance | None = None  # the tolerance the flags were decided at
 
 
-def verify_scheme(
-    scheme: TeleportationScheme,
-    tol: Tolerance | None = None,
-    strict: bool = True,
-) -> Report:
-    """Structural checks plus the teleportation identity residual.
+def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
+    """Structural checks plus the teleportation identity residual, at ``scheme.tol``.
 
     Structural clauses (POVM, densities, UCP, bimodularity, invariance)
     raise :class:`SchemeError` naming the clause when ``strict``; the
@@ -132,7 +134,7 @@ def verify_scheme(
     excused only when Bob has several central projections, all in Alice, and
     every channel normalises Alice.
     """
-    tol = tol or DEFAULT_TOL
+    tol = scheme.tol
     ctx = scheme.context
     rep = Report()
     dim = ctx.ambient.ambient_dim
@@ -267,8 +269,8 @@ def _bimodule_residual(ctx: TeleportationContext, channels: list[Superoperator])
     return worst
 
 
-def classify(scheme: TeleportationScheme, tol: Tolerance | None = None) -> SchemeFlags:
-    """Tightness, unbiasedness, faithfulness and minimality flags.
+def classify(scheme: TeleportationScheme) -> SchemeFlags:
+    """Tightness, unbiasedness, faithfulness and minimality flags, at ``scheme.tol``.
 
     Works through g_i = E(omega F_i): by traciality and the bimodule
     property, tr(F_i rho omega) = tr(rho g_i) for every density rho in the
@@ -277,10 +279,10 @@ def classify(scheme: TeleportationScheme, tol: Tolerance | None = None) -> Schem
     drawn on the corners of the teleported algebra, c_j = g g* for a
     Ginibre g, and evaluated against rows written once per scheme.  The
     non-faithfulness witness is the first outcome whose lowest eigenvalue
-    is within ``tol.abs`` of the minimum.  The flags record ``tol``, and
-    :func:`extract_tight_scheme` reuses them only at an equal tolerance.
+    is within ``tol.abs`` of the minimum.  The flags are stored on the
+    scheme, where :func:`extract_tight_scheme` reuses them.
     """
-    tol = tol or DEFAULT_TOL
+    tol = scheme.tol
     ctx = scheme.context
     rep = Report()
     d = scheme.outcomes
@@ -305,9 +307,9 @@ def classify(scheme: TeleportationScheme, tol: Tolerance | None = None) -> Schem
     rep.add_flag("faithful", True, detail=f"flag {faithful}")
 
     # both memberships in frame coordinates: no dense basis of a joint algebra
-    mirror_bob = StarAlgebra.commuting_product(ctx.mirror, ctx.bob)
+    mirror_bob = StarAlgebra.commuting_product(ctx.mirror, ctx.bob, tol)
     minimal_omega = _frame_distance(mirror_bob, scheme.omega)
-    pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror)
+    pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror, tol)
     minimal_povm = float(np.max(_frame_distance(pair, np.stack(scheme.povm))))
     minimal = minimal_omega <= tol.bound(
         float(np.linalg.norm(scheme.omega))
@@ -344,7 +346,6 @@ def classify(scheme: TeleportationScheme, tol: Tolerance | None = None) -> Schem
         minimal=minimal,
         witness=witness,
         report=rep,
-        tol=tol,
     )
     scheme.flags = flags
     return flags
@@ -445,7 +446,8 @@ def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Teleporta
     resource is (dim m) e_M, the POVM collects the per-block entangled
     projections twisted by that block's unitary family, and the corrections
     conjugate by the shifted block unitaries.  ``tol`` is the tolerance of
-    that inclusion, and so of its tower.
+    that inclusion, which the scheme records, and so of its tower and of
+    every verdict on the scheme.
     """
     inc = markov_inclusion(StarAlgebra.trivial(m.ambient_dim), m, tol)
     t = iterate(basic_construction(inc))
@@ -460,7 +462,7 @@ def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Teleporta
         f_lvl1 = np.outer(vec, vec.conj()) / scale
         povm.append(t.gns1.left(f_lvl1))
         channels.append(Superoperator.conjugation(t.shift(w), ctx.ambient))
-    return TeleportationScheme(ctx, omega, povm, channels)
+    return TeleportationScheme(ctx, omega, povm, channels, inclusion=inc)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +575,9 @@ def unbiased_scheme(t: Tower, basis: PimsnerPopaBasis) -> TeleportationScheme:
     choice of channels; :func:`verify_scheme` certifies the attainable
     locality and records the obstruction.
 
-    The construction decides nothing at a tolerance, so it takes none:
-    :func:`correction_unitaries` reports the checks on the v_i, and
-    :func:`verify_scheme` certifies the scheme.
+    The construction decides nothing at a tolerance, so it takes none; the
+    scheme records ``t.inclusion``, and :func:`verify_scheme` certifies it
+    at ``t.tol``, as :func:`correction_unitaries` checks the v_i.
     """
     vs = _corrections(t, basis)[0]
     ctx = _tower_context(t)
@@ -584,7 +586,7 @@ def unbiased_scheme(t: Tower, basis: PimsnerPopaBasis) -> TeleportationScheme:
     reps = t.gns.left(np.stack(basis.elements))
     povm = list(t.gns1.left(la.dagger(reps) @ t.jones1 @ reps))
     channels = [Superoperator.conjugation(v, ctx.ambient) for v in vs]
-    return TeleportationScheme(ctx, omega, povm, channels)
+    return TeleportationScheme(ctx, omega, povm, channels, inclusion=t.inclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +784,9 @@ def extract_tight_scheme(
     the images that the intertwiners were read from, each channel applied
     once.
 
-    Everything runs on ``scheme.inclusion`` at its tolerance.  The scheme's
-    level-one tower is reused, and its flags when they were decided at that
-    tolerance; otherwise the scheme is classified again.
+    Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
+    bounds included.  The scheme's level-one tower is reused, and its flags
+    when it has been classified; otherwise it is classified once.
     """
     inc = scheme.inclusion
     if inc is None or scheme.leg_dims is None:
@@ -801,9 +803,7 @@ def extract_tight_scheme(
     flag, _ = commutant_trace_is_markov(inc)
     if not flag:
         raise HypothesisError("commutant trace gate fails")
-    flags = scheme.flags
-    if flags is None or flags.tol != tol:
-        flags = classify(scheme, tol)
+    flags = scheme.flags or classify(scheme)
     if not (flags.tight and flags.minimal and flags.faithful):
         raise PreconditionError("extraction requires a tight, minimal, faithful scheme")
 
@@ -893,13 +893,14 @@ def extract_tight_scheme(
     rep.merge(basis_rep, prefix="extracted_basis.")
 
     # the round trip rebuilds operators only and compares them in the scheme's context
+    trip = tol.bound(1.0) * 5
     rep.add(
         "round_trip_resource",
         la.frobenius_distance(la.kron(ident, rebuilt_small), scheme.omega),
-        1e-8 * max(1.0, float(np.linalg.norm(scheme.omega))),
+        trip * max(1.0, float(np.linalg.norm(scheme.omega))),
     )
     rebuilt_povm = la.kron(_entangled_projections(e, fixed_units, u), ident)
-    rep.add("round_trip_povm", float(np.max(la.frobenius_norms(rebuilt_povm - povm))), 1e-8)
+    rep.add("round_trip_povm", float(np.max(la.frobenius_norms(rebuilt_povm - povm))), trip)
     # On Bob's basis 1 (x) b / n, Ad(1 (x) u_i) gives 1 (x) u_i b u_i* / n,
     # and T_i gives (1 (x) r_b + q_b) / n with r_b the partial trace of
     # T_i(1 (x) b) and q_b orthogonal to 1 (x) M_n, so the distance of the
@@ -908,7 +909,7 @@ def extract_tight_scheme(
     moved = fixed_units[:, None] @ far @ la.dagger(fixed_units)[:, None]
     gaps = np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n))
     chan = float(np.max(gaps))
-    rep.add("round_trip_channels", chan, 1e-8)
+    rep.add("round_trip_channels", chan, trip)
     if not rep.passed:
         raise ExtractionError(
             "round trip failed: " + ", ".join(c.name for c in rep.failures())

@@ -67,6 +67,7 @@ class GnsSpace:
 
     :meth:`vector`, :meth:`left` and :meth:`right` take a matrix or a stack
     of shape (..., n, n); :meth:`act` takes a stack of shape (k, n, n).
+    ``tol`` gates the trace as a faithful state and is not kept.
     """
 
     def __init__(self, algebra: StarAlgebra, trace: Trace, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -76,7 +77,6 @@ class GnsSpace:
             raise TraceError("GNS construction needs a faithful tracial state")
         self.algebra = algebra
         self.trace = trace
-        self.tol = tol
         self.dim = algebra.dim
         ends = np.cumsum([d * d for d, _ in algebra.blocks])
         self._slices = [slice(end - d * d, end) for (d, _), end in zip(algebra.blocks, ends)]
@@ -242,7 +242,7 @@ class GnsSpace:
             frame = _apply(self._v, np.concatenate(parts, axis=2))
             blocks.append((e, frame.shape[2]))
             frames.append(frame.reshape(self.dim, -1))
-        return StarAlgebra(self.dim, blocks, frames, sub.tol)
+        return StarAlgebra(self.dim, blocks, frames)
 
 
 def _scatter(pos: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

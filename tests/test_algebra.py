@@ -482,9 +482,9 @@ def test_split_refuses_a_link_that_is_no_scalar_unitary():
     alg = StarAlgebra.block_diagonal([(2, 1), (2, 1)])
     h = np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
     y = alg.random_hermitian(np.random.default_rng(3))
-    assert _split(4, h, y, 1e-4, la.DEFAULT_TOL) is None
+    assert _split(4, h, y, 1e-4) is None
     generic = alg.random_hermitian(np.random.default_rng(4))
-    assert _split(4, generic, y, 1e-4, la.DEFAULT_TOL).blocks == [(2, 1), (2, 1)]
+    assert _split(4, generic, y, 1e-4).blocks == [(2, 1), (2, 1)]
 
 
 def test_split_joins_a_chain_of_links_into_one_block():
@@ -492,7 +492,7 @@ def test_split_joins_a_chain_of_links_into_one_block():
     # join the block of the first one through the path, not directly
     h = np.diag(np.arange(6.0)).astype(complex)
     y = jordan(6) + jordan(6).T
-    alg = _split(6, h, y, 1e-4, la.DEFAULT_TOL)
+    alg = _split(6, h, y, 1e-4)
     assert alg.blocks == [(6, 1)]
     assert alg.contains(y)
 

@@ -415,3 +415,11 @@ def test_bad_tol_is_an_input_error(value, monkeypatch, capsys):
     assert cli.main([f"--tol={value}", "inclusion-info", "-"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: --tol {float(value)}: Tolerance needs finite")
+
+
+def test_werner_extraction_on_the_noisy_document_holds_at_its_tolerance(monkeypatch, capsys):
+    argv = ["--tol", "1e-4", "teleport", "-", "--scheme", "werner", "--extract"]
+    code, out = run_in_process(monkeypatch, capsys, argv, _noisy_diagonal_doc())
+    cert = json.loads(out)
+    assert code == 0 and cert["passed"]
+    assert cert["certificate"]["extracted"]["basis_size"] == 3

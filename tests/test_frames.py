@@ -22,7 +22,7 @@ def haar_unitary(n, seed):
 
 def fresh(alg):
     """A copy sharing the frames, so derived fields cached here stay here."""
-    return StarAlgebra(alg.ambient_dim, alg.blocks, alg.frames, alg.tol)
+    return StarAlgebra(alg.ambient_dim, alg.blocks, alg.frames)
 
 
 def subsystem_alice_bob():

@@ -259,3 +259,14 @@ def test_inclusion_rejects_a_trace_that_is_not_faithful():
     big = StarAlgebra.diagonal(2)
     with pytest.raises(PreconditionError, match="trace must be a faithful state"):
         Inclusion(StarAlgebra.trivial(2), big, Trace(big, [1.0, 0.0]))
+
+
+def test_algebras_carry_no_tolerance_of_their_own():
+    from opteleport.tower import basic_construction
+
+    tol = la.Tolerance(abs=1e-4, rel=1e-4)
+    inc = markov_inclusion(StarAlgebra.diagonal(3), StarAlgebra.full(3), tol)
+    t = basic_construction(inc)
+    algebras = [inc.small, inc.big, inc.relative_commutant, t.level1, t.n_rep, t.m_rep]
+    assert inc.tol == t.tol == tol
+    assert not any(hasattr(a, "tol") for a in algebras + [t.gns])

@@ -118,6 +118,17 @@ def test_commuting_product_rejects_non_commuting_pair():
         StarAlgebra.commuting_product(StarAlgebra.diagonal(2), rotated)
 
 
+def test_commuting_product_gates_at_the_given_tolerance():
+    # a diagonal turned by 1e-6 commutes with the diagonal at 1e-4, not at 1e-9
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    u = np.array([[c, -s], [s, c]], dtype=complex)
+    diag = StarAlgebra.diagonal(2)
+    turned = diag.image(lambda x: u @ x @ la.dagger(u), 2)
+    with pytest.raises(PreconditionError):
+        StarAlgebra.commuting_product(diag, turned)
+    assert StarAlgebra.commuting_product(diag, turned, la.Tolerance(abs=1e-4, rel=1e-4)).dim == 2
+
+
 PINNED_FLAGS = [
     # (scheme, tight, unbiased, faithful, minimal)
     ("standard_2", True, True, True, True),

@@ -22,7 +22,9 @@ from opteleport.qgraph import (
     verify_colouring,
 )
 
-from conftest import get_tower
+from opteleport.tower import basic_construction
+
+from conftest import get_tower, record_thresholds
 
 
 def tensor_factor_inclusion():
@@ -321,3 +323,18 @@ def test_basis_colouring_matches_the_per_element_loop():
     got = basis_colouring(t, b).projections
     assert len(got) == len(want)
     assert max(np.max(np.abs(p - w)) for p, w in zip(got, want)) < 1e-14
+
+
+def test_graph_verdicts_read_the_tolerance_of_the_inclusion(monkeypatch):
+    tol = la.Tolerance(abs=1e-6, rel=1e-6)
+    inc = markov_inclusion(StarAlgebra.trivial(2), StarAlgebra.full(2), tol)
+    col = factor_colouring(inc)
+    _, g2 = graphs_from_inclusion(inc)
+    seen = record_thresholds(monkeypatch)
+    assert g2.verify().passed
+    assert seen["commutant_bimodule"] == tol.bound(1.0) * g2.system.dim
+    seen.clear()
+    assert verify_colouring(g2, col).passed
+    assert seen["commutant_bimodule"] == tol.bound(1.0) * g2.system.dim
+    assert seen["pvm_resolves_identity"] == tol.bound(1.0) * col.colours
+    assert g2.tol == gns_graph(basic_construction(inc)).tol == tol

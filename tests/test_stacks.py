@@ -31,7 +31,7 @@ def haar_unitary(n, seed):
 
 def rotated(alg, seed):
     u = haar_unitary(alg.ambient_dim, seed)
-    return StarAlgebra(alg.ambient_dim, alg.blocks, [u @ w for w in alg.frames], alg.tol)
+    return StarAlgebra(alg.ambient_dim, alg.blocks, [u @ w for w in alg.frames])
 
 
 # one algebra per path of StarAlgebra.project: all of M_n, dense (dim <= 2n), frames

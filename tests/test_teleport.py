@@ -760,15 +760,6 @@ def test_unbiased_povm_matches_the_per_element_loop():
 # -- one build per scheme, and failing witnesses for the checks that moved ----
 
 
-def test_extraction_reclassifies_flags_decided_at_another_tolerance():
-    # at abs = 0.5 the smallest outcome probability counts as zero
-    s = _werner_d2()
-    assert not classify(s, Tolerance(abs=0.5)).faithful
-    basis, u, z, rep = extract_tight_scheme(s)
-    assert rep.passed and basis.size == 2
-    assert s.flags.tol == DEFAULT_TOL and s.flags.faithful
-
-
 def _count_calls(monkeypatch, names):
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -785,11 +776,13 @@ def _count_calls(monkeypatch, names):
 def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
     s, std = _werner_d2(), standard_scheme(2)
     assert s.tower is not None and s.tower.inclusion is s.inclusion
-    calls = _count_calls(monkeypatch, ["basic_construction", "_tripartite_context"])
+    calls = _count_calls(monkeypatch, ["basic_construction", "_tripartite_context", "classify"])
     for scheme in (s, std):
         assert extract_tight_scheme(scheme)[3].passed
-    assert calls == {"basic_construction": 0, "_tripartite_context": 0}
-    assert s.flags.tol == s.inclusion.tol
+    assert calls == {"basic_construction": 0, "_tripartite_context": 0, "classify": 2}
+    # a second extraction reuses the flags the first one decided
+    assert extract_tight_scheme(s)[3].passed
+    assert calls["classify"] == 2
 
 
 def test_extraction_on_a_fresh_tower_matches_the_reused_one():
@@ -878,3 +871,48 @@ def test_correction_unitaries_read_the_tolerance_of_the_tower(monkeypatch):
     _, rep = correction_unitaries(t, b)
     assert rep.passed
     assert seen["corrections_unitary"] == tol.bound(1.0) * b.size
+
+
+def _noisy_shift_scheme_d3(tol):
+    """The tight scheme of D_3 ⊆ M_3 built at ``tol`` from a shift basis 1e-7 off."""
+    inc = markov_inclusion(StarAlgebra.diagonal(3), StarAlgebra.full(3), tol)
+    rng = np.random.default_rng(3)
+    noise = 1e-7 * (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+    basis = PimsnerPopaBasis(inc, list(np.stack(shift_basis(3).elements) + noise))
+    return tight_scheme_from_basis(inc, basis)
+
+
+def test_scheme_verdicts_read_the_tolerance_of_the_inclusion(monkeypatch):
+    # at DEFAULT_TOL five checks of verify_scheme fail on this scheme, classify
+    # calls it neither minimal nor unbiased, and the round trip fails
+    tol = Tolerance(abs=1e-4, rel=1e-4)
+    s = _noisy_shift_scheme_d3(tol)
+    assert verify_scheme(s, strict=False).passed
+    flags = classify(s)
+    assert flags.tight and flags.minimal and flags.faithful and flags.unbiased
+    seen = record_thresholds(monkeypatch)
+    basis, u, z, rep = extract_tight_scheme(s)
+    assert rep.passed and basis.size == 3
+    trip = tol.bound(1.0) * 5
+    assert seen["round_trip_povm"] == seen["round_trip_channels"] == trip
+    assert seen["round_trip_resource"] == trip * max(1.0, float(np.linalg.norm(s.omega)))
+    assert s.tol == tol
+
+
+def test_every_constructor_records_the_inclusion_of_its_tower(monkeypatch):
+    tol = Tolerance(abs=1e-6, rel=1e-6)
+    s = direct_sum_scheme(StarAlgebra.block_diagonal([(1, 1), (2, 1)]), tol)
+    t = basic_construction(markov_inclusion(StarAlgebra.diagonal(3), StarAlgebra.full(3), tol))
+    b = shift_basis(3)
+    b.inclusion = t.inclusion
+    verify_basis(t, b)
+    for scheme in (s, unbiased_scheme(t, b)):
+        assert scheme.inclusion is not None and scheme.tol == tol
+        seen = record_thresholds(monkeypatch)
+        verify_scheme(scheme, strict=False)
+        classify(scheme)
+        assert seen["channels_unital"] == tol.bound(1.0)
+        assert seen["density_reduction_cross_check"] == tol.bound(1.0) * 100
+        monkeypatch.undo()
+    hand_built = TeleportationScheme(s.context, s.omega, s.povm, s.channels)
+    assert hand_built.tol == DEFAULT_TOL
