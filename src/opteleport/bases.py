@@ -180,16 +180,34 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     return rep
 
 
+def _require_verified(tower: Tower, basis: PimsnerPopaBasis) -> None:
+    """Refuse a basis of another inclusion than ``tower``'s; verify it there once."""
+    if basis.inclusion is not tower.inclusion:
+        raise PreconditionError("tower and basis must share an inclusion")
+    if basis.orthonormal is None:
+        verify_basis(tower, basis)
+
+
+def _require_normaliser_basis(tower: Tower, basis: PimsnerPopaBasis) -> None:
+    """The one gate for consumers of a unitary orthonormal normaliser basis: it
+    belongs to ``tower``'s inclusion, is verified there once, and its report
+    (completeness included) passes with all three flags set."""
+    _require_verified(tower, basis)
+    rep = basis.report
+    if rep is None or not (rep.passed and basis.orthonormal and basis.unitary and basis.in_normaliser):
+        raise PreconditionError("need a complete unitary orthonormal normaliser basis")
+
+
 def cardinality_test(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     """Orthonormality holds exactly when d * dim N = dim M.
 
-    ``verify_basis`` must have run (the completeness flag is required);
+    ``verify_basis`` must have run (the completeness check is required);
     a violated biconditional raises :class:`InternalError` since it is a
     theorem for genuine bases.
     """
     if basis.report is None or basis.orthonormal is None:
         raise PreconditionError("run verify_basis first")
-    if not basis.report.checks[0].passed:
+    if not next(c.passed for c in basis.report.checks if c.name == "completeness"):
         raise PreconditionError("cardinality test applies to verified bases only")
     rep = Report()
     inc = basis.inclusion
@@ -212,8 +230,10 @@ def kraus_decomposition(
 
     The coefficients are a_i* = [M:N] E_M(sqrt(x1) b_i* e_N); the induced
     completely positive map sum a_i* (.) a_i on N' ∩ M is independent of
-    the basis, which downstream checks rely on.
+    the basis, which downstream checks rely on.  The basis must belong to
+    ``tower``'s inclusion; it is verified there unless it has been.
     """
+    _require_verified(tower, basis)
     tol = tower.tol
     inc = basis.inclusion
     pi, e1 = tower.gns.left, tower.jones1

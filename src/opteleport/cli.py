@@ -46,17 +46,7 @@ from .bases import (
 from .errors import OpteleportError
 from .inclusion import Inclusion, markov_trace
 from .linalg import Tolerance
-from .qgraph import (
-    basis_colouring,
-    basis_lower_bound,
-    chromatic_bounds,
-    factor_colouring,
-    factor_lower_bound,
-    gns_graph,
-    graphs_from_inclusion,
-    normaliser_basis_for,
-    verify_colouring,
-)
+from .qgraph import _basis_certificate, _factor_certificate, chromatic_bounds, normaliser_basis_for
 from .reporting import Report
 from .teleport import (
     classify,
@@ -280,10 +270,9 @@ def cmd_teleport(args) -> dict:
             basis = _basis_for_family(inc, "weyl")
             scheme = standard_scheme(inc.big.ambient_dim, basis)
         elif args.scheme == "unbiased":
+            # unbiased_scheme verifies the basis on the tower it is given
             basis = _infer_normaliser_basis(inc)
-            tower = basic_construction(inc)
-            verify_basis(tower, basis)
-            scheme = unbiased_scheme(tower, basis)
+            scheme = unbiased_scheme(basic_construction(inc), basis)
         elif args.scheme == "werner":
             # tight_scheme_from_basis verifies the basis on the tower it keeps
             basis = _infer_normaliser_basis(inc)
@@ -333,20 +322,15 @@ def cmd_graph(args) -> dict:
     inc, echo = parse_inclusion_spec(load_document(args.input), args.tol)
     rep = Report()
     derived: dict = {"mode": args.mode}
-    if args.mode == "colour-factor":
-        col = factor_colouring(inc)
-        _, g2 = graphs_from_inclusion(inc)
-        rep.merge(verify_colouring(g2, col), prefix="colouring.")
-        rep.merge(factor_lower_bound(inc, col), prefix="certificate.")
+    if args.mode in ("colour-factor", "colour-basis"):
+        if args.mode == "colour-factor":
+            col, colour_rep, bound_rep = _factor_certificate(inc)
+        else:
+            basis = _infer_normaliser_basis(inc)
+            col, colour_rep, bound_rep = _basis_certificate(basic_construction(inc), basis)
+        rep.merge(colour_rep, prefix="colouring.")
+        rep.merge(bound_rep, prefix="certificate.")
         derived.update({"colours": col.colours, "aux_dim": col.aux_dim})
-    elif args.mode == "colour-basis":
-        basis = _infer_normaliser_basis(inc)
-        tower = basic_construction(inc)
-        verify_basis(tower, basis)
-        col = basis_colouring(tower, basis)
-        rep.merge(verify_colouring(gns_graph(tower), col), prefix="colouring.")
-        rep.merge(basis_lower_bound(tower, basis, col), prefix="certificate.")
-        derived.update({"colours": col.colours, "aux_dim": 1})
     elif args.mode == "bounds":
         bounds = chromatic_bounds(inc)
         derived.update(
@@ -356,15 +340,7 @@ def cmd_graph(args) -> dict:
                 "tight": bounds.tight,
                 "warnings": bounds.warnings,
                 "certificates": [
-                    {
-                        "graph": c["graph"],
-                        "kind": c["kind"],
-                        "ambient_dim": c["ambient_dim"],
-                        "colours": c["colours"],
-                        "aux_dim": c["aux_dim"],
-                        "lower_bound": c["lower_bound"],
-                    }
-                    for c in bounds.certificates
+                    {k: v for k, v in c.items() if not k.endswith("_report")} for c in bounds.certificates
                 ],
             }
         )

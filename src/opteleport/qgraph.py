@@ -26,9 +26,9 @@ from . import linalg as la
 from .algebra import StarAlgebra, _generators, _swap_legs
 from .bases import (
     PimsnerPopaBasis,
+    _require_normaliser_basis,
     commutant_factor_basis,
     homogeneity_test,
-    verify_basis,
     weyl_basis,
 )
 from .errors import CertificateError, ColouringError, InternalError, PreconditionError
@@ -101,35 +101,49 @@ class Colouring:
         return len(self.projections)
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack (..., m, m), each summed as ``np.linalg.norm``
+    sums one matrix: a stacked check reads its per-matrix residual to the bit."""
+    flat = stack.reshape(*stack.shape[:-2], 1, stack.shape[-2] * stack.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
+
+
+def _projection_gap(ps: np.ndarray) -> float:
+    """max over a stack of max(||p - p*||, ||p p - p||): zero for projections."""
+    return max(float(np.max(_norms(ps - la.dagger(ps)))), float(np.max(_norms(ps @ ps - ps))))
+
+
 def verify_colouring(g: QuantumGraph, col: Colouring, strict: bool = True) -> Report:
     """PVM structure plus the annihilation of the traceless part, at ``g.tol``.
 
     PVM violations raise :class:`ColouringError` when strict; the
     annihilation condition max_a ||P_a (x (x) 1_L) P_a|| over a traceless
-    basis is always reported.
+    basis is always reported.  The products P_a P_b, b > a, and P_a x P_a
+    over the traceless basis are stacked per a, so no stack holds more than
+    one colour's products.
     """
     tol = g.tol
     rep = Report()
     n, l = g.ambient_dim, col.aux_dim
     dim = n * l
-    pvm = 0.0
     for i, p in enumerate(col.projections):
         if p.shape != (dim, dim):
             raise ColouringError(f"projection {i} has shape {p.shape}, expected {(dim, dim)}")
-        pvm = max(pvm, la.frobenius_distance(p, la.dagger(p)))
-        pvm = max(pvm, la.frobenius_distance(p @ p, p))
-        for q in col.projections[i + 1 :]:
-            pvm = max(pvm, float(np.linalg.norm(p @ q)))
+    ps = np.stack(col.projections)
+    pvm = _projection_gap(ps)
+    for i, p in enumerate(ps[:-1]):
+        pvm = max(pvm, float(np.max(_norms(p @ ps[i + 1 :]))))
     rep.add("pvm_projections_orthogonal", pvm, tol.bound(1.0) * col.colours)
     rep.add(
         "pvm_resolves_identity",
-        la.frobenius_distance(sum(col.projections), la.eye(dim)),
+        la.frobenius_distance(ps.sum(axis=0), la.eye(dim)),
         tol.bound(1.0) * col.colours,
     )
     tensor_aux = StarAlgebra.tensor(g.algebra, StarAlgebra.full(l))
     rep.add(
         "pvm_in_algebra_tensor_aux",
-        max(tensor_aux.membership_residual(p) for p in col.projections),
+        float(np.max(tensor_aux.membership_residual(ps))),
         tol.bound(1.0) * col.colours * 10,
     )
     if strict and not rep.passed:
@@ -137,11 +151,8 @@ def verify_colouring(g: QuantumGraph, col: Colouring, strict: bool = True) -> Re
             "colouring is not a PVM in M (x) L: "
             + ", ".join(c.name for c in rep.failures())
         )
-    worst = 0.0
-    for x in traceless_part(g):
-        lifted = la.kron(x, la.eye(l))
-        for p in col.projections:
-            worst = max(worst, float(np.linalg.norm(p @ lifted @ p)))
+    lifted = la.kron(traceless_part(g), la.eye(l))
+    worst = max(float(np.max(_norms(p @ lifted @ p), initial=0.0)) for p in ps)
     rep.add("annihilates_traceless_part", worst, tol.bound(1.0) * col.colours)
     return rep
 
@@ -244,11 +255,9 @@ def gns_graph(t: Tower) -> QuantumGraph:
 
 
 def basis_colouring(t: Tower, basis: PimsnerPopaBasis) -> Colouring:
-    """Local colouring {u_i* e_N u_i} of (M, N', B(L^2)) with [M:N] colours."""
-    if basis.orthonormal is None:
-        verify_basis(t, basis)
-    if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
-        raise PreconditionError("basis colouring needs a unitary orthonormal normaliser basis")
+    """Local colouring {u_i* e_N u_i} of (M, N', B(L^2)) with [M:N] colours,
+    for a basis that passes :func:`bases._require_normaliser_basis` on ``t``."""
+    _require_normaliser_basis(t, basis)
     reps = t.gns.left(np.stack(basis.elements))
     projections = list(la.dagger(reps) @ t.jones1 @ reps)
     return Colouring(1, projections, label=f"basis colouring c={len(projections)}")
@@ -260,20 +269,16 @@ def basis_colouring(t: Tower, basis: PimsnerPopaBasis) -> Colouring:
 
 
 def _certificate(
-    rep: Report, rs: list[np.ndarray], idx: int, col: Colouring, tol: Tolerance
+    rep: Report, rs: np.ndarray, idx: int, col: Colouring, tol: Tolerance
 ) -> Report:
-    """Finish a lower-bound certificate on its family R_a: each R_a is a
-    projection and sum_a R_a = [M:N] 1, so the colour count is at least
-    [M:N].  Raises :class:`CertificateError` naming the failed checks of
-    ``rep`` when the arithmetic fails."""
-    rep.add(
-        "certificate_projections",
-        max(max(la.frobenius_distance(r, la.dagger(r)), la.frobenius_distance(r @ r, r)) for r in rs),
-        tol.bound(1.0) * col.colours * 10,
-    )
+    """Finish a lower-bound certificate on its family R_a, stacked: each R_a
+    is a projection and sum_a R_a = [M:N] 1, so the colour count is at
+    least [M:N].  Raises :class:`CertificateError` naming the failed checks
+    of ``rep`` when the arithmetic fails."""
+    rep.add("certificate_projections", _projection_gap(rs), tol.bound(1.0) * col.colours * 10)
     rep.add(
         "certificate_sum",
-        la.frobenius_distance(sum(rs), idx * la.eye(len(rs[0]))),
+        la.frobenius_distance(rs.sum(axis=0), idx * la.eye(rs.shape[-1])),
         tol.bound(float(idx)) * col.colours,
     )
     if not rep.passed:
@@ -312,7 +317,7 @@ def factor_lower_bound(inc: Inclusion, col: Colouring) -> Report:
                 comp, [n_j, l_j, d * l], {0, 1}, normalise=True
             )
         rs.append(r_a)
-    return _certificate(Report(), rs, idx, col, inc.tol)
+    return _certificate(Report(), np.stack(rs), idx, col, inc.tol)
 
 
 def basis_lower_bound(t: Tower, basis: PimsnerPopaBasis, col: Colouring) -> Report:
@@ -320,10 +325,9 @@ def basis_lower_bound(t: Tower, basis: PimsnerPopaBasis, col: Colouring) -> Repo
 
     Uses the averaging map y -> (1/[M:N]) sum u_i* y u_i, which is checked
     to be a conditional expectation of N' onto M' before the R_a family is
-    formed.
+    formed.  The basis must pass :func:`bases._require_normaliser_basis` on ``t``.
     """
-    if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
-        raise PreconditionError("certificate needs a unitary orthonormal normaliser basis")
+    _require_normaliser_basis(t, basis)
     tol, idx = t.tol, int(round(t.index))
     mprime = t.m_rep.commutant
     nprime = t.n_rep.commutant
@@ -346,7 +350,20 @@ def basis_lower_bound(t: Tower, basis: PimsnerPopaBasis, col: Colouring) -> Repo
         tol.bound(1.0) * mprime.dim,
     )
     rs = conjugate_sum(np.stack(col.projections), la.kron(reps, la.eye(col.aux_dim)))
-    return _certificate(rep, list(rs), idx, col, tol)
+    return _certificate(rep, rs, idx, col, tol)
+
+
+def _factor_certificate(inc: Inclusion) -> tuple[Colouring, Report, Report]:
+    """The factor colouring of (N', M, B(H)), its report and its lower bound."""
+    col = factor_colouring(inc)
+    _, g2 = graphs_from_inclusion(inc)
+    return col, verify_colouring(g2, col), factor_lower_bound(inc, col)
+
+
+def _basis_certificate(t: Tower, basis: PimsnerPopaBasis) -> tuple[Colouring, Report, Report]:
+    """The basis colouring of (M, N', B(L^2)), its report and its lower bound."""
+    col = basis_colouring(t, basis)
+    return col, verify_colouring(gns_graph(t), col), basis_lower_bound(t, basis, col)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +389,15 @@ def chromatic_bounds(inc: Inclusion) -> ChromaticBounds:
     Covers the two theorem families: N a factor (quantum/quantum-commuting
     value [M:N] for (N', M) on the defining space) and inclusions with a
     unitary normaliser basis (local value [M:N] for (M, N') on the GNS
-    space).  Uncovered inclusions return partial bounds with a warning.
+    space).  Uncovered inclusions return partial bounds with a warning, as
+    does a basis that :func:`bases._require_normaliser_basis` refuses.
     """
     certificates: list[dict] = []
     warnings: list[str] = []
-    lower, upper = 1, None
 
     def record(
         graph: str, kind: str, ambient_dim: int, col: Colouring, colour_rep: Report, bound_rep: Report
     ) -> None:
-        nonlocal lower, upper
-        idx = int(round(inc.index))
         certificates.append(
             {
                 "graph": graph,
@@ -390,49 +405,38 @@ def chromatic_bounds(inc: Inclusion) -> ChromaticBounds:
                 "ambient_dim": ambient_dim,
                 "aux_dim": col.aux_dim,
                 "colours": col.colours,
-                "lower_bound": idx,
+                "lower_bound": int(round(inc.index)),
                 "colouring_report": colour_rep,
                 "certificate_report": bound_rep,
             }
         )
-        if colour_rep.passed:
-            upper = col.colours if upper is None else min(upper, col.colours)
-        if bound_rep.passed:
-            lower = max(lower, idx)
 
     if len(inc.small.blocks) == 1:
-        col = factor_colouring(inc)
-        _, g2 = graphs_from_inclusion(inc)
         record(
             "system N' over M on the defining space",
             "quantum (finite-dimensional auxiliary)",
             inc.big.ambient_dim,
-            col,
-            verify_colouring(g2, col),
-            factor_lower_bound(inc, col),
+            *_factor_certificate(inc),
         )
     else:
         warnings.append("N is not a factor: no quantum-commuting certificate for (N', M)")
 
     basis = normaliser_basis_for(inc)
-    if basis is not None:
-        t = basic_construction(inc)
-        verify_basis(t, basis)
-        if basis.unitary and basis.in_normaliser and basis.orthonormal:
-            col = basis_colouring(t, basis)
-            record(
-                "system M over N' on the GNS space",
-                "local",
-                t.gns.dim,
-                col,
-                verify_colouring(gns_graph(t), col),
-                basis_lower_bound(t, basis, col),
-            )
-    else:
+    if basis is None:
         warnings.append("no unitary normaliser basis constructor applies: no local certificate")
+    else:
+        t = basic_construction(inc)
+        try:
+            _require_normaliser_basis(t, basis)
+        except PreconditionError as exc:
+            warnings.append(f"the normaliser basis is refused ({exc}): no local certificate")
+        else:
+            record("system M over N' on the GNS space", "local", t.gns.dim, *_basis_certificate(t, basis))
 
+    upper = min((c["colours"] for c in certificates if c["colouring_report"].passed), default=None)
     if upper is None:
         warnings.append("no colouring construction covered this inclusion; bounds are partial")
+    lower = max((c["lower_bound"] for c in certificates if c["certificate_report"].passed), default=1)
     return ChromaticBounds(lower, upper, certificates, warnings)
 
 
@@ -445,9 +449,7 @@ def normaliser_basis_for(inc: Inclusion) -> PimsnerPopaBasis | None:
             return PimsnerPopaBasis(inc, [la.eye(n)])
         return None
     if small.dim == 1:
-        b = weyl_basis(n)
-        b.inclusion = inc
-        return b
+        return PimsnerPopaBasis(inc, weyl_basis(n).elements)
     if len(small.blocks) == 1:
         return commutant_factor_basis(inc)
     if all(m == 1 for _, m in small.blocks):

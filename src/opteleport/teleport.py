@@ -39,7 +39,7 @@ from .algebra import (
     _frame_distance,
     conditional_expectation_onto,
 )
-from .bases import PimsnerPopaBasis, _weyl_family, verify_basis, weyl_basis
+from .bases import PimsnerPopaBasis, _require_normaliser_basis, _weyl_family, weyl_basis
 from .errors import (
     ExtractionError,
     HypothesisError,
@@ -389,20 +389,19 @@ def standard_scheme(n: int, basis: PimsnerPopaBasis | None = None) -> Teleportat
     """Teleportation of M_n across M_n (x) M_n (x) M_n from a unitary basis.
 
     ``basis`` defaults to the clock-and-shift family; it must be a unitary
-    orthonormal basis of M_n over the scalars with n^2 elements.  This is
-    Werner's tensor-picture scheme: the tight scheme of C ⊆ M_n with
-    u = z = 1, built on the tower that verifies the basis, at the tolerance
-    of ``basis.inclusion``.  The commutant-trace gate holds there by its own
+    orthonormal basis of M_n over the scalars, which completeness forces to
+    have n^2 elements.  This is Werner's tensor-picture scheme: the tight
+    scheme of C ⊆ M_n with u = z = 1, built on the tower that verifies the
+    basis (:func:`bases._require_normaliser_basis`), at the tolerance of
+    ``basis.inclusion``.  The commutant-trace gate holds there by its own
     formula, 1 * n^2 = n * n.
     """
     if basis is None:
         basis = weyl_basis(n)
-    t = basic_construction(basis.inclusion)
-    if basis.orthonormal is None:
-        verify_basis(t, basis)
-    if not (basis.orthonormal and basis.unitary and basis.size == n * n):
-        raise PreconditionError("standard scheme needs a unitary orthonormal basis of size n^2")
-    return _tight_scheme(t, basis, None, None)
+    inc = basis.inclusion
+    if not (inc.small.dim == 1 and inc.big.ambient_dim == n and inc.big.dim == n * n):
+        raise PreconditionError("standard scheme needs a basis of M_n over the scalars")
+    return _tight_scheme(basic_construction(inc), basis, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +473,9 @@ def _corrections(
     t: Tower, basis: PimsnerPopaBasis
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """The v_i of :func:`correction_unitaries` without its report, with the
-    lifts it reuses: pi(u_a)* e1, pi1 of it and pi1(e1 pi(u_a))."""
-    if not (basis.unitary and basis.in_normaliser and basis.orthonormal):
-        raise PreconditionError("correction unitaries need a unitary orthonormal normaliser basis")
+    lifts it reuses: pi(u_a)* e1, pi1 of it and pi1(e1 pi(u_a)).  The basis
+    passes :func:`bases._require_normaliser_basis` on ``t`` first."""
+    _require_normaliser_basis(t, basis)
     iterate(t)
     idx = t.index
     pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
@@ -498,7 +497,8 @@ def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.nda
 
     Realised through the periodicity homomorphism sending a d x d matrix
     over M to M2; its multiplicativity and unitality are re-verified on
-    random arguments as part of the report, at ``t.tol``.
+    random arguments as part of the report, at ``t.tol``.  The basis must
+    pass :func:`bases._require_normaliser_basis` on ``t``.
     """
     tol = t.tol
     vs, heads, lifted_left, lifted_right = _corrections(t, basis)
@@ -577,7 +577,8 @@ def unbiased_scheme(t: Tower, basis: PimsnerPopaBasis) -> TeleportationScheme:
 
     The construction decides nothing at a tolerance, so it takes none; the
     scheme records ``t.inclusion``, and :func:`verify_scheme` certifies it
-    at ``t.tol``, as :func:`correction_unitaries` checks the v_i.
+    at ``t.tol``, as :func:`correction_unitaries` checks the v_i.  The
+    basis must pass :func:`bases._require_normaliser_basis` on ``t``.
     """
     vs = _corrections(t, basis)[0]
     ctx = _tower_context(t)
@@ -658,10 +659,11 @@ def tight_scheme_from_basis(
 ) -> TeleportationScheme:
     """Tight scheme for N' on M_n (x) M_n (x) N' from (basis, u, z) data.
 
-    ``basis`` must be a unitary orthonormal normaliser basis of M_n over N,
-    ``u`` a normaliser unitary and ``z`` a positive invertible central
-    element of N with tau(z) = 1.  The commutant-trace gate must pass.
-    Every check runs at ``inc.tol``.
+    ``basis`` must be a unitary orthonormal normaliser basis of M_n over N
+    that passes :func:`bases._require_normaliser_basis` on the tower of
+    ``inc``, ``u`` a normaliser unitary and ``z`` a positive invertible
+    central element of N with tau(z) = 1.  The commutant-trace gate must
+    pass.  Every check runs at ``inc.tol``.
     """
     flag, _ = commutant_trace_is_markov(inc)
     if not flag:
@@ -677,10 +679,7 @@ def _tight_scheme(
     which :func:`extract_tight_scheme` reuses."""
     inc, tol = t.inclusion, t.tol
     n = inc.big.ambient_dim
-    if basis.orthonormal is None:
-        verify_basis(t, basis)
-    if not (basis.orthonormal and basis.unitary and basis.in_normaliser):
-        raise PreconditionError("need a unitary orthonormal normaliser basis")
+    _require_normaliser_basis(t, basis)
     # the identity normalises every N, so only a given u is tested
     if u is not None and not normalizer_check(t, u):
         raise PreconditionError("u must normalise N")
@@ -782,7 +781,7 @@ def extract_tight_scheme(
     the corrections rebuilt from the extracted triple must reproduce the
     scheme's, the channels compared on the basis 1 (x) b / n of Bob from
     the images that the intertwiners were read from, each channel applied
-    once.
+    once.  The extracted family must pass :func:`bases._require_normaliser_basis`.
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused, and its flags
@@ -887,10 +886,11 @@ def extract_tight_scheme(
     fixed_units = raw_units @ la.dagger(c_u)
 
     basis = PimsnerPopaBasis(inc, list(fixed_units))
-    basis_rep = verify_basis(t, basis)
-    if not (basis_rep.passed and basis.orthonormal and basis.in_normaliser):
-        raise ExtractionError("extracted family is not an orthonormal normaliser basis")
-    rep.merge(basis_rep, prefix="extracted_basis.")
+    try:
+        _require_normaliser_basis(t, basis)
+    except PreconditionError as exc:
+        raise ExtractionError("extracted family is not an orthonormal normaliser basis") from exc
+    rep.merge(basis.report, prefix="extracted_basis.")
 
     # the round trip rebuilds operators only and compares them in the scheme's context
     trip = tol.bound(1.0) * 5

@@ -415,3 +415,78 @@ def test_kraus_decomposition_reads_the_tolerance_of_the_tower(monkeypatch):
     assert rep.passed
     want = tol.bound(float(np.linalg.norm(t.jones1))) * b.size * 10
     assert seen["positive_element_reconstruction"] == want
+
+
+# -- the one gate for unitary orthonormal normaliser bases -------------------
+
+
+def _incomplete_witness():
+    """The three shifts of M_3 re-pointed to C ⊆ M_3, with its tower: orthonormal,
+    unitary and normalising, but three elements for an index-9 inclusion."""
+    inc = trivial_in_full(3)
+    return basic_construction(inc), PimsnerPopaBasis(inc, shift_basis(3).elements)
+
+
+def _foreign_witness():
+    """A shift basis verified for its own D_3 ⊆ M_3, with the tower of C ⊆ M_3."""
+    basis = shift_basis(3)
+    assert verify_basis(basic_construction(basis.inclusion), basis).passed
+    return basic_construction(trivial_in_full(3)), basis
+
+
+def _consumers():
+    from opteleport.qgraph import Colouring, basis_colouring, basis_lower_bound
+    from opteleport.teleport import correction_unitaries, tight_scheme_from_basis, unbiased_scheme
+
+    return {
+        "tight_scheme_from_basis": lambda t, b: tight_scheme_from_basis(t.inclusion, b),
+        "unbiased_scheme": unbiased_scheme,
+        "correction_unitaries": correction_unitaries,
+        "basis_colouring": basis_colouring,
+        "basis_lower_bound": lambda t, b: basis_lower_bound(t, b, Colouring(1, [np.eye(9, dtype=complex)])),
+    }
+
+
+CONSUMERS = sorted(_consumers())
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_gate_refuses_an_incomplete_family(consumer):
+    t, b = _incomplete_witness()
+    with pytest.raises(PreconditionError, match="complete unitary orthonormal normaliser basis"):
+        _consumers()[consumer](t, b)
+    # verified once by the gate, it is refused on its completeness, not its flags
+    assert b.orthonormal and b.unitary and b.in_normaliser
+    assert [c.name for c in b.report.failures()] == ["completeness", "expansion_identity", "index_sum"]
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_gate_refuses_a_basis_verified_for_another_inclusion(consumer):
+    t, b = _foreign_witness()
+    with pytest.raises(PreconditionError, match="tower and basis must share an inclusion"):
+        _consumers()[consumer](t, b)
+
+
+def test_kraus_decomposition_refuses_a_basis_of_another_inclusion():
+    tower = basic_construction(diagonal_in_full(2))
+    with pytest.raises(PreconditionError, match="tower and basis must share an inclusion"):
+        kraus_decomposition(tower, tower.jones1, shift_basis(2))
+
+
+def test_kraus_decomposition_verifies_an_unverified_basis():
+    tower = basic_construction(diagonal_in_full(2))
+    b = PimsnerPopaBasis(tower.inclusion, shift_basis(2).elements)
+    _, rep = kraus_decomposition(tower, tower.jones1, b)
+    assert b.report is not None and b.report.passed
+    assert [c.name for c in rep.checks][-1] == "reverse_cp_map_preserves_relative_commutant"
+    assert rep.passed
+
+
+def test_cardinality_test_reads_completeness_by_name():
+    tower = get_tower("diagonal_in_full_2", two_levels=False)
+    b = make_and_verify(tower, lambda: shift_basis(2))
+    b.report.checks.reverse()
+    assert cardinality_test(tower, b).passed
+    next(c for c in b.report.checks if c.name == "completeness").passed = False
+    with pytest.raises(PreconditionError, match="verified bases only"):
+        cardinality_test(tower, b)

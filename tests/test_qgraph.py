@@ -338,3 +338,62 @@ def test_graph_verdicts_read_the_tolerance_of_the_inclusion(monkeypatch):
     assert seen["commutant_bimodule"] == tol.bound(1.0) * g2.system.dim
     assert seen["pvm_resolves_identity"] == tol.bound(1.0) * col.colours
     assert g2.tol == gns_graph(basic_construction(inc)).tol == tol
+
+
+def test_chromatic_bounds_warns_when_the_gate_refuses_the_basis(monkeypatch):
+    from opteleport import qgraph
+    from opteleport.bases import PimsnerPopaBasis
+
+    # the three shifts of M_3 as a family for C ⊆ M_3: flags hold, completeness fails
+    monkeypatch.setattr(
+        qgraph, "normaliser_basis_for", lambda inc: PimsnerPopaBasis(inc, shift_basis(3).elements)
+    )
+    b = chromatic_bounds(trivial_in_full(3))
+    assert [c["kind"] for c in b.certificates] == ["quantum (finite-dimensional auxiliary)"]
+    assert (b.lower, b.upper) == (9, 9)
+    assert len(b.warnings) == 1
+    assert "refused" in b.warnings[0] and "no local certificate" in b.warnings[0]
+
+
+def _per_matrix_colouring_residuals(g, col):
+    """pvm_projections_orthogonal and annihilates_traceless_part, one matrix at a time."""
+    ps = col.projections
+    pvm = 0.0
+    for i, p in enumerate(ps):
+        pvm = max(pvm, la.frobenius_distance(p, la.dagger(p)), la.frobenius_distance(p @ p, p))
+        for q in ps[i + 1 :]:
+            pvm = max(pvm, float(np.linalg.norm(p @ q)))
+    worst = 0.0
+    for x in traceless_part(g):
+        lifted = la.kron(x, la.eye(col.aux_dim))
+        for p in ps:
+            worst = max(worst, float(np.linalg.norm(p @ lifted @ p)))
+    return pvm, worst
+
+
+def test_stacked_colouring_checks_match_the_per_matrix_loops():
+    inc = trivial_in_full(3)
+    t = basic_construction(inc)
+    b = weyl_basis(3)
+    b.inclusion = inc
+    _, g2 = graphs_from_inclusion(inc)
+    for g, col in ((g2, factor_colouring(inc)), (gns_graph(t), basis_colouring(t, b))):
+        rep = verify_colouring(g, col)
+        residuals = {c.name: c.residual for c in rep.checks}
+        pvm, worst = _per_matrix_colouring_residuals(g, col)
+        assert residuals["pvm_projections_orthogonal"] == pvm
+        assert residuals["annihilates_traceless_part"] == worst
+        assert [c.name for c in rep.checks] == [
+            "pvm_projections_orthogonal",
+            "pvm_resolves_identity",
+            "pvm_in_algebra_tensor_aux",
+            "annihilates_traceless_part",
+        ]
+
+
+def test_verify_colouring_reports_zero_on_an_empty_traceless_part():
+    # N = M: S = M', so the traceless part is empty and nothing can fail to vanish on it
+    inc = markov_inclusion(StarAlgebra.full(2), StarAlgebra.full(2))
+    _, g2 = graphs_from_inclusion(inc)
+    rep = verify_colouring(g2, Colouring(1, [np.eye(2, dtype=complex)]))
+    assert rep.passed and rep.checks[-1].residual == 0.0

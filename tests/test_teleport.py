@@ -414,13 +414,15 @@ def test_tight_scheme_rejects_bad_z():
 
 
 def test_tight_scheme_verifies_an_unverified_basis_at_its_tolerance(monkeypatch):
+    from opteleport import bases
+
     seen = []
 
     def recording(t, basis):
         seen.append(t.tol)
         return verify_basis(t, basis)
 
-    monkeypatch.setattr(teleport, "verify_basis", recording)
+    monkeypatch.setattr(bases, "verify_basis", recording)
     tol = Tolerance(abs=1e-7, rel=1e-7)
     inc = markov_inclusion(StarAlgebra.diagonal(2), StarAlgebra.full(2), tol)
     b = shift_basis(2)
