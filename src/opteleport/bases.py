@@ -30,6 +30,7 @@ class PimsnerPopaBasis:
     unitary: bool | None = None
     in_normaliser: bool | None = None
     report: Report | None = field(default=None, repr=False)
+    _verified_on: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -177,14 +178,23 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
             pvm = max(pvm, float(np.max(la.frobenius_norms(p @ compressed[i + 1 :]))))
         rep.add("entangled_subspace_pvm", pvm, tol.bound(1.0) * 10)
     basis.report = rep
+    basis._verified_on = _checked(basis)
     return rep
 
 
+def _checked(basis: PimsnerPopaBasis) -> tuple:
+    """What a report vouches for: itself, the inclusion, the elements, the flags."""
+    elements = np.stack(basis.elements)
+    flags = (basis.orthonormal, basis.unitary, basis.in_normaliser)
+    return basis.report, basis.inclusion, elements.shape, elements.tobytes(), flags
+
+
 def _require_verified(tower: Tower, basis: PimsnerPopaBasis) -> None:
-    """Refuse a basis of another inclusion than ``tower``'s; verify it there once."""
+    """Refuse a basis of another inclusion than ``tower``'s; verify it there
+    unless its report was made on the inclusion, elements and flags it has now."""
     if basis.inclusion is not tower.inclusion:
         raise PreconditionError("tower and basis must share an inclusion")
-    if basis.orthonormal is None:
+    if basis._verified_on != _checked(basis):
         verify_basis(tower, basis)
 
 
@@ -261,16 +271,12 @@ def kraus_decomposition(
         tol.bound(float(np.linalg.norm(x1))) * max(1, basis.size) * 10,
     )
     rc = tower.rel_comm
-    closure = 0.0
-    for x in rc.basis:
-        image = sum(la.dagger(a) @ x @ a for a in coeffs)
-        closure = max(closure, rc.membership_residual(image))
+    images = sum(la.dagger(a) @ rc.basis @ a for a in coeffs)
+    closure = float(np.max(rc.membership_residual(images)))
     rep.add("cp_map_preserves_relative_commutant", closure, tol.bound(1.0) * 10)
     if basis.unitary and basis.in_normaliser:
-        reverse = 0.0
-        for x in rc.basis:
-            image = sum(a @ x @ la.dagger(a) for a in coeffs)
-            reverse = max(reverse, rc.membership_residual(image))
+        images = sum(a @ rc.basis @ la.dagger(a) for a in coeffs)
+        reverse = float(np.max(rc.membership_residual(images)))
         rep.add("reverse_cp_map_preserves_relative_commutant", reverse, tol.bound(1.0) * 10)
     return coeffs, rep
 
@@ -278,11 +284,7 @@ def kraus_decomposition(
 def cp_action_matrix(tower: Tower, coeffs: list[np.ndarray]) -> np.ndarray:
     """HS-coordinate action of sum a_i* (.) a_i on N' ∩ M."""
     rc = tower.rel_comm
-    cols = []
-    for x in rc.basis:
-        image = sum(la.dagger(a) @ x @ a for a in coeffs)
-        cols.append(rc.coords(image))
-    return np.stack(cols, axis=1)
+    return rc.coords(sum(la.dagger(a) @ rc.basis @ a for a in coeffs)).T
 
 
 def homogeneity_test(inc: Inclusion) -> tuple[bool, PimsnerPopaBasis | None, str]:

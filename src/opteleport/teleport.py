@@ -25,6 +25,7 @@ scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .algebra import (
     _commuting_product,
     _corners,
     _frame_distance,
+    _generators,
     conditional_expectation_onto,
 )
 from .bases import PimsnerPopaBasis, _require_normaliser_basis, _weyl_family, weyl_basis
@@ -110,9 +112,11 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
 
     Structural clauses (POVM, densities, UCP, bimodularity, invariance)
     raise :class:`SchemeError` naming the clause when ``strict``; the
-    identity residual itself is always only reported.  Each check over a
-    family (POVM, channel images of a basis, shifted elements) is one
-    stacked call per channel.
+    identity residual itself is always only reported.  Each channel maps
+    Bob's basis once; ``channels_preserve_bob`` and the identity both read
+    those images, so a shifted element s outside Bob (beyond
+    ``tol.bound(||s||)``) is refused with :class:`PreconditionError` before
+    any channel runs.  Memberships in Alice are read in frame coordinates.
 
     Bimodularity over Alice is exact for a channel with a conjugation
     witness v: a unital CP map is an Alice-bimodule map exactly when it
@@ -132,10 +136,13 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     they do not commute, ``strict`` raises at once and otherwise the bimodule
     check is recorded as failed with an infinite residual.  A failed bimodule check is
     excused only when Bob has several central projections, all in Alice, and
-    every channel normalises Alice.
+    every channel normalises Alice (:func:`_normalising_residual`).
     """
     tol = scheme.tol
     ctx = scheme.context
+    shifted = np.stack([s for _, s in ctx.shift_pairs])
+    if np.any(ctx.bob.membership_residual(shifted) > tol.bound(la.frobenius_norms(shifted))):
+        raise PreconditionError("the shifted elements must lie in Bob's algebra")
     rep = Report()
     dim = ctx.ambient.ambient_dim
     commute = rep.add("alice_bob_commute", _commutation_gap(ctx.alice, ctx.bob), tol.bound(1.0) * 10)
@@ -166,9 +173,7 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     rep.add("channels_completely_positive", ucp, tol.bound(1.0))
     rep.add("channels_unital", unital, tol.bound(1.0))
 
-    bimod = 0.0
-    if commute.passed:
-        bimod = _bimodule_residual(ctx, scheme.channels)
+    bimod = _bimodule_residual(ctx, scheme.channels) if commute.passed else float("inf")
     if not commute.passed:
         # Alice v Bob is no algebra, so there is nothing to sample.
         rep.add_flag(
@@ -183,11 +188,8 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
         # Strict bimodularity is impossible whenever Alice and Bob share
         # central projections the corrections must permute; certify the
         # attainable locality instead: every channel normalises Alice.
-        shared = float(np.max(ctx.alice.membership_residual(np.stack(ctx.bob.central_projections))))
-        normalising = max(
-            float(np.max(ctx.alice.membership_residual(ch(ctx.alice.basis))))
-            for ch in scheme.channels
-        )
+        shared = float(np.max(_frame_distance(ctx.alice, np.stack(ctx.bob.central_projections))))
+        normalising = max(_normalising_residual(ctx.alice, ch) for ch in scheme.channels)
         obstructed = shared <= tol.bound(1.0) * 10 and normalising <= tol.bound(1.0) * 100
         rep.add_flag(
             "channels_alice_bimodule_sampled",
@@ -199,22 +201,23 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
                 "is unattainable for this inclusion"
             ),
         )
-    bob = ctx.bob.basis
-    rep.add(
-        "channels_preserve_bob",
-        max(float(np.max(ctx.bob.membership_residual(ch(bob)))) for ch in scheme.channels),
-        tol.bound(1.0) * ctx.bob.dim,
-    )
+    # T_i(s) is read off the images of Bob's basis at the coordinates of s
+    bob, coords = ctx.bob.basis, ctx.bob.coords(shifted)
+    total = np.zeros(shifted.shape, dtype=complex)
+    preserve = 0.0
+    for i, ch in enumerate(scheme.channels):
+        images = ch(bob)
+        preserve = max(preserve, float(np.max(ctx.bob.membership_residual(images))))
+        if i < scheme.outcomes:
+            moved = (coords @ images.reshape(len(bob), -1)).reshape(shifted.shape)
+            total += scheme.povm[i] @ moved @ omega
+    rep.add("channels_preserve_bob", preserve, tol.bound(1.0) * ctx.bob.dim)
     rep.add_flag("one_way_locc", True, detail="implied by POVM/bimodule/invariance structure")
 
     if strict:
         for check in rep.failures():
             raise SchemeError(f"structural clause failed: {check.name} ({check.residual:.2e})")
 
-    shifted = np.stack([s for _, s in ctx.shift_pairs])
-    total = np.zeros(shifted.shape, dtype=complex)
-    for f, ch in zip(scheme.povm, scheme.channels):
-        total += f @ ch(shifted) @ omega
     got = ctx.expectation(total)
     worst = max(la.frobenius_distance(g, a) for g, (a, _) in zip(got, ctx.shift_pairs))
     rep.add("teleportation_identity", worst, tol.bound(1.0) * max(1, scheme.outcomes))
@@ -234,9 +237,18 @@ def _povm_checks(rep: Report, scheme: TeleportationScheme, tol: Tolerance) -> No
     rep.add("povm_positive", psd, tol.bound(1.0))
     rep.add(
         "povm_in_alice_algebra",
-        float(np.max(scheme.context.alice.membership_residual(povm))),
+        float(np.max(_frame_distance(scheme.context.alice, povm))),
         tol.bound(1.0) * scheme.context.alice.dim,
     )
+
+
+def _normalising_residual(alice: StarAlgebra, ch: Superoperator) -> float:
+    """How far ``ch`` maps Alice out of Alice.  Ad v, a *-automorphism, maps
+    Alice into Alice exactly when it maps her column units f_a0 there
+    (:func:`_generators`), so a channel with a witness is tested on them,
+    others on Alice's basis; each distance is divided by its unit's norm."""
+    units = alice.basis if ch.ad_unitary is None else _generators(alice)
+    return float(np.max(_frame_distance(alice, ch(units)) / la.frobenius_norms(units)))
 
 
 def _bimodule_residual(ctx: TeleportationContext, channels: list[Superoperator]) -> float:
@@ -469,51 +481,43 @@ def direct_sum_scheme(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Teleporta
 # ---------------------------------------------------------------------------
 
 
-def _corrections(
+def _periodicity(
     t: Tower, basis: PimsnerPopaBasis
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """The v_i of :func:`correction_unitaries` without its report, with the
-    lifts it reuses: pi(u_a)* e1, pi1 of it and pi1(e1 pi(u_a)).  The basis
-    passes :func:`bases._require_normaliser_basis` on ``t`` first."""
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The periodicity map phi: M_d(M) -> M2 of ``basis``, which passes
+    :func:`bases._require_normaliser_basis` on ``t``, as heads_a = pi(u_a)* e1
+    and lift(y) = [M:N] sum_b pi1(y_b) e2 pi1(e1 pi(u_b)): pi1 is multiplicative,
+    so phi(x) = lift(y) with y_b = sum_a heads_a pi(x_ab).  With e2 = P P*, lift
+    is one (D1, d r) @ (d r, D1) product of :meth:`GnsSpace.act` stacks on P."""
     _require_normaliser_basis(t, basis)
     iterate(t)
-    idx = t.index
-    pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
-    pi_us = pi(np.array(basis.elements))
-    heads = la.dagger(pi_us) @ e1
-    lifted_left = pi1(heads)
-    lifted_right = pi1(e1 @ pi_us)
-    lifted_mid = pi1(pi_us)
-    d = basis.size
-    vs = [
-        idx * sum(lifted_left[a] @ lifted_mid[i] @ e2 @ lifted_right[a] for a in range(d))
-        for i in range(d)
-    ]
-    return vs, heads, lifted_left, lifted_right
+    heads = la.dagger(t.gns.left(np.stack(basis.elements))) @ t.jones1
+    gns1, p = t.gns1, t.levels[2].jones_range
+
+    def ranged(y: np.ndarray) -> np.ndarray:
+        return gns1.act(y, p).transpose(1, 0, 2).reshape(gns1.dim, -1)
+
+    right = la.dagger(ranged(heads))
+    return heads, lambda y: t.index * ranged(y) @ right
 
 
 def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.ndarray], Report]:
     """Unitaries v_i in M2 implementing shift(u_i x u_i*) = v_i shift(x) v_i*.
 
-    Realised through the periodicity homomorphism sending a d x d matrix
-    over M to M2; its multiplicativity and unitality are re-verified on
-    random arguments as part of the report, at ``t.tol``.  The basis must
+    v_i is the periodicity map (:func:`_periodicity`) of the diagonal block
+    matrix u_i (x) 1_d; its multiplicativity and unitality are re-verified
+    on random arguments as part of the report, at ``t.tol``.  The basis must
     pass :func:`bases._require_normaliser_basis` on ``t``.
     """
     tol = t.tol
-    vs, heads, lifted_left, lifted_right = _corrections(t, basis)
-    idx = t.index
-    pi, pi1 = t.gns.left, t.gns1.left
+    heads, lift = _periodicity(t, basis)
     us = np.array(basis.elements)
+    pi = t.gns.left
+    vs = [lift(heads @ u) for u in pi(us)]
     d = basis.size
-    tails = t.jones2 @ lifted_right
 
     def phi(blockmat: np.ndarray) -> np.ndarray:
-        # pi1 is multiplicative: sum_a lifted_left[a] pi1(pi(x_ab)) = pi1(y_b) with
-        # y_b = sum_a pi(u_a)* e1 pi(x_ab), so the (d, d) block matrix takes one pi
-        # and one pi1 call, and no (d, d) stack of level-two operators is formed
-        y = np.einsum("aij,abjk->bik", heads, pi(blockmat))
-        return idx * np.sum(pi1(y) @ tails, axis=0)
+        return lift(np.einsum("aij,abjk->bik", heads, pi(blockmat)))
 
     stack = np.array(vs)
     rep = Report()
@@ -549,12 +553,9 @@ def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.nda
         la.frobenius_distance(phi_x @ phi_y, phi(prod)),
         tol.bound(float(np.linalg.norm(phi_x) * np.linalg.norm(phi_y))) * 10,
     )
-    # phi of the identity block matrix: pi1(pi(1)) = 1 leaves idx sum_a lifted_left[a] tails[a]
     rep.add(
         "periodicity_map_unital",
-        la.frobenius_distance(
-            idx * sum(lifted_left[a] @ tails[a] for a in range(d)), la.eye(t.gns1.dim)
-        ),
+        la.frobenius_distance(lift(heads), la.eye(t.gns1.dim)),
         tol.bound(1.0) * d,
     )
     return vs, rep
@@ -564,29 +565,25 @@ def unbiased_scheme(t: Tower, basis: PimsnerPopaBasis) -> TeleportationScheme:
     """Unbiased scheme for N' ∩ M relative to M1 and M1' ∩ M2.
 
     The resource is [M:N] e_M, the POVM is the projection family
-    {u_i* e_N u_i} lifted to level two, and the corrections conjugate
-    directly by the periodicity unitaries; Alice's outcome distribution is
-    uniform for every input density.
+    {u_i* e_N u_i} lifted to level two, and the corrections conjugate by
+    the v_i = phi(u_i (x) 1) of :func:`correction_unitaries`; Alice's
+    outcome distribution is uniform for every input density.
 
-    The corrections restrict to the intended automorphisms of Bob's
-    algebra and normalise Alice's, but when the two algebras share central
-    projections (e.g. the diagonals inside M_n) no correction can fix
-    Alice pointwise, so strict Alice-bimodularity is unattainable for any
-    choice of channels; :func:`verify_scheme` certifies the attainable
+    The corrections normalise Alice's algebra, but when it shares central
+    projections with Bob's (e.g. the diagonals inside M_n) no correction
+    can fix Alice pointwise; :func:`verify_scheme` certifies the attainable
     locality and records the obstruction.
 
-    The construction decides nothing at a tolerance, so it takes none; the
-    scheme records ``t.inclusion``, and :func:`verify_scheme` certifies it
-    at ``t.tol``, as :func:`correction_unitaries` checks the v_i.  The
-    basis must pass :func:`bases._require_normaliser_basis` on ``t``.
+    The construction takes no tolerance; the scheme records ``t.inclusion``
+    and is judged at ``t.tol``.  The basis must pass
+    :func:`bases._require_normaliser_basis` on ``t``.
     """
-    vs = _corrections(t, basis)[0]
+    heads, lift = _periodicity(t, basis)
     ctx = _tower_context(t)
-    idx = t.index
-    omega = idx * t.jones2
+    omega = t.index * t.jones2
     reps = t.gns.left(np.stack(basis.elements))
-    povm = list(t.gns1.left(la.dagger(reps) @ t.jones1 @ reps))
-    channels = [Superoperator.conjugation(v, ctx.ambient) for v in vs]
+    povm = list(t.gns1.left(heads @ reps))
+    channels = [Superoperator.conjugation(lift(heads @ r), ctx.ambient) for r in reps]
     return TeleportationScheme(ctx, omega, povm, channels, inclusion=t.inclusion)
 
 

@@ -188,6 +188,21 @@ def test_kraus_decomposition_basis_independent():
     assert la.frobenius_distance(m1, m2) < 1e-9
 
 
+def test_cp_action_stacks_match_the_per_element_loop():
+    # cp_action_matrix and the closure checks map the basis of N' ∩ M as one
+    # stack; the loop over its elements is the reference
+    tower = get_tower("diagonal_in_full_3", two_levels=False)
+    b = make_and_verify(tower, lambda: shift_basis(3))
+    coeffs, rep = kraus_decomposition(tower, tower.jones1 + 0.5 * np.eye(tower.gns.dim), b)
+    rc = tower.rel_comm
+    images = [sum(la.dagger(a) @ x @ a for a in coeffs) for x in rc.basis]
+    want = np.stack([rc.coords(y) for y in images], axis=1)
+    assert np.max(np.abs(cp_action_matrix(tower, coeffs) - want)) < 1e-14
+    closure = max(rc.membership_residual(y) for y in images)
+    got = next(c.residual for c in rep.checks if c.name == "cp_map_preserves_relative_commutant")
+    assert abs(got - closure) < 1e-14
+
+
 def test_kraus_decomposition_rejects_bad_input():
     tower = get_tower("diagonal_in_full_2", two_levels=False)
     b = make_and_verify(tower, lambda: shift_basis(2))
@@ -490,3 +505,62 @@ def test_cardinality_test_reads_completeness_by_name():
     next(c for c in b.report.checks if c.name == "completeness").passed = False
     with pytest.raises(PreconditionError, match="verified bases only"):
         cardinality_test(tower, b)
+
+
+# -- a report vouches only for what it checked --------------------------------
+
+
+def test_gate_verifies_again_after_an_element_is_removed():
+    # verified as a complete family of three, then cut to two: not a basis of D_3 ⊆ M_3
+    from opteleport.qgraph import basis_colouring
+
+    basis = shift_basis(3)
+    tower = basic_construction(basis.inclusion)
+    assert verify_basis(tower, basis).passed
+    basis.elements.pop()
+    with pytest.raises(PreconditionError, match="complete unitary orthonormal normaliser basis"):
+        basis_colouring(tower, basis)
+    assert "completeness" in [c.name for c in basis.report.failures()]
+
+
+@pytest.mark.parametrize("change", ["element", "flags", "inclusion", "report"])
+def test_gate_verifies_again_after_what_the_report_checked_changes(change):
+    from opteleport.teleport import correction_unitaries
+
+    basis = shift_basis(2)
+    tower = basic_construction(basis.inclusion)
+    verify_basis(tower, basis)
+    first = basis.report
+    if change == "element":
+        basis.elements[1] = -basis.elements[1]
+    elif change == "flags":
+        basis.in_normaliser = False
+    elif change == "inclusion":
+        basis.inclusion = diagonal_in_full(2)
+        tower = basic_construction(basis.inclusion)
+    else:
+        basis.report = None
+    _, rep = correction_unitaries(tower, basis)
+    assert rep.passed and basis.report is not first and basis.report.passed
+    assert basis.in_normaliser
+
+
+def test_gate_keeps_a_report_made_on_the_basis_as_it_stands():
+    from opteleport.teleport import correction_unitaries
+
+    basis = shift_basis(2)
+    tower = basic_construction(basis.inclusion)
+    first = verify_basis(tower, basis)
+    correction_unitaries(tower, basis)
+    assert basis.report is first
+
+
+def test_kraus_decomposition_does_not_trust_flags_set_by_hand():
+    # flags without a report: the family is verified, and its real flags
+    # (not unitary) decide that no reverse check is run
+    tower = basic_construction(diagonal_in_full(2))
+    b = PimsnerPopaBasis(tower.inclusion, character_basis(2).elements)
+    b.orthonormal, b.unitary, b.in_normaliser = True, True, True
+    _, rep = kraus_decomposition(tower, tower.jones1, b)
+    assert b.report is not None and b.unitary is False
+    assert "reverse_cp_map_preserves_relative_commutant" not in [c.name for c in rep.checks]

@@ -10,9 +10,11 @@ from opteleport.algebra import (
     _commutation_gap,
     _frame_distance,
     _from_corners,
+    _generators,
 )
 from opteleport.bases import (
     PimsnerPopaBasis,
+    character_basis,
     commutant_factor_basis,
     homogeneous_block_basis,
     shift_basis,
@@ -38,7 +40,7 @@ from opteleport.teleport import (
     _cross_check_rows,
 )
 
-from opteleport.tower import basic_construction
+from opteleport.tower import basic_construction, iterate
 
 from conftest import dense_commutation_gap, get_tower, record_thresholds
 
@@ -341,11 +343,14 @@ def test_correction_unitaries_reports():
 
 
 def test_correction_unitaries_require_flags():
-    t, b = tower_basis("diagonal_in_full_2", lambda: shift_basis(2))
-    bad = PimsnerPopaBasis(t.inclusion, b.elements)
-    bad.orthonormal, bad.unitary, bad.in_normaliser = True, True, False
+    # flags set by hand carry no report, so the gate verifies the family and
+    # refuses the character projections, which are not unitary
+    t = get_tower("diagonal_in_full_2")
+    bad = PimsnerPopaBasis(t.inclusion, character_basis(2).elements)
+    bad.orthonormal, bad.unitary, bad.in_normaliser = True, True, True
     with pytest.raises(PreconditionError):
         correction_unitaries(t, bad)
+    assert bad.report is not None and bad.unitary is False
 
 
 # -- rigidity ----------------------------------------------------------------
@@ -918,3 +923,108 @@ def test_every_constructor_records_the_inclusion_of_its_tower(monkeypatch):
         monkeypatch.undo()
     hand_built = TeleportationScheme(s.context, s.omega, s.povm, s.channels)
     assert hand_built.tol == DEFAULT_TOL
+
+
+# -- one periodicity map, and verify_scheme on Bob's basis and Alice's units ---
+
+
+def _d2_product_corrections(t, b):
+    """Oracle: v_i = [M:N] sum_a pi1(pi(u_a)* e1) pi1(pi(u_i)) e2 pi1(e1 pi(u_a)),
+    as d^2 products of full GNS matrices."""
+    iterate(t)
+    pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
+    us = pi(np.stack(b.elements))
+    left, mid, right = pi1(la.dagger(us) @ e1), pi1(us), pi1(e1 @ us)
+    return [t.index * sum(l @ m @ e2 @ r for l, r in zip(left, right)) for m in mid]
+
+
+PERIODICITY_CASES = {
+    "C_in_M2": lambda: trivial_in_full(2),
+    "C_in_M3": lambda: trivial_in_full(3),
+    "D3": lambda: diagonal_in_full(3),
+    "D4": lambda: diagonal_in_full(4),
+    "M2_plus_M2_in_M4": lambda: markov_inclusion(
+        StarAlgebra.block_diagonal([(2, 1), (2, 1)]), StarAlgebra.full(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERIODICITY_CASES))
+def test_unbiased_corrections_match_the_d2_product_formula(case):
+    from opteleport.qgraph import normaliser_basis_for
+
+    inc = PERIODICITY_CASES[case]()
+    t, b = basic_construction(inc), normaliser_basis_for(inc)
+    want = _d2_product_corrections(t, b)
+    got = [ch.ad_unitary for ch in unbiased_scheme(t, b).channels]
+    assert len(got) == len(want) == b.size
+    assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) < 1e-12
+
+
+def test_normalising_fallback_fails_a_channel_that_leaves_alice():
+    t, b = tower_basis("diagonal_in_full_3", lambda: shift_basis(3))
+    s = unbiased_scheme(t, b)
+    name = "channels_alice_bimodule_sampled"
+    assert next(c for c in verify_scheme(s).checks if c.name == name).passed
+    # a unitary of M2 that carries a unit of Alice out of Alice
+    vals, vecs = np.linalg.eigh(s.context.ambient.random_hermitian(np.random.default_rng(5)))
+    u = (vecs * np.exp(1j * vals)) @ la.dagger(vecs)
+    assert np.max(_frame_distance(s.context.alice, u @ _generators(s.context.alice) @ la.dagger(u))) > 1e-2
+    s.channels[1] = Superoperator.conjugation(u, s.context.ambient)
+    rep = verify_scheme(s, strict=False)
+    check = next(c for c in rep.checks if c.name == name)
+    assert not check.passed and "normalise Alice" in check.detail
+    with pytest.raises(SchemeError, match=name):
+        verify_scheme(s)
+
+
+def test_shifted_elements_outside_bob_are_refused_before_any_channel_runs():
+    amb = StarAlgebra.full(2)
+    triv = StarAlgebra.trivial(2)
+    ctx = TeleportationContext(
+        ambient=amb,
+        trace=Trace.normalized(amb),
+        alice=amb,
+        bob=triv,
+        teleported=triv,
+        mirror=triv,
+        shift_pairs=[(np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))],
+    )
+    calls = []
+    channel = Superoperator(amb, amb, lambda x: calls.append(x) or x)
+    povm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    scheme = TeleportationScheme(ctx, np.eye(2, dtype=complex), povm, [channel] * 2)
+    for strict in (True, False):
+        with pytest.raises(PreconditionError, match="shifted elements must lie in Bob"):
+            verify_scheme(scheme, strict=strict)
+    assert calls == []
+
+
+def test_verify_scheme_applies_each_channel_once_to_a_stack():
+    # both channels_preserve_bob and the teleportation identity read the images of Bob's basis
+    s = standard_scheme(2)
+    amb = s.context.ambient
+    stacks = []
+
+    def channel(v):
+        def apply(x):
+            if np.ndim(x) == 3:
+                stacks.append(len(x))
+            return v @ x @ la.dagger(v)
+
+        return Superoperator(amb, amb, apply, ad_unitary=v, stacks=True)
+
+    s.channels = [channel(ch.ad_unitary) for ch in s.channels]
+    assert verify_scheme(s).passed
+    assert stacks == [s.context.bob.dim] * len(s.channels)
+
+
+def test_unbiased_verify_leaves_alice_basis_unbuilt():
+    # D_3 takes the normalising fallback, which reads Alice's units, not her basis;
+    # a fresh tower, since Alice is the tower's own represented M1
+    b = shift_basis(3)
+    s = unbiased_scheme(basic_construction(b.inclusion), b)
+    rep = verify_scheme(s)
+    check = next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
+    assert rep.passed and check.detail is not None
+    assert "basis" not in vars(s.context.alice)
