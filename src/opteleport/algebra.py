@@ -675,8 +675,11 @@ class Superoperator:
     The map is stored as a callable on ambient matrices of the domain; the
     CP test extends it to the full ambient by precomposing with the
     trace-preserving expectation onto the domain (which preserves complete
-    positivity in both directions).  A conjugation x -> v x v* carries v as
-    its witness, which certifies complete positivity without a Choi matrix.
+    positivity in both directions).  A conjugation x -> v x v*, made only by
+    :meth:`conjugation`, carries v as its witness, the read-only
+    ``ad_unitary``, which certifies complete positivity without a Choi
+    matrix; the map is built from v, so the two cannot disagree.  Every
+    other map has ``ad_unitary`` None.
 
     A call takes a matrix or a stack of shape (..., n, n) and maps each of
     its matrices.  With ``stacks`` the callable maps a whole stack itself, as
@@ -690,7 +693,6 @@ class Superoperator:
         codomain: StarAlgebra,
         apply: Callable[[np.ndarray], np.ndarray],
         domain_trace: Trace | None = None,
-        ad_unitary: np.ndarray | None = None,
         stacks: bool = False,
     ) -> None:
         self.domain = domain
@@ -698,14 +700,20 @@ class Superoperator:
         self._apply = apply
         if domain_trace is not None:
             self.domain_trace = domain_trace
-        self.ad_unitary = ad_unitary
+        self._witness: np.ndarray | None = None
         self.stacks = stacks
 
     @classmethod
     def conjugation(cls, v: np.ndarray, algebra: StarAlgebra) -> "Superoperator":
         """x -> v x v* on ``algebra``, with v as the complete-positivity witness."""
-        vd = la.dagger(v)
-        return cls(algebra, algebra, lambda x: v @ x @ vd, ad_unitary=v, stacks=True)
+        op = cls(algebra, algebra, lambda x: v @ x @ la.dagger(v), stacks=True)
+        op._witness = v
+        return op
+
+    @property
+    def ad_unitary(self) -> np.ndarray | None:
+        """The v of a :meth:`conjugation`, None for any other map."""
+        return self._witness
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.stacks or np.ndim(x) == 2:

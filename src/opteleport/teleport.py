@@ -35,7 +35,6 @@ from .algebra import (
     Superoperator,
     Trace,
     _commutation_gap,
-    _commuting_product,
     _corners,
     _frame_distance,
     _generators,
@@ -52,9 +51,6 @@ from .inclusion import Inclusion, concrete_jones_projection, markov_inclusion
 from .linalg import DEFAULT_SEED, DEFAULT_TOL, Tolerance
 from .reporting import Report
 from .tower import Tower, basic_construction, iterate, normalizer_check
-
-_BIMODULE_SAMPLES = 6  # triples (a, x, b) for the channels without a conjugation witness
-_DENSITY_SAMPLES = 100  # densities of the teleported algebra for classify's cross-check
 
 
 @dataclass
@@ -118,25 +114,20 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     ``tol.bound(||s||)``) is refused with :class:`PreconditionError` before
     any channel runs.  Memberships in Alice are read in frame coordinates.
 
-    Bimodularity over Alice is exact for a channel with a conjugation
-    witness v: a unital CP map is an Alice-bimodule map exactly when it
-    fixes Alice pointwise (Choi's multiplicative-domain theorem), which for
-    Ad v means v in Alice'.  Its residual is the membership residual of v in
-    Alice' plus ||T(x0) - v x0 v*||_F on one random x0 in Alice ∨ Bob, so a
-    channel whose map disagrees with its witness fails.  A channel without a
-    witness is sampled on six seeded random triples (a, x, b), drawn on the
-    corners of Alice and of Alice ∨ Bob
-    (:meth:`StarAlgebra.random_hermitian`) and shared by every such channel.
-    The one-way LOCC form of the total operation follows from the verified
-    structure and is recorded as implied rather than re-checked.  Alice ∨ Bob
-    is built from matrix units, so Alice and Bob must commute, which
-    ``alice_bob_commute`` reads as the distance to Alice' of the column units
-    that generate Bob (:func:`~opteleport.algebra._commutation_gap`); once
-    that gate has passed, Alice ∨ Bob is built without a second one.  When
-    they do not commute, ``strict`` raises at once and otherwise the bimodule
-    check is recorded as failed with an infinite residual.  A failed bimodule check is
-    excused only when Bob has several central projections, all in Alice, and
-    every channel normalises Alice (:func:`_normalising_residual`).
+    Every clause is exact; nothing is sampled, so the report does not
+    depend on any seed.  Bimodularity over Alice is read off each channel's
+    Kraus range (:func:`_bimodule_residual`): a unital CP map is an
+    Alice-bimodule map exactly when its Kraus operators lie in Alice' (Choi
+    1975).  ``resource_commutes_with_teleported`` is the distance of the
+    resource to the commutant of the teleported algebra.  The one-way LOCC
+    form of the total operation follows from the verified structure and is
+    recorded as implied rather than re-checked.  ``alice_bob_commute`` reads
+    the distance to Alice' of the column units that generate Bob
+    (:func:`~opteleport.algebra._commutation_gap`).  When Alice and Bob do
+    not commute, ``strict`` raises at once and otherwise the bimodule check
+    is recorded as failed with an infinite residual.  A failed bimodule
+    check is excused only when Bob has several central projections, all in
+    Alice, and every channel normalises Alice (:func:`_normalising_residual`).
     """
     tol = scheme.tol
     ctx = scheme.context
@@ -159,10 +150,9 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
         tol.bound(float(np.linalg.norm(omega))),
     )
     rep.add("resource_normalised", abs(ctx.trace(omega) - 1.0), tol.bound(1.0))
-    teleported = ctx.teleported.basis
     rep.add(
         "resource_commutes_with_teleported",
-        float(np.max(la.frobenius_norms(omega @ teleported - teleported @ omega))),
+        _frame_distance(ctx.teleported, omega, commutant=True),
         tol.bound(float(np.linalg.norm(omega))) * 10,
     )
 
@@ -173,9 +163,9 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     rep.add("channels_completely_positive", ucp, tol.bound(1.0))
     rep.add("channels_unital", unital, tol.bound(1.0))
 
-    bimod = _bimodule_residual(ctx, scheme.channels) if commute.passed else float("inf")
+    bimod = _bimodule_residual(ctx.alice, scheme.channels) if commute.passed else float("inf")
     if not commute.passed:
-        # Alice v Bob is no algebra, so there is nothing to sample.
+        # the clause is stated for commuting Alice and Bob only
         rep.add_flag(
             "channels_alice_bimodule_sampled",
             False,
@@ -251,34 +241,25 @@ def _normalising_residual(alice: StarAlgebra, ch: Superoperator) -> float:
     return float(np.max(_frame_distance(alice, ch(units)) / la.frobenius_norms(units)))
 
 
-def _bimodule_residual(ctx: TeleportationContext, channels: list[Superoperator]) -> float:
-    """The largest bimodule residual over the channels (see :func:`verify_scheme`).
-
-    Channels without a witness share ``_BIMODULE_SAMPLES`` triples (a, b, x)
-    with a, b in Alice and x in Alice ∨ Bob, drawn as three stacks in that
-    order from the sampling seed; the witnesses v are checked together, in
-    Alice' as one stack and against their maps on one x0 drawn after the
-    triples.  Alice and Bob must have passed the ``alice_bob_commute`` gate.
-    """
-    rng = la.rng_from(None)
-    joint = _commuting_product(ctx.alice, ctx.bob)
-    worst = 0.0
-    sampled = [ch for ch in channels if ch.ad_unitary is None]
-    if sampled:
-        algebras = (ctx.alice, ctx.alice, joint)
-        a, b, x = (alg.random_hermitian(rng, _BIMODULE_SAMPLES) for alg in algebras)
-        axb = a @ x @ b
-        for ch in sampled:
-            worst = max(worst, float(np.max(la.frobenius_norms(ch(axb) - a @ ch(x) @ b))))
-    witnessed = [ch for ch in channels if ch.ad_unitary is not None]
-    if witnessed:
-        x0 = joint.random_hermitian(rng)
-        vs = np.stack([ch.ad_unitary for ch in witnessed])
-        moved = vs @ x0 @ la.dagger(vs)
-        drift = [la.frobenius_distance(ch(x0), m) for ch, m in zip(witnessed, moved)]
-        outside = _frame_distance(ctx.alice, vs, commutant=True)
-        worst = max(worst, float(np.max(outside + drift)))
-    return worst
+def _bimodule_residual(alice: StarAlgebra, channels: list[Superoperator]) -> float:
+    """The largest distance to Alice' of a channel's Kraus range, read for
+    every channel in Alice's frame coordinates as one stack: dist(v, Alice')
+    for Ad v, else ||(1 - P_Alice') C||_F / sqrt(n) on the columns of the
+    Choi matrix C that ``cp_residual`` has built.  On a full ambient the two
+    agree for the rank-one Choi matrix of Ad v; each is zero exactly when
+    the Kraus operators lie in Alice'; 0 for no channel."""
+    if not channels:
+        return 0.0
+    n = alice.ambient_dim
+    # the Choi column (j, b) is the operator C[(i, a), (j, b)] indexed [a, i]
+    ranges = [
+        ch.ad_unitary[None] if ch.ad_unitary is not None
+        else np.swapaxes(ch.choi.T.reshape(-1, n, n), -1, -2) / np.sqrt(n)
+        for ch in channels
+    ]
+    gaps = _frame_distance(alice, np.concatenate(ranges), commutant=True)
+    ends = np.cumsum([len(r) for r in ranges])[:-1]
+    return max(float(np.linalg.norm(g)) for g in np.split(gaps, ends))
 
 
 def classify(scheme: TeleportationScheme) -> SchemeFlags:
@@ -287,9 +268,10 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     Works through g_i = E(omega F_i): by traciality and the bimodule
     property, tr(F_i rho omega) = tr(rho g_i) for every density rho in the
     teleported algebra, so "for all densities" becomes one operator test
-    per outcome.  Seeded random densities re-check the reduction; they are
-    drawn on the corners of the teleported algebra, c_j = g g* for a
-    Ginibre g, and evaluated against rows written once per scheme.  The
+    per outcome.  ``density_reduction_cross_check`` re-checks the reduction
+    on every density at once, from rows written with cyclicity alone
+    (:func:`_cross_check_rows`, :func:`_density_bound`); nothing is
+    sampled, so the flags do not depend on any seed.  The
     non-faithfulness witness is the first outcome whose lowest eigenvalue
     is within ``tol.abs`` of the minimum.  The flags are stored on the
     scheme, where :func:`extract_tight_scheme` reuses them.
@@ -332,22 +314,10 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
         detail=f"omega residual {minimal_omega:.2e}, povm residual {minimal_povm:.2e}, flag {minimal}",
     )
 
-    # independent cross-check on sampled densities, drawn as corners g g*
+    # independent cross-check of the reduction, over every density at once
     lhs_rows, rhs_rows, norm_row = _cross_check_rows(scheme, gs)
-    rng = la.rng_from(None)
-    corners = []
-    for bd, _ in ctx.teleported.blocks:
-        shape = (_DENSITY_SAMPLES, bd, bd)
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        corners.append((g @ la.dagger(g)).reshape(_DENSITY_SAMPLES, -1))
-    rhos = np.concatenate(corners, axis=1)
-    val = (rhos @ norm_row).real
-    keep = val >= 1e-6
-    rhos = rhos[keep] / val[keep, None]
-    lhs = rhos @ lhs_rows.T
-    cross = float(np.max(np.abs(lhs - rhos @ rhs_rows.T), initial=0.0))
-    if unbiased:
-        cross = max(cross, float(np.max(np.abs(lhs - 1.0 / d), initial=0.0)))
+    gaps = [lhs_rows - rhs_rows] + ([lhs_rows - norm_row / d] if unbiased else [])
+    cross = _density_bound(ctx.teleported, np.concatenate(gaps), norm_row)
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
     flags = SchemeFlags(
@@ -390,6 +360,21 @@ def _cross_check_rows(
     )
     k = scheme.outcomes
     return rows[:k], rows[k : 2 * k], rows[2 * k]
+
+
+def _density_bound(alg: StarAlgebra, rows: np.ndarray, norm_row: np.ndarray) -> float:
+    """The largest |row . c| over the rows and the densities of ``alg``, rows
+    laid out as by :func:`_cross_check_rows`.  On block j a row holds
+    m_j Dbar_j^T and ``norm_row`` m_j t_j 1 (the trace density is central),
+    and sum_j m_j t_j Tr(c_j) = 1 with c_j >= 0, so the largest value is
+    max_j ||Dbar_j||_2 / t_j (attained for Hermitian Dbar_j), zero exactly
+    when every row vanishes."""
+    worst, start = 0.0, 0
+    for d, _ in alg.blocks:
+        norms = np.linalg.norm(rows[:, start : start + d * d].reshape(-1, d, d), ord=2, axis=(-2, -1))
+        worst = max(worst, float(np.max(norms)) / norm_row[start].real)
+        start += d * d
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +491,9 @@ def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.nda
 
     v_i is the periodicity map (:func:`_periodicity`) of the diagonal block
     matrix u_i (x) 1_d; its multiplicativity and unitality are re-verified
-    on random arguments as part of the report, at ``t.tol``.  The basis must
-    pass :func:`bases._require_normaliser_basis` on ``t``.
+    as part of the report, at ``t.tol``, on random arguments drawn from a
+    fixed internal seed, so the report does not depend on any global seed.
+    The basis must pass :func:`bases._require_normaliser_basis` on ``t``.
     """
     tol = t.tol
     heads, lift = _periodicity(t, basis)
@@ -543,7 +529,7 @@ def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.nda
         ),
         tol.bound(1.0) * d,
     )
-    rng = la.rng_from(None)
+    rng = la.rng_from(DEFAULT_SEED)
     n = t.inclusion.big.ambient_dim
     xs, ys = (t.inclusion.big.random_hermitian(rng, d * d).reshape(d, d, n, n) for _ in range(2))
     prod = np.einsum("acij,cbjk->abik", xs, ys)

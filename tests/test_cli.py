@@ -266,6 +266,24 @@ def run_in_process(monkeypatch, capsys, argv, doc):
     return code, capsys.readouterr().out
 
 
+def test_seed_reaches_only_inclusion_info(monkeypatch, capsys):
+    # teleport certificates sample nothing, so two seeds differ only in the
+    # recorded seed; no call writes the process-global sampling seed
+    from opteleport import linalg as la
+
+    before = la.rng_from(None).random()
+    doc = {"ambient_dim": 2, "N_blocks": [[1, 2]]}
+    certs = []
+    for seed in ("1", "2"):
+        code, out = run_in_process(monkeypatch, capsys, ["--seed", seed, "teleport", "-", "--scheme", "standard"], doc)
+        assert code == 0
+        certs.append(json.loads(out))
+    assert [c.pop("seed") for c in certs] == [1, 2]
+    assert certs[0] == certs[1]
+    assert run_in_process(monkeypatch, capsys, ["--seed", "7", "inclusion-info", "-"], doc)[0] == 0
+    assert la.rng_from(None).random() == before
+
+
 def test_main_builds_its_parsers_once(monkeypatch, capsys):
     import argparse
 

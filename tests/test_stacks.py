@@ -118,7 +118,7 @@ def test_superoperator_maps_stacks_elementwise():
         calls.append(x.shape)
         return v @ x @ la.dagger(v)
 
-    plain = Superoperator(alg, alg, conjugate, ad_unitary=v)
+    plain = Superoperator(alg, alg, conjugate)
     witnessed = Superoperator.conjugation(v, alg)
     expect = conditional_expectation_onto(alg.center, alg, Trace.normalized(alg))
     for op in (plain, witnessed, expect):

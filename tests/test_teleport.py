@@ -158,17 +158,16 @@ def test_bimodule_fallback_needs_shared_central_projections():
     assert 1e-3 < bimod.residual < float("inf") and bimod.detail is None
 
 
-def test_bimodule_check_fails_a_channel_that_disagrees_with_its_witness():
-    # the witness of channel 0 lies in Alice', but the map applies another correction
+def test_only_a_conjugation_carries_a_witness():
+    # the witness is fixed by the constructor, so no map can disagree with it
     s = standard_scheme(2)
     amb = s.context.ambient
-    v, w = s.channels[0].ad_unitary, s.channels[1].ad_unitary
-    s.channels[0] = Superoperator(amb, amb, lambda x: w @ x @ la.dagger(w), ad_unitary=v)
-    rep = verify_scheme(s, strict=False)
-    bimod = next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
-    assert not bimod.passed and 1e-3 < bimod.residual < float("inf")
-    with pytest.raises(SchemeError, match="channels_alice_bimodule_sampled"):
-        verify_scheme(s)
+    v = s.channels[1].ad_unitary
+    with pytest.raises(TypeError):
+        Superoperator(amb, amb, lambda x: v @ x @ la.dagger(v), ad_unitary=v)
+    with pytest.raises(AttributeError):
+        s.channels[0].ad_unitary = v
+    assert Superoperator(amb, amb, lambda x: x).ad_unitary is None
 
 
 def _without_witness(s, unitaries):
@@ -186,12 +185,12 @@ def _without_witness(s, unitaries):
     return calls
 
 
-def test_channels_without_witness_are_sampled():
+def test_channels_without_witness_are_judged_on_their_choi_range():
     s = standard_scheme(2)
     calls = _without_witness(s, [ch.ad_unitary for ch in s.channels])
     rep = verify_scheme(s)
     assert rep.passed
-    # the sampled triples, like every other stack, reach such a map one matrix at a time
+    # the Choi matrix, like every stack, reaches such a map one matrix at a time
     assert set(calls) == {(8, 8)}
     flip = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
     _without_witness(s, [flip @ ch.ad_unitary for ch in standard_scheme(2).channels])
@@ -729,6 +728,124 @@ def test_cross_check_fails_on_wrong_expectation(monkeypatch):
     assert not check().passed
 
 
+@pytest.mark.parametrize("key", sorted(WORKLOAD_SCHEMES))
+@pytest.mark.parametrize("scale", [1.0, 1.01])
+def test_exact_cross_check_bounds_sampled_densities(key, scale, monkeypatch):
+    # the exact value is the supremum over all densities, so it bounds any
+    # sample, on the schemes as built and with a wrong expectation
+    s = WORKLOAD_SCHEMES[key]()
+    exact = s.context.expectation
+    monkeypatch.setattr(s.context, "expectation", lambda x: scale * exact(x))
+    flags = classify(s)
+    bound = next(c for c in flags.report.checks if c.name == "density_reduction_cross_check").residual
+    gs = s.context.expectation(s.omega @ np.stack(s.povm))
+    lhs_rows, rhs_rows, norm_row = _cross_check_rows(s, gs)
+    rng = np.random.default_rng(17)
+    rhos = []
+    for _ in range(200):
+        corners = []
+        for d, _ in s.context.teleported.blocks:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            corners.append((g @ g.conj().T).ravel() * rng.integers(0, 2))
+        rhos.append(np.concatenate(corners))
+    rhos = np.array([r for r in rhos if np.any(r)])
+    rhos /= (rhos @ norm_row).real[:, None]
+    lhs = rhos @ lhs_rows.T
+    sampled = np.max(np.abs(lhs - rhos @ rhs_rows.T))
+    if flags.unbiased:
+        sampled = max(sampled, np.max(np.abs(lhs - 1 / s.outcomes)))
+    assert sampled <= bound * (1 + 1e-9) + 1e-15
+    assert (bound < 1e-13) if scale == 1.0 else (bound > 1e-3)
+
+
+def _bimodule(rep):
+    return next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
+
+
+def _flipped_standard_2():
+    # corrections that also flip Alice's first leg: Ad v with v outside Alice'
+    s = standard_scheme(2)
+    flip = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+    s.channels = [Superoperator.conjugation(flip @ ch.ad_unitary, s.context.ambient) for ch in s.channels]
+    return s
+
+
+TWINS = {
+    "standard_2": lambda: standard_scheme(2),
+    "flipped_standard_2": _flipped_standard_2,
+    "werner_D2": _werner_d2,
+    "direct_sum_1_2": WORKLOAD_SCHEMES["direct_sum_1_2"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(TWINS))
+def test_channels_without_witness_get_the_verdict_of_their_witnessed_twins(key):
+    s = TWINS[key]()
+    want = _bimodule(verify_scheme(s, strict=False))
+    _without_witness(s, [ch.ad_unitary for ch in s.channels])
+    got = _bimodule(verify_scheme(s, strict=False))
+    assert got.passed == want.passed
+    if got.passed:
+        assert got.residual < 1e-13
+    else:
+        # a full ambient: the Choi range of Ad v is [v], at the witness's distance
+        assert s.context.ambient.dim == s.context.ambient.ambient_dim ** 2
+        assert got.residual == pytest.approx(want.residual, rel=1e-12) == 2 * np.sqrt(2)
+
+
+def test_bimodule_check_reads_every_kraus_operator_of_a_mixture():
+    s = standard_scheme(2)
+    amb = s.context.ambient
+    v, w = s.channels[0].ad_unitary, s.channels[1].ad_unitary
+    flip = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+
+    def mixture(a, b):
+        return Superoperator(amb, amb, lambda x: (a @ x @ la.dagger(a) + b @ x @ la.dagger(b)) / 2, stacks=True)
+
+    s.channels[0] = mixture(v, w)
+    check = _bimodule(verify_scheme(s, strict=False))
+    assert check.passed and check.residual < 1e-14
+    # half of the Choi matrix lies outside Alice', at 1/2 * sqrt(8) * sqrt(8) / sqrt(8)
+    s.channels[0] = mixture(v, flip @ w)
+    check = _bimodule(verify_scheme(s, strict=False))
+    assert not check.passed and check.residual == pytest.approx(np.sqrt(2), rel=1e-12)
+    with pytest.raises(SchemeError, match="channels_alice_bimodule_sampled"):
+        verify_scheme(s)
+
+
+def test_resource_outside_the_teleported_commutant_fails():
+    # (1 - eps) omega + eps (1 + sigma_x (x) 1 (x) 1) is still a density, at
+    # distance eps ||sigma_x (x) 1_4||_F = eps sqrt(8) from teleported'
+    s = standard_scheme(2)
+    eps = 1e-6
+    sigma = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+    s.omega = (1 - eps) * s.omega + eps * (la.eye(8) + sigma)
+    rep = verify_scheme(s, strict=False)
+    assert [c.name for c in rep.failures()] == ["resource_commutes_with_teleported", "teleportation_identity"]
+    assert rep.failures()[0].residual == pytest.approx(eps * np.sqrt(8), rel=1e-9)
+    with pytest.raises(SchemeError, match="resource_commutes_with_teleported"):
+        verify_scheme(s)
+
+
+def test_scheme_reports_read_no_global_seed():
+    def reports():
+        s = standard_scheme(2)
+        _without_witness(s, [ch.ad_unitary for ch in s.channels])
+        t, b = tower_basis("diagonal_in_full_3", lambda: shift_basis(3))
+        u = unbiased_scheme(t, b)
+        out = [verify_scheme(s), classify(s).report, verify_scheme(u), classify(u).report]
+        return out + [correction_unitaries(t, b)[1]]
+
+    got = []
+    try:
+        for seed in (1, 2):
+            la.set_default_seed(seed)
+            got.append(reports())
+    finally:
+        la.set_default_seed(la.DEFAULT_SEED)
+    assert got[0] == got[1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_standard_scheme_matches_tensor_picture_witnesses(n):
     # Werner's tensor picture written out by hand: the resource
@@ -1012,7 +1129,7 @@ def test_verify_scheme_applies_each_channel_once_to_a_stack():
                 stacks.append(len(x))
             return v @ x @ la.dagger(v)
 
-        return Superoperator(amb, amb, apply, ad_unitary=v, stacks=True)
+        return Superoperator(amb, amb, apply, stacks=True)
 
     s.channels = [channel(ch.ad_unitary) for ch in s.channels]
     assert verify_scheme(s).passed
