@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
+from .algebra import _frame_distance
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .reporting import Report
@@ -251,9 +252,8 @@ def kraus_decomposition(
         raise PreconditionError("x1 must be positive semidefinite")
     if not tower.level1.contains(x1, tol):
         raise PreconditionError("x1 must lie in the first tower algebra")
-    for b in tower.n_rep.basis:
-        if la.frobenius_distance(x1 @ b, b @ x1) > tol.bound(float(np.linalg.norm(x1))):
-            raise PreconditionError("x1 must commute with N")
+    if _frame_distance(tower.n_rep, x1, commutant=True) > tol.bound(float(np.linalg.norm(x1))):
+        raise PreconditionError("x1 must commute with N")
     root = la.matrix_sqrt(x1, tol)
     idx = inc.index
     exp_m = tower.expect_onto_m

@@ -326,29 +326,22 @@ def product_span(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     return span_onb(prods, tol)
 
 
-def intertwiner_spaces(
-    a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> list[list[np.ndarray]]:
-    """HS-orthonormal bases of {X : X a[p] = b[c, p] X for every p}, one for
-    each c, for ``a`` of shape (P, d, d) and ``b`` of shape (C, P, d, d): the
-    C systems are solved by one batched SVD."""
-    dim = a.shape[-1]
-    ident = eye(dim)
-    # row-major vec: row (i, j) of X a - b X holds a_lj at X_il and -b_ik at X_kj
-    system = np.einsum("ik,plj->pijkl", ident, a) - np.einsum("cpik,jl->cpijkl", b, ident)
-    vecs = nullspaces(system.reshape(len(b), -1, dim * dim), tol)
-    return [[v.reshape(dim, dim) for v in sols] for sols in vecs]
-
-
 def generic_invertible(
     basis: Sequence[np.ndarray], rng: np.random.Generator | int | None = None
 ) -> np.ndarray | None:
-    """Seeded random combination of ``basis``, normalised, with smallest
-    singular value above 1e-6; ``None`` when none of eight draws has one."""
+    """The HS projection onto the span of ``basis``, an HS-orthonormal
+    stack, of a complex Gaussian matrix G drawn from ``rng``:
+    sum_m <m, G> m, which depends on the span and not on the basis chosen
+    for it.  Normalised, and accepted when its smallest singular value is
+    above 1e-6; ``None`` for an empty basis or when none of eight draws
+    passes."""
+    if len(basis) == 0:
+        return None
+    onb = np.asarray(basis)
     rng = rng_from(rng)
     for _ in range(_INVERTIBLE_DRAWS):
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        cand = sum(c * m for c, m in zip(coeffs, basis))
+        g = rng.standard_normal(onb.shape[1:]) + 1j * rng.standard_normal(onb.shape[1:])
+        cand = span_project(onb, g)
         cand = cand / max(np.linalg.norm(cand), 1e-30)
         if np.linalg.svd(cand, compute_uv=False)[-1] > _INVERTIBLE_GATE:
             return cand

@@ -24,6 +24,7 @@ scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -517,9 +518,9 @@ def correction_unitaries(t: Tower, basis: PimsnerPopaBasis) -> tuple[list[np.nda
         float(t.level2.membership_residual(stack).max()),
         tol.bound(1.0) * t.level2.dim,
     )
-    # shift over the basis of N' ∩ M once, and over the u_i x u_i* one u_i at a
-    # time, so that no stack holds more level-two operators than that basis
-    rc = t.rel_comm.basis
+    # Ad v_i o shift and shift o Ad u_i are *-homomorphisms, so they agree once they
+    # agree on the column units of N' ∩ M, shifted once and conjugated one u_i at a time
+    rc = _generators(t.rel_comm)
     shifted = t.shift(rc)
     rep.add(
         "corrections_conjugate_shift",
@@ -706,12 +707,12 @@ def _far_leg_images(
     channels: list[Superoperator], nprime: StarAlgebra
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each channel T on the lifted basis 1 (x) a of N', 1 = 1_{n^2}, applied
-    once as one stacked call and kept in two parts: the n x n partial traces
+    once as one stacked call, in the two parts that the round trip of
+    :func:`extract_tight_scheme` reads: the n x n partial traces
     r_a = Tr_01(T(1 (x) a)) / n^2, so that 1 (x) r_a is the HS projection of
     T(1 (x) a) onto 1 (x) M_n, and the squared Frobenius norms of what that
     projection leaves out.  No stack of full images outlives its channel;
-    the parts come back stacked over channels, (k, dim N', n, n) and
-    (k, dim N')."""
+    the parts are stacked over channels, (k, dim N', n, n) and (k, dim N')."""
     n = nprime.ambient_dim
     far = nprime.basis
     lifted = la.kron(la.eye(n * n), far)
@@ -724,31 +725,30 @@ def _far_leg_images(
     return np.stack(parts), np.stack(outside)
 
 
-def _far_leg_unitaries(
-    far: np.ndarray, parts: np.ndarray, dim_n: int, tol: Tolerance
+def _leg_unitaries(
+    a: np.ndarray, bs: np.ndarray, leg: int, names: list[str], dim: int, tol: Tolerance
 ) -> np.ndarray:
-    """Per channel, a unitary u with u a u* = r_a for every a in the basis
-    ``far`` of N', given the partial traces r_a of :func:`_far_leg_images`,
-    from the intertwiner space of those pairs, which must have dimension
-    ``dim_n`` = dim N; the unitaries come back as one stack.  The
-    intertwiner systems of all channels are solved by one batched SVD, and
-    the polar parts taken by another."""
+    """Per b of the stack ``bs``, the polar part of a generic invertible X
+    with L(X) a = b L(X), L(X) = X (x) 1 on ``leg`` 0 and 1 (x) X on ``leg`` 1
+    of C^n (x) C^n.  The systems, with columns L(E) a - b L(E) over the
+    matrix units E, are solved by one batched SVD; a solution space not of
+    dimension ``dim`` raises :class:`ExtractionError` with its ``names``
+    entry.  X is :func:`la.generic_invertible` at a fixed seed, so it
+    depends on the space alone."""
+    n = math.isqrt(len(a))
+    units = la.eye(n * n).reshape(-1, n, n)
+    lifted = la.kron(units, la.eye(n)) if leg == 0 else la.kron(la.eye(n), units)
+    systems = lifted @ a - bs[:, None] @ lifted
+    spaces = la.nullspaces(systems.reshape(len(bs), n * n, -1).transpose(0, 2, 1), tol)
     cands = []
-    for i, sols in enumerate(la.intertwiner_spaces(far, parts, tol)):
-        if len(sols) != dim_n:
-            raise ExtractionError(
-                f"channel {i}: intertwiner space has dimension {len(sols)}, expected {dim_n}"
-            )
-        cand = la.generic_invertible(sols, la.rng_from(DEFAULT_SEED + i))
+    for i, (name, sols) in enumerate(zip(names, spaces)):
+        if len(sols) != dim:
+            raise ExtractionError(f"{name}: intertwiner space has dimension {len(sols)}, expected {dim}")
+        cand = la.generic_invertible([v.reshape(n, n) for v in sols], DEFAULT_SEED + i)
         if cand is None:
-            raise ExtractionError(f"channel {i}: no invertible intertwiner found")
+            raise ExtractionError(f"{name}: no invertible intertwiner")
         cands.append(cand)
-    units = la.polar_unitary(np.stack(cands))
-    moved = units[:, None] @ far @ la.dagger(units)[:, None]
-    for i, resid in enumerate(np.max(la.frobenius_norms(moved - parts), axis=1)):
-        if resid > tol.bound(1.0) * 100:
-            raise ExtractionError(f"channel {i} is not implemented by a unitary ({resid:.2e})")
-    return units
+    return la.polar_unitary(np.stack(cands))
 
 
 def extract_tight_scheme(
@@ -756,15 +756,19 @@ def extract_tight_scheme(
 ) -> tuple[PimsnerPopaBasis, np.ndarray, np.ndarray, Report]:
     """Recover (basis, u, z) from a tight, minimal, faithful scheme for N'.
 
-    The central element is the one-leg slice of the resource, correction
-    unitaries come from intertwiner spaces of the channels (fixed up to a
-    right unitary of N, then gauged against the POVM, every outcome at
-    once), and the dressing unitary is solved linearly from the undressed
-    resource.  The contract is the round trip: the resource, the POVM and
-    the corrections rebuilt from the extracted triple must reproduce the
-    scheme's, the channels compared on the basis 1 (x) b / n of Bob from
-    the images that the intertwiners were read from, each channel applied
-    once.  The extracted family must pass :func:`bases._require_normaliser_basis`.
+    z is the one-leg slice of the resource, and u solves
+    (1 (x) X) undressed = e (1 (x) X) on the undressed resource, e the Jones
+    projection of N.  The corrections are read off the POVM: the X with
+    (X (x) 1) e = f_i (X (x) 1) form u_i* u N, so with x_i the polar part of
+    a generic invertible one, u_i = u x_i* is fixed up to a unitary of N on
+    the left, which leaves Ad(1 (x) 1 (x) u_i) on N' as it is.  Each solve
+    is one :func:`_leg_unitaries` call, and the triple depends on the
+    scheme alone, not on rounding.  The contract is the round trip: the
+    resource, the POVM and the corrections rebuilt from the triple must
+    reproduce the scheme's; only there is a channel compared with
+    Ad(1 (x) 1 (x) u_i), on Bob's basis 1 (x) b / n (:func:`_far_leg_images`),
+    and a failure names the channels over the bound.  The extracted family
+    must pass :func:`bases._require_normaliser_basis`.
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused, and its flags
@@ -779,7 +783,8 @@ def extract_tight_scheme(
     if len(scheme.channels) != scheme.outcomes:
         raise PreconditionError("extraction expects one correction channel per outcome")
     small = inc.small
-    flipped = np.swapaxes(small.basis, -1, -2)
+    # the transpose is a *-anti-automorphism: N is closed under it once its column units are
+    flipped = np.swapaxes(_generators(small), -1, -2)
     if np.max(small.membership_residual(flipped)) > tol.bound(1.0) * 10:
         raise HypothesisError("N must be transpose-closed (block-adapted position)")
     flag, _ = commutant_trace_is_markov(inc)
@@ -790,9 +795,8 @@ def extract_tight_scheme(
         raise PreconditionError("extraction requires a tight, minimal, faithful scheme")
 
     rep = Report()
-    dims = [n, n, n]
     omega = scheme.omega
-    omega_small = la.partial_trace(omega, dims, {0}, normalise=True)
+    omega_small = la.partial_trace(omega, [n, n, n], {0}, normalise=True)
     rep.add(
         "resource_has_trivial_first_leg",
         la.frobenius_distance(omega, la.kron(la.eye(n), omega_small)),
@@ -800,39 +804,22 @@ def extract_tight_scheme(
     )
     z = la.partial_trace(omega_small, [n, n], {0}, normalise=True)
     z = (z + la.dagger(z)) / 2
-    centre = small.center
-    rep.add("central_slice_in_centre", centre.membership_residual(z), tol.bound(1.0) * 10)
+    rep.add("central_slice_in_centre", small.center.membership_residual(z), tol.bound(1.0) * 10)
     zvals = np.linalg.eigvalsh(z)
     rep.add_flag("central_slice_invertible", bool(zvals.min() > 1e-8), detail=f"min eig {zvals.min():.2e}")
     rep.add("central_slice_normalised", abs(np.trace(z).real / n - 1.0), tol.bound(1.0) * 10)
     if not rep.passed:
         raise ExtractionError("resource does not have the rigid form")
 
-    nprime = small.commutant
-    far = nprime.basis
     e = concrete_jones_projection(small)
-    idx = inc.index
-
     t = scheme.tower
     if t is None or t.inclusion is not inc:
         t = basic_construction(inc)
-    parts, outside = _far_leg_images(scheme.channels, nprime)
-    raw_units = _far_leg_unitaries(far, parts, small.dim, tol)
 
     # dressing unitary from the undressed resource
-    inv_root = np.linalg.inv(la.matrix_sqrt(z, tol))
-    dress_inv = la.kron(la.eye(n), inv_root)
-    undressed = dress_inv @ omega_small @ dress_inv / idx
-    # columns (1 (x) E_ab) undressed - e (1 (x) E_ab) for the matrix units E_ab, a-major
-    units = la.kron(la.eye(n), la.eye(n * n).reshape(-1, n, n))
-    sols = la.nullspace((units @ undressed - e @ units).reshape(n * n, -1).T, tol)
-    mats = [v.reshape(n, n) for v in sols]
-    if len(mats) != small.dim:
-        raise ExtractionError(f"dressing solution space has dimension {len(mats)}, expected {small.dim}")
-    cand = la.generic_invertible(mats, la.rng_from(DEFAULT_SEED + 101))
-    if cand is None:
-        raise ExtractionError("no invertible dressing solution")
-    u = la.dagger(la.polar_unitary(cand))
+    dress_inv = la.kron(la.eye(n), np.linalg.inv(la.matrix_sqrt(z, tol)))
+    undressed = dress_inv @ omega_small @ dress_inv / inc.index
+    u = la.dagger(_leg_unitaries(undressed, e[None], 1, ["dressing"], small.dim, tol)[0])
     rebuilt_small = _tight_resource(inc, e, u, z)
     rep.add(
         "resource_round_trip",
@@ -840,7 +827,7 @@ def extract_tight_scheme(
         tol.bound(float(np.linalg.norm(omega_small))) * 10,
     )
 
-    # gauge-fix the correction unitaries against the POVM, every outcome at once
+    # correction unitaries from the POVM, every outcome at once
     ident = la.eye(n)
     povm = np.stack(scheme.povm)
     k = len(povm)
@@ -848,27 +835,10 @@ def extract_tight_scheme(
     third_legs = la.frobenius_norms(povm - la.kron(f_small, ident))
     for i, (f, gap) in enumerate(zip(povm, third_legs)):
         rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(np.linalg.norm(f))))
-    lifted_n = la.kron(small.basis, ident)
-    h = _entangled_projections(e, raw_units, u)
-    systems = lifted_n @ h[:, None] - f_small[:, None] @ lifted_n
-    cands = []
-    gauges = la.nullspaces(systems.reshape(k, small.dim, -1).transpose(0, 2, 1), tol)
-    for i, gauge_vecs in enumerate(gauges):
-        gauge_mats = [np.tensordot(v, small.basis, axes=(0, 0)) for v in gauge_vecs]
-        cand = la.generic_invertible(gauge_mats, la.rng_from(DEFAULT_SEED + 202 + i))
-        if cand is None:
-            raise ExtractionError(f"outcome {i}: no invertible gauge element")
-        cands.append(cand)
-    cands = np.stack(cands)
-    vals, vecs = np.linalg.eigh(la.dagger(cands) @ cands)
-    inv_half = (vecs / np.sqrt(np.clip(vals, 1e-30, None))[:, None, :]) @ la.dagger(vecs)
-    c_u = cands @ inv_half
-    for i, resid in enumerate(small.membership_residual(c_u)):
-        if resid > tol.bound(1.0) * 100:
-            raise ExtractionError(f"outcome {i}: gauge correction left N")
-    fixed_units = raw_units @ la.dagger(c_u)
+    outcomes = [f"outcome {i}" for i in range(k)]
+    units = u @ la.dagger(_leg_unitaries(e, f_small, 0, outcomes, small.dim, tol))
 
-    basis = PimsnerPopaBasis(inc, list(fixed_units))
+    basis = PimsnerPopaBasis(inc, list(units))
     try:
         _require_normaliser_basis(t, basis)
     except PreconditionError as exc:
@@ -882,19 +852,19 @@ def extract_tight_scheme(
         la.frobenius_distance(la.kron(ident, rebuilt_small), scheme.omega),
         trip * max(1.0, float(np.linalg.norm(scheme.omega))),
     )
-    rebuilt_povm = la.kron(_entangled_projections(e, fixed_units, u), ident)
+    rebuilt_povm = la.kron(_entangled_projections(e, units, u), ident)
     rep.add("round_trip_povm", float(np.max(la.frobenius_norms(rebuilt_povm - povm))), trip)
     # On Bob's basis 1 (x) b / n, Ad(1 (x) u_i) gives 1 (x) u_i b u_i* / n,
     # and T_i gives (1 (x) r_b + q_b) / n with r_b the partial trace of
     # T_i(1 (x) b) and q_b orthogonal to 1 (x) M_n, so the distance of the
-    # two is sqrt(||r_b - u_i b u_i*||^2 + ||q_b||^2 / n^2): a sum of squares,
-    # read off the images taken once for the intertwiners.
-    moved = fixed_units[:, None] @ far @ la.dagger(fixed_units)[:, None]
-    gaps = np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n))
-    chan = float(np.max(gaps))
-    rep.add("round_trip_channels", chan, trip)
+    # two is sqrt(||r_b - u_i b u_i*||^2 + ||q_b||^2 / n^2): a sum of squares.
+    nprime = small.commutant
+    parts, outside = _far_leg_images(scheme.channels, nprime)
+    moved = units[:, None] @ nprime.basis @ la.dagger(units)[:, None]
+    gaps = np.max(np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n)), axis=1)
+    rep.add("round_trip_channels", float(np.max(gaps)), trip)
     if not rep.passed:
-        raise ExtractionError(
-            "round trip failed: " + ", ".join(c.name for c in rep.failures())
-        )
+        failed = ", ".join(c.name for c in rep.failures())
+        over = ", ".join(str(i) for i in np.flatnonzero(gaps > trip))
+        raise ExtractionError(f"round trip failed: {failed}" + (f" (channels {over})" if over else ""))
     return basis, u, z, rep

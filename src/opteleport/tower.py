@@ -36,6 +36,7 @@ from .algebra import (
     _frame_distance,
     _frame_from,
     _from_corners,
+    _generators,
     _layout_distance,
     _unit_to_hermitian,
     conditional_expectation_onto,
@@ -135,16 +136,14 @@ class GnsSpace:
         transpose of :meth:`left` here."""
         return self.left(x).swapaxes(-1, -2)
 
-    def act(self, xs: np.ndarray, v: np.ndarray, units: bool = False) -> np.ndarray:
+    def act(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """left(x) @ v for every x of the stack xs, as a (len(xs), dim, r) stack.
 
         On the unit coordinates V* v each corner xbar_j acts on the first leg
         of block j; V carries the result back.  No dim x dim operator is formed.
-        With ``units``, v and the result are in unit coordinates (:meth:`to_units`).
         """
-        u = v if units else _apply(self._v_star, v)
-        out = self._act_corners(_corners(self.algebra, xs), u)
-        return out if units else _apply(self._v, out, axis=1)
+        out = self._act_corners(_corners(self.algebra, xs), _apply(self._v_star, v))
+        return _apply(self._v, out, axis=1)
 
     def _act_corners(self, corners: list[np.ndarray], u: np.ndarray) -> np.ndarray:
         """:meth:`act` in unit coordinates, for the stacked corners of the xs."""
@@ -499,8 +498,7 @@ def verify_tower(t: Tower, deep: bool = True) -> Report:
     rng = la.rng_from(_PAIR_SEED + 1)
     a, x, b = (alg.random_hermitian(rng, 6) for alg in (inc.small, inc.big, inc.small))
     rep.add("expectation_bimodule", _largest(exp(a @ x @ b) - a @ exp(x) @ b), tol.bound(1.0) * 10)
-    small = t.n_rep.basis
-    rep.add("jones1_commutes_with_small", _largest(e1 @ small - small @ e1), tol.bound(1.0))
+    rep.add("jones1_commutes_with_small", _frame_distance(t.n_rep, e1, commutant=True), tol.bound(1.0))
     rep.add("jones1_conjugation_invariant", la.frobenius_distance(np.conj(e1), e1), tol.bound(1.0))
 
     rep.merge(_level1_span_report(t, tol, images, ranged))
@@ -618,7 +616,7 @@ def _jones2_commutation_residual(gns: GnsSpace, p: np.ndarray, images: np.ndarra
     which is sqrt(2) ||(1 - e) b e||_F, read in unit coordinates where V* P is
     again an isometry."""
     pu = gns.to_units(p)
-    lifted = gns.act(images, pu, units=True)
+    lifted = gns._act_corners(_corners(gns.algebra, images), pu)
     return np.sqrt(2.0) * _largest(lifted - pu @ (la.dagger(pu) @ lifted))
 
 
@@ -866,9 +864,9 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     for u in us:
         if not la.is_unitary(u, tol) or not big.contains(u, tol):
             raise NormaliserError("normaliser candidates must be unitaries in M")
-    # the unitaries broadcast against a stack of elements: (len(us), 1, n, n)
+    # (len(us), 1, n, n) stacks broadcast against N's column units, which Ad u* must keep in N
     u_star, u_col = la.dagger(us)[:, None], us[:, None]
-    conj = u_star @ small.basis @ u_col
+    conj = u_star @ _generators(small) @ u_col
     conj_stable = np.all(small.membership_residual(conj) <= tol.bound(la.frobenius_norms(conj)), axis=1)
     xs = big.random_hermitian(la.rng_from(_PAIR_SEED + 5), 6)
     lhs = u_star @ exp(xs) @ u_col

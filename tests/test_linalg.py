@@ -216,18 +216,6 @@ def test_max_entangled_vector():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_intertwiner_space_recovers_conjugation():
-    rng = np.random.default_rng(8)
-    u = la.random_unitary(3, rng)
-    basis = [la.random_hermitian(3, rng) for _ in range(9)]
-    a = np.stack(basis)
-    sols = la.intertwiner_spaces(a, (u @ a @ la.dagger(u))[None])[0]
-    assert len(sols) == 1
-    w = la.polar_unitary(sols[0])
-    # implements the same conjugation, so w differs from u by a phase
-    assert abs(abs(np.trace(la.dagger(w) @ u)) - 3) < 1e-9
-
-
 def test_generic_invertible_finds_candidate():
     basis = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
     cand = la.generic_invertible(basis, 3)
@@ -236,3 +224,17 @@ def test_generic_invertible_finds_candidate():
     # a span of singular matrices yields None
     nil = np.array([[0, 1], [0, 0]], dtype=complex)
     assert la.generic_invertible([nil], 3) is None
+    # and so does the empty span
+    assert la.generic_invertible([], 3) is None
+
+
+def test_generic_invertible_depends_on_the_span_only():
+    # two orthonormal bases of one span, related by a unitary mixing, give
+    # the same projection of the same Gaussian draw
+    rng = np.random.default_rng(4)
+    onb = la.span_onb([la.random_hermitian(3, rng) for _ in range(4)])
+    mix = la.random_unitary(4, rng)
+    other = np.tensordot(mix, onb, axes=1)
+    want = la.generic_invertible(list(onb), 9)
+    assert la.frobenius_distance(la.generic_invertible(list(other), 9), want) < 1e-12
+    assert la.frobenius_distance(la.span_project(onb, want), want) < 1e-12

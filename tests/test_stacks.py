@@ -130,42 +130,6 @@ def test_superoperator_maps_stacks_elementwise():
     assert set(calls) == {(alg.ambient_dim, alg.ambient_dim)}
 
 
-def test_intertwiner_space_solves_the_system():
-    rng = np.random.default_rng(10)
-    u = haar_unitary(3, 11)
-    a = np.stack([la.random_hermitian(3, rng) for _ in range(3)])
-    b = u @ a @ la.dagger(u)
-    sols = la.intertwiner_spaces(a, b[None])[0]
-    assert len(sols) == 1
-    x = sols[0]
-    assert np.max(la.frobenius_norms(x @ a - b @ x)) < 1e-12
-    assert la.frobenius_distance(x @ la.dagger(x), la.eye(3) / 3) < 1e-12
-
-
-def test_intertwiner_spaces_solve_each_system_as_a_single_call():
-    rng = np.random.default_rng(12)
-    a = np.stack([la.random_hermitian(3, rng) for _ in range(3)])
-    us = [haar_unitary(3, 13), la.eye(3), haar_unitary(3, 14)]
-    bs = np.stack([u @ a @ la.dagger(u) for u in us])
-    bs[1, 0] += la.eye(3)  # breaks one pair: that system has no solution but 0
-    got = la.intertwiner_spaces(a, bs)
-    # oracle, one system at a time: X a = b X reads (1 (x) a^T - b (x) 1) vec(X) = 0,
-    # vec row-major
-    ident = la.eye(3)
-    want = [
-        la.nullspace(np.vstack([la.kron(ident, p.T) - la.kron(q, ident) for p, q in zip(a, b)]))
-        for b in bs
-    ]
-    assert [len(g) for g in got] == [len(w) for w in want] == [1, 0, 1]
-
-    def projection(sols):
-        flat = np.reshape(sols, (-1, 9))
-        return flat.T @ flat.conj()
-
-    for g, w in zip(got, want):  # equal solution spaces: equal projections onto them
-        assert np.max(np.abs(projection(g) - projection(w))) < 1e-12
-
-
 def test_nullspaces_match_nullspace():
     rng = np.random.default_rng(15)
     stack = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))

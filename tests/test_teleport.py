@@ -956,17 +956,53 @@ def test_bimodule_check_fails_when_one_witness_of_the_stack_leaves_alice_commuta
         verify_scheme(s)
 
 
-def test_extraction_names_the_middle_channel_with_the_wrong_intertwiner_dimension():
-    # a depolarising correction commutes with no unitary: its intertwiner
-    # space is {0}, where the other three channels have dimension dim N = 1
+def test_extraction_round_trip_names_the_depolarised_middle_channel():
+    # a depolarising correction is no conjugation: the POVM still gives a
+    # basis, and the round trip compares each channel with its correction
     s = standard_scheme(2)
     amb = s.context.ambient
     dim = amb.ambient_dim
     s.channels[2] = Superoperator(
         amb, amb, lambda x: 0.5 * x + 0.5 * np.trace(x) / dim * np.eye(dim, dtype=complex)
     )
-    with pytest.raises(ExtractionError, match=r"^channel 2: intertwiner space has dimension 0, expected 1$"):
+    with pytest.raises(ExtractionError, match=r"^round trip failed: round_trip_channels \(channels 2\)$"):
         extract_tight_scheme(s)
+
+
+def test_extraction_names_the_outcome_whose_povm_element_is_not_entangled():
+    # the projection onto cos t |00> + sin t |11>, t = 0.6, passes classify,
+    # but no (X (x) 1) carries e onto it: its intertwiner space is {0}
+    s = standard_scheme(2)
+    psi = np.zeros(4, dtype=complex)
+    psi[[0, 3]] = np.cos(0.6), np.sin(0.6)
+    s.povm[1] = la.kron(np.outer(psi, psi.conj()), la.eye(2))
+    flags = classify(s)
+    assert flags.tight and flags.minimal and flags.faithful
+    with pytest.raises(ExtractionError, match=r"^outcome 1: intertwiner space has dimension 0, expected 1$"):
+        extract_tight_scheme(s)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: standard_scheme(2), lambda: standard_scheme(3), _werner_d2],
+    ids=["standard_2", "standard_3", "werner_D2"],
+)
+def test_extraction_is_stable_under_rounding_noise(make):
+    # the generic intertwiners depend on their solution spaces only, so the
+    # null-space bases the SVD picks under 1e-15 noise do not move the result
+    rng = np.random.default_rng(5)
+
+    def noise(x):
+        g = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        return x + 1e-15 * (g + la.dagger(g)) / 2
+
+    basis, u, _, _ = extract_tight_scheme(make())
+    s = make()
+    s.omega, s.povm = noise(s.omega), [noise(f) for f in s.povm]
+    basis2, u2, _, rep = extract_tight_scheme(s)
+    assert rep.passed
+    assert np.max(np.abs(np.stack(basis.elements) - np.stack(basis2.elements))) < 1e-10
+    assert np.max(np.abs(u - u2)) < 1e-10
 
 
 def test_extraction_rejects_a_resource_with_a_perturbed_first_leg():
