@@ -214,10 +214,6 @@ class StarAlgebra:
         """
         return self.image(lambda x: phi(la.dagger(x)), ambient_dim)
 
-    def conjugate_entrywise(self) -> "StarAlgebra":
-        """The algebra {conj(x)} — conjugation by the canonical J in GNS coordinates."""
-        return StarAlgebra(self.ambient_dim, self.blocks, [np.conj(w) for w in self.frames])
-
     # -- derived structure ---------------------------------------------------
 
     @cached_property
@@ -467,34 +463,6 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def _unit_to_hermitian(dims: Sequence[int]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The change of basis V from matrix units to ``basis`` order on blocks of
-    sizes ``dims``, and its inverse V*, each as ``(cols, coef)``: row k holds
-    coef[k, i] at column cols[k, i] for i = 0, 1 and is zero elsewhere.
-
-    V is block-diagonal.  On a block of size d, column (a, b), a-major, holds
-    the coordinates of f_ab against the Hermitian elements that
-    :attr:`StarAlgebra.basis` builds for that block, in its order: the d
-    diagonal units, then for each a < b the symmetric and the antisymmetric
-    combination.  Both systems are orthonormal once rescaled by the same
-    factor, so V is unitary.
-    """
-    size = sum(d * d for d in dims)
-    cols, coef = np.zeros((size, 2), dtype=int), np.zeros((size, 2), dtype=complex)
-    root, o = 1 / np.sqrt(2.0), 0
-    for d in dims:
-        a, b = _upper_pairs(d)
-        rows = o + d + 2 * np.arange(len(a))
-        cols[o : o + d], coef[o : o + d, 0] = (o + np.arange(d) * (d + 1))[:, None], 1.0
-        cols[rows] = cols[rows + 1] = np.stack([o + a * d + b, o + b * d + a], axis=1)
-        coef[rows], coef[rows + 1] = root, [-1j * root, 1j * root]
-        o += d * d
-    # every column of V holds two of the entries (a zero for a diagonal unit):
-    # gathered by column and conjugated they are the rows of V*
-    order = np.argsort(cols.ravel(), kind="stable")
-    return (cols, coef), ((order // 2).reshape(-1, 2), np.conj(coef.ravel()[order]).reshape(-1, 2))
-
-
 def _column_units(w: np.ndarray, d: int) -> np.ndarray:
     """The matrix units f_{a0}, a < d, of a block frame as a (d, n, n) stack."""
     legs = _legs(w, d)
@@ -739,13 +707,9 @@ class Superoperator:
         """Choi matrix of the extended map on the full domain ambient."""
         nd = self.domain.ambient_dim
         nc = self.codomain.ambient_dim
-        choi = np.zeros((nd * nc, nd * nc), dtype=complex)
-        units = la.eye(nd)
-        for i in range(nd):
-            for j in range(nd):
-                img = self.extended(np.outer(units[i], units[j]))
-                choi[i * nc : (i + 1) * nc, j * nc : (j + 1) * nc] = img
-        return choi
+        units = la.eye(nd * nd).reshape(-1, nd, nd)  # E_ij at position (i, j), i-major
+        images = self(self._onto_domain(units)).reshape(nd, nd, nc, nc)
+        return images.transpose(0, 2, 1, 3).reshape(nd * nc, nd * nc)
 
     def cp_residual(self) -> float:
         """||v* v - 1||_F for a witness v; otherwise the Hermitian defect of

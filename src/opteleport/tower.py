@@ -1,16 +1,16 @@
 """GNS representations and the Jones basic construction, one level at a time.
 
-Coordinates on the GNS space of (M, tau) use a self-adjoint basis of M
-orthonormal for <x, y> = tau(y* x).  In these coordinates the modular
-conjugation is plain entrywise complex conjugation and the right regular
-representation is the transpose of the left one, so no antilinear operator
-type is needed anywhere.
+Coordinates on the GNS space of (M, tau) are those against the matrix units
+f^j_ab / sqrt(t_j), orthonormal for <x, y> = tau(y* x).  In them left and
+right multiplication are the block Kronecker products xbar_j (x) 1 and
+1 (x) xbar_j^T, and the modular conjugation is complex conjugation followed
+by the swap (a, b) -> (b, a) on each block, so no antilinear operator type is
+needed anywhere.
 
 A :class:`Tower` is a list of :class:`Level` records grown by
 :meth:`Tower.extend`, which repeats one step at every height: take the GNS
 space of the top algebra, write down the algebra below it and the top
-algebra as represented there (frames in the unit coordinates f_ab / sqrt(t),
-carried to these coordinates by a fixed change of basis), add the Jones
+algebra as represented there (frames read off the units), add the Jones
 projection onto the image of the algebra below, and take the conjugated
 commutant of that represented algebra as the next algebra.  Its canonical
 trace gives each block the weight of the paired block two levels down, so
@@ -20,7 +20,6 @@ Markov restriction over the whole basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -38,7 +37,6 @@ from .algebra import (
     _from_corners,
     _generators,
     _layout_distance,
-    _unit_to_hermitian,
     conditional_expectation_onto,
 )
 from .errors import (
@@ -59,12 +57,13 @@ _TRACIAL_SAMPLES = 12  # pairs (x, y) of N' ∩ M on which the restricted state 
 class GnsSpace:
     """The GNS representation of a tracial finite-dimensional algebra.
 
-    Everything is read off the frames and the trace weights t_j.  Against the
-    tau-orthonormal units f^j_ab / sqrt(t_j), x has the coordinates
-    sqrt(t_j) xbar_j, with xbar_j the multiplicity average of W_j* x W_j, and
-    left multiplication by x is (+)_j xbar_j (x) 1_{d_j}.  The block-diagonal
-    change of basis V of :func:`_unit_to_hermitian`, two nonzeros a row,
-    carries these to the Hermitian coordinates of the module docstring.
+    Everything is read off the frames and the trace weights t_j.  The
+    coordinates are those against the tau-orthonormal units f^j_ab / sqrt(t_j),
+    (a, b) a-major per block: x has the coordinates sqrt(t_j) xbar_j, with
+    xbar_j the multiplicity average of W_j* x W_j, left multiplication by x
+    is (+)_j xbar_j (x) 1_{d_j} and right multiplication (+)_j 1_{d_j} (x) xbar_j^T.
+    The modular conjugation J, Lambda(x) -> Lambda(x*), is complex
+    conjugation followed by the swap (a, b) -> (b, a) on each block.
 
     :meth:`vector`, :meth:`left` and :meth:`right` take a matrix or a stack
     of shape (..., n, n); :meth:`act` takes a stack of shape (k, n, n).
@@ -79,109 +78,79 @@ class GnsSpace:
         self.algebra = algebra
         self.trace = trace
         self.dim = algebra.dim
-        ends = np.cumsum([d * d for d, _ in algebra.blocks])
-        self._slices = [slice(end - d * d, end) for (d, _), end in zip(algebra.blocks, ends)]
-        self._v, self._v_star = _unit_to_hermitian([d for d, _ in algebra.blocks])
-        # left(x) = V L V*, L = (+)_j xbar_j (x) 1, as a sum over corner entries: two
-        # entries (k, i), (l, j) of V at units (a, b), (c, b) of one block add
-        # coef[k, i] conj(coef[l, j]) xbar[a, c] to (k, l)
-        cols, coef = self._v
-        stencil = []
-        for (d, _), sl in zip(algebra.blocks, self._slices):
-            k, i = np.nonzero(coef[sl])
-            units = cols[sl][k, i] - sl.start
-            group = np.argsort(units % d, kind="stable").reshape(d, -1)  # by b, 2d - 1 each
-            rows, a, w = (k + sl.start)[group], (units // d)[group], coef[sl][k, i][group]
-            stencil.append((
-                (rows[:, :, None] * self.dim + rows[:, None, :]).ravel(),
-                (sl.start + a[:, :, None] * d + a[:, None, :]).ravel(),
-                (w[:, :, None] * np.conj(w[:, None, :])).ravel(),
-            ))
-        self._left = tuple(map(np.concatenate, zip(*stencil)))
+        dims = [d for d, _ in algebra.blocks]
+        ends = np.cumsum(np.square(dims))
+        self._slices = [slice(end - d * d, end) for d, end in zip(dims, ends)]
+        # the coordinate (a, b) of each block read at (b, a)
+        swaps = [end - d * d + np.arange(d * d).reshape(d, d).T for d, end in zip(dims, ends)]
+        self._swap = np.concatenate(swaps, axis=None)
 
     def vector(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the GNS image of x: V applied to (+)_j sqrt(t_j) xbar_j.
+        """Coordinates of the GNS image of x, (+)_j sqrt(t_j) xbar_j.
         For a stack of shape (..., n, n), the (..., dim) stack of them."""
         lead = np.shape(x)[:-2]
         corners = zip(np.sqrt(self.trace.weights), _corners(self.algebra, x))
-        coords = np.concatenate([r * c.reshape(*lead, -1) for r, c in corners], axis=-1)
-        return _apply(self._v, coords, axis=len(lead))
+        return np.concatenate([r * c.reshape(*lead, -1) for r, c in corners], axis=-1)
 
     def element(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`vector`: the algebra element with GNS coordinates v."""
-        u = _apply(self._v_star, v)
         blocks = zip(self.algebra.blocks, self._slices, np.sqrt(self.trace.weights))
-        return _from_corners(self.algebra, [u[sl].reshape(d, d) / r for (d, _), sl, r in blocks])
+        return _from_corners(self.algebra, [v[sl].reshape(d, d) / r for (d, _), sl, r in blocks])
 
     def left(self, x: np.ndarray) -> np.ndarray:
-        """Left multiplication by x as a matrix on the GNS space.
-
-        For a stack of shape (..., n, n), the (..., dim, dim) stack of them,
-        from one :func:`_corners` and one :func:`_scatter` call: matrix k of
-        the stack takes the stencil with its positions offset by k dim^2.  A
-        single matrix is a stack of one.
-        """
-        pos, src, weight = self._left
-        size = self.dim * self.dim
-        lead = np.shape(x)[:-2]
-        corners = _corners(self.algebra, x)
-        count = math.prod(lead)
-        flat = np.concatenate([c.reshape(count, -1) for c in corners], axis=1)
-        pos = np.add.outer(np.arange(0, count * size, size), pos).ravel()
-        out = _scatter(pos, (weight * flat.take(src, axis=1)).ravel(), count * size)
-        return out.reshape(*lead, self.dim, self.dim)
+        """Left multiplication by x as a matrix on the GNS space, (+)_j xbar_j (x) 1.
+        For a stack of shape (..., n, n), the (..., dim, dim) stack of them."""
+        return self._multiplication(x, "...abcb->...acb", lambda c: c[..., None])
 
     def right(self, x: np.ndarray) -> np.ndarray:
-        """Right multiplication by x, or by each matrix of a stack; the
-        transpose of :meth:`left` here."""
-        return self.left(x).swapaxes(-1, -2)
+        """Right multiplication by x, (+)_j 1 (x) xbar_j^T; takes stacks as :meth:`left`."""
+        return self._multiplication(x, "...abac->...abc", lambda c: c.swapaxes(-1, -2)[..., None, :, :])
 
-    def act(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """left(x) @ v for every x of the stack xs, as a (len(xs), dim, r) stack.
-
-        On the unit coordinates V* v each corner xbar_j acts on the first leg
-        of block j; V carries the result back.  No dim x dim operator is formed.
-        """
-        out = self._act_corners(_corners(self.algebra, xs), _apply(self._v_star, v))
-        return _apply(self._v, out, axis=1)
-
-    def _act_corners(self, corners: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-        """:meth:`act` in unit coordinates, for the stacked corners of the xs."""
-        count = len(corners[0])
-        out = np.empty((count, self.dim, u.shape[1]), dtype=complex)
-        for (d, _), sl, c in zip(self.algebra.blocks, self._slices, corners):
-            out[:, sl] = (c @ u[sl].reshape(d, -1)).reshape(count, d * d, -1)
+    def _multiplication(
+        self, x: np.ndarray, diagonal: str, place: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """The block-diagonal operator whose block j, read as a (d, d, d, d)
+        array through the writable view ``diagonal``, is ``place`` of the
+        corner xbar_j there and zero elsewhere: each block is written in place."""
+        lead = np.shape(x)[:-2]
+        out = np.zeros((*lead, self.dim, self.dim), dtype=complex)
+        for (d, _), sl, c in zip(self.algebra.blocks, self._slices, _corners(self.algebra, x)):
+            np.einsum(diagonal, out[..., sl, sl].reshape(*lead, d, d, d, d))[...] = place(c)
         return out
 
-    def to_units(self, v: np.ndarray) -> np.ndarray:
-        """V* v: vectors, or the columns of v, against the unit vectors of the
-        f^j_ab / sqrt(t_j), (a, b) a-major per block.  V is unitary, so norms
-        and inner products are those of the GNS coordinates."""
-        return _apply(self._v_star, v)
+    def act(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """left(x) @ v for every x of the stack xs, as a (len(xs), dim, r) stack:
+        each corner xbar_j acts on the first leg of block j, and no dim x dim
+        operator is formed."""
+        return self._act_corners(_corners(self.algebra, xs), v)
 
-    def operators_to_units(self, x: np.ndarray) -> np.ndarray:
-        """V* x V for an operator x on this space.
+    def _act_corners(self, corners: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+        """:meth:`act` for the stacked corners of the xs."""
+        count = len(corners[0])
+        out = np.empty((count, self.dim, v.shape[1]), dtype=complex)
+        for (d, _), sl, c in zip(self.algebra.blocks, self._slices, corners):
+            out[:, sl] = (c @ v[sl].reshape(d, -1)).reshape(count, d * d, -1)
+        return out
 
-        In unit coordinates left multiplication by an element is
-        (+)_j xbar_j (x) 1_{d_j} and right multiplication (+)_j 1_{d_j} (x) xbar_j^T,
-        so ``represented(algebra)`` has the columns of V on block j as its
-        frame, and the diagonal blocks of V* x V hold the corners of x in it
-        and in its commutant.  V has two nonzeros a row, so this costs
-        O(dim^2) per operator.
-        """
-        cols, coef = self._v_star  # right multiplication by V applies conj(V*) along the columns
-        return _apply((cols, np.conj(coef)), _apply(self._v_star, x), axis=1)
+    def _conjugate(self, x: np.ndarray, operator: bool = False) -> np.ndarray:
+        """J applied to a vector or to the columns of x; with ``operator``,
+        J x J for an operator or a stack of them."""
+        if operator:
+            return np.conj(x)[..., self._swap, :][..., self._swap]
+        return np.conj(x)[self._swap]
 
     def pullback(self, density: np.ndarray) -> np.ndarray:
         """K with Tr(density left(x)) = Tr(K x) for every x.
 
-        Tr(density left(x)) = sum_j Tr(G_j xbar_j), with G_j read off the
-        stencil of :meth:`left` backwards, so K = sum_j W_j (G_j (x) 1_{m_j}) W_j* / m_j.
+        Tr(density left(x)) = sum_j Tr(G_j xbar_j) with G_j the partial trace
+        over the second leg of the diagonal block j of density, so
+        K = sum_j W_j (G_j (x) 1_{m_j}) W_j* / m_j.
         """
-        pos, src, weight = self._left
-        g = _scatter(src, weight * density.T.ravel()[pos], self.dim)
         blocks = zip(self.algebra.blocks, self._slices)
-        return _from_corners(self.algebra, [g[sl].reshape(d, d).T / m for (d, m), sl in blocks])
+        return _from_corners(
+            self.algebra,
+            [np.trace(density[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / m for (d, m), sl in blocks],
+        )
 
     def subspace_isometry(self, rep: StarAlgebra) -> np.ndarray:
         """Isometry P onto the GNS image of a subalgebra, given as ``rep``, its
@@ -224,10 +193,10 @@ class GnsSpace:
     def represented(self, sub: StarAlgebra) -> StarAlgebra:
         """``sub`` ⊆ ``algebra`` acting on this space by left multiplication.
 
-        On the unit coordinates of block j, block i of ``sub`` acts through
-        the corners of its units, whose frame (:meth:`unit_frames`), tensored
-        with 1_{d_j} and carried by V, is the frame of the image.  For
-        sub = algebra that frame is V_j itself.
+        On the coordinates of block j, block i of ``sub`` acts through the
+        corners of its units, whose frame (:meth:`unit_frames`), tensored with
+        1_{d_j}, is the frame of the image.  For sub = algebra it selects the
+        coordinates of block j.
         """
         blocks, frames = [], []
         for (e, _), row in zip(sub.blocks, self.unit_frames(sub)):
@@ -238,27 +207,10 @@ class GnsSpace:
                 part = np.zeros((self.dim, e, f.shape[2] * d), dtype=complex)
                 part[sl] = np.einsum("aps,bc->abpsc", f, la.eye(d)).reshape(d * d, e, -1)
                 parts.append(part)
-            frame = _apply(self._v, np.concatenate(parts, axis=2))
+            frame = np.concatenate(parts, axis=2)
             blocks.append((e, frame.shape[2]))
             frames.append(frame.reshape(self.dim, -1))
         return StarAlgebra(self.dim, blocks, frames)
-
-
-def _scatter(pos: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The complex vector of length ``size`` summing ``values`` at the positions
-    ``pos``, with the real and imaginary sums written into it in place."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(pos, values.real, size)
-    out.imag = np.bincount(pos, values.imag, size)
-    return out
-
-
-def _apply(change: tuple[np.ndarray, np.ndarray], x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """A change of basis from :func:`_unit_to_hermitian` applied along an axis of x."""
-    cols, coef = change
-    shape = (-1,) + (1,) * (np.ndim(x) - axis - 1)
-    first = coef[:, 0].reshape(shape) * np.take(x, cols[:, 0], axis)
-    return first + coef[:, 1].reshape(shape) * np.take(x, cols[:, 1], axis)
 
 
 @dataclass(eq=False)
@@ -305,7 +257,8 @@ def _step(prev: Level, tol: Tolerance) -> Level:
     lower = gns.represented(prev.upper)
     upper = gns.represented(prev.algebra)
     jones_range = gns.subspace_isometry(lower)
-    algebra = lower.commutant.conjugate_entrywise()
+    commutant = lower.commutant
+    algebra = StarAlgebra(gns.dim, commutant.blocks, [gns._conjugate(w) for w in commutant.frames])
     density, trace = _canonical_trace(prev, gns, lower, algebra, tol)
     return Level(algebra, trace, upper, gns, lower, jones_range, density)
 
@@ -324,7 +277,7 @@ def _canonical_trace(
     """
     weights = prev.trace.restrict(prev.upper).weights
     paired = [
-        int(np.argmax([np.linalg.norm(la.dagger(u) @ np.conj(w[:, 0])) for u in lower.frames]))
+        int(np.argmax([np.linalg.norm(la.dagger(u) @ gns._conjugate(w[:, 0])) for u in lower.frames]))
         for w in algebra.frames
     ]
     canonical = Trace(algebra, weights[paired])
@@ -336,7 +289,7 @@ def _canonical_trace(
     roots = [np.sqrt(m / t) for (_, m), t in zip(blocks, prev.trace.weights)]
     scale = np.repeat(roots, [d * d for d, _ in blocks])
     gap = gns.vector(gns.pullback(trace.density) - prev.trace.density)
-    worst = float(np.abs(scale * gap).max())
+    worst = float(np.linalg.norm(scale * gap))
     if worst > tol.bound(1.0) * prev.algebra.dim:
         raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
     return canonical.density, trace
@@ -453,7 +406,7 @@ def iterate(tower: Tower) -> Tower:
 # ---------------------------------------------------------------------------
 
 
-def verify_tower(t: Tower, deep: bool = True) -> Report:
+def verify_tower(t: Tower) -> Report:
     """Residual checks for all level-one and level-two tower identities.
 
     Checks that end in a Jones projection e = P P* run on its range:
@@ -499,7 +452,11 @@ def verify_tower(t: Tower, deep: bool = True) -> Report:
     a, x, b = (alg.random_hermitian(rng, 6) for alg in (inc.small, inc.big, inc.small))
     rep.add("expectation_bimodule", _largest(exp(a @ x @ b) - a @ exp(x) @ b), tol.bound(1.0) * 10)
     rep.add("jones1_commutes_with_small", _frame_distance(t.n_rep, e1, commutant=True), tol.bound(1.0))
-    rep.add("jones1_conjugation_invariant", la.frobenius_distance(np.conj(e1), e1), tol.bound(1.0))
+    rep.add(
+        "jones1_conjugation_invariant",
+        la.frobenius_distance(gns._conjugate(e1, operator=True), e1),
+        tol.bound(1.0),
+    )
 
     rep.merge(_level1_span_report(t, tol, images, ranged))
     rep.add(
@@ -523,8 +480,6 @@ def verify_tower(t: Tower, deep: bool = True) -> Report:
     (on_jones,) = _entanglement_gaps(t, p1)
     rep.add("relative_commutant_entanglement", _largest(on_jones), tol.bound(1.0))  # x e = gamma0(x) e
 
-    if not deep:
-        return rep
     iterate(t)
     gns1, p2 = t.gns1, t.levels[2].jones_range
     e2 = t.jones2
@@ -536,7 +491,7 @@ def verify_tower(t: Tower, deep: bool = True) -> Report:
     )
     rep.add(
         "jones2_conjugation_invariant",
-        la.frobenius_distance(np.conj(e2), e2),
+        la.frobenius_distance(gns1._conjugate(e2, operator=True), e2),
         tol.bound(1.0),
     )
     rep.add(
@@ -587,12 +542,10 @@ def _level1_span_report(t: Tower, tol: Tolerance, images: np.ndarray, ranged: np
     coords = _pair_coordinates(level1, ranged)
     span = _row_span(coords, tol)
     rep.add_flag("level1_spanned_by_compressions", span.shape[0] == level1.dim)
-    v, _ = _unit_to_hermitian([d for d, _ in level1.blocks])
-    basis = np.conj(_apply(v, la.eye(level1.dim)))  # the basis of level1, row by row
     rep.add(
-        "level1_span_membership",
+        "level1_span_membership",  # the units of level1 against the span, one row each
         max(
-            float(np.linalg.norm(basis - (basis @ la.dagger(span)) @ span, axis=1).max()),
+            la.frobenius_distance(la.dagger(span) @ span, la.eye(level1.dim)),
             float(_frame_distance(level1, np.concatenate([t.jones1[None], images])).max()),
         ),
         tol.bound(1.0) * level1.dim,
@@ -613,11 +566,9 @@ def _level1_span_report(t: Tower, tol: Tolerance, images: np.ndarray, ranged: np
 def _jones2_commutation_residual(gns: GnsSpace, p: np.ndarray, images: np.ndarray) -> float:
     """max over ``images`` (Hermitian, in the algebra of ``gns``) of ||[e, b]||_F
     for e = P P* and b their left action: sqrt(2) ||b P - P (P* b P)||_F,
-    which is sqrt(2) ||(1 - e) b e||_F, read in unit coordinates where V* P is
-    again an isometry."""
-    pu = gns.to_units(p)
-    lifted = gns._act_corners(_corners(gns.algebra, images), pu)
-    return np.sqrt(2.0) * _largest(lifted - pu @ (la.dagger(pu) @ lifted))
+    which is sqrt(2) ||(1 - e) b e||_F."""
+    lifted = gns.act(images, p)
+    return np.sqrt(2.0) * _largest(lifted - p @ (la.dagger(p) @ lifted))
 
 
 def _entanglement_gaps(t: Tower, *vectors: np.ndarray) -> list[np.ndarray]:
@@ -668,29 +619,26 @@ def _markov_expectation_residual(t: Tower, idx: float) -> float:
 
     E(x) = P(x rho) P(rho)^{-1} (:func:`conditional_expectation_onto`) with P
     the projection onto ``levels[2].upper``, M1's own left action on its GNS
-    space: its corners are the diagonal blocks of
-    :meth:`GnsSpace.operators_to_units`, averaged over the second leg, and
-    block j has multiplicity d_j.  With e_M = P2 P2*, the block of
-    V*(e_M rho)V is (V* P2)(V* rho P2)* on its rows and columns, so neither
+    space: its corners are the diagonal blocks of an operator, averaged over
+    the second leg, and block j has multiplicity d_j.  With e_M = P2 P2*, the
+    block of e_M rho is P2 (rho P2)* on its rows and columns, so neither
     e_M rho nor a basis of M1 is formed.
     """
     lvl = t.levels[2]
-    gns, rho = lvl.gns, lvl.trace.density
-    pu, rhou = gns.to_units(lvl.jones_range), gns.to_units(rho @ lvl.jones_range)
-    weights = gns.operators_to_units(rho)
+    gns, rho, p = lvl.gns, lvl.trace.density, lvl.jones_range
+    rho_p = rho @ p
     total = 0.0
     for (d, _), sl in zip(gns.algebra.blocks, gns._slices):
-        corner = np.trace((pu[sl] @ la.dagger(rhou[sl])).reshape(d, d, d, d), axis1=1, axis2=3) / d
-        scale = np.trace(weights[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d
+        corner = np.trace((p[sl] @ la.dagger(rho_p[sl])).reshape(d, d, d, d), axis1=1, axis2=3) / d
+        scale = np.trace(rho[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d
         gap = corner @ np.linalg.inv(scale) - la.eye(d) / idx
         total += d * la.frobenius_norms(gap) ** 2
     return float(np.sqrt(total))
 
 
 def _right_commutant_distance(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray], float]:
-    """The map taking an operator, given in the unit coordinates of ``gns``,
-    to its Frobenius distance from the commutant of the right action of
-    ``sub`` ⊆ ``gns.algebra``.
+    """The map taking an operator on ``gns`` to its Frobenius distance from
+    the commutant of the right action of ``sub`` ⊆ ``gns.algebra``.
 
     On block j the right action of y is 1 (x) ybar_j^T, and
     ybar_j = F_j ((+)_i y_i (x) 1_{r_ij}) F_j* for F_j the unit frames of
@@ -732,20 +680,19 @@ def _compression_residual(
     gns: GnsSpace, p: np.ndarray, xs: np.ndarray, expect: Superoperator
 ) -> float:
     """max over xs of ||e pi(x) e - pi(E x) e||_F with e = P P*, as
-    ||P (P* pi(x) P) - pi(E x) P||_F, in the unit coordinates of ``gns``.
+    ||P (P* pi(x) P) - pi(E x) P||_F.
 
     The expectation and the corners of x and E x are taken once for the
     whole stack; the products with P run in chunks of dim / rank elements,
     so no (len(xs), dim, rank) stack is held.
     """
-    pu = gns.to_units(p)
-    pu_star = la.dagger(pu)
+    p_star = la.dagger(p)
     corners = _corners(gns.algebra, xs), _corners(gns.algebra, expect(xs))
     step = max(1, gns.dim // p.shape[1])
     worst = 0.0
     for start in range(0, len(xs), step):
-        here, there = (gns._act_corners([c[start : start + step] for c in cs], pu) for cs in corners)
-        gap = pu @ (pu_star @ here)
+        here, there = (gns._act_corners([c[start : start + step] for c in cs], p) for cs in corners)
+        gap = p @ (p_star @ here)
         gap -= there
         worst = max(worst, _largest(gap))
     return worst
@@ -765,13 +712,13 @@ def _shift_entanglement_residual(t: Tower, e1_up: np.ndarray, shifted: np.ndarra
 
 def _gns_inner_residual(t: Tower) -> float:
     """max over 20 drawn pairs (x, y) in M of |<y, x> - tau(y* x)| and of the
-    entries of pi(x) Lambda(y) - Lambda(x y), with the GNS maps on the stacks."""
+    norm of pi(x) Lambda(y) - Lambda(x y), with the GNS maps on the stacks."""
     big, gns = t.inclusion.big, t.gns
     rng = la.rng_from(_PAIR_SEED + 2)
     xs, ys = big.random_hermitian(rng, 20), big.random_hermitian(rng, 20)
     vx, vy = gns.vector(xs), gns.vector(ys)
     inner = np.abs(np.einsum("ki,ki->k", np.conj(vy), vx) - t.inclusion.trace(la.dagger(ys) @ xs))
-    acts = np.abs(np.einsum("kij,kj->ki", gns.left(xs), vy) - gns.vector(xs @ ys))
+    acts = np.linalg.norm(np.einsum("kij,kj->ki", gns.left(xs), vy) - gns.vector(xs @ ys), axis=1)
     return float(max(inner.max(), acts.max()))
 
 
@@ -805,16 +752,15 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> 
     rep.add("gamma1_anti_multiplicative", anti1, tol.bound(1.0) * 10)
     # M1 is generated by the represented M and the first Jones projection, so
     # commuting with both is lying in the commutant of M1 on its GNS space: in
-    # unit coordinates 1 (x) M_{d_j} on block j.  M2 is the commutant of the
+    # GNS coordinates 1 (x) M_{d_j} on block j.  M2 is the commutant of the
     # right action of M there.
     gns1 = t.gns1
     layout = [(d, d) for d, _ in gns1.algebra.blocks]
     to_level2 = _right_commutant_distance(gns1, t.levels[1].upper)
     lands = image = 0.0
     for s in shifted:  # one at a time: each pass over a dim x dim operator stays in cache
-        u = gns1.operators_to_units(s)
-        lands = max(lands, _layout_distance(u, layout, commutant=True))
-        image = max(image, to_level2(u))
+        lands = max(lands, _layout_distance(s, layout, commutant=True))
+        image = max(image, to_level2(s))
     rep.add("shift_lands_in_level2_commutant", lands, tol.bound(1.0) * t.level1.dim)
     rep.add("shift_image_in_level2", image, tol.bound(1.0) * t.level2.dim)
     return rep

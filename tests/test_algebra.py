@@ -325,13 +325,6 @@ def test_image_propagates_structure():
     assert img.contains(phi(src.basis[2]))
 
 
-def test_conjugate_entrywise():
-    alg = StarAlgebra.full(2)
-    conj = alg.conjugate_entrywise()
-    assert conj.same_span(alg)  # full algebra is conjugation invariant
-
-
-
 def test_conditional_expectation_matches_tau_onb_formula_nonuniform():
     # E(x) = sum_k tau(c_k x) c_k under a non-uniform trace, x non-Hermitian
     # and outside the ambient algebra, on rotated frames

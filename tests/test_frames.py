@@ -78,7 +78,7 @@ def frame_cases():
         "commutant": discovered.commutant,
         "center": discovered.center,
         "tensor": StarAlgebra.tensor(discovered, StarAlgebra.diagonal(2)),
-        "conjugate": discovered.conjugate_entrywise(),
+        "conjugate": StarAlgebra(4, discovered.blocks, [np.conj(w) for w in discovered.frames]),
         "level1": get_tower("homogeneous_2_2").level1,
         "subsystem_alice_bob": subsystem_alice_bob(),
     }

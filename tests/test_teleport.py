@@ -1154,7 +1154,8 @@ def test_shifted_elements_outside_bob_are_refused_before_any_channel_runs():
 
 
 def test_verify_scheme_applies_each_channel_once_to_a_stack():
-    # both channels_preserve_bob and the teleportation identity read the images of Bob's basis
+    # cp_residual maps the units of the Choi matrix as one stack, and both
+    # channels_preserve_bob and the teleportation identity read the images of Bob's basis
     s = standard_scheme(2)
     amb = s.context.ambient
     stacks = []
@@ -1169,7 +1170,8 @@ def test_verify_scheme_applies_each_channel_once_to_a_stack():
 
     s.channels = [channel(ch.ad_unitary) for ch in s.channels]
     assert verify_scheme(s).passed
-    assert stacks == [s.context.bob.dim] * len(s.channels)
+    n = s.context.ambient.ambient_dim
+    assert stacks == [n * n] * len(s.channels) + [s.context.bob.dim] * len(s.channels)
 
 
 def test_unbiased_verify_leaves_alice_basis_unbuilt():

@@ -45,8 +45,9 @@ def test_gns_right_is_commutant_of_left():
     assert la.frobenius_distance(
         g.left(x) @ g.right(y), g.right(y) @ g.left(x)
     ) < 1e-12
-    # pi_r(x) = J pi(x)* J with J entrywise conjugation in these coordinates
-    assert la.frobenius_distance(g.right(x), np.conj(g.left(la.dagger(x)))) < 1e-12
+    # pi_r(x) = J pi(x)* J with J conjugation followed by the swap (a, b) -> (b, a)
+    swap = np.arange(4).reshape(2, 2).T.ravel()
+    assert la.frobenius_distance(g.right(x), np.conj(g.left(la.dagger(x)))[swap][:, swap]) < 1e-12
     comm = StarAlgebra(
         g.dim,
         *(lambda a: (a.blocks, a.frames))(
@@ -72,11 +73,11 @@ def algebra_element(g, rng):
 
 
 def reference_onb(alg, trace):
-    """G^{-1/2} applied to ``alg.basis``, G its Gram matrix tau(b_k b_l): a
-    Hermitian basis orthonormal for tau(y* x), in the order of ``alg.basis``."""
-    gram = np.einsum("kij,lji->kl", np.matmul(trace.density, alg.basis), alg.basis).real
-    vals, vecs = np.linalg.eigh(gram)
-    return np.tensordot((vecs / np.sqrt(vals)) @ vecs.T, alg.basis, axes=(1, 0))
+    """The matrix units f^j_ab / sqrt(t_j) of ``alg.matrix_units`` with the
+    trace weights t_j, block by block and (a, b) a-major: a dense basis
+    orthonormal for tau(y* x)."""
+    units = [f.reshape(-1, *f.shape[2:]) / np.sqrt(t) for f, t in zip(alg.matrix_units, trace.weights)]
+    return np.concatenate(units)
 
 
 @pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
@@ -86,7 +87,7 @@ def test_gns_left_matches_trace_definition(key):
     assert la.frobenius_distance(x, la.dagger(x)) > 1e-3
     rho = g.trace.density
     onb = reference_onb(g.algebra, g.trace)
-    want = np.array([[np.trace(rho @ bl @ x @ bk) for bk in onb] for bl in onb])
+    want = np.array([[np.trace(rho @ la.dagger(bl) @ x @ bk) for bk in onb] for bl in onb])
     assert np.abs(g.left(x) - want).max() < 1e-12
 
 
@@ -98,7 +99,9 @@ def test_gns_left_is_unital_star_homomorphism(key):
     assert la.frobenius_distance(g.left(g.algebra.unit), np.eye(g.dim)) < 1e-12
     assert la.frobenius_distance(g.left(x @ y), g.left(x) @ g.left(y)) < 1e-10
     assert la.frobenius_distance(g.left(la.dagger(x)), la.dagger(g.left(x))) < 1e-12
-    assert np.array_equal(g.right(x), g.left(x).T)
+    rho, onb = g.trace.density, reference_onb(g.algebra, g.trace)
+    want = np.array([[np.trace(rho @ la.dagger(bl) @ bk @ x) for bk in onb] for bl in onb])
+    assert np.abs(g.right(x) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("key", LEVEL2_GNS_KEYS)
@@ -135,14 +138,14 @@ def test_markov_gate_pullback_matches_per_element_trace(key, k):
 
 
 def test_gns_orthonormal_under_nonuniform_trace():
-    # the coordinate vectors are the images of a Hermitian tau-orthonormal basis
+    # the coordinate vectors are the images of the tau-orthonormal units f^j_ab / sqrt(t_j)
     m = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
     tr = Trace(m, [0.1, 0.15, 0.2])
     g = GnsSpace(m, tr)
     onb = np.array([g.element(e) for e in np.eye(g.dim)])
     gram = np.array([[tr(la.dagger(a) @ b) for b in onb] for a in onb])
     assert np.abs(gram - np.eye(m.dim)).max() < 1e-12
-    assert max(la.frobenius_distance(c, la.dagger(c)) for c in onb) < 1e-12
+    assert np.abs(onb - reference_onb(m, tr)).max() < 1e-12
     vectors = np.array([g.vector(b) for b in m.basis])
     want = np.array([[tr(la.dagger(a) @ b) for b in m.basis] for a in m.basis])
     assert np.abs(np.conj(vectors) @ vectors.T - want).max() < 1e-12
@@ -413,16 +416,16 @@ def test_shift_operator_is_ucp():
 
 
 def test_gns_matches_gram_formula():
-    # the coordinates are those against the inverse square root of the tau-Gram
-    # matrix applied to the basis: vector(x)_k = tau(c_k x), left(x)_lk = tau(c_l x c_k)
+    # the coordinates are those against the units c_k = f^j_ab / sqrt(t_j):
+    # vector(x)_k = tau(c_k* x), left(x)_lk = tau(c_l* x c_k)
     m = StarAlgebra.block_diagonal([(1, 1), (2, 2), (3, 1)])
     tr = Trace(m, [0.1, 0.15, 0.2])
     g = GnsSpace(m, tr)
     onb = reference_onb(m, tr)
     assert onb.shape[0] == g.dim
     x = algebra_element(g, np.random.default_rng(14))
-    assert np.abs(g.vector(x) - np.array([tr(c @ x) for c in onb])).max() < 1e-12
-    want = np.array([[tr(cl @ x @ ck) for ck in onb] for cl in onb])
+    assert np.abs(g.vector(x) - np.array([tr(la.dagger(c) @ x) for c in onb])).max() < 1e-12
+    want = np.array([[tr(la.dagger(cl) @ x @ ck) for ck in onb] for cl in onb])
     assert np.abs(g.left(x) - want).max() < 1e-12
 
 
@@ -532,29 +535,31 @@ def test_gns_act_matches_dense_action(key, k):
 @pytest.mark.parametrize("key", [*TOWER_KEYS, "golden"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_gns_maps_match_dense_formulas(key, k):
-    # the frame formulas against the dense tau-orthonormal stack c_k and the
-    # density rho: vector(x)_k = Tr(rho c_k x), left(x)_lk = Tr(rho c_l x c_k),
-    # element(v) = sum_k v_k c_k, pullback(D) = sum_kl D_kl c_k rho c_l, and
-    # jones the projection onto the vectors of the c'_k of the algebra below
+    # the frame formulas against the dense tau-orthonormal units c_k and the
+    # density rho: vector(x)_k = Tr(rho c_k* x), left(x)_lk = Tr(rho c_l* x c_k),
+    # right(x)_lk = Tr(rho c_l* c_k x), element(v) = sum_k v_k c_k,
+    # pullback(D) = sum_kl D_kl c_k rho c_l*, and jones the projection onto the
+    # vectors of the c'_k of the algebra below
     t = _golden_tower() if key == "golden" else get_tower(key)
     lvl, sub = t.level(k), t.level(k - 1).upper
     g = lvl.gns
     rho, onb = g.trace.density, reference_onb(g.algebra, g.trace)
     n = onb.shape[1]
-    rho_onb = np.matmul(rho, onb)
-    rows = rho_onb.transpose(0, 2, 1).reshape(g.dim, -1)  # Tr(rho c_k x) = rows @ x.ravel()
+    rho_onb = np.matmul(rho, la.dagger(onb))
+    rows = rho_onb.transpose(0, 2, 1).reshape(g.dim, -1)  # Tr(rho c_k* x) = rows @ x.ravel()
     rng = np.random.default_rng(43 + k)
     x = algebra_element(g, rng)
     v = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
     density = rng.standard_normal((g.dim, g.dim)) + 1j * rng.standard_normal((g.dim, g.dim))
     left = rows @ np.matmul(x, onb).reshape(g.dim, -1).T
+    right = rows @ np.matmul(onb, x).reshape(g.dim, -1).T
     mixed = (density @ rho_onb.reshape(g.dim, -1)).reshape(onb.shape)
     pullback = onb.transpose(1, 0, 2).reshape(n, -1) @ mixed.reshape(-1, n)
     sub_onb = reference_onb(sub, g.trace.restrict(sub))
     p = rows @ sub_onb.reshape(sub.dim, -1).T
     assert np.abs(g.vector(x) - rows @ x.ravel()).max() < 1e-12
     assert np.abs(g.left(x) - left).max() < 1e-12
-    assert np.abs(g.right(x) - left.T).max() < 1e-12
+    assert np.abs(g.right(x) - right).max() < 1e-12
     assert np.abs(g.element(v) - np.tensordot(v, onb, axes=(0, 0))).max() < 1e-12
     assert np.abs(g.pullback(density) - pullback).max() < 1e-12
     assert np.abs(lvl.jones - p @ la.dagger(p)).max() < 1e-12
@@ -735,7 +740,9 @@ def test_frame_checks_read_the_public_maps(monkeypatch):
 
     t = iterate(basic_construction(trivial_in_full(3)))
     right = Tower.shift
-    monkeypatch.setattr(Tower, "shift", lambda self, x: np.conj(right(self, x)) * 0.5)
+    # J shift(x) J lies in M1, not in its commutant
+    flipped = lambda self, x: 0.5 * self.gns1._conjugate(right(self, x), operator=True)  # noqa: E731
+    monkeypatch.setattr(Tower, "shift", flipped)
     failed = {c.name for c in verify_tower(t).checks if not c.passed}
     assert "shift_lands_in_level2_commutant" in failed
     monkeypatch.undo()
@@ -752,7 +759,7 @@ def test_span_membership_sees_products_outside_level1():
     h = la.random_hermitian(t.gns.dim, 5)
     vals, vecs = np.linalg.eigh(h)
     t.levels[1].jones_range = (vecs * np.exp(1e-3j * vals)) @ la.dagger(vecs) @ t.levels[1].jones_range
-    failed = {c.name for c in verify_tower(t, deep=False).checks if not c.passed}
+    failed = {c.name for c in verify_tower(t).checks if not c.passed}
     assert "level1_span_membership" in failed
 
 
@@ -820,21 +827,41 @@ def test_unit_coordinate_distances_match_projections(key):
     xs = rng.standard_normal((3, g.dim, g.dim)) + 1j * rng.standard_normal((3, g.dim, g.dim))
     xs[1] = t.level2.random_hermitian(rng) + 1e-3 * xs[1]
     xs[2] = upper.commutant.random_hermitian(rng) + 1e-3 * xs[2]
-    v_star = g.to_units(np.eye(g.dim))
     layout = [(d, d) for d, _ in g.algebra.blocks]
     to_level2 = _right_commutant_distance(g, t.levels[1].upper)
     for x in xs:
-        u = g.operators_to_units(x)
-        assert np.abs(u - v_star @ x @ la.dagger(v_star)).max() < 1e-12
-        lands = _layout_distance(u, layout, commutant=True)
+        lands = _layout_distance(x, layout, commutant=True)
         assert abs(lands - upper.commutant.membership_residual(x)) < 1e-10
-        assert abs(to_level2(u) - t.level2.membership_residual(x)) < 1e-10
-        # the frame of represented(algebra) on block j is V there: corners from the unit blocks
+        assert abs(to_level2(x) - t.level2.membership_residual(x)) < 1e-10
+        # the frame of represented(algebra) selects block j: corners from the diagonal blocks
         for (d, _), sl, c in zip(g.algebra.blocks, g._slices, _corners(upper, x)):
-            assert np.abs(np.trace(u[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d - c).max() < 1e-12
+            assert np.abs(np.trace(x[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d - c).max() < 1e-12
 
 
 def test_gns_requires_the_trace_of_the_represented_algebra():
     foreign = Trace.normalized(StarAlgebra.full(2))  # an equal algebra, but another object
     with pytest.raises(TraceError, match="trace must live on the represented algebra"):
         GnsSpace(StarAlgebra.full(2), foreign)
+
+
+@pytest.mark.parametrize("key", TOWER_KEYS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_modular_conjugation_is_the_star_on_vectors(key, k):
+    # J is an involution with J Lambda(x) = Lambda(x*), and J left(x) J = right(x*)
+    g = get_tower(key).level(k).gns
+    x = algebra_element(g, np.random.default_rng(71 + k))
+    v = g.vector(x)
+    assert np.abs(g._conjugate(g._conjugate(v)) - v).max() == 0.0
+    assert np.abs(g._conjugate(v) - g.vector(la.dagger(x))).max() < 1e-12
+    assert la.frobenius_distance(g._conjugate(g.left(x), operator=True), g.right(la.dagger(x))) < 1e-12
+
+
+@pytest.mark.parametrize("key", TOWER_KEYS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_represented_algebra_selects_coordinates(key, k):
+    # the algebra on its own GNS space acts on the units of each block: its
+    # frames are columns of the identity, 0/1 with one entry per row
+    g = get_tower(key).level(k).gns
+    w = np.hstack(g.represented(g.algebra).frames)
+    assert np.all((w == 0) | (w == 1))
+    assert np.array_equal(np.count_nonzero(w, axis=1), np.ones(g.dim, dtype=int))
