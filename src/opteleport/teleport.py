@@ -19,14 +19,17 @@ provided: the block direct-sum scheme for an arbitrary finite-dimensional
 algebra, and the unbiased scheme attached to a unitary normaliser basis of
 an inclusion.  Every constructor records the inclusion whose tower it builds
 on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
-scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.
+scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  All
+three judge a tight scheme on M_n (x) M_n (x) N' on its legs
+(:func:`_legs`), on n x n and n^2 x n^2 matrices, and every other scheme on
+its dense pieces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,6 +107,91 @@ class SchemeFlags:
     report: Report | None = field(default=None, repr=False)
 
 
+class _Legs(NamedTuple):
+    """A scheme on M_n (x) M_n (x) N' read leg by leg (:func:`_legs`): each
+    piece's HS projection onto its leg form, and its distance to that form."""
+
+    nprime: StarAlgebra
+    resource: np.ndarray  # w = Tr_0(omega) / n, on legs 1 and 2
+    povm: np.ndarray  # f_i = Tr_2(F_i) / n, on legs 0 and 1
+    units: np.ndarray  # u_i = Tr_01(v_i) / n^2 of the witnesses v_i, on leg 2
+    resource_gap: float  # ||omega - 1 (x) w||
+    povm_gaps: np.ndarray  # ||F_i - f_i (x) 1||
+    unit_gaps: np.ndarray  # ||v_i - 1 (x) u_i||
+
+    @property
+    def drift(self) -> np.ndarray:
+        """Per channel T_i = Ad v_i, q_i (2 ||u_i|| + q_i) with q_i = ||v_i - 1 (x) u_i||:
+        a bound on ||T_i(x) - Ad(1 (x) u_i)(x)|| / ||x||, as
+        v x v* - v' x v'* = (v - v') x v* + v' x (v - v')*."""
+        return self.unit_gaps * (2 * la.frobenius_norms(self.units) + self.unit_gaps)
+
+
+def _legs(scheme: TeleportationScheme) -> _Legs | None:
+    """The legs of a tight tripartite scheme, or None when the scheme must be
+    judged on its dense pieces.
+
+    A scheme has legs when it records an inclusion N ⊆ M_n with
+    ``leg_dims == (n, n, n)`` on that inclusion's tripartite context
+    (:func:`_on_tripartite_context`), every channel is a conjugation with a
+    witness v_i, and every piece lies within ``tol.bound(||X||)`` of its leg
+    form: 1 (x) w for the resource, f_i (x) 1 for each POVM element and
+    1 (x) u_i for each witness, the bound that extraction's trivial-leg
+    checks use.  Each leg is a partial trace, the HS projection onto its
+    form, so each gap is a distance; all are read in O(k n^6).  The legs are
+    read on every call and never stored, so a scheme whose pieces were
+    replaced is read as it stands.
+    """
+    inc, tol = scheme.inclusion, scheme.tol
+    if inc is None or not scheme.povm or not scheme.channels:
+        return None
+    n = inc.big.ambient_dim
+    witnesses = [ch.ad_unitary for ch in scheme.channels]
+    if (
+        scheme.leg_dims != (n, n, n)
+        or any(v is None for v in witnesses)
+        or not _on_tripartite_context(scheme.context, inc)
+    ):
+        return None
+    omega, povm, vs = scheme.omega, np.stack(scheme.povm), np.stack(witnesses)
+    w = _block_mean(np.einsum("aiaj->aij", omega.reshape(n, n * n, n, n * n)))
+    f = _block_mean(np.einsum("kaibi->ikab", povm.reshape(-1, n * n, n, n * n, n)))
+    u = _block_mean(np.einsum("kiaib->ikab", vs.reshape(-1, n * n, n, n * n, n)))
+    legs = _Legs(
+        inc.small.commutant,
+        w,
+        f,
+        u,
+        la.frobenius_distance(omega, la.kron(la.eye(n), w)),
+        la.frobenius_norms(povm - la.kron(f, la.eye(n))),
+        la.frobenius_norms(vs - la.kron(la.eye(n * n), u)),
+    )
+    if (
+        legs.resource_gap > tol.bound(float(np.linalg.norm(omega)))
+        or np.any(legs.povm_gaps > tol.bound(la.frobenius_norms(povm)))
+        or np.any(legs.unit_gaps > tol.bound(la.frobenius_norms(vs)))
+    ):
+        return None
+    return legs
+
+
+def _block_mean(blocks: np.ndarray) -> np.ndarray:
+    """The mean over the first axis of a stack of diagonal blocks, a
+    normalised partial trace, taken as the first block plus the mean offset
+    from it: blocks that are equal average to themselves exactly, so a piece
+    built in leg form reads back with a zero remainder."""
+    return blocks[0] + np.mean(blocks - blocks[0], axis=0)
+
+
+def _on_tripartite_context(ctx: TeleportationContext, inc: Inclusion) -> bool:
+    """Whether ``ctx`` is the context :func:`_tripartite_context` built for
+    ``inc``, with none of its attributes replaced since, its expectation
+    among them: the legs read the algebras, the trace and the expectation of
+    that context in closed form."""
+    built, attributes = getattr(ctx, "_built_for", (None, {}))
+    return built is inc and all(getattr(ctx, name) is value for name, value in attributes.items())
+
+
 def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     """Structural checks plus the teleportation identity residual, at ``scheme.tol``.
 
@@ -129,42 +217,44 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     is recorded as failed with an infinite residual.  A failed bimodule
     check is excused only when Bob has several central projections, all in
     Alice, and every channel normalises Alice (:func:`_normalising_residual`).
+
+    A tight scheme on M_n (x) M_n (x) N' whose pieces lie within
+    ``tol.bound(||X||)`` of the leg form (1 (x) w, f_i (x) 1, Ad(1 (x) u_i))
+    is judged on its legs (:func:`_legs`, :func:`_leg_residuals`), with no
+    product of n^3 x n^3 matrices; each remainder enters its residual
+    through the triangle inequality (Weyl's for eigenvalues), so a pass on
+    the legs implies a pass on the dense pieces.  The legs are read on every
+    call, so replaced pieces are judged as they stand.  Every other scheme
+    is judged on its dense pieces (:func:`_dense_residuals`).
     """
     tol = scheme.tol
     ctx = scheme.context
-    shifted = np.stack([s for _, s in ctx.shift_pairs])
-    if np.any(ctx.bob.membership_residual(shifted) > tol.bound(la.frobenius_norms(shifted))):
-        raise PreconditionError("the shifted elements must lie in Bob's algebra")
+    legs = _legs(scheme)
+    # on the legs the context is the tripartite one, whose shifted elements 1 (x) 1 (x) b lie in Bob
+    if legs is None:
+        shifted = np.stack([s for _, s in ctx.shift_pairs])
+        if np.any(ctx.bob.membership_residual(shifted) > tol.bound(la.frobenius_norms(shifted))):
+            raise PreconditionError("the shifted elements must lie in Bob's algebra")
     rep = Report()
-    dim = ctx.ambient.ambient_dim
     commute = rep.add("alice_bob_commute", _commutation_gap(ctx.alice, ctx.bob), tol.bound(1.0) * 10)
     if strict and not commute.passed:
         raise SchemeError(f"structural clause failed: alice_bob_commute ({commute.residual:.2e})")
 
-    _povm_checks(rep, scheme, tol)
+    res = _leg_residuals(legs) if legs is not None else _dense_residuals(scheme, shifted, commute.passed)
+    norm = float(np.linalg.norm(scheme.omega))
+    for name, threshold in (
+        ("povm_sums_to_identity", tol.bound(1.0) * max(1, scheme.outcomes)),
+        ("povm_positive", tol.bound(1.0)),
+        ("povm_in_alice_algebra", tol.bound(1.0) * ctx.alice.dim),
+        ("resource_positive", tol.bound(norm)),
+        ("resource_normalised", tol.bound(1.0)),
+        ("resource_commutes_with_teleported", tol.bound(norm) * 10),
+        ("channels_completely_positive", tol.bound(1.0)),
+        ("channels_unital", tol.bound(1.0)),
+    ):
+        rep.add(name, res[name], threshold)
 
-    omega = scheme.omega
-    vals = np.linalg.eigvalsh((omega + la.dagger(omega)) / 2)
-    rep.add(
-        "resource_positive",
-        la.frobenius_distance(omega, la.dagger(omega)) + max(0.0, -float(vals.min())),
-        tol.bound(float(np.linalg.norm(omega))),
-    )
-    rep.add("resource_normalised", abs(ctx.trace(omega) - 1.0), tol.bound(1.0))
-    rep.add(
-        "resource_commutes_with_teleported",
-        _frame_distance(ctx.teleported, omega, commutant=True),
-        tol.bound(float(np.linalg.norm(omega))) * 10,
-    )
-
-    ucp = unital = 0.0
-    for ch in scheme.channels:
-        ucp = max(ucp, ch.cp_residual())
-        unital = max(unital, la.frobenius_distance(ch(la.eye(dim)), la.eye(dim)))
-    rep.add("channels_completely_positive", ucp, tol.bound(1.0))
-    rep.add("channels_unital", unital, tol.bound(1.0))
-
-    bimod = _bimodule_residual(ctx.alice, scheme.channels) if commute.passed else float("inf")
+    bimod = res["bimodule"]
     if not commute.passed:
         # the clause is stated for commuting Alice and Bob only
         rep.add_flag(
@@ -192,6 +282,43 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
                 "is unattainable for this inclusion"
             ),
         )
+    rep.add("channels_preserve_bob", res["channels_preserve_bob"], tol.bound(1.0) * ctx.bob.dim)
+    rep.add_flag("one_way_locc", True, detail="implied by POVM/bimodule/invariance structure")
+
+    if strict:
+        for check in rep.failures():
+            raise SchemeError(f"structural clause failed: {check.name} ({check.residual:.2e})")
+
+    rep.add("teleportation_identity", res["teleportation_identity"], tol.bound(1.0) * max(1, scheme.outcomes))
+    return rep
+
+
+def _dense_residuals(scheme: TeleportationScheme, shifted: np.ndarray, commute: bool) -> dict[str, float]:
+    """The residuals of :func:`verify_scheme` read off the dense pieces, by
+    check name, with the raw bimodule residual under ``bimodule`` (infinite
+    unless Alice and Bob ``commute``); ``shifted`` stacks the shifted
+    elements, which lie in Bob."""
+    ctx = scheme.context
+    dim = ctx.ambient.ambient_dim
+    povm, omega = np.stack(scheme.povm), scheme.omega
+    res = {"povm_sums_to_identity": la.frobenius_distance(sum(povm), la.eye(dim))}
+    vals = np.linalg.eigvalsh((povm + la.dagger(povm)) / 2)
+    res["povm_positive"] = max(
+        float(np.max(la.frobenius_norms(povm - la.dagger(povm)))), max(0.0, -float(vals.min()))
+    )
+    res["povm_in_alice_algebra"] = float(np.max(_frame_distance(ctx.alice, povm)))
+    vals = np.linalg.eigvalsh((omega + la.dagger(omega)) / 2)
+    res["resource_positive"] = la.frobenius_distance(omega, la.dagger(omega)) + max(0.0, -float(vals.min()))
+    res["resource_normalised"] = abs(ctx.trace(omega) - 1.0)
+    res["resource_commutes_with_teleported"] = _frame_distance(ctx.teleported, omega, commutant=True)
+
+    ucp = unital = 0.0
+    for ch in scheme.channels:
+        ucp = max(ucp, ch.cp_residual())
+        unital = max(unital, la.frobenius_distance(ch(la.eye(dim)), la.eye(dim)))
+    res["channels_completely_positive"], res["channels_unital"] = ucp, unital
+    res["bimodule"] = _bimodule_residual(ctx.alice, scheme.channels) if commute else float("inf")
+
     # T_i(s) is read off the images of Bob's basis at the coordinates of s
     bob, coords = ctx.bob.basis, ctx.bob.coords(shifted)
     total = np.zeros(shifted.shape, dtype=complex)
@@ -202,35 +329,75 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
         if i < scheme.outcomes:
             moved = (coords @ images.reshape(len(bob), -1)).reshape(shifted.shape)
             total += scheme.povm[i] @ moved @ omega
-    rep.add("channels_preserve_bob", preserve, tol.bound(1.0) * ctx.bob.dim)
-    rep.add_flag("one_way_locc", True, detail="implied by POVM/bimodule/invariance structure")
-
-    if strict:
-        for check in rep.failures():
-            raise SchemeError(f"structural clause failed: {check.name} ({check.residual:.2e})")
-
+    res["channels_preserve_bob"] = preserve
     got = ctx.expectation(total)
-    worst = max(la.frobenius_distance(g, a) for g, (a, _) in zip(got, ctx.shift_pairs))
-    rep.add("teleportation_identity", worst, tol.bound(1.0) * max(1, scheme.outcomes))
-    return rep
+    res["teleportation_identity"] = max(la.frobenius_distance(g, a) for g, (a, _) in zip(got, ctx.shift_pairs))
+    return res
 
 
-def _povm_checks(rep: Report, scheme: TeleportationScheme, tol: Tolerance) -> None:
-    """The POVM clauses of :func:`verify_scheme`, on the stacked POVM."""
-    povm, dim = np.stack(scheme.povm), scheme.context.ambient.ambient_dim
-    rep.add(
-        "povm_sums_to_identity",
-        la.frobenius_distance(sum(povm), la.eye(dim)),
-        tol.bound(1.0) * max(1, scheme.outcomes),
+def _leg_residuals(legs: _Legs) -> dict[str, float]:
+    """The residuals of :func:`verify_scheme` read off the legs, laid out as
+    by :func:`_dense_residuals`, each at least the dense residual.
+
+    With omega = 1 (x) w + dw, F_i = f_i (x) 1 + dF_i and v_i = 1 (x) u_i + dv_i,
+    the remainders r = ||dw||, r_i = ||dF_i||, q_i = ||dv_i|| bound the
+    difference: an n^2 or n leg identity contributes the factor sqrt(n) or n
+    to a norm, Frobenius norms bound operator norms, ||T_i(x) - Ad(1 (x) u_i)(x)||
+    <= q_i ||x|| (2 ||u_i|| + q_i), and eigenvalues move by at most the
+    remainder (Weyl).  ``povm_in_alice_algebra``, the distance of the
+    resource to the teleported commutant and the bimodule residual are the
+    remainders themselves, since f_i (x) 1 lies in Alice, 1 (x) w in
+    (N' (x) 1 (x) 1)' and 1 (x) u_i in Alice'.  The identity is
+    sum_i Tr_12((f_i (x) 1)(1 (x) 1 (x) u_i b u_i*)(1 (x) w)) / n^2 over the
+    basis b of N', projected onto N' (the expectation of the normalised
+    trace), as one einsum.
+    """
+    nprime, f, w, u = legs.nprime, legs.povm, legs.resource, legs.units
+    r, rf, ru = legs.resource_gap, legs.povm_gaps, legs.unit_gaps
+    n = nprime.ambient_dim
+    root = math.sqrt(n)
+
+    def lowest(x: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh((x + la.dagger(x)) / 2).min(axis=-1)
+
+    res = {"povm_sums_to_identity": root * la.frobenius_distance(f.sum(axis=0), la.eye(n * n)) + float(np.sum(rf))}
+    res["povm_positive"] = max(
+        float(np.max(root * la.frobenius_norms(f - la.dagger(f)) + 2 * rf)),
+        max(0.0, -float(np.min(lowest(f) - rf))),
     )
-    vals = np.linalg.eigvalsh((povm + la.dagger(povm)) / 2)
-    psd = max(float(np.max(la.frobenius_norms(povm - la.dagger(povm)))), max(0.0, -float(vals.min())))
-    rep.add("povm_positive", psd, tol.bound(1.0))
-    rep.add(
-        "povm_in_alice_algebra",
-        float(np.max(_frame_distance(scheme.context.alice, povm))),
-        tol.bound(1.0) * scheme.context.alice.dim,
+    res["povm_in_alice_algebra"] = float(np.max(rf))
+    res["resource_positive"] = (
+        root * la.frobenius_distance(w, la.dagger(w)) + 2 * r + max(0.0, -float(lowest(w) - r))
     )
+    res["resource_normalised"] = abs(np.trace(w) / (n * n) - 1.0)
+    res["resource_commutes_with_teleported"] = r
+
+    drift = legs.drift
+    eye = la.eye(n)
+    res["channels_completely_positive"] = float(np.max(n * la.frobenius_norms(la.dagger(u) @ u - eye) + drift))
+    res["channels_unital"] = float(np.max(n * la.frobenius_norms(u @ la.dagger(u) - eye) + drift))
+    res["bimodule"] = float(np.max(ru))
+
+    # Bob's basis is 1 (x) b / n over the basis b of N'
+    bs = nprime.basis
+    bnorms = la.frobenius_norms(bs)
+    moved = u[:, None] @ bs @ la.dagger(u)[:, None]
+    res["channels_preserve_bob"] = float(
+        np.max(nprime.membership_residual(moved) + drift[:, None] * bnorms / n)
+    )
+
+    k = min(len(f), len(u))
+    y = np.einsum(
+        "iapxq,ibcd,qdpc->bax", f[:k].reshape(k, n, n, n, n), moved[:k], w.reshape(n, n, n, n), optimize=True
+    ) / (n * n)
+    # ||F_i T_i(s) omega - (f_i (x) 1) Ad(1 (x) u_i)(s) (1 (x) w)|| per outcome and shift s
+    wnorm, fnorms = float(np.linalg.norm(w)) + r, la.frobenius_norms(f[:k])[:, None]
+    images, dt = la.frobenius_norms(moved[:k]), drift[:k, None] * bnorms
+    slack = rf[:k, None] * (images + dt) * wnorm + fnorms * dt * wnorm + fnorms * images * r
+    res["teleportation_identity"] = float(
+        np.max(n * la.frobenius_norms(nprime.project(y) - bs) + np.sum(slack, axis=0))
+    )
+    return res
 
 
 def _normalising_residual(alice: StarAlgebra, ch: Superoperator) -> float:
@@ -275,7 +442,14 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     sampled, so the flags do not depend on any seed.  The
     non-faithfulness witness is the first outcome whose lowest eigenvalue
     is within ``tol.abs`` of the minimum.  The flags are stored on the
-    scheme, where :func:`extract_tight_scheme` reuses them.
+    scheme.
+
+    A scheme that :func:`verify_scheme` judges on its legs is classified on
+    them too (:func:`_leg_flag_residuals`): g_i, both minimality distances
+    and the cross-check rows are read on n x n or n^2 x n^2 matrices, each
+    widened by what the remainders can move it, so the flags are those the
+    dense pieces give.  Every other scheme is classified on its dense
+    pieces (:func:`_dense_flag_residuals`).
     """
     tol = scheme.tol
     ctx = scheme.context
@@ -284,13 +458,13 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     tight = ctx.teleported.dim == d
     rep.add_flag("tight", True, detail=f"outcomes {d}, dim {ctx.teleported.dim}, flag {tight}")
 
-    gs = ctx.expectation(scheme.omega @ np.stack(scheme.povm))
-    unit = ctx.teleported.unit
-    unb_res = float(np.max(la.frobenius_norms(gs - unit / d)))
+    legs = _legs(scheme)
+    read = _dense_flag_residuals(scheme) if legs is None else _leg_flag_residuals(legs)
+    unb_res, lows, minimal_omega, minimal_povm, (alg, rows, slack) = read
     unbiased = unb_res <= tol.bound(1.0) * 10
     rep.add_flag("unbiased", True, detail=f"residual {unb_res:.2e}, flag {unbiased}")
 
-    lows = [float(low) for low in np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1)]
+    lows = [float(low) for low in lows]
     faithful = min(lows) > tol.abs
     witness = None
     if not unbiased:
@@ -301,11 +475,6 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
         witness = {"outcome": i, "probability": lows[i]}
     rep.add_flag("faithful", True, detail=f"flag {faithful}")
 
-    # both memberships in frame coordinates: no dense basis of a joint algebra
-    mirror_bob = StarAlgebra.commuting_product(ctx.mirror, ctx.bob, tol)
-    minimal_omega = _frame_distance(mirror_bob, scheme.omega)
-    pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror, tol)
-    minimal_povm = float(np.max(_frame_distance(pair, np.stack(scheme.povm))))
     minimal = minimal_omega <= tol.bound(
         float(np.linalg.norm(scheme.omega))
     ) * 10 and minimal_povm <= tol.bound(1.0) * 10
@@ -316,9 +485,9 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     )
 
     # independent cross-check of the reduction, over every density at once
-    lhs_rows, rhs_rows, norm_row = _cross_check_rows(scheme, gs)
+    lhs_rows, rhs_rows, norm_row = rows
     gaps = [lhs_rows - rhs_rows] + ([lhs_rows - norm_row / d] if unbiased else [])
-    cross = _density_bound(ctx.teleported, np.concatenate(gaps), norm_row)
+    cross = _density_bound(alg, np.concatenate(gaps), norm_row) + slack
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
     flags = SchemeFlags(
@@ -334,6 +503,51 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     return flags
 
 
+def _dense_flag_residuals(scheme: TeleportationScheme) -> tuple:
+    """What :func:`classify` reads, off the dense pieces: the unbiasedness
+    residual max_i ||g_i - 1/d||, the lowest eigenvalue of each g_i, the
+    distances of the resource to Mirror v Bob and of the POVM to
+    Teleported v Mirror (both in frame coordinates, no dense basis of a
+    joint algebra), and the cross-check as (algebra, rows, slack 0)."""
+    tol, ctx = scheme.tol, scheme.context
+    povm = np.stack(scheme.povm)
+    gs = ctx.expectation(scheme.omega @ povm)
+    unb_res = float(np.max(la.frobenius_norms(gs - ctx.teleported.unit / scheme.outcomes)))
+    lows = np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1)
+    mirror_bob = StarAlgebra.commuting_product(ctx.mirror, ctx.bob, tol)
+    minimal_omega = _frame_distance(mirror_bob, scheme.omega)
+    pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror, tol)
+    minimal_povm = float(np.max(_frame_distance(pair, povm)))
+    return unb_res, lows, minimal_omega, minimal_povm, (ctx.teleported, _cross_check_rows(scheme, gs), 0.0)
+
+
+def _leg_flag_residuals(legs: _Legs) -> tuple:
+    """What :func:`classify` reads, laid out as by :func:`_dense_flag_residuals`,
+    off the legs.  On the legs Tr_12(omega F_i) / n^2 is
+    h_i = Tr_1((1 (x) z) f_i) / n^2 with z = Tr_2(w), and
+    E(omega F_i) = P_N'(h_i) (x) 1 (x) 1, P_N' the HS projection; the
+    remainders move omega F_i by at most e_i = r (||f_i|| + r_i) + ||w|| r_i,
+    which bounds how far g_i, its eigenvalues and every value tau(rho g_i)
+    or tau(F_i rho omega) of a density move.  Mirror v Bob is
+    1 (x) N' (x) N' and Teleported v Mirror is N' (x) N' (x) 1.  The
+    cross-check rows are those of :func:`_cross_check_rows` on N', whose
+    corners are the teleported algebra's."""
+    nprime, f, w = legs.nprime, legs.povm, legs.resource
+    r, rf = legs.resource_gap, legs.povm_gaps
+    n, d = nprime.ambient_dim, len(f)
+    z = np.einsum("icjc->ij", w.reshape(n, n, n, n))
+    h = np.einsum("iaqxp,pq->iax", f.reshape(-1, n, n, n, n), z) / (n * n)
+    gs = nprime.project(h)
+    slack = r * (la.frobenius_norms(f) + rf) + float(np.linalg.norm(w)) * rf
+    unb_res = float(np.max(n * la.frobenius_norms(gs - la.eye(n) / d) + slack))
+    lows = np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1) - slack
+    pair, root = StarAlgebra.tensor(nprime, nprime), math.sqrt(n)
+    minimal_omega = root * _frame_distance(pair, w) + r
+    minimal_povm = float(np.max(root * _frame_distance(pair, f) + rf))
+    rows = _corner_rows(nprime, np.concatenate([h, gs, la.eye(n)[None]]) / n, d)
+    return unb_res, lows, minimal_omega, minimal_povm, (nprime, rows, 2 * float(np.max(slack)))
+
+
 def _cross_check_rows(
     scheme: TeleportationScheme, gs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,22 +558,27 @@ def _cross_check_rows(
     are used, not the reduction under test: with D the trace density,
     tau(F rho omega) = Tr((omega D F) rho), tau(rho g) = Tr((g D) rho) and
     tau(rho) = Tr(D rho), and Tr(X rho) = sum_j m_j <Xbar_j^T, c_j>
-    entrywise, Xbar_j the corners of X.  The corners c_j are concatenated
-    block by block, each raveled row-major.
+    entrywise, Xbar_j the corners of X (:func:`_corner_rows`).
     """
     ctx = scheme.context
     density = ctx.trace.density
     xs = np.stack(
         [scheme.omega @ density @ f for f in scheme.povm] + list(gs @ density) + [density]
     )
+    return _corner_rows(ctx.teleported, xs, scheme.outcomes)
+
+
+def _corner_rows(alg: StarAlgebra, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix X of ``xs`` the row m_j Xbar_j^T over the blocks j of ``alg``,
+    Xbar_j its corners, each raveled row-major and concatenated block by
+    block; split as the first k rows, the next k and the last."""
     rows = np.concatenate(
         [
             m * np.swapaxes(c, -1, -2).reshape(len(xs), -1)
-            for (_, m), c in zip(ctx.teleported.blocks, _corners(ctx.teleported, xs))
+            for (_, m), c in zip(alg.blocks, _corners(alg, xs))
         ],
         axis=1,
     )
-    k = scheme.outcomes
     return rows[:k], rows[k : 2 * k], rows[2 * k]
 
 
@@ -617,12 +836,15 @@ def commutant_trace_is_markov(inc: Inclusion) -> tuple[bool, Report]:
 
 
 def _tripartite_context(inc: Inclusion) -> TeleportationContext:
+    """The context of the tight schemes of ``inc`` on M_n (x) M_n (x) N'; it
+    records the inclusion and its own attributes, which
+    :func:`_on_tripartite_context` reads."""
     n = inc.big.ambient_dim
     nprime = inc.small.commutant
     full, triv = StarAlgebra.full(n), StarAlgebra.trivial(n)
     ambient = StarAlgebra.tensor(full, full, nprime)
     ident = la.eye(n)
-    return TeleportationContext(
+    ctx = TeleportationContext(
         ambient=ambient,
         trace=Trace.normalized(ambient),
         alice=StarAlgebra.tensor(full, full, triv),
@@ -633,6 +855,8 @@ def _tripartite_context(inc: Inclusion) -> TeleportationContext:
             (la.kron(b, ident, ident), la.kron(ident, ident, b)) for b in nprime.basis
         ],
     )
+    ctx._built_for = (inc, dict(vars(ctx)))
+    return ctx
 
 
 def tight_scheme_from_basis(
@@ -766,13 +990,19 @@ def extract_tight_scheme(
     scheme alone, not on rounding.  The contract is the round trip: the
     resource, the POVM and the corrections rebuilt from the triple must
     reproduce the scheme's; only there is a channel compared with
-    Ad(1 (x) 1 (x) u_i), on Bob's basis 1 (x) b / n (:func:`_far_leg_images`),
-    and a failure names the channels over the bound.  The extracted family
-    must pass :func:`bases._require_normaliser_basis`.
+    Ad(1 (x) 1 (x) u_i), on Bob's basis 1 (x) b / n, and a failure names the
+    channels over the bound.  The extracted family must pass
+    :func:`bases._require_normaliser_basis`.
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
-    bounds included.  The scheme's level-one tower is reused, and its flags
-    when it has been classified; otherwise it is classified once.
+    bounds included.  The scheme's level-one tower is reused.  The scheme
+    is classified on every call, whatever flags it holds, so replaced
+    pieces are judged as they stand.  A scheme that :func:`verify_scheme`
+    judges on its legs (:func:`_legs`) is extracted from them, and its
+    round trip compares legs: each distance splits into the leg part and
+    the remainder, HS-orthogonal to it, and a witnessed channel's part on
+    1 (x) b is u_i b u_i* up to its remainder.  Every other scheme is
+    compared on its dense pieces (:func:`_far_leg_images`).
     """
     inc = scheme.inclusion
     if inc is None or scheme.leg_dims is None:
@@ -790,18 +1020,19 @@ def extract_tight_scheme(
     flag, _ = commutant_trace_is_markov(inc)
     if not flag:
         raise HypothesisError("commutant trace gate fails")
-    flags = scheme.flags or classify(scheme)
+    flags = classify(scheme)
     if not (flags.tight and flags.minimal and flags.faithful):
         raise PreconditionError("extraction requires a tight, minimal, faithful scheme")
 
+    legs = _legs(scheme)
     rep = Report()
     omega = scheme.omega
-    omega_small = la.partial_trace(omega, [n, n, n], {0}, normalise=True)
-    rep.add(
-        "resource_has_trivial_first_leg",
-        la.frobenius_distance(omega, la.kron(la.eye(n), omega_small)),
-        tol.bound(float(np.linalg.norm(omega))),
-    )
+    if legs is None:
+        omega_small = la.partial_trace(omega, [n, n, n], {0}, normalise=True)
+        first_leg = la.frobenius_distance(omega, la.kron(la.eye(n), omega_small))
+    else:
+        omega_small, first_leg = legs.resource, legs.resource_gap
+    rep.add("resource_has_trivial_first_leg", first_leg, tol.bound(float(np.linalg.norm(omega))))
     z = la.partial_trace(omega_small, [n, n], {0}, normalise=True)
     z = (z + la.dagger(z)) / 2
     rep.add("central_slice_in_centre", small.center.membership_residual(z), tol.bound(1.0) * 10)
@@ -828,14 +1059,15 @@ def extract_tight_scheme(
     )
 
     # correction unitaries from the POVM, every outcome at once
-    ident = la.eye(n)
-    povm = np.stack(scheme.povm)
-    k = len(povm)
-    f_small = np.einsum("kaibi->kab", povm.reshape(k, n * n, n, n * n, n)) / n
-    third_legs = la.frobenius_norms(povm - la.kron(f_small, ident))
-    for i, (f, gap) in enumerate(zip(povm, third_legs)):
+    if legs is None:
+        povm = np.stack(scheme.povm)
+        f_small = np.einsum("kaibi->kab", povm.reshape(len(povm), n * n, n, n * n, n)) / n
+        third_legs = la.frobenius_norms(povm - la.kron(f_small, la.eye(n)))
+    else:
+        f_small, third_legs = legs.povm, legs.povm_gaps
+    for i, (f, gap) in enumerate(zip(scheme.povm, third_legs)):
         rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(np.linalg.norm(f))))
-    outcomes = [f"outcome {i}" for i in range(k)]
+    outcomes = [f"outcome {i}" for i in range(scheme.outcomes)]
     units = u @ la.dagger(_leg_unitaries(e, f_small, 0, outcomes, small.dim, tol))
 
     basis = PimsnerPopaBasis(inc, list(units))
@@ -847,24 +1079,56 @@ def extract_tight_scheme(
 
     # the round trip rebuilds operators only and compares them in the scheme's context
     trip = tol.bound(1.0) * 5
-    rep.add(
-        "round_trip_resource",
-        la.frobenius_distance(la.kron(ident, rebuilt_small), scheme.omega),
-        trip * max(1.0, float(np.linalg.norm(scheme.omega))),
-    )
-    rebuilt_povm = la.kron(_entangled_projections(e, units, u), ident)
-    rep.add("round_trip_povm", float(np.max(la.frobenius_norms(rebuilt_povm - povm))), trip)
-    # On Bob's basis 1 (x) b / n, Ad(1 (x) u_i) gives 1 (x) u_i b u_i* / n,
-    # and T_i gives (1 (x) r_b + q_b) / n with r_b the partial trace of
-    # T_i(1 (x) b) and q_b orthogonal to 1 (x) M_n, so the distance of the
-    # two is sqrt(||r_b - u_i b u_i*||^2 + ||q_b||^2 / n^2): a sum of squares.
-    nprime = small.commutant
-    parts, outside = _far_leg_images(scheme.channels, nprime)
-    moved = units[:, None] @ nprime.basis @ la.dagger(units)[:, None]
-    gaps = np.max(np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n)), axis=1)
+    projections = _entangled_projections(e, units, u)
+    if legs is None:
+        resource, povm_gaps, gaps = _dense_round_trip(scheme, rebuilt_small, projections, units)
+    else:
+        resource, povm_gaps, gaps = _leg_round_trip(legs, rebuilt_small, projections, units)
+    rep.add("round_trip_resource", resource, trip * max(1.0, float(np.linalg.norm(omega))))
+    rep.add("round_trip_povm", float(np.max(povm_gaps)), trip)
     rep.add("round_trip_channels", float(np.max(gaps)), trip)
     if not rep.passed:
         failed = ", ".join(c.name for c in rep.failures())
         over = ", ".join(str(i) for i in np.flatnonzero(gaps > trip))
         raise ExtractionError(f"round trip failed: {failed}" + (f" (channels {over})" if over else ""))
     return basis, u, z, rep
+
+
+def _dense_round_trip(
+    scheme: TeleportationScheme, rebuilt_small: np.ndarray, projections: np.ndarray, units: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The round-trip distances of :func:`extract_tight_scheme` on the dense
+    pieces: of the resource 1 (x) rebuilt_small, of each POVM element
+    p_i (x) 1, and per channel the largest over Bob's basis 1 (x) b / n of
+    the distance to Ad(1 (x) 1 (x) units_i).  On 1 (x) b / n, Ad(1 (x) u_i)
+    gives 1 (x) u_i b u_i* / n and T_i gives (1 (x) r_b + q_b) / n with r_b the
+    partial trace of T_i(1 (x) b) and q_b orthogonal to 1 (x) M_n, so the
+    distance of the two is sqrt(||r_b - u_i b u_i*||^2 + ||q_b||^2 / n^2): a
+    sum of squares."""
+    nprime = scheme.inclusion.small.commutant
+    n, ident = nprime.ambient_dim, la.eye(nprime.ambient_dim)
+    resource = la.frobenius_distance(la.kron(ident, rebuilt_small), scheme.omega)
+    povm_gaps = la.frobenius_norms(la.kron(projections, ident) - np.stack(scheme.povm))
+    parts, outside = _far_leg_images(scheme.channels, nprime)
+    moved = units[:, None] @ nprime.basis @ la.dagger(units)[:, None]
+    gaps = np.max(np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n)), axis=1)
+    return resource, povm_gaps, gaps
+
+
+def _leg_round_trip(
+    legs: _Legs, rebuilt_small: np.ndarray, projections: np.ndarray, units: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The distances of :func:`_dense_round_trip`, off the legs.  The rebuilt
+    resource and POVM lie in leg form, HS-orthogonal to each remainder, so
+    ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i.
+    On 1 (x) b / n a channel moves by at most q_i ||b|| (2 ||u_i|| + q_i) / n
+    from Ad(1 (x) u_i), whose image is 1 (x) u_i b u_i* / n, so its distance to
+    Ad(1 (x) units_i) is at most ||u_i b u_i* - units_i b units_i*|| plus that."""
+    nprime, u = legs.nprime, legs.units
+    n, bs = nprime.ambient_dim, nprime.basis
+    resource = math.sqrt(n * la.frobenius_distance(rebuilt_small, legs.resource) ** 2 + legs.resource_gap**2)
+    povm_gaps = np.sqrt(n * la.frobenius_norms(projections - legs.povm) ** 2 + legs.povm_gaps**2)
+    parts = u[:, None] @ bs @ la.dagger(u)[:, None]
+    moved = units[:, None] @ bs @ la.dagger(units)[:, None]
+    gaps = np.max(la.frobenius_norms(parts - moved) + legs.drift[:, None] * la.frobenius_norms(bs) / n, axis=1)
+    return resource, povm_gaps, gaps

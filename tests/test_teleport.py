@@ -904,9 +904,9 @@ def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
     for scheme in (s, std):
         assert extract_tight_scheme(scheme)[3].passed
     assert calls == {"basic_construction": 0, "_tripartite_context": 0, "classify": 2}
-    # a second extraction reuses the flags the first one decided
+    # a second extraction classifies the scheme again, as it stands
     assert extract_tight_scheme(s)[3].passed
-    assert calls["classify"] == 2
+    assert calls["classify"] == 3
 
 
 def test_extraction_on_a_fresh_tower_matches_the_reused_one():
@@ -1183,3 +1183,175 @@ def test_unbiased_verify_leaves_alice_basis_unbuilt():
     check = next(c for c in rep.checks if c.name == "channels_alice_bimodule_sampled")
     assert rep.passed and check.detail is not None
     assert "basis" not in vars(s.context.alice)
+
+
+# -- tight tripartite schemes judged on their legs ------------------------------
+
+
+def _d3_dressed():
+    inc = diagonal_in_full(3)
+    b = shift_basis(3)
+    b.inclusion = inc
+    z = np.diag([1.5, 0.9, 0.6]).astype(complex)
+    return tight_scheme_from_basis(inc, b, u=shift_unitary(3), z=z)
+
+
+LEG_SCHEMES = {
+    "standard_2": lambda: standard_scheme(2),
+    "standard_3": lambda: standard_scheme(3),
+    "standard_4": lambda: standard_scheme(4),
+    "werner_D2": _werner_d2,
+    "D3_dressed": _d3_dressed,
+    "subsystem_tight": _subsystem_tight,
+}
+
+
+def _dense_copy(s):
+    """The scheme built by hand from its pieces: no inclusion, no leg dimensions."""
+    return TeleportationScheme(s.context, s.omega, s.povm, s.channels)
+
+
+def _same_reports(got, want):
+    assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
+    assert max(abs(g.residual - w.residual) for g, w in zip(got.checks, want.checks)) <= 1e-12
+
+
+@pytest.mark.parametrize("key", sorted(LEG_SCHEMES))
+def test_leg_and_dense_verdicts_agree(key):
+    s = LEG_SCHEMES[key]()
+    dense = _dense_copy(s)
+    assert teleport._legs(s) is not None and teleport._legs(dense) is None
+    _same_reports(verify_scheme(s), verify_scheme(dense))
+    got, want = classify(s), classify(dense)
+    _same_reports(got.report, want.report)
+    fields = lambda f: (f.tight, f.unbiased, f.unbiased_value, f.faithful, f.minimal)
+    assert fields(got) == fields(want)
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert got.witness["outcome"] == want.witness["outcome"]
+        assert abs(got.witness["probability"] - want.witness["probability"]) <= 1e-12
+    # extraction on the dense pieces: the same scheme with witness-less channels
+    wrapped = TeleportationScheme(
+        s.context,
+        s.omega,
+        s.povm,
+        [Superoperator(ch.domain, ch.codomain, ch, stacks=True) for ch in s.channels],
+        s.inclusion,
+        s.leg_dims,
+        tower=s.tower,
+    )
+    assert teleport._legs(wrapped) is None
+    _same_reports(extract_tight_scheme(s)[3], extract_tight_scheme(wrapped)[3])
+
+
+def test_leg_path_applies_no_channel_and_no_expectation(monkeypatch):
+    s = standard_scheme(3)
+    applied = []
+    call = Superoperator.__call__
+    monkeypatch.setattr(Superoperator, "__call__", lambda self, x: applied.append(self) or call(self, x))
+    assert verify_scheme(s).passed and classify(s).minimal and extract_tight_scheme(s)[3].passed
+    # only the basis gate of extraction maps anything: expectations on M_3
+    assert all(op.domain.ambient_dim == 3 for op in applied)
+    # the dense copy maps Bob's basis and takes the expectation
+    assert verify_scheme(_dense_copy(s)).passed
+    assert s.context.expectation in applied and s.channels[0] in applied
+
+
+def test_schemes_off_their_legs_are_judged_dense():
+    from dataclasses import replace
+
+    s = standard_scheme(2)
+    assert teleport._legs(s) is not None
+    # tower schemes, hand-built copies and witness-less channels
+    t, b = tower_basis("diagonal_in_full_3", lambda: shift_basis(3))
+    assert teleport._legs(unbiased_scheme(t, b)) is None
+    assert teleport._legs(_dense_copy(s)) is None
+    _without_witness(s, [ch.ad_unitary for ch in standard_scheme(2).channels])
+    assert teleport._legs(s) is None
+    # a remainder over tol.bound(||X||): the first leg of the resource, one POVM
+    # element and one witness, each at twice the bound
+    for piece in ("omega", "povm", "channel"):
+        s = standard_scheme(2)
+        h = la.kron(np.diag([1.0, -1.0]).astype(complex), la.eye(4))
+        if piece == "omega":
+            s.omega = s.omega + 2 * DEFAULT_TOL.bound(float(np.linalg.norm(s.omega))) / np.sqrt(8) * h
+        elif piece == "povm":
+            h = la.kron(la.eye(4), np.diag([1.0, -1.0]).astype(complex))  # on Bob's leg
+            s.povm[1] = s.povm[1] + 2 * DEFAULT_TOL.bound(float(np.linalg.norm(s.povm[1]))) / np.sqrt(8) * h
+        else:
+            v = s.channels[1].ad_unitary
+            eps = 2 * DEFAULT_TOL.bound(float(np.linalg.norm(v))) / np.sqrt(8)
+            s.channels[1] = Superoperator.conjugation(v + eps * h, s.context.ambient)
+        assert teleport._legs(s) is None, piece
+    # a context that is not the one built for the scheme's inclusion, or one
+    # whose expectation was replaced
+    s = standard_scheme(2)
+    assert teleport._legs(replace(s, inclusion=trivial_in_full(2))) is None
+    assert teleport._legs(replace(s, context=teleport._tripartite_context(s.inclusion))) is not None
+    assert teleport._legs(replace(s, context=replace(s.context))) is None
+    s.context.expectation = lambda x: x
+    assert teleport._legs(s) is None
+
+
+def test_extraction_classifies_the_scheme_it_is_given():
+    # flags decided before the resource left Alice's first leg do not count
+    def replaced(s):
+        omega_small = la.partial_trace(s.omega, [2, 2, 2], {0}, normalise=True)
+        s.omega = la.kron(np.diag([1.5, 0.5]), omega_small)
+        return s
+
+    s = standard_scheme(2)
+    assert classify(s).minimal
+    replaced(s)
+    for scheme in (s, replaced(standard_scheme(2))):
+        with pytest.raises(PreconditionError, match="^extraction requires a tight, minimal, faithful scheme$"):
+            extract_tight_scheme(scheme)
+    assert not s.flags.minimal
+
+
+def _corrupted_leg(case):
+    """standard_scheme(3), or the D_3 scheme for ``moved_bob``, with one leg
+    corrupted and the piece kept in leg form; the structural check it fails."""
+    if case == "moved_bob":
+        inc = diagonal_in_full(3)
+        b = shift_basis(3)
+        b.inclusion = inc
+        s = tight_scheme_from_basis(inc, b)
+    else:
+        s = standard_scheme(3)
+    n, one = 3, la.eye(3)
+    if case == "povm_not_psd":
+        # f_0 = |p><p| gains eps |p><p| - eps |q><q| for a unit q orthogonal to
+        # p, and f_1 loses it: the traces and the sum stay, f_0 has eigenvalue -eps
+        f0 = la.partial_trace(s.povm[0], [n * n, n], {1}, normalise=True)
+        f1 = la.partial_trace(s.povm[1], [n * n, n], {1}, normalise=True)
+        q = np.linalg.eigh(f0)[1][:, 0]
+        shift = 0.01 * (f0 - np.outer(q, q.conj()))
+        s.povm[0], s.povm[1] = la.kron(f0 + shift, one), la.kron(f1 - shift, one)
+        return s, "povm_positive"
+    if case == "resource_not_psd":
+        w = la.partial_trace(s.omega, [n, n * n], {0}, normalise=True)
+        q = np.linalg.eigh(w)[1][:, 0]  # an eigenvector of eigenvalue 0
+        p = np.linalg.eigh(w)[1][:, -1]
+        s.omega = la.kron(one, w + 0.01 * (np.outer(p, p.conj()) - np.outer(q, q.conj())))
+        return s, "resource_positive"
+    if case == "scaled_witness":
+        u = la.partial_trace(s.channels[4].ad_unitary, [n * n, n], {0}, normalise=True)
+        s.channels[4] = Superoperator.conjugation(la.kron(la.eye(n * n), 1.01 * u), s.context.ambient)
+        return s, "channels_completely_positive"
+    # a Fourier matrix carries the diagonal N' = D_3 out of itself
+    fourier = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n)
+    s.channels[1] = Superoperator.conjugation(la.kron(la.eye(n * n), fourier), s.context.ambient)
+    return s, "channels_preserve_bob"
+
+
+@pytest.mark.parametrize("case", ["povm_not_psd", "resource_not_psd", "scaled_witness", "moved_bob"])
+def test_a_corrupted_leg_fails_its_check_on_the_legs(case):
+    s, name = _corrupted_leg(case)
+    assert teleport._legs(s) is not None
+    got, want = verify_scheme(s, strict=False), verify_scheme(_dense_copy(s), strict=False)
+    _same_reports(got, want)
+    failed = [c.name for c in got.failures() if c.name != "teleportation_identity"]
+    assert failed == (["channels_completely_positive", "channels_unital"] if case == "scaled_witness" else [name])
+    with pytest.raises(SchemeError, match=f"^structural clause failed: {name} "):
+        verify_scheme(s)
