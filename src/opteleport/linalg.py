@@ -27,8 +27,8 @@ _INVERTIBLE_GATE = 1e-6  # smallest singular value it accepts, of a unit-norm co
 
 
 def set_default_seed(seed: int) -> None:
-    """Set the seed of ``rng_from(None)``, which the ``random_*`` helpers use
-    when given no seed; no verdict of the package reads it."""
+    """Set the seed ``rng_from`` falls back to when given none, which the
+    ``random_*`` helpers then use; no verdict of the package reads it."""
     global _active_seed
     _active_seed = int(seed)
 

@@ -19,10 +19,11 @@ provided: the block direct-sum scheme for an arbitrary finite-dimensional
 algebra, and the unbiased scheme attached to a unitary normaliser basis of
 an inclusion.  Every constructor records the inclusion whose tower it builds
 on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
-scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  All
-three judge a tight scheme on M_n (x) M_n (x) N' on its legs
+scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  The
+first two judge a tight scheme on M_n (x) M_n (x) N' on its legs
 (:func:`_legs`), on n x n and n^2 x n^2 matrices, and every other scheme on
-its dense pieces.
+its dense pieces; the extraction reads every scheme on its legs
+(:func:`_pieces`).
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class TeleportationScheme:
     channels: list[Superoperator]
     inclusion: Inclusion | None = None  # the inclusion whose tower the scheme is built on
     leg_dims: tuple[int, int, int] | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
-    flags: "SchemeFlags | None" = field(default=None, repr=False)
     tower: Tower | None = field(default=None, repr=False)  # a tight scheme's level-one tower
 
     @property
@@ -108,16 +108,17 @@ class SchemeFlags:
 
 
 class _Legs(NamedTuple):
-    """A scheme on M_n (x) M_n (x) N' read leg by leg (:func:`_legs`): each
-    piece's HS projection onto its leg form, and its distance to that form."""
+    """A scheme on M_n (x) M_n (x) N' read leg by leg (:func:`_pieces`): each
+    piece's HS projection onto its leg form, and its distance to that form.
+    The witness fields are None unless every channel has a witness."""
 
     nprime: StarAlgebra
     resource: np.ndarray  # w = Tr_0(omega) / n, on legs 1 and 2
     povm: np.ndarray  # f_i = Tr_2(F_i) / n, on legs 0 and 1
-    units: np.ndarray  # u_i = Tr_01(v_i) / n^2 of the witnesses v_i, on leg 2
+    units: np.ndarray | None  # u_i = Tr_01(v_i) / n^2 of the witnesses v_i, on leg 2
     resource_gap: float  # ||omega - 1 (x) w||
     povm_gaps: np.ndarray  # ||F_i - f_i (x) 1||
-    unit_gaps: np.ndarray  # ||v_i - 1 (x) u_i||
+    unit_gaps: np.ndarray | None  # ||v_i - 1 (x) u_i||
 
     @property
     def drift(self) -> np.ndarray:
@@ -127,60 +128,72 @@ class _Legs(NamedTuple):
         return self.unit_gaps * (2 * la.frobenius_norms(self.units) + self.unit_gaps)
 
 
+def _pieces(scheme: TeleportationScheme) -> _Legs | None:
+    """The legs of a scheme that records an inclusion N ⊆ M_n with
+    ``leg_dims == (n, n, n)``, else None: the resource and the POVM always,
+    the witnesses v_i when every channel has one.  Each piece is read by
+    :func:`_split` in O(k n^6), on every call; nothing is stored, so a scheme
+    whose pieces were replaced is read as it stands."""
+    inc = scheme.inclusion
+    if inc is None or scheme.leg_dims != (inc.big.ambient_dim,) * 3:
+        return None
+    n = inc.big.ambient_dim
+    w, r = _split([scheme.omega], n, n * n, first=False)
+    f, rf = _split(scheme.povm, n * n, n, first=True)
+    witnesses = [ch.ad_unitary for ch in scheme.channels]
+    u, ru = (None, None) if any(v is None for v in witnesses) else _split(witnesses, n * n, n, first=False)
+    return _Legs(inc.small.commutant, w[0], f, u, float(r[0]), rf, ru)
+
+
 def _legs(scheme: TeleportationScheme) -> _Legs | None:
     """The legs of a tight tripartite scheme, or None when the scheme must be
     judged on its dense pieces.
 
-    A scheme has legs when it records an inclusion N ⊆ M_n with
-    ``leg_dims == (n, n, n)`` on that inclusion's tripartite context
-    (:func:`_on_tripartite_context`), every channel is a conjugation with a
-    witness v_i, and every piece lies within ``tol.bound(||X||)`` of its leg
-    form: 1 (x) w for the resource, f_i (x) 1 for each POVM element and
-    1 (x) u_i for each witness, the bound that extraction's trivial-leg
-    checks use.  Each leg is a partial trace, the HS projection onto its
-    form, so each gap is a distance; all are read in O(k n^6).  The legs are
-    read on every call and never stored, so a scheme whose pieces were
-    replaced is read as it stands.
+    A scheme is judged on its legs when :func:`_pieces` reads it, it is on
+    the tripartite context of its inclusion (:func:`_on_tripartite_context`),
+    every channel is a conjugation with a witness v_i, and every piece lies
+    within ``tol.bound(||X||)`` of its leg form: 1 (x) w for the resource,
+    f_i (x) 1 for each POVM element and 1 (x) u_i for each witness, the bound
+    that extraction's trivial-leg checks use.
     """
-    inc, tol = scheme.inclusion, scheme.tol
-    if inc is None or not scheme.povm or not scheme.channels:
-        return None
-    n = inc.big.ambient_dim
-    witnesses = [ch.ad_unitary for ch in scheme.channels]
+    tol = scheme.tol
+    legs = _pieces(scheme) if scheme.povm and scheme.channels else None
     if (
-        scheme.leg_dims != (n, n, n)
-        or any(v is None for v in witnesses)
-        or not _on_tripartite_context(scheme.context, inc)
-    ):
-        return None
-    omega, povm, vs = scheme.omega, np.stack(scheme.povm), np.stack(witnesses)
-    w = _block_mean(np.einsum("aiaj->aij", omega.reshape(n, n * n, n, n * n)))
-    f = _block_mean(np.einsum("kaibi->ikab", povm.reshape(-1, n * n, n, n * n, n)))
-    u = _block_mean(np.einsum("kiaib->ikab", vs.reshape(-1, n * n, n, n * n, n)))
-    legs = _Legs(
-        inc.small.commutant,
-        w,
-        f,
-        u,
-        la.frobenius_distance(omega, la.kron(la.eye(n), w)),
-        la.frobenius_norms(povm - la.kron(f, la.eye(n))),
-        la.frobenius_norms(vs - la.kron(la.eye(n * n), u)),
-    )
-    if (
-        legs.resource_gap > tol.bound(float(np.linalg.norm(omega)))
-        or np.any(legs.povm_gaps > tol.bound(la.frobenius_norms(povm)))
-        or np.any(legs.unit_gaps > tol.bound(la.frobenius_norms(vs)))
+        legs is None
+        or not _on_tripartite_context(scheme.context, scheme.inclusion)
+        or not _witnesses_on_legs(scheme, legs)
+        or legs.resource_gap > tol.bound(float(np.linalg.norm(scheme.omega)))
+        or np.any(legs.povm_gaps > tol.bound(la.frobenius_norms(scheme.povm)))
     ):
         return None
     return legs
 
 
-def _block_mean(blocks: np.ndarray) -> np.ndarray:
-    """The mean over the first axis of a stack of diagonal blocks, a
-    normalised partial trace, taken as the first block plus the mean offset
-    from it: blocks that are equal average to themselves exactly, so a piece
-    built in leg form reads back with a zero remainder."""
-    return blocks[0] + np.mean(blocks - blocks[0], axis=0)
+def _witnesses_on_legs(scheme: TeleportationScheme, legs: _Legs) -> bool:
+    """Whether every channel has a witness v_i within ``tol.bound(||v_i||)``
+    of 1 (x) u_i."""
+    if legs.units is None:
+        return False
+    norms = la.frobenius_norms([ch.ad_unitary for ch in scheme.channels])
+    return bool(np.all(legs.unit_gaps <= scheme.tol.bound(norms)))
+
+
+def _split(xs: np.ndarray | list[np.ndarray], a: int, b: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix x of the stack ``xs`` on C^a (x) C^b split into its leg y,
+    with y (x) 1 the HS projection of x onto M_a (x) 1 when ``first`` and
+    1 (x) y that onto 1 (x) M_b otherwise, and the Frobenius norm of the
+    remainder, x minus that projection.  The leg is the mean of the diagonal
+    blocks, a normalised partial trace, taken as the first block plus the
+    mean offset from it: equal blocks average to themselves exactly, so a
+    piece built as a Kronecker product reads back with remainder exactly 0.
+    The remainder is formed in one copy of the stack, the leg subtracted in
+    place through a writable diagonal view, so no Kronecker product or
+    difference stack is formed."""
+    x = np.array(xs, dtype=complex)
+    blocks = np.einsum("kicjc->ckij" if first else "kicid->ikcd", x.reshape(-1, a, b, a, b))
+    leg = blocks[0] + np.mean(blocks - blocks[0], axis=0)
+    blocks -= leg
+    return leg, la.frobenius_norms(x)
 
 
 def _on_tripartite_context(ctx: TeleportationContext, inc: Inclusion) -> bool:
@@ -441,8 +454,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     (:func:`_cross_check_rows`, :func:`_density_bound`); nothing is
     sampled, so the flags do not depend on any seed.  The
     non-faithfulness witness is the first outcome whose lowest eigenvalue
-    is within ``tol.abs`` of the minimum.  The flags are stored on the
-    scheme.
+    is within ``tol.abs`` of the minimum.
 
     A scheme that :func:`verify_scheme` judges on its legs is classified on
     them too (:func:`_leg_flag_residuals`): g_i, both minimality distances
@@ -490,7 +502,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     cross = _density_bound(alg, np.concatenate(gaps), norm_row) + slack
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
-    flags = SchemeFlags(
+    return SchemeFlags(
         tight=tight,
         unbiased=unbiased,
         unbiased_value=1.0 / d if unbiased else None,
@@ -499,8 +511,6 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
         witness=witness,
         report=rep,
     )
-    scheme.flags = flags
-    return flags
 
 
 def _dense_flag_residuals(scheme: TeleportationScheme) -> tuple:
@@ -931,21 +941,14 @@ def _far_leg_images(
     channels: list[Superoperator], nprime: StarAlgebra
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each channel T on the lifted basis 1 (x) a of N', 1 = 1_{n^2}, applied
-    once as one stacked call, in the two parts that the round trip of
-    :func:`extract_tight_scheme` reads: the n x n partial traces
-    r_a = Tr_01(T(1 (x) a)) / n^2, so that 1 (x) r_a is the HS projection of
-    T(1 (x) a) onto 1 (x) M_n, and the squared Frobenius norms of what that
-    projection leaves out.  No stack of full images outlives its channel;
-    the parts are stacked over channels, (k, dim N', n, n) and (k, dim N')."""
+    once as one stacked call and split (:func:`_split`) into the n x n legs
+    r_a, 1 (x) r_a the HS projection of T(1 (x) a) onto 1 (x) M_n, and the
+    norms of what that projection leaves out.  No stack of full images
+    outlives its channel; the parts are stacked over channels,
+    (k, dim N', n, n) and (k, dim N')."""
     n = nprime.ambient_dim
-    far = nprime.basis
-    lifted = la.kron(la.eye(n * n), far)
-    parts, outside = [], []
-    for ch in channels:
-        image = ch(lifted)
-        part = np.einsum("kiaib->kab", image.reshape(len(far), n * n, n, n * n, n)) / (n * n)
-        parts.append(part)
-        outside.append(la.frobenius_norms(image - la.kron(la.eye(n * n), part)) ** 2)
+    lifted = la.kron(la.eye(n * n), nprime.basis)
+    parts, outside = zip(*(_split(ch(lifted), n * n, n, first=False) for ch in channels))
     return np.stack(parts), np.stack(outside)
 
 
@@ -996,13 +999,16 @@ def extract_tight_scheme(
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused.  The scheme
-    is classified on every call, whatever flags it holds, so replaced
-    pieces are judged as they stand.  A scheme that :func:`verify_scheme`
-    judges on its legs (:func:`_legs`) is extracted from them, and its
-    round trip compares legs: each distance splits into the leg part and
-    the remainder, HS-orthogonal to it, and a witnessed channel's part on
-    1 (x) b is u_i b u_i* up to its remainder.  Every other scheme is
-    compared on its dense pieces (:func:`_far_leg_images`).
+    is classified on every call, so replaced pieces are judged as they
+    stand.  Every piece is read once, by :func:`_pieces`: the rebuilt
+    resource and POVM lie in leg form, HS-orthogonal to each remainder, so
+    ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i.
+    A channel's part on Bob's basis 1 (x) b / n is read off its witness
+    v_i when every witness lies within ``tol.bound(||v_i||)`` of 1 (x) u_i:
+    it is u_i b u_i* / n up to q_i ||b|| (2 ||u_i|| + q_i) / n
+    (:attr:`_Legs.drift`).  Otherwise each channel is applied to the lifted
+    basis of N' (:func:`_far_leg_images`), and its distance is the
+    Pythagorean sum of the leg part and what the leg leaves out.
     """
     inc = scheme.inclusion
     if inc is None or scheme.leg_dims is None:
@@ -1024,15 +1030,10 @@ def extract_tight_scheme(
     if not (flags.tight and flags.minimal and flags.faithful):
         raise PreconditionError("extraction requires a tight, minimal, faithful scheme")
 
-    legs = _legs(scheme)
+    legs = _pieces(scheme)
     rep = Report()
-    omega = scheme.omega
-    if legs is None:
-        omega_small = la.partial_trace(omega, [n, n, n], {0}, normalise=True)
-        first_leg = la.frobenius_distance(omega, la.kron(la.eye(n), omega_small))
-    else:
-        omega_small, first_leg = legs.resource, legs.resource_gap
-    rep.add("resource_has_trivial_first_leg", first_leg, tol.bound(float(np.linalg.norm(omega))))
+    omega, omega_small = scheme.omega, legs.resource
+    rep.add("resource_has_trivial_first_leg", legs.resource_gap, tol.bound(float(np.linalg.norm(omega))))
     z = la.partial_trace(omega_small, [n, n], {0}, normalise=True)
     z = (z + la.dagger(z)) / 2
     rep.add("central_slice_in_centre", small.center.membership_residual(z), tol.bound(1.0) * 10)
@@ -1059,16 +1060,10 @@ def extract_tight_scheme(
     )
 
     # correction unitaries from the POVM, every outcome at once
-    if legs is None:
-        povm = np.stack(scheme.povm)
-        f_small = np.einsum("kaibi->kab", povm.reshape(len(povm), n * n, n, n * n, n)) / n
-        third_legs = la.frobenius_norms(povm - la.kron(f_small, la.eye(n)))
-    else:
-        f_small, third_legs = legs.povm, legs.povm_gaps
-    for i, (f, gap) in enumerate(zip(scheme.povm, third_legs)):
+    for i, (f, gap) in enumerate(zip(scheme.povm, legs.povm_gaps)):
         rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(np.linalg.norm(f))))
     outcomes = [f"outcome {i}" for i in range(scheme.outcomes)]
-    units = u @ la.dagger(_leg_unitaries(e, f_small, 0, outcomes, small.dim, tol))
+    units = u @ la.dagger(_leg_unitaries(e, legs.povm, 0, outcomes, small.dim, tol))
 
     basis = PimsnerPopaBasis(inc, list(units))
     try:
@@ -1078,12 +1073,18 @@ def extract_tight_scheme(
     rep.merge(basis.report, prefix="extracted_basis.")
 
     # the round trip rebuilds operators only and compares them in the scheme's context
-    trip = tol.bound(1.0) * 5
+    trip, root, bs = tol.bound(1.0) * 5, math.sqrt(n), legs.nprime.basis
     projections = _entangled_projections(e, units, u)
-    if legs is None:
-        resource, povm_gaps, gaps = _dense_round_trip(scheme, rebuilt_small, projections, units)
+    resource = math.hypot(root * la.frobenius_distance(rebuilt_small, omega_small), legs.resource_gap)
+    povm_gaps = np.hypot(root * la.frobenius_norms(projections - legs.povm), legs.povm_gaps)
+    moved = units[:, None] @ bs @ la.dagger(units)[:, None]
+    if _witnesses_on_legs(scheme, legs):
+        parts = legs.units[:, None] @ bs @ la.dagger(legs.units)[:, None]
+        gaps = la.frobenius_norms(parts - moved) + legs.drift[:, None] * la.frobenius_norms(bs) / n
     else:
-        resource, povm_gaps, gaps = _leg_round_trip(legs, rebuilt_small, projections, units)
+        parts, outside = _far_leg_images(scheme.channels, legs.nprime)
+        gaps = np.hypot(la.frobenius_norms(parts - moved), outside / n)
+    gaps = np.max(gaps, axis=1)
     rep.add("round_trip_resource", resource, trip * max(1.0, float(np.linalg.norm(omega))))
     rep.add("round_trip_povm", float(np.max(povm_gaps)), trip)
     rep.add("round_trip_channels", float(np.max(gaps)), trip)
@@ -1092,43 +1093,3 @@ def extract_tight_scheme(
         over = ", ".join(str(i) for i in np.flatnonzero(gaps > trip))
         raise ExtractionError(f"round trip failed: {failed}" + (f" (channels {over})" if over else ""))
     return basis, u, z, rep
-
-
-def _dense_round_trip(
-    scheme: TeleportationScheme, rebuilt_small: np.ndarray, projections: np.ndarray, units: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The round-trip distances of :func:`extract_tight_scheme` on the dense
-    pieces: of the resource 1 (x) rebuilt_small, of each POVM element
-    p_i (x) 1, and per channel the largest over Bob's basis 1 (x) b / n of
-    the distance to Ad(1 (x) 1 (x) units_i).  On 1 (x) b / n, Ad(1 (x) u_i)
-    gives 1 (x) u_i b u_i* / n and T_i gives (1 (x) r_b + q_b) / n with r_b the
-    partial trace of T_i(1 (x) b) and q_b orthogonal to 1 (x) M_n, so the
-    distance of the two is sqrt(||r_b - u_i b u_i*||^2 + ||q_b||^2 / n^2): a
-    sum of squares."""
-    nprime = scheme.inclusion.small.commutant
-    n, ident = nprime.ambient_dim, la.eye(nprime.ambient_dim)
-    resource = la.frobenius_distance(la.kron(ident, rebuilt_small), scheme.omega)
-    povm_gaps = la.frobenius_norms(la.kron(projections, ident) - np.stack(scheme.povm))
-    parts, outside = _far_leg_images(scheme.channels, nprime)
-    moved = units[:, None] @ nprime.basis @ la.dagger(units)[:, None]
-    gaps = np.max(np.sqrt(la.frobenius_norms(parts - moved) ** 2 + outside / (n * n)), axis=1)
-    return resource, povm_gaps, gaps
-
-
-def _leg_round_trip(
-    legs: _Legs, rebuilt_small: np.ndarray, projections: np.ndarray, units: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The distances of :func:`_dense_round_trip`, off the legs.  The rebuilt
-    resource and POVM lie in leg form, HS-orthogonal to each remainder, so
-    ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i.
-    On 1 (x) b / n a channel moves by at most q_i ||b|| (2 ||u_i|| + q_i) / n
-    from Ad(1 (x) u_i), whose image is 1 (x) u_i b u_i* / n, so its distance to
-    Ad(1 (x) units_i) is at most ||u_i b u_i* - units_i b units_i*|| plus that."""
-    nprime, u = legs.nprime, legs.units
-    n, bs = nprime.ambient_dim, nprime.basis
-    resource = math.sqrt(n * la.frobenius_distance(rebuilt_small, legs.resource) ** 2 + legs.resource_gap**2)
-    povm_gaps = np.sqrt(n * la.frobenius_norms(projections - legs.povm) ** 2 + legs.povm_gaps**2)
-    parts = u[:, None] @ bs @ la.dagger(u)[:, None]
-    moved = units[:, None] @ bs @ la.dagger(units)[:, None]
-    gaps = np.max(la.frobenius_norms(parts - moved) + legs.drift[:, None] * la.frobenius_norms(bs) / n, axis=1)
-    return resource, povm_gaps, gaps

@@ -23,7 +23,7 @@ from opteleport.bases import (
     weyl_basis,
 )
 from opteleport.errors import ExtractionError, HypothesisError, PreconditionError, SchemeError
-from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_full
+from opteleport.inclusion import concrete_jones_projection, diagonal_in_full, markov_inclusion, trivial_in_full
 from opteleport.linalg import DEFAULT_TOL, Tolerance
 from opteleport.teleport import (
     TeleportationContext,
@@ -1211,6 +1211,19 @@ def _dense_copy(s):
     return TeleportationScheme(s.context, s.omega, s.povm, s.channels)
 
 
+def _witness_less(s):
+    """The scheme with each channel wrapped so that it carries no witness."""
+    return TeleportationScheme(
+        s.context,
+        s.omega,
+        s.povm,
+        [Superoperator(ch.domain, ch.codomain, ch, stacks=True) for ch in s.channels],
+        s.inclusion,
+        s.leg_dims,
+        tower=s.tower,
+    )
+
+
 def _same_reports(got, want):
     assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
     assert max(abs(g.residual - w.residual) for g, w in zip(got.checks, want.checks)) <= 1e-12
@@ -1231,15 +1244,7 @@ def test_leg_and_dense_verdicts_agree(key):
         assert got.witness["outcome"] == want.witness["outcome"]
         assert abs(got.witness["probability"] - want.witness["probability"]) <= 1e-12
     # extraction on the dense pieces: the same scheme with witness-less channels
-    wrapped = TeleportationScheme(
-        s.context,
-        s.omega,
-        s.povm,
-        [Superoperator(ch.domain, ch.codomain, ch, stacks=True) for ch in s.channels],
-        s.inclusion,
-        s.leg_dims,
-        tower=s.tower,
-    )
+    wrapped = _witness_less(s)
     assert teleport._legs(wrapped) is None
     _same_reports(extract_tight_scheme(s)[3], extract_tight_scheme(wrapped)[3])
 
@@ -1293,6 +1298,67 @@ def test_schemes_off_their_legs_are_judged_dense():
     assert teleport._legs(s) is None
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_split_reads_the_leg_and_the_remainder(first):
+    rng = np.random.default_rng(11)
+    a, b = 3, 2
+    xs = rng.standard_normal((5, a * b, a * b)) + 1j * rng.standard_normal((5, a * b, a * b))
+    kept = xs.copy()
+    legs, gaps = teleport._split(xs, a, b, first)
+    assert np.array_equal(xs, kept)
+    for x, leg, gap in zip(xs, legs, gaps):
+        assert np.max(np.abs(leg - la.partial_trace(x, [a, b], {1 if first else 0}, normalise=True))) <= 1e-14
+        lifted = la.kron(leg, la.eye(b)) if first else la.kron(la.eye(a), leg)
+        assert abs(gap - np.linalg.norm(x - lifted)) <= 1e-14
+    # a piece built as a Kronecker product reads back exactly
+    y = legs[0]
+    piece = la.kron(y, la.eye(b)) if first else la.kron(la.eye(a), y)
+    leg, gap = teleport._split([piece], a, b, first)
+    assert np.array_equal(leg[0], y) and gap[0] == 0.0
+
+
+def _off_legs(s):
+    """``s`` with the resource, one POVM element and one channel moved off
+    their leg form by half the trivial-leg bound, the channel witness-less."""
+    n = s.inclusion.big.ambient_dim
+    sign = np.diag([1.0] + [-1.0] * (n - 1)).astype(complex)
+    eps = lambda x: 0.5 * DEFAULT_TOL.bound(float(np.linalg.norm(x))) / np.sqrt(n**3)
+    s.omega = s.omega + eps(s.omega) * la.kron(sign, la.eye(n * n))
+    s.povm[1] = s.povm[1] + eps(s.povm[1]) * la.kron(la.eye(n * n), sign)
+    v = s.channels[1].ad_unitary
+    s.channels[1] = Superoperator.conjugation(v + eps(v) * la.kron(sign, la.eye(n * n)), s.context.ambient)
+    return _witness_less(s)
+
+
+ROUND_TRIP_SCHEMES = {
+    "standard_2": lambda: standard_scheme(2),
+    "standard_3": lambda: standard_scheme(3),
+    "werner_D2": _werner_d2,
+    "werner_D2_witness_less": lambda: _witness_less(_werner_d2()),
+    "standard_3_off_legs": lambda: _off_legs(standard_scheme(3)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ROUND_TRIP_SCHEMES))
+def test_extraction_round_trip_matches_the_dense_distances(key):
+    s = ROUND_TRIP_SCHEMES[key]()
+    basis, u, z, rep = extract_tight_scheme(s)
+    got = {c.name: c.residual for c in rep.checks}
+    inc = s.inclusion
+    n, e, units = inc.big.ambient_dim, concrete_jones_projection(inc.small), np.stack(basis.elements)
+    resource = la.kron(la.eye(n), teleport._tight_resource(inc, e, u, z))
+    povm = la.kron(teleport._entangled_projections(e, units, u), la.eye(n))
+    # each channel against Ad(1 (x) 1 (x) u_i) on Bob's basis 1 (x) b / n
+    bob = la.kron(la.eye(n * n), inc.small.commutant.basis) / n
+    corrections = la.kron(la.eye(n * n), units)
+    channels = max(
+        float(np.max(la.frobenius_norms(ch(bob) - v @ bob @ la.dagger(v)))) for ch, v in zip(s.channels, corrections)
+    )
+    assert abs(got["round_trip_resource"] - la.frobenius_distance(resource, s.omega)) <= 1e-12
+    assert abs(got["round_trip_povm"] - float(np.max(la.frobenius_norms(povm - np.stack(s.povm))))) <= 1e-12
+    assert abs(got["round_trip_channels"] - channels) <= 1e-12
+
+
 def test_extraction_classifies_the_scheme_it_is_given():
     # flags decided before the resource left Alice's first leg do not count
     def replaced(s):
@@ -1306,7 +1372,7 @@ def test_extraction_classifies_the_scheme_it_is_given():
     for scheme in (s, replaced(standard_scheme(2))):
         with pytest.raises(PreconditionError, match="^extraction requires a tight, minimal, faithful scheme$"):
             extract_tight_scheme(scheme)
-    assert not s.flags.minimal
+    assert not classify(s).minimal
 
 
 def _corrupted_leg(case):
