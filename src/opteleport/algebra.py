@@ -366,7 +366,19 @@ def _layout_distance(
     sums the squares of what it leaves out, never a difference of norms, and
     x is left as it is.
     """
-    total, o = 0.0, 0
+    total, _ = _layout_split(x, layout, commutant)
+    return float(np.sqrt(total)) if np.ndim(x) == 2 else np.sqrt(total)
+
+
+def _layout_split(
+    x: np.ndarray, layout: Sequence[tuple[int, int]], commutant: bool = False
+) -> tuple[float | np.ndarray, list[np.ndarray]]:
+    """The squared distance of :func:`_layout_distance`, and per block the
+    mean its projection keeps: the (d_j, d_j) average over the leg m_j, so
+    that the projection is (+)_j mean_j (x) 1_{m_j}, or with ``commutant``
+    the (m_j, m_j) average over the leg d_j, with projection
+    (+)_j 1_{d_j} (x) mean_j."""
+    total, o, means = 0.0, 0, []
     for d, m in layout:
         sl, end = slice(o, o + d * m), o + d * m
         off = la.frobenius_norms(x[..., sl, :o]) ** 2 + la.frobenius_norms(x[..., sl, end:]) ** 2
@@ -380,8 +392,9 @@ def _layout_distance(
             mean = np.trace(legs, axis1=-3, axis2=-1) / m
             gap = legs - mean[..., :, None, :, None] * la.eye(m)[None, :, None, :]
         total = total + la.frobenius_norms(gap.reshape(block.shape)) ** 2
+        means.append(mean)
         o = end
-    return float(np.sqrt(total)) if np.ndim(x) == 2 else np.sqrt(total)
+    return total, means
 
 
 def _frame_distance(alg: StarAlgebra, x: np.ndarray, commutant: bool = False) -> float | np.ndarray:

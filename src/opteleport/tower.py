@@ -37,6 +37,7 @@ from .algebra import (
     _from_corners,
     _generators,
     _layout_distance,
+    _layout_split,
     conditional_expectation_onto,
 )
 from .errors import (
@@ -636,44 +637,42 @@ def _markov_expectation_residual(t: Tower, idx: float) -> float:
     return float(np.sqrt(total))
 
 
-def _right_commutant_distance(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray], float]:
-    """The map taking an operator on ``gns`` to its Frobenius distance from
-    the commutant of the right action of ``sub`` ⊆ ``gns.algebra``.
+def _level2_distances(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray], tuple[float, float]]:
+    """The map taking an operator S on ``gns``, the GNS space of an algebra
+    A, to (lands, image): lands is the Frobenius distance of S to A' and
+    image that to A' ∩ B, for B the commutant of the right action of
+    ``sub`` ⊆ A.  image bounds the distance of S to B from above and equals
+    it for S in A'.
 
-    On block j the right action of y is 1 (x) ybar_j^T, and
+    In GNS coordinates A' is (+)_j 1_{d_j} (x) M_{d_j}, so one pass over the
+    diagonal blocks gives lands and the projection (+)_j 1 (x) X_j of S onto
+    A'.  A' and B are the commutants of left(A) and of right(sub), which
+    commute, so the projections onto A' and B commute and their product
+    projects onto A' ∩ B: image^2 = lands^2 + ||(+)_j 1 (x) X_j - its part
+    in B||^2.  On block j the right action of y is 1 (x) ybar_j^T, and
     ybar_j = F_j ((+)_i y_i (x) 1_{r_ij}) F_j* for F_j the unit frames of
-    ``sub`` in block j, columns (i, p, s).  With conj(F_j) on the second leg
-    it becomes (+)_i y_i^T (x) 1, whose commutant is (+)_i 1_{e_i} (x) M_{n_i}
-    on the coordinates (i, p, (j, a, s)), n_i = sum_j d_j r_ij.  Every change
-    of basis is unitary and acts on one leg of one block: O(dim^2 d) work.
+    ``sub`` in block j, columns (i, p, s).  So 1 (x) X_j lies in B when
+    conj(F_j)* X_j conj(F_j) lies in (+)_i 1_{e_i} (x) M_{r_ij}, and the
+    second term is sum_j d_j times the squared distance of that d_j x d_j
+    corner to this layout.
     """
     frames = gns.unit_frames(sub)  # [i][j]: (d_j, e_i, r_ij)
-    changes, position = [], []  # per block j: conj(F_j), and the coordinates (a, (i, p, s))
-    for j, ((d, _), sl) in enumerate(zip(gns.algebra.blocks, gns._slices)):
-        changes.append(np.conj(np.concatenate([row[j].reshape(d, -1) for row in frames], axis=1)))
-        position.append(sl.start + np.arange(d * d).reshape(d, d))
-    order, layout, offsets = [], [], [0] * len(position)
-    for row in frames:
-        e = row[0].shape[1]
-        legs = []  # per block j: the coordinates (a, s) of each p, as an (e, d_j r_ij) array
-        for j, f in enumerate(row):
-            d, _, r = f.shape
-            cols = position[j][:, offsets[j] : offsets[j] + e * r].reshape(d, e, r)
-            legs.append(cols.transpose(1, 0, 2).reshape(e, -1))
-            offsets[j] += e * r
-        block = np.concatenate(legs, axis=1)
-        order.append(block.ravel())
-        layout.append((e, block.shape[1]))
-    order = np.concatenate(order)
+    layout = [(d, d) for d, _ in gns.algebra.blocks]
+    changes, corner_layouts = [], []  # per block j: conj(F_j), and the pairs (e_i, r_ij) with r_ij > 0
+    for j, (d, _) in enumerate(layout):
+        row = [fs[j] for fs in frames]
+        changes.append(np.conj(np.concatenate([f.reshape(d, -1) for f in row], axis=1)))
+        corner_layouts.append([f.shape[1:] for f in row if f.shape[2]])
 
-    def distance(xt: np.ndarray) -> float:
-        z = np.array(xt, dtype=complex)
-        for (d, _), sl, u in zip(gns.algebra.blocks, gns._slices, changes):
-            z[:, sl] = (z[:, sl].reshape(-1, d, d) @ u).reshape(-1, d * d)
-            z[sl] = (la.dagger(u) @ z[sl].reshape(d, d, -1)).reshape(d * d, -1)
-        return _layout_distance(z[order][:, order], layout, commutant=True)
+    def distances(s: np.ndarray) -> tuple[float, float]:
+        lands_sq, means = _layout_split(s, layout, commutant=True)
+        image_sq = lands_sq + sum(
+            d * _layout_distance(la.dagger(u) @ x @ u, lay, commutant=True) ** 2
+            for (d, _), u, lay, x in zip(layout, changes, corner_layouts, means)
+        )
+        return float(np.sqrt(lands_sq)), float(np.sqrt(image_sq))
 
-    return distance
+    return distances
 
 
 def _compression_residual(
@@ -724,7 +723,19 @@ def _gns_inner_residual(t: Tower) -> float:
 
 def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> Report:
     """The shift and gamma maps as (anti-)isomorphisms; ``shifted`` is the
-    shift over the basis of N' ∩ M, from :func:`verify_tower`."""
+    shift over the basis of N' ∩ M, from :func:`verify_tower`.
+
+    gamma1 = gns1.right places (+)_j 1_{d_j} (x) c_j^T for c_j the corners
+    of its argument in M1, and ||(+)_j 1_{d_j} (x) z_j||_F^2 =
+    sum_j d_j ||z_j||_F^2, so the gamma1 identities on the samples are read
+    off the corners of their gamma0 images: shift(xy) - shift(x) shift(y)
+    has the corners c_j(gamma0(xy)) - c_j(gamma0(y)) c_j(gamma0(x)), and
+    likewise for the star and for gamma1 anti-multiplicative.  No operator
+    at the level-two GNS dimension is formed for them.  The level-two
+    memberships take one pass over each shifted operator
+    (:func:`_level2_distances`); ``shift_image_in_level2`` is the distance
+    to M1' ∩ M2, an upper bound on that to M2, and equal to it on M1'.
+    """
     rep = Report()
     rc = t.rel_comm
     rep.add(
@@ -734,33 +745,27 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> 
     )
     rng = la.rng_from(_PAIR_SEED + 3)
     xs, ys = rc.random_hermitian(rng, 6), rc.random_hermitian(rng, 6)
-    # gamma0 once over every sample at x, y, xy, x*; then gamma1 one sample at a
-    # time, so that the stack of level-two operators holds five of them
     gx, gy, gxy, gxd = np.moveaxis(t.gamma0(np.stack([xs, ys, xs @ ys, la.dagger(xs)], axis=1)), 1, 0)
     anti0 = _largest(gxy - gy @ gx)
     star0 = _largest(gxd - la.dagger(gx))
     mult = star = anti1 = 0.0
-    for g in zip(gx, gy, gxy, gxd):
-        sx, sy, sxy, sxd, s_anti = t.gamma(1, np.stack([*g, g[0] @ g[1]]))
-        mult = max(mult, la.frobenius_distance(sxy, sx @ sy))
-        star = max(star, la.frobenius_distance(sxd, la.dagger(sx)))
-        anti1 = max(anti1, la.frobenius_distance(s_anti, sy @ sx))
-    rep.add("shift_multiplicative", mult, tol.bound(1.0) * 10)
-    rep.add("shift_star_preserving", star, tol.bound(1.0) * 10)
+    for (d, _), (cx, cy, cxy, cxd, c_anti) in zip(
+        t.level1.blocks, _corners(t.level1, np.stack([gx, gy, gxy, gxd, gx @ gy]))
+    ):
+        mult = mult + d * la.frobenius_norms(cxy - cy @ cx) ** 2
+        star = star + d * la.frobenius_norms(cxd - la.dagger(cx)) ** 2
+        anti1 = anti1 + d * la.frobenius_norms(c_anti - cx @ cy) ** 2
+    rep.add("shift_multiplicative", np.sqrt(mult.max()), tol.bound(1.0) * 10)
+    rep.add("shift_star_preserving", np.sqrt(star.max()), tol.bound(1.0) * 10)
     rep.add("gamma0_anti_multiplicative", anti0, tol.bound(1.0) * 10)
     rep.add("gamma0_star_preserving", star0, tol.bound(1.0) * 10)
-    rep.add("gamma1_anti_multiplicative", anti1, tol.bound(1.0) * 10)
+    rep.add("gamma1_anti_multiplicative", np.sqrt(anti1.max()), tol.bound(1.0) * 10)
     # M1 is generated by the represented M and the first Jones projection, so
-    # commuting with both is lying in the commutant of M1 on its GNS space: in
-    # GNS coordinates 1 (x) M_{d_j} on block j.  M2 is the commutant of the
-    # right action of M there.
-    gns1 = t.gns1
-    layout = [(d, d) for d, _ in gns1.algebra.blocks]
-    to_level2 = _right_commutant_distance(gns1, t.levels[1].upper)
-    lands = image = 0.0
-    for s in shifted:  # one at a time: each pass over a dim x dim operator stays in cache
-        lands = max(lands, _layout_distance(s, layout, commutant=True))
-        image = max(image, to_level2(s))
+    # commuting with both is lying in the commutant of M1 on its GNS space.
+    # M2 is the commutant of the right action of M there.
+    to_level2 = _level2_distances(t.gns1, t.levels[1].upper)
+    # one operator at a time: each pass over a dim x dim operator stays in cache
+    lands, image = np.max([to_level2(s) for s in shifted], axis=0)
     rep.add("shift_lands_in_level2_commutant", lands, tol.bound(1.0) * t.level1.dim)
     rep.add("shift_image_in_level2", image, tol.bound(1.0) * t.level2.dim)
     return rep

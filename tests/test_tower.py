@@ -615,7 +615,11 @@ def _dense_range_residuals(t):
 
 def _dense_frame_residuals(t):
     """The residuals that verify_tower reads in frame coordinates, from D x D
-    products and dense bases, with the rank of the dense span of {x e_N y}."""
+    products and dense bases, with the rank of the dense span of {x e_N y}.
+    The gamma1 identities run on the samples verify_tower draws, through
+    dense t.gamma(1, .) products at the level-two GNS dimension."""
+    from opteleport.tower import _PAIR_SEED
+
     inc = t.inclusion
     pi, pi1, e1, e2 = t.gns.left, t.gns1.left, t.jones1, t.jones2
     images = [pi(x) for x in inc.big.basis]
@@ -624,7 +628,20 @@ def _dense_frame_residuals(t):
     span = la.span_onb(prods)
     shifted = [t.shift(x) for x in t.rel_comm.basis]
     gens = [pi1(px) for px in images] + [pi1(e1)]
+    rng = la.rng_from(_PAIR_SEED + 3)
+    xs, ys = t.rel_comm.random_hermitian(rng, 6), t.rel_comm.random_hermitian(rng, 6)
+    gamma1 = lambda x: t.gamma(1, x)  # noqa: E731
+    samples = [(t.gamma0(x), t.gamma0(y), t.gamma0(x @ y), t.gamma0(la.dagger(x))) for x, y in zip(xs, ys)]
     return span.shape[0], {
+        "shift_multiplicative": max(
+            la.frobenius_distance(gamma1(gxy), gamma1(gx) @ gamma1(gy)) for gx, gy, gxy, _ in samples
+        ),
+        "shift_star_preserving": max(
+            la.frobenius_distance(gamma1(gxd), la.dagger(gamma1(gx))) for gx, _, _, gxd in samples
+        ),
+        "gamma1_anti_multiplicative": max(
+            la.frobenius_distance(gamma1(gx @ gy), gamma1(gy) @ gamma1(gx)) for gx, gy, _, _ in samples
+        ),
         "level1_span_membership": max(la.span_residual(span, b) for b in t.level1.basis),
         "tr1_defining_relation": max(
             abs(np.trace(t.levels[1].density @ prod) - inc.trace(x @ y))
@@ -752,6 +769,24 @@ def test_frame_checks_read_the_public_maps(monkeypatch):
     assert {"markov_expectation_level2", "jones2_commutes_with_m"} <= failed
 
 
+@pytest.mark.parametrize(
+    "k, names",
+    [
+        (1, ["shift_multiplicative", "gamma1_anti_multiplicative", "shift_image_in_level2"]),
+        (2, ["shift_entanglement", "shift_lands_in_level2_commutant", "shift_image_in_level2"]),
+    ],
+)
+def test_shift_checks_fail_on_a_rotated_right_action(k, names, monkeypatch):
+    # gamma0 (k = 1) or gamma1 (k = 2) conjugated by a random unitary on the
+    # public map instance must fail the level-two shift checks of its identities
+    t = iterate(basic_construction(make_inclusion("diagonal_in_full_3")))
+    gns = t.levels[k].gns
+    u, right = la.random_unitary(gns.dim, 31), gns.right
+    monkeypatch.setattr(gns, "right", lambda x: u @ right(x) @ la.dagger(u))
+    failed = {c.name for c in verify_tower(t).checks if not c.passed}
+    assert set(names) <= failed
+
+
 def test_span_membership_sees_products_outside_level1():
     # the corner coordinates see only the part of x e y inside M1; a range of
     # e_N rotated out of M1 must still fail the membership check
@@ -814,12 +849,54 @@ def test_verify_tower_builds_no_basis_above_level1(key, monkeypatch):
     assert [b for b in built if b[0] > t.gns.dim] == []
 
 
+def _right_commutant_distance(gns, sub):
+    """The map taking an operator on ``gns`` to its Frobenius distance from
+    the commutant of the right action of ``sub`` ⊆ ``gns.algebra``, for any
+    operator: the reference for the corner bound of verify_tower.
+
+    On block j the right action of y is 1 (x) ybar_j^T, and
+    ybar_j = F_j ((+)_i y_i (x) 1_{r_ij}) F_j* for F_j the unit frames of
+    ``sub`` in block j, columns (i, p, s).  With conj(F_j) on the second leg
+    it becomes (+)_i y_i^T (x) 1, whose commutant is (+)_i 1_{e_i} (x) M_{n_i}
+    on the coordinates (i, p, (j, a, s)), n_i = sum_j d_j r_ij.
+    """
+    from opteleport.algebra import _layout_distance
+
+    frames = gns.unit_frames(sub)  # [i][j]: (d_j, e_i, r_ij)
+    changes, position = [], []  # per block j: conj(F_j), and the coordinates (a, (i, p, s))
+    for j, ((d, _), sl) in enumerate(zip(gns.algebra.blocks, gns._slices)):
+        changes.append(np.conj(np.concatenate([row[j].reshape(d, -1) for row in frames], axis=1)))
+        position.append(sl.start + np.arange(d * d).reshape(d, d))
+    order, layout, offsets = [], [], [0] * len(position)
+    for row in frames:
+        e = row[0].shape[1]
+        legs = []  # per block j: the coordinates (a, s) of each p, as an (e, d_j r_ij) array
+        for j, f in enumerate(row):
+            d, _, r = f.shape
+            cols = position[j][:, offsets[j] : offsets[j] + e * r].reshape(d, e, r)
+            legs.append(cols.transpose(1, 0, 2).reshape(e, -1))
+            offsets[j] += e * r
+        block = np.concatenate(legs, axis=1)
+        order.append(block.ravel())
+        layout.append((e, block.shape[1]))
+    order = np.concatenate(order)
+
+    def distance(xt):
+        z = np.array(xt, dtype=complex)
+        for (d, _), sl, u in zip(gns.algebra.blocks, gns._slices, changes):
+            z[:, sl] = (z[:, sl].reshape(-1, d, d) @ u).reshape(-1, d * d)
+            z[sl] = (la.dagger(u) @ z[sl].reshape(d, d, -1)).reshape(d * d, -1)
+        return _layout_distance(z[order][:, order], layout, commutant=True)
+
+    return distance
+
+
 @pytest.mark.parametrize("key", FRAME_TOWERS)
 def test_unit_coordinate_distances_match_projections(key):
     # off the algebras too: random operators and perturbed members of M2 and
     # of the commutant of M1, against the distances StarAlgebra.project gives
     from opteleport.algebra import _corners, _layout_distance
-    from opteleport.tower import _right_commutant_distance
+    from opteleport.tower import _level2_distances
 
     t = _frame_tower(key)
     g, upper = t.gns1, t.levels[2].upper
@@ -829,13 +906,43 @@ def test_unit_coordinate_distances_match_projections(key):
     xs[2] = upper.commutant.random_hermitian(rng) + 1e-3 * xs[2]
     layout = [(d, d) for d, _ in g.algebra.blocks]
     to_level2 = _right_commutant_distance(g, t.levels[1].upper)
+    corner_bound = _level2_distances(g, t.levels[1].upper)
     for x in xs:
         lands = _layout_distance(x, layout, commutant=True)
+        image = to_level2(x)
         assert abs(lands - upper.commutant.membership_residual(x)) < 1e-10
-        assert abs(to_level2(x) - t.level2.membership_residual(x)) < 1e-10
+        assert abs(image - t.level2.membership_residual(x)) < 1e-10
+        # the corner pass: lands, and the distance to M1' ∩ M2, which bounds
+        # that to M2 and is sqrt(lands^2 + dist(its projection onto M1', M2)^2)
+        got_lands, got_image = corner_bound(x)
+        assert abs(got_lands - lands) < 1e-10
+        assert abs(got_image - np.hypot(lands, to_level2(upper.commutant.project(x)))) < 1e-10
+        assert got_image >= image - 1e-10
         # the frame of represented(algebra) selects block j: corners from the diagonal blocks
         for (d, _), sl, c in zip(g.algebra.blocks, g._slices, _corners(upper, x)):
             assert np.abs(np.trace(x[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / d - c).max() < 1e-12
+    # on M1' the bound is the distance to M2
+    inside = upper.commutant.random_hermitian(rng)
+    assert abs(corner_bound(inside)[1] - to_level2(inside)) < 1e-10
+
+
+def test_level2_image_reads_complex_unit_frames():
+    # the unit frames F_j of a rotated C + C ⊗ 1_2 inside M_3 are complex, so the
+    # right action needs the change of basis by conj(F_j), not by F_j; the
+    # reference is the dense commutant of that right action
+    from opteleport.tower import _level2_distances
+
+    big = StarAlgebra.full(3)
+    gns = GnsSpace(big, Trace.normalized(big))
+    w = la.random_unitary(3, 5)
+    sub = StarAlgebra.from_generators([w @ np.diag([1.0, 0.0, 0.0]).astype(complex) @ la.dagger(w)], 3)
+    assert max(np.abs(f.imag).max() for row in gns.unit_frames(sub) for f in row) > 0.1
+    level2 = StarAlgebra.from_generators(list(gns.right(np.stack(sub.central_projections))), gns.dim).commutant
+    rng = np.random.default_rng(7)
+    for y in rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)):
+        lands, image = _level2_distances(gns, sub)(gns.right(y))  # right(y) lies in M3'
+        assert lands < 1e-12 and image > 0.1
+        assert abs(image - level2.membership_residual(gns.right(y))) < 1e-10
 
 
 def test_gns_requires_the_trace_of_the_represented_algebra():
