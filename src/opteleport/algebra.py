@@ -14,6 +14,7 @@ through the central density ``rho`` with ``tau(x) = Tr(rho x)``.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -512,9 +513,11 @@ def _corner_range(corner: np.ndarray, mult: int) -> np.ndarray:
 
 def _canonical(n: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> StarAlgebra:
     """The algebra with its blocks in canonical order: by block dimension,
-    then by the rounded entries of the central projection."""
+    then by the rounded entries of the central projection, which are formed
+    only for blocks that share their block dimension."""
+    count = Counter(bd for bd, _ in blocks)
     keys = [
-        (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)))
+        (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)) if count[bd] > 1 else ())
         for (bd, _), w in zip(blocks, frames)
     ]
     order = sorted(range(len(blocks)), key=lambda j: keys[j])

@@ -168,7 +168,7 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     ortho = float(np.max(la.frobenius_norms(gram)))
     basis.orthonormal = ortho <= tol.bound(1.0) * 10
     rep.add_flag("orthonormal", True, detail=f"residual {ortho:.2e}, flag {basis.orthonormal}")
-    basis.unitary = all(la.is_unitary(b, tol) for b in basis.elements)
+    basis.unitary = bool(np.all(la.is_unitary(elements, tol)))
     rep.add_flag("unitary", True, detail=f"flag {basis.unitary}")
     basis.in_normaliser = basis.unitary and all(_normaliser_votes(tower, elements, tol))
     rep.add_flag("in_normaliser", True, detail=f"flag {basis.in_normaliser}")

@@ -108,8 +108,13 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack of shape (..., n, n), summed
-    over the real and imaginary parts as views: no temporary of the stack's size."""
+    over the real and imaginary parts as views: no temporary of the stack's
+    size.  A complex stack whose last axis is contiguous is read as one real
+    view of its interleaved parts, in one pass."""
     stack = np.asarray(stack)
+    if np.iscomplexobj(stack) and stack.ndim >= 2 and stack.strides[-1] == stack.itemsize:
+        parts = stack.view(stack.real.dtype)
+        return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
     squares = np.einsum("...ij,...ij->...", stack.real, stack.real)
     if np.iscomplexobj(stack):
         squares = squares + np.einsum("...ij,...ij->...", stack.imag, stack.imag)
@@ -227,9 +232,18 @@ def is_projection(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return is_hermitian(x, tol) and tol.close(x @ x, x)
 
 
-def is_unitary(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    n = x.shape[0]
-    return x.shape[0] == x.shape[1] and tol.close(dagger(x) @ x, eye(n))
+def is_unitary(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool | np.ndarray:
+    """Whether x is unitary by the rule of :meth:`Tolerance.close` for x* x
+    and 1: ||x* x - 1|| <= tol.bound(max(||x* x||, ||1||)).  For a stack of
+    shape (k, n, n), the array of the flags of its matrices, from one
+    stacked product."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if x.shape[-2] != n:
+        return False if x.ndim == 2 else np.zeros(len(x), dtype=bool)
+    gram = dagger(x) @ x
+    flags = frobenius_norms(gram - eye(n)) <= tol.bound(np.maximum(frobenius_norms(gram), np.sqrt(n)))
+    return bool(flags) if x.ndim == 2 else flags
 
 
 def is_psd(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -19,16 +19,18 @@ provided: the block direct-sum scheme for an arbitrary finite-dimensional
 algebra, and the unbiased scheme attached to a unitary normaliser basis of
 an inclusion.  Every constructor records the inclusion whose tower it builds
 on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
-scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  The
-first two judge a tight scheme on M_n (x) M_n (x) N' on its legs
-(:func:`_legs`), on n x n and n^2 x n^2 matrices, and every other scheme on
-its dense pieces; the extraction reads every scheme on its legs
-(:func:`_pieces`).
+scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  A
+tight scheme on M_n (x) M_n (x) N' is stored by its legs, and a dense piece
+is built only when it is read (:class:`_Piece`).  The first two judge such
+a scheme on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, and
+every other scheme on its dense pieces; the extraction reads every scheme
+on its legs (:func:`_pieces`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -60,7 +62,11 @@ from .tower import Tower, basic_construction, iterate, normalizer_check
 
 @dataclass
 class TeleportationContext:
-    """Tripartite commuting-algebra data a scheme is verified against."""
+    """Tripartite commuting-algebra data a scheme is verified against.
+
+    ``shift_pairs`` is a sequence of pairs (a, shift(a)) over a basis of the
+    teleported algebra; the tripartite context of a tight scheme forms each
+    pair when it is read (:class:`_TripartiteShifts`)."""
 
     ambient: StarAlgebra
     trace: Trace
@@ -68,7 +74,7 @@ class TeleportationContext:
     bob: StarAlgebra
     teleported: StarAlgebra
     mirror: StarAlgebra
-    shift_pairs: list[tuple[np.ndarray, np.ndarray]]
+    shift_pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
         self.expectation = conditional_expectation_onto(
@@ -76,19 +82,96 @@ class TeleportationContext:
         )
 
 
+class _TripartiteShifts(Sequence):
+    """The pairs (b (x) 1 (x) 1, 1 (x) 1 (x) b) over the basis b of N' on
+    M_n (x) M_n (x) N', each formed when it is read: a context holds no stack
+    of them."""
+
+    def __init__(self, nprime: StarAlgebra) -> None:
+        self.nprime = nprime
+
+    def __len__(self) -> int:
+        return self.nprime.dim
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        b, one = self.nprime.basis[i], la.eye(self.nprime.ambient_dim)
+        return la.kron(b, one, one), la.kron(one, one, b)
+
+
+class _Piece:
+    """``omega``, ``povm`` or ``channels`` of a :class:`TeleportationScheme`.
+
+    A tight scheme stored by its legs (:func:`_tight_scheme`) holds the leg of
+    each piece in ``_stored`` and builds the dense piece from it on its first
+    read, through the piece's name in :func:`_dense_piece`.  The dense piece
+    is kept and its leg dropped, since a caller may change what it was handed;
+    setting a piece drops its leg too.  From then on the piece is read as it
+    stands (:func:`_pieces`)."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, scheme: TeleportationScheme | None, owner: type | None = None):
+        if scheme is None:
+            raise AttributeError(self.name)  # a dataclass field without a default
+        pieces = vars(scheme)
+        if self.name not in pieces:
+            pieces[self.name] = _dense_piece(self.name, scheme._stored[self.name], scheme.context.ambient)
+            self._drop_leg(scheme)
+        return pieces[self.name]
+
+    def __set__(self, scheme: TeleportationScheme, value) -> None:
+        vars(scheme)[self.name] = value
+        self._drop_leg(scheme)
+
+    def _drop_leg(self, scheme: TeleportationScheme) -> None:
+        # a new dict, not one changed in place: a shallow copy of the scheme keeps its legs
+        stored = vars(scheme).get("_stored", {})
+        if self.name in stored:
+            scheme._stored = {name: leg for name, leg in stored.items() if name != self.name}
+
+
+def _dense_piece(name: str, leg: np.ndarray, ambient: StarAlgebra):
+    """The dense piece ``name`` of a tight scheme from its leg stack, as the
+    Kronecker product with the identity on the other legs: 1 (x) w, the
+    f_i (x) 1 and the conjugations by 1 (x) u_i on ``ambient``, the scheme's."""
+    n = leg.shape[-1] if name == "channels" else math.isqrt(leg.shape[-1])
+    if name == "omega":
+        return la.kron(la.eye(n), leg[0])
+    if name == "povm":
+        return list(la.kron(leg, la.eye(n)))
+    return [Superoperator.conjugation(v, ambient) for v in la.kron(la.eye(n * n), leg)]
+
+
 @dataclass
 class TeleportationScheme:
+    """A resource ``omega``, a POVM and correction channels in a context.
+
+    A tight scheme on M_n (x) M_n (x) N' is stored by its legs and builds
+    each dense piece on its first read (:class:`_Piece`); a piece read or
+    set is from then on judged as it stands."""
+
     context: TeleportationContext
-    omega: np.ndarray
-    povm: list[np.ndarray]
-    channels: list[Superoperator]
+    omega: np.ndarray = _Piece()
+    povm: list[np.ndarray] = _Piece()
+    channels: list[Superoperator] = _Piece()
     inclusion: Inclusion | None = None  # the inclusion whose tower the scheme is built on
     leg_dims: tuple[int, int, int] | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
     tower: Tower | None = field(default=None, repr=False)  # a tight scheme's level-one tower
 
+    @classmethod
+    def _from_legs(cls, legs: dict[str, np.ndarray], **values) -> TeleportationScheme:
+        """A scheme whose pieces are stored by ``legs``, a leg stack per piece
+        name (:class:`_Piece`); every other field is set by the constructor."""
+        scheme = cls(**dict.fromkeys(legs), **values)
+        for name in legs:
+            del vars(scheme)[name]  # unread, so its first read builds it from the leg
+        scheme._stored = dict(legs)
+        return scheme
+
     @property
     def outcomes(self) -> int:
-        return len(self.povm)
+        return _count(self, "povm")
 
     @property
     def tol(self) -> Tolerance:
@@ -127,21 +210,55 @@ class _Legs(NamedTuple):
         v x v* - v' x v'* = (v - v') x v* + v' x (v - v')*."""
         return self.unit_gaps * (2 * la.frobenius_norms(self.units) + self.unit_gaps)
 
+    # the leg form is HS-orthogonal to its remainder, and 1 (x) y has norm sqrt(dim 1) ||y||
+    @property
+    def resource_norm(self) -> float:
+        """||omega||, as hypot(sqrt(n) ||w||, r)."""
+        return math.hypot(math.sqrt(self.nprime.ambient_dim) * float(np.linalg.norm(self.resource)), self.resource_gap)
+
+    @property
+    def povm_norms(self) -> np.ndarray:
+        """||F_i||, as hypot(sqrt(n) ||f_i||, r_i)."""
+        return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(self.povm), self.povm_gaps)
+
+    @property
+    def unit_norms(self) -> np.ndarray:
+        """||v_i||, as hypot(n ||u_i||, q_i)."""
+        return np.hypot(self.nprime.ambient_dim * la.frobenius_norms(self.units), self.unit_gaps)
+
+
+def _count(scheme: TeleportationScheme, name: str) -> int:
+    """The number of POVM elements or channels of ``scheme``, read without
+    building a stored piece."""
+    stored = vars(scheme).get("_stored", {})
+    return len(stored[name]) if name in stored else len(getattr(scheme, name))
+
 
 def _pieces(scheme: TeleportationScheme) -> _Legs | None:
     """The legs of a scheme that records an inclusion N ⊆ M_n with
     ``leg_dims == (n, n, n)``, else None: the resource and the POVM always,
-    the witnesses v_i when every channel has one.  Each piece is read by
-    :func:`_split` in O(k n^6), on every call; nothing is stored, so a scheme
-    whose pieces were replaced is read as it stands."""
+    the witnesses v_i when every channel has one.  A piece still stored by
+    its leg (:class:`_Piece`) is that leg with remainder 0.0, the value
+    :func:`_split` reads off its Kronecker product; every other piece is
+    read by :func:`_split` in O(k n^6), on every call, so a piece that was
+    read or replaced is judged as it stands."""
     inc = scheme.inclusion
     if inc is None or scheme.leg_dims != (inc.big.ambient_dim,) * 3:
         return None
     n = inc.big.ambient_dim
-    w, r = _split([scheme.omega], n, n * n, first=False)
-    f, rf = _split(scheme.povm, n * n, n, first=True)
-    witnesses = [ch.ad_unitary for ch in scheme.channels]
-    u, ru = (None, None) if any(v is None for v in witnesses) else _split(witnesses, n * n, n, first=False)
+    stored = vars(scheme).get("_stored", {})
+
+    def read(name: str, dense: Callable[[], list[np.ndarray]], a: int, b: int, first: bool):
+        if name in stored:
+            return stored[name], np.zeros(len(stored[name]))
+        return _split(dense(), a, b, first)
+
+    w, r = read("omega", lambda: [scheme.omega], n, n * n, False)
+    f, rf = read("povm", lambda: scheme.povm, n * n, n, True)
+    if "channels" not in stored and any(ch.ad_unitary is None for ch in scheme.channels):
+        u, ru = None, None
+    else:
+        u, ru = read("channels", lambda: [ch.ad_unitary for ch in scheme.channels], n * n, n, False)
     return _Legs(inc.small.commutant, w[0], f, u, float(r[0]), rf, ru)
 
 
@@ -154,16 +271,17 @@ def _legs(scheme: TeleportationScheme) -> _Legs | None:
     every channel is a conjugation with a witness v_i, and every piece lies
     within ``tol.bound(||X||)`` of its leg form: 1 (x) w for the resource,
     f_i (x) 1 for each POVM element and 1 (x) u_i for each witness, the bound
-    that extraction's trivial-leg checks use.
+    that extraction's trivial-leg checks use.  Each norm is read off the legs
+    (:attr:`_Legs.resource_norm`).
     """
     tol = scheme.tol
-    legs = _pieces(scheme) if scheme.povm and scheme.channels else None
+    legs = _pieces(scheme) if _count(scheme, "povm") and _count(scheme, "channels") else None
     if (
         legs is None
         or not _on_tripartite_context(scheme.context, scheme.inclusion)
         or not _witnesses_on_legs(scheme, legs)
-        or legs.resource_gap > tol.bound(float(np.linalg.norm(scheme.omega)))
-        or np.any(legs.povm_gaps > tol.bound(la.frobenius_norms(scheme.povm)))
+        or legs.resource_gap > tol.bound(legs.resource_norm)
+        or np.any(legs.povm_gaps > tol.bound(legs.povm_norms))
     ):
         return None
     return legs
@@ -172,10 +290,7 @@ def _legs(scheme: TeleportationScheme) -> _Legs | None:
 def _witnesses_on_legs(scheme: TeleportationScheme, legs: _Legs) -> bool:
     """Whether every channel has a witness v_i within ``tol.bound(||v_i||)``
     of 1 (x) u_i."""
-    if legs.units is None:
-        return False
-    norms = la.frobenius_norms([ch.ad_unitary for ch in scheme.channels])
-    return bool(np.all(legs.unit_gaps <= scheme.tol.bound(norms)))
+    return legs.units is not None and bool(np.all(legs.unit_gaps <= scheme.tol.bound(legs.unit_norms)))
 
 
 def _split(xs: np.ndarray | list[np.ndarray], a: int, b: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +340,9 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     form of the total operation follows from the verified structure and is
     recorded as implied rather than re-checked.  ``alice_bob_commute`` reads
     the distance to Alice' of the column units that generate Bob
-    (:func:`~opteleport.algebra._commutation_gap`).  When Alice and Bob do
+    (:func:`~opteleport.algebra._commutation_gap`); on the legs it is
+    structural, 0.0, since Alice and Bob of the tripartite context act on
+    different legs (:func:`_on_tripartite_context`).  When Alice and Bob do
     not commute, ``strict`` raises at once and otherwise the bimodule check
     is recorded as failed with an infinite residual.  A failed bimodule
     check is excused only when Bob has several central projections, all in
@@ -237,24 +354,28 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     product of n^3 x n^3 matrices; each remainder enters its residual
     through the triangle inequality (Weyl's for eigenvalues), so a pass on
     the legs implies a pass on the dense pieces.  The legs are read on every
-    call, so replaced pieces are judged as they stand.  Every other scheme
-    is judged on its dense pieces (:func:`_dense_residuals`).
+    call, so a piece that was read or replaced is judged as it stands.  Every
+    other scheme is judged on its dense pieces (:func:`_dense_residuals`).
     """
     tol = scheme.tol
     ctx = scheme.context
     legs = _legs(scheme)
     # on the legs the context is the tripartite one, whose shifted elements 1 (x) 1 (x) b lie in Bob
     if legs is None:
-        shifted = np.stack([s for _, s in ctx.shift_pairs])
+        teleported, shifted = (np.stack(xs) for xs in zip(*ctx.shift_pairs))
         if np.any(ctx.bob.membership_residual(shifted) > tol.bound(la.frobenius_norms(shifted))):
             raise PreconditionError("the shifted elements must lie in Bob's algebra")
     rep = Report()
-    commute = rep.add("alice_bob_commute", _commutation_gap(ctx.alice, ctx.bob), tol.bound(1.0) * 10)
+    gap = _commutation_gap(ctx.alice, ctx.bob) if legs is None else 0.0
+    commute = rep.add("alice_bob_commute", gap, tol.bound(1.0) * 10)
     if strict and not commute.passed:
         raise SchemeError(f"structural clause failed: alice_bob_commute ({commute.residual:.2e})")
 
-    res = _leg_residuals(legs) if legs is not None else _dense_residuals(scheme, shifted, commute.passed)
-    norm = float(np.linalg.norm(scheme.omega))
+    if legs is None:
+        res = _dense_residuals(scheme, teleported, shifted, commute.passed)
+    else:
+        res = _leg_residuals(legs)
+    norm = _resource_norm(scheme, legs)
     for name, threshold in (
         ("povm_sums_to_identity", tol.bound(1.0) * max(1, scheme.outcomes)),
         ("povm_positive", tol.bound(1.0)),
@@ -306,11 +427,18 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     return rep
 
 
-def _dense_residuals(scheme: TeleportationScheme, shifted: np.ndarray, commute: bool) -> dict[str, float]:
+def _resource_norm(scheme: TeleportationScheme, legs: _Legs | None) -> float:
+    """||omega||, read off the legs when the scheme is judged on them."""
+    return float(np.linalg.norm(scheme.omega)) if legs is None else legs.resource_norm
+
+
+def _dense_residuals(
+    scheme: TeleportationScheme, teleported: np.ndarray, shifted: np.ndarray, commute: bool
+) -> dict[str, float]:
     """The residuals of :func:`verify_scheme` read off the dense pieces, by
     check name, with the raw bimodule residual under ``bimodule`` (infinite
-    unless Alice and Bob ``commute``); ``shifted`` stacks the shifted
-    elements, which lie in Bob."""
+    unless Alice and Bob ``commute``); ``teleported`` and ``shifted`` stack
+    the shift pairs, and the shifted elements lie in Bob."""
     ctx = scheme.context
     dim = ctx.ambient.ambient_dim
     povm, omega = np.stack(scheme.povm), scheme.omega
@@ -344,7 +472,7 @@ def _dense_residuals(scheme: TeleportationScheme, shifted: np.ndarray, commute: 
             total += scheme.povm[i] @ moved @ omega
     res["channels_preserve_bob"] = preserve
     got = ctx.expectation(total)
-    res["teleportation_identity"] = max(la.frobenius_distance(g, a) for g, (a, _) in zip(got, ctx.shift_pairs))
+    res["teleportation_identity"] = max(la.frobenius_distance(g, a) for g, a in zip(got, teleported))
     return res
 
 
@@ -487,9 +615,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
         witness = {"outcome": i, "probability": lows[i]}
     rep.add_flag("faithful", True, detail=f"flag {faithful}")
 
-    minimal = minimal_omega <= tol.bound(
-        float(np.linalg.norm(scheme.omega))
-    ) * 10 and minimal_povm <= tol.bound(1.0) * 10
+    minimal = minimal_omega <= tol.bound(_resource_norm(scheme, legs)) * 10 and minimal_povm <= tol.bound(1.0) * 10
     rep.add_flag(
         "minimal",
         True,
@@ -853,7 +979,6 @@ def _tripartite_context(inc: Inclusion) -> TeleportationContext:
     nprime = inc.small.commutant
     full, triv = StarAlgebra.full(n), StarAlgebra.trivial(n)
     ambient = StarAlgebra.tensor(full, full, nprime)
-    ident = la.eye(n)
     ctx = TeleportationContext(
         ambient=ambient,
         trace=Trace.normalized(ambient),
@@ -861,9 +986,7 @@ def _tripartite_context(inc: Inclusion) -> TeleportationContext:
         bob=StarAlgebra.tensor(triv, triv, nprime),
         teleported=StarAlgebra.tensor(nprime, triv, triv),
         mirror=StarAlgebra.tensor(triv, nprime, triv),
-        shift_pairs=[
-            (la.kron(b, ident, ident), la.kron(ident, ident, b)) for b in nprime.basis
-        ],
+        shift_pairs=_TripartiteShifts(nprime),
     )
     ctx._built_for = (inc, dict(vars(ctx)))
     return ctx
@@ -894,7 +1017,8 @@ def _tight_scheme(
 ) -> TeleportationScheme:
     """:func:`tight_scheme_from_basis` on the level-one tower of an inclusion
     that has passed the commutant-trace gate.  The scheme keeps the tower,
-    which :func:`extract_tight_scheme` reuses."""
+    which :func:`extract_tight_scheme` reuses, and is stored by its legs
+    (:class:`_Piece`): w, the f_i and the basis elements u_i."""
     inc, tol = t.inclusion, t.tol
     n = inc.big.ambient_dim
     _require_normaliser_basis(t, basis)
@@ -910,16 +1034,14 @@ def _tight_scheme(
         raise PreconditionError("z must be positive invertible with tau(z) = 1")
 
     e = concrete_jones_projection(inc.small)
-    ident = la.eye(n)
-    omega = la.kron(ident, _tight_resource(inc, e, u, z))
     elements = np.stack(basis.elements)
-    povm = list(la.kron(_entangled_projections(e, elements, u), ident))
-    ctx = _tripartite_context(inc)
-    channels = [
-        Superoperator.conjugation(w, ctx.ambient) for w in la.kron(la.eye(n * n), elements)
-    ]
-    return TeleportationScheme(
-        ctx, omega, povm, channels, inclusion=inc, leg_dims=(n, n, n), tower=t
+    legs = {
+        "omega": _tight_resource(inc, e, u, z)[None],
+        "povm": _entangled_projections(e, elements, u),
+        "channels": elements,
+    }
+    return TeleportationScheme._from_legs(
+        legs, context=_tripartite_context(inc), inclusion=inc, leg_dims=(n, n, n), tower=t
     )
 
 
@@ -955,18 +1077,27 @@ def _far_leg_images(
 def _leg_unitaries(
     a: np.ndarray, bs: np.ndarray, leg: int, names: list[str], dim: int, tol: Tolerance
 ) -> np.ndarray:
-    """Per b of the stack ``bs``, the polar part of a generic invertible X
-    with L(X) a = b L(X), L(X) = X (x) 1 on ``leg`` 0 and 1 (x) X on ``leg`` 1
-    of C^n (x) C^n.  The systems, with columns L(E) a - b L(E) over the
-    matrix units E, are solved by one batched SVD; a solution space not of
+    """Per projection b of the stack ``bs``, the polar part of a generic
+    invertible X with L(X) a = b L(X), for the projection ``a`` and
+    L(X) = X (x) 1 on ``leg`` 0 or 1 (x) X on ``leg`` 1 of C^n (x) C^n.
+
+    With P and Q isometries onto the ranges of a and b (:func:`_ranges`),
+    L(X) a = b L(X) holds exactly when (1 - Q Q*) L(X) P = 0 and
+    Q* L(X) (1 - P P*) = 0, so each system has 2 r n^2 rows in the n^2
+    entries of X when both ranks are r, read off the legs of P and Q
+    (:func:`_intertwiner_systems`); the outcomes of each rank are solved by
+    one batched SVD.  A solution space not of
     dimension ``dim`` raises :class:`ExtractionError` with its ``names``
     entry.  X is :func:`la.generic_invertible` at a fixed seed, so it
     depends on the space alone."""
     n = math.isqrt(len(a))
-    units = la.eye(n * n).reshape(-1, n, n)
-    lifted = la.kron(units, la.eye(n)) if leg == 0 else la.kron(la.eye(n), units)
-    systems = lifted @ a - bs[:, None] @ lifted
-    spaces = la.nullspaces(systems.reshape(len(bs), n * n, -1).transpose(0, 2, 1), tol)
+    p, ranges = _ranges(a[None])[0], _ranges(bs)
+    spaces: list = [None] * len(bs)
+    for rank in {q.shape[1] for q in ranges}:
+        group = [i for i, q in enumerate(ranges) if q.shape[1] == rank]
+        systems = _intertwiner_systems(p, np.stack([ranges[i] for i in group]), n, leg)
+        for i, space in zip(group, la.nullspaces(systems, tol)):
+            spaces[i] = space
     cands = []
     for i, (name, sols) in enumerate(zip(names, spaces)):
         if len(sols) != dim:
@@ -976,6 +1107,33 @@ def _leg_unitaries(
             raise ExtractionError(f"{name}: no invertible intertwiner")
         cands.append(cand)
     return la.polar_unitary(np.stack(cands))
+
+
+def _ranges(xs: np.ndarray) -> list[np.ndarray]:
+    """Per projection x of the stack ``xs``, an isometry onto its range: its
+    eigenvectors of eigenvalue above 1/2.  A tight scheme's POVM legs are
+    projections; for any other x the round trip of extraction decides."""
+    vals, vecs = np.linalg.eigh((xs + la.dagger(xs)) / 2)
+    return [v[:, w > 0.5] for w, v in zip(vals, vecs)]
+
+
+def _intertwiner_systems(p: np.ndarray, qs: np.ndarray, n: int, leg: int) -> np.ndarray:
+    """Per isometry Q of the stack ``qs``, the ((r + s) n^2, n^2) matrix of
+    X -> ((1 - Q Q*) L(X) P, Q* L(X) (1 - P P*)), r and s the ranks of P and
+    Q, columns over the matrix
+    units E_ab of X.  On the legs, P = sum P[c, j] e_c (x) e_j with leg 0 of
+    L first; then L(E_ab) P has the rows (a, j) of P[b, j], and
+    Q* L(E_ab) has the columns (b, j) of Q*[a, j], so with
+    C = Q* L(E_ab) P both parts are formed from P, Q and C alone."""
+    k, r, s = len(qs), p.shape[1], qs.shape[2]
+    p3, q3 = p.reshape(n, n, r), qs.reshape(k, n, n, s)
+    if leg == 1:  # 1 (x) X is X (x) 1 with the legs swapped
+        p3, q3 = p3.transpose(1, 0, 2), q3.transpose(0, 2, 1, 3)
+    one = la.eye(n)
+    c = np.einsum("kajt,bjs->kabts", q3.conj(), p3)
+    moved = np.einsum("ca,bjs->abcjs", one, p3)[None] - np.einsum("kcjt,kabts->kabcjs", q3, c)
+    back = np.einsum("cb,kajt->kabtcj", one, q3.conj()) - np.einsum("kabts,cjs->kabtcj", c, p3.conj())
+    return np.concatenate([moved.reshape(k, n * n, -1), back.reshape(k, n * n, -1)], axis=2).transpose(0, 2, 1)
 
 
 def extract_tight_scheme(
@@ -1000,8 +1158,11 @@ def extract_tight_scheme(
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused.  The scheme
     is classified on every call, so replaced pieces are judged as they
-    stand.  Every piece is read once, by :func:`_pieces`: the rebuilt
-    resource and POVM lie in leg form, HS-orthogonal to each remainder, so
+    stand.  Every piece is read once, by :func:`_pieces`, and the norms the
+    bounds scale with are read off the legs (:attr:`_Legs.resource_norm`,
+    :attr:`_Legs.povm_norms`), so a stored scheme builds no dense piece.
+    The rebuilt resource and POVM lie in leg form, HS-orthogonal to each
+    remainder, so
     ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i.
     A channel's part on Bob's basis 1 (x) b / n is read off its witness
     v_i when every witness lies within ``tol.bound(||v_i||)`` of 1 (x) u_i:
@@ -1016,7 +1177,7 @@ def extract_tight_scheme(
     tol, n = inc.tol, inc.big.ambient_dim
     if scheme.leg_dims != (n, n, n):
         raise PreconditionError("extraction expects three legs of matching dimension")
-    if len(scheme.channels) != scheme.outcomes:
+    if _count(scheme, "channels") != scheme.outcomes:
         raise PreconditionError("extraction expects one correction channel per outcome")
     small = inc.small
     # the transpose is a *-anti-automorphism: N is closed under it once its column units are
@@ -1032,8 +1193,8 @@ def extract_tight_scheme(
 
     legs = _pieces(scheme)
     rep = Report()
-    omega, omega_small = scheme.omega, legs.resource
-    rep.add("resource_has_trivial_first_leg", legs.resource_gap, tol.bound(float(np.linalg.norm(omega))))
+    omega_small = legs.resource
+    rep.add("resource_has_trivial_first_leg", legs.resource_gap, tol.bound(legs.resource_norm))
     z = la.partial_trace(omega_small, [n, n], {0}, normalise=True)
     z = (z + la.dagger(z)) / 2
     rep.add("central_slice_in_centre", small.center.membership_residual(z), tol.bound(1.0) * 10)
@@ -1060,8 +1221,8 @@ def extract_tight_scheme(
     )
 
     # correction unitaries from the POVM, every outcome at once
-    for i, (f, gap) in enumerate(zip(scheme.povm, legs.povm_gaps)):
-        rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(np.linalg.norm(f))))
+    for i, (norm, gap) in enumerate(zip(legs.povm_norms, legs.povm_gaps)):
+        rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(norm)))
     outcomes = [f"outcome {i}" for i in range(scheme.outcomes)]
     units = u @ la.dagger(_leg_unitaries(e, legs.povm, 0, outcomes, small.dim, tol))
 
@@ -1085,7 +1246,7 @@ def extract_tight_scheme(
         parts, outside = _far_leg_images(scheme.channels, legs.nprime)
         gaps = np.hypot(la.frobenius_norms(parts - moved), outside / n)
     gaps = np.max(gaps, axis=1)
-    rep.add("round_trip_resource", resource, trip * max(1.0, float(np.linalg.norm(omega))))
+    rep.add("round_trip_resource", resource, trip * max(1.0, legs.resource_norm))
     rep.add("round_trip_povm", float(np.max(povm_gaps)), trip)
     rep.add("round_trip_channels", float(np.max(gaps)), trip)
     if not rep.passed:

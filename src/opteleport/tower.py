@@ -20,6 +20,7 @@ Markov restriction over the whole basis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -53,6 +54,7 @@ from .reporting import Report
 
 _PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
 _TRACIAL_SAMPLES = 12  # pairs (x, y) of N' ∩ M on which the restricted state is tested
+_SHIFT_CHUNK = 1 << 20  # complex entries (16 MB) of shifted operators formed at a time
 
 
 class GnsSpace:
@@ -518,13 +520,15 @@ def verify_tower(t: Tower) -> Report:
         _markov_expectation_residual(t, idx),
         tol.bound(1.0),
     )
-    shifted = t.shift(t.rel_comm.basis)
-    rep.add(
-        "shift_entanglement",  # e_N x e_M = e_N shift(x) e_M
-        _shift_entanglement_residual(t, e1_up, shifted),
-        tol.bound(1.0),
-    )
-    rep.merge(_shift_isomorphism_report(t, tol, shifted))
+    # one pass over the shifted basis, a chunk at a time, feeds the entanglement and level-two checks
+    to_level2 = _level2_distances(gns1, t.levels[1].upper)
+    entangled = lands = image = 0.0
+    for xs, shifted in _shift_chunks(t):
+        entangled = max(entangled, _shift_entanglement_residual(t, e1_up, xs, shifted))
+        chunk_lands, chunk_image = to_level2(shifted)
+        lands, image = max(lands, float(np.max(chunk_lands))), max(image, float(np.max(chunk_image)))
+    rep.add("shift_entanglement", entangled, tol.bound(1.0))  # e_N x e_M = e_N shift(x) e_M
+    rep.merge(_shift_isomorphism_report(t, tol, lands, image))
     return rep
 
 
@@ -637,12 +641,12 @@ def _markov_expectation_residual(t: Tower, idx: float) -> float:
     return float(np.sqrt(total))
 
 
-def _level2_distances(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray], tuple[float, float]]:
+def _level2_distances(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray], tuple]:
     """The map taking an operator S on ``gns``, the GNS space of an algebra
     A, to (lands, image): lands is the Frobenius distance of S to A' and
     image that to A' ∩ B, for B the commutant of the right action of
     ``sub`` ⊆ A.  image bounds the distance of S to B from above and equals
-    it for S in A'.
+    it for S in A'.  For a stack of operators, the arrays of their distances.
 
     In GNS coordinates A' is (+)_j 1_{d_j} (x) M_{d_j}, so one pass over the
     diagonal blocks gives lands and the projection (+)_j 1 (x) X_j of S onto
@@ -664,13 +668,13 @@ def _level2_distances(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray],
         changes.append(np.conj(np.concatenate([f.reshape(d, -1) for f in row], axis=1)))
         corner_layouts.append([f.shape[1:] for f in row if f.shape[2]])
 
-    def distances(s: np.ndarray) -> tuple[float, float]:
+    def distances(s: np.ndarray) -> tuple:
         lands_sq, means = _layout_split(s, layout, commutant=True)
         image_sq = lands_sq + sum(
             d * _layout_distance(la.dagger(u) @ x @ u, lay, commutant=True) ** 2
             for (d, _), u, lay, x in zip(layout, changes, corner_layouts, means)
         )
-        return float(np.sqrt(lands_sq)), float(np.sqrt(image_sq))
+        return np.sqrt(lands_sq), np.sqrt(image_sq)
 
     return distances
 
@@ -697,15 +701,26 @@ def _compression_residual(
     return worst
 
 
-def _shift_entanglement_residual(t: Tower, e1_up: np.ndarray, shifted: np.ndarray) -> float:
-    """max over the basis of N' ∩ M of ||e_N (pi1(pi(x)) - shift(x)) e_M||_F,
-    where ``shifted`` stacks :meth:`Tower.shift` over that basis.
+def _shift_chunks(t: Tower) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The basis of N' ∩ M and its image under the public :meth:`Tower.shift`,
+    in chunks of at most ``_SHIFT_CHUNK`` entries of the level-two GNS
+    dimension, so that no stack of the whole shifted basis is held."""
+    basis = t.rel_comm.basis
+    step = max(1, _SHIFT_CHUNK // t.gns1.dim**2)
+    for start in range(0, len(basis), step):
+        xs = basis[start : start + step]
+        yield xs, t.shift(xs)
+
+
+def _shift_entanglement_residual(t: Tower, e1_up: np.ndarray, xs: np.ndarray, shifted: np.ndarray) -> float:
+    """max over the stack ``xs`` in N' ∩ M of ||e_N (pi1(pi(x)) - shift(x)) e_M||_F,
+    where ``shifted`` stacks :meth:`Tower.shift` over ``xs``.
 
     With e_M = P P* this is ||e_N (pi1(pi(x)) - shift(x)) P||_F, and
     pi1(pi(x)) P comes from :meth:`GnsSpace.act`.
     """
-    basis, p2 = t.rel_comm.basis, t.levels[2].jones_range
-    lifted = t.gns1.act(t.gns.left(basis), p2)
+    p2 = t.levels[2].jones_range
+    lifted = t.gns1.act(t.gns.left(xs), p2)
     return _largest(e1_up @ (lifted - shifted @ p2))
 
 
@@ -721,9 +736,10 @@ def _gns_inner_residual(t: Tower) -> float:
     return float(max(inner.max(), acts.max()))
 
 
-def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> Report:
-    """The shift and gamma maps as (anti-)isomorphisms; ``shifted`` is the
-    shift over the basis of N' ∩ M, from :func:`verify_tower`.
+def _shift_isomorphism_report(t: Tower, tol: Tolerance, lands: float, image: float) -> Report:
+    """The shift and gamma maps as (anti-)isomorphisms; ``lands`` and
+    ``image`` are the largest level-two distances of the shift over the
+    basis of N' ∩ M, from :func:`verify_tower`.
 
     gamma1 = gns1.right places (+)_j 1_{d_j} (x) c_j^T for c_j the corners
     of its argument in M1, and ||(+)_j 1_{d_j} (x) z_j||_F^2 =
@@ -732,7 +748,7 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> 
     has the corners c_j(gamma0(xy)) - c_j(gamma0(y)) c_j(gamma0(x)), and
     likewise for the star and for gamma1 anti-multiplicative.  No operator
     at the level-two GNS dimension is formed for them.  The level-two
-    memberships take one pass over each shifted operator
+    memberships take one pass over each chunk of shifted operators
     (:func:`_level2_distances`); ``shift_image_in_level2`` is the distance
     to M1' ∩ M2, an upper bound on that to M2, and equal to it on M1'.
     """
@@ -763,9 +779,6 @@ def _shift_isomorphism_report(t: Tower, tol: Tolerance, shifted: np.ndarray) -> 
     # M1 is generated by the represented M and the first Jones projection, so
     # commuting with both is lying in the commutant of M1 on its GNS space.
     # M2 is the commutant of the right action of M there.
-    to_level2 = _level2_distances(t.gns1, t.levels[1].upper)
-    # one operator at a time: each pass over a dim x dim operator stays in cache
-    lands, image = np.max([to_level2(s) for s in shifted], axis=0)
     rep.add("shift_lands_in_level2_commutant", lands, tol.bound(1.0) * t.level1.dim)
     rep.add("shift_image_in_level2", image, tol.bound(1.0) * t.level2.dim)
     return rep
@@ -783,9 +796,10 @@ def verify_epr(t: Tower) -> Report:
     on_jones, on_psi = _entanglement_gaps(t, t.levels[1].jones_range, psi)
     rep.add("left_right_on_jones", _largest(on_jones), tol.bound(1.0))  # gamma0 is pi_r
     iterate(t)
+    e1_up = t.gns1.left(t.jones1)
     rep.add(
         "shift_on_second_jones",
-        _shift_entanglement_residual(t, t.gns1.left(t.jones1), t.shift(t.rel_comm.basis)),
+        max(_shift_entanglement_residual(t, e1_up, xs, shifted) for xs, shifted in _shift_chunks(t)),
         tol.bound(1.0),
     )
     rep.add("perfect_correlation", float(np.linalg.norm(on_psi, axis=1).max()), tol.bound(1.0))
@@ -812,9 +826,9 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     """
     inc = t.inclusion
     small, big, exp = inc.small, inc.big, inc.expectation
-    for u in us:
-        if not la.is_unitary(u, tol) or not big.contains(u, tol):
-            raise NormaliserError("normaliser candidates must be unitaries in M")
+    # the rules of la.is_unitary and StarAlgebra.contains, for the stack at once
+    if not np.all(la.is_unitary(us, tol)) or np.any(big.membership_residual(us) > tol.bound(la.frobenius_norms(us))):
+        raise NormaliserError("normaliser candidates must be unitaries in M")
     # (len(us), 1, n, n) stacks broadcast against N's column units, which Ad u* must keep in N
     u_star, u_col = la.dagger(us)[:, None], us[:, None]
     conj = u_star @ _generators(small) @ u_col

@@ -518,3 +518,25 @@ def test_from_generators_finds_rotated_layouts(layout, seed, log_scale, noisy):
 def test_trace_needs_one_weight_per_block(weights):
     with pytest.raises(TraceError, match="one weight per block required"):
         Trace(StarAlgebra.diagonal(2), weights)
+
+
+def _tuple_order(n, blocks, frames):
+    """Canonical order as sorted Python tuples (block dim, rounded central projection entries)."""
+    keys = [(bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6))) for (bd, _), w in zip(blocks, frames)]
+    return sorted(range(len(blocks)), key=lambda j: keys[j])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_order_ties_on_block_dim_by_the_central_projection(seed):
+    from opteleport.algebra import _canonical
+
+    rng = np.random.default_rng(seed)
+    alg = StarAlgebra.block_diagonal([(1, 1), (1, 2), (2, 1), (1, 1), (2, 1), (3, 1)])
+    u = la.random_unitary(alg.ambient_dim, seed) if seed else la.eye(alg.ambient_dim)
+    frames = [u @ w for w in alg.frames]
+    perm = rng.permutation(len(frames))
+    blocks, frames = [alg.blocks[j] for j in perm], [frames[j] for j in perm]
+    got = _canonical(alg.ambient_dim, blocks, frames)
+    want = _tuple_order(alg.ambient_dim, blocks, frames)
+    assert got.blocks == [blocks[j] for j in want]
+    assert all(g is frames[j] for g, j in zip(got.frames, want))

@@ -238,3 +238,27 @@ def test_generic_invertible_depends_on_the_span_only():
     want = la.generic_invertible(list(onb), 9)
     assert la.frobenius_distance(la.generic_invertible(list(other), 9), want) < 1e-12
     assert la.frobenius_distance(la.span_project(onb, want), want) < 1e-12
+
+
+def test_frobenius_norms_read_every_layout():
+    # a contiguous complex stack is read as one real view; strided views,
+    # real stacks and single matrices take the two-part sum
+    rng = np.random.default_rng(17)
+    xs = rng.standard_normal((4, 3, 5, 5)) + 1j * rng.standard_normal((4, 3, 5, 5))
+    want = np.linalg.norm(xs, axis=(-2, -1))
+    for stack in (xs, np.swapaxes(xs, -1, -2), xs[..., ::2, :], xs.real):
+        ref = np.linalg.norm(stack, axis=(-2, -1))
+        assert np.max(np.abs(la.frobenius_norms(stack) - ref) / ref) <= 1e-15
+    assert abs(la.frobenius_norms(xs[0, 0]) - want[0, 0]) <= 1e-15 * want[0, 0]
+    assert la.frobenius_norms(np.zeros((2, 0, 0), dtype=complex)).tolist() == [0.0, 0.0]
+
+
+def test_is_unitary_flags_each_matrix_of_a_stack():
+    # the stacked flags follow Tolerance.close of x* x and 1, matrix by matrix
+    u = la.random_unitary(4, 3)
+    tol = Tolerance(abs=1e-6, rel=1e-6)
+    stack = np.stack([u, 2 * u, u + 1e-8, u + 1e-4])
+    want = [tol.close(la.dagger(x) @ x, la.eye(4)) for x in stack]
+    assert la.is_unitary(stack, tol).tolist() == want == [True, False, True, False]
+    assert la.is_unitary(u, tol) is True and la.is_unitary(2 * u, tol) is False
+    assert la.is_unitary(np.zeros((3, 2, 4), dtype=complex)).tolist() == [False] * 3

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -675,10 +679,26 @@ def test_alice_bob_residual_matches_dense_loop(key):
     ctx = scheme.context
     got = verify_scheme(scheme).checks[0]
     assert got.name == "alice_bob_commute"
-    assert got.residual == _commutation_gap(ctx.alice, ctx.bob) <= 1e-14
+    if teleport._legs(scheme) is None:
+        assert got.residual == _commutation_gap(ctx.alice, ctx.bob) <= 1e-14
+    else:
+        # on the tripartite context the clause is structural: Alice and Bob act on different legs
+        assert teleport._on_tripartite_context(ctx, scheme.inclusion)
+        assert got.residual == 0.0 and _commutation_gap(ctx.alice, ctx.bob) <= 1e-14
     for a, b in ((ctx.alice, ctx.bob), (ctx.bob, ctx.alice)):
         want = dense_commutation_gap(a, b)
         assert abs(_commutation_gap(a, b) - want) <= 1e-14 + 1e-12 * want
+
+
+def test_a_stored_scheme_with_a_replaced_bob_is_judged_on_the_dense_gap():
+    s = standard_scheme(2)
+    s = replace(s, context=replace(s.context, bob=s.context.ambient))
+    assert teleport._legs(s) is None
+    got = verify_scheme(s, strict=False).checks[0]
+    assert got.name == "alice_bob_commute" and not got.passed
+    assert got.residual == _commutation_gap(s.context.alice, s.context.ambient) > 0.5
+    with pytest.raises(SchemeError, match="^structural clause failed: alice_bob_commute "):
+        verify_scheme(s)
 
 
 def test_alice_bob_residual_matches_dense_loop_when_not_commuting():
@@ -1055,7 +1075,8 @@ def test_scheme_verdicts_read_the_tolerance_of_the_inclusion(monkeypatch):
     assert rep.passed and basis.size == 3
     trip = tol.bound(1.0) * 5
     assert seen["round_trip_povm"] == seen["round_trip_channels"] == trip
-    assert seen["round_trip_resource"] == trip * max(1.0, float(np.linalg.norm(s.omega)))
+    # ||omega|| is read off the legs, sqrt(n) ||w||: equal to the dense norm up to rounding
+    assert seen["round_trip_resource"] == pytest.approx(trip * max(1.0, float(np.linalg.norm(s.omega))), rel=1e-15)
     assert s.tol == tol
 
 
@@ -1224,9 +1245,9 @@ def _witness_less(s):
     )
 
 
-def _same_reports(got, want):
+def _same_reports(got, want, within=1e-12):
     assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
-    assert max(abs(g.residual - w.residual) for g, w in zip(got.checks, want.checks)) <= 1e-12
+    assert max(abs(g.residual - w.residual) for g, w in zip(got.checks, want.checks)) <= within
 
 
 @pytest.mark.parametrize("key", sorted(LEG_SCHEMES))
@@ -1263,8 +1284,6 @@ def test_leg_path_applies_no_channel_and_no_expectation(monkeypatch):
 
 
 def test_schemes_off_their_legs_are_judged_dense():
-    from dataclasses import replace
-
     s = standard_scheme(2)
     assert teleport._legs(s) is not None
     # tower schemes, hand-built copies and witness-less channels
@@ -1421,3 +1440,171 @@ def test_a_corrupted_leg_fails_its_check_on_the_legs(case):
     assert failed == (["channels_completely_positive", "channels_unital"] if case == "scaled_witness" else [name])
     with pytest.raises(SchemeError, match=f"^structural clause failed: {name} "):
         verify_scheme(s)
+
+
+# -- tight schemes stored by their legs ----------------------------------------
+
+
+STORED_SCHEMES = {
+    **{f"standard_{n}": (lambda n=n: standard_scheme(n)) for n in range(2, 6)},
+    "werner_D2": _werner_d2,
+    "D3_dressed": _d3_dressed,
+    "subsystem_tight": _subsystem_tight,
+}
+
+
+def _set_copy(s):
+    """``s`` rebuilt with its dense pieces set explicitly, so that each is read by the leg split."""
+    return TeleportationScheme(s.context, s.omega, s.povm, s.channels, s.inclusion, s.leg_dims, tower=s.tower)
+
+
+PIECES = {"omega", "povm", "channels"}
+
+
+@pytest.mark.parametrize("key", sorted(STORED_SCHEMES))
+def test_stored_legs_and_set_pieces_give_the_same_reports(key):
+    stored, dense = STORED_SCHEMES[key](), _set_copy(STORED_SCHEMES[key]())
+    assert set(vars(stored)["_stored"]) == PIECES and "_stored" not in vars(dense)
+    for judge in (verify_scheme, lambda s: classify(s).report, lambda s: extract_tight_scheme(s)[3]):
+        _same_reports(judge(stored), judge(dense), within=1e-13)
+    # judging the stored scheme built none of its dense pieces
+    assert not PIECES & set(vars(stored)) and set(vars(stored)["_stored"]) == PIECES
+
+
+def test_a_stored_scheme_has_every_field_but_its_pieces():
+    s = standard_scheme(2)
+    fields = {f.name for f in dataclasses.fields(TeleportationScheme)}
+    assert set(vars(s)) == fields - PIECES | {"_stored"} and set(vars(s)["_stored"]) == PIECES
+    assert s.leg_dims == (2, 2, 2) and s.inclusion is s.tower.inclusion
+    with pytest.raises(TypeError):
+        TeleportationScheme._from_legs({"omega": s._stored["omega"]}, context=s.context)
+
+
+def test_a_stored_piece_is_built_once_on_read_and_kept():
+    s = standard_scheme(2)
+    n = 2
+    assert s.outcomes == 4 and not PIECES & set(vars(s))
+    povm = s.povm
+    assert s.povm is povm and set(vars(s)["_stored"]) == {"omega", "channels"}
+    e = concrete_jones_projection(StarAlgebra.trivial(n))
+    assert np.max(np.abs(s.omega - n * n * la.kron(la.eye(n), e))) == 0.0
+    assert s.channels[1].ad_unitary.shape == (n**3, n**3) and vars(s)["_stored"] == {}
+    assert teleport._legs(s) is not None
+    # a shallow copy keeps the legs its original had when it was made
+    s = standard_scheme(2)
+    twin = copy.copy(s)
+    _scaled_povm_element(twin)
+    assert set(vars(s)["_stored"]) == PIECES and "povm" not in vars(s)
+    assert verify_scheme(s).passed and not verify_scheme(twin, strict=False).passed
+
+
+FLIP = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
+
+
+def _bumped_omega(s):
+    s.omega = (1 - 1e-6) * s.omega + 1e-6 * (la.eye(8) + FLIP)
+    return s
+
+
+def _scaled_povm_element(s):
+    s.povm[0] = 1.01 * s.povm[0]
+    return s
+
+
+def _flipped_channel(s):
+    s.channels[2] = Superoperator.conjugation(FLIP @ s.channels[2].ad_unitary, s.context.ambient)
+    return s
+
+
+def _flipped_channels(s):
+    s.channels = [Superoperator.conjugation(FLIP @ ch.ad_unitary, s.context.ambient) for ch in s.channels]
+    return s
+
+
+def _omega_changed_in_place(s):
+    s.omega[0, 0] += 1e-3
+    return s
+
+
+def _unread_omega_set(s):
+    s.omega = 1.01 * standard_scheme(2).omega
+    return s
+
+
+def _unread_povm_set(s):
+    s.povm = [1.01 * f for f in standard_scheme(2).povm]
+    return s
+
+
+REPLACEMENTS = {
+    "set_omega": (_bumped_omega, "resource_commutes_with_teleported"),
+    "set_povm_element": (_scaled_povm_element, "povm_sums_to_identity"),
+    "set_channel": (_flipped_channel, "channels_alice_bimodule_sampled"),
+    "set_channels": (_flipped_channels, "channels_alice_bimodule_sampled"),
+    "omega_in_place": (_omega_changed_in_place, "resource_normalised"),
+    "set_unread_omega": (_unread_omega_set, "resource_normalised"),
+    "set_unread_povm": (_unread_povm_set, "povm_sums_to_identity"),
+    "replace_povm": (lambda s: replace(s, povm=[1.01 * s.povm[0]] + s.povm[1:]), "povm_sums_to_identity"),
+    "replace_omega": (lambda s: replace(s, omega=1.01 * s.omega), "resource_normalised"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPLACEMENTS))
+def test_replaced_pieces_of_a_stored_scheme_are_judged_as_they_stand(key):
+    # the replacement made on a stored scheme and on a copy built from set
+    # pieces: both judge the replaced piece, and no stale leg is read
+    replaced, name = REPLACEMENTS[key]
+    got = verify_scheme(replaced(standard_scheme(2)), strict=False)
+    want = verify_scheme(replaced(_set_copy(standard_scheme(2))), strict=False)
+    _same_reports(got, want, within=1e-13)
+    assert name in [c.name for c in got.failures()]
+
+
+def _full_system_unitaries(a, bs, leg, dim, tol):
+    """The intertwiner solve on the full systems L(E) a - b L(E), one
+    (n^2, n^2) block per matrix unit E, as one batched SVD."""
+    n = int(np.sqrt(len(a)))
+    units = la.eye(n * n).reshape(-1, n, n)
+    lifted = la.kron(units, la.eye(n)) if leg == 0 else la.kron(la.eye(n), units)
+    systems = lifted @ a - bs[:, None] @ lifted
+    spaces = la.nullspaces(systems.reshape(len(bs), n * n, -1).transpose(0, 2, 1), tol)
+    assert all(len(sols) == dim for sols in spaces)
+    cands = [
+        la.generic_invertible([v.reshape(n, n) for v in sols], la.DEFAULT_SEED + i) for i, sols in enumerate(spaces)
+    ]
+    return la.polar_unitary(np.stack(cands))
+
+
+@pytest.mark.parametrize("key", sorted(STORED_SCHEMES))
+def test_the_range_solve_matches_the_full_intertwiner_systems(key):
+    s = STORED_SCHEMES[key]()
+    inc, legs = s.inclusion, teleport._pieces(s)
+    e, tol, dim = concrete_jones_projection(inc.small), inc.tol, inc.small.dim
+    names = [f"outcome {i}" for i in range(s.outcomes)]
+    got = teleport._leg_unitaries(e, legs.povm, 0, names, dim, tol)
+    assert np.max(np.abs(got - _full_system_unitaries(e, legs.povm, 0, dim, tol))) <= 1e-14
+    # the dressing solve, on leg 1 of the undressed resource of extract_tight_scheme
+    _, u, z, _ = extract_tight_scheme(s)
+    undressed = teleport._tight_resource(inc, e, u, la.eye(len(u))) / inc.index
+    got = teleport._leg_unitaries(undressed, e[None], 1, ["dressing"], dim, tol)
+    assert np.max(np.abs(got - _full_system_unitaries(undressed, e[None], 1, dim, tol))) <= 1e-14
+
+
+def test_the_range_solve_reports_the_dimension_of_an_unequal_rank_outcome():
+    # a rank-two POVM leg against a rank-one e: the outcome is solved on its own
+    e = concrete_jones_projection(StarAlgebra.trivial(2))
+    f = np.stack([e, la.eye(4) - e])
+    with pytest.raises(ExtractionError, match=r"^outcome 1: intertwiner space has dimension 0, expected 1$"):
+        teleport._leg_unitaries(e, f, 0, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
+
+
+def test_a_tripartite_context_holds_no_shifted_stack():
+    ctx = teleport._tripartite_context(trivial_in_full(3))
+    assert not any(isinstance(v, np.ndarray) for v in vars(ctx).values())
+    nprime = trivial_in_full(3).small.commutant
+    assert len(ctx.shift_pairs) == nprime.dim == 9
+    one = la.eye(3)
+    a, b = ctx.shift_pairs[4]
+    assert np.array_equal(a, la.kron(nprime.basis[4], one, one))
+    assert np.array_equal(b, la.kron(one, one, nprime.basis[4]))
+    assert len(list(ctx.shift_pairs)) == 9

@@ -972,3 +972,28 @@ def test_represented_algebra_selects_coordinates(key, k):
     w = np.hstack(g.represented(g.algebra).frames)
     assert np.all((w == 0) | (w == 1))
     assert np.array_equal(np.count_nonzero(w, axis=1), np.ones(g.dim, dtype=int))
+
+
+@pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_3"])
+def test_shift_checks_read_the_same_in_chunks(key, monkeypatch):
+    # verify_tower and verify_epr form the shifted basis a chunk at a time;
+    # chunks of four operators, the last one short, give the reports of the whole stack
+    from opteleport import tower
+
+    t = get_tower(key)
+    want = [verify_tower(t), verify_epr(t)]
+    monkeypatch.setattr(tower, "_SHIFT_CHUNK", 4 * t.gns1.dim**2)
+    got = [verify_tower(t), verify_epr(t)]
+    for g, w in zip(got, want):
+        assert [(c.name, c.passed) for c in g.checks] == [(c.name, c.passed) for c in w.checks]
+        assert max(abs(a.residual - b.residual) for a, b in zip(g.checks, w.checks)) <= 1e-14
+    # the chunks cover the basis once, in order, through Tower.shift
+    shifted = t.shift(t.rel_comm.basis)
+    xs, ys = (np.concatenate(parts) for parts in zip(*tower._shift_chunks(t)))
+    assert np.array_equal(xs, t.rel_comm.basis) and np.array_equal(ys, shifted)
+    # the level-two pass takes the stack, and reads each operator as it reads it alone
+    to_level2 = tower._level2_distances(t.gns1, t.levels[1].upper)
+    lands, image = to_level2(shifted)
+    assert lands.shape == image.shape == (len(shifted),)
+    for s, a, b in zip(shifted, lands, image):
+        assert np.allclose(to_level2(s), (a, b), rtol=0, atol=1e-15)
