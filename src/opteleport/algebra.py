@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,20 +244,16 @@ class StarAlgebra:
     def basis(self) -> np.ndarray:
         """Self-adjoint HS-orthonormal basis, blockwise: the f_aa / sqrt(m),
         then for each a < b the symmetric and antisymmetric combinations
-        of f_ab and f_ba."""
+        of f_ab and f_ba (:func:`_hermitian_combinations`)."""
         n = self.ambient_dim
         out = np.empty((self.dim, n, n), dtype=complex)
         k = 0
         for (d, m), w in zip(self.blocks, self.frames):
             legs = _legs(w, d)
-            root = np.sqrt(float(m))
-            out[k : k + d] = np.matmul(legs, la.dagger(legs)) / root
             upper, lower = _upper_pairs(d)
             f_ab = np.matmul(legs[upper], la.dagger(legs[lower]))
-            f_ba = la.dagger(f_ab)
-            scale = root * np.sqrt(2.0)
-            out[k + d : k + d * d : 2] = (f_ab + f_ba) / scale
-            out[k + d + 1 : k + d * d : 2] = 1j * (f_ab - f_ba) / scale
+            diagonal = np.matmul(legs, la.dagger(legs))
+            _hermitian_combinations(diagonal, f_ab, la.dagger(f_ab), m, out[k : k + d * d])
             k += d * d
         return out
 
@@ -380,22 +377,41 @@ def _layout_split(
     the (m_j, m_j) average over the leg d_j, with projection
     (+)_j 1_{d_j} (x) mean_j."""
     total, o, means = 0.0, 0, []
-    for d, m in layout:
-        sl, end = slice(o, o + d * m), o + d * m
-        off = la.frobenius_norms(x[..., sl, :o]) ** 2 + la.frobenius_norms(x[..., sl, end:]) ** 2
-        total = total + off
-        block = x[..., sl, sl]
-        legs = block.reshape(*block.shape[:-2], d, m, d, m)
+    lead = np.shape(x)[:-2]
+    for (d, m), count in _runs(layout):
+        size, end = d * m, o + count * d * m
+        rows = x[..., o:end, :]
+        total = total + la.frobenius_norms(rows[..., :o]) ** 2 + la.frobenius_norms(rows[..., end:]) ** 2
+        if count == 1:
+            legs = rows[..., o:end].reshape(*lead, d, m, d, m)
+        else:
+            # a run of equal blocks as one (..., count, size, size) stack; the
+            # mass between two blocks of the run is summed off the diagonal
+            run = rows[..., o:end].reshape(*lead, count, size, count, size)
+            mass = la.frobenius_norms(np.moveaxis(run, -3, -2)) ** 2
+            mass[..., np.arange(count), np.arange(count)] = 0.0
+            total = total + mass.sum(axis=(-2, -1))
+            legs = np.moveaxis(np.diagonal(run, axis1=-4, axis2=-2), -1, -3).reshape(*lead, count, d, m, d, m)
         if commutant:
             mean = np.trace(legs, axis1=-4, axis2=-2) / d
             gap = legs - la.eye(d)[:, None, :, None] * mean[..., None, :, None, :]
         else:
             mean = np.trace(legs, axis1=-3, axis2=-1) / m
             gap = legs - mean[..., :, None, :, None] * la.eye(m)[None, :, None, :]
-        total = total + la.frobenius_norms(gap.reshape(block.shape)) ** 2
-        means.append(mean)
+        gaps = la.frobenius_norms(gap.reshape(*gap.shape[:-4], size, size)) ** 2
+        total = total + (gaps if count == 1 else gaps.sum(axis=-1))
+        means.extend([mean] if count == 1 else np.moveaxis(mean, -3, 0))
         o = end
     return total, means
+
+
+def _runs(layout: Sequence[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], int]]:
+    """The runs of consecutive equal blocks of a layout as (block, count);
+    a run of one or two blocks comes block by block, where one stack for
+    the run is slower than a pass per block."""
+    for block, run in groupby(layout):
+        count = len(list(run))
+        yield from [(block, count)] if count > 2 else [(block, 1)] * count
 
 
 def _frame_distance(alg: StarAlgebra, x: np.ndarray, commutant: bool = False) -> float | np.ndarray:
@@ -465,6 +481,21 @@ def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray
         legs = _legs(w, d).transpose(1, 2, 0).reshape(n, -1)  # columns (r, a)
         rows = legs.reshape(n, m, d) @ c[..., None, :, :]
         out += rows.reshape(*out.shape[:-1], -1) @ la.dagger(legs)
+    return out
+
+
+def _hermitian_combinations(
+    diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray, m: int, out: np.ndarray
+) -> np.ndarray:
+    """The block of :attr:`StarAlgebra.basis` made of the images of the units
+    under any linear map: ``diagonal`` holds the images of the f_aa, and
+    ``upper`` and ``lower`` those of f_ab and f_ba for the pairs a < b of
+    :func:`_upper_pairs`.  Written into ``out`` and returned."""
+    d, root = len(diagonal), np.sqrt(float(m))
+    out[:d] = diagonal / root
+    scale = root * np.sqrt(2.0)
+    out[d::2] = (upper + lower) / scale
+    out[d + 1 :: 2] = 1j * (upper - lower) / scale
     return out
 
 

@@ -37,8 +37,10 @@ from .algebra import (
     _frame_from,
     _from_corners,
     _generators,
+    _hermitian_combinations,
     _layout_distance,
     _layout_split,
+    _upper_pairs,
     conditional_expectation_onto,
 )
 from .errors import (
@@ -125,14 +127,9 @@ class GnsSpace:
         """left(x) @ v for every x of the stack xs, as a (len(xs), dim, r) stack:
         each corner xbar_j acts on the first leg of block j, and no dim x dim
         operator is formed."""
-        return self._act_corners(_corners(self.algebra, xs), v)
-
-    def _act_corners(self, corners: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        """:meth:`act` for the stacked corners of the xs."""
-        count = len(corners[0])
-        out = np.empty((count, self.dim, v.shape[1]), dtype=complex)
-        for (d, _), sl, c in zip(self.algebra.blocks, self._slices, corners):
-            out[:, sl] = (c @ v[sl].reshape(d, -1)).reshape(count, d * d, -1)
+        out = np.empty((len(xs), self.dim, v.shape[1]), dtype=complex)
+        for (d, _), sl, c in zip(self.algebra.blocks, self._slices, _corners(self.algebra, xs)):
+            out[:, sl] = (c @ v[sl].reshape(d, -1)).reshape(len(xs), d * d, -1)
         return out
 
     def _conjugate(self, x: np.ndarray, operator: bool = False) -> np.ndarray:
@@ -414,7 +411,10 @@ def verify_tower(t: Tower) -> Report:
 
     Checks that end in a Jones projection e = P P* run on its range:
     ||A e||_F = ||A P||_F because P* has orthonormal rows, and A P comes from
-    :meth:`GnsSpace.act` without forming A.  Elements of M1 and M2 are read
+    :meth:`GnsSpace.act` without forming A.  e x e = E(x) e is read through
+    the range of e, at both levels (:func:`_compression_residual`): its part
+    in the range from kernels of P, that off it from the coordinates of E(x)
+    in the algebra below.  Elements of M1 and M2 are read
     in the frames of an algebra that holds them, weighted by sqrt(m_j) so that
     the coordinates are Hilbert-Schmidt isometric: ranks, residuals and
     distances keep their meaning, and no dense basis above level 1 is built.
@@ -446,9 +446,10 @@ def verify_tower(t: Tower) -> Report:
         _gns_inner_residual(t),
         tol.bound(1.0),
     )
+    small = inc.small.basis
     rep.add(
         "compression_is_expectation",  # e x e = E(x) e
-        _compression_residual(gns, p1, basis, exp),
+        _compression_residual(gns, p1, exp, small, _range_parts(gns, p1, small)),
         tol.bound(1.0),
     )
     rng = la.rng_from(_PAIR_SEED + 1)
@@ -487,9 +488,11 @@ def verify_tower(t: Tower) -> Report:
     gns1, p2 = t.gns1, t.levels[2].jones_range
     e2 = t.jones2
     e1_up = gns1.left(e1)
+    # one pass over pi(M) on the range of e_M feeds both of its level-two checks
+    parts = _range_parts(gns1, p2, images)
     rep.add(
         "jones2_commutes_with_m",  # the level-two fact e_M ∈ M'
-        _jones2_commutation_residual(gns1, p2, images),
+        float(np.sqrt(2.0 * np.max(np.diagonal(parts[1]).real))),
         tol.bound(1.0),
     )
     rep.add(
@@ -499,7 +502,7 @@ def verify_tower(t: Tower) -> Report:
     )
     rep.add(
         "compression_is_expectation_level2",  # e_M x e_M = E_M(x) e_M on M1
-        _compression_residual(gns1, p2, t.level1.basis, t.expect_onto_m),
+        _compression_residual(gns1, p2, t.expect_onto_m, images, parts),
         tol.bound(1.0) * t.level1.dim,
     )
     # with e_M = P P*: e_N e_M e_N = (e_N P)(e_N P)*, and ||e_M e_N e_M - e_M / idx||_F
@@ -524,7 +527,7 @@ def verify_tower(t: Tower) -> Report:
     to_level2 = _level2_distances(gns1, t.levels[1].upper)
     entangled = lands = image = 0.0
     for xs, shifted in _shift_chunks(t):
-        entangled = max(entangled, _shift_entanglement_residual(t, e1_up, xs, shifted))
+        entangled = max(entangled, _shift_entanglement_residual(t, xs, shifted))
         chunk_lands, chunk_image = to_level2(shifted)
         lands, image = max(lands, float(np.max(chunk_lands))), max(image, float(np.max(chunk_image)))
     rep.add("shift_entanglement", entangled, tol.bound(1.0))  # e_N x e_M = e_N shift(x) e_M
@@ -568,12 +571,16 @@ def _level1_span_report(t: Tower, tol: Tolerance, images: np.ndarray, ranged: np
     return rep
 
 
-def _jones2_commutation_residual(gns: GnsSpace, p: np.ndarray, images: np.ndarray) -> float:
-    """max over ``images`` (Hermitian, in the algebra of ``gns``) of ||[e, b]||_F
-    for e = P P* and b their left action: sqrt(2) ||b P - P (P* b P)||_F,
-    which is sqrt(2) ||(1 - e) b e||_F."""
-    lifted = gns.act(images, p)
-    return np.sqrt(2.0) * _largest(lifted - p @ (la.dagger(p) @ lifted))
+def _range_parts(gns: GnsSpace, p: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P* pi(x) P over the stack xs of elements of the algebra of ``gns``,
+    and the Gram matrix of the (1 - P P*) pi(x) P, from :meth:`GnsSpace.act`.
+    For Hermitian x and e = P P*, ||[e, pi(x)]||_F is sqrt(2) times the root
+    of the Gram matrix's diagonal entry at x."""
+    lifted = gns.act(xs, p)
+    inside = la.dagger(p) @ lifted
+    lifted -= p @ inside
+    outside = lifted.reshape(len(xs), -1)
+    return inside, np.conj(outside) @ outside.T
 
 
 def _entanglement_gaps(t: Tower, *vectors: np.ndarray) -> list[np.ndarray]:
@@ -680,24 +687,42 @@ def _level2_distances(gns: GnsSpace, sub: StarAlgebra) -> Callable[[np.ndarray],
 
 
 def _compression_residual(
-    gns: GnsSpace, p: np.ndarray, xs: np.ndarray, expect: Superoperator
+    gns: GnsSpace, p: np.ndarray, expect: Superoperator, subs: np.ndarray, parts: tuple[np.ndarray, np.ndarray]
 ) -> float:
-    """max over xs of ||e pi(x) e - pi(E x) e||_F with e = P P*, as
-    ||P (P* pi(x) P) - pi(E x) P||_F.
+    """max over the basis x of the algebra of ``gns`` of a bound on
+    ||P P* pi(x) P - pi(E x) P||_F (= ||e pi(x) e - pi(E x) e||_F, e = P P*);
+    ``subs`` is a basis of the range B of E, ``parts`` its :func:`_range_parts`.
 
-    The expectation and the corners of x and E x are taken once for the
-    whole stack; the products with P run in chunks of dim / rank elements,
-    so no (len(xs), dim, rank) stack is held.
+    With E x = sum_b c_b b + R, the first term the HS projection onto B, the
+    square splits along e and 1 - e into ||S - T||_F^2, S = P* pi(x) P and
+    T = sum_b c_b P* pi(b) P, and c* G c, G the Gram matrix of the
+    (1 - e) pi(b) P.  S is read off the kernels sum_b P_j[a, b]* P_j[c, b],
+    the images of the units f_ac, in the combinations that build the basis.
+    R adds ||R||_F ||P||_F, and s = ||P* P - 1||_F adds s ||S + T||_F / 2, as
+    the exact square exceeds the split one by Re tr((S - T)* (P* P - 1) (S + T)):
+    the bound is never below the dense residual, and equal to it, to
+    rounding, for an isometry P and E into B.
     """
-    p_star = la.dagger(p)
-    corners = _corners(gns.algebra, xs), _corners(gns.algebra, expect(xs))
-    step = max(1, gns.dim // p.shape[1])
+    xs, r = gns.algebra.basis, p.shape[1]
+    inside, gram = parts[0].reshape(len(subs), -1), parts[1]
+    flat = subs.reshape(len(subs), -1)
+    dual = np.linalg.inv(np.conj(flat) @ flat.T) @ np.conj(flat)  # coordinates against subs
+    skew, size = la.frobenius_distance(la.dagger(p) @ p, la.eye(r)) / 2, np.linalg.norm(p)
     worst = 0.0
-    for start in range(0, len(xs), step):
-        here, there = (gns._act_corners([c[start : start + step] for c in cs], p) for cs in corners)
-        gap = p @ (p_star @ here)
-        gap -= there
-        worst = max(worst, _largest(gap))
+    for (d, m), sl in zip(gns.algebra.blocks, gns._slices):
+        legs = p[sl].reshape(d, d, r).transpose(0, 2, 1).reshape(d * r, d)  # rows (a, s), columns b
+        kernel = (np.conj(legs) @ legs.T).reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d, d, -1)
+        upper, lower = _upper_pairs(d)
+        units = kernel[np.arange(d), np.arange(d)], kernel[upper, lower], kernel[lower, upper]
+        compressed = _hermitian_combinations(*units, m, np.empty((d * d, r * r), dtype=complex))
+        ys = expect(xs[sl]).reshape(d * d, -1)
+        coords = dual @ ys.T
+        images = coords.T @ inside
+        out_sq = np.einsum("bx,bx->x", np.conj(coords), gram @ coords).real
+        bound = np.hypot(np.linalg.norm(compressed - images, axis=1), np.sqrt(np.maximum(out_sq, 0.0)))
+        bound += skew * np.linalg.norm(compressed + images, axis=1)
+        bound += size * np.linalg.norm(ys - coords.T @ flat, axis=1)
+        worst = max(worst, float(np.max(bound)))
     return worst
 
 
@@ -712,16 +737,19 @@ def _shift_chunks(t: Tower) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield xs, t.shift(xs)
 
 
-def _shift_entanglement_residual(t: Tower, e1_up: np.ndarray, xs: np.ndarray, shifted: np.ndarray) -> float:
+def _shift_entanglement_residual(t: Tower, xs: np.ndarray, shifted: np.ndarray) -> float:
     """max over the stack ``xs`` in N' ∩ M of ||e_N (pi1(pi(x)) - shift(x)) e_M||_F,
     where ``shifted`` stacks :meth:`Tower.shift` over ``xs``.
 
-    With e_M = P P* this is ||e_N (pi1(pi(x)) - shift(x)) P||_F, and
-    pi1(pi(x)) P comes from :meth:`GnsSpace.act`.
+    With e_M = P P* this is ||e_N (pi1(pi(x)) - shift(x)) P||_F: pi1(pi(x)) P
+    comes from :meth:`GnsSpace.act`, and e_N, an element of M1, acts through
+    its corners on the columns of the whole stacked difference at once.
     """
     p2 = t.levels[2].jones_range
-    lifted = t.gns1.act(t.gns.left(xs), p2)
-    return _largest(e1_up @ (lifted - shifted @ p2))
+    gap = t.gns1.act(t.gns.left(xs), p2) - shifted @ p2
+    k, dim, r = gap.shape
+    ranged = t.gns1.act(t.jones1[None], gap.transpose(1, 0, 2).reshape(dim, -1))[0]
+    return _largest(ranged.reshape(dim, k, r).transpose(1, 0, 2))
 
 
 def _gns_inner_residual(t: Tower) -> float:
@@ -796,10 +824,9 @@ def verify_epr(t: Tower) -> Report:
     on_jones, on_psi = _entanglement_gaps(t, t.levels[1].jones_range, psi)
     rep.add("left_right_on_jones", _largest(on_jones), tol.bound(1.0))  # gamma0 is pi_r
     iterate(t)
-    e1_up = t.gns1.left(t.jones1)
     rep.add(
         "shift_on_second_jones",
-        max(_shift_entanglement_residual(t, e1_up, xs, shifted) for xs, shifted in _shift_chunks(t)),
+        max(_shift_entanglement_residual(t, xs, shifted) for xs, shifted in _shift_chunks(t)),
         tol.bound(1.0),
     )
     rep.add("perfect_correlation", float(np.linalg.norm(on_psi, axis=1).max()), tol.bound(1.0))

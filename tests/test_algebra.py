@@ -540,3 +540,51 @@ def test_canonical_order_ties_on_block_dim_by_the_central_projection(seed):
     want = _tuple_order(alg.ambient_dim, blocks, frames)
     assert got.blocks == [blocks[j] for j in want]
     assert all(g is frames[j] for g, j in zip(got.frames, want))
+
+
+def _layout_split_by_block(x, layout, commutant):
+    """Reference for _layout_split: one pass per block, the off-block mass of
+    its rows and its gap to the mean kept on the diagonal block."""
+    total, o, means = 0.0, 0, []
+    for d, m in layout:
+        sl, end = slice(o, o + d * m), o + d * m
+        total = total + la.frobenius_norms(x[..., sl, :o]) ** 2 + la.frobenius_norms(x[..., sl, end:]) ** 2
+        legs = x[..., sl, sl].reshape(*x.shape[:-2], d, m, d, m)
+        if commutant:
+            mean = np.trace(legs, axis1=-4, axis2=-2) / d
+            gap = legs - np.eye(d)[:, None, :, None] * mean[..., None, :, None, :]
+        else:
+            mean = np.trace(legs, axis1=-3, axis2=-1) / m
+            gap = legs - mean[..., :, None, :, None] * np.eye(m)[None, :, None, :]
+        total = total + la.frobenius_norms(gap.reshape(*x.shape[:-2], d * m, d * m)) ** 2
+        means.append(mean)
+        o = end
+    return total, means
+
+
+@pytest.mark.parametrize(
+    "layout, lead",
+    [
+        ([(1, 1)] * 27, ()),
+        ([(3, 3)] * 3, (5,)),
+        ([(8, 1)] * 8, ()),
+        ([(2, 1), (1, 2)], (2, 3)),
+        ([(2, 1), (2, 1), (1, 3), (3, 1), (3, 1), (3, 1), (1, 1)], (4,)),
+    ],
+)
+@pytest.mark.parametrize("commutant", [False, True])
+def test_layout_split_reads_runs_of_equal_blocks_as_the_per_block_loop(layout, lead, commutant):
+    # runs of equal blocks are read as one stack; the distance and the means
+    # are those of one pass per block
+    from opteleport.algebra import _layout_split
+
+    n = sum(d * m for d, m in layout)
+    rng = np.random.default_rng(len(layout))
+    x = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    total, means = _layout_split(x, layout, commutant)
+    want, want_means = _layout_split_by_block(x, layout, commutant)
+    assert np.shape(total) == lead
+    assert np.max(np.abs(total - want) / want) < 1e-15
+    assert len(means) == len(layout)
+    for got, ref in zip(means, want_means):
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))

@@ -564,3 +564,42 @@ def test_kraus_decomposition_does_not_trust_flags_set_by_hand():
     _, rep = kraus_decomposition(tower, tower.jones1, b)
     assert b.report is not None and b.unitary is False
     assert "reverse_cp_map_preserves_relative_commutant" not in [c.name for c in rep.checks]
+
+
+def _subsystem_basis():
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    small = StarAlgebra.from_generators([np.kron(np.eye(2, dtype=complex), nil)], 4)
+    return commutant_factor_basis(markov_inclusion(small, StarAlgebra.full(4)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda n=n: weyl_basis(n) for n in (2, 3, 4, 5)), lambda: shift_basis(3), _subsystem_basis],
+)
+def test_range_checks_of_a_basis_match_dense_formulas(make):
+    # completeness and the PVM are read on the range of e_N; the dense
+    # formulas compress e_N itself by pi(b) for every element b
+    basis = make()
+    tower = basic_construction(basis.inclusion)
+    got = {c.name: c.residual for c in verify_basis(tower, basis).checks}
+    reps = tower.gns.left(np.stack(basis.elements))
+    q = la.dagger(reps) @ tower.jones1 @ reps
+    pvm = max(np.max(la.frobenius_norms(q @ q - q)), np.max(la.frobenius_norms(q - la.dagger(q))))
+    for i, p in enumerate(q[:-1]):
+        pvm = max(pvm, np.max(la.frobenius_norms(p @ q[i + 1 :])))
+    assert abs(got["completeness"] - la.frobenius_distance(sum(q), np.eye(tower.gns.dim))) < 1e-12
+    assert abs(got["entangled_subspace_pvm"] - pvm) < 1e-12
+
+
+def test_pvm_residual_matches_dense_products_off_the_range():
+    # the Gram-block formulas are exact for any V_b, not only for isometries
+    from opteleport.bases import _pvm_residual
+
+    rng = np.random.default_rng(3)
+    general = rng.standard_normal((4, 6, 2)) + 1j * rng.standard_normal((4, 6, 2))
+    isometries = np.linalg.qr(general)[0]  # projections that overlap: the pairs decide
+    for ranged in (general, isometries):
+        q = ranged @ la.dagger(ranged)
+        pairs = [la.frobenius_distance(q[b] @ q[c], 0) for b in range(4) for c in range(b + 1, 4)]
+        want = max(np.max(la.frobenius_norms(q @ q - q)), max(pairs))
+        assert abs(_pvm_residual(ranged) - want) < 1e-12 * want

@@ -15,7 +15,7 @@ from opteleport.tower import (
     verify_tracial_entangled_state,
 )
 
-from conftest import TOWER_KEYS, get_tower, make_inclusion
+from conftest import TOWER_KEYS, get_tower, make_inclusion, record_thresholds
 
 
 def test_gns_inner_product_matches_trace():
@@ -721,12 +721,83 @@ def test_span_rank_drops_with_central_support():
     assert _span_rank(t, cut) < t.level1.dim
 
 
-@pytest.mark.parametrize("key", TOWER_KEYS)
+@pytest.mark.parametrize("key", FRAME_TOWERS)
 def test_range_checks_match_dense_formulas(key):
-    t = get_tower(key)
+    # the rotated tower has complex frames at every level, where a slip of a
+    # conjugation or a transpose in the range formulas would show
+    t = _frame_tower(key)
     got = {c.name: c.residual for c in verify_tower(t).checks + verify_epr(t).checks}
     for name, want in _dense_range_residuals(t).items():
         assert abs(got[name] - want) < 1e-12, name
+
+
+def _wrong_expectation(t, level, kind):
+    """Replace the expectation that verify_tower reads at ``level`` (onto N,
+    or onto M at level two) by E moved off its range by 1e-3 (x - E(x)) for
+    ``kind`` "outside", or by ``kind`` times E; return the new map."""
+    right = t.inclusion.expectation if level == 1 else t.levels[1].expect
+    if kind == "outside":
+        wrong = lambda x: right(x) + 1e-3 * (x - right(x))  # noqa: E731
+    else:
+        wrong = lambda x: kind * right(x)  # noqa: E731
+    if level == 1:
+        t.inclusion.expectation = wrong
+    else:
+        t.levels[1].expect = wrong
+    return wrong
+
+
+@pytest.mark.parametrize("key", ["diagonal_in_full_3", "golden"])
+@pytest.mark.parametrize("kind", [1 + 1e-3, "outside"])
+@pytest.mark.parametrize(
+    "level, name", [(1, "compression_is_expectation"), (2, "compression_is_expectation_level2")]
+)
+def test_compression_checks_fail_on_a_wrong_expectation(key, kind, level, name, monkeypatch):
+    # e x e = E(x) e pins E: a wrong expectation, set where verify_tower reads
+    # it, fails the check in the dense reference and in verify_tower alike
+    t = _frame_tower(key, fresh=True)
+    _wrong_expectation(t, level, kind)
+    thresholds = record_thresholds(monkeypatch)
+    check = next(c for c in verify_tower(t).checks if c.name == name)
+    assert not check.passed
+    assert _dense_range_residuals(t)[name] > thresholds[name]
+
+
+@pytest.mark.parametrize("key", ["diagonal_in_full_3", "golden", "rotated"])
+@pytest.mark.parametrize(
+    "level, name", [(1, "compression_is_expectation"), (2, "compression_is_expectation_level2")]
+)
+def test_compression_checks_match_dense_formulas_off_the_range(key, level, name):
+    # a range of e rotated off the GNS image of B is still an isometry, so the
+    # split along e and 1 - e is exact: the residual is the dense one, and fails
+    t = _frame_tower(key, fresh=True)
+    lvl = t.levels[level]
+    vals, vecs = np.linalg.eigh(la.random_hermitian(lvl.gns.dim, 5))
+    lvl.jones_range = (vecs * np.exp(1e-3j * vals)) @ la.dagger(vecs) @ lvl.jones_range
+    lvl.__dict__.pop("jones", None)
+    got = next(c for c in verify_tower(t).checks if c.name == name)
+    assert not got.passed
+    assert abs(got.residual - _dense_range_residuals(t)[name]) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 - 1e-3])
+@pytest.mark.parametrize("level", [1, 2])
+def test_compression_checks_bound_the_residual_of_a_range_off_isometry(level, scale):
+    # on a rescaled range P the check reads an upper bound on
+    # max_x ||P P* pi(x) P - pi(E x) P||_F, which fails; an expectation scaled
+    # down makes the exact square exceed the split one along e and 1 - e
+    t = _frame_tower("diagonal_in_full_3", fresh=True)
+    lvl = t.levels[level]
+    lvl.jones_range = lvl.jones_range * 1.01
+    lvl.__dict__.pop("jones", None)
+    gns, p, expect = lvl.gns, lvl.jones_range, _wrong_expectation(t, level, scale)
+    exact = max(
+        la.frobenius_distance(p @ (la.dagger(p) @ gns.left(x) @ p), gns.left(expect(x)) @ p)
+        for x in gns.algebra.basis
+    )
+    name = "compression_is_expectation" + ("_level2" if level == 2 else "")
+    got = next(c for c in verify_tower(t).checks if c.name == name)
+    assert not got.passed and got.residual >= exact
 
 
 @pytest.mark.parametrize(
@@ -766,7 +837,7 @@ def test_frame_checks_read_the_public_maps(monkeypatch):
     t = iterate(basic_construction(trivial_in_full(3)))
     t.levels[2].jones_range = t.levels[2].jones_range * 1.01
     failed = {c.name for c in verify_tower(t).checks if not c.passed}
-    assert {"markov_expectation_level2", "jones2_commutes_with_m"} <= failed
+    assert {"markov_expectation_level2", "jones2_commutes_with_m", "compression_is_expectation_level2"} <= failed
 
 
 @pytest.mark.parametrize(
