@@ -9,13 +9,13 @@ needed anywhere.
 
 A :class:`Tower` is a list of :class:`Level` records grown by
 :meth:`Tower.extend`, which repeats one step at every height: take the GNS
-space of the top algebra, write down the algebra below it and the top
-algebra as represented there (frames read off the units), add the Jones
-projection onto the image of the algebra below, and take the conjugated
-commutant of that represented algebra as the next algebra.  Its canonical
-trace gives each block the weight of the paired block two levels down, so
-that tr(x e y) = tau(x y), normalised to a state and then gated on the
-Markov restriction over the whole basis.
+space of the top algebra, write down the algebra below it as represented
+there (frames read off the units) and the top algebra from its block
+layout, add the Jones projection onto the image of the algebra below, and
+take the conjugated commutant of that represented algebra as the next
+algebra.  Its canonical trace gives each block the weight of the paired
+block two levels down, so that tr(x e y) = tau(x y), normalised to a state
+and then gated on the Markov restriction over the whole basis.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .reporting import Report
 
 _PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
 _TRACIAL_SAMPLES = 12  # pairs (x, y) of N' ∩ M on which the restricted state is tested
-_SHIFT_CHUNK = 1 << 20  # complex entries (16 MB) of shifted operators formed at a time
+_SHIFT_CHUNK = 1 << 20  # complex entries (16 MB) formed at a time: shifted operators, compressed rows
 
 
 class GnsSpace:
@@ -249,13 +249,16 @@ class Level:
 def _step(prev: Level, tol: Tolerance) -> Level:
     """The basic construction on top of ``prev``: the record one level up.
 
-    Every piece is written down from the frames of ``prev``: the represented
-    algebras (:meth:`GnsSpace.represented`), the Jones projection onto the GNS
-    image of ``prev.upper``, and the canonical trace (:func:`_canonical_trace`).
+    Every piece is written down from the frames of ``prev``: ``prev.upper``
+    represented (:meth:`GnsSpace.represented`), the Jones projection onto its
+    GNS image, and the canonical trace (:func:`_canonical_trace`).
+    ``prev.algebra`` on its own GNS space needs no frames: block j acts as
+    M_{d_j} (x) 1_{d_j} on the d_j^2 consecutive coordinates of that block, the
+    layout :meth:`StarAlgebra.block_diagonal` writes down.
     """
     gns = GnsSpace(prev.algebra, prev.trace, tol)
     lower = gns.represented(prev.upper)
-    upper = gns.represented(prev.algebra)
+    upper = StarAlgebra.block_diagonal([(d, d) for d, _ in prev.algebra.blocks])
     jones_range = gns.subspace_isometry(lower)
     commutant = lower.commutant
     algebra = StarAlgebra(gns.dim, commutant.blocks, [gns._conjugate(w) for w in commutant.frames])
@@ -414,10 +417,13 @@ def verify_tower(t: Tower) -> Report:
     :meth:`GnsSpace.act` without forming A.  e x e = E(x) e is read through
     the range of e, at both levels (:func:`_compression_residual`): its part
     in the range from kernels of P, that off it from the coordinates of E(x)
-    in the algebra below.  Elements of M1 and M2 are read
+    in the algebra below, one stacked expectation per chunk of blocks.
+    Elements of M1 and M2 are read
     in the frames of an algebra that holds them, weighted by sqrt(m_j) so that
     the coordinates are Hilbert-Schmidt isometric: ranks, residuals and
     distances keep their meaning, and no dense basis above level 1 is built.
+    The span of M e_N M is decided by its rank, from singular values alone
+    (:func:`_level1_span_report`).
     Every family of elements (a basis, the samples of a check) goes through
     the GNS maps as one stack; sampled elements are drawn on the corners
     (:meth:`StarAlgebra.random_hermitian`).
@@ -539,21 +545,24 @@ def _level1_span_report(t: Tower, tol: Tolerance, images: np.ndarray, ranged: np
     """level1 is the span of {x e y} over the basis of M, and trace1(x e y) = tau(x y).
 
     ``images`` is pi over the basis of M and ``ranged`` is pi(x) P, so that
-    x e y = (pi(x) P)(pi(y) P)*.  Both the rank of the span and the residual
-    of the basis of level1 in it are read in the isometric corner coordinates
-    of level1 (:func:`_pair_coordinates`).  Those see only the part of x e y
-    in level1, so the membership residual also holds the distance of e and of
-    every pi(x) to level1, which puts each x e y there.
+    x e y = (pi(x) P)(pi(y) P)*.  The rank of the span is read in the
+    isometric corner coordinates of level1 (:func:`_pair_coordinates`), from
+    singular values alone (:func:`_row_rank`).  The units of level1 then lie
+    at distance sqrt(dim level1 - rank) from the span, exactly: for
+    orthonormal rows V of the span that is ||V* V - 1||_F, the distance of a
+    projection of that rank to the identity.  The corner coordinates see only
+    the part of x e y in level1, so the membership residual also holds the
+    distance of e and of every pi(x) to level1, which puts each x e y there.
     """
     rep = Report()
     inc, level1 = t.inclusion, t.level1
     coords = _pair_coordinates(level1, ranged)
-    span = _row_span(coords, tol)
-    rep.add_flag("level1_spanned_by_compressions", span.shape[0] == level1.dim)
+    rank = _row_rank(coords, tol)
+    rep.add_flag("level1_spanned_by_compressions", rank == level1.dim)
     rep.add(
-        "level1_span_membership",  # the units of level1 against the span, one row each
+        "level1_span_membership",  # the units of level1 against the span
         max(
-            la.frobenius_distance(la.dagger(span) @ span, la.eye(level1.dim)),
+            float(np.sqrt(level1.dim - rank)),
             float(_frame_distance(level1, np.concatenate([t.jones1[None], images])).max()),
         ),
         tol.bound(1.0) * level1.dim,
@@ -614,16 +623,13 @@ def _pair_coordinates(alg: StarAlgebra, a: np.ndarray) -> np.ndarray:
     return np.hstack(parts)
 
 
-def _row_span(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal rows spanning the rows, with the rank cut of :func:`la.span_onb`.
-
-    A tall stack is first reduced to its triangular factor, which has the
-    same singular values and right singular vectors.
-    """
+def _row_rank(rows: np.ndarray, tol: Tolerance) -> int:
+    """The rank of the rows, with the cut of :func:`la.span_onb` on their
+    singular values.  A tall stack is first reduced to its triangular factor,
+    which has the same singular values."""
     if rows.shape[0] > rows.shape[1]:
         rows = np.linalg.qr(rows, mode="r")
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: int(np.sum(s > tol.abs))]
+    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol.abs))
 
 
 def _markov_expectation_residual(t: Tower, idx: float) -> float:
@@ -702,20 +708,35 @@ def _compression_residual(
     the exact square exceeds the split one by Re tr((S - T)* (P* P - 1) (S + T)):
     the bound is never below the dense residual, and equal to it, to
     rounding, for an isometry P and E into B.
+
+    The images S of the units need the blocks of the algebra one at a time;
+    the rest runs once per chunk of consecutive blocks, whose rows of S, T,
+    E x and sum_b c_b b hold at most ``_SHIFT_CHUNK`` entries together, or
+    one larger block alone.
     """
     xs, r = gns.algebra.basis, p.shape[1]
     inside, gram = parts[0].reshape(len(subs), -1), parts[1]
     flat = subs.reshape(len(subs), -1)
     dual = np.linalg.inv(np.conj(flat) @ flat.T) @ np.conj(flat)  # coordinates against subs
     skew, size = la.frobenius_distance(la.dagger(p) @ p, la.eye(r)) / 2, np.linalg.norm(p)
+    step = max(1, _SHIFT_CHUNK // (2 * (r * r + flat.shape[1])))
+    chunks: list[list] = []
+    for block in zip(gns.algebra.blocks, gns._slices):
+        if chunks and block[1].stop - chunks[-1][0][1].start <= step:
+            chunks[-1].append(block)
+        else:
+            chunks.append([block])
     worst = 0.0
-    for (d, m), sl in zip(gns.algebra.blocks, gns._slices):
-        legs = p[sl].reshape(d, d, r).transpose(0, 2, 1).reshape(d * r, d)  # rows (a, s), columns b
-        kernel = (np.conj(legs) @ legs.T).reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d, d, -1)
-        upper, lower = _upper_pairs(d)
-        units = kernel[np.arange(d), np.arange(d)], kernel[upper, lower], kernel[lower, upper]
-        compressed = _hermitian_combinations(*units, m, np.empty((d * d, r * r), dtype=complex))
-        ys = expect(xs[sl]).reshape(d * d, -1)
+    for chunk in chunks:
+        start, stop = chunk[0][1].start, chunk[-1][1].stop
+        compressed = np.empty((stop - start, r * r), dtype=complex)
+        for (d, m), sl in chunk:
+            legs = p[sl].reshape(d, d, r).transpose(0, 2, 1).reshape(d * r, d)  # rows (a, s), columns b
+            kernel = (np.conj(legs) @ legs.T).reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d, d, -1)
+            upper, lower = _upper_pairs(d)
+            units = kernel[np.arange(d), np.arange(d)], kernel[upper, lower], kernel[lower, upper]
+            _hermitian_combinations(*units, m, compressed[sl.start - start : sl.stop - start])
+        ys = expect(xs[start:stop]).reshape(stop - start, -1)
         coords = dual @ ys.T
         images = coords.T @ inside
         out_sq = np.einsum("bx,bx->x", np.conj(coords), gram @ coords).real

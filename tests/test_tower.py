@@ -662,10 +662,10 @@ def _dense_frame_residuals(t):
 
 def _span_rank(t, p):
     """The rank of span{pi(x) P P* pi(y)} over the basis of M, as verify_tower reads it."""
-    from opteleport.tower import _pair_coordinates, _row_span
+    from opteleport.tower import _pair_coordinates, _row_rank
 
     ranged = t.gns.act(t.inclusion.big.basis, p)
-    return _row_span(_pair_coordinates(t.level1, ranged), t.tol).shape[0]
+    return _row_rank(_pair_coordinates(t.level1, ranged), t.tol)
 
 
 def _full_central_support(t, p):
@@ -719,6 +719,19 @@ def test_span_rank_drops_with_central_support():
     cut = t.levels[1].jones_range[:, :1]
     assert not _full_central_support(t, cut)
     assert _span_rank(t, cut) < t.level1.dim
+
+
+def test_span_checks_fail_on_partial_central_support():
+    # with e cut to one minimal projection of N = D_3, span(M e M) is one
+    # block M_3 of M1 = M_3 + M_3 + M_3: both span checks fail, and the units
+    # of M1 lie sqrt(27 - 9) from the span
+    t = basic_construction(make_inclusion("diagonal_in_full_3"))
+    t.levels[1].jones_range = t.levels[1].jones_range[:, :1]
+    t.levels[1].__dict__.pop("jones", None)
+    got = {c.name: c for c in verify_tower(t).checks}
+    assert not got["level1_spanned_by_compressions"].passed
+    assert not got["level1_span_membership"].passed
+    assert abs(got["level1_span_membership"].residual - np.sqrt(27 - 9)) < 1e-12
 
 
 @pytest.mark.parametrize("key", FRAME_TOWERS)
@@ -1043,6 +1056,42 @@ def test_represented_algebra_selects_coordinates(key, k):
     w = np.hstack(g.represented(g.algebra).frames)
     assert np.all((w == 0) | (w == 1))
     assert np.array_equal(np.count_nonzero(w, axis=1), np.ones(g.dim, dtype=int))
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_upper_algebra_is_the_represented_algebra(key, k):
+    # each level writes the algebra below, on its own GNS space, from its
+    # layout: the blocks and frames that GnsSpace.represented finds.  On the
+    # complex frames of the rotated M1, represented carries their rounding
+    t = _frame_tower(key)
+    g = t.levels[k].gns
+    want, got = g.represented(g.algebra), t.levels[k].upper
+    assert got.blocks == want.blocks
+    gaps = [np.abs(a - b).max() for a, b in zip(got.frames, want.frames, strict=True)]
+    assert max(gaps) <= (1e-14 if key == "rotated" and k == 2 else 0.0)
+
+
+@pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_3", "golden"])
+def test_compression_checks_read_the_same_in_chunks(key, monkeypatch):
+    # _compression_residual reads the basis in chunks of whole blocks; chunks
+    # of at most one, five or twenty rows at the level with the widest rows
+    # (a block alone, or two blocks of D_3's M1 together) give the residuals
+    # of one chunk
+    from opteleport import tower
+
+    t = _frame_tower(key)
+    names = ["compression_is_expectation", "compression_is_expectation_level2"]
+    want = {c.name: c for c in verify_tower(t).checks if c.name in names}
+    width = max(
+        2 * (lvl.jones_range.shape[1] ** 2 + lvl.gns.algebra.ambient_dim**2) for lvl in t.levels[1:3]
+    )
+    for rows in (1, 5, 20):
+        monkeypatch.setattr(tower, "_SHIFT_CHUNK", rows * width)
+        got = {c.name: c for c in verify_tower(t).checks if c.name in names}
+        for name in names:
+            assert got[name].passed == want[name].passed
+            assert abs(got[name].residual - want[name].residual) <= 1e-14, name
 
 
 @pytest.mark.parametrize("key", ["trivial_in_full_3", "diagonal_in_full_3"])
