@@ -232,12 +232,12 @@ def _require_normaliser_basis(tower: Tower, basis: PimsnerPopaBasis) -> None:
 def cardinality_test(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     """Orthonormality holds exactly when d * dim N = dim M.
 
-    ``verify_basis`` must have run (the completeness check is required);
-    a violated biconditional raises :class:`InternalError` since it is a
-    theorem for genuine bases.
+    The basis must belong to ``tower``'s inclusion and is verified there
+    unless its report is current (:func:`_require_verified`); its
+    completeness check must pass.  A violated biconditional raises
+    :class:`InternalError` since it is a theorem for genuine bases.
     """
-    if basis.report is None or basis.orthonormal is None:
-        raise PreconditionError("run verify_basis first")
+    _require_verified(tower, basis)
     if not next(c.passed for c in basis.report.checks if c.name == "completeness"):
         raise PreconditionError("cardinality test applies to verified bases only")
     rep = Report()

@@ -60,6 +60,15 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def rounding_bound(dim: int, scale: float | np.ndarray) -> float | np.ndarray:
+    """16 dim eps scale, eps the machine epsilon: how far rounding alone moves a
+    matrix of Frobenius norm ``scale`` formed by a few dense products at
+    dimension ``dim`` (an inner product of length D is off by at most
+    D eps / (1 - D eps) relative, Higham 2002, §3.1).  Not settable: it says
+    what rounding explains, not what a caller accepts (:class:`Tolerance`)."""
+    return 16 * dim * np.finfo(float).eps * scale
+
+
 def rng_from(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Coerce a seed or generator into a Generator (``None`` -> active seed)."""
     if isinstance(seed, np.random.Generator):

@@ -22,9 +22,9 @@ on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
 scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  A
 tight scheme on M_n (x) M_n (x) N' is stored by its legs, and a dense piece
 is built only when it is read (:class:`_Piece`).  The first two judge such
-a scheme on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, and
-every other scheme on its dense pieces; the extraction reads every scheme
-on its legs (:func:`_pieces`).
+a scheme on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, when
+its pieces are in leg form up to rounding, and every other scheme on its
+dense pieces; the extraction reads every scheme on its legs (:func:`_pieces`).
 """
 
 from __future__ import annotations
@@ -203,13 +203,6 @@ class _Legs(NamedTuple):
     povm_gaps: np.ndarray  # ||F_i - f_i (x) 1||
     unit_gaps: np.ndarray | None  # ||v_i - 1 (x) u_i||
 
-    @property
-    def drift(self) -> np.ndarray:
-        """Per channel T_i = Ad v_i, q_i (2 ||u_i|| + q_i) with q_i = ||v_i - 1 (x) u_i||:
-        a bound on ||T_i(x) - Ad(1 (x) u_i)(x)|| / ||x||, as
-        v x v* - v' x v'* = (v - v') x v* + v' x (v - v')*."""
-        return self.unit_gaps * (2 * la.frobenius_norms(self.units) + self.unit_gaps)
-
     # the leg form is HS-orthogonal to its remainder, and 1 (x) y has norm sqrt(dim 1) ||y||
     @property
     def resource_norm(self) -> float:
@@ -221,10 +214,10 @@ class _Legs(NamedTuple):
         """||F_i||, as hypot(sqrt(n) ||f_i||, r_i)."""
         return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(self.povm), self.povm_gaps)
 
-    @property
-    def unit_norms(self) -> np.ndarray:
-        """||v_i||, as hypot(n ||u_i||, q_i)."""
-        return np.hypot(self.nprime.ambient_dim * la.frobenius_norms(self.units), self.unit_gaps)
+    def within_rounding(self, gaps: float | np.ndarray, norms: float | np.ndarray) -> bool:
+        """Whether each remainder is within :func:`la.rounding_bound` of its
+        piece's norm at the ambient dimension n^3."""
+        return bool(np.all(gaps <= la.rounding_bound(self.nprime.ambient_dim**3, norms)))
 
 
 def _count(scheme: TeleportationScheme, name: str) -> int:
@@ -264,33 +257,31 @@ def _pieces(scheme: TeleportationScheme) -> _Legs | None:
 
 def _legs(scheme: TeleportationScheme) -> _Legs | None:
     """The legs of a tight tripartite scheme, or None when the scheme must be
-    judged on its dense pieces.
-
-    A scheme is judged on its legs when :func:`_pieces` reads it, it is on
-    the tripartite context of its inclusion (:func:`_on_tripartite_context`),
-    every channel is a conjugation with a witness v_i, and every piece lies
-    within ``tol.bound(||X||)`` of its leg form: 1 (x) w for the resource,
-    f_i (x) 1 for each POVM element and 1 (x) u_i for each witness, the bound
-    that extraction's trivial-leg checks use.  Each norm is read off the legs
-    (:attr:`_Legs.resource_norm`).
+    judged on its dense pieces: it is judged on its legs when :func:`_pieces`
+    reads it, it is on the tripartite context of its inclusion
+    (:func:`_on_tripartite_context`), every channel has a witness v_i, and
+    each remainder, of the resource from 1 (x) w, of each POVM element from
+    f_i (x) 1 and of each witness from 1 (x) u_i, is rounding only
+    (:meth:`_Legs.within_rounding`).  No remainder then widens a residual,
+    and a scheme further off is judged on its dense pieces: one verdict each.
     """
-    tol = scheme.tol
     legs = _pieces(scheme) if _count(scheme, "povm") and _count(scheme, "channels") else None
     if (
         legs is None
         or not _on_tripartite_context(scheme.context, scheme.inclusion)
-        or not _witnesses_on_legs(scheme, legs)
-        or legs.resource_gap > tol.bound(legs.resource_norm)
-        or np.any(legs.povm_gaps > tol.bound(legs.povm_norms))
+        or not _witnesses_on_legs(legs)
+        or not legs.within_rounding(legs.resource_gap, legs.resource_norm)
+        or not legs.within_rounding(legs.povm_gaps, legs.povm_norms)
     ):
         return None
     return legs
 
 
-def _witnesses_on_legs(scheme: TeleportationScheme, legs: _Legs) -> bool:
-    """Whether every channel has a witness v_i within ``tol.bound(||v_i||)``
-    of 1 (x) u_i."""
-    return legs.units is not None and bool(np.all(legs.unit_gaps <= scheme.tol.bound(legs.unit_norms)))
+def _witnesses_on_legs(legs: _Legs) -> bool:
+    """Whether every channel has a witness v_i equal to 1 (x) u_i up to
+    rounding, at the scale ||1 (x) u_i|| = n ||u_i||."""
+    n = legs.nprime.ambient_dim
+    return legs.units is not None and legs.within_rounding(legs.unit_gaps, n * la.frobenius_norms(legs.units))
 
 
 def _split(xs: np.ndarray | list[np.ndarray], a: int, b: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -348,14 +339,12 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     check is excused only when Bob has several central projections, all in
     Alice, and every channel normalises Alice (:func:`_normalising_residual`).
 
-    A tight scheme on M_n (x) M_n (x) N' whose pieces lie within
-    ``tol.bound(||X||)`` of the leg form (1 (x) w, f_i (x) 1, Ad(1 (x) u_i))
-    is judged on its legs (:func:`_legs`, :func:`_leg_residuals`), with no
-    product of n^3 x n^3 matrices; each remainder enters its residual
-    through the triangle inequality (Weyl's for eigenvalues), so a pass on
-    the legs implies a pass on the dense pieces.  The legs are read on every
-    call, so a piece that was read or replaced is judged as it stands.  Every
-    other scheme is judged on its dense pieces (:func:`_dense_residuals`).
+    A tight scheme on M_n (x) M_n (x) N' whose pieces are in leg form
+    (1 (x) w, f_i (x) 1, Ad(1 (x) u_i)) up to rounding is judged on its legs
+    (:func:`_legs`, :func:`_leg_residuals`), with no product of n^3 x n^3
+    matrices.  The legs are read on every call, so a piece that was read or
+    replaced is judged as it stands.  Every other scheme is judged on its
+    dense pieces (:func:`_dense_residuals`).
     """
     tol = scheme.tol
     ctx = scheme.context
@@ -478,66 +467,48 @@ def _dense_residuals(
 
 def _leg_residuals(legs: _Legs) -> dict[str, float]:
     """The residuals of :func:`verify_scheme` read off the legs, laid out as
-    by :func:`_dense_residuals`, each at least the dense residual.
+    by :func:`_dense_residuals`.
 
-    With omega = 1 (x) w + dw, F_i = f_i (x) 1 + dF_i and v_i = 1 (x) u_i + dv_i,
-    the remainders r = ||dw||, r_i = ||dF_i||, q_i = ||dv_i|| bound the
-    difference: an n^2 or n leg identity contributes the factor sqrt(n) or n
-    to a norm, Frobenius norms bound operator norms, ||T_i(x) - Ad(1 (x) u_i)(x)||
-    <= q_i ||x|| (2 ||u_i|| + q_i), and eigenvalues move by at most the
-    remainder (Weyl).  ``povm_in_alice_algebra``, the distance of the
-    resource to the teleported commutant and the bimodule residual are the
-    remainders themselves, since f_i (x) 1 lies in Alice, 1 (x) w in
+    An n^2 or n leg identity contributes the factor sqrt(n) or n to a norm.
+    ``povm_in_alice_algebra``, the distance of the resource to the
+    teleported commutant and the bimodule residual are the remainders
+    themselves, since f_i (x) 1 lies in Alice, 1 (x) w in
     (N' (x) 1 (x) 1)' and 1 (x) u_i in Alice'.  The identity is
     sum_i Tr_12((f_i (x) 1)(1 (x) 1 (x) u_i b u_i*)(1 (x) w)) / n^2 over the
     basis b of N', projected onto N' (the expectation of the normalised
     trace), as one einsum.
     """
     nprime, f, w, u = legs.nprime, legs.povm, legs.resource, legs.units
-    r, rf, ru = legs.resource_gap, legs.povm_gaps, legs.unit_gaps
     n = nprime.ambient_dim
     root = math.sqrt(n)
 
     def lowest(x: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh((x + la.dagger(x)) / 2).min(axis=-1)
 
-    res = {"povm_sums_to_identity": root * la.frobenius_distance(f.sum(axis=0), la.eye(n * n)) + float(np.sum(rf))}
+    res = {"povm_sums_to_identity": root * la.frobenius_distance(f.sum(axis=0), la.eye(n * n))}
     res["povm_positive"] = max(
-        float(np.max(root * la.frobenius_norms(f - la.dagger(f)) + 2 * rf)),
-        max(0.0, -float(np.min(lowest(f) - rf))),
+        float(np.max(root * la.frobenius_norms(f - la.dagger(f)))), max(0.0, -float(np.min(lowest(f))))
     )
-    res["povm_in_alice_algebra"] = float(np.max(rf))
-    res["resource_positive"] = (
-        root * la.frobenius_distance(w, la.dagger(w)) + 2 * r + max(0.0, -float(lowest(w) - r))
-    )
+    res["povm_in_alice_algebra"] = float(np.max(legs.povm_gaps))
+    res["resource_positive"] = root * la.frobenius_distance(w, la.dagger(w)) + max(0.0, -float(lowest(w)))
     res["resource_normalised"] = abs(np.trace(w) / (n * n) - 1.0)
-    res["resource_commutes_with_teleported"] = r
+    res["resource_commutes_with_teleported"] = legs.resource_gap
 
-    drift = legs.drift
     eye = la.eye(n)
-    res["channels_completely_positive"] = float(np.max(n * la.frobenius_norms(la.dagger(u) @ u - eye) + drift))
-    res["channels_unital"] = float(np.max(n * la.frobenius_norms(u @ la.dagger(u) - eye) + drift))
-    res["bimodule"] = float(np.max(ru))
+    res["channels_completely_positive"] = float(np.max(n * la.frobenius_norms(la.dagger(u) @ u - eye)))
+    res["channels_unital"] = float(np.max(n * la.frobenius_norms(u @ la.dagger(u) - eye)))
+    res["bimodule"] = float(np.max(legs.unit_gaps))
 
     # Bob's basis is 1 (x) b / n over the basis b of N'
     bs = nprime.basis
-    bnorms = la.frobenius_norms(bs)
     moved = u[:, None] @ bs @ la.dagger(u)[:, None]
-    res["channels_preserve_bob"] = float(
-        np.max(nprime.membership_residual(moved) + drift[:, None] * bnorms / n)
-    )
+    res["channels_preserve_bob"] = float(np.max(nprime.membership_residual(moved)))
 
     k = min(len(f), len(u))
     y = np.einsum(
         "iapxq,ibcd,qdpc->bax", f[:k].reshape(k, n, n, n, n), moved[:k], w.reshape(n, n, n, n), optimize=True
     ) / (n * n)
-    # ||F_i T_i(s) omega - (f_i (x) 1) Ad(1 (x) u_i)(s) (1 (x) w)|| per outcome and shift s
-    wnorm, fnorms = float(np.linalg.norm(w)) + r, la.frobenius_norms(f[:k])[:, None]
-    images, dt = la.frobenius_norms(moved[:k]), drift[:k, None] * bnorms
-    slack = rf[:k, None] * (images + dt) * wnorm + fnorms * dt * wnorm + fnorms * images * r
-    res["teleportation_identity"] = float(
-        np.max(n * la.frobenius_norms(nprime.project(y) - bs) + np.sum(slack, axis=0))
-    )
+    res["teleportation_identity"] = float(np.max(n * la.frobenius_norms(nprime.project(y) - bs)))
     return res
 
 
@@ -586,10 +557,9 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
 
     A scheme that :func:`verify_scheme` judges on its legs is classified on
     them too (:func:`_leg_flag_residuals`): g_i, both minimality distances
-    and the cross-check rows are read on n x n or n^2 x n^2 matrices, each
-    widened by what the remainders can move it, so the flags are those the
-    dense pieces give.  Every other scheme is classified on its dense
-    pieces (:func:`_dense_flag_residuals`).
+    and the cross-check rows are read on n x n or n^2 x n^2 matrices.  Every
+    other scheme is classified on its dense pieces
+    (:func:`_dense_flag_residuals`).
     """
     tol = scheme.tol
     ctx = scheme.context
@@ -600,7 +570,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
 
     legs = _legs(scheme)
     read = _dense_flag_residuals(scheme) if legs is None else _leg_flag_residuals(legs)
-    unb_res, lows, minimal_omega, minimal_povm, (alg, rows, slack) = read
+    unb_res, lows, minimal_omega, minimal_povm, (alg, rows) = read
     unbiased = unb_res <= tol.bound(1.0) * 10
     rep.add_flag("unbiased", True, detail=f"residual {unb_res:.2e}, flag {unbiased}")
 
@@ -625,7 +595,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     # independent cross-check of the reduction, over every density at once
     lhs_rows, rhs_rows, norm_row = rows
     gaps = [lhs_rows - rhs_rows] + ([lhs_rows - norm_row / d] if unbiased else [])
-    cross = _density_bound(alg, np.concatenate(gaps), norm_row) + slack
+    cross = _density_bound(alg, np.concatenate(gaps), norm_row)
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
     return SchemeFlags(
@@ -644,7 +614,7 @@ def _dense_flag_residuals(scheme: TeleportationScheme) -> tuple:
     residual max_i ||g_i - 1/d||, the lowest eigenvalue of each g_i, the
     distances of the resource to Mirror v Bob and of the POVM to
     Teleported v Mirror (both in frame coordinates, no dense basis of a
-    joint algebra), and the cross-check as (algebra, rows, slack 0)."""
+    joint algebra), and the cross-check as (algebra, rows)."""
     tol, ctx = scheme.tol, scheme.context
     povm = np.stack(scheme.povm)
     gs = ctx.expectation(scheme.omega @ povm)
@@ -654,34 +624,30 @@ def _dense_flag_residuals(scheme: TeleportationScheme) -> tuple:
     minimal_omega = _frame_distance(mirror_bob, scheme.omega)
     pair = StarAlgebra.commuting_product(ctx.teleported, ctx.mirror, tol)
     minimal_povm = float(np.max(_frame_distance(pair, povm)))
-    return unb_res, lows, minimal_omega, minimal_povm, (ctx.teleported, _cross_check_rows(scheme, gs), 0.0)
+    return unb_res, lows, minimal_omega, minimal_povm, (ctx.teleported, _cross_check_rows(scheme, gs))
 
 
 def _leg_flag_residuals(legs: _Legs) -> tuple:
     """What :func:`classify` reads, laid out as by :func:`_dense_flag_residuals`,
     off the legs.  On the legs Tr_12(omega F_i) / n^2 is
     h_i = Tr_1((1 (x) z) f_i) / n^2 with z = Tr_2(w), and
-    E(omega F_i) = P_N'(h_i) (x) 1 (x) 1, P_N' the HS projection; the
-    remainders move omega F_i by at most e_i = r (||f_i|| + r_i) + ||w|| r_i,
-    which bounds how far g_i, its eigenvalues and every value tau(rho g_i)
-    or tau(F_i rho omega) of a density move.  Mirror v Bob is
-    1 (x) N' (x) N' and Teleported v Mirror is N' (x) N' (x) 1.  The
-    cross-check rows are those of :func:`_cross_check_rows` on N', whose
-    corners are the teleported algebra's."""
+    E(omega F_i) = P_N'(h_i) (x) 1 (x) 1, P_N' the HS projection.
+    Mirror v Bob is 1 (x) N' (x) N' and Teleported v Mirror is
+    N' (x) N' (x) 1.  The cross-check rows are those of
+    :func:`_cross_check_rows` on N', whose corners are the teleported
+    algebra's."""
     nprime, f, w = legs.nprime, legs.povm, legs.resource
-    r, rf = legs.resource_gap, legs.povm_gaps
     n, d = nprime.ambient_dim, len(f)
     z = np.einsum("icjc->ij", w.reshape(n, n, n, n))
     h = np.einsum("iaqxp,pq->iax", f.reshape(-1, n, n, n, n), z) / (n * n)
     gs = nprime.project(h)
-    slack = r * (la.frobenius_norms(f) + rf) + float(np.linalg.norm(w)) * rf
-    unb_res = float(np.max(n * la.frobenius_norms(gs - la.eye(n) / d) + slack))
-    lows = np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1) - slack
+    unb_res = float(np.max(n * la.frobenius_norms(gs - la.eye(n) / d)))
+    lows = np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1)
     pair, root = StarAlgebra.tensor(nprime, nprime), math.sqrt(n)
-    minimal_omega = root * _frame_distance(pair, w) + r
-    minimal_povm = float(np.max(root * _frame_distance(pair, f) + rf))
+    minimal_omega = root * _frame_distance(pair, w)
+    minimal_povm = float(np.max(root * _frame_distance(pair, f)))
     rows = _corner_rows(nprime, np.concatenate([h, gs, la.eye(n)[None]]) / n, d)
-    return unb_res, lows, minimal_omega, minimal_povm, (nprime, rows, 2 * float(np.max(slack)))
+    return unb_res, lows, minimal_omega, minimal_povm, (nprime, rows)
 
 
 def _cross_check_rows(
@@ -1164,11 +1130,10 @@ def extract_tight_scheme(
     The rebuilt resource and POVM lie in leg form, HS-orthogonal to each
     remainder, so
     ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i.
-    A channel's part on Bob's basis 1 (x) b / n is read off its witness
-    v_i when every witness lies within ``tol.bound(||v_i||)`` of 1 (x) u_i:
-    it is u_i b u_i* / n up to q_i ||b|| (2 ||u_i|| + q_i) / n
-    (:attr:`_Legs.drift`).  Otherwise each channel is applied to the lifted
-    basis of N' (:func:`_far_leg_images`), and its distance is the
+    A channel's part on Bob's basis 1 (x) b / n is u_i b u_i* / n, read off
+    its witness v_i, when every witness is 1 (x) u_i up to rounding
+    (:func:`_witnesses_on_legs`).  Otherwise each channel is applied to the
+    lifted basis of N' (:func:`_far_leg_images`), and its distance is the
     Pythagorean sum of the leg part and what the leg leaves out.
     """
     inc = scheme.inclusion
@@ -1239,9 +1204,9 @@ def extract_tight_scheme(
     resource = math.hypot(root * la.frobenius_distance(rebuilt_small, omega_small), legs.resource_gap)
     povm_gaps = np.hypot(root * la.frobenius_norms(projections - legs.povm), legs.povm_gaps)
     moved = units[:, None] @ bs @ la.dagger(units)[:, None]
-    if _witnesses_on_legs(scheme, legs):
+    if _witnesses_on_legs(legs):
         parts = legs.units[:, None] @ bs @ la.dagger(legs.units)[:, None]
-        gaps = la.frobenius_norms(parts - moved) + legs.drift[:, None] * la.frobenius_norms(bs) / n
+        gaps = la.frobenius_norms(parts - moved)
     else:
         parts, outside = _far_leg_images(scheme.channels, legs.nprime)
         gaps = np.hypot(la.frobenius_norms(parts - moved), outside / n)

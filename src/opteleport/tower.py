@@ -234,9 +234,9 @@ class Level:
     density: np.ndarray | None = None
     mirror: StarAlgebra | None = None  # M_{k-1}' ∩ M_k, filled by Tower.mirror
 
-    @cached_property
+    @property
     def jones(self) -> np.ndarray | None:
-        """The Jones projection P P* onto the GNS image of ``lower``."""
+        """The Jones projection P P* onto the GNS image of ``lower``, of the current ``jones_range``."""
         p = self.jones_range
         return None if p is None else p @ np.conj(p.T)
 

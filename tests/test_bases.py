@@ -603,3 +603,19 @@ def test_pvm_residual_matches_dense_products_off_the_range():
         pairs = [la.frobenius_distance(q[b] @ q[c], 0) for b in range(4) for c in range(b + 1, 4)]
         want = max(np.max(la.frobenius_norms(q @ q - q)), max(pairs))
         assert abs(_pvm_residual(ranged) - want) < 1e-12 * want
+
+
+def test_cardinality_test_refuses_the_tower_of_another_inclusion():
+    # a D_3 basis verified on its own tower says nothing about C ⊆ M_3
+    basis = shift_basis(3)
+    assert verify_basis(basic_construction(basis.inclusion), basis).passed
+    with pytest.raises(PreconditionError, match="tower and basis must share an inclusion"):
+        cardinality_test(basic_construction(trivial_in_full(3)), basis)
+
+
+def test_cardinality_test_verifies_an_unverified_basis_on_its_tower():
+    basis = shift_basis(3)
+    tower = basic_construction(basis.inclusion)
+    assert basis.report is None
+    assert cardinality_test(tower, basis).passed
+    assert basis.report is not None and basis.report.passed and basis.orthonormal

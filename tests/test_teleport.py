@@ -1317,6 +1317,49 @@ def test_schemes_off_their_legs_are_judged_dense():
     assert teleport._legs(s) is None
 
 
+def _near_legs(n, fraction):
+    """standard_scheme(n) with POVM element 1 moved off its leg form by
+    ``fraction`` of tol.bound(||F_1||), along 1 (x) diag(1, -1, 0, ...)."""
+    s = standard_scheme(n)
+    h = la.kron(la.eye(n * n), np.diag([1.0, -1.0] + [0.0] * (n - 2)).astype(complex))
+    f = s.povm[1]
+    s.povm[1] = f + fraction * DEFAULT_TOL.bound(float(np.linalg.norm(f))) / np.linalg.norm(h) * h
+    return s
+
+
+@pytest.mark.parametrize("n, fraction", [(2, 0.6), (3, 0.9)])
+def test_a_remainder_above_rounding_is_judged_on_the_dense_pieces(n, fraction):
+    # within the tolerance but above rounding: one verdict, the dense copy's
+    s = _near_legs(n, fraction)
+    dense = _dense_copy(s)
+    assert teleport._legs(s) is None
+    got, want = verify_scheme(s, strict=False), verify_scheme(dense, strict=False)
+    assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
+    assert got.passed
+    flags = lambda f: (f.tight, f.unbiased, f.faithful, f.minimal)
+    assert flags(classify(s)) == flags(classify(dense)) == (True, True, True, True)
+
+
+def _with_rounding_noise(s, seed=5):
+    """``s`` with Hermitian noise of entries near 1e-15 added to the resource and the POVM."""
+    rng = np.random.default_rng(seed)
+
+    def noise(x):
+        g = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        return x + 1e-15 * (g + la.dagger(g)) / 2
+
+    s.omega, s.povm = noise(s.omega), [noise(f) for f in s.povm]
+    return s
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rounding_noise_keeps_a_scheme_on_its_legs(n):
+    clean, noisy = standard_scheme(n), _with_rounding_noise(standard_scheme(n))
+    assert teleport._legs(noisy) is not None
+    for judge in (verify_scheme, lambda s: classify(s).report, lambda s: extract_tight_scheme(s)[3]):
+        _same_reports(judge(noisy), judge(clean))
+
+
 @pytest.mark.parametrize("first", [True, False])
 def test_split_reads_the_leg_and_the_remainder(first):
     rng = np.random.default_rng(11)

@@ -1117,3 +1117,17 @@ def test_shift_checks_read_the_same_in_chunks(key, monkeypatch):
     assert lands.shape == image.shape == (len(shifted),)
     for s, a, b in zip(shifted, lands, image):
         assert np.allclose(to_level2(s), (a, b), rtol=0, atol=1e-15)
+
+
+def test_jones_follows_a_replaced_range():
+    # e_N read before the level-1 range of D_3 ⊆ M_3 is scaled by 1.01 is not
+    # kept: both checks read the projection of the range the tower holds
+    t = _frame_tower("diagonal_in_full_3", fresh=True)
+    before = t.jones1
+    lvl = t.levels[1]
+    lvl.jones_range = lvl.jones_range * 1.01
+    got = {c.name: c for c in verify_tower(t).checks}
+    assert not got["jones1_projection"].passed
+    assert not got["markov_expectation_of_jones"].passed
+    assert np.array_equal(t.jones1, lvl.jones_range @ la.dagger(lvl.jones_range))
+    assert la.frobenius_distance(t.jones1, before) > 1e-3
