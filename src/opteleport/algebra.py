@@ -745,13 +745,9 @@ class Superoperator:
     def _onto_domain(self) -> Callable[[np.ndarray], np.ndarray]:
         return _expectation(self.domain, self.domain_trace)
 
-    def extended(self, x: np.ndarray) -> np.ndarray:
-        """Apply to an arbitrary ambient matrix via the expectation onto the domain."""
-        return self._apply(self._onto_domain(x))
-
     @cached_property
     def choi(self) -> np.ndarray:
-        """Choi matrix of the extended map on the full domain ambient."""
+        """Choi matrix on the full domain ambient of the map after the expectation onto its domain."""
         nd = self.domain.ambient_dim
         nc = self.codomain.ambient_dim
         units = la.eye(nd * nd).reshape(-1, nd, nd)  # E_ij at position (i, j), i-major
@@ -775,9 +771,6 @@ class Superoperator:
         if self.ad_unitary is not None:
             return la.is_unitary(self.ad_unitary, tol)
         return la.is_psd(self.choi, tol)
-
-    def is_ucp(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.is_unital(tol) and self.is_cp(tol)
 
 
 def _expectation(sub: StarAlgebra, trace: Trace) -> Callable[[np.ndarray], np.ndarray]:

@@ -139,13 +139,6 @@ class Inclusion:
         """N' ∩ M inside the common ambient, as (N ∨ M')': N and M' commute."""
         return StarAlgebra.commuting_product(self.small, self.big.commutant, self.tol).commutant
 
-    def is_markov(self) -> bool:
-        """Whether the installed trace equals the Markov trace."""
-        if not self.connected:
-            return False
-        want = markov_trace(self.small, self.big, self.tol)
-        return bool(np.max(np.abs(want.weights - self.trace.weights)) <= self.tol.bound())
-
 
 def markov_inclusion(
     small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL

@@ -237,10 +237,6 @@ def is_hermitian(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.close(x, dagger(x))
 
 
-def is_projection(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return is_hermitian(x, tol) and tol.close(x @ x, x)
-
-
 def is_unitary(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool | np.ndarray:
     """Whether x is unitary by the rule of :meth:`Tolerance.close` for x* x
     and 1: ||x* x - 1|| <= tol.bound(max(||x* x||, ||1||)).  For a stack of
@@ -333,10 +329,6 @@ def span_project(onb: np.ndarray, x: np.ndarray) -> np.ndarray:
 def span_residual(onb: np.ndarray, x: np.ndarray) -> float:
     """Frobenius distance from x to the span."""
     return frobenius_distance(x, span_project(onb, x))
-
-
-def span_contains(onb: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return span_residual(onb, x) <= tol.bound(float(np.linalg.norm(x)))
 
 
 def product_span(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

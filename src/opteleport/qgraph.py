@@ -114,10 +114,10 @@ def _projection_gap(ps: np.ndarray) -> float:
     return max(float(np.max(_norms(ps - la.dagger(ps)))), float(np.max(_norms(ps @ ps - ps))))
 
 
-def verify_colouring(g: QuantumGraph, col: Colouring, strict: bool = True) -> Report:
+def verify_colouring(g: QuantumGraph, col: Colouring) -> Report:
     """PVM structure plus the annihilation of the traceless part, at ``g.tol``.
 
-    PVM violations raise :class:`ColouringError` when strict; the
+    PVM violations raise :class:`ColouringError`; the
     annihilation condition max_a ||P_a (x (x) 1_L) P_a|| over a traceless
     basis is always reported.  The products P_a P_b, b > a, and P_a x P_a
     over the traceless basis are stacked per a, so no stack holds more than
@@ -146,7 +146,7 @@ def verify_colouring(g: QuantumGraph, col: Colouring, strict: bool = True) -> Re
         float(np.max(tensor_aux.membership_residual(ps))),
         tol.bound(1.0) * col.colours * 10,
     )
-    if strict and not rep.passed:
+    if not rep.passed:
         raise ColouringError(
             "colouring is not a PVM in M (x) L: "
             + ", ".join(c.name for c in rep.failures())
@@ -448,8 +448,6 @@ def normaliser_basis_for(inc: Inclusion) -> PimsnerPopaBasis | None:
         if small.same_span(big, inc.tol):
             return PimsnerPopaBasis(inc, [la.eye(n)])
         return None
-    if small.dim == 1:
-        return PimsnerPopaBasis(inc, weyl_basis(n).elements)
     if len(small.blocks) == 1:
         return commutant_factor_basis(inc)
     if all(m == 1 for _, m in small.blocks):

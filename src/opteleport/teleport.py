@@ -65,8 +65,8 @@ class TeleportationContext:
     """Tripartite commuting-algebra data a scheme is verified against.
 
     ``shift_pairs`` is a sequence of pairs (a, shift(a)) over a basis of the
-    teleported algebra; the tripartite context of a tight scheme forms each
-    pair when it is read (:class:`_TripartiteShifts`)."""
+    teleported algebra; the tripartite and the tower contexts form each pair
+    when it is read (:class:`_ShiftPairs`)."""
 
     ambient: StarAlgebra
     trace: Trace
@@ -82,20 +82,19 @@ class TeleportationContext:
         )
 
 
-class _TripartiteShifts(Sequence):
-    """The pairs (b (x) 1 (x) 1, 1 (x) 1 (x) b) over the basis b of N' on
-    M_n (x) M_n (x) N', each formed when it is read: a context holds no stack
-    of them."""
+class _ShiftPairs(Sequence):
+    """The pairs (lift(b), shift(b)) over the basis b of ``algebra``, each
+    formed when it is read: a context holds no stack of them."""
 
-    def __init__(self, nprime: StarAlgebra) -> None:
-        self.nprime = nprime
+    def __init__(self, algebra: StarAlgebra, lift: Callable, shift: Callable) -> None:
+        self.algebra, self.lift, self.shift = algebra, lift, shift
 
     def __len__(self) -> int:
-        return self.nprime.dim
+        return self.algebra.dim
 
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        b, one = self.nprime.basis[i], la.eye(self.nprime.ambient_dim)
-        return la.kron(b, one, one), la.kron(one, one, b)
+        b = self.algebra.basis[i]
+        return self.lift(b), self.shift(b)
 
 
 class _Piece:
@@ -735,7 +734,6 @@ def _tower_context(t: Tower) -> TeleportationContext:
     lift = lambda x: t.gns1.left(t.gns.left(x))
     teleported = t.rel_comm.image(lift, dim1)
     mirror = t.mirror1.image(t.gns1.left, dim1)
-    basis = t.rel_comm.basis
     return TeleportationContext(
         ambient=t.level2,
         trace=t.trace2,
@@ -743,7 +741,7 @@ def _tower_context(t: Tower) -> TeleportationContext:
         bob=t.mirror2,
         teleported=teleported,
         mirror=mirror,
-        shift_pairs=list(zip(lift(basis), t.shift(basis))),
+        shift_pairs=_ShiftPairs(t.rel_comm, lift, t.shift),
     )
 
 
@@ -945,6 +943,7 @@ def _tripartite_context(inc: Inclusion) -> TeleportationContext:
     nprime = inc.small.commutant
     full, triv = StarAlgebra.full(n), StarAlgebra.trivial(n)
     ambient = StarAlgebra.tensor(full, full, nprime)
+    one = la.eye(n)
     ctx = TeleportationContext(
         ambient=ambient,
         trace=Trace.normalized(ambient),
@@ -952,7 +951,7 @@ def _tripartite_context(inc: Inclusion) -> TeleportationContext:
         bob=StarAlgebra.tensor(triv, triv, nprime),
         teleported=StarAlgebra.tensor(nprime, triv, triv),
         mirror=StarAlgebra.tensor(triv, nprime, triv),
-        shift_pairs=_TripartiteShifts(nprime),
+        shift_pairs=_ShiftPairs(nprime, lambda b: la.kron(b, one, one), lambda b: la.kron(one, one, b)),
     )
     ctx._built_for = (inc, dict(vars(ctx)))
     return ctx

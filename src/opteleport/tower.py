@@ -380,16 +380,6 @@ class Tower:
         """The canonical shift N' ∩ M -> M1' ∩ M2 (a *-isomorphism); takes stacks."""
         return self.gamma(1, self.gamma(0, x))
 
-    @cached_property
-    def gamma0_operator(self) -> Superoperator:
-        """gamma0 as a typed map N' ∩ M -> M' ∩ M1 (anti-isomorphism, not CP)."""
-        return Superoperator(self.rel_comm, self.mirror1, self.gamma0, stacks=True)
-
-    @cached_property
-    def shift_operator(self) -> Superoperator:
-        """The canonical shift as a typed map; being a *-isomorphism it is UCP."""
-        return Superoperator(self.rel_comm, self.mirror2, self.shift, stacks=True)
-
 
 def basic_construction(inclusion: Inclusion) -> Tower:
     """Build one level of the tower at ``inclusion.tol``; raises MarkovError
@@ -480,7 +470,7 @@ def verify_tower(t: Tower) -> Report:
         la.frobenius_distance(t.expect_onto_m(e1), la.eye(t.gns.dim) / idx),
         tol.bound(1.0),
     )
-    idx1 = index_from_matrix(inclusion_matrix(t.m_rep, t.level1))
+    idx1 = index_from_matrix(inclusion_matrix(t.m_rep, t.level1), tol)
     rep.add_flag(
         "index_matches_level1",
         abs(idx1 - idx) <= tol.bound(idx),

@@ -145,12 +145,13 @@ def test_relative_commutant():
     assert inc2.relative_commutant.same_span(StarAlgebra.full(2))
 
 
-def test_is_markov_flag():
-    assert trivial_in_full(2).is_markov()
+def test_markov_trace_against_the_installed_trace():
+    inc = trivial_in_full(2)
+    assert np.max(np.abs(markov_trace(inc.small, inc.big).weights - inc.trace.weights)) < 1e-12
     small = StarAlgebra.trivial(3)
     big = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
     flat = Trace(big, [1 / 3, 1 / 3])  # the ambient-restricted trace, not Markov
-    assert not Inclusion(small, big, flat).is_markov()
+    assert np.max(np.abs(markov_trace(small, big).weights - flat.weights)) > 1e-3
 
 
 def test_concrete_jones_projection_scalar_case():
@@ -170,7 +171,7 @@ def test_concrete_jones_projection_diagonal_case():
 def test_concrete_jones_projection_rank_is_dim():
     for alg in (StarAlgebra.diagonal(3), StarAlgebra.block_diagonal([(2, 1), (2, 1)])):
         p = concrete_jones_projection(alg)
-        assert la.is_projection(p)
+        assert la.is_hermitian(p) and la.frobenius_distance(p @ p, p) < 1e-12
         assert int(round(np.trace(p).real)) == alg.dim
 
 

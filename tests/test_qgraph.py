@@ -18,6 +18,7 @@ from opteleport.qgraph import (
     factor_lower_bound,
     gns_graph,
     graphs_from_inclusion,
+    normaliser_basis_for,
     traceless_part,
     verify_colouring,
 )
@@ -169,9 +170,18 @@ def test_single_colour_fails_on_nontrivial_graph():
     inc = trivial_in_full(2)
     _, g2 = graphs_from_inclusion(inc)
     col = Colouring(1, [np.eye(2 * 1, dtype=complex)])
-    rep = verify_colouring(g2, col, strict=True)
+    rep = verify_colouring(g2, col)
     assert not rep.passed
     assert not rep.checks[-1].passed  # annihilation clause
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_normaliser_basis_of_the_scalars_is_the_weyl_basis(n):
+    # C is a factor: the commutant-factor construction gives the clock-and-shift family bit for bit
+    inc = trivial_in_full(n)
+    got = normaliser_basis_for(inc)
+    assert got.inclusion is inc
+    assert np.array_equal(np.stack(got.elements), np.stack(weyl_basis(n).elements))
 
 
 def test_broken_pvm_raises():
@@ -194,7 +204,7 @@ def test_three_colour_attempts_fail_for_index_four():
         vals, vecs = np.linalg.eigh(h)
         groups = [vecs[:, :3], vecs[:, 3:6], vecs[:, 6:]]
         col = Colouring(2, [g @ la.dagger(g) for g in groups])
-        rep = verify_colouring(g2, col, strict=False)
+        rep = verify_colouring(g2, col)
         assert not rep.passed
 
 

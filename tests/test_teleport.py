@@ -314,7 +314,7 @@ def test_unbiased_povm_is_pvm():
     t, b = tower_basis("diagonal_in_full_2", lambda: shift_basis(2))
     s = unbiased_scheme(t, b)
     for i, p in enumerate(s.povm):
-        assert la.is_projection(p)
+        assert la.is_hermitian(p) and la.frobenius_distance(p @ p, p) < 1e-10
         for q in s.povm[i + 1 :]:
             assert np.linalg.norm(p @ q) < 1e-10
 
@@ -1641,13 +1641,38 @@ def test_the_range_solve_reports_the_dimension_of_an_unequal_rank_outcome():
         teleport._leg_unitaries(e, f, 0, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
 
 
-def test_a_tripartite_context_holds_no_shifted_stack():
-    ctx = teleport._tripartite_context(trivial_in_full(3))
-    assert not any(isinstance(v, np.ndarray) for v in vars(ctx).values())
-    nprime = trivial_in_full(3).small.commutant
-    assert len(ctx.shift_pairs) == nprime.dim == 9
+def _tripartite_shifts():
+    inc = trivial_in_full(3)
     one = la.eye(3)
-    a, b = ctx.shift_pairs[4]
-    assert np.array_equal(a, la.kron(nprime.basis[4], one, one))
-    assert np.array_equal(b, la.kron(one, one, nprime.basis[4]))
-    assert len(list(ctx.shift_pairs)) == 9
+    pair = lambda b: (la.kron(b, one, one), la.kron(one, one, b))  # noqa: E731
+    return teleport._tripartite_context(inc), inc.small.commutant, pair
+
+
+def _tower_shifts(t, scheme):
+    pair = lambda b: (t.gns1.left(t.gns.left(b)), t.shift(b))  # noqa: E731
+    return scheme.context, t.rel_comm, pair
+
+
+def _unbiased_shifts():
+    t, b = tower_basis("diagonal_in_full_3", lambda: shift_basis(3))
+    return _tower_shifts(t, unbiased_scheme(t, b))
+
+
+def _direct_sum_shifts():
+    s = direct_sum_scheme(StarAlgebra.block_diagonal([(1, 1), (2, 1)]))
+    return _tower_shifts(iterate(basic_construction(s.inclusion)), s)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_tripartite_shifts, _unbiased_shifts, _direct_sum_shifts],
+    ids=["tripartite_C_M3", "unbiased_D3", "direct_sum_1_2"],
+)
+def test_a_context_holds_no_shifted_stack(make):
+    # each pair (a, shift(a)) is formed when it is read, from the teleported algebra's basis
+    ctx, algebra, pair = make()
+    assert not any(isinstance(v, np.ndarray) for v in vars(ctx).values())
+    assert len(ctx.shift_pairs) == algebra.dim
+    for b, (got_a, got_b) in zip(algebra.basis, ctx.shift_pairs, strict=True):
+        want_a, want_b = pair(b)
+        assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)

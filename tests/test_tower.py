@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, Trace
+from opteleport import tower as tower_module
+from opteleport.algebra import StarAlgebra, Superoperator, Trace
 from opteleport.errors import MarkovError, NormaliserError, PreconditionError, TraceError
 from opteleport.inclusion import Inclusion, markov_inclusion, trivial_in_full
+from opteleport.linalg import DEFAULT_TOL, Tolerance
 from opteleport.tower import (
     GnsSpace,
     basic_construction,
@@ -159,7 +161,8 @@ def test_gns_requires_faithful_trace():
 
 def test_jones_projection_scalar_inclusion_rank_one():
     t = get_tower("trivial_in_full_2", two_levels=False)
-    assert la.is_projection(t.jones1)
+    p = t.jones1
+    assert la.is_hermitian(p) and la.frobenius_distance(p @ p, p) < 1e-12
     assert int(round(np.trace(t.jones1).real)) == 1
 
 
@@ -405,14 +408,30 @@ def test_tracial_entangled_state_rejects_bad_vector():
         verify_tracial_entangled_state(t, np.eye(2, dtype=complex), psi=bad)
 
 
-def test_shift_operator_is_ucp():
+def test_index_matches_level1_reads_the_tolerance_of_the_tower(monkeypatch):
+    tol = Tolerance(abs=1e-6, rel=1e-6)
+    t = basic_construction(markov_inclusion(StarAlgebra.diagonal(2), StarAlgebra.full(2), tol))
+    seen = []
+    index_from_matrix = tower_module.index_from_matrix
+
+    def recording(lam, tol=DEFAULT_TOL):
+        seen.append(tol)
+        return index_from_matrix(lam, tol)
+
+    monkeypatch.setattr(tower_module, "index_from_matrix", recording)
+    assert verify_tower(t).passed
+    assert seen == [tol]
+
+
+def test_shift_is_ucp_and_gamma0_is_not_cp():
     # the canonical shift is a *-isomorphism onto its image, hence UCP;
     # the one-sided anti-isomorphism is transpose-like and is not CP
     for key in ("diagonal_in_full_2", "trivial_in_full_2"):
         t = get_tower(key)
-        assert t.shift_operator.is_ucp()
+        shift = Superoperator(t.rel_comm, t.mirror2, t.shift, stacks=True)
+        assert shift.is_unital() and shift.is_cp()
     t2 = get_tower("trivial_in_full_2")
-    assert not t2.gamma0_operator.is_cp()
+    assert not Superoperator(t2.rel_comm, t2.mirror1, t2.gamma0, stacks=True).is_cp()
 
 
 def test_gns_matches_gram_formula():
