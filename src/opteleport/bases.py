@@ -118,10 +118,14 @@ def homogeneous_block_basis(k: int, block: int) -> PimsnerPopaBasis:
     """
     if k < 1 or block < 1:
         raise PreconditionError("k and block must be at least 1")
-    inc = homogeneous_in_full(k, block)
+    return PimsnerPopaBasis(homogeneous_in_full(k, block), _block_cyclic_unitaries(k, block))
+
+
+def _block_cyclic_unitaries(k: int, block: int) -> list[np.ndarray]:
+    """s^j (x) 1_block for j < k, s the cyclic shift of C^k: the elements of
+    :func:`homogeneous_block_basis`, built without its inclusion."""
     s = shift_unitary(k)
-    elements = [la.kron(np.linalg.matrix_power(s, j), la.eye(block)) for j in range(k)]
-    return PimsnerPopaBasis(inc, elements)
+    return [la.kron(np.linalg.matrix_power(s, j), la.eye(block)) for j in range(k)]
 
 
 def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
@@ -324,9 +328,8 @@ def homogeneity_test(inc: Inclusion) -> tuple[bool, PimsnerPopaBasis | None, str
         return False, None, f"block sizes {sizes} differ, no normaliser basis exists"
     k, block = len(sizes), sizes[0]
     frame = np.hstack(small.frames)  # (+)^k M_block in standard position -> small
-    std = homogeneous_block_basis(k, block)
     witness = PimsnerPopaBasis(
-        inc, [frame @ b @ la.dagger(frame) for b in std.elements]
+        inc, [frame @ b @ la.dagger(frame) for b in _block_cyclic_unitaries(k, block)]
     )
     return True, witness, ""
 

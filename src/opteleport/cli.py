@@ -179,6 +179,8 @@ def cmd_inclusion_info(args) -> dict:
     rep = Report()
     connected = inc.connected
     rep.add_flag("connected", True, detail=f"flag {connected}")
+    # a document that asks for the Markov trace has it built by the parser
+    markov = inc.trace if echo["trace"] == "markov" else markov_trace(inc.small, inc.big, inc.tol)
     derived = {
         "N_blocks": [list(b) for b in inc.small.blocks],
         "M_blocks": [list(b) for b in inc.big.blocks],
@@ -186,7 +188,7 @@ def cmd_inclusion_info(args) -> dict:
         "dim_N": inc.small.dim,
         "dim_M": inc.big.dim,
         "inclusion_matrix": inc.matrix.tolist(),
-        "markov_weights": [float(w) for w in markov_trace(inc.small, inc.big, inc.tol).weights],
+        "markov_weights": [float(w) for w in markov.weights],
         "index": float(inc.index) if connected else None,
     }
     xs = inc.big.random_hermitian(la.rng_from(args.seed), 8)

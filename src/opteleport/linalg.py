@@ -355,9 +355,30 @@ def generic_invertible(
     onb = np.asarray(basis)
     rng = rng_from(rng)
     for _ in range(_INVERTIBLE_DRAWS):
-        g = rng.standard_normal(onb.shape[1:]) + 1j * rng.standard_normal(onb.shape[1:])
-        cand = span_project(onb, g)
+        cand = span_project(onb, _gaussian(rng, onb.shape[1:]))
         cand = cand / max(np.linalg.norm(cand), 1e-30)
         if np.linalg.svd(cand, compute_uv=False)[-1] > _INVERTIBLE_GATE:
             return cand
     return None
+
+
+def generic_invertibles(onbs: np.ndarray, seeds: Sequence[int]) -> list[np.ndarray | None]:
+    """:func:`generic_invertible` of each HS-orthonormal stack of ``onbs``,
+    of shape (k, dim, n, n), at its seed of ``seeds``, equal to k calls of it
+    up to rounding.  The first draws of all k are projected in one stacked
+    product and gated by one batched singular-value call; a stack whose
+    first draw fails the gate goes through :func:`generic_invertible` at its
+    own seed."""
+    k, dim = onbs.shape[:2]
+    flat = onbs.reshape(k, dim, -1)
+    gs = np.stack([_gaussian(rng_from(seed), onbs.shape[2:]) for seed in seeds])
+    coords = np.conj(flat @ np.conj(gs).reshape(k, -1, 1))
+    cands = (np.swapaxes(coords, -1, -2) @ flat).reshape(gs.shape)
+    cands /= np.maximum(frobenius_norms(cands), 1e-30)[:, None, None]
+    passed = np.linalg.svd(cands, compute_uv=False)[:, -1] > _INVERTIBLE_GATE
+    return [c if ok else generic_invertible(onb, seed) for c, ok, onb, seed in zip(cands, passed, onbs, seeds)]
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex Gaussian array, real parts drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -24,7 +24,13 @@ tight scheme on M_n (x) M_n (x) N' is stored by its legs, and a dense piece
 is built only when it is read (:class:`_Piece`).  The first two judge such
 a scheme on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, when
 its pieces are in leg form up to rounding, and every other scheme on its
-dense pieces; the extraction reads every scheme on its legs (:func:`_pieces`).
+dense pieces; the extraction reads every scheme on its legs (:func:`_pieces`),
+as its own classification read them.  The tripartite context of such a
+scheme (:func:`_tripartite_context`) builds its algebras at the ambient n^3,
+their trace and the expectation onto the teleported algebra only on their
+first read, so a verdict on the legs builds none of them; the dense pieces
+of its channels read the ambient algebra.  Shift pairs are formed in
+stacked chunks when a dense verdict reads them (:class:`_ShiftPairs`).
 """
 
 from __future__ import annotations
@@ -60,31 +66,81 @@ from .reporting import Report
 from .tower import Tower, basic_construction, iterate, normalizer_check
 
 
+class _OnFirstRead:
+    """An attribute of a :class:`TeleportationContext`.  The context keeps
+    the value it was given or built; a context made by
+    :meth:`TeleportationContext._on_first_read` builds the value on the
+    attribute's first read, through its maker of that name.  Setting the
+    attribute to another value makes the context forget the inclusion it
+    was built for (:func:`_on_tripartite_context`); building it does not."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ctx: TeleportationContext | None, owner: type | None = None):
+        if ctx is None:
+            raise AttributeError(self.name)  # a dataclass field without a default
+        values = vars(ctx)
+        if self.name not in values:
+            values[self.name] = values["_makers"][self.name](ctx)
+        return values[self.name]
+
+    def __set__(self, ctx: TeleportationContext, value) -> None:
+        values = vars(ctx)
+        if self.name not in values or values[self.name] is not value:
+            values.pop("_built_for", None)
+        values[self.name] = value
+
+
+def _expectation(ctx: TeleportationContext) -> Superoperator:
+    """The trace-preserving expectation of ``ctx`` onto its teleported algebra."""
+    return conditional_expectation_onto(ctx.teleported, ctx.ambient, ctx.trace)
+
+
 @dataclass
 class TeleportationContext:
     """Tripartite commuting-algebra data a scheme is verified against.
 
     ``shift_pairs`` is a sequence of pairs (a, shift(a)) over a basis of the
     teleported algebra; the tripartite and the tower contexts form each pair
-    when it is read (:class:`_ShiftPairs`)."""
+    when it is read (:class:`_ShiftPairs`).  A context built from its
+    fields builds ``expectation``, the trace-preserving expectation onto the
+    teleported algebra, at once.  The tripartite context of an inclusion
+    (:func:`_tripartite_context`) builds each algebra, the trace and the
+    expectation on its first read instead (:class:`_OnFirstRead`), so a
+    scheme judged on its legs builds none of them."""
 
-    ambient: StarAlgebra
-    trace: Trace
-    alice: StarAlgebra
-    bob: StarAlgebra
-    teleported: StarAlgebra
-    mirror: StarAlgebra
-    shift_pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+    ambient: StarAlgebra = _OnFirstRead()
+    trace: Trace = _OnFirstRead()
+    alice: StarAlgebra = _OnFirstRead()
+    bob: StarAlgebra = _OnFirstRead()
+    teleported: StarAlgebra = _OnFirstRead()
+    mirror: StarAlgebra = _OnFirstRead()
+    shift_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = _OnFirstRead()
+    expectation = _OnFirstRead()  # not a field: built from the fields
 
     def __post_init__(self) -> None:
-        self.expectation = conditional_expectation_onto(
-            self.teleported, self.ambient, self.trace
-        )
+        self.expectation = _expectation(self)
+
+    @classmethod
+    def _on_first_read(
+        cls, makers: dict[str, Callable[[TeleportationContext], object]], shift_pairs: _ShiftPairs
+    ) -> TeleportationContext:
+        """A context whose attributes, ``expectation`` among them, are built
+        by ``makers``, one maker of the context per attribute name, each
+        on its first read (:class:`_OnFirstRead`)."""
+        ctx = cls.__new__(cls)
+        vars(ctx).update(_makers=makers, shift_pairs=shift_pairs)
+        return ctx
+
+
+_SHIFT_CHUNK = 4  # basis elements of the teleported algebra lifted and shifted per stacked call
 
 
 class _ShiftPairs(Sequence):
     """The pairs (lift(b), shift(b)) over the basis b of ``algebra``, each
-    formed when it is read: a context holds no stack of them."""
+    formed when it is read: a context holds no stack of them.  ``lift`` and
+    ``shift`` take stacks, and :meth:`stacks` forms every pair at once."""
 
     def __init__(self, algebra: StarAlgebra, lift: Callable, shift: Callable) -> None:
         self.algebra, self.lift, self.shift = algebra, lift, shift
@@ -95,6 +151,31 @@ class _ShiftPairs(Sequence):
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         b = self.algebra.basis[i]
         return self.lift(b), self.shift(b)
+
+    def stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacks of every lift(b) and every shift(b), written into two
+        preallocated stacks by one stacked lift and one stacked shift per
+        chunk of at most ``_SHIFT_CHUNK`` basis elements."""
+        basis = self.algebra.basis
+        out: list[np.ndarray] = []
+        for start in range(0, len(basis), _SHIFT_CHUNK):
+            chunk = basis[start : start + _SHIFT_CHUNK]
+            parts = self.lift(chunk), self.shift(chunk)
+            if not out:
+                out = [np.empty((len(basis), *p.shape[1:]), dtype=p.dtype) for p in parts]
+            for stack, part in zip(out, parts):
+                stack[start : start + len(chunk)] = part
+        return out[0], out[1]
+
+
+def _shift_stacks(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of the a and of the shift(a) over the pairs of a context:
+    :meth:`_ShiftPairs.stacks` for the library's contexts, and any other
+    sequence of pairs stacked as it is read."""
+    if isinstance(pairs, _ShiftPairs):
+        return pairs.stacks()
+    teleported, shifted = zip(*pairs)
+    return np.stack(teleported), np.stack(shifted)
 
 
 class _Piece:
@@ -115,7 +196,7 @@ class _Piece:
             raise AttributeError(self.name)  # a dataclass field without a default
         pieces = vars(scheme)
         if self.name not in pieces:
-            pieces[self.name] = _dense_piece(self.name, scheme._stored[self.name], scheme.context.ambient)
+            pieces[self.name] = _dense_piece(self.name, scheme._stored[self.name], scheme.context)
             self._drop_leg(scheme)
         return pieces[self.name]
 
@@ -130,16 +211,17 @@ class _Piece:
             scheme._stored = {name: leg for name, leg in stored.items() if name != self.name}
 
 
-def _dense_piece(name: str, leg: np.ndarray, ambient: StarAlgebra):
+def _dense_piece(name: str, leg: np.ndarray, context: TeleportationContext):
     """The dense piece ``name`` of a tight scheme from its leg stack, as the
     Kronecker product with the identity on the other legs: 1 (x) w, the
-    f_i (x) 1 and the conjugations by 1 (x) u_i on ``ambient``, the scheme's."""
+    f_i (x) 1 and the conjugations by 1 (x) u_i on the ambient algebra of
+    ``context``, the scheme's, which only the channels read."""
     n = leg.shape[-1] if name == "channels" else math.isqrt(leg.shape[-1])
     if name == "omega":
         return la.kron(la.eye(n), leg[0])
     if name == "povm":
         return list(la.kron(leg, la.eye(n)))
-    return [Superoperator.conjugation(v, ambient) for v in la.kron(la.eye(n * n), leg)]
+    return [Superoperator.conjugation(v, context.ambient) for v in la.kron(la.eye(n * n), leg)]
 
 
 @dataclass
@@ -264,6 +346,13 @@ def _legs(scheme: TeleportationScheme) -> _Legs | None:
     (:meth:`_Legs.within_rounding`).  No remainder then widens a residual,
     and a scheme further off is judged on its dense pieces: one verdict each.
     """
+    return _read_legs(scheme)[1]
+
+
+def _read_legs(scheme: TeleportationScheme) -> tuple[_Legs | None, _Legs | None]:
+    """What :func:`_pieces` read of ``scheme``, None for a scheme without
+    POVM elements or channels, and :func:`_legs`: those legs, or None when
+    the scheme is judged on its dense pieces."""
     legs = _pieces(scheme) if _count(scheme, "povm") and _count(scheme, "channels") else None
     if (
         legs is None
@@ -272,8 +361,8 @@ def _legs(scheme: TeleportationScheme) -> _Legs | None:
         or not legs.within_rounding(legs.resource_gap, legs.resource_norm)
         or not legs.within_rounding(legs.povm_gaps, legs.povm_norms)
     ):
-        return None
-    return legs
+        return legs, None
+    return legs, legs
 
 
 def _witnesses_on_legs(legs: _Legs) -> bool:
@@ -301,13 +390,25 @@ def _split(xs: np.ndarray | list[np.ndarray], a: int, b: int, first: bool) -> tu
     return leg, la.frobenius_norms(x)
 
 
-def _on_tripartite_context(ctx: TeleportationContext, inc: Inclusion) -> bool:
+def _on_tripartite_context(ctx: TeleportationContext, inc: Inclusion | None) -> bool:
     """Whether ``ctx`` is the context :func:`_tripartite_context` built for
     ``inc``, with none of its attributes replaced since, its expectation
     among them: the legs read the algebras, the trace and the expectation of
-    that context in closed form."""
-    built, attributes = getattr(ctx, "_built_for", (None, {}))
-    return built is inc and all(getattr(ctx, name) is value for name, value in attributes.items())
+    that context in closed form.  An attribute that was only built on its
+    first read keeps the context (:class:`_OnFirstRead`), and no attribute
+    is read here."""
+    built = vars(ctx).get("_built_for")
+    return built is not None and built is inc
+
+
+def _algebra_dim(ctx: TeleportationContext, name: str, legs: _Legs | None) -> int:
+    """The dimension of the algebra ``name`` of ``ctx``, for a scheme judged
+    on ``legs`` read off them so that no algebra of the context is built:
+    n^4 for Alice, M_n (x) M_n (x) 1, and dim N' for Bob and the teleported
+    algebra."""
+    if legs is None:
+        return getattr(ctx, name).dim
+    return legs.nprime.ambient_dim**4 if name == "alice" else legs.nprime.dim
 
 
 def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
@@ -350,7 +451,7 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     legs = _legs(scheme)
     # on the legs the context is the tripartite one, whose shifted elements 1 (x) 1 (x) b lie in Bob
     if legs is None:
-        teleported, shifted = (np.stack(xs) for xs in zip(*ctx.shift_pairs))
+        teleported, shifted = _shift_stacks(ctx.shift_pairs)
         if np.any(ctx.bob.membership_residual(shifted) > tol.bound(la.frobenius_norms(shifted))):
             raise PreconditionError("the shifted elements must lie in Bob's algebra")
     rep = Report()
@@ -367,7 +468,7 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     for name, threshold in (
         ("povm_sums_to_identity", tol.bound(1.0) * max(1, scheme.outcomes)),
         ("povm_positive", tol.bound(1.0)),
-        ("povm_in_alice_algebra", tol.bound(1.0) * ctx.alice.dim),
+        ("povm_in_alice_algebra", tol.bound(1.0) * _algebra_dim(ctx, "alice", legs)),
         ("resource_positive", tol.bound(norm)),
         ("resource_normalised", tol.bound(1.0)),
         ("resource_commutes_with_teleported", tol.bound(norm) * 10),
@@ -404,7 +505,7 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
                 "is unattainable for this inclusion"
             ),
         )
-    rep.add("channels_preserve_bob", res["channels_preserve_bob"], tol.bound(1.0) * ctx.bob.dim)
+    rep.add("channels_preserve_bob", res["channels_preserve_bob"], tol.bound(1.0) * _algebra_dim(ctx, "bob", legs))
     rep.add_flag("one_way_locc", True, detail="implied by POVM/bimodule/invariance structure")
 
     if strict:
@@ -560,14 +661,20 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     other scheme is classified on its dense pieces
     (:func:`_dense_flag_residuals`).
     """
+    return _classify(scheme)[0]
+
+
+def _classify(scheme: TeleportationScheme) -> tuple[SchemeFlags, _Legs | None]:
+    """:func:`classify`, and what :func:`_pieces` read of the scheme for it
+    (:func:`_read_legs`), which the extraction reads again."""
     tol = scheme.tol
-    ctx = scheme.context
     rep = Report()
     d = scheme.outcomes
-    tight = ctx.teleported.dim == d
-    rep.add_flag("tight", True, detail=f"outcomes {d}, dim {ctx.teleported.dim}, flag {tight}")
+    pieces, legs = _read_legs(scheme)
+    dim = _algebra_dim(scheme.context, "teleported", legs)
+    tight = dim == d
+    rep.add_flag("tight", True, detail=f"outcomes {d}, dim {dim}, flag {tight}")
 
-    legs = _legs(scheme)
     read = _dense_flag_residuals(scheme) if legs is None else _leg_flag_residuals(legs)
     unb_res, lows, minimal_omega, minimal_povm, (alg, rows) = read
     unbiased = unb_res <= tol.bound(1.0) * 10
@@ -597,7 +704,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     cross = _density_bound(alg, np.concatenate(gaps), norm_row)
     rep.add("density_reduction_cross_check", cross, tol.bound(1.0) * 100)
 
-    return SchemeFlags(
+    flags = SchemeFlags(
         tight=tight,
         unbiased=unbiased,
         unbiased_value=1.0 / d if unbiased else None,
@@ -606,6 +713,7 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
         witness=witness,
         report=rep,
     )
+    return flags, pieces
 
 
 def _dense_flag_residuals(scheme: TeleportationScheme) -> tuple:
@@ -936,24 +1044,30 @@ def commutant_trace_is_markov(inc: Inclusion) -> tuple[bool, Report]:
 
 
 def _tripartite_context(inc: Inclusion) -> TeleportationContext:
-    """The context of the tight schemes of ``inc`` on M_n (x) M_n (x) N'; it
-    records the inclusion and its own attributes, which
-    :func:`_on_tripartite_context` reads."""
+    """The context of the tight schemes of ``inc`` on M_n (x) M_n (x) N'.  It
+    builds the ambient algebra M_n (x) M_n (x) N', its normalised trace,
+    Alice M_n (x) M_n (x) 1, Bob 1 (x) 1 (x) N', the teleported algebra
+    N' (x) 1 (x) 1, the mirror 1 (x) N' (x) 1 and the expectation onto the
+    teleported algebra each on its first read, all at the ambient n^3, and
+    forms its shift pairs when they are read (:class:`_ShiftPairs`).  A
+    scheme judged on its legs reads none of them.  The context records the
+    inclusion, which :func:`_on_tripartite_context` reads."""
     n = inc.big.ambient_dim
     nprime = inc.small.commutant
     full, triv = StarAlgebra.full(n), StarAlgebra.trivial(n)
-    ambient = StarAlgebra.tensor(full, full, nprime)
     one = la.eye(n)
-    ctx = TeleportationContext(
-        ambient=ambient,
-        trace=Trace.normalized(ambient),
-        alice=StarAlgebra.tensor(full, full, triv),
-        bob=StarAlgebra.tensor(triv, triv, nprime),
-        teleported=StarAlgebra.tensor(nprime, triv, triv),
-        mirror=StarAlgebra.tensor(triv, nprime, triv),
-        shift_pairs=_ShiftPairs(nprime, lambda b: la.kron(b, one, one), lambda b: la.kron(one, one, b)),
-    )
-    ctx._built_for = (inc, dict(vars(ctx)))
+    makers = {
+        "ambient": lambda ctx: StarAlgebra.tensor(full, full, nprime),
+        "trace": lambda ctx: Trace.normalized(ctx.ambient),
+        "alice": lambda ctx: StarAlgebra.tensor(full, full, triv),
+        "bob": lambda ctx: StarAlgebra.tensor(triv, triv, nprime),
+        "teleported": lambda ctx: StarAlgebra.tensor(nprime, triv, triv),
+        "mirror": lambda ctx: StarAlgebra.tensor(triv, nprime, triv),
+        "expectation": _expectation,
+    }
+    pairs = _ShiftPairs(nprime, lambda b: la.kron(b, one, one), lambda b: la.kron(one, one, b))
+    ctx = TeleportationContext._on_first_read(makers, pairs)
+    ctx._built_for = inc
     return ctx
 
 
@@ -1053,8 +1167,9 @@ def _leg_unitaries(
     (:func:`_intertwiner_systems`); the outcomes of each rank are solved by
     one batched SVD.  A solution space not of
     dimension ``dim`` raises :class:`ExtractionError` with its ``names``
-    entry.  X is :func:`la.generic_invertible` at a fixed seed, so it
-    depends on the space alone."""
+    entry.  X is :func:`la.generic_invertible` at the fixed seed
+    ``DEFAULT_SEED + i`` of outcome i, so it depends on the space alone;
+    every outcome is drawn at once (:func:`la.generic_invertibles`)."""
     n = math.isqrt(len(a))
     p, ranges = _ranges(a[None])[0], _ranges(bs)
     spaces: list = [None] * len(bs)
@@ -1063,14 +1178,14 @@ def _leg_unitaries(
         systems = _intertwiner_systems(p, np.stack([ranges[i] for i in group]), n, leg)
         for i, space in zip(group, la.nullspaces(systems, tol)):
             spaces[i] = space
-    cands = []
-    for i, (name, sols) in enumerate(zip(names, spaces)):
+    for name, sols in zip(names, spaces):
         if len(sols) != dim:
             raise ExtractionError(f"{name}: intertwiner space has dimension {len(sols)}, expected {dim}")
-        cand = la.generic_invertible([v.reshape(n, n) for v in sols], DEFAULT_SEED + i)
+    onbs = np.reshape(spaces, (len(bs), dim, n, n))
+    cands = la.generic_invertibles(onbs, [DEFAULT_SEED + i for i in range(len(bs))])
+    for name, cand in zip(names, cands):
         if cand is None:
             raise ExtractionError(f"{name}: no invertible intertwiner")
-        cands.append(cand)
     return la.polar_unitary(np.stack(cands))
 
 
@@ -1123,7 +1238,8 @@ def extract_tight_scheme(
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused.  The scheme
     is classified on every call, so replaced pieces are judged as they
-    stand.  Every piece is read once, by :func:`_pieces`, and the norms the
+    stand.  Every piece is read once, by the :func:`_pieces` call of that
+    classification (:func:`_classify`), and the norms the
     bounds scale with are read off the legs (:attr:`_Legs.resource_norm`,
     :attr:`_Legs.povm_norms`), so a stored scheme builds no dense piece.
     The rebuilt resource and POVM lie in leg form, HS-orthogonal to each
@@ -1151,11 +1267,10 @@ def extract_tight_scheme(
     flag, _ = commutant_trace_is_markov(inc)
     if not flag:
         raise HypothesisError("commutant trace gate fails")
-    flags = classify(scheme)
+    flags, legs = _classify(scheme)
     if not (flags.tight and flags.minimal and flags.faithful):
         raise PreconditionError("extraction requires a tight, minimal, faithful scheme")
 
-    legs = _pieces(scheme)
     rep = Report()
     omega_small = legs.resource
     rep.add("resource_has_trivial_first_leg", legs.resource_gap, tol.bound(legs.resource_norm))

@@ -619,3 +619,15 @@ def test_cardinality_test_verifies_an_unverified_basis_on_its_tower():
     assert basis.report is None
     assert cardinality_test(tower, basis).passed
     assert basis.report is not None and basis.report.passed and basis.orthonormal
+
+
+def test_homogeneity_witness_builds_no_second_inclusion(monkeypatch):
+    from opteleport import bases
+
+    inc = get_tower("homogeneous_2_2", two_levels=False).inclusion
+    frame = np.hstack(inc.small.frames)
+    want = [frame @ b @ la.dagger(frame) for b in homogeneous_block_basis(2, 2).elements]
+    monkeypatch.setattr(bases, "homogeneous_in_full", lambda *args: pytest.fail("built an inclusion"))
+    flag, witness, _ = homogeneity_test(inc)
+    assert flag and witness.inclusion is inc
+    assert all(np.array_equal(got, w) for got, w in zip(witness.elements, want, strict=True))

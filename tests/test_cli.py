@@ -441,3 +441,17 @@ def test_werner_extraction_on_the_noisy_document_holds_at_its_tolerance(monkeypa
     cert = json.loads(out)
     assert code == 0 and cert["passed"]
     assert cert["certificate"]["extracted"]["basis_size"] == 3
+
+
+@pytest.mark.parametrize("trace", ["markov", [0.5]])
+def test_inclusion_info_builds_the_markov_trace_once(monkeypatch, capsys, trace):
+    # the parser builds the Markov trace a "markov" document asks for, and
+    # inclusion-info reads its weights; explicit weights leave it to inclusion-info
+    from opteleport import cli
+
+    doc = {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]], "trace": trace}
+    seen, markov = [], cli.markov_trace
+    monkeypatch.setattr(cli, "markov_trace", lambda *args: seen.append(args) or markov(*args))
+    code, out = run_in_process(monkeypatch, capsys, ["inclusion-info", "-"], doc)
+    assert code == 0 and json.loads(out)["certificate"]["markov_weights"] == [0.5]
+    assert len(seen) == 1

@@ -260,3 +260,19 @@ def test_is_unitary_flags_each_matrix_of_a_stack():
     assert la.is_unitary(stack, tol).tolist() == want == [True, False, True, False]
     assert la.is_unitary(u, tol) is True and la.is_unitary(2 * u, tol) is False
     assert la.is_unitary(np.zeros((3, 2, 4), dtype=complex)).tolist() == [False] * 3
+
+
+def test_generic_invertibles_match_one_draw_per_stack(monkeypatch):
+    rng = np.random.default_rng(11)
+    onb = np.linalg.qr(rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))[0].T.reshape(2, 3, 3)
+    singular = np.zeros((2, 3, 3), dtype=complex)
+    singular[0, 0, 0] = singular[1, 0, 1] = 1.0  # E_00 and E_01: every combination is singular
+    onbs = np.stack([onb, onb[::-1], singular])
+    seeds = [4, 5, 6]
+    fallbacks = []
+    one = la.generic_invertible
+    monkeypatch.setattr(la, "generic_invertible", lambda onb, seed: fallbacks.append(seed) or one(onb, seed))
+    got = la.generic_invertibles(onbs, seeds)
+    assert fallbacks == [6] and got[2] is None
+    for g, onb, seed in zip(got[:2], onbs, seeds):
+        assert np.max(np.abs(g - one(list(onb), seed))) <= 1e-14

@@ -920,13 +920,14 @@ def _count_calls(monkeypatch, names):
 def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
     s, std = _werner_d2(), standard_scheme(2)
     assert s.tower is not None and s.tower.inclusion is s.inclusion
-    calls = _count_calls(monkeypatch, ["basic_construction", "_tripartite_context", "classify"])
+    # extraction classifies through _classify, which also hands it the legs it read
+    calls = _count_calls(monkeypatch, ["basic_construction", "_tripartite_context", "_classify"])
     for scheme in (s, std):
         assert extract_tight_scheme(scheme)[3].passed
-    assert calls == {"basic_construction": 0, "_tripartite_context": 0, "classify": 2}
+    assert calls == {"basic_construction": 0, "_tripartite_context": 0, "_classify": 2}
     # a second extraction classifies the scheme again, as it stands
     assert extract_tight_scheme(s)[3].passed
-    assert calls["classify"] == 3
+    assert calls["_classify"] == 3
 
 
 def test_extraction_on_a_fresh_tower_matches_the_reused_one():
@@ -1676,3 +1677,92 @@ def test_a_context_holds_no_shifted_stack(make):
     for b, (got_a, got_b) in zip(algebra.basis, ctx.shift_pairs, strict=True):
         want_a, want_b = pair(b)
         assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+
+
+# -- the tripartite context, built as far as a verdict reads it ----------------
+
+_ON_FIRST_READ = ("ambient", "trace", "alice", "bob", "teleported", "mirror", "expectation")
+LAZY_SCHEMES = {"standard_3": lambda: standard_scheme(3), "werner_D2": _werner_d2, "subsystem_tight": _subsystem_tight}
+
+
+def _all_reports(s):
+    """Names, verdicts, residuals and details of verify, classify and extract."""
+    flags = classify(s)
+    reps = (verify_scheme(s), flags.report, extract_tight_scheme(s)[3])
+    return [[(c.name, c.passed, c.residual, c.detail) for c in rep.checks] for rep in reps]
+
+
+@pytest.mark.parametrize("key", sorted(LAZY_SCHEMES))
+def test_a_scheme_on_its_legs_builds_nothing_of_its_context(key):
+    s = LAZY_SCHEMES[key]()
+    assert verify_scheme(s).passed
+    flags = classify(s)
+    assert flags.tight and flags.minimal and flags.faithful
+    assert extract_tight_scheme(s)[3].passed
+    assert not set(_ON_FIRST_READ) & set(vars(s.context))
+    assert teleport._on_tripartite_context(s.context, s.inclusion)
+
+
+@pytest.mark.parametrize("key", sorted(LAZY_SCHEMES))
+def test_reading_a_context_attribute_keeps_every_verdict(key):
+    want, s = _all_reports(LAZY_SCHEMES[key]()), LAZY_SCHEMES[key]()
+    alice = s.context.alice
+    assert "alice" in vars(s.context) and teleport._legs(s) is not None
+    assert _all_reports(s) == want
+    assert s.context.alice is alice
+    # every attribute built, none replaced: the scheme stays on its legs
+    for name in _ON_FIRST_READ:
+        getattr(s.context, name)
+    assert teleport._legs(s) is not None
+    assert _all_reports(s) == want
+
+
+def test_the_ambient_of_a_noisy_scheme_is_built_only_when_a_piece_reads_it():
+    s = _with_rounding_noise(standard_scheme(7))
+    ctx = s.context
+    assert "ambient" not in vars(ctx)
+    assert verify_scheme(s).passed
+    flags = classify(s)
+    assert flags.tight and flags.minimal and flags.faithful
+    assert extract_tight_scheme(s)[3].passed
+    assert not set(_ON_FIRST_READ) & set(vars(ctx))
+    # the stored channels are conjugations on the ambient algebra
+    channels = s.channels
+    assert "ambient" in vars(ctx) and channels[0].domain is ctx.ambient
+    assert ctx.ambient.blocks == [(7**3, 1)]
+
+
+def test_a_replaced_context_attribute_takes_the_scheme_off_its_legs():
+    s = standard_scheme(2)
+    s.context.mirror = s.context.mirror  # built, then set to itself: not replaced
+    assert teleport._legs(s) is not None
+    s.context.mirror = StarAlgebra.tensor(*[StarAlgebra.trivial(2)] * 2, StarAlgebra.full(2))
+    assert not teleport._on_tripartite_context(s.context, s.inclusion)
+    assert teleport._legs(s) is None and verify_scheme(s).passed
+
+
+def test_extraction_splits_each_piece_once(monkeypatch):
+    # the resource and the POVM were set, so each is split; the channels are still stored
+    s = _with_rounding_noise(standard_scheme(3))
+    split, sizes = teleport._split, []
+    monkeypatch.setattr(teleport, "_split", lambda xs, *args: sizes.append(len(xs)) or split(xs, *args))
+    classify(s)
+    assert sizes == [1, 9]
+    sizes.clear()
+    assert extract_tight_scheme(s)[3].passed
+    assert sizes == [1, 9]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_tripartite_shifts, _unbiased_shifts, _direct_sum_shifts],
+    ids=["tripartite_C_M3", "unbiased_D3", "direct_sum_1_2"],
+)
+@pytest.mark.parametrize("chunk", [1, 2, 64])
+def test_stacked_shift_pairs_equal_the_pairs_read_one_at_a_time(make, chunk, monkeypatch):
+    monkeypatch.setattr(teleport, "_SHIFT_CHUNK", chunk)
+    ctx, algebra, _ = make()
+    got = teleport._shift_stacks(ctx.shift_pairs)
+    want = teleport._shift_stacks(list(ctx.shift_pairs))
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == (algebra.dim, *w.shape[1:]) and np.array_equal(g, w)
