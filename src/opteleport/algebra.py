@@ -59,6 +59,19 @@ class StarAlgebra:
     An algebra holds no tolerance: :meth:`contains`, :meth:`same_span` and
     :meth:`commuting_product` gate at the caller's, ``Inclusion.tol`` for an
     inclusion and everything built on it.
+
+    The constructor gates the frames: together they must be square and
+    unitary, ||W*W - 1||_F <= 1e-6 n for W = hstack(frames), or
+    :class:`StructureError` is raised.  Every frame that is computed (an
+    image, a tensor product, a commuting product, a discovered structure, a
+    represented algebra, frames given by a caller) passes that gate once.
+    Frames derived exactly from frames that passed it skip it
+    (:meth:`_derived`): identity splits, the same frames read with other
+    multiplicities (:attr:`center`), their columns permuted (:attr:`commutant`
+    and the canonical block order) and their rows permuted and entries
+    conjugated (the modular conjugation of a tower step).  Such a W' has
+    W'*W' equal to W*W up to the same permutation, or its conjugate, so
+    ||W'*W' - 1||_F is exactly ||W*W - 1||_F and the verdict carries over.
     """
 
     def __init__(self, ambient_dim: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> None:
@@ -74,17 +87,27 @@ class StarAlgebra:
         ):
             raise StructureError("algebra unit is not the ambient identity")
 
+    @classmethod
+    def _derived(cls, ambient_dim: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> "StarAlgebra":
+        """The algebra on complex ``frames`` without the gate of the
+        constructor: only for frames that split the identity, or that permute
+        the rows or columns of frames that passed the gate, or conjugate them
+        (see the class docstring)."""
+        alg = cls.__new__(cls)
+        alg.ambient_dim, alg.blocks, alg.frames = ambient_dim, blocks, frames
+        return alg
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def trivial(cls, n: int) -> "StarAlgebra":
         """C * 1_n."""
-        return cls(n, [(1, n)], [la.eye(n)])
+        return cls._derived(int(n), [(1, int(n))], [la.eye(n)])
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebra":
         """All of M_n(C)."""
-        return cls(n, [(n, 1)], [la.eye(n)])
+        return cls._derived(int(n), [(int(n), 1)], [la.eye(n)])
 
     @classmethod
     def diagonal(cls, n: int) -> "StarAlgebra":
@@ -98,9 +121,11 @@ class StarAlgebra:
         Each block occupies ``n_j * m_j`` coordinates arranged as
         C^{n_j} (x) C^{m_j}, matrix factor first.
         """
+        if not layout:
+            raise StructureError("algebra unit is not the ambient identity")
         n = sum(bd * m for bd, m in layout)
         cuts = np.cumsum([bd * m for bd, m in layout])[:-1]
-        return cls(n, list(layout), np.split(la.eye(n), cuts, axis=1))
+        return cls._derived(int(n), [(int(bd), int(m)) for bd, m in layout], np.split(la.eye(n), cuts, axis=1))
 
     @classmethod
     def from_generators(
@@ -325,7 +350,7 @@ class StarAlgebra:
 
     @cached_property
     def center(self) -> "StarAlgebra":
-        return StarAlgebra(self.ambient_dim, [(1, d * m) for d, m in self.blocks], self.frames)
+        return StarAlgebra._derived(self.ambient_dim, [(1, d * m) for d, m in self.blocks], list(self.frames))
 
     @cached_property
     def commutant(self) -> "StarAlgebra":
@@ -333,7 +358,7 @@ class StarAlgebra:
         two column legs swapped, ``W (+)_j (1_{n_j} (x) M_{m_j}) W*``."""
         blocks = [(m, d) for d, m in self.blocks]
         frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self.frames)]
-        return _canonical(self.ambient_dim, blocks, frames)
+        return _canonical(self.ambient_dim, blocks, frames, StarAlgebra._derived)
 
 
 def _legs(w: np.ndarray, d: int) -> np.ndarray:
@@ -542,17 +567,24 @@ def _corner_range(corner: np.ndarray, mult: int) -> np.ndarray:
     return eta
 
 
-def _canonical(n: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> StarAlgebra:
+def _canonical(
+    n: int,
+    blocks: list[tuple[int, int]],
+    frames: list[np.ndarray],
+    make: Callable[[int, list, list], StarAlgebra] = StarAlgebra,
+) -> StarAlgebra:
     """The algebra with its blocks in canonical order: by block dimension,
     then by the rounded entries of the central projection, which are formed
-    only for blocks that share their block dimension."""
+    only for blocks that share their block dimension.  ``make`` builds it:
+    the gated constructor for computed frames, :meth:`StarAlgebra._derived`
+    for a permutation of frames that passed the gate."""
     count = Counter(bd for bd, _ in blocks)
     keys = [
         (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)) if count[bd] > 1 else ())
         for (bd, _), w in zip(blocks, frames)
     ]
     order = sorted(range(len(blocks)), key=lambda j: keys[j])
-    return StarAlgebra(n, [blocks[j] for j in order], [frames[j] for j in order])
+    return make(n, [blocks[j] for j in order], [frames[j] for j in order])
 
 
 def _gaussian(rng: np.random.Generator, k: int) -> np.ndarray:

@@ -72,15 +72,28 @@ def markov_trace(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_
     """The unique Markov trace of a connected inclusion.
 
     The block weight vector is the Perron-Frobenius eigenvector of
-    Lambda Lambda^T, normalised to a state.
+    Lambda Lambda^T, normalised to a state.  The trace keeps Lambda and the
+    Perron-Frobenius eigenvalue ||Lambda||^2, which an :class:`Inclusion` of
+    ``small`` in ``big`` built on it reads as its matrix and its index.
     """
     lam = inclusion_matrix(small, big)
     if not _connected(lam):
         raise ConnectednessError("Markov trace requires a connected inclusion")
-    _, vec = la.pf_eigenvector(lam @ lam.T, tol)
+    # a connected Bratteli diagram makes Lambda Lambda^T irreducible
+    top, vec = la._perron(lam @ lam.T)
     dims = np.array([bd for bd, _ in big.blocks], dtype=float)
-    weights = vec / float(dims @ vec)
-    return Trace(big, weights)
+    return _MarkovTrace(big, vec / float(dims @ vec), small, lam, top)
+
+
+class _MarkovTrace(Trace):
+    """A Markov trace with the inclusion matrix of ``small`` in its algebra
+    and the index it was read from."""
+
+    def __init__(
+        self, big: StarAlgebra, weights: np.ndarray, small: StarAlgebra, lam: np.ndarray, index: float
+    ) -> None:
+        super().__init__(big, weights)
+        self.small, self.matrix, self.index = small, lam, index
 
 
 def index_from_matrix(lam: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -113,6 +126,8 @@ class Inclusion:
         self.big = big
         self.trace = trace
         self.tol = tol
+        if isinstance(trace, _MarkovTrace) and trace.small is small:
+            self.matrix, self.index = trace.matrix, trace.index
 
     @cached_property
     def expectation(self) -> Superoperator:
@@ -121,6 +136,7 @@ class Inclusion:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        """Lambda; a Markov trace built for this pair hands over the one it was read from."""
         return inclusion_matrix(self.small, self.big)
 
     @cached_property
@@ -129,14 +145,21 @@ class Inclusion:
 
     @cached_property
     def index(self) -> float:
-        """||Lambda||^2; defined for connected inclusions only."""
+        """||Lambda||^2; defined for connected inclusions only.  With a Markov
+        trace built for this pair, the Perron-Frobenius eigenvalue of
+        Lambda Lambda^T it was read from."""
         if not self.connected:
             raise ConnectednessError("index requires a connected inclusion")
         return index_from_matrix(self.matrix, self.tol)
 
     @cached_property
     def relative_commutant(self) -> StarAlgebra:
-        """N' ∩ M inside the common ambient, as (N ∨ M')': N and M' commute."""
+        """N' ∩ M inside the common ambient.  For M = M_n it is N' itself,
+        ``small.commutant``; for any other M it is (N ∨ M')', as N and M'
+        commute."""
+        n = self.big.ambient_dim
+        if self.big.dim == n * n:
+            return self.small.commutant
         return StarAlgebra.commuting_product(self.small, self.big.commutant, self.tol).commutant
 
 

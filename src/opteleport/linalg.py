@@ -205,6 +205,12 @@ def pf_eigenvector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[float, 
     reach = np.linalg.matrix_power(np.eye(n) + (a > tol.abs), max(n - 1, 1))
     if np.any(reach <= 0):
         raise ConnectednessError("matrix is reducible")
+    return _perron(a)
+
+
+def _perron(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`pf_eigenvector` of a square nonnegative matrix already known
+    to be irreducible."""
     vals, vecs = np.linalg.eig(a)
     idx = int(np.argmax(vals.real))
     top = float(vals[idx].real)

@@ -1043,6 +1043,14 @@ def commutant_trace_is_markov(inc: Inclusion) -> tuple[bool, Report]:
     return flag, rep
 
 
+def _commutant_trace_flag(inc: Inclusion) -> bool:
+    """The flag of :func:`commutant_trace_is_markov`, which depends on the
+    inclusion alone, so it is kept on the inclusion, as its index is."""
+    if "_commutant_trace_markov" not in vars(inc):
+        inc._commutant_trace_markov = commutant_trace_is_markov(inc)[0]
+    return inc._commutant_trace_markov
+
+
 def _tripartite_context(inc: Inclusion) -> TeleportationContext:
     """The context of the tight schemes of ``inc`` on M_n (x) M_n (x) N'.  It
     builds the ambient algebra M_n (x) M_n (x) N', its normalised trace,
@@ -1085,8 +1093,7 @@ def tight_scheme_from_basis(
     central element of N with tau(z) = 1.  The commutant-trace gate must
     pass.  Every check runs at ``inc.tol``.
     """
-    flag, _ = commutant_trace_is_markov(inc)
-    if not flag:
+    if not _commutant_trace_flag(inc):
         raise HypothesisError("tau restricted to N' is not the Markov trace of C ⊆ N'")
     return _tight_scheme(basic_construction(inc), basis, u, z)
 
@@ -1264,8 +1271,7 @@ def extract_tight_scheme(
     flipped = np.swapaxes(_generators(small), -1, -2)
     if np.max(small.membership_residual(flipped)) > tol.bound(1.0) * 10:
         raise HypothesisError("N must be transpose-closed (block-adapted position)")
-    flag, _ = commutant_trace_is_markov(inc)
-    if not flag:
+    if not _commutant_trace_flag(inc):
         raise HypothesisError("commutant trace gate fails")
     flags, legs = _classify(scheme)
     if not (flags.tight and flags.minimal and flags.faithful):

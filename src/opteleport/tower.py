@@ -261,7 +261,8 @@ def _step(prev: Level, tol: Tolerance) -> Level:
     upper = StarAlgebra.block_diagonal([(d, d) for d, _ in prev.algebra.blocks])
     jones_range = gns.subspace_isometry(lower)
     commutant = lower.commutant
-    algebra = StarAlgebra(gns.dim, commutant.blocks, [gns._conjugate(w) for w in commutant.frames])
+    # J permutes the rows of the gated frames of the commutant and conjugates them
+    algebra = StarAlgebra._derived(gns.dim, list(commutant.blocks), [gns._conjugate(w) for w in commutant.frames])
     density, trace = _canonical_trace(prev, gns, lower, algebra, tol)
     return Level(algebra, trace, upper, gns, lower, jones_range, density)
 

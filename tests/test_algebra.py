@@ -157,6 +157,12 @@ def test_nonunital_span_rejected():
         StarAlgebra(2, [(1, 1)], [np.array([[1.0], [0.0]])])
 
 
+def test_square_nonunitary_frame_rejected():
+    # the right shape, but W*W is not the identity
+    with pytest.raises(StructureError):
+        StarAlgebra(2, [(2, 1)], [np.array([[1.0, 1.0], [0.0, 1.0]])])
+
+
 def test_trace_normalized_and_restriction():
     m = StarAlgebra.block_diagonal([(1, 1), (2, 1)])
     t = Trace.normalized(m)

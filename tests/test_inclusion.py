@@ -215,11 +215,26 @@ def _d2_m2_in_m2_m2():
     return markov_inclusion(small, big)
 
 
+def _rotated_subsystem_code():
+    # N = 1 (x) M_2 inside M_4, given by rotated explicit generators
+    u = la.random_unitary(4, 5)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    gens = [u @ np.kron(np.eye(2), g) @ la.dagger(u) for g in (x, z)]
+    return markov_inclusion(StarAlgebra.from_generators(gens, 4), StarAlgebra.full(4))
+
+
+def _scalars_in_direct_sum():
+    return markov_inclusion(StarAlgebra.trivial(3), StarAlgebra.block_diagonal([(1, 1), (2, 1)]))
+
+
 REL_COMM_CASES = {
     "D4_in_M4": lambda: diagonal_in_full(4),
     "homogeneous_2_2": lambda: homogeneous_in_full(2, 2),
     "C_in_M3": lambda: trivial_in_full(3),
     "D2xM2x1_in_M2xM2x1": _d2_m2_in_m2_m2,
+    "rotated_1xM2_in_M4": _rotated_subsystem_code,
+    "C_in_CxM2": _scalars_in_direct_sum,
 }
 
 
@@ -271,3 +286,33 @@ def test_algebras_carry_no_tolerance_of_their_own():
     algebras = [inc.small, inc.big, inc.relative_commutant, t.level1, t.n_rep, t.m_rep]
     assert inc.tol == t.tol == tol
     assert not any(hasattr(a, "tol") for a in algebras + [t.gns])
+
+
+def test_relative_commutant_in_a_full_matrix_algebra_is_the_commutant():
+    # M = M_n has M' = C 1, so N' ∩ M is N' itself; any other M takes (N v M')'
+    for make in (_rotated_subsystem_code, lambda: diagonal_in_full(3)):
+        inc = make()
+        assert inc.relative_commutant is inc.small.commutant
+    inc = _scalars_in_direct_sum()
+    assert inc.relative_commutant is not inc.small.commutant
+    assert inc.relative_commutant.blocks == [(1, 1), (2, 1)]  # C' ∩ M is M
+
+
+def test_markov_inclusion_reads_its_inclusion_matrix_once(monkeypatch):
+    # the Markov trace hands Lambda and ||Lambda||^2 to the inclusion built on it
+    from opteleport import inclusion
+
+    seen, real = [], inclusion.inclusion_matrix
+    monkeypatch.setattr(inclusion, "inclusion_matrix", lambda *args: seen.append(args) or real(*args))
+    inc = homogeneous_in_full(2, 3)
+    assert inc.connected and inc.matrix.tolist() == [[1, 1]]
+    assert abs(inc.index - index_from_matrix(real(inc.small, inc.big))) < 1e-12
+    assert len(seen) == 1
+
+
+def test_a_markov_trace_of_another_pair_hands_nothing_over():
+    # the Markov trace of D_2 ⊆ M_2 is tau_2, also faithful for C ⊆ M_2, whose Lambda it is not
+    big = StarAlgebra.full(2)
+    inc = Inclusion(StarAlgebra.trivial(2), big, markov_trace(StarAlgebra.diagonal(2), big))
+    assert inc.matrix.tolist() == [[2]]
+    assert abs(inc.index - 4.0) < 1e-12

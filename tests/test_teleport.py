@@ -930,6 +930,21 @@ def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
     assert calls["_classify"] == 3
 
 
+def test_the_commutant_trace_gate_runs_once_per_inclusion(monkeypatch):
+    # the gate depends on the inclusion alone: build and two extractions read it once
+    seen, gate = [], teleport.commutant_trace_is_markov
+    monkeypatch.setattr(teleport, "commutant_trace_is_markov", lambda inc: seen.append(inc) or gate(inc))
+    s = _werner_d2()
+    assert extract_tight_scheme(s)[3].passed and extract_tight_scheme(s)[3].passed
+    assert seen == [s.inclusion]
+    # a failed gate is kept as well, and refuses every scheme of its inclusion
+    mixed = markov_inclusion(StarAlgebra.block_diagonal([(1, 1), (2, 1)]), StarAlgebra.full(3))
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            tight_scheme_from_basis(mixed, weyl_basis(3))
+    assert seen == [s.inclusion, mixed]
+
+
 def test_extraction_on_a_fresh_tower_matches_the_reused_one():
     s = _werner_d2()
     basis, u, z, rep = extract_tight_scheme(s)

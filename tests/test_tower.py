@@ -1150,3 +1150,34 @@ def test_jones_follows_a_replaced_range():
     assert not got["markov_expectation_of_jones"].passed
     assert np.array_equal(t.jones1, lvl.jones_range @ la.dagger(lvl.jones_range))
     assert la.frobenius_distance(t.jones1, before) > 1e-3
+
+
+def _gate_residual(alg):
+    """||W*W - 1||_F for W = hstack(frames), the quantity StarAlgebra's constructor gates."""
+    w = np.hstack(alg.frames)
+    return np.linalg.norm(la.dagger(w) @ w - np.eye(alg.ambient_dim))
+
+
+def _ungated_algebras(t):
+    """The algebras of the tower that are built as exact derivations of gated frames."""
+    found = [t.rel_comm]
+    for lvl in t.levels:
+        found += [lvl.upper, lvl.algebra, lvl.upper.commutant, lvl.algebra.commutant, lvl.algebra.center]
+        if lvl.lower is not None:
+            found.append(lvl.lower.commutant)
+    return found
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_algebras_built_without_the_gate_pass_it(key):
+    # identity splits, commutants, centres and the conjugated commutant of each
+    # step skip the unitarity gate; their frames still satisfy its criterion
+    for alg in _ungated_algebras(_frame_tower(key)):
+        assert _gate_residual(alg) <= 1e-6 * alg.ambient_dim
+
+
+def test_level_three_algebras_built_without_the_gate_pass_it():
+    t = iterate(basic_construction(trivial_in_full(3)))
+    assert t.extend().gns.dim == 729
+    for alg in _ungated_algebras(t):
+        assert _gate_residual(alg) <= 1e-6 * alg.ambient_dim
