@@ -132,7 +132,7 @@ def parse_inclusion_spec(doc: dict, tol: Tolerance) -> tuple[Inclusion, dict]:
     big = StarAlgebra.full(n)
     trace_spec = doc.get("trace", "markov")
     if trace_spec == "markov":
-        trace = markov_trace(small, big, tol)
+        trace = markov_trace(small, big)
     else:
         trace = Trace(big, parse_weights(trace_spec, "trace"))
         if not (trace.is_state(tol) and trace.is_faithful(tol)):
@@ -180,7 +180,7 @@ def cmd_inclusion_info(args) -> dict:
     connected = inc.connected
     rep.add_flag("connected", True, detail=f"flag {connected}")
     # a document that asks for the Markov trace has it built by the parser
-    markov = inc.trace if echo["trace"] == "markov" else markov_trace(inc.small, inc.big, inc.tol)
+    markov = inc.trace if echo["trace"] == "markov" else markov_trace(inc.small, inc.big)
     derived = {
         "N_blocks": [list(b) for b in inc.small.blocks],
         "M_blocks": [list(b) for b in inc.big.blocks],

@@ -68,7 +68,7 @@ def _connected(lam: np.ndarray) -> bool:
     return bool(rows.all() and lam.any(axis=0).all())
 
 
-def markov_trace(small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> Trace:
+def markov_trace(small: StarAlgebra, big: StarAlgebra) -> Trace:
     """The unique Markov trace of a connected inclusion.
 
     The block weight vector is the Perron-Frobenius eigenvector of
@@ -117,7 +117,7 @@ class Inclusion:
         if not _holds(big, _generators(small), tol):  # M is a *-algebra: N's units generate N in M
             raise PreconditionError("N is not contained in M")
         if trace is None:
-            trace = markov_trace(small, big, tol)
+            trace = markov_trace(small, big)
         if trace.algebra is not big:
             raise PreconditionError("trace must live on M")
         if not (trace.is_state(tol) and trace.is_faithful(tol)):
@@ -167,7 +167,7 @@ def markov_inclusion(
     small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL
 ) -> Inclusion:
     """Inclusion equipped with its Markov trace."""
-    return Inclusion(small, big, markov_trace(small, big, tol), tol)
+    return Inclusion(small, big, markov_trace(small, big), tol)
 
 
 def trivial_in_full(n: int) -> Inclusion:

@@ -20,17 +20,16 @@ algebra, and the unbiased scheme attached to a unitary normaliser basis of
 an inclusion.  Every constructor records the inclusion whose tower it builds
 on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
 scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  A
-tight scheme on M_n (x) M_n (x) N' is stored by its legs, and a dense piece
-is built only when it is read (:class:`_Piece`).  The first two judge such
-a scheme on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, when
+tight scheme on M_n (x) M_n (x) N' is stored by its legs.  The first two
+judge it on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, when
 its pieces are in leg form up to rounding, and every other scheme on its
 dense pieces; the extraction reads every scheme on its legs (:func:`_pieces`),
-as its own classification read them.  The tripartite context of such a
-scheme (:func:`_tripartite_context`) builds its algebras at the ambient n^3,
-their trace and the expectation onto the teleported algebra only on their
-first read, so a verdict on the legs builds none of them; the dense pieces
-of its channels read the ambient algebra.  Shift pairs are formed in
-stacked chunks when a dense verdict reads them (:class:`_ShiftPairs`).
+as its own classification read them.  Its dense pieces, and the algebras at
+the ambient n^3, their trace and the expectation of its tripartite context
+(:func:`_tripartite_context`), are each built on first read
+(:class:`_Deferred`), so a verdict on the legs builds none of them.  Shift
+pairs are formed in stacked chunks when a dense verdict reads them
+(:class:`_ShiftPairs`).
 """
 
 from __future__ import annotations
@@ -66,30 +65,25 @@ from .reporting import Report
 from .tower import Tower, basic_construction, iterate, normalizer_check
 
 
-class _OnFirstRead:
-    """An attribute of a :class:`TeleportationContext`.  The context keeps
-    the value it was given or built; a context made by
-    :meth:`TeleportationContext._on_first_read` builds the value on the
-    attribute's first read, through its maker of that name.  Setting the
-    attribute to another value makes the context forget the inclusion it
-    was built for (:func:`_on_tripartite_context`); building it does not."""
+class _Deferred:
+    """A field built on its first read by ``owner._build(name)`` and kept.
+    Setting it calls ``owner._forget(name, value)`` first, so that the owner
+    can forget what it derived from the value replaced."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
-    def __get__(self, ctx: TeleportationContext | None, owner: type | None = None):
-        if ctx is None:
+    def __get__(self, obj: object | None, owner: type | None = None):
+        if obj is None:
             raise AttributeError(self.name)  # a dataclass field without a default
-        values = vars(ctx)
+        values = vars(obj)
         if self.name not in values:
-            values[self.name] = values["_makers"][self.name](ctx)
+            values[self.name] = obj._build(self.name)
         return values[self.name]
 
-    def __set__(self, ctx: TeleportationContext, value) -> None:
-        values = vars(ctx)
-        if self.name not in values or values[self.name] is not value:
-            values.pop("_built_for", None)
-        values[self.name] = value
+    def __set__(self, obj: object, value) -> None:
+        obj._forget(self.name, value)
+        vars(obj)[self.name] = value
 
 
 def _expectation(ctx: TeleportationContext) -> Superoperator:
@@ -103,38 +97,38 @@ class TeleportationContext:
 
     ``shift_pairs`` is a sequence of pairs (a, shift(a)) over a basis of the
     teleported algebra; the tripartite and the tower contexts form each pair
-    when it is read (:class:`_ShiftPairs`).  A context built from its
-    fields builds ``expectation``, the trace-preserving expectation onto the
-    teleported algebra, at once.  The tripartite context of an inclusion
-    (:func:`_tripartite_context`) builds each algebra, the trace and the
-    expectation on its first read instead (:class:`_OnFirstRead`), so a
+    when it is read (:class:`_ShiftPairs`).  An attribute missing from a
+    context is built on its first read by its maker in ``_makers``
+    (:class:`_Deferred`).  A context built from its fields makes only
+    ``expectation``, the trace-preserving expectation onto the teleported
+    algebra; the tripartite context of an inclusion
+    (:func:`_tripartite_context`) makes its algebras and trace too, so a
     scheme judged on its legs builds none of them."""
 
-    ambient: StarAlgebra = _OnFirstRead()
-    trace: Trace = _OnFirstRead()
-    alice: StarAlgebra = _OnFirstRead()
-    bob: StarAlgebra = _OnFirstRead()
-    teleported: StarAlgebra = _OnFirstRead()
-    mirror: StarAlgebra = _OnFirstRead()
-    shift_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = _OnFirstRead()
-    expectation = _OnFirstRead()  # not a field: built from the fields
+    ambient: StarAlgebra = _Deferred()
+    trace: Trace = _Deferred()
+    alice: StarAlgebra = _Deferred()
+    bob: StarAlgebra = _Deferred()
+    teleported: StarAlgebra = _Deferred()
+    mirror: StarAlgebra = _Deferred()
+    shift_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = _Deferred()
+    expectation = _Deferred()  # not a field: built from the fields
+    _makers = {"expectation": _expectation}
 
-    def __post_init__(self) -> None:
-        self.expectation = _expectation(self)
+    def _build(self, name: str):
+        return self._makers[name](self)
 
-    @classmethod
-    def _on_first_read(
-        cls, makers: dict[str, Callable[[TeleportationContext], object]], shift_pairs: _ShiftPairs
-    ) -> TeleportationContext:
-        """A context whose attributes, ``expectation`` among them, are built
-        by ``makers``, one maker of the context per attribute name, each
-        on its first read (:class:`_OnFirstRead`)."""
-        ctx = cls.__new__(cls)
-        vars(ctx).update(_makers=makers, shift_pairs=shift_pairs)
-        return ctx
+    def _forget(self, name: str, value) -> None:
+        """Forget the inclusion the context was built for
+        (:func:`_on_tripartite_context`) unless ``value`` is already held."""
+        values = vars(self)
+        if name not in values or values[name] is not value:
+            values.pop("_built_for", None)
 
 
-_SHIFT_CHUNK = 4  # basis elements of the teleported algebra lifted and shifted per stacked call
+# basis elements lifted and shifted per stacked call: it bounds the transient
+# peak of _ShiftPairs.stacks to the two stacks plus one chunk of each
+_SHIFT_CHUNK = 4
 
 
 class _ShiftPairs(Sequence):
@@ -178,39 +172,6 @@ def _shift_stacks(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nd
     return np.stack(teleported), np.stack(shifted)
 
 
-class _Piece:
-    """``omega``, ``povm`` or ``channels`` of a :class:`TeleportationScheme`.
-
-    A tight scheme stored by its legs (:func:`_tight_scheme`) holds the leg of
-    each piece in ``_stored`` and builds the dense piece from it on its first
-    read, through the piece's name in :func:`_dense_piece`.  The dense piece
-    is kept and its leg dropped, since a caller may change what it was handed;
-    setting a piece drops its leg too.  From then on the piece is read as it
-    stands (:func:`_pieces`)."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, scheme: TeleportationScheme | None, owner: type | None = None):
-        if scheme is None:
-            raise AttributeError(self.name)  # a dataclass field without a default
-        pieces = vars(scheme)
-        if self.name not in pieces:
-            pieces[self.name] = _dense_piece(self.name, scheme._stored[self.name], scheme.context)
-            self._drop_leg(scheme)
-        return pieces[self.name]
-
-    def __set__(self, scheme: TeleportationScheme, value) -> None:
-        vars(scheme)[self.name] = value
-        self._drop_leg(scheme)
-
-    def _drop_leg(self, scheme: TeleportationScheme) -> None:
-        # a new dict, not one changed in place: a shallow copy of the scheme keeps its legs
-        stored = vars(scheme).get("_stored", {})
-        if self.name in stored:
-            scheme._stored = {name: leg for name, leg in stored.items() if name != self.name}
-
-
 def _dense_piece(name: str, leg: np.ndarray, context: TeleportationContext):
     """The dense piece ``name`` of a tight scheme from its leg stack, as the
     Kronecker product with the identity on the other legs: 1 (x) w, the
@@ -228,14 +189,16 @@ def _dense_piece(name: str, leg: np.ndarray, context: TeleportationContext):
 class TeleportationScheme:
     """A resource ``omega``, a POVM and correction channels in a context.
 
-    A tight scheme on M_n (x) M_n (x) N' is stored by its legs and builds
-    each dense piece on its first read (:class:`_Piece`); a piece read or
-    set is from then on judged as it stands."""
+    A tight scheme on M_n (x) M_n (x) N' is stored by its legs, a leg stack
+    per piece in ``_stored``, and builds each dense piece on its first read
+    (:class:`_Deferred`, :func:`_dense_piece`).  Reading or setting a piece
+    drops its leg, since a caller may change what it was handed, so the
+    piece is from then on judged as it stands (:func:`_pieces`)."""
 
     context: TeleportationContext
-    omega: np.ndarray = _Piece()
-    povm: list[np.ndarray] = _Piece()
-    channels: list[Superoperator] = _Piece()
+    omega: np.ndarray = _Deferred()
+    povm: list[np.ndarray] = _Deferred()
+    channels: list[Superoperator] = _Deferred()
     inclusion: Inclusion | None = None  # the inclusion whose tower the scheme is built on
     leg_dims: tuple[int, int, int] | None = None  # set for tripartite M_n (x) M_n (x) N' schemes
     tower: Tower | None = field(default=None, repr=False)  # a tight scheme's level-one tower
@@ -243,12 +206,24 @@ class TeleportationScheme:
     @classmethod
     def _from_legs(cls, legs: dict[str, np.ndarray], **values) -> TeleportationScheme:
         """A scheme whose pieces are stored by ``legs``, a leg stack per piece
-        name (:class:`_Piece`); every other field is set by the constructor."""
+        name, each built on its first read (:class:`_Deferred`); every other
+        field is set by the constructor."""
         scheme = cls(**dict.fromkeys(legs), **values)
         for name in legs:
             del vars(scheme)[name]  # unread, so its first read builds it from the leg
         scheme._stored = dict(legs)
         return scheme
+
+    def _build(self, name: str):
+        piece = _dense_piece(name, self._stored[name], self.context)
+        self._forget(name, piece)
+        return piece
+
+    def _forget(self, name: str, value) -> None:
+        # a new dict, not one changed in place: a shallow copy of the scheme keeps its legs
+        stored = vars(self).get("_stored", {})
+        if name in stored:
+            self._stored = {key: leg for key, leg in stored.items() if key != name}
 
     @property
     def outcomes(self) -> int:
@@ -312,7 +287,7 @@ def _pieces(scheme: TeleportationScheme) -> _Legs | None:
     """The legs of a scheme that records an inclusion N ⊆ M_n with
     ``leg_dims == (n, n, n)``, else None: the resource and the POVM always,
     the witnesses v_i when every channel has one.  A piece still stored by
-    its leg (:class:`_Piece`) is that leg with remainder 0.0, the value
+    its leg (:class:`_Deferred`) is that leg with remainder 0.0, the value
     :func:`_split` reads off its Kronecker product; every other piece is
     read by :func:`_split` in O(k n^6), on every call, so a piece that was
     read or replaced is judged as it stands."""
@@ -395,8 +370,8 @@ def _on_tripartite_context(ctx: TeleportationContext, inc: Inclusion | None) -> 
     ``inc``, with none of its attributes replaced since, its expectation
     among them: the legs read the algebras, the trace and the expectation of
     that context in closed form.  An attribute that was only built on its
-    first read keeps the context (:class:`_OnFirstRead`), and no attribute
-    is read here."""
+    first read keeps the context (:meth:`TeleportationContext._forget`), and
+    no attribute is read here."""
     built = vars(ctx).get("_built_for")
     return built is not None and built is inc
 
@@ -1074,8 +1049,8 @@ def _tripartite_context(inc: Inclusion) -> TeleportationContext:
         "expectation": _expectation,
     }
     pairs = _ShiftPairs(nprime, lambda b: la.kron(b, one, one), lambda b: la.kron(one, one, b))
-    ctx = TeleportationContext._on_first_read(makers, pairs)
-    ctx._built_for = inc
+    ctx = TeleportationContext.__new__(TeleportationContext)
+    vars(ctx).update(_makers=makers, shift_pairs=pairs, _built_for=inc)
     return ctx
 
 
@@ -1104,7 +1079,7 @@ def _tight_scheme(
     """:func:`tight_scheme_from_basis` on the level-one tower of an inclusion
     that has passed the commutant-trace gate.  The scheme keeps the tower,
     which :func:`extract_tight_scheme` reuses, and is stored by its legs
-    (:class:`_Piece`): w, the f_i and the basis elements u_i."""
+    (:class:`_Deferred`): w, the f_i and the basis elements u_i."""
     inc, tol = t.inclusion, t.tol
     n = inc.big.ambient_dim
     _require_normaliser_basis(t, basis)

@@ -15,6 +15,7 @@ from opteleport.algebra import (
     _frame_distance,
     _from_corners,
     _generators,
+    conditional_expectation_onto,
 )
 from opteleport.bases import (
     PimsnerPopaBasis,
@@ -105,6 +106,47 @@ def test_trivial_context_teleports_scalars():
     scheme = TeleportationScheme(ctx, np.eye(2, dtype=complex), povm, channels)
     rep = verify_scheme(scheme)
     assert rep.passed and rep.checks[-1].residual < 1e-12
+
+
+def _scalar_scheme():
+    """The scheme of :func:`test_trivial_context_teleports_scalars`, on a context built from its fields."""
+    amb = StarAlgebra.full(2)
+    triv = StarAlgebra.trivial(2)
+    ctx = TeleportationContext(
+        ambient=amb,
+        trace=Trace.normalized(amb),
+        alice=amb,
+        bob=triv,
+        teleported=triv,
+        mirror=triv,
+        shift_pairs=[(np.eye(2, dtype=complex), np.eye(2, dtype=complex))],
+    )
+    povm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    return TeleportationScheme(ctx, np.eye(2, dtype=complex), povm, [Superoperator(amb, amb, lambda x: x)] * 2)
+
+
+def test_a_hand_built_context_builds_its_expectation_once_on_first_read(monkeypatch):
+    scheme = _scalar_scheme()
+    ctx = scheme.context
+    assert "expectation" not in vars(ctx)
+    built = []
+    make = TeleportationContext._makers["expectation"]
+    monkeypatch.setitem(TeleportationContext._makers, "expectation", lambda c: built.append(c) or make(c))
+    assert verify_scheme(scheme).passed and built == [ctx]
+    expectation = vars(ctx)["expectation"]
+    assert verify_scheme(scheme).passed and built == [ctx] and ctx.expectation is expectation
+
+
+def test_an_expectation_set_before_the_first_read_is_the_one_verify_uses():
+    scheme = _scalar_scheme()
+    ctx = scheme.context
+    exact = conditional_expectation_onto(ctx.teleported, ctx.ambient, ctx.trace)
+    applied = []
+    ctx.expectation = lambda x: applied.append(x) or exact(x)
+    rep = verify_scheme(scheme)
+    assert rep.passed and rep.checks[-1].residual < 1e-12 and len(applied) == 1
+    ctx.expectation = lambda x: 2 * exact(x)
+    assert not verify_scheme(scheme, strict=False).passed
 
 
 def test_corrupted_povm_flags_failure_without_error():
