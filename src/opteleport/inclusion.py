@@ -36,6 +36,8 @@ def inclusion_matrix(small: StarAlgebra, big: StarAlgebra) -> np.ndarray:
     is read off exactly as tr(z_k q_j) / m_k with q_j a minimal projection
     of small-block j, so only the rounding residual is gated.
     """
+    if small.ambient_dim != big.ambient_dim:
+        raise PreconditionError("N and M must share an ambient")
     rows = len(big.blocks)
     cols = len(small.blocks)
     out = np.zeros((rows, cols), dtype=int)

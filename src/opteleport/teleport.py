@@ -88,7 +88,15 @@ class _Deferred:
 
 def _expectation(ctx: TeleportationContext) -> Superoperator:
     """The trace-preserving expectation of ``ctx`` onto its teleported algebra."""
+    _require_one_ambient(ctx, "ambient", "teleported")
     return conditional_expectation_onto(ctx.teleported, ctx.ambient, ctx.trace)
+
+
+def _require_one_ambient(ctx: TeleportationContext, *names: str) -> None:
+    """Refuse with :class:`PreconditionError` a context whose algebras
+    ``names`` do not act on one ambient dimension."""
+    if len({getattr(ctx, name).ambient_dim for name in names}) > 1:
+        raise PreconditionError(f"the context's {', '.join(names)} must share one ambient dimension")
 
 
 @dataclass
@@ -426,6 +434,7 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     legs = _legs(scheme)
     # on the legs the context is the tripartite one, whose shifted elements 1 (x) 1 (x) b lie in Bob
     if legs is None:
+        _require_one_ambient(ctx, "ambient", "alice", "bob", "teleported")
         teleported, shifted = _shift_stacks(ctx.shift_pairs)
         if np.any(ctx.bob.membership_residual(shifted) > tol.bound(la.frobenius_norms(shifted))):
             raise PreconditionError("the shifted elements must lie in Bob's algebra")
@@ -698,6 +707,7 @@ def _dense_flag_residuals(scheme: TeleportationScheme) -> tuple:
     Teleported v Mirror (both in frame coordinates, no dense basis of a
     joint algebra), and the cross-check as (algebra, rows)."""
     tol, ctx = scheme.tol, scheme.context
+    _require_one_ambient(ctx, "ambient", "bob", "teleported", "mirror")
     povm = np.stack(scheme.povm)
     gs = ctx.expectation(scheme.omega @ povm)
     unb_res = float(np.max(la.frobenius_norms(gs - ctx.teleported.unit / scheme.outcomes)))
@@ -1135,31 +1145,40 @@ def _far_leg_images(
     return np.stack(parts), np.stack(outside)
 
 
-def _leg_unitaries(
-    a: np.ndarray, bs: np.ndarray, leg: int, names: list[str], dim: int, tol: Tolerance
-) -> np.ndarray:
+def _leg_unitaries(e: np.ndarray, bs: np.ndarray, names: list[str], dim: int, tol: Tolerance) -> np.ndarray:
     """Per projection b of the stack ``bs``, the polar part of a generic
-    invertible X with L(X) a = b L(X), for the projection ``a`` and
-    L(X) = X (x) 1 on ``leg`` 0 or 1 (x) X on ``leg`` 1 of C^n (x) C^n.
+    invertible X with (X (x) 1) e = b (X (x) 1) on C^n (x) C^n, for e the
+    Jones projection of N.
 
-    With P and Q isometries onto the ranges of a and b (:func:`_ranges`),
-    L(X) a = b L(X) holds exactly when (1 - Q Q*) L(X) P = 0 and
-    Q* L(X) (1 - P P*) = 0, so each system has 2 r n^2 rows in the n^2
-    entries of X when both ranks are r, read off the legs of P and Q
-    (:func:`_intertwiner_systems`); the outcomes of each rank are solved by
-    one batched SVD.  A solution space not of
-    dimension ``dim`` raises :class:`ExtractionError` with its ``names``
-    entry.  X is :func:`la.generic_invertible` at the fixed seed
-    ``DEFAULT_SEED + i`` of outcome i, so it depends on the space alone;
-    every outcome is drawn at once (:func:`la.generic_invertibles`)."""
-    n = math.isqrt(len(a))
-    p, ranges = _ranges(a[None])[0], _ranges(bs)
-    spaces: list = [None] * len(bs)
-    for rank in {q.shape[1] for q in ranges}:
+    Omega = vec(1) / sqrt(n) lies in the range of e, so a solution has
+    vec(X) = sqrt(n) b (X (x) 1) Omega in the range of b: the candidates are
+    the r columns of an isometry Q onto that range (:func:`_ranges`), read
+    as n x n matrices X_t.  An X in their span C solves exactly when
+    X N ⊆ C and X_t* X ∈ N for every t, the parts (1 - b)(X (x) 1) e and
+    b (X (x) 1)(1 - e), so each outcome is a system in its r unknowns, and
+    the outcomes of each rank are solved by one batched SVD; r = 0 leaves no
+    candidate.  A solution space not of dimension ``dim`` raises
+    :class:`ExtractionError` with its ``names`` entry.  X is
+    :func:`la.generic_invertible` at the fixed seed ``DEFAULT_SEED + i`` of
+    outcome i, so it depends on the space alone; every outcome is drawn at
+    once (:func:`la.generic_invertibles`)."""
+    n = math.isqrt(len(e))
+    p, ranges = _ranges(e[None])[0], _ranges(bs)
+    ys = p.T.reshape(-1, n, n)  # an HS-orthonormal basis of N
+    spaces: list = [[]] * len(bs)
+    for rank in {q.shape[1] for q in ranges} - {0}:
         group = [i for i, q in enumerate(ranges) if q.shape[1] == rank]
-        systems = _intertwiner_systems(p, np.stack([ranges[i] for i in group]), n, leg)
-        for i, space in zip(group, la.nullspaces(systems, tol)):
-            spaces[i] = space
+        qs = np.stack([ranges[i] for i in group])
+        xs = np.swapaxes(qs, 1, 2).reshape(len(group), rank, n, n)
+        # column t: the parts of X_t Y_j off C and of X_s* X_t off N, over j and s
+        moved = (xs[:, :, None] @ ys).reshape(len(group), -1, n * n)
+        moved -= moved @ qs.conj() @ np.swapaxes(qs, 1, 2)
+        back = (la.dagger(xs)[:, None] @ xs[:, :, None]).reshape(len(group), -1, n * n)
+        back -= back @ p.conj() @ p.T
+        parts = [x.reshape(len(group), rank, -1, n * n).transpose(0, 2, 3, 1) for x in (moved, back)]
+        systems = np.concatenate(parts, axis=1).reshape(len(group), -1, rank)
+        for i, q, sols in zip(group, qs, la.nullspaces(systems, tol)):
+            spaces[i] = [(q @ c).reshape(n, n) for c in sols]
     for name, sols in zip(names, spaces):
         if len(sols) != dim:
             raise ExtractionError(f"{name}: intertwiner space has dimension {len(sols)}, expected {dim}")
@@ -1179,43 +1198,26 @@ def _ranges(xs: np.ndarray) -> list[np.ndarray]:
     return [v[:, w > 0.5] for w, v in zip(vals, vecs)]
 
 
-def _intertwiner_systems(p: np.ndarray, qs: np.ndarray, n: int, leg: int) -> np.ndarray:
-    """Per isometry Q of the stack ``qs``, the ((r + s) n^2, n^2) matrix of
-    X -> ((1 - Q Q*) L(X) P, Q* L(X) (1 - P P*)), r and s the ranks of P and
-    Q, columns over the matrix
-    units E_ab of X.  On the legs, P = sum P[c, j] e_c (x) e_j with leg 0 of
-    L first; then L(E_ab) P has the rows (a, j) of P[b, j], and
-    Q* L(E_ab) has the columns (b, j) of Q*[a, j], so with
-    C = Q* L(E_ab) P both parts are formed from P, Q and C alone."""
-    k, r, s = len(qs), p.shape[1], qs.shape[2]
-    p3, q3 = p.reshape(n, n, r), qs.reshape(k, n, n, s)
-    if leg == 1:  # 1 (x) X is X (x) 1 with the legs swapped
-        p3, q3 = p3.transpose(1, 0, 2), q3.transpose(0, 2, 1, 3)
-    one = la.eye(n)
-    c = np.einsum("kajt,bjs->kabts", q3.conj(), p3)
-    moved = np.einsum("ca,bjs->abcjs", one, p3)[None] - np.einsum("kcjt,kabts->kabcjs", q3, c)
-    back = np.einsum("cb,kajt->kabtcj", one, q3.conj()) - np.einsum("kabts,cjs->kabtcj", c, p3.conj())
-    return np.concatenate([moved.reshape(k, n * n, -1), back.reshape(k, n * n, -1)], axis=2).transpose(0, 2, 1)
-
-
 def extract_tight_scheme(
     scheme: TeleportationScheme,
 ) -> tuple[PimsnerPopaBasis, np.ndarray, np.ndarray, Report]:
     """Recover (basis, u, z) from a tight, minimal, faithful scheme for N'.
 
-    z is the one-leg slice of the resource, and u solves
-    (1 (x) X) undressed = e (1 (x) X) on the undressed resource, e the Jones
-    projection of N.  The corrections are read off the POVM: the X with
-    (X (x) 1) e = f_i (X (x) 1) form u_i* u N, so with x_i the polar part of
-    a generic invertible one, u_i = u x_i* is fixed up to a unitary of N on
-    the left, which leaves Ad(1 (x) 1 (x) u_i) on N' as it is.  Each solve
-    is one :func:`_leg_unitaries` call, and the triple depends on the
-    scheme alone, not on rounding.  The contract is the round trip: the
-    resource, the POVM and the corrections rebuilt from the triple must
-    reproduce the scheme's; only there is a channel compared with
-    Ad(1 (x) 1 (x) u_i), on Bob's basis 1 (x) b / n, and a failure names the
-    channels over the bound.  The extracted family must pass
-    :func:`bases._require_normaliser_basis`.
+    z is the one-leg slice of the resource, e the Jones projection of N, and
+    every solve reads the X with (X (x) 1) e = b (X (x) 1) off the range of
+    b (:func:`_leg_unitaries`).  N is transpose-closed, so the undressed
+    resource (1 (x) u) e (1 (x) u*) with its legs swapped is
+    (u (x) 1) e (u* (x) 1), whose X form u N: u is the polar part of a
+    generic one, fixed up to a unitary of N on the right.  The corrections
+    are read off the POVM: the X with b = f_i form u_i* u N, so with x_i the
+    polar part of a generic invertible one, u_i = u x_i* is fixed up to a
+    unitary of N on the left, which leaves Ad(1 (x) 1 (x) u_i) on N' as it
+    is.  The triple depends on the scheme alone, not on rounding.  The
+    contract is the round trip: the resource, the POVM and the corrections
+    rebuilt from the triple must reproduce the scheme's; only there is a
+    channel compared with Ad(1 (x) 1 (x) u_i), on Bob's basis 1 (x) b / n,
+    and a failure names the channels over the bound.  The extracted family
+    must pass :func:`bases._require_normaliser_basis`.
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused.  The scheme
@@ -1269,10 +1271,11 @@ def extract_tight_scheme(
     if t is None or t.inclusion is not inc:
         t = basic_construction(inc)
 
-    # dressing unitary from the undressed resource
+    # dressing unitary from the undressed resource (1 (x) u) e (1 (x) u*), legs swapped
     dress_inv = la.kron(la.eye(n), np.linalg.inv(la.matrix_sqrt(z, tol)))
     undressed = dress_inv @ omega_small @ dress_inv / inc.index
-    u = la.dagger(_leg_unitaries(undressed, e[None], 1, ["dressing"], small.dim, tol)[0])
+    swapped = undressed.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    u = _leg_unitaries(e, swapped[None], ["dressing"], small.dim, tol)[0]
     rebuilt_small = _tight_resource(inc, e, u, z)
     rep.add(
         "resource_round_trip",
@@ -1284,7 +1287,7 @@ def extract_tight_scheme(
     for i, (norm, gap) in enumerate(zip(legs.povm_norms, legs.povm_gaps)):
         rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(norm)))
     outcomes = [f"outcome {i}" for i in range(scheme.outcomes)]
-    units = u @ la.dagger(_leg_unitaries(e, legs.povm, 0, outcomes, small.dim, tol))
+    units = u @ la.dagger(_leg_unitaries(e, legs.povm, outcomes, small.dim, tol))
 
     basis = PimsnerPopaBasis(inc, list(units))
     try:

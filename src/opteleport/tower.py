@@ -866,7 +866,11 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     inc = t.inclusion
     small, big, exp = inc.small, inc.big, inc.expectation
     # the rules of la.is_unitary and StarAlgebra.contains, for the stack at once
-    if not np.all(la.is_unitary(us, tol)) or np.any(big.membership_residual(us) > tol.bound(la.frobenius_norms(us))):
+    if (
+        us.shape[-2:] != (big.ambient_dim,) * 2
+        or not np.all(la.is_unitary(us, tol))
+        or np.any(big.membership_residual(us) > tol.bound(la.frobenius_norms(us)))
+    ):
         raise NormaliserError("normaliser candidates must be unitaries in M")
     # (len(us), 1, n, n) stacks broadcast against N's column units, which Ad u* must keep in N
     u_star, u_col = la.dagger(us)[:, None], us[:, None]

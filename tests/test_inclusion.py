@@ -265,6 +265,12 @@ def test_is_connected_matches_centre_intersection(case):
     assert intersect(diag.center, diag.center).dim != 1
 
 
+def test_algebras_on_different_ambients_are_refused_before_any_product():
+    for make in (markov_inclusion, inclusion_matrix):
+        with pytest.raises(PreconditionError, match="^N and M must share an ambient$"):
+            make(StarAlgebra.full(2), StarAlgebra.full(3))
+
+
 def test_inclusion_rejects_a_trace_on_another_algebra():
     foreign = Trace.normalized(StarAlgebra.full(2))  # an equal algebra, but not M itself
     with pytest.raises(PreconditionError, match="trace must live on M"):

@@ -149,6 +149,14 @@ def test_an_expectation_set_before_the_first_read_is_the_one_verify_uses():
     assert not verify_scheme(scheme, strict=False).passed
 
 
+def test_a_hand_built_context_on_mixed_ambients_is_refused():
+    scheme = _scalar_scheme()
+    scheme.context.teleported = StarAlgebra.trivial(3)
+    for judge in (lambda s: verify_scheme(s, strict=False), classify, lambda s: s.context.expectation):
+        with pytest.raises(PreconditionError, match="must share one ambient dimension$"):
+            judge(scheme)
+
+
 def test_corrupted_povm_flags_failure_without_error():
     s = standard_scheme(2)
     s.povm[0] = 1.01 * s.povm[0]
@@ -1661,19 +1669,58 @@ def test_replaced_pieces_of_a_stored_scheme_are_judged_as_they_stand(key):
     assert name in [c.name for c in got.failures()]
 
 
-def _full_system_unitaries(a, bs, leg, dim, tol):
-    """The intertwiner solve on the full systems L(E) a - b L(E), one
-    (n^2, n^2) block per matrix unit E, as one batched SVD."""
+def _full_system_spaces(a, bs, leg, tol):
+    """The intertwiner spaces of the full systems L(E) a - b L(E), one
+    (n^2, n^2) block per matrix unit E, as one batched SVD: per b, an
+    orthonormal list of the vec(X), L(X) = X (x) 1 on ``leg`` 0 and 1 (x) X
+    on ``leg`` 1."""
     n = int(np.sqrt(len(a)))
     units = la.eye(n * n).reshape(-1, n, n)
     lifted = la.kron(units, la.eye(n)) if leg == 0 else la.kron(la.eye(n), units)
     systems = lifted @ a - bs[:, None] @ lifted
-    spaces = la.nullspaces(systems.reshape(len(bs), n * n, -1).transpose(0, 2, 1), tol)
+    return la.nullspaces(systems.reshape(len(bs), n * n, -1).transpose(0, 2, 1), tol)
+
+
+def _full_system_unitaries(a, bs, leg, dim, tol):
+    """The polar parts of the generic invertibles of :func:`_full_system_spaces`."""
+    n = int(np.sqrt(len(a)))
+    spaces = _full_system_spaces(a, bs, leg, tol)
     assert all(len(sols) == dim for sols in spaces)
     cands = [
         la.generic_invertible([v.reshape(n, n) for v in sols], la.DEFAULT_SEED + i) for i, sols in enumerate(spaces)
     ]
     return la.polar_unitary(np.stack(cands))
+
+
+def _undressed(s, z):
+    """The resource leg of ``s`` without its dressing sqrt(z) and index, as
+    :func:`extract_tight_scheme` forms it: (1 (x) u) e (1 (x) u*)."""
+    inc, n = s.inclusion, s.inclusion.big.ambient_dim
+    dress_inv = la.kron(la.eye(n), np.linalg.inv(la.matrix_sqrt(z, inc.tol)))
+    return dress_inv @ teleport._pieces(s).resource @ dress_inv / inc.index
+
+
+def _swapped(x):
+    """``x`` on C^n (x) C^n with its two legs swapped."""
+    n = int(np.sqrt(len(x)))
+    return x.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("key", sorted(STORED_SCHEMES))
+def test_each_intertwiner_space_is_the_range_of_its_projection(key):
+    # Omega lies in the range of e, so the X with (X (x) 1) e = f_i (X (x) 1)
+    # have vec(X) in the range of f_i, and the dimensions match
+    s = STORED_SCHEMES[key]()
+    inc, legs = s.inclusion, teleport._pieces(s)
+    e, tol = concrete_jones_projection(inc.small), inc.tol
+    for sols, q in zip(_full_system_spaces(e, legs.povm, 0, tol), teleport._ranges(legs.povm)):
+        v = np.array(sols)
+        assert np.max(np.abs(v.T @ v.conj() - q @ la.dagger(q))) <= 1e-12
+    # the dressing: the leg-1 solve on the undressed resource gives X = y u*
+    # with y in N, so the two dressing unitaries differ by a unitary of N
+    _, u_new, z, _ = extract_tight_scheme(s)
+    u_old = la.dagger(_full_system_unitaries(_undressed(s, z), e[None], 1, inc.small.dim, tol)[0])
+    assert inc.small.membership_residual(la.dagger(u_new) @ u_old) <= 1e-12
 
 
 @pytest.mark.parametrize("key", sorted(STORED_SCHEMES))
@@ -1682,13 +1729,22 @@ def test_the_range_solve_matches_the_full_intertwiner_systems(key):
     inc, legs = s.inclusion, teleport._pieces(s)
     e, tol, dim = concrete_jones_projection(inc.small), inc.tol, inc.small.dim
     names = [f"outcome {i}" for i in range(s.outcomes)]
-    got = teleport._leg_unitaries(e, legs.povm, 0, names, dim, tol)
+    got = teleport._leg_unitaries(e, legs.povm, names, dim, tol)
     assert np.max(np.abs(got - _full_system_unitaries(e, legs.povm, 0, dim, tol))) <= 1e-14
-    # the dressing solve, on leg 1 of the undressed resource of extract_tight_scheme
-    _, u, z, _ = extract_tight_scheme(s)
-    undressed = teleport._tight_resource(inc, e, u, la.eye(len(u))) / inc.index
-    got = teleport._leg_unitaries(undressed, e[None], 1, ["dressing"], dim, tol)
-    assert np.max(np.abs(got - _full_system_unitaries(undressed, e[None], 1, dim, tol))) <= 1e-14
+    # the dressing solve, on the undressed resource of extract_tight_scheme with its legs swapped
+    swapped = _swapped(_undressed(s, extract_tight_scheme(s)[2]))[None]
+    got = teleport._leg_unitaries(e, swapped, ["dressing"], dim, tol)
+    assert np.max(np.abs(got - _full_system_unitaries(e, swapped, 0, dim, tol))) <= 1e-14
+
+
+def test_a_povm_leg_with_no_range_has_no_intertwiner():
+    # a POVM element scaled below 1/2 keeps the flags but leaves no candidate
+    s = standard_scheme(2)
+    s.povm[1] = 0.4 * s.povm[1]
+    flags = classify(s)
+    assert flags.tight and flags.minimal and flags.faithful
+    with pytest.raises(ExtractionError, match=r"^outcome 1: intertwiner space has dimension 0, expected 1$"):
+        extract_tight_scheme(s)
 
 
 def test_the_range_solve_reports_the_dimension_of_an_unequal_rank_outcome():
@@ -1696,7 +1752,7 @@ def test_the_range_solve_reports_the_dimension_of_an_unequal_rank_outcome():
     e = concrete_jones_projection(StarAlgebra.trivial(2))
     f = np.stack([e, la.eye(4) - e])
     with pytest.raises(ExtractionError, match=r"^outcome 1: intertwiner space has dimension 0, expected 1$"):
-        teleport._leg_unitaries(e, f, 0, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
+        teleport._leg_unitaries(e, f, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
 
 
 def _tripartite_shifts():

@@ -289,6 +289,13 @@ def test_normalizer_check_rejects_nonunitary():
         normalizer_check(t, np.diag([1.0, 0.5]).astype(complex))
 
 
+
+def test_normalizer_check_rejects_a_matrix_of_another_size():
+    t = get_tower("trivial_in_full_2", two_levels=False)
+    with pytest.raises(NormaliserError, match="unitaries in M"):
+        normalizer_check(t, np.eye(3, dtype=complex))
+
+
 def test_tracial_entangled_state_identity_unitary():
     t = get_tower("diagonal_in_full_2", two_levels=False)
     rep = verify_tracial_entangled_state(t, np.eye(2, dtype=complex))
