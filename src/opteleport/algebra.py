@@ -15,9 +15,9 @@ through the central density ``rho`` with ``tau(x) = Tr(rho x)``.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, cached_property
-from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from functools import cache, cached_property, lru_cache
+from itertools import accumulate, groupby
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,16 @@ from .linalg import DEFAULT_TOL, Tolerance
 # so that rebuilt algebras are bit-identical.
 _STRUCTURE_SEED = 0x5EED
 _MAX_DRAWS = 8
+
+
+class _IndexMap(NamedTuple):
+    """W = hstack(frames) with one nonzero entry per column: column c holds
+    ``phases[c]`` in row ``rows[c]``; ``phases`` is None when every one is 1,
+    and ``identity`` marks W = 1, written down in standard position."""
+
+    rows: np.ndarray
+    phases: np.ndarray | None
+    identity: bool = False
 
 
 class StarAlgebra:
@@ -56,58 +66,82 @@ class StarAlgebra:
     ``f[a][b]``) and ``basis``, the self-adjoint HS-orthonormal spanning
     stack of shape (dim, n, n).
 
+    Where every column of W = hstack(frames) holds one nonzero entry, W is
+    stored as its index map (:class:`_IndexMap`, O(n)): the standard-position
+    constructors, :attr:`center`, :attr:`commutant`, :meth:`tensor` and the
+    tower steps write it down, and an exact-zero test finds it in any other
+    frame; other frames stay dense.  On an index map every frame read is a
+    slice, a row gather or a scatter, and ``frames`` is built when read.
+
     An algebra holds no tolerance: :meth:`contains`, :meth:`same_span` and
     :meth:`commuting_product` gate at the caller's, ``Inclusion.tol`` for an
     inclusion and everything built on it.
 
-    The constructor gates the frames: together they must be square and
-    unitary, ||W*W - 1||_F <= 1e-6 n for W = hstack(frames), or
-    :class:`StructureError` is raised.  Every frame that is computed (an
-    image, a tensor product, a commuting product, a discovered structure, a
-    represented algebra, frames given by a caller) passes that gate once.
-    Frames derived exactly from frames that passed it skip it
-    (:meth:`_derived`): identity splits, the same frames read with other
-    multiplicities (:attr:`center`), their columns permuted (:attr:`commutant`
-    and the canonical block order) and their rows permuted and entries
-    conjugated (the modular conjugation of a tower step).  Such a W' has
-    W'*W' equal to W*W up to the same permutation, or its conjugate, so
-    ||W'*W' - 1||_F is exactly ||W*W - 1||_F and the verdict carries over.
+    Every construction gates the layout: positive integer pairs (n_j, m_j)
+    with sum_j n_j m_j = n, or :class:`StructureError`.  The constructor gates
+    the frames: together they must be square and unitary,
+    ||W*W - 1||_F <= 1e-6 n for W = hstack(frames), or :class:`StructureError`
+    is raised; on an index map that reads O(n) entries (:func:`_gate`).
+    Every frame that is computed (an image, a tensor product, a commuting
+    product, a discovered structure, a represented algebra, frames given by
+    a caller) passes that gate once.  Frames derived exactly from frames that
+    passed it skip it (:meth:`_derived`): identity splits, the same frames
+    read with other multiplicities (:attr:`center`), their columns permuted
+    (:attr:`commutant` and the canonical block order) and their rows permuted
+    and entries conjugated (:func:`_conjugated`, the modular conjugation of a
+    tower step).  Such a W' has W'*W' equal to W*W up to the same
+    permutation, or its conjugate, so ||W'*W' - 1||_F is exactly
+    ||W*W - 1||_F and the verdict carries over.
     """
 
     def __init__(self, ambient_dim: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> None:
-        self.ambient_dim = int(ambient_dim)
-        self.blocks = [(int(n), int(m)) for n, m in blocks]
-        self.frames = [np.asarray(w, dtype=complex) for w in frames]
-        n = self.ambient_dim
-        w = np.hstack(self.frames) if self.frames else np.zeros((n, 0), dtype=complex)
-        if (
-            w.shape != (n, n)
-            or [f.shape[1] for f in self.frames] != [d * m for d, m in self.blocks]
-            or np.linalg.norm(la.dagger(w) @ w - la.eye(n)) > 1e-6 * n
-        ):
+        n, self.blocks = _layout(ambient_dim, blocks)
+        frames = [np.asarray(w, dtype=complex) for w in frames]
+        if [f.shape for f in frames] != [(n, d * m) for d, m in self.blocks]:
             raise StructureError("algebra unit is not the ambient identity")
+        self.ambient_dim, self._dense, self._index = n, frames, _index_of(np.hstack(frames))
+        _read_map(self)
+        _gate(self)
 
     @classmethod
-    def _derived(cls, ambient_dim: int, blocks: list[tuple[int, int]], frames: list[np.ndarray]) -> "StarAlgebra":
-        """The algebra on complex ``frames`` without the gate of the
-        constructor: only for frames that split the identity, or that permute
-        the rows or columns of frames that passed the gate, or conjugate them
-        (see the class docstring)."""
+    def _derived(cls, ambient_dim: int, blocks: list[tuple[int, int]], frames: list | _IndexMap) -> "StarAlgebra":
+        """The algebra on complex ``frames`` or an index map, with the layout gate but without the frame
+        gate: only for frames that split the identity, or that permute the rows or columns of frames that
+        passed the gate, or conjugate them (see the class docstring)."""
         alg = cls.__new__(cls)
-        alg.ambient_dim, alg.blocks, alg.frames = ambient_dim, blocks, frames
+        alg.ambient_dim, alg.blocks = _layout(ambient_dim, blocks)
+        alg._index, alg._dense = (frames, None) if isinstance(frames, _IndexMap) else (None, frames)
+        _read_map(alg)
         return alg
+
+    @property
+    def frames(self) -> list[np.ndarray]:
+        """Per block j the n x (n_j m_j) frame W_j; built on every read from an index map."""
+        if self._dense is not None:
+            return self._dense
+        n = self.ambient_dim
+        w = np.zeros((n, n), dtype=complex)
+        w[self._index.rows, np.arange(n)] = 1.0 if self._index.phases is None else self._index.phases
+        return np.split(w, self._starts[1:-1], axis=1)
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """For an index map, the column of W that holds each row."""
+        inverse = np.empty(self.ambient_dim, dtype=np.intp)
+        inverse[self._index.rows] = np.arange(self.ambient_dim)
+        return inverse
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def trivial(cls, n: int) -> "StarAlgebra":
         """C * 1_n."""
-        return cls._derived(int(n), [(1, int(n))], [la.eye(n)])
+        return cls.block_diagonal([(1, n)])
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebra":
         """All of M_n(C)."""
-        return cls._derived(int(n), [(int(n), 1)], [la.eye(n)])
+        return cls.block_diagonal([(n, 1)])
 
     @classmethod
     def diagonal(cls, n: int) -> "StarAlgebra":
@@ -119,13 +153,10 @@ class StarAlgebra:
         """Direct sum of M_{n_j} x 1_{m_j} blocks embedded contiguously.
 
         Each block occupies ``n_j * m_j`` coordinates arranged as
-        C^{n_j} (x) C^{m_j}, matrix factor first.
+        C^{n_j} (x) C^{m_j}, matrix factor first: W is the identity.
         """
-        if not layout:
-            raise StructureError("algebra unit is not the ambient identity")
-        n = sum(bd * m for bd, m in layout)
-        cuts = np.cumsum([bd * m for bd, m in layout])[:-1]
-        return cls._derived(int(n), [(int(bd), int(m)) for bd, m in layout], np.split(la.eye(n), cuts, axis=1))
+        n, pairs = _layout(None, layout)
+        return cls._derived(n, pairs, _IndexMap(np.arange(n), None, True))
 
     @classmethod
     def from_generators(
@@ -199,15 +230,22 @@ class StarAlgebra:
         """
         left = factors[0]
         for right in factors[1:]:
-            n = left.ambient_dim * right.ambient_dim
-            blocks: list[tuple[int, int]] = []
-            frames: list[np.ndarray] = []
-            for (dl, ml), wl in zip(left.blocks, left.frames):
-                for (dr, mr), wr in zip(right.blocks, right.frames):
-                    w = la.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4)
+            # block pair (j, k) takes the columns (a, r, a', r') of kron(W, W') as ((a, a'), (r, r'))
+            n, blocks, perm = left.ambient_dim * right.ambient_dim, [], []
+            for (dl, ml), ol in zip(left.blocks, left._starts):
+                for (dr, mr), o in zip(right.blocks, right._starts):
                     blocks.append((dl * dr, ml * mr))
-                    frames.append(w.reshape(n, -1))
-            left = cls(n, blocks, frames)
+                    cols = np.add.outer(np.arange(ol, ol + dl * ml) * right.ambient_dim, np.arange(o, o + dr * mr))
+                    perm.append(cols.reshape(dl, ml, dr, mr).transpose(0, 2, 1, 3).ravel())
+            perm = np.concatenate(perm)
+            if left._index is None or right._index is None:
+                w = la.kron(np.hstack(left.frames), np.hstack(right.frames))[:, perm]
+                left = cls(n, blocks, np.split(w, np.cumsum([d * m for d, m in blocks])[:-1], axis=1))
+                continue
+            rows = np.add.outer(left._index.rows * right.ambient_dim, right._index.rows).ravel()
+            phases = [np.ones(a.ambient_dim) if a._index.phases is None else a._index.phases for a in (left, right)]
+            left = cls._derived(n, blocks, _columns(_IndexMap(rows, np.outer(*phases).ravel()), perm))
+            _gate(left)
         return left
 
     def image(self, phi: Callable[[np.ndarray], np.ndarray], ambient_dim: int) -> "StarAlgebra":
@@ -220,8 +258,8 @@ class StarAlgebra:
         """
         blocks: list[tuple[int, int]] = []
         frames: list[np.ndarray] = []
-        for (bd, _), w in zip(self.blocks, self.frames):
-            g = [phi(f) for f in _column_units(w, bd)]
+        for j, (bd, _) in enumerate(self.blocks):
+            g = [phi(f) for f in _column_units(self, j)]
             rank = float(np.trace(g[0]).real)
             mult = int(round(rank))
             if abs(rank - mult) > 1e-6:
@@ -245,8 +283,12 @@ class StarAlgebra:
 
     @cached_property
     def central_projections(self) -> list[np.ndarray]:
-        """The minimal central projections z_j = W_j W_j*, aligned with ``blocks``."""
-        return [w @ la.dagger(w) for w in self.frames]
+        """The minimal central projections z_j = W_j W_j*, aligned with ``blocks``:
+        the identity for one block, a 0/1 diagonal on an index map."""
+        n = self.ambient_dim
+        if len(self.blocks) == 1:
+            return [la.eye(n)]
+        return [_expand(self, j, la.eye(d * m), np.zeros((n, n), complex)) for j, (d, m) in enumerate(self.blocks)]
 
     @cached_property
     def unit(self) -> np.ndarray:
@@ -254,15 +296,14 @@ class StarAlgebra:
 
     def minimal_projection(self, block: int) -> np.ndarray:
         """f_00 of the block: the frame columns with a = 0."""
-        w = self.frames[block][:, : self.blocks[block][1]]
-        return w @ la.dagger(w)
+        return _unit_stack(self, block, np.zeros(1, dtype=int), np.zeros(1, dtype=int))[0]
 
     @cached_property
     def matrix_units(self) -> list[np.ndarray]:
         out = []
-        for (d, m), w in zip(self.blocks, self.frames):
-            legs = _legs(w, d)
-            out.append(np.matmul(legs[:, None], la.dagger(legs)[None, :]))
+        for j, (d, _) in enumerate(self.blocks):
+            a, b = np.divmod(np.arange(d * d), d)
+            out.append(_unit_stack(self, j, a, b).reshape(d, d, self.ambient_dim, self.ambient_dim))
         return out
 
     @cached_property
@@ -271,13 +312,20 @@ class StarAlgebra:
         then for each a < b the symmetric and antisymmetric combinations
         of f_ab and f_ba (:func:`_hermitian_combinations`)."""
         n = self.ambient_dim
+        if self._index is not None:  # the entries of the basis in standard position, on the rows of W
+            element, left, right, value = _basis_pattern(tuple(self.blocks))
+            rows, phases = self._index.rows, self._index.phases
+            out = np.zeros((self.dim, n, n), dtype=complex)
+            if phases is not None:
+                value = value * phases[left] * np.conj(phases[right])
+            out[element, rows[left], rows[right]] = value
+            return out
         out = np.empty((self.dim, n, n), dtype=complex)
         k = 0
-        for (d, m), w in zip(self.blocks, self.frames):
-            legs = _legs(w, d)
+        for j, (d, m) in enumerate(self.blocks):
             upper, lower = _upper_pairs(d)
-            f_ab = np.matmul(legs[upper], la.dagger(legs[lower]))
-            diagonal = np.matmul(legs, la.dagger(legs))
+            f_ab = _unit_stack(self, j, upper, lower)
+            diagonal = _unit_stack(self, j, np.arange(d), np.arange(d))
             _hermitian_combinations(diagonal, f_ab, la.dagger(f_ab), m, out[k : k + d * d])
             k += d * d
         return out
@@ -350,29 +398,180 @@ class StarAlgebra:
 
     @cached_property
     def center(self) -> "StarAlgebra":
-        return StarAlgebra._derived(self.ambient_dim, [(1, d * m) for d, m in self.blocks], list(self.frames))
+        frames = self._index if self._index is not None else list(self._dense)
+        return StarAlgebra._derived(self.ambient_dim, [(1, d * m) for d, m in self.blocks], frames)
 
     @cached_property
     def commutant(self) -> "StarAlgebra":
         """Relative commutant in the ambient M_n(C): the same frames with the
         two column legs swapped, ``W (+)_j (1_{n_j} (x) M_{m_j}) W*``."""
         blocks = [(m, d) for d, m in self.blocks]
-        frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self.frames)]
+        if self._index is None:
+            frames = [_swap_legs(w, d, m) for (d, m), w in zip(self.blocks, self._dense)]
+        else:
+            swap = [_swap_legs(np.arange(o, o + d * m)[None], d, m)[0] for (d, m), o in zip(self.blocks, self._starts)]
+            frames = _columns(self._index, np.concatenate(swap))
         return _canonical(self.ambient_dim, blocks, frames, StarAlgebra._derived)
 
 
-def _legs(w: np.ndarray, d: int) -> np.ndarray:
-    """The frame as a (d, n, m) stack: legs[a] holds the columns (a, r)."""
-    return w.reshape(w.shape[0], d, -1).transpose(1, 0, 2)
+def _layout(ambient_dim: int | None, blocks: Sequence[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """n (the layout's own for None) and the layout as int pairs, gated: positive integer
+    pairs (n_j, m_j) with sum_j n_j m_j = n, or :class:`StructureError`."""
+    try:
+        pairs = [(int(d), int(m)) for d, m in blocks]
+        n = sum(d * m for d, m in pairs) if ambient_dim is None else int(ambient_dim)
+        exact = [(d, m) for d, m in blocks] == pairs and ambient_dim in (None, n)
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"block layout {blocks!r} is not a list of integer pairs") from exc
+    if not pairs or not exact or min(min(p) for p in pairs) < 1 or sum(d * m for d, m in pairs) != n:
+        raise StructureError(f"block layout {blocks!r} is not positive integer pairs filling C^{ambient_dim}")
+    return n, pairs
+
+
+def _index_of(w: np.ndarray) -> _IndexMap | None:
+    """The index map of a frame with exactly one nonzero entry per column, by an exact-zero test; else None."""
+    nonzero = w != 0
+    if (nonzero.sum(axis=0) != 1).any():
+        return None
+    rows = nonzero.argmax(axis=0)
+    phases = w[rows, np.arange(w.shape[1])]
+    return _IndexMap(rows, None if (phases == 1).all() else phases)
+
+
+def _read_map(alg: StarAlgebra) -> None:
+    """Set ``alg._starts``, the first column of each block of W and then n, and ``alg._maps``: per
+    block j the rows and phases of W_j (:func:`_segments`), then those of all of W; None for dense frames."""
+    alg._starts = [0, *accumulate(d * m for d, m in alg.blocks)]
+    alg._maps = None if alg._index is None else _segments(alg._index, alg._starts)
+
+
+def _segments(index: _IndexMap, bounds: list[int]) -> list[tuple[slice | np.ndarray, np.ndarray | None]]:
+    """Per run of columns between consecutive ``bounds``, then for all of them, its rows (a slice
+    where they run consecutively) and its phases (None where all are 1)."""
+    rows, phases, identity = index
+    runs = [(o, e) for o, e in zip(bounds, bounds[1:])] + [(0, bounds[-1])]
+    if identity:
+        return [(slice(o, e), None) for o, e in runs]
+    steps = rows[1:] - rows[:-1] == 1
+    unit = None if phases is None else phases == 1
+    out = []
+    for o, e in runs:
+        sel = slice(int(rows[o]), int(rows[o]) + e - o) if steps[o : e - 1].all() else rows[o:e]
+        out.append((sel, None if unit is None or unit[o:e].all() else phases[o:e]))
+    return out
+
+
+def _gate(alg: StarAlgebra) -> None:
+    """The unitarity gate ||W*W - 1||_F <= 1e-6 n, W = hstack(frames).  On an index map W*W is the
+    diagonal of the |phases|^2 once the rows form a permutation; a repeated row leaves a zero row
+    in the square W, so ||W*W - 1||_F >= 1 and it is refused."""
+    n, index = alg.ambient_dim, alg._index
+    if index is None:
+        w = np.hstack(alg._dense)
+        gap = np.linalg.norm(la.dagger(w) @ w - la.eye(n))
+    elif (np.bincount(index.rows, minlength=n) != 1).any():
+        gap = np.inf
+    else:
+        gap = 0.0 if index.phases is None else np.linalg.norm(np.abs(index.phases) ** 2 - 1)
+    if gap > 1e-6 * n:
+        raise StructureError("algebra unit is not the ambient identity")
+
+
+def _columns(index: _IndexMap, perm: np.ndarray) -> _IndexMap:
+    """The index map of W[:, perm]."""
+    return _IndexMap(index.rows[perm], None if index.phases is None else index.phases[perm])
+
+
+def _compress(alg: StarAlgebra, j: int | None, x: np.ndarray) -> np.ndarray:
+    """W_j* x W_j, or W* x W for j None, for a matrix or a stack x: a slice of x in standard
+    position, a gather times the phases on any other index map."""
+    if alg._index is None:
+        w = np.hstack(alg._dense) if j is None else alg._dense[j]
+        return la.dagger(w) @ x @ w
+    rows, phases = alg._maps[-1 if j is None else j]
+    y = x[..., rows, rows] if isinstance(rows, slice) else x.take(rows, -2).take(rows, -1)
+    return y if phases is None else np.conj(phases)[:, None] * y * phases
+
+
+def _adjoint_dot(alg: StarAlgebra, j: int | None, x: np.ndarray) -> np.ndarray:
+    """W_j* x, or W* x for j None, for x of shape (..., n, k): a row gather on an index map."""
+    if alg._index is None:
+        return la.dagger(np.hstack(alg._dense) if j is None else alg._dense[j]) @ x
+    rows, phases = alg._maps[-1 if j is None else j]
+    return x[..., rows, :] if phases is None else np.conj(phases)[:, None] * x[..., rows, :]
+
+
+def _dot(alg: StarAlgebra, j: int, y: np.ndarray) -> np.ndarray:
+    """W_j y for y of shape (n_j m_j, k): a row scatter on an index map."""
+    if alg._index is None:
+        return alg._dense[j] @ y
+    rows, phases = alg._maps[j]
+    out = np.zeros((alg.ambient_dim, y.shape[1]), dtype=complex)
+    out[rows] = y if phases is None else phases[:, None] * y
+    return out
+
+
+def _expand(alg: StarAlgebra, j: int | None, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W_j y W_j*, or W y W* for j None, written into ``out``, which is zero on the rows and columns
+    of W_j, and returned; for y of shape (..., n_j m_j, n_j m_j).  A scatter times the phases on an
+    index map."""
+    if alg._index is None:
+        w = np.hstack(alg._dense) if j is None else alg._dense[j]
+        out += w @ y @ la.dagger(w)
+        return out
+    rows, phases = alg._maps[-1 if j is None else j]
+    if phases is not None:
+        y = phases[:, None] * y * np.conj(phases)
+    if isinstance(rows, slice):
+        out[..., rows, rows] = y
+    else:
+        out[..., rows[:, None], rows] = y
+    return out
+
+
+def _overlap(a: StarAlgebra, b: StarAlgebra, k: int) -> np.ndarray:
+    """W^a* W^b_k, block k of b in the frame coordinates of a (block j on rows ``a._starts[j:j + 2]``).
+    For two index maps, column c is the unit vector of the column of W^a holding its row, times phases."""
+    if a._index is None or b._index is None:
+        return _adjoint_dot(a, None, b.frames[k])
+    rows, phases = b._index.rows[b._starts[k] : b._starts[k + 1]], b._maps[k][1]
+    cols = a._inverse[rows]
+    value = 1.0 if phases is None else phases
+    out = np.zeros((a.ambient_dim, len(cols)), dtype=complex)
+    out[cols, np.arange(len(cols))] = value if a._index.phases is None else np.conj(a._index.phases[cols]) * value
+    return out
+
+
+def _conjugated(alg: StarAlgebra, perm: np.ndarray) -> StarAlgebra:
+    """The algebra on the frames conj(W_j)[perm], derived: W'*W' is the conjugate of W*W."""
+    if alg._index is None:
+        return StarAlgebra._derived(alg.ambient_dim, alg.blocks, [np.conj(w)[perm] for w in alg._dense])
+    inverse = np.argsort(perm)
+    phases = None if alg._index.phases is None else np.conj(alg._index.phases)
+    return StarAlgebra._derived(alg.ambient_dim, alg.blocks, _IndexMap(inverse[alg._index.rows], phases))
+
+
+def _unit_stack(alg: StarAlgebra, j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The units f_{a_k b_k} = W_j (e_{a_k b_k} (x) 1_m) W_j* of block j as a (len(a), n, n) stack."""
+    d, m = alg.blocks[j]
+    if alg._index is not None:  # a scatter of the phases onto rows (a, r) and columns (b, r)
+        rows, phases = alg._index.rows[alg._starts[j] : alg._starts[j + 1]].reshape(d, m), alg._maps[j][1]
+        out = np.zeros((len(a), alg.ambient_dim, alg.ambient_dim), dtype=complex)
+        phases = 1.0 if phases is None else phases.reshape(d, m)[a] * np.conj(phases.reshape(d, m)[b])
+        out[np.arange(len(a))[:, None], rows[a], rows[b]] = phases
+        return out
+    legs = alg._dense[j].reshape(-1, d, m).transpose(1, 0, 2)  # legs[a] holds the columns (a, r)
+    return np.matmul(legs[a], la.dagger(legs[b]))
 
 
 def _corners(alg: StarAlgebra, x: np.ndarray) -> list[np.ndarray]:
     """Per block j the multiplicity average xbar_j of W_j* x W_j, for a matrix
-    or a stack of matrices x; W (+)_j (xbar_j (x) 1) W* is the HS projection."""
+    or a stack of matrices x; W (+)_j (xbar_j (x) 1) W* is the HS projection.
+    A block of multiplicity 1 takes no average (and may return a view of x)."""
     out = []
-    for (d, m), w in zip(alg.blocks, alg.frames):
-        y = (la.dagger(w) @ x @ w).reshape(*np.shape(x)[:-2], d, m, d, m)
-        out.append(np.trace(y, axis1=-3, axis2=-1) / m)
+    for j, (d, m) in enumerate(alg.blocks):
+        y = _compress(alg, j, x)
+        out.append(y if m == 1 else np.trace(y.reshape(*np.shape(x)[:-2], d, m, d, m), axis1=-3, axis2=-1) / m)
     return out
 
 
@@ -417,14 +616,18 @@ def _layout_split(
             mass[..., np.arange(count), np.arange(count)] = 0.0
             total = total + mass.sum(axis=(-2, -1))
             legs = np.moveaxis(np.diagonal(run, axis1=-4, axis2=-2), -1, -3).reshape(*lead, count, d, m, d, m)
-        if commutant:
-            mean = np.trace(legs, axis1=-4, axis2=-2) / d
-            gap = legs - la.eye(d)[:, None, :, None] * mean[..., None, :, None, :]
+        if (d if commutant else m) == 1:
+            # the averaged leg has size 1: the mean is the block, the gap exactly zero
+            mean = legs.reshape(*legs.shape[:-4], size, size)
         else:
-            mean = np.trace(legs, axis1=-3, axis2=-1) / m
-            gap = legs - mean[..., :, None, :, None] * la.eye(m)[None, :, None, :]
-        gaps = la.frobenius_norms(gap.reshape(*gap.shape[:-4], size, size)) ** 2
-        total = total + (gaps if count == 1 else gaps.sum(axis=-1))
+            if commutant:
+                mean = np.trace(legs, axis1=-4, axis2=-2) / d
+                gap = legs - la.eye(d)[:, None, :, None] * mean[..., None, :, None, :]
+            else:
+                mean = np.trace(legs, axis1=-3, axis2=-1) / m
+                gap = legs - mean[..., :, None, :, None] * la.eye(m)[None, :, None, :]
+            gaps = la.frobenius_norms(gap.reshape(*gap.shape[:-4], size, size)) ** 2
+            total = total + (gaps if count == 1 else gaps.sum(axis=-1))
         means.extend([mean] if count == 1 else np.moveaxis(mean, -3, 0))
         o = end
     return total, means
@@ -444,8 +647,7 @@ def _frame_distance(alg: StarAlgebra, x: np.ndarray, commutant: bool = False) ->
     with ``commutant``, to its commutant, read in the frame coordinates
     W* x W, W = hstack(frames): W is unitary and carries the algebra onto its
     block layout (:func:`_layout_distance`)."""
-    w = np.hstack(alg.frames)
-    return _layout_distance(la.dagger(w) @ x @ w, alg.blocks, commutant)
+    return _layout_distance(_compress(alg, None, x), alg.blocks, commutant)
 
 
 def _commutation_gap(a: StarAlgebra, b: StarAlgebra) -> float:
@@ -477,11 +679,12 @@ def _commuting_product(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     """
     blocks: list[tuple[int, int]] = []
     frames: list[np.ndarray] = []
-    cols_a = [_column_units(w, d) for (d, _), w in zip(a.blocks, a.frames)]
-    cols_b = [_column_units(w, d) for (d, _), w in zip(b.blocks, b.frames)]
-    for wa, fa in zip(a.frames, cols_a):
-        for wb, fb in zip(b.frames, cols_b):
-            overlap = la.dagger(wa) @ wb
+    cols_b = [_column_units(b, k) for k in range(len(b.blocks))]
+    overlaps = [_overlap(a, b, k) for k in range(len(b.blocks))]
+    for j, (_, ma) in enumerate(a.blocks):
+        fa = _column_units(a, j)
+        for fb, whole in zip(cols_b, overlaps):
+            overlap = whole[a._starts[j] : a._starts[j + 1]]
             rank = float(np.vdot(overlap, overlap).real)  # Tr(z_j z_k)
             if rank < 0.5:
                 continue
@@ -489,7 +692,7 @@ def _commuting_product(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
             mult = int(round(rank / d))
             if abs(rank - d * mult) > 1e-6:
                 raise StructureError("commuting product multiplicity is not an integer")
-            head = wa[:, : wa.shape[1] // len(fa)]  # columns (0, r): f_a[0][0] = head head*
+            head = _dot(a, j, la.eye(len(fa) * ma)[:, :ma])  # columns (0, r): f_a[0][0] = head head*
             eta = head @ _corner_range(la.dagger(head) @ fb[0] @ head, mult)
             units = np.matmul(fa[:, None], np.matmul(fb, eta)[None]).reshape(d, -1, mult)
             blocks.append((d, mult))
@@ -500,10 +703,14 @@ def _commuting_product(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
 def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray:
     """sum_j W_j (c_j (x) 1_{m_j}) W_j*: the algebra element with the given
     corners, or the stack of them for corners of shape (..., d_j, d_j)."""
-    n = alg.ambient_dim
-    out = np.zeros((*np.shape(corners[0])[:-2], n, n), dtype=complex)
-    for (d, m), w, c in zip(alg.blocks, alg.frames, corners):
-        legs = _legs(w, d).transpose(1, 2, 0).reshape(n, -1)  # columns (r, a)
+    n, lead = alg.ambient_dim, np.shape(corners[0])[:-2]
+    out = np.zeros((*lead, n, n), dtype=complex)
+    for j, ((d, m), c) in enumerate(zip(alg.blocks, corners)):
+        if alg._index is not None:  # c (x) 1_m on the rows of W_j
+            y = c if m == 1 else (c[..., :, None, :, None] * la.eye(m)[:, None, :]).reshape(*lead, d * m, -1)
+            _expand(alg, j, y, out)
+            continue
+        legs = alg._dense[j].reshape(n, d, m).transpose(0, 2, 1).reshape(n, -1)  # columns (r, a)
         rows = legs.reshape(n, m, d) @ c[..., None, :, :]
         out += rows.reshape(*out.shape[:-1], -1) @ la.dagger(legs)
     return out
@@ -533,17 +740,56 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def _column_units(w: np.ndarray, d: int) -> np.ndarray:
-    """The matrix units f_{a0}, a < d, of a block frame as a (d, n, n) stack."""
-    legs = _legs(w, d)
-    return np.matmul(legs, la.dagger(legs[0]))
+@lru_cache(maxsize=64)
+def _basis_pattern(blocks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of :attr:`StarAlgebra.basis` for W the identity, as read-only (element,
+    row, column, value) arrays, once per layout: f_aa / sqrt(m), then (f_ab + f_ba) / sqrt(2m) and
+    i (f_ab - f_ba) / sqrt(2m) for a < b, on the columns (a, r) and (b, r) of each block."""
+    entries: list[list[np.ndarray]] = [[], [], [], []]
+    k, o = 0, 0
+    for d, m in blocks:
+        cols, (upper, lower) = o + np.arange(d * m).reshape(d, m), _upper_pairs(d)
+        sym, root = k + d + 2 * np.arange(len(upper))[:, None], np.sqrt(float(m))
+        scale = root * np.sqrt(2.0)
+        for element, left, right, value in [
+            (k + np.arange(d)[:, None], cols, cols, 1 / root),
+            (sym, cols[upper], cols[lower], 1 / scale),
+            (sym, cols[lower], cols[upper], 1 / scale),
+            (sym + 1, cols[upper], cols[lower], 1j / scale),
+            (sym + 1, cols[lower], cols[upper], -1j / scale),
+        ]:
+            for out, x in zip(entries, (element + 0 * left, left, right, np.full(left.shape, value, complex))):
+                out.append(x.ravel())
+        k, o = k + d * d, o + d * m
+    pattern = tuple(np.concatenate(x) for x in entries)
+    for x in pattern:
+        x.flags.writeable = False
+    return pattern
+
+
+def _masses(big: StarAlgebra, small: StarAlgebra) -> np.ndarray:
+    """tr(z_k q_j) for the central projections z_k of ``big`` and a minimal
+    projection q_j of each block j of ``small``, as a (len(big.blocks),
+    len(small.blocks)) array: ||W_k* V_j||_F^2 for V_j the columns (0, r) of
+    the frame of block j of ``small``, so no projection is formed."""
+    out = np.empty((len(big.blocks), len(small.blocks)))
+    for j, (_, m) in enumerate(small.blocks):
+        head = _overlap(big, small, j)[:, :m]
+        out[:, j] = np.add.reduceat((head.real**2 + head.imag**2).sum(axis=1), big._starts[:-1])
+    return out
+
+
+def _column_units(alg: StarAlgebra, j: int) -> np.ndarray:
+    """The matrix units f_{a0}, a < d, of block j as a (d, n, n) stack."""
+    d = alg.blocks[j][0]
+    return _unit_stack(alg, j, np.arange(d), np.zeros(d, dtype=int))
 
 
 def _generators(alg: StarAlgebra) -> np.ndarray:
     """The column units f_{a0} of every block as one (sum_j d_j, n, n) stack.
     With their adjoints they generate ``alg`` (f_ab = f_a0 f_b0*), so a
     *-algebra holds ``alg`` once it holds them."""
-    return np.concatenate([_column_units(w, d) for (d, _), w in zip(alg.blocks, alg.frames)])
+    return np.concatenate([_column_units(alg, j) for j in range(len(alg.blocks))])
 
 
 def _swap_legs(w: np.ndarray, d: int, m: int) -> np.ndarray:
@@ -570,21 +816,33 @@ def _corner_range(corner: np.ndarray, mult: int) -> np.ndarray:
 def _canonical(
     n: int,
     blocks: list[tuple[int, int]],
-    frames: list[np.ndarray],
+    frames: list[np.ndarray] | _IndexMap,
     make: Callable[[int, list, list], StarAlgebra] = StarAlgebra,
 ) -> StarAlgebra:
     """The algebra with its blocks in canonical order: by block dimension,
     then by the rounded entries of the central projection, which are formed
-    only for blocks that share their block dimension.  ``make`` builds it:
-    the gated constructor for computed frames, :meth:`StarAlgebra._derived`
-    for a permutation of frames that passed the gate."""
+    only for blocks that share their block dimension; on an index map they
+    are 0/1 diagonals on disjoint rows, so the order is read off the first
+    row of each block, the block holding the smaller one last.  ``make``
+    builds it: the gated constructor for computed frames,
+    :meth:`StarAlgebra._derived` for a permutation of frames that passed the
+    gate."""
     count = Counter(bd for bd, _ in blocks)
-    keys = [
-        (bd, tuple(np.round((w @ la.dagger(w)).real.reshape(-1), 6)) if count[bd] > 1 else ())
-        for (bd, _), w in zip(blocks, frames)
-    ]
-    order = sorted(range(len(blocks)), key=lambda j: keys[j])
-    return make(n, [blocks[j] for j in order], [frames[j] for j in order])
+    starts = [0, *accumulate(d * m for d, m in blocks)]
+
+    def key(j: int) -> tuple:
+        if count[blocks[j][0]] == 1:
+            return blocks[j][0], ()
+        if isinstance(frames, _IndexMap):
+            return blocks[j][0], (-frames.rows[starts[j] : starts[j + 1]].min(),)
+        return blocks[j][0], tuple(np.round((frames[j] @ la.dagger(frames[j])).real.reshape(-1), 6))
+
+    order = sorted(range(len(blocks)), key=key)
+    if isinstance(frames, _IndexMap):
+        frames = _columns(frames, np.concatenate([np.arange(starts[j], starts[j + 1]) for j in order]))
+    else:
+        frames = [frames[j] for j in order]
+    return make(n, [blocks[j] for j in order], frames)
 
 
 def _gaussian(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -679,7 +937,7 @@ class Trace:
     ``weights[j]`` is the trace of a minimal projection of block j, so the
     evaluation density is ``rho = sum_j (weights[j] / m_j) z_j`` and
     faithful tracial states have strictly positive weights summing against
-    block dimensions to 1.
+    block dimensions to 1.  The density is formed on first read.
     """
 
     def __init__(self, algebra: StarAlgebra, weights: Sequence[float]) -> None:
@@ -687,10 +945,11 @@ class Trace:
             raise TraceError("one weight per block required")
         self.algebra = algebra
         self.weights = np.asarray(weights, dtype=float)
-        rho = np.zeros((algebra.ambient_dim, algebra.ambient_dim), dtype=complex)
-        for w, (bd, m), z in zip(self.weights, algebra.blocks, algebra.central_projections):
-            rho = rho + (w / m) * z
-        self.density = rho
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """rho = sum_j (weights[j] / m_j) z_j, from its corners."""
+        return _from_corners(self.algebra, [w / m * la.eye(d) for w, (d, m) in zip(self.weights, self.algebra.blocks)])
 
     @classmethod
     def normalized(cls, algebra: StarAlgebra) -> "Trace":
@@ -711,9 +970,11 @@ class Trace:
         return bool(np.all(self.weights > tol.abs))
 
     def restrict(self, sub: StarAlgebra) -> "Trace":
-        """Restriction to a subalgebra, re-expressed through its own blocks."""
-        weights = [self(sub.minimal_projection(j)).real for j in range(len(sub.blocks))]
-        return Trace(sub, weights)
+        """Restriction to a subalgebra, re-expressed through its own blocks:
+        block j weighs tau(q_j) = sum_k (weights[k] / m_k) tr(z_k q_j) for a
+        minimal projection q_j (:func:`_masses`)."""
+        scale = self.weights / [m for _, m in self.algebra.blocks]
+        return Trace(sub, scale @ _masses(self.algebra, sub))
 
 
 class Superoperator:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import _frame_distance, _upper_pairs
+from .algebra import _expand, _frame_distance, _upper_pairs
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .reporting import Report
@@ -327,9 +327,7 @@ def homogeneity_test(inc: Inclusion) -> tuple[bool, PimsnerPopaBasis | None, str
     if len(set(sizes)) != 1:
         return False, None, f"block sizes {sizes} differ, no normaliser basis exists"
     k, block = len(sizes), sizes[0]
-    frame = np.hstack(small.frames)  # (+)^k M_block in standard position -> small
-    witness = PimsnerPopaBasis(
-        inc, [frame @ b @ la.dagger(frame) for b in _block_cyclic_unitaries(k, block)]
-    )
-    return True, witness, ""
+    # (+)^k M_block in standard position -> small, through the frame of small
+    unitaries = [_expand(small, None, b, np.zeros(b.shape, complex)) for b in _block_cyclic_unitaries(k, block)]
+    return True, PimsnerPopaBasis(inc, unitaries), ""
 

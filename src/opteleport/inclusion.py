@@ -19,6 +19,7 @@ from .algebra import (
     Trace,
     _generators,
     _holds,
+    _masses,
     conditional_expectation_onto,
 )
 from .errors import ConnectednessError, PreconditionError, StructureError
@@ -38,17 +39,10 @@ def inclusion_matrix(small: StarAlgebra, big: StarAlgebra) -> np.ndarray:
     """
     if small.ambient_dim != big.ambient_dim:
         raise PreconditionError("N and M must share an ambient")
-    rows = len(big.blocks)
-    cols = len(small.blocks)
-    out = np.zeros((rows, cols), dtype=int)
-    for k, (z, (_, mult_k)) in enumerate(zip(big.central_projections, big.blocks)):
-        for j in range(cols):
-            q = small.minimal_projection(j)
-            raw = float(np.trace(z @ q).real) / mult_k
-            rounded = int(round(raw))
-            if abs(raw - rounded) > _MULTIPLICITY_GATE or rounded < 0:
-                raise StructureError(f"non-integer multiplicity {raw} at block ({k}, {j})")
-            out[k, j] = rounded
+    raw = _masses(big, small) / np.array([[m] for _, m in big.blocks])
+    out = np.round(raw).astype(int)
+    for k, j in np.argwhere((np.abs(raw - out) > _MULTIPLICITY_GATE) | (out < 0))[:1]:
+        raise StructureError(f"non-integer multiplicity {raw[k, j]} at block ({k}, {j})")
     return out
 
 

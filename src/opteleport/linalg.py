@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConnectednessError, DimensionError
+from .errors import ConnectednessError, DimensionError, PreconditionError
 
 DEFAULT_SEED = 42
 _active_seed = DEFAULT_SEED
@@ -82,7 +82,7 @@ def as_matrix(x: object) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix has NaN or Inf entries")
+        raise PreconditionError("matrix has NaN or Inf entries")
     return m
 
 

@@ -23,7 +23,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg as la
-from .algebra import StarAlgebra, _generators, _swap_legs
+from .algebra import StarAlgebra, _dot, _generators, _swap_legs
 from .bases import (
     PimsnerPopaBasis,
     _require_normaliser_basis,
@@ -184,7 +184,7 @@ def factor_frame(inc: Inclusion) -> FactorFrame:
         raise PreconditionError("factor colouring requires N to be a factor")
     d, mult = small.blocks[0]
     # W: C^mult (x) C^d -> H with N = 1 (x) M_d
-    w = _swap_legs(small.frames[0], d, mult)
+    w = _swap_legs(_dot(small, 0, la.eye(d * mult)), d, mult)
     # compress the relative commutant to the multiplicity space: in these
     # coordinates x = c (x) 1_d, and x -> c is a unital injective *-homomorphism
     c_alg = inc.relative_commutant.image(
@@ -192,9 +192,9 @@ def factor_frame(inc: Inclusion) -> FactorFrame:
     )
     isometries = []
     sizes, mults = [], []
-    for (l_j, n_j), frame in zip(c_alg.blocks, c_alg.frames):
+    for j, (l_j, n_j) in enumerate(c_alg.blocks):
         # V_j: C^{n_j} (x) C^{l_j} -> C^mult
-        v = _swap_legs(frame, l_j, n_j)
+        v = _swap_legs(_dot(c_alg, j, la.eye(l_j * n_j)), l_j, n_j)
         isometries.append(w @ la.kron(v, la.eye(d)))
         sizes.append(l_j)
         mults.append(n_j)

@@ -1145,10 +1145,10 @@ def _far_leg_images(
     return np.stack(parts), np.stack(outside)
 
 
-def _leg_unitaries(e: np.ndarray, bs: np.ndarray, names: list[str], dim: int, tol: Tolerance) -> np.ndarray:
+def _leg_unitaries(p: np.ndarray, bs: np.ndarray, names: list[str], dim: int, tol: Tolerance) -> np.ndarray:
     """Per projection b of the stack ``bs``, the polar part of a generic
     invertible X with (X (x) 1) e = b (X (x) 1) on C^n (x) C^n, for e the
-    Jones projection of N.
+    Jones projection of N and p the isometry onto its range (:func:`_ranges`).
 
     Omega = vec(1) / sqrt(n) lies in the range of e, so a solution has
     vec(X) = sqrt(n) b (X (x) 1) Omega in the range of b: the candidates are
@@ -1162,8 +1162,8 @@ def _leg_unitaries(e: np.ndarray, bs: np.ndarray, names: list[str], dim: int, to
     :func:`la.generic_invertible` at the fixed seed ``DEFAULT_SEED + i`` of
     outcome i, so it depends on the space alone; every outcome is drawn at
     once (:func:`la.generic_invertibles`)."""
-    n = math.isqrt(len(e))
-    p, ranges = _ranges(e[None])[0], _ranges(bs)
+    n = math.isqrt(len(p))
+    ranges = _ranges(bs)
     ys = p.T.reshape(-1, n, n)  # an HS-orthonormal basis of N
     spaces: list = [[]] * len(bs)
     for rank in {q.shape[1] for q in ranges} - {0}:
@@ -1275,7 +1275,8 @@ def extract_tight_scheme(
     dress_inv = la.kron(la.eye(n), np.linalg.inv(la.matrix_sqrt(z, tol)))
     undressed = dress_inv @ omega_small @ dress_inv / inc.index
     swapped = undressed.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-    u = _leg_unitaries(e, swapped[None], ["dressing"], small.dim, tol)[0]
+    p = _ranges(e[None])[0]  # the range of e, shared by both solves
+    u = _leg_unitaries(p, swapped[None], ["dressing"], small.dim, tol)[0]
     rebuilt_small = _tight_resource(inc, e, u, z)
     rep.add(
         "resource_round_trip",
@@ -1287,7 +1288,7 @@ def extract_tight_scheme(
     for i, (norm, gap) in enumerate(zip(legs.povm_norms, legs.povm_gaps)):
         rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(norm)))
     outcomes = [f"outcome {i}" for i in range(scheme.outcomes)]
-    units = u @ la.dagger(_leg_unitaries(e, legs.povm, outcomes, small.dim, tol))
+    units = u @ la.dagger(_leg_unitaries(p, legs.povm, outcomes, small.dim, tol))
 
     basis = PimsnerPopaBasis(inc, list(units))
     try:

@@ -32,14 +32,21 @@ from .algebra import (
     StarAlgebra,
     Superoperator,
     Trace,
+    _adjoint_dot,
+    _conjugated,
     _corners,
+    _dot,
     _frame_distance,
     _frame_from,
     _from_corners,
+    _gate,
     _generators,
     _hermitian_combinations,
+    _index_of,
+    _IndexMap,
     _layout_distance,
     _layout_split,
+    _overlap,
     _upper_pairs,
     conditional_expectation_onto,
 )
@@ -147,10 +154,12 @@ class GnsSpace:
         K = sum_j W_j (G_j (x) 1_{m_j}) W_j* / m_j.
         """
         blocks = zip(self.algebra.blocks, self._slices)
-        return _from_corners(
-            self.algebra,
-            [np.trace(density[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / m for (d, m), sl in blocks],
-        )
+        return self._pullback([np.trace(density[sl, sl].reshape((d,) * 4), axis1=1, axis2=3) for (d, _), sl in blocks])
+
+    def _pullback(self, partial: list[np.ndarray]) -> np.ndarray:
+        """:meth:`pullback` from the partial traces G_j of the diagonal blocks of the density."""
+        return _from_corners(self.algebra, [g / m for (_, m), g in zip(self.algebra.blocks, partial)])
+
 
     def subspace_isometry(self, rep: StarAlgebra) -> np.ndarray:
         """Isometry P onto the GNS image of a subalgebra, given as ``rep``, its
@@ -161,12 +170,11 @@ class GnsSpace:
         For the Jones projection e = P P* this gives e Lambda(x) = Lambda(E(x))
         with E the trace-preserving expectation onto the subalgebra.
         """
-        unit = self.vector(self.algebra.unit)
+        unit = self.vector(self.algebra.unit)[:, None]
         columns = []
-        for (e, _), f in zip(rep.blocks, rep.frames):
-            legs = f.reshape(self.dim, e, -1)  # (x, p, s)
-            down = np.einsum("xqs,x->qs", np.conj(legs), unit)
-            columns.append(np.einsum("xps,qs->xpq", legs, down).reshape(self.dim, -1))
+        for i, (e, _) in enumerate(rep.blocks):
+            down = _adjoint_dot(rep, i, unit).reshape(e, -1)  # (q, s): F_q* Lambda(1)
+            columns.append(_dot(rep, i, la.kron(la.eye(e), down.T)))  # (x, (p, q))
         p = np.concatenate(columns, axis=1)
         return p / np.linalg.norm(p, axis=0)
 
@@ -180,10 +188,11 @@ class GnsSpace:
         and f is its frame.
         """
         out = []
-        for (e, _), u in zip(sub.blocks, sub.frames):
-            row = []
-            for (d, m), w in zip(self.algebra.blocks, self.algebra.frames):
-                y = (la.dagger(w) @ u).reshape(d, m, e, -1)  # (a, r, p, s)
+        starts = self.algebra._starts
+        for i, (e, _) in enumerate(sub.blocks):
+            row, whole = [], _overlap(self.algebra, sub, i)
+            for j, (d, m) in enumerate(self.algebra.blocks):
+                y = whole[starts[j] : starts[j + 1]].reshape(d, m, e, -1)  # (a, r, p, s)
                 g = np.einsum("arps,brs->pab", y, np.conj(y[:, :, 0])) / m
                 rank = int(round(float(np.trace(g[0]).real)))
                 row.append(_frame_from(g, g[0], rank).reshape(d, e, rank) if rank else np.zeros((d, e, 0)))
@@ -196,20 +205,34 @@ class GnsSpace:
         On the coordinates of block j, block i of ``sub`` acts through the
         corners of its units, whose frame (:meth:`unit_frames`), tensored with
         1_{d_j}, is the frame of the image.  For sub = algebra it selects the
-        coordinates of block j.
+        coordinates of block j.  Where every unit frame is an index map, so
+        is the image, written down and gated in O(dim).
         """
-        blocks, frames = [], []
-        for (e, _), row in zip(sub.blocks, self.unit_frames(sub)):
+        units = self.unit_frames(sub)
+        present = [[(d, sl, f) for (d, _), sl, f in zip(self.algebra.blocks, self._slices, row) if f.size]
+                   for row in units]
+        blocks = [(e, sum(d * f.shape[2] for d, _, f in row)) for (e, _), row in zip(sub.blocks, present)]
+        maps = [[_index_of(f.reshape(d, -1)) for d, _, f in row] for row in present]
+        if all(m is not None for row in maps for m in row):
+            # column (p, s, c) of block j holds the entry of f at (a, p, s) in row (a, c) of slice j
+            rows, phases = [], []
+            for (e, _), row, row_maps in zip(sub.blocks, present, maps):
+                r = [sl.start + mp.rows.reshape(e, -1, 1) * d + np.arange(d) for (d, sl, _), mp in zip(row, row_maps)]
+                p = [np.ones(x.shape) if mp.phases is None else mp.phases.reshape(e, -1, 1) * np.ones(x.shape[2])
+                     for x, mp in zip(r, row_maps)]
+                rows.append(np.hstack([x.reshape(e, -1) for x in r]).ravel())
+                phases.append(np.hstack([x.reshape(e, -1) for x in p]).ravel())
+            alg = StarAlgebra._derived(self.dim, blocks, _IndexMap(np.concatenate(rows), np.concatenate(phases)))
+            _gate(alg)
+            return alg
+        frames = []
+        for (e, _), row in zip(sub.blocks, present):
             parts = []  # per block j: columns (p, (s, b)), s < rank, b < d_j
-            for (d, _), sl, f in zip(self.algebra.blocks, self._slices, row):
-                if f.shape[2] == 0:
-                    continue
+            for d, sl, f in row:
                 part = np.zeros((self.dim, e, f.shape[2] * d), dtype=complex)
                 part[sl] = np.einsum("aps,bc->abpsc", f, la.eye(d)).reshape(d * d, e, -1)
                 parts.append(part)
-            frame = np.concatenate(parts, axis=2)
-            blocks.append((e, frame.shape[2]))
-            frames.append(frame.reshape(self.dim, -1))
+            frames.append(np.concatenate(parts, axis=2).reshape(self.dim, -1))
         return StarAlgebra(self.dim, blocks, frames)
 
 
@@ -220,9 +243,9 @@ class Level:
     ``upper`` is M_{k-1} inside M_k (N itself at k = 0).  From k = 1 on,
     M_k acts on ``gns``, the GNS space of (M_{k-1}, trace_{k-1}): ``lower``
     is M_{k-2} represented there, ``jones_range`` the isometry P onto its
-    GNS image, ``jones`` = P P* the Jones projection, and ``density`` the
-    density of the canonical trace with tr(x e y) = tau(x y), of which
-    ``trace`` is the normalisation.
+    GNS image, ``jones`` = P P* the Jones projection, and ``canonical`` the
+    canonical trace with tr(x e y) = tau(x y), of which ``trace`` is the
+    normalisation; ``density`` is its density, formed when read.
     """
 
     algebra: StarAlgebra
@@ -231,7 +254,7 @@ class Level:
     gns: GnsSpace | None = None
     lower: StarAlgebra | None = None
     jones_range: np.ndarray | None = None
-    density: np.ndarray | None = None
+    canonical: Trace | None = None
     mirror: StarAlgebra | None = None  # M_{k-1}' ∩ M_k, filled by Tower.mirror
 
     @property
@@ -239,6 +262,11 @@ class Level:
         """The Jones projection P P* onto the GNS image of ``lower``, of the current ``jones_range``."""
         p = self.jones_range
         return None if p is None else p @ np.conj(p.T)
+
+    @property
+    def density(self) -> np.ndarray | None:
+        """The density of the canonical trace, formed on first read."""
+        return None if self.canonical is None else self.canonical.density
 
     @cached_property
     def expect(self) -> Superoperator:
@@ -260,11 +288,10 @@ def _step(prev: Level, tol: Tolerance) -> Level:
     lower = gns.represented(prev.upper)
     upper = StarAlgebra.block_diagonal([(d, d) for d, _ in prev.algebra.blocks])
     jones_range = gns.subspace_isometry(lower)
-    commutant = lower.commutant
     # J permutes the rows of the gated frames of the commutant and conjugates them
-    algebra = StarAlgebra._derived(gns.dim, list(commutant.blocks), [gns._conjugate(w) for w in commutant.frames])
-    density, trace = _canonical_trace(prev, gns, lower, algebra, tol)
-    return Level(algebra, trace, upper, gns, lower, jones_range, density)
+    algebra = _conjugated(lower.commutant, gns._swap)
+    canonical, trace = _canonical_trace(prev, gns, lower, algebra, tol)
+    return Level(algebra, trace, upper, gns, lower, jones_range, canonical)
 
 
 def _canonical_trace(
@@ -275,15 +302,17 @@ def _canonical_trace(
     The block of ``algebra`` that shares its central projection (up to J)
     with block i of ``lower`` holds the minimal projection e x for x minimal
     in block i of ``prev.upper``, so tr(x e y) = trace(x y) gives it the
-    weight of that block under ``prev.trace`` (Jones 1983).  The returned
-    density is that unnormalised trace's.  The normalised trace must then
-    restrict to the old one on the whole basis (the Markov gate).
+    weight of that block under ``prev.trace`` (Jones 1983).  It returns that
+    unnormalised trace and the normalised one, which must restrict to the
+    old one on the whole basis (the Markov gate, read on the diagonal
+    blocks of its density).
     """
     weights = prev.trace.restrict(prev.upper).weights
-    paired = [
-        int(np.argmax([np.linalg.norm(la.dagger(u) @ gns._conjugate(w[:, 0])) for u in lower.frames]))
-        for w in algebra.frames
-    ]
+    paired = []
+    for k, (d, m) in enumerate(algebra.blocks):
+        column = gns._conjugate(_dot(algebra, k, np.eye(d * m, 1)))  # J W_k[:, 0]
+        norms = [np.linalg.norm(_adjoint_dot(lower, i, column)) for i, _ in enumerate(lower.blocks)]
+        paired.append(int(np.argmax(norms)))
     canonical = Trace(algebra, weights[paired])
     total = float(weights[paired] @ np.array([d for d, _ in algebra.blocks]))
     trace = Trace(algebra, canonical.weights / total)
@@ -292,11 +321,18 @@ def _canonical_trace(
     blocks = prev.algebra.blocks
     roots = [np.sqrt(m / t) for (_, m), t in zip(blocks, prev.trace.weights)]
     scale = np.repeat(roots, [d * d for d, _ in blocks])
-    gap = gns.vector(gns.pullback(trace.density) - prev.trace.density)
+    if algebra._index is None:
+        pullback = gns.pullback(trace.density)
+    else:  # a diagonal density, weights / m on the rows of each block: G_j sums its block over the second leg
+        ms = [m for _, m in algebra.blocks]
+        diagonal = np.repeat(trace.weights / ms, [d * m for d, m in algebra.blocks])[algebra._inverse]
+        partial = [np.diag(diagonal[sl].reshape(d, d).sum(axis=1)) for (d, _), sl in zip(blocks, gns._slices)]
+        pullback = gns._pullback(partial)
+    gap = gns.vector(pullback - prev.trace.density)
     worst = float(np.linalg.norm(scale * gap))
     if worst > tol.bound(1.0) * prev.algebra.dim:
         raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
-    return canonical.density, trace
+    return canonical, trace
 
 
 def _view(k: int, field: str, doc: str) -> property:
@@ -607,8 +643,8 @@ def _pair_coordinates(alg: StarAlgebra, a: np.ndarray) -> np.ndarray:
     leg, so no product a_x a_y* is formed.
     """
     n, parts = len(a), []
-    for (d, m), w in zip(alg.blocks, alg.frames):
-        g = (la.dagger(w) @ a).reshape(n * d, -1)
+    for j, (d, m) in enumerate(alg.blocks):
+        g = _adjoint_dot(alg, j, a).reshape(n * d, -1)
         pairs = (g @ la.dagger(g)).reshape(n, d, n, d).transpose(0, 2, 1, 3)
         parts.append(pairs.reshape(n * n, d * d) / np.sqrt(m))
     return np.hstack(parts)

@@ -594,3 +594,30 @@ def test_layout_split_reads_runs_of_equal_blocks_as_the_per_block_loop(layout, l
     assert len(means) == len(layout)
     for got, ref in zip(means, want_means):
         assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+# -- the layout gate ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StarAlgebra.block_diagonal([(2, 0), (1, 1)]),
+        lambda: StarAlgebra.block_diagonal([(1, -1), (2, 1)]),
+        lambda: StarAlgebra.block_diagonal([(1.5, 2)]),
+        lambda: StarAlgebra(3, [(2, 0), (1, 3)], [np.zeros((3, 0)), np.eye(3)]),
+        lambda: StarAlgebra(4, [(1, 3)], [np.eye(4)[:, :3]]),
+        lambda: StarAlgebra(4, [(2, 2.5)], [np.eye(4)]),
+        lambda: StarAlgebra._derived(4, [(1, 3)], [np.eye(4)[:, :3]]),
+        lambda: StarAlgebra._derived(3, [(2, 0), (1, 3)], [np.zeros((3, 0)), np.eye(3)]),
+    ],
+    ids=["zero-mult", "negative-mult", "half-dim", "zero-mult-frames", "short-sum", "half-mult", "derived-short-sum", "derived-zero"],
+)
+def test_layout_gate_refuses_a_layout_that_is_not_positive_integers_filling_the_ambient(build):
+    with pytest.raises(StructureError):
+        build()
+
+
+def test_layout_gate_accepts_integral_numbers_of_any_integer_type():
+    alg = StarAlgebra.block_diagonal([(np.int64(2), 1), (1.0, 2)])
+    assert alg.blocks == [(2, 1), (1, 2)] and all(type(v) is int for b in alg.blocks for v in b)

@@ -124,6 +124,16 @@ def test_empty_block_list_is_named(tmp_path, capsys, argv, doc):
     assert capsys.readouterr().err.startswith("error: N_blocks is empty")
 
 
+def test_explicit_generator_with_nan_exits_2(tmp_path, capsys):
+    # json reads NaN; the generator is refused with a typed error, not a traceback
+    from opteleport import cli
+
+    nan = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    doc = {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]], "embedding": {"explicit": [nan]}}
+    assert cli.main(["inclusion-info", write_spec(tmp_path, "nan.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: matrix has NaN or Inf entries")
+
+
 def test_explicit_embedding(tmp_path):
     e00 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     path = write_spec(

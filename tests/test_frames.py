@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra
+from opteleport.algebra import StarAlgebra, _corners, _frame_distance, _from_corners
+from opteleport.errors import StructureError
 from opteleport.inclusion import trivial_in_full
 from opteleport.tower import basic_construction, iterate, verify_tower
 
 from conftest import get_tower
 from test_joint_algebra import scheme
+from test_tower import FRAME_TOWERS
 
 
 def haar_unitary(n, seed):
@@ -146,3 +148,116 @@ def test_from_generators_is_scale_invariant(scale):
     assert alg.blocks == [(1, 2), (2, 1)]
     assert alg.same_span(StarAlgebra.from_generators([u @ g @ la.dagger(u) for g in gens], 4))
 
+
+
+# -- index-map frames: every read equals the dense product it replaces ----------
+
+
+def dense_twin(alg):
+    """The same algebra stored as dense frames, so that every read takes the products."""
+    return StarAlgebra._derived(alg.ambient_dim, alg.blocks, alg.frames)
+
+
+def tower_algebras(key):
+    """N, M and, at levels 1 and 2, M_k, M_{k-1} and M_{k-2} represented on L^2(M_{k-1})."""
+    from test_tower import _frame_tower
+
+    t = _frame_tower(key)
+    found = []
+    for lvl in t.levels[:3]:
+        found += [lvl.algebra, lvl.upper] + ([lvl.lower] if lvl.lower is not None else [])
+    return found
+
+
+def phased_algebra():
+    """An index frame with phases off 1: C (+) C (+) M_2 (x) 1_3 on permuted rows."""
+    base = StarAlgebra.block_diagonal([(1, 1), (1, 1), (2, 3)])
+    rows = np.array([5, 0, 3, 7, 1, 6, 2, 4])
+    phases = np.exp(1j * np.linspace(0.3, 2.9, 8))
+    w = np.zeros((8, 8), dtype=complex)
+    w[rows, np.arange(8)] = phases
+    return StarAlgebra(8, base.blocks, np.split(w, [1, 2], axis=1))
+
+
+def assert_reads_match(alg):
+    dense, n = dense_twin(alg), alg.ambient_dim
+    rng = np.random.default_rng(11)
+    xs = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    for x in (xs[0], xs):
+        for got, want in zip(_corners(alg, x), _corners(dense, x), strict=True):
+            assert np.abs(got - want).max() < 1e-12
+        corners = _corners(dense, x)
+        assert np.abs(_from_corners(alg, corners) - _from_corners(dense, corners)).max() < 1e-12
+        for commutant in (False, True):
+            gap = np.abs(_frame_distance(alg, x, commutant) - _frame_distance(dense, x, commutant))
+            assert np.max(gap) < 1e-12
+    for got, want in zip(alg.central_projections, dense.central_projections, strict=True):
+        assert np.abs(got - want).max() < 1e-12
+    if alg.dim * n * n <= 1 << 20:
+        assert np.abs(alg.basis - dense.basis).max() < 1e-12
+        for got, want in zip(alg.matrix_units, dense.matrix_units, strict=True):
+            assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_index_map_reads_equal_the_dense_products_on_tower_algebras(key):
+    algebras = tower_algebras(key)
+    # every tower algebra over a standard-position inclusion is an index map
+    assert (key == "rotated") == any(alg._index is None for alg in algebras)
+    for alg in algebras:
+        assert_reads_match(alg)
+
+
+def test_index_map_reads_equal_the_dense_products_with_phases():
+    alg = phased_algebra()
+    assert alg._index is not None and alg._index.phases is not None
+    assert_reads_match(alg)
+    assert_reads_match(alg.commutant)
+    assert_reads_match(StarAlgebra.tensor(alg, StarAlgebra.diagonal(2)))
+
+
+def test_a_rotated_algebra_keeps_dense_frames():
+    alg = frame_cases()["from_generators"]
+    assert alg._index is None
+    assert_reads_match(alg)
+
+
+def test_frames_of_an_index_map_are_built_when_read():
+    alg = StarAlgebra.block_diagonal([(2, 1), (1, 2)])
+    assert alg._dense is None and len(alg._index.rows) == 4
+    assert np.array_equal(np.hstack(alg.frames), np.eye(4))
+    assert alg.frames[0] is not alg.frames[0]
+
+
+@pytest.mark.parametrize(
+    "rows, phases",
+    [([0, 0, 2], [1, 1, 1]), ([0, 1, 2], [1, 2, 1]), ([0, 1, 2], [1, 1, 0.5j])],
+    ids=["repeated-row", "phase-two", "phase-half"],
+)
+def test_the_gate_refuses_an_index_frame_off_the_unitaries(rows, phases):
+    w = np.zeros((3, 3), dtype=complex)
+    w[rows, np.arange(3)] = phases
+    with pytest.raises(StructureError, match="algebra unit is not the ambient identity"):
+        StarAlgebra(3, [(1, 1), (2, 1)], [w[:, :1], w[:, 1:]])
+
+
+def test_the_gate_passes_an_index_frame_with_unit_phases():
+    w = np.zeros((3, 3), dtype=complex)
+    w[[2, 0, 1], np.arange(3)] = np.exp(1j * np.array([0.1, 2.0, -1.3]))
+    alg = StarAlgebra(3, [(1, 1), (2, 1)], [w[:, :1], w[:, 1:]])
+    assert np.array_equal(alg._index.rows, [2, 0, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_order_of_an_index_map_equals_the_order_of_its_dense_frames(seed):
+    from opteleport.algebra import _canonical, _IndexMap
+
+    rng = np.random.default_rng(seed)
+    blocks = [(1, 1), (1, 2), (2, 1), (1, 1), (2, 1), (1, 3)]
+    rows, phases = rng.permutation(11), np.exp(1j * rng.uniform(0, 6, 11))
+    index = _IndexMap(rows, phases)
+    got = _canonical(11, blocks, index, StarAlgebra._derived)
+    dense = StarAlgebra._derived(11, blocks, index).frames
+    want = _canonical(11, blocks, dense, StarAlgebra._derived)
+    assert got.blocks == want.blocks
+    assert all(np.array_equal(g, w) for g, w in zip(got.frames, want.frames, strict=True))

@@ -276,3 +276,15 @@ def test_generic_invertibles_match_one_draw_per_stack(monkeypatch):
     assert fallbacks == [6] and got[2] is None
     for g, onb, seed in zip(got[:2], onbs, seeds):
         assert np.max(np.abs(g - one(list(onb), seed))) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrices_are_refused_with_a_typed_error(bad):
+    from opteleport.errors import PreconditionError
+
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = bad
+    with pytest.raises(PreconditionError, match="NaN or Inf"):
+        la.as_matrix(x)
+    with pytest.raises(PreconditionError, match="NaN or Inf"):
+        StarAlgebra.from_generators([x], 2)

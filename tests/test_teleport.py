@@ -1729,11 +1729,12 @@ def test_the_range_solve_matches_the_full_intertwiner_systems(key):
     inc, legs = s.inclusion, teleport._pieces(s)
     e, tol, dim = concrete_jones_projection(inc.small), inc.tol, inc.small.dim
     names = [f"outcome {i}" for i in range(s.outcomes)]
-    got = teleport._leg_unitaries(e, legs.povm, names, dim, tol)
+    p = teleport._ranges(e[None])[0]
+    got = teleport._leg_unitaries(p, legs.povm, names, dim, tol)
     assert np.max(np.abs(got - _full_system_unitaries(e, legs.povm, 0, dim, tol))) <= 1e-14
     # the dressing solve, on the undressed resource of extract_tight_scheme with its legs swapped
     swapped = _swapped(_undressed(s, extract_tight_scheme(s)[2]))[None]
-    got = teleport._leg_unitaries(e, swapped, ["dressing"], dim, tol)
+    got = teleport._leg_unitaries(p, swapped, ["dressing"], dim, tol)
     assert np.max(np.abs(got - _full_system_unitaries(e, swapped, 0, dim, tol))) <= 1e-14
 
 
@@ -1752,7 +1753,7 @@ def test_the_range_solve_reports_the_dimension_of_an_unequal_rank_outcome():
     e = concrete_jones_projection(StarAlgebra.trivial(2))
     f = np.stack([e, la.eye(4) - e])
     with pytest.raises(ExtractionError, match=r"^outcome 1: intertwiner space has dimension 0, expected 1$"):
-        teleport._leg_unitaries(e, f, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
+        teleport._leg_unitaries(teleport._ranges(e[None])[0], f, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
 
 
 def _tripartite_shifts():

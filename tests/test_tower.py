@@ -4,7 +4,7 @@ import pytest
 from opteleport import linalg as la
 from opteleport import tower as tower_module
 from opteleport.algebra import StarAlgebra, Superoperator, Trace
-from opteleport.errors import MarkovError, NormaliserError, PreconditionError, TraceError
+from opteleport.errors import MarkovError, NormaliserError, PreconditionError, StructureError, TraceError
 from opteleport.inclusion import Inclusion, markov_inclusion, trivial_in_full
 from opteleport.linalg import DEFAULT_TOL, Tolerance
 from opteleport.tower import (
@@ -1188,3 +1188,26 @@ def test_level_three_algebras_built_without_the_gate_pass_it():
     assert t.extend().gns.dim == 729
     for alg in _ungated_algebras(t):
         assert _gate_residual(alg) <= 1e-6 * alg.ambient_dim
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_represented_gate_reads_the_dense_criterion_on_the_unit_frames(key, monkeypatch):
+    # W*W of a represented algebra is (+)_j (F_j* F_j (x) 1_{d_j}) up to a
+    # permutation, so sum_j d_j ||F_j* F_j - 1||_F^2 is the dense ||W*W - 1||_F^2
+    t = _frame_tower(key)
+    gns, sub = t.levels[2].gns, t.levels[1].upper
+    units = gns.unit_frames(sub)
+    first = next((i, j) for i, row in enumerate(units) for j, f in enumerate(row) if f.size)
+    for scale, passes in [(1 + 1e-9, True), (1 + 1e-3, False)]:
+        stretched = [[f * scale if (i, j) == first else f for j, f in enumerate(row)] for i, row in enumerate(units)]
+        monkeypatch.setattr(GnsSpace, "unit_frames", lambda self, s: stretched)
+        small = 0.0
+        for j, (d, _) in enumerate(gns.algebra.blocks):
+            f = np.concatenate([row[j].reshape(d, -1) for row in stretched], axis=1)
+            small += d * np.linalg.norm(la.dagger(f) @ f - np.eye(d)) ** 2
+        if passes:
+            assert abs(_gate_residual(gns.represented(sub)) - np.sqrt(small)) <= 1e-6 * np.sqrt(small)
+        else:
+            assert np.sqrt(small) > 1e-6 * gns.dim
+            with pytest.raises(StructureError, match="algebra unit is not the ambient identity"):
+                gns.represented(sub)
