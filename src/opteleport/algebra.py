@@ -14,8 +14,9 @@ through the central density ``rho`` with ``tau(x) = Tr(rho x)``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import accumulate, groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -38,13 +39,10 @@ _MAX_DRAWS = 8
 
 
 class _IndexMap(NamedTuple):
-    """W = hstack(frames) with one nonzero entry per column: column c holds
-    ``phases[c]`` in row ``rows[c]``; ``phases`` is None when every one is 1,
-    and ``identity`` marks W = 1, written down in standard position."""
+    """W = hstack(frames) with one nonzero entry per column: column c holds ``phases[c]`` in row ``rows[c]``."""
 
     rows: np.ndarray
-    phases: np.ndarray | None
-    identity: bool = False
+    phases: np.ndarray
 
 
 class StarAlgebra:
@@ -68,10 +66,12 @@ class StarAlgebra:
 
     Where every column of W = hstack(frames) holds one nonzero entry, W is
     stored as its index map (:class:`_IndexMap`, O(n)): the standard-position
-    constructors, :attr:`center`, :attr:`commutant`, :meth:`tensor` and the
-    tower steps write it down, and an exact-zero test finds it in any other
-    frame; other frames stay dense.  On an index map every frame read is a
-    slice, a row gather or a scatter, and ``frames`` is built when read.
+    constructors, :attr:`center`, :attr:`commutant`, :func:`_scattered` and
+    the tower steps write it down, and an exact-zero test finds it in any
+    other frame (a tensor product, say); other frames stay dense.  The frame
+    primitives (:func:`_compress`, :func:`_adjoint_dot`, :func:`_dot`,
+    :func:`_expand` and :func:`_unit_stack`) read an index map by slices,
+    row gathers and scatters, and ``frames`` is built when read.
 
     An algebra holds no tolerance: :meth:`contains`, :meth:`same_span` and
     :meth:`commuting_product` gate at the caller's, ``Inclusion.tol`` for an
@@ -117,19 +117,7 @@ class StarAlgebra:
     @property
     def frames(self) -> list[np.ndarray]:
         """Per block j the n x (n_j m_j) frame W_j; built on every read from an index map."""
-        if self._dense is not None:
-            return self._dense
-        n = self.ambient_dim
-        w = np.zeros((n, n), dtype=complex)
-        w[self._index.rows, np.arange(n)] = 1.0 if self._index.phases is None else self._index.phases
-        return np.split(w, self._starts[1:-1], axis=1)
-
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        """For an index map, the column of W that holds each row."""
-        inverse = np.empty(self.ambient_dim, dtype=np.intp)
-        inverse[self._index.rows] = np.arange(self.ambient_dim)
-        return inverse
+        return [_block(self, j) for j in range(len(self.blocks))]
 
     # -- constructors -------------------------------------------------------
 
@@ -156,7 +144,7 @@ class StarAlgebra:
         C^{n_j} (x) C^{m_j}, matrix factor first: W is the identity.
         """
         n, pairs = _layout(None, layout)
-        return cls._derived(n, pairs, _IndexMap(np.arange(n), None, True))
+        return cls._derived(n, pairs, _IndexMap(np.arange(n), np.ones(n)))
 
     @classmethod
     def from_generators(
@@ -230,22 +218,15 @@ class StarAlgebra:
         """
         left = factors[0]
         for right in factors[1:]:
-            # block pair (j, k) takes the columns (a, r, a', r') of kron(W, W') as ((a, a'), (r, r'))
-            n, blocks, perm = left.ambient_dim * right.ambient_dim, [], []
-            for (dl, ml), ol in zip(left.blocks, left._starts):
-                for (dr, mr), o in zip(right.blocks, right._starts):
+            n = left.ambient_dim * right.ambient_dim
+            blocks: list[tuple[int, int]] = []
+            frames: list[np.ndarray] = []
+            for (dl, ml), wl in zip(left.blocks, left.frames):
+                for (dr, mr), wr in zip(right.blocks, right.frames):
+                    w = la.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4)
                     blocks.append((dl * dr, ml * mr))
-                    cols = np.add.outer(np.arange(ol, ol + dl * ml) * right.ambient_dim, np.arange(o, o + dr * mr))
-                    perm.append(cols.reshape(dl, ml, dr, mr).transpose(0, 2, 1, 3).ravel())
-            perm = np.concatenate(perm)
-            if left._index is None or right._index is None:
-                w = la.kron(np.hstack(left.frames), np.hstack(right.frames))[:, perm]
-                left = cls(n, blocks, np.split(w, np.cumsum([d * m for d, m in blocks])[:-1], axis=1))
-                continue
-            rows = np.add.outer(left._index.rows * right.ambient_dim, right._index.rows).ravel()
-            phases = [np.ones(a.ambient_dim) if a._index.phases is None else a._index.phases for a in (left, right)]
-            left = cls._derived(n, blocks, _columns(_IndexMap(rows, np.outer(*phases).ravel()), perm))
-            _gate(left)
+                    frames.append(w.reshape(n, -1))
+            left = cls(n, blocks, frames)
         return left
 
     def image(self, phi: Callable[[np.ndarray], np.ndarray], ambient_dim: int) -> "StarAlgebra":
@@ -312,14 +293,6 @@ class StarAlgebra:
         then for each a < b the symmetric and antisymmetric combinations
         of f_ab and f_ba (:func:`_hermitian_combinations`)."""
         n = self.ambient_dim
-        if self._index is not None:  # the entries of the basis in standard position, on the rows of W
-            element, left, right, value = _basis_pattern(tuple(self.blocks))
-            rows, phases = self._index.rows, self._index.phases
-            out = np.zeros((self.dim, n, n), dtype=complex)
-            if phases is not None:
-                value = value * phases[left] * np.conj(phases[right])
-            out[element, rows[left], rows[right]] = value
-            return out
         out = np.empty((self.dim, n, n), dtype=complex)
         k = 0
         for j, (d, m) in enumerate(self.blocks):
@@ -398,8 +371,7 @@ class StarAlgebra:
 
     @cached_property
     def center(self) -> "StarAlgebra":
-        frames = self._index if self._index is not None else list(self._dense)
-        return StarAlgebra._derived(self.ambient_dim, [(1, d * m) for d, m in self.blocks], frames)
+        return StarAlgebra._derived(self.ambient_dim, [(1, d * m) for d, m in self.blocks], self._index or self._dense)
 
     @cached_property
     def commutant(self) -> "StarAlgebra":
@@ -419,11 +391,12 @@ def _layout(ambient_dim: int | None, blocks: Sequence[tuple[int, int]]) -> tuple
     pairs (n_j, m_j) with sum_j n_j m_j = n, or :class:`StructureError`."""
     try:
         pairs = [(int(d), int(m)) for d, m in blocks]
-        n = sum(d * m for d, m in pairs) if ambient_dim is None else int(ambient_dim)
+        total = sum(d * m for d, m in pairs)
+        n = total if ambient_dim is None else int(ambient_dim)
         exact = [(d, m) for d, m in blocks] == pairs and ambient_dim in (None, n)
     except (TypeError, ValueError) as exc:
         raise StructureError(f"block layout {blocks!r} is not a list of integer pairs") from exc
-    if not pairs or not exact or min(min(p) for p in pairs) < 1 or sum(d * m for d, m in pairs) != n:
+    if not pairs or not exact or min(map(min, pairs)) < 1 or total != n:
         raise StructureError(f"block layout {blocks!r} is not positive integer pairs filling C^{ambient_dim}")
     return n, pairs
 
@@ -434,31 +407,30 @@ def _index_of(w: np.ndarray) -> _IndexMap | None:
     if (nonzero.sum(axis=0) != 1).any():
         return None
     rows = nonzero.argmax(axis=0)
-    phases = w[rows, np.arange(w.shape[1])]
-    return _IndexMap(rows, None if (phases == 1).all() else phases)
+    return _IndexMap(rows, w[rows, np.arange(w.shape[1])])
 
 
 def _read_map(alg: StarAlgebra) -> None:
     """Set ``alg._starts``, the first column of each block of W and then n, and ``alg._maps``: per
-    block j the rows and phases of W_j (:func:`_segments`), then those of all of W; None for dense frames."""
-    alg._starts = [0, *accumulate(d * m for d, m in alg.blocks)]
-    alg._maps = None if alg._index is None else _segments(alg._index, alg._starts)
-
-
-def _segments(index: _IndexMap, bounds: list[int]) -> list[tuple[slice | np.ndarray, np.ndarray | None]]:
-    """Per run of columns between consecutive ``bounds``, then for all of them, its rows (a slice
-    where they run consecutively) and its phases (None where all are 1)."""
-    rows, phases, identity = index
-    runs = [(o, e) for o, e in zip(bounds, bounds[1:])] + [(0, bounds[-1])]
-    if identity:
-        return [(slice(o, e), None) for o, e in runs]
-    steps = rows[1:] - rows[:-1] == 1
-    unit = None if phases is None else phases == 1
-    out = []
-    for o, e in runs:
-        sel = slice(int(rows[o]), int(rows[o]) + e - o) if steps[o : e - 1].all() else rows[o:e]
-        out.append((sel, None if unit is None or unit[o:e].all() else phases[o:e]))
-    return out
+    block j the rows of W_j (a slice where they run consecutively) and its phases (None where all
+    are 1), then those of all of W; None for dense frames."""
+    alg._starts, alg._maps = [0, *accumulate(d * m for d, m in alg.blocks)], None
+    if alg._index is None:
+        return
+    (rows, phases), runs = alg._index, [*zip(alg._starts, alg._starts[1:]), (0, alg.ambient_dim)]
+    # the columns c after which the rows do not step by 1, and the columns whose phase is not 1
+    breaks, off = (rows[1:] - rows[:-1] != 1).nonzero()[0].tolist(), (phases != 1).nonzero()[0].tolist()
+    if not breaks and not off:  # standard position: the rows are 0, 1, ..., n - 1
+        alg._maps = [(slice(o, e), None) for o, e in runs]
+        return
+    heads = rows[alg._starts[:-1] + [0]].tolist()
+    alg._maps = [
+        (
+            slice(h, h + e - o) if bisect_left(breaks, o) == bisect_left(breaks, e - 1) else rows[o:e],
+            None if bisect_left(off, o) == bisect_left(off, e) else phases[o:e],
+        )
+        for (o, e), h in zip(runs, heads)
+    ]
 
 
 def _gate(alg: StarAlgebra) -> None:
@@ -467,26 +439,31 @@ def _gate(alg: StarAlgebra) -> None:
     in the square W, so ||W*W - 1||_F >= 1 and it is refused."""
     n, index = alg.ambient_dim, alg._index
     if index is None:
-        w = np.hstack(alg._dense)
-        gap = np.linalg.norm(la.dagger(w) @ w - la.eye(n))
-    elif (np.bincount(index.rows, minlength=n) != 1).any():
-        gap = np.inf
+        gap = np.linalg.norm(la.dagger(w := _block(alg, None)) @ w - la.eye(n))
     else:
-        gap = 0.0 if index.phases is None else np.linalg.norm(np.abs(index.phases) ** 2 - 1)
+        permutation = (np.bincount(index.rows, minlength=n) == 1).all()
+        gap = np.linalg.norm(np.abs(index.phases) ** 2 - 1) if permutation else np.inf
     if gap > 1e-6 * n:
         raise StructureError("algebra unit is not the ambient identity")
 
 
 def _columns(index: _IndexMap, perm: np.ndarray) -> _IndexMap:
     """The index map of W[:, perm]."""
-    return _IndexMap(index.rows[perm], None if index.phases is None else index.phases[perm])
+    return _IndexMap(index.rows[perm], index.phases[perm])
+
+
+def _block(alg: StarAlgebra, j: int | None) -> np.ndarray:
+    """The frame W_j, or W for j None: the frames given, or a scatter of an index map (j an int)."""
+    if alg._dense is not None:
+        return np.hstack(alg._dense) if j is None else alg._dense[j]
+    return _dot(alg, j, la.eye(alg._starts[j + 1] - alg._starts[j]))
 
 
 def _compress(alg: StarAlgebra, j: int | None, x: np.ndarray) -> np.ndarray:
     """W_j* x W_j, or W* x W for j None, for a matrix or a stack x: a slice of x in standard
     position, a gather times the phases on any other index map."""
     if alg._index is None:
-        w = np.hstack(alg._dense) if j is None else alg._dense[j]
+        w = _block(alg, j)
         return la.dagger(w) @ x @ w
     rows, phases = alg._maps[-1 if j is None else j]
     y = x[..., rows, rows] if isinstance(rows, slice) else x.take(rows, -2).take(rows, -1)
@@ -496,7 +473,7 @@ def _compress(alg: StarAlgebra, j: int | None, x: np.ndarray) -> np.ndarray:
 def _adjoint_dot(alg: StarAlgebra, j: int | None, x: np.ndarray) -> np.ndarray:
     """W_j* x, or W* x for j None, for x of shape (..., n, k): a row gather on an index map."""
     if alg._index is None:
-        return la.dagger(np.hstack(alg._dense) if j is None else alg._dense[j]) @ x
+        return la.dagger(_block(alg, j)) @ x
     rows, phases = alg._maps[-1 if j is None else j]
     return x[..., rows, :] if phases is None else np.conj(phases)[:, None] * x[..., rows, :]
 
@@ -516,7 +493,7 @@ def _expand(alg: StarAlgebra, j: int | None, y: np.ndarray, out: np.ndarray) -> 
     of W_j, and returned; for y of shape (..., n_j m_j, n_j m_j).  A scatter times the phases on an
     index map."""
     if alg._index is None:
-        w = np.hstack(alg._dense) if j is None else alg._dense[j]
+        w = _block(alg, j)
         out += w @ y @ la.dagger(w)
         return out
     rows, phases = alg._maps[-1 if j is None else j]
@@ -529,26 +506,33 @@ def _expand(alg: StarAlgebra, j: int | None, y: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-def _overlap(a: StarAlgebra, b: StarAlgebra, k: int) -> np.ndarray:
-    """W^a* W^b_k, block k of b in the frame coordinates of a (block j on rows ``a._starts[j:j + 2]``).
-    For two index maps, column c is the unit vector of the column of W^a holding its row, times phases."""
-    if a._index is None or b._index is None:
-        return _adjoint_dot(a, None, b.frames[k])
-    rows, phases = b._index.rows[b._starts[k] : b._starts[k + 1]], b._maps[k][1]
-    cols = a._inverse[rows]
-    value = 1.0 if phases is None else phases
-    out = np.zeros((a.ambient_dim, len(cols)), dtype=complex)
-    out[cols, np.arange(len(cols))] = value if a._index.phases is None else np.conj(a._index.phases[cols]) * value
-    return out
+def _overlap(a: StarAlgebra, b: StarAlgebra, k: int, y: np.ndarray) -> np.ndarray:
+    """W^a* W^b_k y: block k of b, times y, in the frame coordinates of a (block j on the rows
+    ``a._starts[j : j + 2]``), with no frame formed on an index map."""
+    if a.ambient_dim != b.ambient_dim:
+        raise PreconditionError("N and M must share an ambient")
+    return _adjoint_dot(a, None, _dot(b, k, y))
 
 
 def _conjugated(alg: StarAlgebra, perm: np.ndarray) -> StarAlgebra:
     """The algebra on the frames conj(W_j)[perm], derived: W'*W' is the conjugate of W*W."""
     if alg._index is None:
         return StarAlgebra._derived(alg.ambient_dim, alg.blocks, [np.conj(w)[perm] for w in alg._dense])
-    inverse = np.argsort(perm)
-    phases = None if alg._index.phases is None else np.conj(alg._index.phases)
-    return StarAlgebra._derived(alg.ambient_dim, alg.blocks, _IndexMap(inverse[alg._index.rows], phases))
+    rows, phases = alg._index
+    return StarAlgebra._derived(alg.ambient_dim, alg.blocks, _IndexMap(np.argsort(perm)[rows], np.conj(phases)))
+
+
+def _scattered(n: int, blocks: list, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> StarAlgebra:
+    """The gated algebra whose W holds the nonzero ``values`` at (``rows``, ``cols``) and zeros elsewhere:
+    an index map, written down and gated in O(n), where every column holds exactly one of them."""
+    if (np.bincount(cols, minlength=n) == 1).all():
+        order = np.argsort(cols)
+        alg = StarAlgebra._derived(n, blocks, _IndexMap(rows[order], values[order]))
+        _gate(alg)
+        return alg
+    w = np.zeros((n, n), dtype=complex)
+    w[rows, cols] = values
+    return StarAlgebra(n, blocks, np.split(w, np.cumsum([d * m for d, m in blocks])[:-1], axis=1))
 
 
 def _unit_stack(alg: StarAlgebra, j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -680,7 +664,7 @@ def _commuting_product(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     blocks: list[tuple[int, int]] = []
     frames: list[np.ndarray] = []
     cols_b = [_column_units(b, k) for k in range(len(b.blocks))]
-    overlaps = [_overlap(a, b, k) for k in range(len(b.blocks))]
+    overlaps = [_overlap(a, b, k, la.eye(d * m)) for k, (d, m) in enumerate(b.blocks)]
     for j, (_, ma) in enumerate(a.blocks):
         fa = _column_units(a, j)
         for fb, whole in zip(cols_b, overlaps):
@@ -706,13 +690,8 @@ def _from_corners(alg: StarAlgebra, corners: Sequence[np.ndarray]) -> np.ndarray
     n, lead = alg.ambient_dim, np.shape(corners[0])[:-2]
     out = np.zeros((*lead, n, n), dtype=complex)
     for j, ((d, m), c) in enumerate(zip(alg.blocks, corners)):
-        if alg._index is not None:  # c (x) 1_m on the rows of W_j
-            y = c if m == 1 else (c[..., :, None, :, None] * la.eye(m)[:, None, :]).reshape(*lead, d * m, -1)
-            _expand(alg, j, y, out)
-            continue
-        legs = alg._dense[j].reshape(n, d, m).transpose(0, 2, 1).reshape(n, -1)  # columns (r, a)
-        rows = legs.reshape(n, m, d) @ c[..., None, :, :]
-        out += rows.reshape(*out.shape[:-1], -1) @ la.dagger(legs)
+        y = c if m == 1 else (c[..., :, None, :, None] * la.eye(m)[:, None, :]).reshape(*lead, d * m, -1)
+        _expand(alg, j, y, out)  # c (x) 1_m on the columns of W_j
     return out
 
 
@@ -740,41 +719,14 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-@lru_cache(maxsize=64)
-def _basis_pattern(blocks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
-    """The nonzero entries of :attr:`StarAlgebra.basis` for W the identity, as read-only (element,
-    row, column, value) arrays, once per layout: f_aa / sqrt(m), then (f_ab + f_ba) / sqrt(2m) and
-    i (f_ab - f_ba) / sqrt(2m) for a < b, on the columns (a, r) and (b, r) of each block."""
-    entries: list[list[np.ndarray]] = [[], [], [], []]
-    k, o = 0, 0
-    for d, m in blocks:
-        cols, (upper, lower) = o + np.arange(d * m).reshape(d, m), _upper_pairs(d)
-        sym, root = k + d + 2 * np.arange(len(upper))[:, None], np.sqrt(float(m))
-        scale = root * np.sqrt(2.0)
-        for element, left, right, value in [
-            (k + np.arange(d)[:, None], cols, cols, 1 / root),
-            (sym, cols[upper], cols[lower], 1 / scale),
-            (sym, cols[lower], cols[upper], 1 / scale),
-            (sym + 1, cols[upper], cols[lower], 1j / scale),
-            (sym + 1, cols[lower], cols[upper], -1j / scale),
-        ]:
-            for out, x in zip(entries, (element + 0 * left, left, right, np.full(left.shape, value, complex))):
-                out.append(x.ravel())
-        k, o = k + d * d, o + d * m
-    pattern = tuple(np.concatenate(x) for x in entries)
-    for x in pattern:
-        x.flags.writeable = False
-    return pattern
-
-
 def _masses(big: StarAlgebra, small: StarAlgebra) -> np.ndarray:
     """tr(z_k q_j) for the central projections z_k of ``big`` and a minimal
     projection q_j of each block j of ``small``, as a (len(big.blocks),
     len(small.blocks)) array: ||W_k* V_j||_F^2 for V_j the columns (0, r) of
     the frame of block j of ``small``, so no projection is formed."""
     out = np.empty((len(big.blocks), len(small.blocks)))
-    for j, (_, m) in enumerate(small.blocks):
-        head = _overlap(big, small, j)[:, :m]
+    for j, (d, m) in enumerate(small.blocks):
+        head = _overlap(big, small, j, np.eye(d * m, m))
         out[:, j] = np.add.reduceat((head.real**2 + head.imag**2).sum(axis=1), big._starts[:-1])
     return out
 

@@ -39,14 +39,13 @@ from .algebra import (
     _frame_distance,
     _frame_from,
     _from_corners,
-    _gate,
     _generators,
     _hermitian_combinations,
-    _index_of,
-    _IndexMap,
     _layout_distance,
     _layout_split,
+    _masses,
     _overlap,
+    _scattered,
     _upper_pairs,
     conditional_expectation_onto,
 )
@@ -154,12 +153,10 @@ class GnsSpace:
         K = sum_j W_j (G_j (x) 1_{m_j}) W_j* / m_j.
         """
         blocks = zip(self.algebra.blocks, self._slices)
-        return self._pullback([np.trace(density[sl, sl].reshape((d,) * 4), axis1=1, axis2=3) for (d, _), sl in blocks])
-
-    def _pullback(self, partial: list[np.ndarray]) -> np.ndarray:
-        """:meth:`pullback` from the partial traces G_j of the diagonal blocks of the density."""
-        return _from_corners(self.algebra, [g / m for (_, m), g in zip(self.algebra.blocks, partial)])
-
+        return _from_corners(
+            self.algebra,
+            [np.trace(density[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / m for (d, m), sl in blocks],
+        )
 
     def subspace_isometry(self, rep: StarAlgebra) -> np.ndarray:
         """Isometry P onto the GNS image of a subalgebra, given as ``rep``, its
@@ -190,7 +187,7 @@ class GnsSpace:
         out = []
         starts = self.algebra._starts
         for i, (e, _) in enumerate(sub.blocks):
-            row, whole = [], _overlap(self.algebra, sub, i)
+            row, whole = [], _overlap(self.algebra, sub, i, la.eye(e * sub.blocks[i][1]))
             for j, (d, m) in enumerate(self.algebra.blocks):
                 y = whole[starts[j] : starts[j + 1]].reshape(d, m, e, -1)  # (a, r, p, s)
                 g = np.einsum("arps,brs->pab", y, np.conj(y[:, :, 0])) / m
@@ -205,35 +202,23 @@ class GnsSpace:
         On the coordinates of block j, block i of ``sub`` acts through the
         corners of its units, whose frame (:meth:`unit_frames`), tensored with
         1_{d_j}, is the frame of the image.  For sub = algebra it selects the
-        coordinates of block j.  Where every unit frame is an index map, so
-        is the image, written down and gated in O(dim).
+        coordinates of block j.  The frame is scattered from the unit frames
+        (:func:`_scattered`), so it is an index map where they are.
         """
-        units = self.unit_frames(sub)
-        present = [[(d, sl, f) for (d, _), sl, f in zip(self.algebra.blocks, self._slices, row) if f.size]
-                   for row in units]
-        blocks = [(e, sum(d * f.shape[2] for d, _, f in row)) for (e, _), row in zip(sub.blocks, present)]
-        maps = [[_index_of(f.reshape(d, -1)) for d, _, f in row] for row in present]
-        if all(m is not None for row in maps for m in row):
-            # column (p, s, c) of block j holds the entry of f at (a, p, s) in row (a, c) of slice j
-            rows, phases = [], []
-            for (e, _), row, row_maps in zip(sub.blocks, present, maps):
-                r = [sl.start + mp.rows.reshape(e, -1, 1) * d + np.arange(d) for (d, sl, _), mp in zip(row, row_maps)]
-                p = [np.ones(x.shape) if mp.phases is None else mp.phases.reshape(e, -1, 1) * np.ones(x.shape[2])
-                     for x, mp in zip(r, row_maps)]
-                rows.append(np.hstack([x.reshape(e, -1) for x in r]).ravel())
-                phases.append(np.hstack([x.reshape(e, -1) for x in p]).ravel())
-            alg = StarAlgebra._derived(self.dim, blocks, _IndexMap(np.concatenate(rows), np.concatenate(phases)))
-            _gate(alg)
-            return alg
-        frames = []
-        for (e, _), row in zip(sub.blocks, present):
-            parts = []  # per block j: columns (p, (s, b)), s < rank, b < d_j
-            for d, sl, f in row:
-                part = np.zeros((self.dim, e, f.shape[2] * d), dtype=complex)
-                part[sl] = np.einsum("aps,bc->abpsc", f, la.eye(d)).reshape(d * d, e, -1)
-                parts.append(part)
-            frames.append(np.concatenate(parts, axis=2).reshape(self.dim, -1))
-        return StarAlgebra(self.dim, blocks, frames)
+        blocks, rows, cols, values = [], [], [], []
+        for (e, _), row in zip(sub.blocks, self.unit_frames(sub)):
+            mult = sum(d * f.shape[2] for (d, _), f in zip(self.algebra.blocks, row))
+            start = sum(d * m for d, m in blocks)
+            for (d, _), sl, f in zip(self.algebra.blocks, self._slices, row):
+                # the entry f[a, p, s] sits in row (a, c) of slice j and column (p, (s, c)), c < d_j
+                a, p, s = np.nonzero(f)
+                c = np.arange(d)
+                rows.append((sl.start + a[:, None] * d + c).ravel())
+                cols.append((start + p[:, None] * mult + s[:, None] * d + c).ravel())
+                values.append(np.repeat(f[a, p, s], d))
+                start += f.shape[2] * d
+            blocks.append((e, mult))
+        return _scattered(self.dim, blocks, *map(np.concatenate, (rows, cols, values)))
 
 
 @dataclass(eq=False)
@@ -290,46 +275,34 @@ def _step(prev: Level, tol: Tolerance) -> Level:
     jones_range = gns.subspace_isometry(lower)
     # J permutes the rows of the gated frames of the commutant and conjugates them
     algebra = _conjugated(lower.commutant, gns._swap)
-    canonical, trace = _canonical_trace(prev, gns, lower, algebra, tol)
+    canonical, trace = _canonical_trace(prev, lower, upper, algebra, tol)
     return Level(algebra, trace, upper, gns, lower, jones_range, canonical)
 
 
 def _canonical_trace(
-    prev: Level, gns: GnsSpace, lower: StarAlgebra, algebra: StarAlgebra, tol: Tolerance
-) -> tuple[np.ndarray, Trace]:
+    prev: Level, lower: StarAlgebra, upper: StarAlgebra, algebra: StarAlgebra, tol: Tolerance
+) -> tuple[Trace, Trace]:
     """The canonical trace of ``algebra`` = J lower' J, normalised to a state.
 
-    The block of ``algebra`` that shares its central projection (up to J)
-    with block i of ``lower`` holds the minimal projection e x for x minimal
-    in block i of ``prev.upper``, so tr(x e y) = trace(x y) gives it the
-    weight of that block under ``prev.trace`` (Jones 1983).  It returns that
+    Block k of ``algebra`` is J (block k of lower') J.  When block k of
+    lower' shares its central projection with block i of ``lower`` (where its
+    minimal projections have mass, :func:`_masses`), it holds the minimal
+    projection e x for x minimal in block i of ``prev.upper``, so
+    tr(x e y) = trace(x y) gives it the weight of that block under
+    ``prev.trace`` (Jones 1983).  It returns that
     unnormalised trace and the normalised one, which must restrict to the
-    old one on the whole basis (the Markov gate, read on the diagonal
-    blocks of its density).
+    old one on ``upper``, prev.algebra acting by left multiplication (the
+    Markov gate).
     """
     weights = prev.trace.restrict(prev.upper).weights
-    paired = []
-    for k, (d, m) in enumerate(algebra.blocks):
-        column = gns._conjugate(_dot(algebra, k, np.eye(d * m, 1)))  # J W_k[:, 0]
-        norms = [np.linalg.norm(_adjoint_dot(lower, i, column)) for i, _ in enumerate(lower.blocks)]
-        paired.append(int(np.argmax(norms)))
+    paired = np.argmax(_masses(lower, lower.commutant), axis=0)
     canonical = Trace(algebra, weights[paired])
     total = float(weights[paired] @ np.array([d for d, _ in algebra.blocks]))
     trace = Trace(algebra, canonical.weights / total)
-    # trace(left(x)) - prev.trace(x) = Tr((K - rho) x) for every basis element at once:
-    # the GNS coordinates of K - rho, rescaled to HS ones by sqrt(m_j / t_j) on block j
-    blocks = prev.algebra.blocks
-    roots = [np.sqrt(m / t) for (_, m), t in zip(blocks, prev.trace.weights)]
-    scale = np.repeat(roots, [d * d for d, _ in blocks])
-    if algebra._index is None:
-        pullback = gns.pullback(trace.density)
-    else:  # a diagonal density, weights / m on the rows of each block: G_j sums its block over the second leg
-        ms = [m for _, m in algebra.blocks]
-        diagonal = np.repeat(trace.weights / ms, [d * m for d, m in algebra.blocks])[algebra._inverse]
-        partial = [np.diag(diagonal[sl].reshape(d, d).sum(axis=1)) for (d, _), sl in zip(blocks, gns._slices)]
-        pullback = gns._pullback(partial)
-    gap = gns.vector(pullback - prev.trace.density)
-    worst = float(np.linalg.norm(scale * gap))
+    # trace(left(x)) - prev.trace(x) on the HS-orthonormal basis of prev.algebra: the restriction of
+    # a trace is a trace, so it is (+)_j (gap_j / m_j) 1 on block j, for gap_j the gap of the weights
+    gap = trace.restrict(upper).weights - prev.trace.weights
+    worst = float(np.linalg.norm(gap * np.sqrt([d / m for d, m in prev.algebra.blocks])))
     if worst > tol.bound(1.0) * prev.algebra.dim:
         raise MarkovError(f"trace is not Markov for the inclusion, residual {worst:.2e}")
     return canonical, trace

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from opteleport import linalg as la
-from opteleport.algebra import StarAlgebra, _corners, _frame_distance, _from_corners
-from opteleport.errors import StructureError
+from opteleport.algebra import StarAlgebra, Trace, _corners, _frame_distance, _from_corners
+from opteleport.errors import PreconditionError, StructureError
 from opteleport.inclusion import trivial_in_full
-from opteleport.tower import basic_construction, iterate, verify_tower
+from opteleport.tower import GnsSpace, basic_construction, iterate, verify_tower
 
 from conftest import get_tower
 from test_joint_algebra import scheme
@@ -210,10 +210,12 @@ def test_index_map_reads_equal_the_dense_products_on_tower_algebras(key):
 
 def test_index_map_reads_equal_the_dense_products_with_phases():
     alg = phased_algebra()
-    assert alg._index is not None and alg._index.phases is not None
+    assert alg._index is not None and (alg._index.phases != 1).any()
     assert_reads_match(alg)
     assert_reads_match(alg.commutant)
-    assert_reads_match(StarAlgebra.tensor(alg, StarAlgebra.diagonal(2)))
+    product = StarAlgebra.tensor(alg, StarAlgebra.diagonal(2))
+    assert product._index is not None  # found in the Kronecker frames by the constructor
+    assert_reads_match(product)
 
 
 def test_a_rotated_algebra_keeps_dense_frames():
@@ -261,3 +263,25 @@ def test_canonical_order_of_an_index_map_equals_the_order_of_its_dense_frames(se
     want = _canonical(11, blocks, dense, StarAlgebra._derived)
     assert got.blocks == want.blocks
     assert all(np.array_equal(g, w) for g, w in zip(got.frames, want.frames, strict=True))
+
+
+def test_reads_across_two_ambients_are_refused():
+    # two index maps of different sizes would otherwise gather one with the rows of the other
+    with pytest.raises(PreconditionError, match="share an ambient"):
+        Trace.normalized(StarAlgebra.full(4)).restrict(StarAlgebra.full(2))
+    m2 = StarAlgebra.full(2)
+    gns = GnsSpace(m2, Trace.normalized(m2))
+    for sub in (StarAlgebra.full(3), StarAlgebra.diagonal(4), StarAlgebra.trivial(1)):
+        with pytest.raises(PreconditionError, match="share an ambient"):
+            gns.unit_frames(sub)
+
+
+@pytest.mark.parametrize("key", FRAME_TOWERS)
+def test_the_markov_gate_reads_the_weights_of_the_restricted_trace(key):
+    # trace_k restricted to M_{k-1}, acting on L^2(M_{k-1}) as upper, is trace_{k-1}
+    from test_tower import _frame_tower
+
+    t = _frame_tower(key)
+    for k in (1, 2):
+        lvl, prev = t.levels[k], t.levels[k - 1]
+        assert np.abs(lvl.trace.restrict(lvl.upper).weights - prev.trace.weights).max() < 1e-12
