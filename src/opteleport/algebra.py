@@ -275,10 +275,6 @@ class StarAlgebra:
     def unit(self) -> np.ndarray:
         return sum(self.central_projections)
 
-    def minimal_projection(self, block: int) -> np.ndarray:
-        """f_00 of the block: the frame columns with a = 0."""
-        return _unit_stack(self, block, np.zeros(1, dtype=int), np.zeros(1, dtype=int))[0]
-
     @cached_property
     def matrix_units(self) -> list[np.ndarray]:
         out = []
@@ -916,7 +912,8 @@ class Trace:
         return np.einsum("ji,...ij->...", self.density, x)
 
     def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return abs(self(self.algebra.unit) - 1.0) <= tol.bound()
+        """Whether tau(1) = Tr(rho) = sum_j weights[j] d_j is 1, read off the weights."""
+        return abs(float(self.weights @ [d for d, _ in self.algebra.blocks]) - 1.0) <= tol.bound()
 
     def is_faithful(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return bool(np.all(self.weights > tol.abs))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import _expand, _frame_distance, _upper_pairs
+from .algebra import _adjoint_dot, _corners, _expand, _frame_distance, _upper_pairs
 from .errors import InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .reporting import Report
@@ -69,15 +69,12 @@ def weyl_basis(n: int) -> PimsnerPopaBasis:
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    units = la.eye(n * n).reshape(n, n, n, n)
-    return PimsnerPopaBasis(trivial_in_full(n), _weyl_family(units))
+    return PimsnerPopaBasis(trivial_in_full(n), _family_elements("weyl", n))
 
 
 def shift_basis(n: int) -> PimsnerPopaBasis:
     """Translation powers {U^k} as a basis of M_n over the diagonals."""
-    u = shift_unitary(n)
-    elements = [np.linalg.matrix_power(u, k) for k in range(n)]
-    return PimsnerPopaBasis(diagonal_in_full(n), elements)
+    return PimsnerPopaBasis(diagonal_in_full(n), _family_elements("shifts", n))
 
 
 def character_basis(n: int) -> PimsnerPopaBasis:
@@ -86,11 +83,19 @@ def character_basis(n: int) -> PimsnerPopaBasis:
     With the unnormalised character vector chi_j = sum_k e^{2 pi i jk/n}|k>,
     the elements are n^{-1/2} |chi_j><chi_j|; not unitary, but orthonormal.
     """
-    elements = []
-    for j in range(n):
-        chi = np.exp(2j * np.pi * j * np.arange(n) / n)
-        elements.append(np.outer(chi, chi.conj()) / np.sqrt(n))
-    return PimsnerPopaBasis(diagonal_in_full(n), elements)
+    return PimsnerPopaBasis(diagonal_in_full(n), _family_elements("characters", n))
+
+
+def _family_elements(family: str, n: int) -> list[np.ndarray]:
+    """The elements of :func:`weyl_basis`, :func:`shift_basis` ("shifts") or
+    :func:`character_basis` ("characters") of M_n, for a caller that holds
+    its inclusion."""
+    if family == "weyl":
+        return _weyl_family(la.eye(n * n).reshape(n, n, n, n))
+    if family == "shifts":
+        return [np.roll(la.eye(n), k, axis=0) for k in range(n)]  # U^k
+    chis = (np.exp(2j * np.pi * j * np.arange(n) / n) for j in range(n))
+    return [np.outer(chi, chi.conj()) / np.sqrt(n) for chi in chis]
 
 
 def commutant_factor_basis(inc: Inclusion) -> PimsnerPopaBasis:
@@ -155,12 +160,8 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
         la.frobenius_distance(side @ la.dagger(side), la.eye(d)),
         tol.bound(1.0) * max(1, basis.size),
     )
-    # one stacked expectation for all of E(x b*), x over the basis of M, and
-    # one for all of E(b c*), b and c over the family
-    exp = inc.expectation
-    big = inc.big.basis
-    recon = np.sum(exp(big @ la.dagger(elements)[:, None]) @ elements[:, None], axis=0)
-    expansion = float(np.max(la.frobenius_norms(recon - big)))
+    # E(x b*) over the basis x of M and E(b c*) over the family, on the corners of N
+    expansion, ortho = _corner_residuals(inc, elements)
     rep.add("expansion_identity", expansion, tol.bound(1.0) * max(1, basis.size))
     idx = inc.index
     rep.add(
@@ -171,9 +172,6 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
         ),
         tol.bound(float(idx)) * max(1, basis.size),
     )
-    gram = exp(elements[:, None] @ la.dagger(elements))
-    gram[np.diag_indices(basis.size)] -= la.eye(inc.big.ambient_dim)
-    ortho = float(np.max(la.frobenius_norms(gram)))
     basis.orthonormal = ortho <= tol.bound(1.0) * 10
     rep.add_flag("orthonormal", True, detail=f"residual {ortho:.2e}, flag {basis.orthonormal}")
     basis.unitary = bool(np.all(la.is_unitary(elements, tol)))
@@ -185,6 +183,24 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     basis.report = rep
     basis._verified_on = _checked(basis)
     return rep
+
+
+def _corner_residuals(inc: Inclusion, elements: np.ndarray) -> tuple[float, float]:
+    """max ||sum_b E(x b*) b - x||_F over the basis x of M and max ||E(b c*) - delta_bc 1||_F, on the
+    corners of N: E(y) has the corners c_j(y rho) c_j(rho)^{-1}, and c_j(x b* rho) averages
+    (W_j* x)(W_j* rho b)* over the multiplicity.  W is unitary, so both norms are summed over the
+    blocks of W* y, and no (dim M, k, n, n) or (k, k, n, n) stack is formed."""
+    small, rho, xs, k = inc.small, inc.trace.density, inc.big.basis, len(elements)
+    n, expansion, ortho = small.ambient_dim, 0.0, 0.0
+    for j, ((d, m), c_rho) in enumerate(zip(small.blocks, _corners(small, rho))):
+        wx, wb, wr = (_adjoint_dot(small, j, y).reshape(-1, d * m * n) for y in (xs, elements, rho @ elements))
+        # the corners c_j(a b* rho) c_j(rho)^{-1} for a over the basis of M, then the family, and b over the family
+        ab = np.concatenate([wx, wb]).reshape(-1, m * n) @ np.conj(wr.reshape(-1, m * n)).T / m
+        ab = ab.reshape(-1, d, k, d).transpose(0, 2, 1, 3) @ np.linalg.inv(c_rho)
+        recon = ab[: len(xs)].transpose(0, 2, 1, 3).reshape(len(xs) * d, -1) @ wb.reshape(k * d, -1)
+        expansion = expansion + la.frobenius_norms((recon - wx.reshape(-1, m * n)).reshape(len(xs), d, -1)) ** 2
+        ortho = ortho + m * la.frobenius_norms(ab[len(xs) :] - np.eye(k)[:, :, None, None] * la.eye(d)) ** 2
+    return float(np.sqrt(np.max(expansion))), float(np.sqrt(np.max(ortho)))
 
 
 def _pvm_residual(ranged: np.ndarray) -> float:

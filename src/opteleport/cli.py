@@ -37,11 +37,9 @@ from . import linalg as la
 from .algebra import StarAlgebra, Trace
 from .bases import (
     PimsnerPopaBasis,
-    character_basis,
+    _family_elements,
     homogeneity_test,
-    shift_basis,
     verify_basis,
-    weyl_basis,
 )
 from .errors import OpteleportError
 from .inclusion import Inclusion, markov_trace
@@ -201,31 +199,23 @@ def cmd_inclusion_info(args) -> dict:
 
 
 def _basis_for_family(inc: Inclusion, family: str) -> PimsnerPopaBasis:
+    """The basis ``family`` built on ``inc`` itself, so no other inclusion is made."""
     n = inc.big.ambient_dim
     small = inc.small
-    if family == "weyl":
-        if small.dim != 1:
-            raise InputError("weyl family needs N = scalars")
-        b = weyl_basis(n)
-    elif family == "shifts":
-        if small.blocks != [(1, 1)] * n:
-            raise InputError("shift family needs N = diagonals")
-        b = shift_basis(n)
-    elif family == "characters":
-        if small.blocks != [(1, 1)] * n:
-            raise InputError("character family needs N = diagonals")
-        b = character_basis(n)
-    elif family == "homogeneous":
+    if family == "weyl" and small.dim != 1:
+        raise InputError("weyl family needs N = scalars")
+    if family in ("shifts", "characters") and small.blocks != [(1, 1)] * n:
+        raise InputError(f"{family[:-1]} family needs N = diagonals")
+    if family in ("weyl", "shifts", "characters"):
+        return PimsnerPopaBasis(inc, _family_elements(family, n))
+    if family == "homogeneous":
         if any(m != 1 for _, m in small.blocks):
             raise InputError("homogeneous family needs a multiplicity-free N")
         flag, witness, why = homogeneity_test(inc)
         if not flag or witness is None:
             raise InputError(f"N is not homogeneous: {why}")
         return witness
-    else:
-        raise InputError(f"unknown family {family!r}")
-    b.inclusion = inc
-    return b
+    raise InputError(f"unknown family {family!r}")
 
 
 def cmd_basis(args) -> dict:

@@ -20,7 +20,8 @@ algebra, and the unbiased scheme attached to a unitary normaliser basis of
 an inclusion.  Every constructor records the inclusion whose tower it builds
 on, and :func:`verify_scheme`, :func:`classify` and the extraction judge a
 scheme at that inclusion's tolerance, ``TeleportationScheme.tol``.  A
-tight scheme on M_n (x) M_n (x) N' is stored by its legs.  The first two
+tight scheme on M_n (x) M_n (x) N' is stored by its legs, the POVM by the
+ranges of its legs.  The first two
 judge it on its legs (:func:`_legs`), on n x n and n^2 x n^2 matrices, when
 its pieces are in leg form up to rounding, and every other scheme on its
 dense pieces; the extraction reads every scheme on its legs (:func:`_pieces`),
@@ -35,7 +36,7 @@ pairs are formed in stacked chunks when a dense verdict reads them
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -170,6 +171,16 @@ class _ShiftPairs(Sequence):
         return out[0], out[1]
 
 
+_CHUNK = 1 << 20  # complex entries (16 MB) a product over the outcomes forms at a time
+
+
+def _chunks(stack: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``stack``, each of one item at least and of at most ``_CHUNK`` entries at
+    ``size`` entries an item."""
+    step = max(1, _CHUNK // size)
+    return (stack[start : start + step] for start in range(0, len(stack), step))
+
+
 def _shift_stacks(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The stacks of the a and of the shift(a) over the pairs of a context:
     :meth:`_ShiftPairs.stacks` for the library's contexts, and any other
@@ -183,13 +194,13 @@ def _shift_stacks(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nd
 def _dense_piece(name: str, leg: np.ndarray, context: TeleportationContext):
     """The dense piece ``name`` of a tight scheme from its leg stack, as the
     Kronecker product with the identity on the other legs: 1 (x) w, the
-    f_i (x) 1 and the conjugations by 1 (x) u_i on the ambient algebra of
-    ``context``, the scheme's, which only the channels read."""
-    n = leg.shape[-1] if name == "channels" else math.isqrt(leg.shape[-1])
+    f_i (x) 1 for f_i = Q_i Q_i* and the conjugations by 1 (x) u_i on the
+    ambient algebra of ``context``, the scheme's, which only the channels read."""
+    n = leg.shape[-1] if name == "channels" else math.isqrt(leg.shape[-2])
     if name == "omega":
         return la.kron(la.eye(n), leg[0])
     if name == "povm":
-        return list(la.kron(leg, la.eye(n)))
+        return list(la.kron(leg @ la.dagger(leg), la.eye(n)))
     return [Superoperator.conjugation(v, context.ambient) for v in la.kron(la.eye(n * n), leg)]
 
 
@@ -198,7 +209,8 @@ class TeleportationScheme:
     """A resource ``omega``, a POVM and correction channels in a context.
 
     A tight scheme on M_n (x) M_n (x) N' is stored by its legs, a leg stack
-    per piece in ``_stored``, and builds each dense piece on its first read
+    per piece in ``_stored`` (the POVM by the ranges Q_i of its legs
+    f_i = Q_i Q_i*), and builds each dense piece on its first read
     (:class:`_Deferred`, :func:`_dense_piece`).  Reading or setting a piece
     drops its leg, since a caller may change what it was handed, so the
     piece is from then on judged as it stands (:func:`_pieces`)."""
@@ -261,11 +273,12 @@ class _Legs(NamedTuple):
 
     nprime: StarAlgebra
     resource: np.ndarray  # w = Tr_0(omega) / n, on legs 1 and 2
-    povm: np.ndarray  # f_i = Tr_2(F_i) / n, on legs 0 and 1
+    povm: np.ndarray  # f_i = Tr_2(F_i) / n on legs 0 and 1, or when ranged the (n^2, r) ranges Q_i of f_i = Q_i Q_i*
     units: np.ndarray | None  # u_i = Tr_01(v_i) / n^2 of the witnesses v_i, on leg 2
     resource_gap: float  # ||omega - 1 (x) w||
     povm_gaps: np.ndarray  # ||F_i - f_i (x) 1||
     unit_gaps: np.ndarray | None  # ||v_i - 1 (x) u_i||
+    ranged: bool  # the POVM is stored by its ranges
 
     # the leg form is HS-orthogonal to its remainder, and 1 (x) y has norm sqrt(dim 1) ||y||
     @property
@@ -275,8 +288,9 @@ class _Legs(NamedTuple):
 
     @property
     def povm_norms(self) -> np.ndarray:
-        """||F_i||, as hypot(sqrt(n) ||f_i||, r_i)."""
-        return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(self.povm), self.povm_gaps)
+        """||F_i||, as hypot(sqrt(n) ||f_i||, r_i), with ||Q_i Q_i*|| = ||Q_i* Q_i||."""
+        f = la.dagger(self.povm) @ self.povm if self.ranged else self.povm
+        return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(f), self.povm_gaps)
 
     def within_rounding(self, gaps: float | np.ndarray, norms: float | np.ndarray) -> bool:
         """Whether each remainder is within :func:`la.rounding_bound` of its
@@ -295,10 +309,10 @@ def _pieces(scheme: TeleportationScheme) -> _Legs | None:
     """The legs of a scheme that records an inclusion N ⊆ M_n with
     ``leg_dims == (n, n, n)``, else None: the resource and the POVM always,
     the witnesses v_i when every channel has one.  A piece still stored by
-    its leg (:class:`_Deferred`) is that leg with remainder 0.0, the value
-    :func:`_split` reads off its Kronecker product; every other piece is
-    read by :func:`_split` in O(k n^6), on every call, so a piece that was
-    read or replaced is judged as it stands."""
+    its leg (:class:`_Deferred`), the POVM by its ranges, is that leg with
+    remainder 0.0, the value :func:`_split` reads off its Kronecker product;
+    every other piece is read by :func:`_split` in O(k n^6), on every call,
+    so a piece that was read or replaced is judged as it stands."""
     inc = scheme.inclusion
     if inc is None or scheme.leg_dims != (inc.big.ambient_dim,) * 3:
         return None
@@ -316,7 +330,7 @@ def _pieces(scheme: TeleportationScheme) -> _Legs | None:
         u, ru = None, None
     else:
         u, ru = read("channels", lambda: [ch.ad_unitary for ch in scheme.channels], n * n, n, False)
-    return _Legs(inc.small.commutant, w[0], f, u, float(r[0]), rf, ru)
+    return _Legs(inc.small.commutant, w[0], f, u, float(r[0]), rf, ru, "povm" in stored)
 
 
 def _legs(scheme: TeleportationScheme) -> _Legs | None:
@@ -557,10 +571,10 @@ def _leg_residuals(legs: _Legs) -> dict[str, float]:
     ``povm_in_alice_algebra``, the distance of the resource to the
     teleported commutant and the bimodule residual are the remainders
     themselves, since f_i (x) 1 lies in Alice, 1 (x) w in
-    (N' (x) 1 (x) 1)' and 1 (x) u_i in Alice'.  The identity is
-    sum_i Tr_12((f_i (x) 1)(1 (x) 1 (x) u_i b u_i*)(1 (x) w)) / n^2 over the
-    basis b of N', projected onto N' (the expectation of the normalised
-    trace), as one einsum.
+    (N' (x) 1 (x) 1)' and 1 (x) u_i in Alice'.  Each f_i = Q_i Q_i* of a
+    ranged POVM is positive, and N' = M_n holds every u_i b u_i*.  The
+    identity, projected onto N' (the expectation of the normalised trace),
+    is read off the legs by :func:`_teleported`.
     """
     nprime, f, w, u = legs.nprime, legs.povm, legs.resource, legs.units
     n = nprime.ambient_dim
@@ -569,10 +583,12 @@ def _leg_residuals(legs: _Legs) -> dict[str, float]:
     def lowest(x: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh((x + la.dagger(x)) / 2).min(axis=-1)
 
-    res = {"povm_sums_to_identity": root * la.frobenius_distance(f.sum(axis=0), la.eye(n * n))}
-    res["povm_positive"] = max(
-        float(np.max(root * la.frobenius_norms(f - la.dagger(f)))), max(0.0, -float(np.min(lowest(f))))
-    )
+    if legs.ranged:  # sum_i Q_i Q_i*, of positive terms
+        total, positive = np.tensordot(f, f.conj(), axes=([0, 2], [0, 2])), 0.0
+    else:
+        hermitian = float(np.max(root * la.frobenius_norms(f - la.dagger(f))))
+        total, positive = f.sum(axis=0), max(hermitian, max(0.0, -float(np.min(lowest(f)))))
+    res = {"povm_sums_to_identity": root * la.frobenius_distance(total, la.eye(n * n)), "povm_positive": positive}
     res["povm_in_alice_algebra"] = float(np.max(legs.povm_gaps))
     res["resource_positive"] = root * la.frobenius_distance(w, la.dagger(w)) + max(0.0, -float(lowest(w)))
     res["resource_normalised"] = abs(np.trace(w) / (n * n) - 1.0)
@@ -585,15 +601,37 @@ def _leg_residuals(legs: _Legs) -> dict[str, float]:
 
     # Bob's basis is 1 (x) b / n over the basis b of N'
     bs = nprime.basis
-    moved = u[:, None] @ bs @ la.dagger(u)[:, None]
-    res["channels_preserve_bob"] = float(np.max(nprime.membership_residual(moved)))
-
-    k = min(len(f), len(u))
-    y = np.einsum(
-        "iapxq,ibcd,qdpc->bax", f[:k].reshape(k, n, n, n, n), moved[:k], w.reshape(n, n, n, n), optimize=True
-    ) / (n * n)
+    preserve = (np.max(nprime.membership_residual(m)) for m in _conjugations(u, bs))
+    res["channels_preserve_bob"] = 0.0 if nprime.dim == n * n else float(max(preserve))
+    y = _teleported(legs, min(len(f), len(u)))
     res["teleportation_identity"] = float(np.max(n * la.frobenius_norms(nprime.project(y) - bs)))
     return res
+
+
+def _conjugations(us: np.ndarray, bs: np.ndarray) -> Iterator[np.ndarray]:
+    """The stacks u b u* over the b of ``bs``, for the u of ``us`` a chunk at a time (:func:`_chunks`)."""
+    return (u[:, None] @ bs @ la.dagger(u)[:, None] for u in _chunks(us, bs.size))
+
+
+def _teleported(legs: _Legs, k: int) -> np.ndarray:
+    """sum_i Tr_12((f_i (x) 1)(1 (x) 1 (x) u_i b u_i*)(1 (x) w)) / n^2 over
+    the first k outcomes, for the basis b of N': phi(b) for the map
+    phi = sum_i K_i(Ad u_i), K_i[a, x, c, d] = sum_pq f_i[(a, p), (x, q)] w[(q, d), (p, c)],
+    read off Q_i when ranged and summed a chunk of outcomes at a time."""
+    n = legs.nprime.ambient_dim
+    w = legs.resource.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n, -1)  # [p, (q, c, d)]
+    phi = np.zeros((n * n, n, n), dtype=complex)  # [(a, x), c, d] of sum_i K_i(u_i (.) u_i*)
+    for f, u in zip(_chunks(legs.povm[:k], n**4), _chunks(legs.units[:k], n**4)):
+        if legs.ranged:
+            q = f.reshape(len(f), n, n, -1).transpose(0, 3, 1, 2)  # [i, t, a, p]
+            left = (q.reshape(-1, n) @ w).reshape(len(f), -1, n, n, n * n)  # [i, t, a, q, (c, d)]
+            right = left.transpose(0, 1, 3, 2, 4).reshape(len(f), -1, n**3)  # [i, (t, q), (a, c, d)]
+            kk = (np.swapaxes(q.conj(), 1, 2).reshape(len(f), n, -1) @ right).reshape(len(f), n, n, -1)
+            kk = np.swapaxes(kk, 1, 2)  # [i, a, x, (c, d)]
+        else:
+            kk = np.einsum("iapxq,pqcd->iaxcd", f.reshape(-1, n, n, n, n), w.reshape(n, n, n, n))
+        phi += np.sum(np.swapaxes(u, 1, 2)[:, None] @ kk.reshape(len(f), -1, n, n) @ u.conj()[:, None], axis=0)
+    return (legs.nprime.basis.reshape(-1, n * n) @ phi.reshape(n * n, -1).T).reshape(-1, n, n) / (n * n)
 
 
 def _normalising_residual(alice: StarAlgebra, ch: Superoperator) -> float:
@@ -731,13 +769,18 @@ def _leg_flag_residuals(legs: _Legs) -> tuple:
     nprime, f, w = legs.nprime, legs.povm, legs.resource
     n, d = nprime.ambient_dim, len(f)
     z = np.einsum("icjc->ij", w.reshape(n, n, n, n))
-    h = np.einsum("iaqxp,pq->iax", f.reshape(-1, n, n, n, n), z) / (n * n)
+    if legs.ranged:
+        q = np.swapaxes(f.reshape(d, n, n, -1), 2, 3)  # Q_i[(a, q), t] at [i, a, t, q]
+        h = (q @ z.T).reshape(d, n, -1) @ la.dagger(q.reshape(d, n, -1)) / (n * n)
+    else:
+        h = np.einsum("iaqxp,pq->iax", f.reshape(-1, n, n, n, n), z) / (n * n)
     gs = nprime.project(h)
     unb_res = float(np.max(n * la.frobenius_norms(gs - la.eye(n) / d)))
     lows = np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1)
     pair, root = StarAlgebra.tensor(nprime, nprime), math.sqrt(n)
     minimal_omega = root * _frame_distance(pair, w)
-    minimal_povm = float(np.max(root * _frame_distance(pair, f)))
+    parts = (q @ la.dagger(q) for q in _chunks(f, n**4)) if legs.ranged else [f]
+    minimal_povm = max(float(np.max(root * _frame_distance(pair, part))) for part in parts)
     rows = _corner_rows(nprime, np.concatenate([h, gs, la.eye(n)[None]]) / n, d)
     return unb_res, lows, minimal_omega, minimal_povm, (nprime, rows)
 
@@ -1104,11 +1147,10 @@ def _tight_scheme(
     if zvals.min() <= tol.abs or abs(inc.trace(z) - 1.0) > tol.bound(1.0):
         raise PreconditionError("z must be positive invertible with tau(z) = 1")
 
-    e = concrete_jones_projection(inc.small)
     elements = np.stack(basis.elements)
     legs = {
-        "omega": _tight_resource(inc, e, u, z)[None],
-        "povm": _entangled_projections(e, elements, u),
+        "omega": _tight_resource(inc, concrete_jones_projection(inc.small), u, z)[None],
+        "povm": _entangled_ranges(inc.small, elements, u),
         "channels": elements,
     }
     return TeleportationScheme._from_legs(
@@ -1123,11 +1165,12 @@ def _tight_resource(inc: Inclusion, e: np.ndarray, u: np.ndarray, z: np.ndarray)
     return inc.index * dress @ e @ la.dagger(dress)
 
 
-def _entangled_projections(e: np.ndarray, units: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """w_i e w_i* with w_i = u_i* u (x) 1, for a stack of unitaries u_i: the
-    POVM of the tight scheme on its first two legs."""
-    w = la.kron(la.dagger(units) @ u, la.eye(len(u)))
-    return w @ e @ la.dagger(w)
+def _entangled_ranges(small: StarAlgebra, units: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The ranges Q_i = (u_i* u (x) 1) P of the POVM legs of the tight scheme,
+    for a stack of unitaries u_i and P the range of the Jones projection of N,
+    vec(y) over its HS-orthonormal basis y: column t of Q_i is vec(u_i* u y_t)."""
+    xs = la.dagger(units) @ u
+    return np.swapaxes((xs[:, None] @ small.basis).reshape(len(xs), small.dim, -1), 1, 2)
 
 
 def _far_leg_images(
@@ -1145,27 +1188,25 @@ def _far_leg_images(
     return np.stack(parts), np.stack(outside)
 
 
-def _leg_unitaries(p: np.ndarray, bs: np.ndarray, names: list[str], dim: int, tol: Tolerance) -> np.ndarray:
-    """Per projection b of the stack ``bs``, the polar part of a generic
-    invertible X with (X (x) 1) e = b (X (x) 1) on C^n (x) C^n, for e the
-    Jones projection of N and p the isometry onto its range (:func:`_ranges`).
+def _leg_unitaries(
+    ys: np.ndarray, ranges: list[np.ndarray], names: list[str], seeds: list[int], dim: int, tol: Tolerance
+) -> np.ndarray:
+    """Per isometry Q of ``ranges``, onto the range of a projection b, the
+    polar part of a generic invertible X with (X (x) 1) e = b (X (x) 1), for
+    e the Jones projection of N, whose range holds vec(y) over the
+    HS-orthonormal basis ``ys`` of N.
 
-    Omega = vec(1) / sqrt(n) lies in the range of e, so a solution has
-    vec(X) = sqrt(n) b (X (x) 1) Omega in the range of b: the candidates are
-    the r columns of an isometry Q onto that range (:func:`_ranges`), read
-    as n x n matrices X_t.  An X in their span C solves exactly when
-    X N ⊆ C and X_t* X ∈ N for every t, the parts (1 - b)(X (x) 1) e and
-    b (X (x) 1)(1 - e), so each outcome is a system in its r unknowns, and
-    the outcomes of each rank are solved by one batched SVD; r = 0 leaves no
-    candidate.  A solution space not of dimension ``dim`` raises
-    :class:`ExtractionError` with its ``names`` entry.  X is
-    :func:`la.generic_invertible` at the fixed seed ``DEFAULT_SEED + i`` of
-    outcome i, so it depends on the space alone; every outcome is drawn at
-    once (:func:`la.generic_invertibles`)."""
-    n = math.isqrt(len(p))
-    ranges = _ranges(bs)
-    ys = p.T.reshape(-1, n, n)  # an HS-orthonormal basis of N
-    spaces: list = [[]] * len(bs)
+    Omega = vec(1) / sqrt(n) lies in the range of e, so vec(X) lies in the
+    range of b: the candidates are the r columns of Q read as n x n matrices
+    X_t, and an X in their span C solves exactly when X N ⊆ C and
+    X_t* X ∈ N for every t.  The systems of each rank r are solved by one
+    batched SVD; r = 0 leaves no candidate.  A solution space not of
+    dimension ``dim`` raises :class:`ExtractionError` with its ``names``
+    entry.  X is :func:`la.generic_invertibles` at ``seeds``, so it depends
+    on the space alone."""
+    n = ys.shape[-1]
+    p = ys.reshape(len(ys), -1).T
+    spaces: list = [[]] * len(ranges)
     for rank in {q.shape[1] for q in ranges} - {0}:
         group = [i for i, q in enumerate(ranges) if q.shape[1] == rank]
         qs = np.stack([ranges[i] for i in group])
@@ -1182,8 +1223,7 @@ def _leg_unitaries(p: np.ndarray, bs: np.ndarray, names: list[str], dim: int, to
     for name, sols in zip(names, spaces):
         if len(sols) != dim:
             raise ExtractionError(f"{name}: intertwiner space has dimension {len(sols)}, expected {dim}")
-    onbs = np.reshape(spaces, (len(bs), dim, n, n))
-    cands = la.generic_invertibles(onbs, [DEFAULT_SEED + i for i in range(len(bs))])
+    cands = la.generic_invertibles(np.reshape(spaces, (len(ranges), dim, n, n)), seeds)
     for name, cand in zip(names, cands):
         if cand is None:
             raise ExtractionError(f"{name}: no invertible intertwiner")
@@ -1204,20 +1244,21 @@ def extract_tight_scheme(
     """Recover (basis, u, z) from a tight, minimal, faithful scheme for N'.
 
     z is the one-leg slice of the resource, e the Jones projection of N, and
-    every solve reads the X with (X (x) 1) e = b (X (x) 1) off the range of
-    b (:func:`_leg_unitaries`).  N is transpose-closed, so the undressed
-    resource (1 (x) u) e (1 (x) u*) with its legs swapped is
-    (u (x) 1) e (u* (x) 1), whose X form u N: u is the polar part of a
-    generic one, fixed up to a unitary of N on the right.  The corrections
-    are read off the POVM: the X with b = f_i form u_i* u N, so with x_i the
-    polar part of a generic invertible one, u_i = u x_i* is fixed up to a
-    unitary of N on the left, which leaves Ad(1 (x) 1 (x) u_i) on N' as it
-    is.  The triple depends on the scheme alone, not on rounding.  The
-    contract is the round trip: the resource, the POVM and the corrections
-    rebuilt from the triple must reproduce the scheme's; only there is a
-    channel compared with Ad(1 (x) 1 (x) u_i), on Bob's basis 1 (x) b / n,
-    and a failure names the channels over the bound.  The extracted family
-    must pass :func:`bases._require_normaliser_basis`.
+    one solve reads the X with (X (x) 1) e = b (X (x) 1) off the range of
+    each b (:func:`_leg_unitaries`): a POVM stored by its ranges hands them
+    over, and every other b is read by :func:`_ranges`.  N is
+    transpose-closed, so the undressed resource (1 (x) u) e (1 (x) u*) with
+    its legs swapped is (u (x) 1) e (u* (x) 1), whose X form u N: u is the
+    polar part of a generic one, fixed up to a unitary of N on the right.
+    The corrections are read off the POVM: the X with b = f_i form u_i* u N,
+    so with x_i the polar part of a generic invertible one, u_i = u x_i* is
+    fixed up to a unitary of N on the left, which leaves Ad(1 (x) 1 (x) u_i)
+    on N' as it is.  The triple depends on the scheme alone, not on
+    rounding.  The contract is the round trip: the resource, the POVM and the
+    corrections rebuilt from the triple must reproduce the scheme's; only
+    there is a channel compared with Ad(1 (x) 1 (x) u_i), on Bob's basis
+    1 (x) b / n, and a failure names the channels over the bound.  The
+    extracted family must pass :func:`bases._require_normaliser_basis`.
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused.  The scheme
@@ -1228,7 +1269,8 @@ def extract_tight_scheme(
     :attr:`_Legs.povm_norms`), so a stored scheme builds no dense piece.
     The rebuilt resource and POVM lie in leg form, HS-orthogonal to each
     remainder, so
-    ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i.
+    ||1 (x) x - omega||^2 = n ||x - w||^2 + r^2, and likewise for each F_i;
+    a POVM leg on ranges is compared on them, never by a difference of norms.
     A channel's part on Bob's basis 1 (x) b / n is u_i b u_i* / n, read off
     its witness v_i, when every witness is 1 (x) u_i up to rounding
     (:func:`_witnesses_on_legs`).  Otherwise each channel is applied to the
@@ -1271,24 +1313,21 @@ def extract_tight_scheme(
     if t is None or t.inclusion is not inc:
         t = basic_construction(inc)
 
-    # dressing unitary from the undressed resource (1 (x) u) e (1 (x) u*), legs swapped
+    # the dressing, from the undressed resource (1 (x) u) e (1 (x) u*) with its legs
+    # swapped, and the corrections, from the POVM, in one solve at the seed of each
     dress_inv = la.kron(la.eye(n), np.linalg.inv(la.matrix_sqrt(z, tol)))
     undressed = dress_inv @ omega_small @ dress_inv / inc.index
     swapped = undressed.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-    p = _ranges(e[None])[0]  # the range of e, shared by both solves
-    u = _leg_unitaries(p, swapped[None], ["dressing"], small.dim, tol)[0]
+    outcomes = range(scheme.outcomes)
+    ranges = _ranges(swapped[None]) + (list(legs.povm) if legs.ranged else _ranges(legs.povm))
+    names = ["dressing"] + [f"outcome {i}" for i in outcomes]
+    solved = _leg_unitaries(small.basis, ranges, names, [DEFAULT_SEED + i for i in (0, *outcomes)], small.dim, tol)
+    u, units = solved[0], solved[0] @ la.dagger(solved[1:])
     rebuilt_small = _tight_resource(inc, e, u, z)
-    rep.add(
-        "resource_round_trip",
-        la.frobenius_distance(rebuilt_small, omega_small),
-        tol.bound(float(np.linalg.norm(omega_small))) * 10,
-    )
-
-    # correction unitaries from the POVM, every outcome at once
+    resource_gap = la.frobenius_distance(rebuilt_small, omega_small)
+    rep.add("resource_round_trip", resource_gap, tol.bound(float(np.linalg.norm(omega_small))) * 10)
     for i, (norm, gap) in enumerate(zip(legs.povm_norms, legs.povm_gaps)):
         rep.add(f"povm_{i}_has_trivial_third_leg", float(gap), tol.bound(float(norm)))
-    outcomes = [f"outcome {i}" for i in range(scheme.outcomes)]
-    units = u @ la.dagger(_leg_unitaries(p, legs.povm, outcomes, small.dim, tol))
 
     basis = PimsnerPopaBasis(inc, list(units))
     try:
@@ -1299,17 +1338,22 @@ def extract_tight_scheme(
 
     # the round trip rebuilds operators only and compares them in the scheme's context
     trip, root, bs = tol.bound(1.0) * 5, math.sqrt(n), legs.nprime.basis
-    projections = _entangled_projections(e, units, u)
-    resource = math.hypot(root * la.frobenius_distance(rebuilt_small, omega_small), legs.resource_gap)
-    povm_gaps = np.hypot(root * la.frobenius_norms(projections - legs.povm), legs.povm_gaps)
-    moved = units[:, None] @ bs @ la.dagger(units)[:, None]
+    rebuilt = _entangled_ranges(small, units, u)
+    if legs.ranged:
+        # Q_i Q_i* and Q'_i Q'_i* are projections of one rank: they are sqrt(2) ||Q' - Q Q* Q'|| apart
+        povm = math.sqrt(2) * la.frobenius_norms(rebuilt - legs.povm @ (la.dagger(legs.povm) @ rebuilt))
+    else:
+        povm = la.frobenius_norms(rebuilt @ la.dagger(rebuilt) - legs.povm)
+    resource = math.hypot(root * resource_gap, legs.resource_gap)
+    povm_gaps = np.hypot(root * povm, legs.povm_gaps)
     if _witnesses_on_legs(legs):
-        parts = legs.units[:, None] @ bs @ la.dagger(legs.units)[:, None]
-        gaps = la.frobenius_norms(parts - moved)
+        # a chunk of outcomes at a time: no (k, dim N', n, n) stack
+        pairs = zip(_conjugations(legs.units, bs), _conjugations(units, bs))
+        gaps = np.concatenate([np.max(la.frobenius_norms(a - b), axis=1) for a, b in pairs])
     else:
         parts, outside = _far_leg_images(scheme.channels, legs.nprime)
-        gaps = np.hypot(la.frobenius_norms(parts - moved), outside / n)
-    gaps = np.max(gaps, axis=1)
+        moved = units[:, None] @ bs @ la.dagger(units)[:, None]
+        gaps = np.max(np.hypot(la.frobenius_norms(parts - moved), outside / n), axis=1)
     rep.add("round_trip_resource", resource, trip * max(1.0, legs.resource_norm))
     rep.add("round_trip_povm", float(np.max(povm_gaps)), trip)
     rep.add("round_trip_channels", float(np.max(gaps)), trip)

@@ -889,9 +889,7 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     lhs = u_star @ exp(xs) @ u_col
     gap = la.frobenius_norms(lhs - exp(u_star @ xs @ u_col))
     equivariant = np.all(gap <= tol.bound(la.frobenius_norms(lhs)) * 10, axis=1)
-    e1 = t.jones1
-    pu, pru = t.gns.left(us), t.gns.right(us)
-    jones_gap = la.frobenius_norms(pu @ e1 @ la.dagger(pu) - pru @ e1 @ la.dagger(pru))
+    jones_gap = _jones_gaps(t, us)
     votes = []
     for stable, equi, jones in zip(conj_stable, equivariant, jones_gap):
         three = [bool(stable), bool(equi), bool(jones <= tol.bound(1.0) * 10)]
@@ -899,6 +897,16 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
             raise InternalError(f"normaliser criteria disagree: {three}")
         votes.append(bool(stable))
     return votes
+
+
+def _jones_gaps(t: Tower, us: np.ndarray) -> np.ndarray:
+    """||pi(u) e1 pi(u)* - R(u) e1 R(u)*||_F for the u of ``us``, R(u) = J pi(u*) J, as
+    sqrt(2) ||B - A A* B||_F for the isometries A = pi(u) P and B = R(u) P of one rank,
+    e1 = P P*: two :meth:`GnsSpace.act` stacks, and never a difference of norms."""
+    gns, p = t.gns, t.levels[1].jones_range
+    a = gns.act(us, p)
+    b = np.conj(gns.act(la.dagger(us), gns._conjugate(p)))[:, gns._swap]
+    return np.sqrt(2.0) * la.frobenius_norms(b - a @ (la.dagger(a) @ b))
 
 
 def verify_tracial_entangled_state(t: Tower, u: np.ndarray, psi: np.ndarray | None = None) -> Report:

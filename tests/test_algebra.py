@@ -16,6 +16,7 @@ from opteleport.algebra import (
     scalar_decompose_cp_family,
 )
 from opteleport.errors import NotScalarError, PreconditionError, StructureError, TraceError
+from opteleport.linalg import DEFAULT_TOL
 
 from conftest import dense_commutation_gap
 
@@ -524,6 +525,22 @@ def test_from_generators_finds_rotated_layouts(layout, seed, log_scale, noisy):
 def test_trace_needs_one_weight_per_block(weights):
     with pytest.raises(TraceError, match="one weight per block required"):
         Trace(StarAlgebra.diagonal(2), weights)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_is_state_reads_the_trace_of_the_density_off_the_weights(seed):
+    # tau(1) = Tr(rho) = sum_j w_j d_j, on a random layout in a random rotation
+    rng = np.random.default_rng(seed)
+    layout = [(int(d), int(m)) for d, m in rng.integers(1, 4, size=(int(rng.integers(1, 4)), 2))]
+    alg = StarAlgebra.block_diagonal(layout)
+    u = la.random_unitary(alg.ambient_dim, rng)
+    alg = alg.image(lambda x: u @ x @ la.dagger(u), alg.ambient_dim)
+    weights = rng.uniform(0.1, 1.0, len(alg.blocks))
+    for scale in (1.0, 1.0 + 1e-6):
+        t = Trace(alg, scale * weights / (weights @ [d for d, _ in alg.blocks]))
+        assert abs(float(t.weights @ [d for d, _ in alg.blocks]) - np.trace(t.density).real) <= 1e-12
+        assert t.is_state() == (abs(np.trace(t.density).real - 1.0) <= DEFAULT_TOL.bound())
+    assert Trace.normalized(alg).is_state() and not Trace(alg, 2 * Trace.normalized(alg).weights).is_state()
 
 
 def _tuple_order(n, blocks, frames):

@@ -276,6 +276,25 @@ def run_in_process(monkeypatch, capsys, argv, doc):
     return code, capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "family, blocks", [("weyl", [[1, 2]]), ("shifts", [[1, 1], [1, 1]]), ("characters", [[1, 1], [1, 1]])]
+)
+def test_a_basis_family_is_built_on_the_parsed_inclusion(monkeypatch, capsys, family, blocks):
+    from opteleport.inclusion import Inclusion
+
+    init, made = Inclusion.__init__, []
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Inclusion, "__init__", counting)
+    argv = ["basis", "-", "--family", family]
+    code, out = run_in_process(monkeypatch, capsys, argv, {"ambient_dim": 2, "N_blocks": blocks})
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(made) == 1
+
+
 def test_seed_reaches_only_inclusion_info(monkeypatch, capsys):
     # teleport certificates sample nothing, so two seeds differ only in the
     # recorded seed; no call writes the process-global sampling seed

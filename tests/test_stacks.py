@@ -15,9 +15,9 @@ from opteleport.algebra import (
     Trace,
     conditional_expectation_onto,
 )
-from opteleport.bases import shift_basis, weyl_basis
+from opteleport.bases import homogeneous_block_basis, shift_basis, weyl_basis
 from opteleport.errors import NormaliserError
-from opteleport.tower import _normaliser_votes, normalizer_check
+from opteleport.tower import _jones_gaps, _normaliser_votes, basic_construction, normalizer_check
 
 from conftest import get_tower
 
@@ -179,6 +179,28 @@ def test_normaliser_votes_refuse_a_non_unitary():
     t = get_tower("diagonal_in_full_3", two_levels=False)
     with pytest.raises(NormaliserError):
         _normaliser_votes(t, np.stack([la.eye(3), 2 * la.eye(3)]), t.tol)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: weyl_basis(3),
+        lambda: weyl_basis(4),
+        lambda: weyl_basis(5),
+        lambda: shift_basis(4),
+        lambda: homogeneous_block_basis(2, 2),
+    ],
+    ids=["weyl_3", "weyl_4", "weyl_5", "shift_4", "homogeneous_2_2"],
+)
+def test_the_jones_vote_on_ranges_equals_the_dense_vote(make):
+    # ||pi(u) e1 pi(u)* - R(u) e1 R(u)*||_F, R the right multiplication, formed
+    # densely on the GNS space, against the range form, on the family and a Haar unitary
+    b = make()
+    t = basic_construction(b.inclusion)
+    us = np.stack(b.elements + [haar_unitary(len(b.elements[0]), 13)])
+    e1, pu, pru = t.jones1, t.gns.left(us), t.gns.right(us)
+    dense = la.frobenius_norms(pu @ e1 @ la.dagger(pu) - pru @ e1 @ la.dagger(pru))
+    assert np.max(np.abs(_jones_gaps(t, us) - dense)) <= 1e-13
 
 
 # -- the two helpers that broadcast over stacks -----------------------------------

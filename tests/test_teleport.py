@@ -1475,7 +1475,8 @@ def test_extraction_round_trip_matches_the_dense_distances(key):
     inc = s.inclusion
     n, e, units = inc.big.ambient_dim, concrete_jones_projection(inc.small), np.stack(basis.elements)
     resource = la.kron(la.eye(n), teleport._tight_resource(inc, e, u, z))
-    povm = la.kron(teleport._entangled_projections(e, units, u), la.eye(n))
+    q = teleport._entangled_ranges(inc.small, units, u)
+    povm = la.kron(q @ la.dagger(q), la.eye(n))
     # each channel against Ad(1 (x) 1 (x) u_i) on Bob's basis 1 (x) b / n
     bob = la.kron(la.eye(n * n), inc.small.commutant.basis) / n
     corrections = la.kron(la.eye(n * n), units)
@@ -1607,6 +1608,49 @@ def test_a_stored_piece_is_built_once_on_read_and_kept():
     assert verify_scheme(s).passed and not verify_scheme(twin, strict=False).passed
 
 
+@pytest.mark.parametrize("key", sorted(STORED_SCHEMES))
+def test_a_povm_stored_by_its_ranges_is_judged_as_its_dense_pieces(key):
+    # the stored scheme reads its POVM legs as ranges Q_i, its dense copy as n^3 x n^3 pieces
+    stored = STORED_SCHEMES[key]()
+    legs = teleport._pieces(stored)
+    inc = stored.inclusion
+    assert legs.ranged and legs.povm.shape == (stored.outcomes, inc.big.ambient_dim**2, inc.small.dim)
+    dense = _dense_copy(STORED_SCHEMES[key]())
+    for judge in (verify_scheme, lambda s: classify(s).report):
+        _same_reports(judge(stored), judge(dense), within=1e-13)
+    assert "povm" not in vars(stored)
+
+
+def test_a_replaced_povm_piece_that_is_no_projection_fails_positivity():
+    # replacing a piece ends its range form: f_0 then has the eigenvalue -0.01, judged as it stands
+    s = standard_scheme(3)
+    f0 = la.partial_trace(s.povm[0], [9, 3], {1}, normalise=True)
+    q = np.linalg.eigh(f0)[1][:, 0]
+    s.povm[0] = la.kron(f0 - 0.01 * np.outer(q, q.conj()), la.eye(3))
+    assert not teleport._pieces(s).ranged and teleport._legs(s) is not None
+    for scheme in (s, _dense_copy(s)):
+        rep = verify_scheme(scheme, strict=False)
+        assert [c.name for c in rep.failures()] == ["povm_sums_to_identity", "povm_positive", "teleportation_identity"]
+    with pytest.raises(SchemeError, match="^structural clause failed: povm_sums_to_identity "):
+        verify_scheme(s)
+
+
+def test_a_povm_element_moved_off_alice_fails_its_membership():
+    # every F_i conjugated by exp(i eps (X (x) Z)), X on the first leg and Z on Bob's:
+    # still a POVM, but its elements leave Alice = M_n (x) M_n (x) 1
+    s = standard_scheme(2)
+    vals, vecs = np.linalg.eigh(la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(2), np.diag([1.0, -1.0])))
+    v = vecs @ np.diag(np.exp(0.01j * vals)) @ la.dagger(vecs)
+    s.povm = [v @ f @ la.dagger(v) for f in s.povm]
+    # a remainder above rounding: the scheme is judged on its dense pieces, as is its dense copy
+    assert teleport._legs(s) is None
+    for scheme in (s, _dense_copy(s)):
+        rep = verify_scheme(scheme, strict=False)
+        assert [c.name for c in rep.failures()] == ["povm_in_alice_algebra", "teleportation_identity"]
+    with pytest.raises(SchemeError, match="^structural clause failed: povm_in_alice_algebra "):
+        verify_scheme(s)
+
+
 FLIP = la.kron(np.array([[0, 1], [1, 0]], dtype=complex), la.eye(4))
 
 
@@ -1713,7 +1757,9 @@ def test_each_intertwiner_space_is_the_range_of_its_projection(key):
     s = STORED_SCHEMES[key]()
     inc, legs = s.inclusion, teleport._pieces(s)
     e, tol = concrete_jones_projection(inc.small), inc.tol
-    for sols, q in zip(_full_system_spaces(e, legs.povm, 0, tol), teleport._ranges(legs.povm)):
+    assert legs.ranged
+    povm = legs.povm @ la.dagger(legs.povm)
+    for sols, q in zip(_full_system_spaces(e, povm, 0, tol), legs.povm):
         v = np.array(sols)
         assert np.max(np.abs(v.T @ v.conj() - q @ la.dagger(q))) <= 1e-12
     # the dressing: the leg-1 solve on the undressed resource gives X = y u*
@@ -1729,12 +1775,13 @@ def test_the_range_solve_matches_the_full_intertwiner_systems(key):
     inc, legs = s.inclusion, teleport._pieces(s)
     e, tol, dim = concrete_jones_projection(inc.small), inc.tol, inc.small.dim
     names = [f"outcome {i}" for i in range(s.outcomes)]
-    p = teleport._ranges(e[None])[0]
-    got = teleport._leg_unitaries(p, legs.povm, names, dim, tol)
-    assert np.max(np.abs(got - _full_system_unitaries(e, legs.povm, 0, dim, tol))) <= 1e-14
+    seeds = [la.DEFAULT_SEED + i for i in range(s.outcomes)]
+    got = teleport._leg_unitaries(inc.small.basis, list(legs.povm), names, seeds, dim, tol)
+    povm = legs.povm @ la.dagger(legs.povm)
+    assert np.max(np.abs(got - _full_system_unitaries(e, povm, 0, dim, tol))) <= 1e-14
     # the dressing solve, on the undressed resource of extract_tight_scheme with its legs swapped
     swapped = _swapped(_undressed(s, extract_tight_scheme(s)[2]))[None]
-    got = teleport._leg_unitaries(p, swapped, ["dressing"], dim, tol)
+    got = teleport._leg_unitaries(inc.small.basis, teleport._ranges(swapped), ["dressing"], seeds[:1], dim, tol)
     assert np.max(np.abs(got - _full_system_unitaries(e, swapped, 0, dim, tol))) <= 1e-14
 
 
@@ -1752,8 +1799,9 @@ def test_the_range_solve_reports_the_dimension_of_an_unequal_rank_outcome():
     # a rank-two POVM leg against a rank-one e: the outcome is solved on its own
     e = concrete_jones_projection(StarAlgebra.trivial(2))
     f = np.stack([e, la.eye(4) - e])
+    ranges, ys = teleport._ranges(f), StarAlgebra.trivial(2).basis
     with pytest.raises(ExtractionError, match=r"^outcome 1: intertwiner space has dimension 0, expected 1$"):
-        teleport._leg_unitaries(teleport._ranges(e[None])[0], f, ["outcome 0", "outcome 1"], 1, DEFAULT_TOL)
+        teleport._leg_unitaries(ys, ranges, ["outcome 0", "outcome 1"], [0, 1], 1, DEFAULT_TOL)
 
 
 def _tripartite_shifts():
