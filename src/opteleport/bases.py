@@ -69,12 +69,20 @@ def weyl_basis(n: int) -> PimsnerPopaBasis:
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    return PimsnerPopaBasis(trivial_in_full(n), _family_elements("weyl", n))
+    return PimsnerPopaBasis(trivial_in_full(n), _weyl_elements(n))
+
+
+def _weyl_elements(n: int) -> list[np.ndarray]:
+    return _weyl_family(la.eye(n * n).reshape(n, n, n, n))
 
 
 def shift_basis(n: int) -> PimsnerPopaBasis:
     """Translation powers {U^k} as a basis of M_n over the diagonals."""
-    return PimsnerPopaBasis(diagonal_in_full(n), _family_elements("shifts", n))
+    return PimsnerPopaBasis(diagonal_in_full(n), _shift_elements(n))
+
+
+def _shift_elements(n: int) -> list[np.ndarray]:
+    return [np.roll(la.eye(n), k, axis=0) for k in range(n)]  # U^k
 
 
 def character_basis(n: int) -> PimsnerPopaBasis:
@@ -83,17 +91,10 @@ def character_basis(n: int) -> PimsnerPopaBasis:
     With the unnormalised character vector chi_j = sum_k e^{2 pi i jk/n}|k>,
     the elements are n^{-1/2} |chi_j><chi_j|; not unitary, but orthonormal.
     """
-    return PimsnerPopaBasis(diagonal_in_full(n), _family_elements("characters", n))
+    return PimsnerPopaBasis(diagonal_in_full(n), _character_elements(n))
 
 
-def _family_elements(family: str, n: int) -> list[np.ndarray]:
-    """The elements of :func:`weyl_basis`, :func:`shift_basis` ("shifts") or
-    :func:`character_basis` ("characters") of M_n, for a caller that holds
-    its inclusion."""
-    if family == "weyl":
-        return _weyl_family(la.eye(n * n).reshape(n, n, n, n))
-    if family == "shifts":
-        return [np.roll(la.eye(n), k, axis=0) for k in range(n)]  # U^k
+def _character_elements(n: int) -> list[np.ndarray]:
     chis = (np.exp(2j * np.pi * j * np.arange(n) / n) for j in range(n))
     return [np.outer(chi, chi.conj()) / np.sqrt(n) for chi in chis]
 

@@ -37,7 +37,9 @@ from . import linalg as la
 from .algebra import StarAlgebra, Trace
 from .bases import (
     PimsnerPopaBasis,
-    _family_elements,
+    _character_elements,
+    _shift_elements,
+    _weyl_elements,
     homogeneity_test,
     verify_basis,
 )
@@ -198,16 +200,26 @@ def cmd_inclusion_info(args) -> dict:
     return certificate(args, "inclusion-info", echo, rep, derived)
 
 
+def _diagonal(small: StarAlgebra) -> bool:
+    return small.blocks == [(1, 1)] * small.ambient_dim
+
+
+# the families of M_n built on the parsed inclusion: their elements, and the N they need
+_FAMILIES = {
+    "weyl": (_weyl_elements, lambda small: small.dim == 1, "weyl family needs N = scalars"),
+    "shifts": (_shift_elements, _diagonal, "shift family needs N = diagonals"),
+    "characters": (_character_elements, _diagonal, "character family needs N = diagonals"),
+}
+
+
 def _basis_for_family(inc: Inclusion, family: str) -> PimsnerPopaBasis:
     """The basis ``family`` built on ``inc`` itself, so no other inclusion is made."""
-    n = inc.big.ambient_dim
     small = inc.small
-    if family == "weyl" and small.dim != 1:
-        raise InputError("weyl family needs N = scalars")
-    if family in ("shifts", "characters") and small.blocks != [(1, 1)] * n:
-        raise InputError(f"{family[:-1]} family needs N = diagonals")
-    if family in ("weyl", "shifts", "characters"):
-        return PimsnerPopaBasis(inc, _family_elements(family, n))
+    if family in _FAMILIES:
+        elements, needs, why = _FAMILIES[family]
+        if not needs(small):
+            raise InputError(why)
+        return PimsnerPopaBasis(inc, elements(inc.big.ambient_dim))
     if family == "homogeneous":
         if any(m != 1 for _, m in small.blocks):
             raise InputError("homogeneous family needs a multiplicity-free N")

@@ -26,8 +26,8 @@ from . import linalg as la
 from .algebra import StarAlgebra, _dot, _generators, _swap_legs
 from .bases import (
     PimsnerPopaBasis,
-    _family_elements,
     _require_normaliser_basis,
+    _weyl_elements,
     commutant_factor_basis,
     homogeneity_test,
 )
@@ -233,7 +233,7 @@ def factor_colouring(inc: Inclusion) -> Colouring:
         psi = la.max_entangled(l_j)
         e_j = np.outer(psi, psi.conj())
         n_j = w_j.shape[1] // (l_j * d)
-        for u in _family_elements("weyl", l_j):
+        for u in _weyl_elements(l_j):
             inner = la.kron(la.dagger(u), la.eye(l_j)) @ e_j @ la.kron(u, la.eye(l_j))
             lifted = la.kron(inner, la.eye(d))  # legs (l_j, l_j, d)
             swapped = _swap_last_two_legs(lifted, (l_j, l_j, d))  # legs (l_j, d, l_j)

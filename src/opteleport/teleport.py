@@ -292,6 +292,12 @@ class _Legs(NamedTuple):
         f = la.dagger(self.povm) @ self.povm if self.ranged else self.povm
         return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(f), self.povm_gaps)
 
+    def povm_parts(self, k: int | None = None) -> Iterator[np.ndarray]:
+        """The f_i of the first k outcomes, all by default, a chunk at a time (:func:`_chunks`, sized
+        by the n^4 entries of an f_i), each f_i = Q_i Q_i* formed on its chunk when ranged."""
+        parts = _chunks(self.povm[:k], self.nprime.ambient_dim**4)
+        return (q @ la.dagger(q) for q in parts) if self.ranged else parts
+
     def within_rounding(self, gaps: float | np.ndarray, norms: float | np.ndarray) -> bool:
         """Whether each remainder is within :func:`la.rounding_bound` of its
         piece's norm at the ambient dimension n^3."""
@@ -583,12 +589,11 @@ def _leg_residuals(legs: _Legs) -> dict[str, float]:
     def lowest(x: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh((x + la.dagger(x)) / 2).min(axis=-1)
 
-    if legs.ranged:  # sum_i Q_i Q_i*, of positive terms
-        total, positive = np.tensordot(f, f.conj(), axes=([0, 2], [0, 2])), 0.0
-    else:
+    total = sum(part.sum(axis=0) for part in legs.povm_parts())
+    res = {"povm_sums_to_identity": root * la.frobenius_distance(total, la.eye(n * n)), "povm_positive": 0.0}
+    if not legs.ranged:
         hermitian = float(np.max(root * la.frobenius_norms(f - la.dagger(f))))
-        total, positive = f.sum(axis=0), max(hermitian, max(0.0, -float(np.min(lowest(f)))))
-    res = {"povm_sums_to_identity": root * la.frobenius_distance(total, la.eye(n * n)), "povm_positive": positive}
+        res["povm_positive"] = max(hermitian, -float(np.min(lowest(f))))
     res["povm_in_alice_algebra"] = float(np.max(legs.povm_gaps))
     res["resource_positive"] = root * la.frobenius_distance(w, la.dagger(w)) + max(0.0, -float(lowest(w)))
     res["resource_normalised"] = abs(np.trace(w) / (n * n) - 1.0)
@@ -617,19 +622,12 @@ def _teleported(legs: _Legs, k: int) -> np.ndarray:
     """sum_i Tr_12((f_i (x) 1)(1 (x) 1 (x) u_i b u_i*)(1 (x) w)) / n^2 over
     the first k outcomes, for the basis b of N': phi(b) for the map
     phi = sum_i K_i(Ad u_i), K_i[a, x, c, d] = sum_pq f_i[(a, p), (x, q)] w[(q, d), (p, c)],
-    read off Q_i when ranged and summed a chunk of outcomes at a time."""
+    summed a chunk of outcomes at a time (:meth:`_Legs.povm_parts`)."""
     n = legs.nprime.ambient_dim
-    w = legs.resource.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n, -1)  # [p, (q, c, d)]
+    w = legs.resource.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, -1)  # [(p, q), (c, d)]
     phi = np.zeros((n * n, n, n), dtype=complex)  # [(a, x), c, d] of sum_i K_i(u_i (.) u_i*)
-    for f, u in zip(_chunks(legs.povm[:k], n**4), _chunks(legs.units[:k], n**4)):
-        if legs.ranged:
-            q = f.reshape(len(f), n, n, -1).transpose(0, 3, 1, 2)  # [i, t, a, p]
-            left = (q.reshape(-1, n) @ w).reshape(len(f), -1, n, n, n * n)  # [i, t, a, q, (c, d)]
-            right = left.transpose(0, 1, 3, 2, 4).reshape(len(f), -1, n**3)  # [i, (t, q), (a, c, d)]
-            kk = (np.swapaxes(q.conj(), 1, 2).reshape(len(f), n, -1) @ right).reshape(len(f), n, n, -1)
-            kk = np.swapaxes(kk, 1, 2)  # [i, a, x, (c, d)]
-        else:
-            kk = np.einsum("iapxq,pqcd->iaxcd", f.reshape(-1, n, n, n, n), w.reshape(n, n, n, n))
+    for f, u in zip(legs.povm_parts(k), _chunks(legs.units[:k], n**4)):
+        kk = f.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n) @ w  # [(i, a, x), (c, d)]
         phi += np.sum(np.swapaxes(u, 1, 2)[:, None] @ kk.reshape(len(f), -1, n, n) @ u.conj()[:, None], axis=0)
     return (legs.nprime.basis.reshape(-1, n * n) @ phi.reshape(n * n, -1).T).reshape(-1, n, n) / (n * n)
 
@@ -769,18 +767,15 @@ def _leg_flag_residuals(legs: _Legs) -> tuple:
     nprime, f, w = legs.nprime, legs.povm, legs.resource
     n, d = nprime.ambient_dim, len(f)
     z = np.einsum("icjc->ij", w.reshape(n, n, n, n))
-    if legs.ranged:
-        q = np.swapaxes(f.reshape(d, n, n, -1), 2, 3)  # Q_i[(a, q), t] at [i, a, t, q]
-        h = (q @ z.T).reshape(d, n, -1) @ la.dagger(q.reshape(d, n, -1)) / (n * n)
-    else:
-        h = np.einsum("iaqxp,pq->iax", f.reshape(-1, n, n, n, n), z) / (n * n)
+    pair, root, hs, minimal_povm = StarAlgebra.tensor(nprime, nprime), math.sqrt(n), [], 0.0
+    for part in legs.povm_parts():
+        hs.append(np.einsum("iaqxp,pq->iax", part.reshape(-1, n, n, n, n), z) / (n * n))
+        minimal_povm = max(minimal_povm, float(np.max(root * _frame_distance(pair, part))))
+    h = np.concatenate(hs)
     gs = nprime.project(h)
     unb_res = float(np.max(n * la.frobenius_norms(gs - la.eye(n) / d)))
     lows = np.linalg.eigvalsh((gs + la.dagger(gs)) / 2).min(axis=-1)
-    pair, root = StarAlgebra.tensor(nprime, nprime), math.sqrt(n)
     minimal_omega = root * _frame_distance(pair, w)
-    parts = (q @ la.dagger(q) for q in _chunks(f, n**4)) if legs.ranged else [f]
-    minimal_povm = max(float(np.max(root * _frame_distance(pair, part))) for part in parts)
     rows = _corner_rows(nprime, np.concatenate([h, gs, la.eye(n)[None]]) / n, d)
     return unb_res, lows, minimal_omega, minimal_povm, (nprime, rows)
 

@@ -295,6 +295,16 @@ def test_a_basis_family_is_built_on_the_parsed_inclusion(monkeypatch, capsys, fa
     assert len(made) == 1
 
 
+def test_a_family_name_outside_the_table_is_refused():
+    from opteleport.cli import InputError, _basis_for_family
+    from opteleport.inclusion import diagonal_in_full, trivial_in_full
+
+    with pytest.raises(InputError, match="unknown family 'character'"):
+        _basis_for_family(diagonal_in_full(2), "character")
+    with pytest.raises(InputError, match="shift family needs N = diagonals"):
+        _basis_for_family(trivial_in_full(2), "shifts")
+
+
 def test_seed_reaches_only_inclusion_info(monkeypatch, capsys):
     # teleport certificates sample nothing, so two seeds differ only in the
     # recorded seed; no call writes the process-global sampling seed
