@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import _adjoint_dot, _corners, _expand, _frame_distance, _upper_pairs
-from .errors import InternalError, PreconditionError
+from .errors import DimensionError, InternalError, PreconditionError
 from .inclusion import Inclusion, diagonal_in_full, homogeneous_in_full, trivial_in_full
 from .reporting import Report
 from .tower import Tower, _normaliser_votes
@@ -145,7 +145,8 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
     With e = P P*, each b* e b is V_b V_b* for V_b = pi(b)* P, which
     :meth:`GnsSpace.act` gives without forming pi(b): sum b* e b is W W*
     for the V_b side by side in W, and the PVM is read off the Gram blocks
-    V_b* V_c (:func:`_pvm_residual`).
+    V_b* V_c (:func:`_pvm_residual`).  The elements must be at least one
+    finite n x n matrix (:func:`_stacked`).
     """
     tol = tower.tol
     inc = basis.inclusion
@@ -153,7 +154,7 @@ def verify_basis(tower: Tower, basis: PimsnerPopaBasis) -> Report:
         raise PreconditionError("tower and basis must share an inclusion")
     rep = Report()
     d = tower.gns.dim
-    elements = np.stack(basis.elements)
+    elements = _stacked(basis.elements, inc.big.ambient_dim)
     ranged = tower.gns.act(la.dagger(elements), tower.levels[1].jones_range)  # V_b = pi(b)* P
     side = ranged.transpose(1, 0, 2).reshape(d, -1)
     rep.add(
@@ -238,6 +239,17 @@ def _require_verified(tower: Tower, basis: PimsnerPopaBasis) -> None:
         raise PreconditionError("tower and basis must share an inclusion")
     if basis._verified_on != _checked(basis):
         verify_basis(tower, basis)
+
+
+def _stacked(elements: list[np.ndarray], n: int) -> np.ndarray:
+    """The basis elements as one (d, n, n) stack; :class:`DimensionError` unless
+    they are at least one n x n matrix, :class:`PreconditionError` on NaN or Inf."""
+    if not elements or any(np.shape(b) != (n, n) for b in elements):
+        raise DimensionError(f"a basis needs at least one element, each {n} x {n}")
+    stack = np.stack(elements)
+    if not np.isfinite(stack).all():
+        raise PreconditionError("basis elements have NaN or Inf entries")
+    return stack
 
 
 def _require_normaliser_basis(tower: Tower, basis: PimsnerPopaBasis) -> None:

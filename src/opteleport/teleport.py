@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +55,7 @@ from .algebra import (
 )
 from .bases import PimsnerPopaBasis, _require_normaliser_basis, _weyl_family, weyl_basis
 from .errors import (
+    DimensionError,
     ExtractionError,
     HypothesisError,
     PreconditionError,
@@ -208,12 +209,15 @@ def _dense_piece(name: str, leg: np.ndarray, context: TeleportationContext):
 class TeleportationScheme:
     """A resource ``omega``, a POVM and correction channels in a context.
 
-    A tight scheme on M_n (x) M_n (x) N' is stored by its legs, a leg stack
-    per piece in ``_stored`` (the POVM by the ranges Q_i of its legs
-    f_i = Q_i Q_i*), and builds each dense piece on its first read
+    A tight scheme on M_n (x) M_n (x) N' is stored by its legs, a read-only
+    leg stack per piece in ``_stored`` (the POVM by the ranges Q_i of its
+    legs f_i = Q_i Q_i*), and builds each dense piece on its first read
     (:class:`_Deferred`, :func:`_dense_piece`).  Reading or setting a piece
     drops its leg, since a caller may change what it was handed, so the
-    piece is from then on judged as it stands (:func:`_pieces`)."""
+    piece is from then on judged as it stands (:func:`_pieces`).  While
+    every piece is stored, the scheme is classified once and keeps that
+    verdict (:func:`_revision`); a read or replaced piece makes the next
+    verdict a fresh one."""
 
     context: TeleportationContext
     omega: np.ndarray = _Deferred()
@@ -229,8 +233,9 @@ class TeleportationScheme:
         name, each built on its first read (:class:`_Deferred`); every other
         field is set by the constructor."""
         scheme = cls(**dict.fromkeys(legs), **values)
-        for name in legs:
+        for name, leg in legs.items():
             del vars(scheme)[name]  # unread, so its first read builds it from the leg
+            leg.flags.writeable = False  # a kept verdict reads the legs as they were classified
         scheme._stored = dict(legs)
         return scheme
 
@@ -292,8 +297,8 @@ class _Legs(NamedTuple):
         f = la.dagger(self.povm) @ self.povm if self.ranged else self.povm
         return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(f), self.povm_gaps)
 
-    def povm_parts(self, k: int | None = None) -> Iterator[np.ndarray]:
-        """The f_i of the first k outcomes, all by default, a chunk at a time (:func:`_chunks`, sized
+    def povm_parts(self, k: int) -> Iterator[np.ndarray]:
+        """The f_i of the first k outcomes a chunk at a time (:func:`_chunks`, sized
         by the n^4 entries of an f_i), each f_i = Q_i Q_i* formed on its chunk when ranged."""
         parts = _chunks(self.povm[:k], self.nprime.ambient_dim**4)
         return (q @ la.dagger(q) for q in parts) if self.ranged else parts
@@ -449,6 +454,7 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     replaced is judged as it stands.  Every other scheme is judged on its
     dense pieces (:func:`_dense_residuals`).
     """
+    _require_pieces(scheme)
     tol = scheme.tol
     ctx = scheme.context
     legs = _legs(scheme)
@@ -520,6 +526,32 @@ def verify_scheme(scheme: TeleportationScheme, strict: bool = True) -> Report:
     return rep
 
 
+def _require_pieces(scheme: TeleportationScheme) -> None:
+    """Refuse a scheme without POVM elements, or whose resource, POVM elements
+    and channel witnesses, where read or set, are not D x D matrices
+    (:class:`DimensionError`) of finite entries (:class:`PreconditionError`),
+    or whose channels do not act on D x D matrices.  D is the ambient
+    dimension of the context, n^3 on the tripartite context of the inclusion
+    (read without building its algebras), and must be n^3 when ``leg_dims``
+    is (n, n, n).  Stored legs were built in shape and are not read."""
+    if not _count(scheme, "povm"):
+        raise PreconditionError("a scheme needs at least one POVM element")
+    inc, stored = scheme.inclusion, vars(scheme).get("_stored", {})
+    n = None if inc is None else inc.big.ambient_dim
+    dim = n**3 if _on_tripartite_context(scheme.context, inc) else scheme.context.ambient.ambient_dim
+    if scheme.leg_dims == (n,) * 3 and dim != n**3:
+        raise DimensionError(f"leg dimensions {scheme.leg_dims} do not fill the ambient dimension {dim}")
+    read = ([] if "omega" in stored else [scheme.omega]) + ([] if "povm" in stored else list(scheme.povm))
+    channels = [] if "channels" in stored else scheme.channels
+    read += [ch.ad_unitary for ch in channels if ch.ad_unitary is not None]
+    if any(np.shape(x) != (dim, dim) for x in read) or any(
+        {ch.domain.ambient_dim, ch.codomain.ambient_dim} != {dim} for ch in channels
+    ):
+        raise DimensionError(f"the pieces and the channels must act on {dim} x {dim} matrices")
+    if not all(np.isfinite(x).all() for x in read):
+        raise PreconditionError("the pieces have NaN or Inf entries")
+
+
 def _resource_norm(scheme: TeleportationScheme, legs: _Legs | None) -> float:
     """||omega||, read off the legs when the scheme is judged on them."""
     return float(np.linalg.norm(scheme.omega)) if legs is None else legs.resource_norm
@@ -589,7 +621,7 @@ def _leg_residuals(legs: _Legs) -> dict[str, float]:
     def lowest(x: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh((x + la.dagger(x)) / 2).min(axis=-1)
 
-    total = sum(part.sum(axis=0) for part in legs.povm_parts())
+    total = sum(part.sum(axis=0) for part in legs.povm_parts(len(f)))
     res = {"povm_sums_to_identity": root * la.frobenius_distance(total, la.eye(n * n)), "povm_positive": 0.0}
     if not legs.ranged:
         hermitian = float(np.max(root * la.frobenius_norms(f - la.dagger(f))))
@@ -680,13 +712,53 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     and the cross-check rows are read on n x n or n^2 x n^2 matrices.  Every
     other scheme is classified on its dense pieces
     (:func:`_dense_flag_residuals`).
+
+    A scheme stored by its legs is classified once per revision
+    (:func:`_revision`), and :func:`extract_tight_scheme` reuses that
+    verdict; reading or replacing a piece, the context or the inclusion
+    makes the next call classify afresh.  Each call returns a new
+    :class:`SchemeFlags` and report, which the caller owns: changing them
+    changes no later verdict.
     """
-    return _classify(scheme)[0]
+    flags = _classify(scheme)[0]
+    report = Report()
+    report.merge(flags.report)
+    witness = None if flags.witness is None else dict(flags.witness)
+    return replace(flags, witness=witness, report=report)
 
 
 def _classify(scheme: TeleportationScheme) -> tuple[SchemeFlags, _Legs | None]:
     """:func:`classify`, and what :func:`_pieces` read of the scheme for it
-    (:func:`_read_legs`), which the extraction reads again."""
+    (:func:`_read_legs`), which the extraction reads again; kept on a scheme
+    with a revision (:func:`_revision`) and returned while it lasts."""
+    revision = _revision(scheme)
+    kept = vars(scheme).get("_verdict")
+    if revision is not None and kept is not None and all(a is b for a, b in zip(kept[0], revision)):
+        return kept[1]
+    verdict = _fresh_classify(scheme)
+    if revision is not None:
+        scheme._verdict = revision, verdict
+    return verdict
+
+
+def _revision(scheme: TeleportationScheme) -> tuple | None:
+    """What a verdict on a scheme stored by its legs depends on, compared by
+    identity: the dict of its stored legs, its context, the inclusion that
+    context was built for, its inclusion and its ``leg_dims``.  None, so that
+    no verdict is kept, unless every piece is stored and the context is the
+    tripartite one of the inclusion (:func:`_on_tripartite_context`).  Reading
+    or setting a piece makes a new leg dict (:meth:`TeleportationScheme._forget`),
+    the legs refuse writes in place, and setting an attribute of the context
+    drops the inclusion it was built for, so each ends the revision."""
+    stored, ctx = vars(scheme).get("_stored", {}), scheme.context
+    if len(stored) < 3 or not _on_tripartite_context(ctx, scheme.inclusion):
+        return None
+    return stored, ctx, vars(ctx)["_built_for"], scheme.inclusion, scheme.leg_dims
+
+
+def _fresh_classify(scheme: TeleportationScheme) -> tuple[SchemeFlags, _Legs | None]:
+    """:func:`_classify` with no kept verdict: the scheme classified as it stands."""
+    _require_pieces(scheme)
     tol = scheme.tol
     rep = Report()
     d = scheme.outcomes
@@ -768,7 +840,7 @@ def _leg_flag_residuals(legs: _Legs) -> tuple:
     n, d = nprime.ambient_dim, len(f)
     z = np.einsum("icjc->ij", w.reshape(n, n, n, n))
     pair, root, hs, minimal_povm = StarAlgebra.tensor(nprime, nprime), math.sqrt(n), [], 0.0
-    for part in legs.povm_parts():
+    for part in legs.povm_parts(d):
         hs.append(np.einsum("iaqxp,pq->iax", part.reshape(-1, n, n, n, n), z) / (n * n))
         minimal_povm = max(minimal_povm, float(np.max(root * _frame_distance(pair, part))))
     h = np.concatenate(hs)
@@ -1256,10 +1328,12 @@ def extract_tight_scheme(
     extracted family must pass :func:`bases._require_normaliser_basis`.
 
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
-    bounds included.  The scheme's level-one tower is reused.  The scheme
-    is classified on every call, so replaced pieces are judged as they
-    stand.  Every piece is read once, by the :func:`_pieces` call of that
-    classification (:func:`_classify`), and the norms the
+    bounds included.  The scheme's level-one tower is reused.  The scheme's
+    verdict is that of :func:`_classify`: kept from an earlier call while
+    every piece is still stored (:func:`_revision`), and fresh once a piece
+    was read or replaced, so replaced pieces are judged as they stand and
+    flags a caller changed decide nothing.  Every piece is read once, by the
+    :func:`_pieces` call of that classification, and the norms the
     bounds scale with are read off the legs (:attr:`_Legs.resource_norm`,
     :attr:`_Legs.povm_norms`), so a stored scheme builds no dense piece.
     The rebuilt resource and POVM lie in leg form, HS-orthogonal to each

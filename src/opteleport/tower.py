@@ -869,14 +869,16 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     """:func:`normalizer_check` for every unitary of the stack ``us`` at once.
 
     The equivariance vote uses the same six fixed-seed elements of M for
-    every u, drawn once; each vote is one stacked expectation, membership
-    or GNS map.
+    every u and every call, drawn once per inclusion
+    (:func:`_equivariance_sample`); each vote is one stacked expectation,
+    membership or GNS map.
     """
     inc = t.inclusion
     small, big, exp = inc.small, inc.big, inc.expectation
     # the rules of la.is_unitary and StarAlgebra.contains, for the stack at once
     if (
         us.shape[-2:] != (big.ambient_dim,) * 2
+        or not np.isfinite(us).all()
         or not np.all(la.is_unitary(us, tol))
         or np.any(big.membership_residual(us) > tol.bound(la.frobenius_norms(us)))
     ):
@@ -885,8 +887,8 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     u_star, u_col = la.dagger(us)[:, None], us[:, None]
     conj = u_star @ _generators(small) @ u_col
     conj_stable = np.all(small.membership_residual(conj) <= tol.bound(la.frobenius_norms(conj)), axis=1)
-    xs = big.random_hermitian(la.rng_from(_PAIR_SEED + 5), 6)
-    lhs = u_star @ exp(xs) @ u_col
+    xs, exs = _equivariance_sample(inc)
+    lhs = u_star @ exs @ u_col
     gap = la.frobenius_norms(lhs - exp(u_star @ xs @ u_col))
     equivariant = np.all(gap <= tol.bound(la.frobenius_norms(lhs)) * 10, axis=1)
     jones_gap = _jones_gaps(t, us)
@@ -897,6 +899,20 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
             raise InternalError(f"normaliser criteria disagree: {three}")
         votes.append(bool(stable))
     return votes
+
+
+def _equivariance_sample(inc: Inclusion) -> tuple[np.ndarray, np.ndarray]:
+    """The six fixed-seed Hermitian elements x of M that the equivariance vote
+    of :func:`_normaliser_votes` reads, and their expectations E(x), read-only.
+    They depend on the inclusion alone, so they are drawn once and kept on
+    it, as its index is."""
+    if "_equivariance_sample" not in vars(inc):
+        xs = inc.big.random_hermitian(la.rng_from(_PAIR_SEED + 5), 6)
+        sample = xs, inc.expectation(xs)
+        for x in sample:
+            x.flags.writeable = False
+        inc._equivariance_sample = sample
+    return inc._equivariance_sample
 
 
 def _jones_gaps(t: Tower, us: np.ndarray) -> np.ndarray:

@@ -214,8 +214,40 @@ def test_index_map_reads_equal_the_dense_products_with_phases():
     assert_reads_match(alg)
     assert_reads_match(alg.commutant)
     product = StarAlgebra.tensor(alg, StarAlgebra.diagonal(2))
-    assert product._index is not None  # found in the Kronecker frames by the constructor
+    assert product._index is not None  # written down from the two index maps
     assert_reads_match(product)
+
+
+def kronecker_tensor(*factors):
+    """StarAlgebra.tensor on the dense Kronecker frames, which the constructor reads."""
+    left = factors[0]
+    for right in factors[1:]:
+        n, blocks, frames = left.ambient_dim * right.ambient_dim, [], []
+        for (dl, ml), wl in zip(left.blocks, left.frames):
+            for (dr, mr), wr in zip(right.blocks, right.frames):
+                blocks.append((dl * dr, ml * mr))
+                frames.append(la.kron(wl, wr).reshape(n, dl, ml, dr, mr).transpose(0, 1, 3, 2, 4).reshape(n, -1))
+        left = StarAlgebra(n, blocks, frames)
+    return left
+
+
+TENSORS = {
+    "phased_D2": lambda: (phased_algebra(), StarAlgebra.diagonal(2)),
+    "D2_phased": lambda: (StarAlgebra.diagonal(2), phased_algebra()),
+    "M3_D2_C2": lambda: (StarAlgebra.full(3), StarAlgebra.diagonal(2), StarAlgebra.trivial(2)),
+    "blocks_commutant": lambda: (StarAlgebra.block_diagonal([(2, 1), (1, 2)]), phased_algebra().commutant),
+    "rotated_M2": lambda: (frame_cases()["from_generators"], StarAlgebra.full(2)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TENSORS))
+def test_a_tensor_product_equals_the_kronecker_product_bit_for_bit(key):
+    factors = TENSORS[key]()
+    got, want = StarAlgebra.tensor(*factors), kronecker_tensor(*factors)
+    assert got.blocks == want.blocks and (got._index is None) == (key == "rotated_M2")
+    if got._index is not None:
+        assert all(np.array_equal(g, w) for g, w in zip(got._index, want._index, strict=True))
+    assert all(np.array_equal(g, w) for g, w in zip(got.frames, want.frames, strict=True))
 
 
 def test_a_rotated_algebra_keeps_dense_frames():

@@ -17,6 +17,8 @@ from opteleport.algebra import (
 )
 from opteleport.bases import homogeneous_block_basis, shift_basis, weyl_basis
 from opteleport.errors import NormaliserError
+from opteleport import tower
+from opteleport.teleport import extract_tight_scheme, standard_scheme
 from opteleport.tower import _jones_gaps, _normaliser_votes, basic_construction, normalizer_check
 
 from conftest import get_tower
@@ -173,6 +175,19 @@ def test_normaliser_votes_reject_a_haar_unitary_on_d3():
     assert not normalizer_check(t, u)
     family = np.stack(shift_basis(3).elements + [u])
     assert _normaliser_votes(t, family, t.tol) == [True, True, True, False]
+
+
+def test_normaliser_votes_draw_their_sample_once_per_inclusion(monkeypatch):
+    # the build and the extraction of a tight scheme vote on one inclusion: one draw of six
+    draws = []
+    draw = StarAlgebra.random_hermitian
+    monkeypatch.setattr(StarAlgebra, "random_hermitian", lambda alg, rng, count=None: draws.append(count) or draw(alg, rng, count))
+    s = standard_scheme(2)
+    assert extract_tight_scheme(s)[3].passed and normalizer_check(s.tower, la.eye(2))
+    assert draws.count(6) == 1
+    xs, exs = tower._equivariance_sample(s.inclusion)
+    assert np.array_equal(xs, draw(s.inclusion.big, la.rng_from(tower._PAIR_SEED + 5), 6))
+    assert np.array_equal(exs, s.inclusion.expectation(xs)) and not (xs.flags.writeable or exs.flags.writeable)
 
 
 def test_normaliser_votes_refuse_a_non_unitary():

@@ -1107,6 +1107,73 @@ def test_extraction_rejects_a_resource_with_a_perturbed_first_leg():
         extract_tight_scheme(perturbed)
 
 
+def _slice_off_centre():
+    # w = 1 (x) diag(3, 1) / 2 on legs 1 and 2: its slice on leg 2 is no scalar
+    s = standard_scheme(2)
+    s.omega = la.kron(la.eye(4), np.diag([1.5, 0.5]).astype(complex))
+    return s
+
+
+def _singular_slice():
+    # the D_2 scheme with w = 1 (x) diag(2, 0): a central slice with the eigenvalue 0
+    s = _werner_d2()
+    s.omega = la.kron(la.eye(4), np.diag([2.0, 0.0]).astype(complex))
+    return s
+
+
+def _scaled_resource():
+    # 1.1 omega: the slice is 1.1, of normalised trace 1.1
+    s = standard_scheme(2)
+    s.omega = 1.1 * s.omega
+    return s
+
+
+def _mixed_resource():
+    # 0.99 omega + 0.01: every slice stays 1, but no (u, z) rebuilds the resource
+    s = standard_scheme(2)
+    s.omega = 0.99 * s.omega + 0.01 * la.eye(8)
+    return s
+
+
+def _povm_off_its_third_leg():
+    # F_0 + eps f_0 (x) Z, Z traceless: the remainder 5e-9 is over tol.bound(||F_0||) = 2.4e-9
+    # and inside the ten-fold threshold of "minimal", so the flags hold
+    s = standard_scheme(2)
+    h = la.kron(la.partial_trace(s.povm[0], [4, 2], {1}, normalise=True), np.diag([1.0, -1.0]).astype(complex))
+    s.povm[0] = s.povm[0] + 5e-9 * h / np.linalg.norm(h)
+    return s
+
+
+EXTRACTION_WITNESSES = {
+    "central_slice_in_centre": (_slice_off_centre, "resource does not have the rigid form"),
+    "central_slice_invertible": (_singular_slice, "resource does not have the rigid form"),
+    "central_slice_normalised": (_scaled_resource, "resource does not have the rigid form"),
+    "resource_round_trip": (_mixed_resource, "round trip failed: resource_round_trip, round_trip_resource"),
+    "povm_0_has_trivial_third_leg": (_povm_off_its_third_leg, "round trip failed: povm_0_has_trivial_third_leg"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRACTION_WITNESSES))
+def test_each_extraction_check_has_a_scheme_that_fails_it(monkeypatch, name):
+    # the flags hold, so extraction runs its checks; the report it raises on fails the check named
+    make, message = EXTRACTION_WITNESSES[name]
+    reports = []
+
+    class Recorded(teleport.Report):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    s = make()
+    flags = classify(s)
+    assert flags.tight and flags.minimal and flags.faithful
+    monkeypatch.setattr(teleport, "Report", Recorded)
+    with pytest.raises(ExtractionError, match=f"^{message}$"):
+        extract_tight_scheme(s)
+    failed = [c.name for c in reports[-1].failures()]
+    assert failed[0] == name and set(failed) <= {name, "round_trip_resource"}
+
+
 def test_correction_unitaries_read_the_tolerance_of_the_tower(monkeypatch):
     tol = Tolerance(abs=1e-6, rel=1e-6)
     t = basic_construction(markov_inclusion(StarAlgebra.diagonal(3), StarAlgebra.full(3), tol))
@@ -1606,6 +1673,74 @@ def test_a_stored_piece_is_built_once_on_read_and_kept():
     _scaled_povm_element(twin)
     assert set(vars(s)["_stored"]) == PIECES and "povm" not in vars(s)
     assert verify_scheme(s).passed and not verify_scheme(twin, strict=False).passed
+
+
+@pytest.fixture
+def fresh_verdicts(monkeypatch):
+    """The schemes classified afresh, one entry per classification that ran."""
+    seen = []
+    fresh = teleport._fresh_classify
+    monkeypatch.setattr(teleport, "_fresh_classify", lambda s: seen.append(s) or fresh(s))
+    return seen
+
+
+def test_a_stored_scheme_is_classified_once_per_revision(fresh_verdicts):
+    s = standard_scheme(2)
+    flags = classify(s)
+    assert classify(s) == flags and classify(s) is not flags
+    assert extract_tight_scheme(s)[3].passed and fresh_verdicts == [s]
+
+
+def _read_omega(s):
+    s.omega
+
+
+def _replaced_povm(s):
+    s.povm = list(standard_scheme(2).povm)
+
+
+def _replaced_bob(s):
+    s.context.bob = StarAlgebra.tensor(StarAlgebra.trivial(2), StarAlgebra.trivial(2), StarAlgebra.full(2))
+
+
+@pytest.mark.parametrize("change", [_read_omega, _replaced_povm, _replaced_bob])
+def test_a_read_or_replaced_piece_or_context_ends_the_kept_verdict(fresh_verdicts, change):
+    s = standard_scheme(2)
+    flags = classify(s)
+    change(s)
+    assert classify(s) == flags
+    assert extract_tight_scheme(s)[3].passed
+    assert fresh_verdicts == [s, s, s]
+
+
+def test_a_piece_replaced_on_a_shallow_copy_ends_only_the_copys_verdict(fresh_verdicts):
+    s = standard_scheme(2)
+    flags = classify(s)
+    twin = copy.copy(s)
+    _scaled_povm_element(twin)
+    assert not classify(twin).unbiased
+    assert classify(s) == flags and set(vars(s)["_stored"]) == PIECES
+    assert fresh_verdicts == [s, twin]
+
+
+def test_changing_returned_flags_changes_nothing_extraction_reads(fresh_verdicts):
+    s = standard_scheme(2)
+    flags = classify(s)
+    flags.minimal = flags.faithful = False
+    flags.report.checks.clear()
+    assert extract_tight_scheme(s)[3].passed
+    again = classify(s)
+    assert again.minimal and again.faithful and [c.name for c in again.report.checks][0] == "tight"
+    assert fresh_verdicts == [s]
+
+
+@pytest.mark.parametrize("name", sorted(PIECES))
+def test_a_stored_leg_refuses_a_write_in_place(name):
+    s = standard_scheme(2)
+    leg = vars(s)["_stored"][name]
+    with pytest.raises(ValueError, match="read-only"):
+        leg[0, 0, 0] = 1.0
+    assert not teleport._pieces(s).resource.flags.writeable
 
 
 @pytest.mark.parametrize("key", sorted(STORED_SCHEMES))
