@@ -955,12 +955,12 @@ class Superoperator:
 
     The map is stored as a callable on ambient matrices of the domain; the
     CP test extends it to the full ambient by precomposing with the
-    trace-preserving expectation onto the domain (which preserves complete
-    positivity in both directions).  A conjugation x -> v x v*, made only by
-    :meth:`conjugation`, carries v as its witness, the read-only
-    ``ad_unitary``, which certifies complete positivity without a Choi
-    matrix; the map is built from v, so the two cannot disagree.  Every
-    other map has ``ad_unitary`` None.
+    expectation onto the domain that preserves its normalised trace (which
+    preserves complete positivity in both directions).  A conjugation
+    x -> v x v*, made only by :meth:`conjugation`, carries v as its witness,
+    the read-only ``ad_unitary``, which certifies complete positivity without
+    a Choi matrix; the map is built from v, so the two cannot disagree.
+    Every other map has ``ad_unitary`` None.
 
     A call takes a matrix or a stack of shape (..., n, n) and maps each of
     its matrices.  With ``stacks`` the callable maps a whole stack itself, as
@@ -973,14 +973,11 @@ class Superoperator:
         domain: StarAlgebra,
         codomain: StarAlgebra,
         apply: Callable[[np.ndarray], np.ndarray],
-        domain_trace: Trace | None = None,
         stacks: bool = False,
     ) -> None:
         self.domain = domain
         self.codomain = codomain
         self._apply = apply
-        if domain_trace is not None:
-            self.domain_trace = domain_trace
         self._witness: np.ndarray | None = None
         self.stacks = stacks
 
@@ -1004,7 +1001,7 @@ class Superoperator:
 
     @cached_property
     def domain_trace(self) -> Trace:
-        """The normalised trace of the domain unless one was given; built on first use."""
+        """The normalised trace of the domain, which :attr:`choi` reads; built on first use."""
         return Trace.normalized(self.domain)
 
     @cached_property
@@ -1066,7 +1063,7 @@ def conditional_expectation_onto(
 ) -> Superoperator:
     """tau-preserving conditional expectation from ``ambient`` onto ``sub``,
     E(x) = P(x rho) P(rho)^{-1} for the density rho of ``trace``."""
-    return Superoperator(ambient, sub, _expectation(sub, trace), domain_trace=trace, stacks=True)
+    return Superoperator(ambient, sub, _expectation(sub, trace), stacks=True)
 
 
 def intersect(a: StarAlgebra, b: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:

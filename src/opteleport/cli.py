@@ -131,9 +131,8 @@ def parse_inclusion_spec(doc: dict, tol: Tolerance) -> tuple[Inclusion, dict]:
         raise InputError("embedding must be 'block_diagonal' or {'explicit': [...]}")
     big = StarAlgebra.full(n)
     trace_spec = doc.get("trace", "markov")
-    if trace_spec == "markov":
-        trace = markov_trace(small, big)
-    else:
+    trace = None  # the inclusion builds its Markov trace
+    if trace_spec != "markov":
         trace = Trace(big, parse_weights(trace_spec, "trace"))
         if not (trace.is_state(tol) and trace.is_faithful(tol)):
             raise InputError("explicit trace weights must define a faithful state")
@@ -179,7 +178,7 @@ def cmd_inclusion_info(args) -> dict:
     rep = Report()
     connected = inc.connected
     rep.add_flag("connected", True, detail=f"flag {connected}")
-    # a document that asks for the Markov trace has it built by the parser
+    # a document that asks for the Markov trace has it built by its inclusion
     markov = inc.trace if echo["trace"] == "markov" else markov_trace(inc.small, inc.big)
     derived = {
         "N_blocks": [list(b) for b in inc.small.blocks],

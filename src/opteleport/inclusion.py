@@ -68,28 +68,21 @@ def markov_trace(small: StarAlgebra, big: StarAlgebra) -> Trace:
     """The unique Markov trace of a connected inclusion.
 
     The block weight vector is the Perron-Frobenius eigenvector of
-    Lambda Lambda^T, normalised to a state.  The trace keeps Lambda and the
-    Perron-Frobenius eigenvalue ||Lambda||^2, which an :class:`Inclusion` of
-    ``small`` in ``big`` built on it reads as its matrix and its index.
+    Lambda Lambda^T, normalised to a state.
     """
+    return _markov(small, big)[0]
+
+
+def _markov(small: StarAlgebra, big: StarAlgebra) -> tuple[Trace, np.ndarray, float]:
+    """:func:`markov_trace`, with Lambda and the Perron-Frobenius eigenvalue
+    ||Lambda||^2 it was read from."""
     lam = inclusion_matrix(small, big)
     if not _connected(lam):
         raise ConnectednessError("Markov trace requires a connected inclusion")
     # a connected Bratteli diagram makes Lambda Lambda^T irreducible
     top, vec = la._perron(lam @ lam.T)
     dims = np.array([bd for bd, _ in big.blocks], dtype=float)
-    return _MarkovTrace(big, vec / float(dims @ vec), small, lam, top)
-
-
-class _MarkovTrace(Trace):
-    """A Markov trace with the inclusion matrix of ``small`` in its algebra
-    and the index it was read from."""
-
-    def __init__(
-        self, big: StarAlgebra, weights: np.ndarray, small: StarAlgebra, lam: np.ndarray, index: float
-    ) -> None:
-        super().__init__(big, weights)
-        self.small, self.matrix, self.index = small, lam, index
+    return Trace(big, vec / float(dims @ vec)), lam, top
 
 
 def index_from_matrix(lam: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -99,7 +92,9 @@ def index_from_matrix(lam: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 class Inclusion:
-    """A unital pair N ⊆ M carrying a faithful tracial state on M."""
+    """A unital pair N ⊆ M carrying a faithful tracial state on M.  Built
+    with no trace, it carries the Markov trace and keeps the Lambda and the
+    index that trace was read from."""
 
     def __init__(
         self,
@@ -113,7 +108,7 @@ class Inclusion:
         if not _holds(big, _generators(small), tol):  # M is a *-algebra: N's units generate N in M
             raise PreconditionError("N is not contained in M")
         if trace is None:
-            trace = markov_trace(small, big)
+            trace, self.matrix, self.index = _markov(small, big)
         if trace.algebra is not big:
             raise PreconditionError("trace must live on M")
         if not (trace.is_state(tol) and trace.is_faithful(tol)):
@@ -122,8 +117,6 @@ class Inclusion:
         self.big = big
         self.trace = trace
         self.tol = tol
-        if isinstance(trace, _MarkovTrace) and trace.small is small:
-            self.matrix, self.index = trace.matrix, trace.index
 
     @cached_property
     def expectation(self) -> Superoperator:
@@ -132,7 +125,7 @@ class Inclusion:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Lambda; a Markov trace built for this pair hands over the one it was read from."""
+        """Lambda; kept from :func:`_markov` when the inclusion was built with no trace."""
         return inclusion_matrix(self.small, self.big)
 
     @cached_property
@@ -141,9 +134,9 @@ class Inclusion:
 
     @cached_property
     def index(self) -> float:
-        """||Lambda||^2; defined for connected inclusions only.  With a Markov
-        trace built for this pair, the Perron-Frobenius eigenvalue of
-        Lambda Lambda^T it was read from."""
+        """||Lambda||^2; defined for connected inclusions only.  Built with no
+        trace, the Perron-Frobenius eigenvalue of Lambda Lambda^T that its
+        Markov trace was read from."""
         if not self.connected:
             raise ConnectednessError("index requires a connected inclusion")
         return index_from_matrix(self.matrix, self.tol)
@@ -163,7 +156,7 @@ def markov_inclusion(
     small: StarAlgebra, big: StarAlgebra, tol: Tolerance = DEFAULT_TOL
 ) -> Inclusion:
     """Inclusion equipped with its Markov trace."""
-    return Inclusion(small, big, markov_trace(small, big), tol)
+    return Inclusion(small, big, tol=tol)
 
 
 def trivial_in_full(n: int) -> Inclusion:

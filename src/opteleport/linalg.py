@@ -194,13 +194,13 @@ def pf_eigenvector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[float, 
 
     Returns the spectral radius together with the strictly positive
     eigenvector normalised to unit 1-norm.  Reducible input raises
-    :class:`ConnectednessError`.
+    :class:`ConnectednessError`, and a negative entry :class:`PreconditionError`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("pf_eigenvector expects a square matrix")
     if np.any(a < -tol.abs):
-        raise ValueError("pf_eigenvector expects entrywise nonnegative input")
+        raise PreconditionError("pf_eigenvector expects entrywise nonnegative input")
     n = a.shape[0]
     reach = np.linalg.matrix_power(np.eye(n) + (a > tol.abs), max(n - 1, 1))
     if np.any(reach <= 0):
@@ -223,12 +223,13 @@ def _perron(a: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def matrix_sqrt(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix (tiny negative eigenvalues clipped)."""
+    """Principal square root of a PSD matrix (tiny negative eigenvalues
+    clipped); any other input raises :class:`PreconditionError`."""
     p = as_matrix(p)
     vals, vecs = np.linalg.eigh((p + dagger(p)) / 2)
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     if np.min(vals) < -tol.bound(scale):
-        raise ValueError("matrix_sqrt input is not PSD")
+        raise PreconditionError("matrix_sqrt input is not PSD")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ dagger(vecs)
 

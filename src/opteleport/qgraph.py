@@ -229,10 +229,9 @@ def factor_colouring(inc: Inclusion) -> Colouring:
     d = frame.d
     n = inc.big.ambient_dim
     projections: list[np.ndarray] = []
-    for l_j, w_j in zip(frame.block_sizes, frame.isometries):
+    for l_j, n_j, w_j in zip(frame.block_sizes, frame.block_mults, frame.isometries):
         psi = la.max_entangled(l_j)
         e_j = np.outer(psi, psi.conj())
-        n_j = w_j.shape[1] // (l_j * d)
         for u in _weyl_elements(l_j):
             inner = la.kron(la.dagger(u), la.eye(l_j)) @ e_j @ la.kron(u, la.eye(l_j))
             lifted = la.kron(inner, la.eye(d))  # legs (l_j, l_j, d)
@@ -309,8 +308,7 @@ def factor_lower_bound(inc: Inclusion, col: Colouring) -> Report:
     rs = []
     for p in col.projections:
         r_a = np.zeros((d * l, d * l), dtype=complex)
-        for l_j, w_j in zip(frame.block_sizes, frame.isometries):
-            n_j = w_j.shape[1] // (l_j * d)
+        for l_j, n_j, w_j in zip(frame.block_sizes, frame.block_mults, frame.isometries):
             iso = la.kron(w_j, la.eye(l))
             comp = la.dagger(iso) @ p @ iso  # legs (n_j, l_j, d, l)
             r_a += l_j * l_j * la.partial_trace(

@@ -216,8 +216,8 @@ class TeleportationScheme:
     drops its leg, since a caller may change what it was handed, so the
     piece is from then on judged as it stands (:func:`_pieces`).  While
     every piece is stored, the scheme is classified once and keeps that
-    verdict (:func:`_revision`); a read or replaced piece makes the next
-    verdict a fresh one."""
+    verdict (:func:`_classify`); setting any attribute, a read piece's leg
+    dict among them, makes the next verdict a fresh one."""
 
     context: TeleportationContext
     omega: np.ndarray = _Deferred()
@@ -243,6 +243,11 @@ class TeleportationScheme:
         piece = _dense_piece(name, self._stored[name], self.context)
         self._forget(name, piece)
         return piece
+
+    def __setattr__(self, name: str, value) -> None:
+        # any set may change what a kept verdict read (:func:`_classify`), so it drops it
+        vars(self).pop("_verdict", None)
+        super().__setattr__(name, value)
 
     def _forget(self, name: str, value) -> None:
         # a new dict, not one changed in place: a shallow copy of the scheme keeps its legs
@@ -713,9 +718,9 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
     other scheme is classified on its dense pieces
     (:func:`_dense_flag_residuals`).
 
-    A scheme stored by its legs is classified once per revision
-    (:func:`_revision`), and :func:`extract_tight_scheme` reuses that
-    verdict; reading or replacing a piece, the context or the inclusion
+    A scheme stored by its legs is classified once (:func:`_classify`), and
+    :func:`extract_tight_scheme` reuses that verdict; reading a piece,
+    setting any attribute of the scheme or replacing one of its context
     makes the next call classify afresh.  Each call returns a new
     :class:`SchemeFlags` and report, which the caller owns: changing them
     changes no later verdict.
@@ -729,31 +734,17 @@ def classify(scheme: TeleportationScheme) -> SchemeFlags:
 
 def _classify(scheme: TeleportationScheme) -> tuple[SchemeFlags, _Legs | None]:
     """:func:`classify`, and what :func:`_pieces` read of the scheme for it
-    (:func:`_read_legs`), which the extraction reads again; kept on a scheme
-    with a revision (:func:`_revision`) and returned while it lasts."""
-    revision = _revision(scheme)
-    kept = vars(scheme).get("_verdict")
-    if revision is not None and kept is not None and all(a is b for a, b in zip(kept[0], revision)):
-        return kept[1]
+    (:func:`_read_legs`), which the extraction reads again.  The verdict is
+    kept while all three pieces are stored on the tripartite context of the
+    inclusion (:func:`_on_tripartite_context`); any set on the scheme, a read
+    piece's among them, drops it (:meth:`TeleportationScheme.__setattr__`)."""
+    keep = len(vars(scheme).get("_stored", {})) == 3 and _on_tripartite_context(scheme.context, scheme.inclusion)
+    if keep and "_verdict" in vars(scheme):
+        return scheme._verdict
     verdict = _fresh_classify(scheme)
-    if revision is not None:
-        scheme._verdict = revision, verdict
+    if keep:
+        scheme._verdict = verdict
     return verdict
-
-
-def _revision(scheme: TeleportationScheme) -> tuple | None:
-    """What a verdict on a scheme stored by its legs depends on, compared by
-    identity: the dict of its stored legs, its context, the inclusion that
-    context was built for, its inclusion and its ``leg_dims``.  None, so that
-    no verdict is kept, unless every piece is stored and the context is the
-    tripartite one of the inclusion (:func:`_on_tripartite_context`).  Reading
-    or setting a piece makes a new leg dict (:meth:`TeleportationScheme._forget`),
-    the legs refuse writes in place, and setting an attribute of the context
-    drops the inclusion it was built for, so each ends the revision."""
-    stored, ctx = vars(scheme).get("_stored", {}), scheme.context
-    if len(stored) < 3 or not _on_tripartite_context(ctx, scheme.inclusion):
-        return None
-    return stored, ctx, vars(ctx)["_built_for"], scheme.inclusion, scheme.leg_dims
 
 
 def _fresh_classify(scheme: TeleportationScheme) -> tuple[SchemeFlags, _Legs | None]:
@@ -1108,19 +1099,14 @@ def commutant_trace_is_markov(inc: Inclusion) -> tuple[bool, Report]:
     does, both normalised one-leg partial traces of the Jones projection
     equal 1/[M_n : N], which is re-checked numerically at ``inc.tol``.
     """
-    tol = inc.tol
     rep = Report()
     n = inc.big.ambient_dim
-    if inc.big.dim != n * n:
-        raise PreconditionError("commutant trace test requires M = M_n")
-    dims = [bd for bd, _ in inc.small.blocks]
-    mults = [m for _, m in inc.small.blocks]
-    dim_nprime = sum(m * m for m in mults)
-    flag = all(bd * dim_nprime == n * m for bd, m in inc.small.blocks)
+    flag = _commutant_trace_gate(inc)
+    dim_nprime = sum(m * m for _, m in inc.small.blocks)
     rep.add_flag(
         "trace_vector_proportionality",
         True,
-        detail=f"blocks {list(zip(dims, mults))}, n={n}, dim N'={dim_nprime}, flag {flag}",
+        detail=f"blocks {inc.small.blocks}, n={n}, dim N'={dim_nprime}, flag {flag}",
     )
     if flag:
         e = concrete_jones_projection(inc.small)
@@ -1133,17 +1119,19 @@ def commutant_trace_is_markov(inc: Inclusion) -> tuple[bool, Report]:
                 la.frobenius_distance(left, la.eye(n) / idx),
                 la.frobenius_distance(right, la.eye(n) / idx),
             ),
-            tol.bound(1.0),
+            inc.tol.bound(1.0),
         )
     return flag, rep
 
 
-def _commutant_trace_flag(inc: Inclusion) -> bool:
-    """The flag of :func:`commutant_trace_is_markov`, which depends on the
-    inclusion alone, so it is kept on the inclusion, as its index is."""
-    if "_commutant_trace_markov" not in vars(inc):
-        inc._commutant_trace_markov = commutant_trace_is_markov(inc)[0]
-    return inc._commutant_trace_markov
+def _commutant_trace_gate(inc: Inclusion) -> bool:
+    """The flag of :func:`commutant_trace_is_markov`, read off the layout of N
+    in O(blocks): n_j dim N' = n m_j for every block (n_j, m_j).  M must be M_n."""
+    n = inc.big.ambient_dim
+    if inc.big.dim != n * n:
+        raise PreconditionError("commutant trace test requires M = M_n")
+    dim_nprime = sum(m * m for _, m in inc.small.blocks)
+    return all(bd * dim_nprime == n * m for bd, m in inc.small.blocks)
 
 
 def _tripartite_context(inc: Inclusion) -> TeleportationContext:
@@ -1188,7 +1176,7 @@ def tight_scheme_from_basis(
     central element of N with tau(z) = 1.  The commutant-trace gate must
     pass.  Every check runs at ``inc.tol``.
     """
-    if not _commutant_trace_flag(inc):
+    if not _commutant_trace_gate(inc):
         raise HypothesisError("tau restricted to N' is not the Markov trace of C ⊆ N'")
     return _tight_scheme(basic_construction(inc), basis, u, z)
 
@@ -1216,7 +1204,7 @@ def _tight_scheme(
 
     elements = np.stack(basis.elements)
     legs = {
-        "omega": _tight_resource(inc, concrete_jones_projection(inc.small), u, z)[None],
+        "omega": _tight_resource(inc, concrete_jones_projection(inc.small), u, la.matrix_sqrt(z, tol))[None],
         "povm": _entangled_ranges(inc.small, elements, u),
         "channels": elements,
     }
@@ -1225,10 +1213,10 @@ def _tight_scheme(
     )
 
 
-def _tight_resource(inc: Inclusion, e: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _tight_resource(inc: Inclusion, e: np.ndarray, u: np.ndarray, sqrt_z: np.ndarray) -> np.ndarray:
     """[M_n : N] d e d* with d = 1 (x) sqrt(z) u: the resource of the tight
     scheme on its last two legs, for e the concrete Jones projection of N."""
-    dress = la.kron(la.eye(len(u)), la.matrix_sqrt(z, inc.tol) @ u)
+    dress = la.kron(la.eye(len(u)), sqrt_z @ u)
     return inc.index * dress @ e @ la.dagger(dress)
 
 
@@ -1330,8 +1318,8 @@ def extract_tight_scheme(
     Everything runs on ``scheme.inclusion`` at its tolerance, the round-trip
     bounds included.  The scheme's level-one tower is reused.  The scheme's
     verdict is that of :func:`_classify`: kept from an earlier call while
-    every piece is still stored (:func:`_revision`), and fresh once a piece
-    was read or replaced, so replaced pieces are judged as they stand and
+    every piece is still stored, and fresh once a piece was read or the
+    scheme set, so replaced pieces are judged as they stand and
     flags a caller changed decide nothing.  Every piece is read once, by the
     :func:`_pieces` call of that classification, and the norms the
     bounds scale with are read off the legs (:attr:`_Legs.resource_norm`,
@@ -1359,7 +1347,7 @@ def extract_tight_scheme(
     flipped = np.swapaxes(_generators(small), -1, -2)
     if np.max(small.membership_residual(flipped)) > tol.bound(1.0) * 10:
         raise HypothesisError("N must be transpose-closed (block-adapted position)")
-    if not _commutant_trace_flag(inc):
+    if not _commutant_trace_gate(inc):
         raise HypothesisError("commutant trace gate fails")
     flags, legs = _classify(scheme)
     if not (flags.tight and flags.minimal and flags.faithful):
@@ -1384,7 +1372,8 @@ def extract_tight_scheme(
 
     # the dressing, from the undressed resource (1 (x) u) e (1 (x) u*) with its legs
     # swapped, and the corrections, from the POVM, in one solve at the seed of each
-    dress_inv = la.kron(la.eye(n), np.linalg.inv(la.matrix_sqrt(z, tol)))
+    sqrt_z = la.matrix_sqrt(z, tol)
+    dress_inv = la.kron(la.eye(n), np.linalg.inv(sqrt_z))
     undressed = dress_inv @ omega_small @ dress_inv / inc.index
     swapped = undressed.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
     outcomes = range(scheme.outcomes)
@@ -1392,7 +1381,7 @@ def extract_tight_scheme(
     names = ["dressing"] + [f"outcome {i}" for i in outcomes]
     solved = _leg_unitaries(small.basis, ranges, names, [DEFAULT_SEED + i for i in (0, *outcomes)], small.dim, tol)
     u, units = solved[0], solved[0] @ la.dagger(solved[1:])
-    rebuilt_small = _tight_resource(inc, e, u, z)
+    rebuilt_small = _tight_resource(inc, e, u, sqrt_z)
     resource_gap = la.frobenius_distance(rebuilt_small, omega_small)
     rep.add("resource_round_trip", resource_gap, tol.bound(float(np.linalg.norm(omega_small))) * 10)
     for i, (norm, gap) in enumerate(zip(legs.povm_norms, legs.povm_gaps)):

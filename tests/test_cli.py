@@ -484,13 +484,13 @@ def test_werner_extraction_on_the_noisy_document_holds_at_its_tolerance(monkeypa
 
 @pytest.mark.parametrize("trace", ["markov", [0.5]])
 def test_inclusion_info_builds_the_markov_trace_once(monkeypatch, capsys, trace):
-    # the parser builds the Markov trace a "markov" document asks for, and
+    # the inclusion builds the Markov trace a "markov" document asks for, and
     # inclusion-info reads its weights; explicit weights leave it to inclusion-info
-    from opteleport import cli
+    from opteleport import inclusion
 
     doc = {"ambient_dim": 2, "N_blocks": [[1, 1], [1, 1]], "trace": trace}
-    seen, markov = [], cli.markov_trace
-    monkeypatch.setattr(cli, "markov_trace", lambda *args: seen.append(args) or markov(*args))
+    seen, markov = [], inclusion._markov
+    monkeypatch.setattr(inclusion, "_markov", lambda *args: seen.append(args) or markov(*args))
     code, out = run_in_process(monkeypatch, capsys, ["inclusion-info", "-"], doc)
     assert code == 0 and json.loads(out)["certificate"]["markov_weights"] == [0.5]
     assert len(seen) == 1

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from opteleport import linalg as la
 from opteleport.algebra import StarAlgebra
-from opteleport.errors import ConnectednessError, DimensionError
+from opteleport.errors import ConnectednessError, DimensionError, PreconditionError
 from opteleport.linalg import DEFAULT_TOL, Tolerance
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,6 +116,11 @@ def test_pf_eigenvector_reducible_raises():
         la.pf_eigenvector(np.diag([1.0, 2.0]))
 
 
+def test_pf_eigenvector_refuses_a_negative_entry_with_a_typed_error():
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        la.pf_eigenvector(np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
 def test_pf_eigen_residual_random(seed, n):
@@ -131,7 +136,7 @@ def test_matrix_sqrt_squares_back():
         p = la.random_density(n, rng) * n
         r = la.matrix_sqrt(p)
         assert la.frobenius_distance(r @ r, p) < 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         la.matrix_sqrt(-np.eye(2, dtype=complex))
 
 

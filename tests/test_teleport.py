@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -980,19 +981,34 @@ def test_extraction_reuses_the_tower_of_the_scheme(monkeypatch):
     assert calls["_classify"] == 3
 
 
-def test_the_commutant_trace_gate_runs_once_per_inclusion(monkeypatch):
-    # the gate depends on the inclusion alone: build and two extractions read it once
-    seen, gate = [], teleport.commutant_trace_is_markov
-    monkeypatch.setattr(teleport, "commutant_trace_is_markov", lambda inc: seen.append(inc) or gate(inc))
-    s = _werner_d2()
-    assert extract_tight_scheme(s)[3].passed and extract_tight_scheme(s)[3].passed
-    assert seen == [s.inclusion]
-    # a failed gate is kept as well, and refuses every scheme of its inclusion
+def _layouts(n, least=(1, 1)):
+    """Every block layout [(d_j, m_j)] with sum d_j m_j = n, each once, in
+    nondecreasing order of blocks no smaller than ``least``."""
+    if n == 0:
+        yield []
+    for d in range(1, n + 1):
+        for m in range(1, n // d + 1):
+            if (d, m) >= least:
+                yield from ([(d, m), *rest] for rest in _layouts(n - d * m, (d, m)))
+
+
+def test_the_commutant_trace_gate_reads_the_layout():
+    # the census of N ⊊ M_n for n <= 4: the gate holds exactly when d_j / m_j is constant
+    census = [blocks for n in range(1, 5) for blocks in _layouts(n) if blocks != [(n, 1)]]
+    assert len(census) == 16
+    for blocks in census:
+        n = sum(d * m for d, m in blocks)
+        flag, rep = commutant_trace_is_markov(markov_inclusion(StarAlgebra.block_diagonal(blocks), StarAlgebra.full(n)))
+        assert flag == (len({Fraction(d, m) for d, m in blocks}) == 1), blocks
+        assert rep.passed and [c.name for c in rep.checks][1:] == (["jones_partial_traces_flat"] if flag else [])
+    # n / dim N' is the m_j^2-weighted mean of the d_j / m_j, which one block can meet alone
+    lopsided = markov_inclusion(StarAlgebra.block_diagonal([(2, 1), (1, 1), (3, 1)]), StarAlgebra.full(6))
+    assert not commutant_trace_is_markov(lopsided)[0]
+    # a failed gate refuses every scheme of its inclusion
     mixed = markov_inclusion(StarAlgebra.block_diagonal([(1, 1), (2, 1)]), StarAlgebra.full(3))
     for _ in range(2):
         with pytest.raises(HypothesisError):
             tight_scheme_from_basis(mixed, weyl_basis(3))
-    assert seen == [s.inclusion, mixed]
 
 
 def test_extraction_on_a_fresh_tower_matches_the_reused_one():
@@ -1541,7 +1557,7 @@ def test_extraction_round_trip_matches_the_dense_distances(key):
     got = {c.name: c.residual for c in rep.checks}
     inc = s.inclusion
     n, e, units = inc.big.ambient_dim, concrete_jones_projection(inc.small), np.stack(basis.elements)
-    resource = la.kron(la.eye(n), teleport._tight_resource(inc, e, u, z))
+    resource = la.kron(la.eye(n), teleport._tight_resource(inc, e, u, la.matrix_sqrt(z)))
     q = teleport._entangled_ranges(inc.small, units, u)
     povm = la.kron(q @ la.dagger(q), la.eye(n))
     # each channel against Ad(1 (x) 1 (x) u_i) on Bob's basis 1 (x) b / n
@@ -1720,6 +1736,25 @@ def test_a_piece_replaced_on_a_shallow_copy_ends_only_the_copys_verdict(fresh_ve
     _scaled_povm_element(twin)
     assert not classify(twin).unbiased
     assert classify(s) == flags and set(vars(s)["_stored"]) == PIECES
+    assert fresh_verdicts == [s, twin]
+
+
+@pytest.mark.parametrize("name", ["context", "inclusion", "leg_dims", "tower", *sorted(PIECES)])
+def test_setting_any_field_ends_the_kept_verdict(fresh_verdicts, name):
+    # a piece is set to an equal one, so that it is not read; every other field to itself
+    s = standard_scheme(2)
+    classify(s)
+    setattr(s, name, getattr(standard_scheme(2) if name in PIECES else s, name))
+    assert extract_tight_scheme(s)[3].passed and fresh_verdicts == [s, s]
+
+
+def test_a_shallow_copy_shares_the_verdict_until_it_is_set(fresh_verdicts):
+    s = standard_scheme(2)
+    classify(s)
+    twin = copy.copy(s)
+    assert extract_tight_scheme(twin)[3].passed and fresh_verdicts == [s]
+    twin.tower = s.tower
+    assert extract_tight_scheme(twin)[3].passed and extract_tight_scheme(s)[3].passed
     assert fresh_verdicts == [s, twin]
 
 
