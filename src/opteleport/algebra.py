@@ -176,7 +176,7 @@ class StarAlgebra:
         def draw(rng: np.random.Generator, attempt: int) -> np.ndarray:
             word = la.eye(n)
             for _ in range(min(2 ** (attempt + 1), 2 * n)):
-                f = np.tensordot(_gaussian(rng, len(letters)), letters, axes=1)
+                f = np.tensordot(la._gaussian(rng, len(letters)), letters, axes=1)
                 word = word @ (f / np.linalg.norm(f))
             return word
 
@@ -188,7 +188,7 @@ class StarAlgebra:
         combinations of the span; any other span raises :class:`StructureError`."""
         return _discover(
             onb.shape[1],
-            lambda rng, _: np.tensordot(_gaussian(rng, len(onb)), onb, axes=1),
+            lambda rng, _: np.tensordot(la._gaussian(rng, len(onb)), onb, axes=1),
             onb,
             len(onb),
             tol,
@@ -817,11 +817,6 @@ def _canonical(
     return make(n, [blocks[j] for j in order], frames)
 
 
-def _gaussian(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k independent standard complex Gaussian coefficients."""
-    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
-
-
 def _discover(
     n: int,
     draw: Callable[[np.random.Generator, int], np.ndarray],
@@ -1000,13 +995,9 @@ class Superoperator:
         return out.reshape(*x.shape[:-2], *out.shape[1:])
 
     @cached_property
-    def domain_trace(self) -> Trace:
-        """The normalised trace of the domain, which :attr:`choi` reads; built on first use."""
-        return Trace.normalized(self.domain)
-
-    @cached_property
     def _onto_domain(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _expectation(self.domain, self.domain_trace)
+        """The expectation onto the domain for its normalised trace, which :attr:`choi` reads; built on first use."""
+        return _expectation(self.domain, Trace.normalized(self.domain))
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -1026,9 +1017,6 @@ class Superoperator:
         choi = self.choi
         vals = np.linalg.eigvalsh((choi + la.dagger(choi)) / 2)
         return float(max(0.0, -vals.min())) + la.frobenius_distance(choi, la.dagger(choi))
-
-    def is_unital(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return tol.close(self._apply(self.domain.unit), self.codomain.unit)
 
     def is_cp(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         if self.ad_unitary is not None:

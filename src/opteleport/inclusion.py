@@ -27,6 +27,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 
 _MULTIPLICITY_GATE = 1e-6  # rounding residual allowed on an entry of the inclusion matrix
+_PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
 
 
 def inclusion_matrix(small: StarAlgebra, big: StarAlgebra) -> np.ndarray:
@@ -150,6 +151,18 @@ class Inclusion:
         if self.big.dim == n * n:
             return self.small.commutant
         return StarAlgebra.commuting_product(self.small, self.big.commutant, self.tol).commutant
+
+    @cached_property
+    def _equivariance_sample(self) -> tuple[np.ndarray, np.ndarray]:
+        """The six fixed-seed Hermitian elements x of M that the equivariance
+        vote of ``tower._normaliser_votes`` reads, and their expectations
+        E(x), read-only.  They depend on the inclusion alone, so they are
+        drawn once, as its index is."""
+        xs = self.big.random_hermitian(la.rng_from(_PAIR_SEED + 5), 6)
+        sample = xs, self.expectation(xs)
+        for x in sample:
+            x.flags.writeable = False
+        return sample
 
 
 def markov_inclusion(

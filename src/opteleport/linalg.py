@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ DEFAULT_SEED = 42
 _active_seed = DEFAULT_SEED
 _INVERTIBLE_DRAWS = 8  # random combinations generic_invertible tries
 _INVERTIBLE_GATE = 1e-6  # smallest singular value it accepts, of a unit-norm combination
+_CHUNK = 1 << 20  # complex entries (16 MB) a stacked product forms at a time
 
 
 def set_default_seed(seed: int) -> None:
@@ -271,23 +272,12 @@ def random_hermitian(
 ) -> np.ndarray:
     """A GUE matrix of size n; with ``count``, a (count, n, n) stack of them,
     drawn in one call for the real parts and one for the imaginary parts."""
-    rng = rng_from(rng)
-    shape = (n, n) if count is None else (count, n, n)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = _gaussian(rng_from(rng), (n, n) if count is None else (count, n, n))
     return (g + dagger(g)) / 2
 
 
-def random_density(n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
-    rng = rng_from(rng)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho)
-
-
 def random_unitary(n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
-    rng = rng_from(rng)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_gaussian(rng_from(rng), (n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
@@ -386,6 +376,13 @@ def generic_invertibles(onbs: np.ndarray, seeds: Sequence[int]) -> list[np.ndarr
     return [c if ok else generic_invertible(onb, seed) for c, ok, onb, seed in zip(cands, passed, onbs, seeds)]
 
 
-def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _gaussian(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
     """A complex Gaussian array, real parts drawn first."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _chunks(stack: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``stack``, each of one item at least and of at most ``_CHUNK`` entries at
+    ``size`` entries an item."""
+    step = max(1, _CHUNK // size)
+    return (stack[start : start + step] for start in range(0, len(stack), step))

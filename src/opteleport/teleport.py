@@ -172,16 +172,6 @@ class _ShiftPairs(Sequence):
         return out[0], out[1]
 
 
-_CHUNK = 1 << 20  # complex entries (16 MB) a product over the outcomes forms at a time
-
-
-def _chunks(stack: np.ndarray, size: int) -> Iterator[np.ndarray]:
-    """Consecutive slices of ``stack``, each of one item at least and of at most ``_CHUNK`` entries at
-    ``size`` entries an item."""
-    step = max(1, _CHUNK // size)
-    return (stack[start : start + step] for start in range(0, len(stack), step))
-
-
 def _shift_stacks(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The stacks of the a and of the shift(a) over the pairs of a context:
     :meth:`_ShiftPairs.stacks` for the library's contexts, and any other
@@ -303,9 +293,9 @@ class _Legs(NamedTuple):
         return np.hypot(math.sqrt(self.nprime.ambient_dim) * la.frobenius_norms(f), self.povm_gaps)
 
     def povm_parts(self, k: int) -> Iterator[np.ndarray]:
-        """The f_i of the first k outcomes a chunk at a time (:func:`_chunks`, sized
+        """The f_i of the first k outcomes a chunk at a time (:func:`la._chunks`, sized
         by the n^4 entries of an f_i), each f_i = Q_i Q_i* formed on its chunk when ranged."""
-        parts = _chunks(self.povm[:k], self.nprime.ambient_dim**4)
+        parts = la._chunks(self.povm[:k], self.nprime.ambient_dim**4)
         return (q @ la.dagger(q) for q in parts) if self.ranged else parts
 
     def within_rounding(self, gaps: float | np.ndarray, norms: float | np.ndarray) -> bool:
@@ -651,8 +641,8 @@ def _leg_residuals(legs: _Legs) -> dict[str, float]:
 
 
 def _conjugations(us: np.ndarray, bs: np.ndarray) -> Iterator[np.ndarray]:
-    """The stacks u b u* over the b of ``bs``, for the u of ``us`` a chunk at a time (:func:`_chunks`)."""
-    return (u[:, None] @ bs @ la.dagger(u)[:, None] for u in _chunks(us, bs.size))
+    """The stacks u b u* over the b of ``bs``, for the u of ``us`` a chunk at a time (:func:`la._chunks`)."""
+    return (u[:, None] @ bs @ la.dagger(u)[:, None] for u in la._chunks(us, bs.size))
 
 
 def _teleported(legs: _Legs, k: int) -> np.ndarray:
@@ -663,7 +653,7 @@ def _teleported(legs: _Legs, k: int) -> np.ndarray:
     n = legs.nprime.ambient_dim
     w = legs.resource.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, -1)  # [(p, q), (c, d)]
     phi = np.zeros((n * n, n, n), dtype=complex)  # [(a, x), c, d] of sum_i K_i(u_i (.) u_i*)
-    for f, u in zip(legs.povm_parts(k), _chunks(legs.units[:k], n**4)):
+    for f, u in zip(legs.povm_parts(k), la._chunks(legs.units[:k], n**4)):
         kk = f.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n) @ w  # [(i, a, x), (c, d)]
         phi += np.sum(np.swapaxes(u, 1, 2)[:, None] @ kk.reshape(len(f), -1, n, n) @ u.conj()[:, None], axis=0)
     return (legs.nprime.basis.reshape(-1, n * n) @ phi.reshape(n * n, -1).T).reshape(-1, n, n) / (n * n)
@@ -1360,7 +1350,7 @@ def extract_tight_scheme(
     z = (z + la.dagger(z)) / 2
     rep.add("central_slice_in_centre", small.center.membership_residual(z), tol.bound(1.0) * 10)
     zvals = np.linalg.eigvalsh(z)
-    rep.add_flag("central_slice_invertible", bool(zvals.min() > 1e-8), detail=f"min eig {zvals.min():.2e}")
+    rep.add_flag("central_slice_invertible", bool(zvals.min() > tol.abs), detail=f"min eig {zvals.min():.2e}")
     rep.add("central_slice_normalised", abs(np.trace(z).real / n - 1.0), tol.bound(1.0) * 10)
     if not rep.passed:
         raise ExtractionError("resource does not have the rigid form")

@@ -56,13 +56,11 @@ from .errors import (
     PreconditionError,
     TraceError,
 )
-from .inclusion import Inclusion, inclusion_matrix, index_from_matrix
+from .inclusion import _PAIR_SEED, Inclusion, inclusion_matrix, index_from_matrix
 from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import Report
 
-_PAIR_SEED = 0x70A3  # deterministic draws for the verifiers' sample elements
 _TRACIAL_SAMPLES = 12  # pairs (x, y) of N' ∩ M on which the restricted state is tested
-_SHIFT_CHUNK = 1 << 20  # complex entries (16 MB) formed at a time: shifted operators, compressed rows
 
 
 class GnsSpace:
@@ -144,19 +142,6 @@ class GnsSpace:
         if operator:
             return np.conj(x)[..., self._swap, :][..., self._swap]
         return np.conj(x)[self._swap]
-
-    def pullback(self, density: np.ndarray) -> np.ndarray:
-        """K with Tr(density left(x)) = Tr(K x) for every x.
-
-        Tr(density left(x)) = sum_j Tr(G_j xbar_j) with G_j the partial trace
-        over the second leg of the diagonal block j of density, so
-        K = sum_j W_j (G_j (x) 1_{m_j}) W_j* / m_j.
-        """
-        blocks = zip(self.algebra.blocks, self._slices)
-        return _from_corners(
-            self.algebra,
-            [np.trace(density[sl, sl].reshape(d, d, d, d), axis1=1, axis2=3) / m for (d, m), sl in blocks],
-        )
 
     def subspace_isometry(self, rep: StarAlgebra) -> np.ndarray:
         """Isometry P onto the GNS image of a subalgebra, given as ``rep``, its
@@ -711,7 +696,7 @@ def _compression_residual(
 
     The images S of the units need the blocks of the algebra one at a time;
     the rest runs once per chunk of consecutive blocks, whose rows of S, T,
-    E x and sum_b c_b b hold at most ``_SHIFT_CHUNK`` entries together, or
+    E x and sum_b c_b b hold at most ``la._CHUNK`` entries together, or
     one larger block alone.
     """
     xs, r = gns.algebra.basis, p.shape[1]
@@ -719,7 +704,7 @@ def _compression_residual(
     flat = subs.reshape(len(subs), -1)
     dual = np.linalg.inv(np.conj(flat) @ flat.T) @ np.conj(flat)  # coordinates against subs
     skew, size = la.frobenius_distance(la.dagger(p) @ p, la.eye(r)) / 2, np.linalg.norm(p)
-    step = max(1, _SHIFT_CHUNK // (2 * (r * r + flat.shape[1])))
+    step = max(1, la._CHUNK // (2 * (r * r + flat.shape[1])))
     chunks: list[list] = []
     for block in zip(gns.algebra.blocks, gns._slices):
         if chunks and block[1].stop - chunks[-1][0][1].start <= step:
@@ -749,13 +734,9 @@ def _compression_residual(
 
 def _shift_chunks(t: Tower) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The basis of N' ∩ M and its image under the public :meth:`Tower.shift`,
-    in chunks of at most ``_SHIFT_CHUNK`` entries of the level-two GNS
+    in chunks of at most ``la._CHUNK`` entries of the level-two GNS
     dimension, so that no stack of the whole shifted basis is held."""
-    basis = t.rel_comm.basis
-    step = max(1, _SHIFT_CHUNK // t.gns1.dim**2)
-    for start in range(0, len(basis), step):
-        xs = basis[start : start + step]
-        yield xs, t.shift(xs)
+    return ((xs, t.shift(xs)) for xs in la._chunks(t.rel_comm.basis, t.gns1.dim**2))
 
 
 def _shift_entanglement_residual(t: Tower, xs: np.ndarray, shifted: np.ndarray) -> float:
@@ -870,7 +851,7 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
 
     The equivariance vote uses the same six fixed-seed elements of M for
     every u and every call, drawn once per inclusion
-    (:func:`_equivariance_sample`); each vote is one stacked expectation,
+    (:attr:`Inclusion._equivariance_sample`); each vote is one stacked expectation,
     membership or GNS map.
     """
     inc = t.inclusion
@@ -887,7 +868,7 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
     u_star, u_col = la.dagger(us)[:, None], us[:, None]
     conj = u_star @ _generators(small) @ u_col
     conj_stable = np.all(small.membership_residual(conj) <= tol.bound(la.frobenius_norms(conj)), axis=1)
-    xs, exs = _equivariance_sample(inc)
+    xs, exs = inc._equivariance_sample
     lhs = u_star @ exs @ u_col
     gap = la.frobenius_norms(lhs - exp(u_star @ xs @ u_col))
     equivariant = np.all(gap <= tol.bound(la.frobenius_norms(lhs)) * 10, axis=1)
@@ -899,20 +880,6 @@ def _normaliser_votes(t: Tower, us: np.ndarray, tol: Tolerance) -> list[bool]:
             raise InternalError(f"normaliser criteria disagree: {three}")
         votes.append(bool(stable))
     return votes
-
-
-def _equivariance_sample(inc: Inclusion) -> tuple[np.ndarray, np.ndarray]:
-    """The six fixed-seed Hermitian elements x of M that the equivariance vote
-    of :func:`_normaliser_votes` reads, and their expectations E(x), read-only.
-    They depend on the inclusion alone, so they are drawn once and kept on
-    it, as its index is."""
-    if "_equivariance_sample" not in vars(inc):
-        xs = inc.big.random_hermitian(la.rng_from(_PAIR_SEED + 5), 6)
-        sample = xs, inc.expectation(xs)
-        for x in sample:
-            x.flags.writeable = False
-        inc._equivariance_sample = sample
-    return inc._equivariance_sample
 
 
 def _jones_gaps(t: Tower, us: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from opteleport import linalg as la
@@ -39,6 +40,13 @@ TOWER_KEYS = [
     "homogeneous_2_2",
     "scalars_in_direct_sum",
 ]
+
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """G G* / Tr(G G*) for an n x n complex Gaussian G, real parts drawn first."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ la.dagger(g)
+    return rho / np.trace(rho)
+
 
 def dense_commutation_gap(a: StarAlgebra, b: StarAlgebra) -> float:
     """Oracle: the largest distance to the dense span of a' of the generators

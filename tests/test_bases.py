@@ -24,7 +24,7 @@ from opteleport.inclusion import diagonal_in_full, markov_inclusion, trivial_in_
 from opteleport.linalg import Tolerance
 from opteleport.tower import basic_construction, verify_tower
 
-from conftest import get_tower, record_thresholds
+from conftest import get_tower, random_density, record_thresholds
 
 
 def verified(key, basis):
@@ -389,7 +389,7 @@ def test_verify_basis_rejects_the_tower_of_another_inclusion():
 def test_kraus_decomposition_rejects_a_positive_element_outside_the_first_tower_algebra():
     tower = get_tower("diagonal_in_full_2", two_levels=False)
     b = make_and_verify(tower, lambda: shift_basis(2))
-    x1 = la.random_density(tower.gns.dim, 3)  # positive, generic in M_4 ⊋ M1
+    x1 = random_density(tower.gns.dim, np.random.default_rng(3))  # positive, generic in M_4 ⊋ M1
     assert tower.level1.membership_residual(x1) > 1e-3
     with pytest.raises(PreconditionError, match="x1 must lie in the first tower algebra"):
         kraus_decomposition(tower, x1, b)

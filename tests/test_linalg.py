@@ -8,6 +8,8 @@ from opteleport.algebra import StarAlgebra
 from opteleport.errors import ConnectednessError, DimensionError, PreconditionError
 from opteleport.linalg import DEFAULT_TOL, Tolerance
 
+from conftest import random_density
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -133,7 +135,7 @@ def test_pf_eigen_residual_random(seed, n):
 def test_matrix_sqrt_squares_back():
     rng = np.random.default_rng(5)
     for n in (2, 3, 5):
-        p = la.random_density(n, rng) * n
+        p = random_density(n, rng) * n
         r = la.matrix_sqrt(p)
         assert la.frobenius_distance(r @ r, p) < 1e-10
     with pytest.raises(PreconditionError):
@@ -158,14 +160,14 @@ def test_predicates():
 
 
 def test_random_generators_are_seeded_deterministic():
-    a = la.random_density(3, 123)
-    b = la.random_density(3, 123)
-    assert np.array_equal(a, b)
-    assert abs(np.trace(a) - 1) < 1e-12 and la.is_psd(a)
     u = la.random_unitary(4, 123)
-    assert la.is_unitary(u)
+    assert la.is_unitary(u) and np.array_equal(u, la.random_unitary(4, 123))
     h = la.random_hermitian(4, 123)
-    assert la.is_hermitian(h)
+    assert la.is_hermitian(h) and np.array_equal(h, la.random_hermitian(4, 123))
+    # one complex Gaussian, real parts drawn first
+    rng = np.random.default_rng(123)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert np.array_equal(h, (g + la.dagger(g)) / 2)
 
 
 def test_span_utilities_roundtrip():

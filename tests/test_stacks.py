@@ -185,7 +185,7 @@ def test_normaliser_votes_draw_their_sample_once_per_inclusion(monkeypatch):
     s = standard_scheme(2)
     assert extract_tight_scheme(s)[3].passed and normalizer_check(s.tower, la.eye(2))
     assert draws.count(6) == 1
-    xs, exs = tower._equivariance_sample(s.inclusion)
+    xs, exs = s.inclusion._equivariance_sample
     assert np.array_equal(xs, draw(s.inclusion.big, la.rng_from(tower._PAIR_SEED + 5), 6))
     assert np.array_equal(exs, s.inclusion.expectation(xs)) and not (xs.flags.writeable or exs.flags.writeable)
 

@@ -48,7 +48,7 @@ from opteleport.teleport import (
 
 from opteleport.tower import basic_construction, iterate
 
-from conftest import dense_commutation_gap, get_tower, record_thresholds
+from conftest import dense_commutation_gap, get_tower, random_density, record_thresholds
 
 
 def tower_basis(key, make):
@@ -594,7 +594,7 @@ def test_unbiasedness_both_formulations():
         g = exp(s.omega @ f)
         assert la.frobenius_distance(g, ctx.teleported.unit / 4) < 1e-10
         for _ in range(25):
-            raw = ctx.teleported.project(la.random_density(8, rng))
+            raw = ctx.teleported.project(random_density(8, rng))
             raw = (raw + la.dagger(raw)) / 2
             rho = raw / ctx.trace(raw).real
             assert abs(ctx.trace(f @ rho @ s.omega) - 0.25) < 1e-9
@@ -707,11 +707,12 @@ def _subsystem_tight():
     return tight_scheme_from_basis(inc, commutant_factor_basis(inc))
 
 
-def _werner_d2():
+def _werner_d2(eps=0.8):
+    # the dressed D_2 scheme with z = diag(2 - eps, eps), of tau(z) = 1
     inc = diagonal_in_full(2)
     b = shift_basis(2)
     b.inclusion = inc
-    z = np.diag([1.2, 0.8]).astype(complex)
+    z = np.diag([2 - eps, eps]).astype(complex)
     return tight_scheme_from_basis(inc, b, u=shift_unitary(2), z=z)
 
 
@@ -1137,6 +1138,16 @@ def _singular_slice():
     return s
 
 
+def _first_leg_off_trivial():
+    # omega + tol.bound(||omega||) (h (x) 1_9) omega made Hermitian, h = diag(1, -1, 0) / sqrt(2):
+    # its remainder 1.5e-7 is over tol.bound(||omega||) = 1.7e-8, and the flags still hold
+    s = standard_scheme(3)
+    h = la.kron(np.diag([1.0, -1.0, 0.0]).astype(complex) / np.sqrt(2), la.eye(9))
+    w = s.omega + DEFAULT_TOL.bound(float(np.linalg.norm(s.omega))) * h @ s.omega
+    s.omega = (w + la.dagger(w)) / 2
+    return s
+
+
 def _scaled_resource():
     # 1.1 omega: the slice is 1.1, of normalised trace 1.1
     s = standard_scheme(2)
@@ -1164,6 +1175,7 @@ EXTRACTION_WITNESSES = {
     "central_slice_in_centre": (_slice_off_centre, "resource does not have the rigid form"),
     "central_slice_invertible": (_singular_slice, "resource does not have the rigid form"),
     "central_slice_normalised": (_scaled_resource, "resource does not have the rigid form"),
+    "resource_has_trivial_first_leg": (_first_leg_off_trivial, "resource does not have the rigid form"),
     "resource_round_trip": (_mixed_resource, "round trip failed: resource_round_trip, round_trip_resource"),
     "povm_0_has_trivial_third_leg": (_povm_off_its_third_leg, "round trip failed: povm_0_has_trivial_third_leg"),
 }
@@ -1188,6 +1200,19 @@ def test_each_extraction_check_has_a_scheme_that_fails_it(monkeypatch, name):
         extract_tight_scheme(s)
     failed = [c.name for c in reports[-1].failures()]
     assert failed[0] == name and set(failed) <= {name, "round_trip_resource"}
+
+
+def test_extraction_takes_every_central_slice_the_builder_takes():
+    # both gate the smallest eigenvalue of z at tol.abs = 1e-9: at eps = 5e-9 the
+    # scheme builds and extracts back to its z, and at eps = 5e-10 it does not build
+    s = _werner_d2(5e-9)
+    flags = classify(s)
+    assert verify_scheme(s).passed and flags.tight and flags.minimal and flags.faithful
+    _, _, z, rep = extract_tight_scheme(s)
+    assert rep.passed and [c.passed for c in rep.checks if c.name == "central_slice_invertible"] == [True]
+    assert np.array_equal(z, np.diag([2 - 5e-9, 5e-9]))
+    with pytest.raises(PreconditionError, match="z must be positive invertible"):
+        _werner_d2(5e-10)
 
 
 def test_correction_unitaries_read_the_tolerance_of_the_tower(monkeypatch):
